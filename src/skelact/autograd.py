@@ -3,8 +3,10 @@
 Covers exactly the operation set the recognition pipeline needs: matmul with
 broadcast batch dims, pointwise arithmetic with singleton-axis broadcasting,
 leaky ReLU, row softmax, fully connected layers, strided 2D convolution,
-2x2 max pooling, frame-difference velocity, shape plumbing (reshape,
-transpose, concat), and a fused softmax cross-entropy loss.
+2x2 max pooling, a fused channels-last conv/pool/leaky-ReLU stage (the CNN
+hot path; the three separate ops are its reference), frame-difference
+velocity, shape plumbing (reshape, transpose, concat), and a fused softmax
+cross-entropy loss.
 
 Tensors hold 32-bit values for training and inference.  A parallel 64-bit
 mode (pass ``dtype=np.float64`` when building parameters) exists solely for
@@ -12,13 +14,15 @@ finite-difference verification via :func:`grad_check`.
 
 The tape is define-by-run: activate one with ``with Tape():`` around the
 forward pass, call :func:`backward` on the scalar loss, and rebuild a fresh
-tape next step.  With no tape active every op is pure forward computation.
+tape next step; backward frees the tape's nodes, so one tape serves one
+backward.  With no tape active every op is pure forward computation.
 Broadcasting follows the singleton-axis rule only: an axis of extent 1
 stretches, shorter ranks are left-padded with 1s, and nothing else aligns.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from typing import Callable, Sequence
 
 import numpy as np
@@ -109,25 +113,28 @@ class _Node:
 
 
 class Tape:
-    """Append-only record of ops in execution (hence topological) order."""
+    """Append-only record of ops in execution (hence topological) order.
+
+    The active tape is per thread (and per asyncio task): ops run elsewhere
+    never record onto it.  :func:`backward` consumes the tape.
+    """
 
     def __init__(self):
         self.nodes: list[_Node] = []
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.append(self)
+        self._token = _ACTIVE_TAPE.set(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _TAPE_STACK.pop()
-        assert popped is self
+        _ACTIVE_TAPE.reset(self._token)
 
 
-_TAPE_STACK: list[Tape] = []
+_ACTIVE_TAPE: ContextVar[Tape | None] = ContextVar("skelact_active_tape", default=None)
 
 
 def _active_tape() -> Tape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    return _ACTIVE_TAPE.get()
 
 
 def _wrap(value, like: Tensor) -> Tensor:
@@ -388,6 +395,68 @@ def maxpool2d(x: Tensor) -> Tensor:
     return _finish(out, (x,), back, "maxpool2d")
 
 
+def conv_pool_leaky(x: Tensor, kernels: Tensor, bias: Tensor, slope: float = 0.01) -> Tensor:
+    """One channels-last CNN stage as a single tape node: stride-2 padding-1
+    conv, 2x2 max pool, leaky ReLU.
+
+    Takes (H,W,C_in) or (B,H,W,C_in) and returns (..,H'/2,W'/2,C_out), with
+    the values and gradients of ``leaky_relu(maxpool2d(conv2d(.)))`` on the
+    channel-first layout.  Kernels keep their (C_out,C_in,kh,kw) layout and
+    the im2col columns keep (C_in,kh,kw) order, so the GEMM is conv2d's.
+    """
+    if not 0.0 < slope < 1.0:
+        raise UsageError(f"conv_pool_leaky slope must lie in (0, 1), got {slope}")
+    squeeze = x.data.ndim == 3
+    xd = x.data[None] if squeeze else x.data
+    if xd.ndim != 4:
+        raise DimensionError(f"conv_pool_leaky expects (H,W,C) or (B,H,W,C), got {x.shape}")
+    c_out, c_in, kh, kw = kernels.shape
+    batch, h, w, c_x = xd.shape
+    if c_x != c_in:
+        raise DimensionError(f"conv_pool_leaky channel mismatch: input {x.shape} vs kernels {kernels.shape}")
+    if bias.shape != (c_out,):
+        raise DimensionError(f"conv_pool_leaky bias {bias.shape} does not match kernels {kernels.shape}")
+    h_out, w_out = (h + 2 - kh) // 2 + 1, (w + 2 - kw) // 2 + 1
+    if h_out < 1 or w_out < 1 or h_out % 2 or w_out % 2:
+        raise DimensionError(f"conv_pool_leaky: conv output {h_out}x{w_out} of input {x.shape} cannot be pooled 2x2")
+
+    xp = np.pad(xd, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::2, ::2]
+    cols = np.ascontiguousarray(windows).reshape(batch * h_out * w_out, c_in * kh * kw)
+    kmat = kernels.data.reshape(c_out, -1)
+    conv = (cols @ kmat.T + bias.data).reshape(batch, h_out, w_out, c_out)
+    corners = [conv[:, i::2, j::2] for i in (0, 1) for j in (0, 1)]  # row-major window order
+    pooled = np.maximum(np.maximum(np.maximum(corners[0], corners[1]), corners[2]), corners[3])
+    mask = pooled >= 0
+    out = np.where(mask, pooled, pooled * pooled.dtype.type(slope))
+    if squeeze:
+        out = out[0]
+
+    def back(d):
+        dd = d[None] if squeeze else d
+        dpool = np.where(mask, dd, dd * slope)
+        dconv = np.empty_like(conv)
+        taken = np.zeros(pooled.shape, dtype=bool)
+        for n, corner in enumerate(corners):  # first max per window takes the gradient
+            hit = (corner == pooled) & ~taken
+            np.multiply(dpool, hit, out=dconv[:, n // 2 :: 2, n % 2 :: 2])
+            taken |= hit
+        d2 = dconv.reshape(-1, c_out)
+        dk = (d2.T @ cols).reshape(kernels.shape)
+        db = d2.sum(axis=0)
+        dcols = (d2 @ kmat).reshape(batch, h_out, w_out, c_in, kh, kw)
+        # channel-first memory: the input gradient leaves in conv2d's layout, so
+        # reductions over it upstream (the temporal embedding's) add in its order
+        dxp = np.zeros((batch, c_in, h + 2, w + 2), dtype=dd.dtype).transpose(0, 2, 3, 1)
+        for i in range(kh):
+            for j in range(kw):
+                dxp[:, i : i + 2 * h_out : 2, j : j + 2 * w_out : 2] += dcols[..., i, j]
+        dx = dxp[:, 1 : 1 + h, 1 : 1 + w]
+        return (dx[0] if squeeze else dx), dk, db
+
+    return _finish(out, (x, kernels, bias), back, "conv_pool_leaky")
+
+
 # ---------------------------------------------------------------------------
 # shape plumbing
 
@@ -504,7 +573,12 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(t) into ``t.grad`` for every requires_grad tensor
-    reachable from ``loss`` on its tape."""
+    reachable from ``loss`` on its tape, then clear the tape.
+
+    Clearing drops the tape's references to every op output and closure,
+    which breaks the output -> tape -> node -> output cycle so a step's
+    arrays are freed by reference counting instead of a later full GC.
+    """
     if loss.data.size != 1:
         raise UsageError(f"backward requires a scalar loss, got shape {loss.shape}")
     tape = loss._tape
@@ -512,6 +586,8 @@ def backward(loss: Tensor) -> None:
         if loss.requires_grad:
             loss.accumulate_grad(np.ones_like(loss.data))
         return
+    if not tape.nodes:
+        raise UsageError("backward: the loss's tape was already consumed by an earlier backward")
     pending: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     holders: dict[int, Tensor] = {id(loss): loss}
     for node in reversed(tape.nodes):
@@ -531,6 +607,7 @@ def backward(loss: Tensor) -> None:
                 holders[key] = t
     for key, d in pending.items():  # leaves: tensors never produced by a node
         holders[key].accumulate_grad(d)
+    tape.nodes.clear()
 
 
 def zero_grads(tensors: Sequence[Tensor]) -> None:

@@ -3,7 +3,11 @@
 Each enhanced image runs through its own three-stage conv encoder
 (3x3 kernels, stride 2, padding 1, each stage followed by 2x2 max pooling
 and a leaky ReLU), collapsing a 64x64 image to a single feature column.
-The streams' features concatenate into a two-layer classifier head.
+A stream turns its image channels-last once and runs each stage as the fused
+``conv_pool_leaky`` op; ``conv2d`` and ``maxpool2d`` remain as channel-first
+reference ops, and ``leaky_relu(maxpool2d(conv2d(.)))`` is the stage's
+bit-exact reference.  The streams' features concatenate into a two-layer
+classifier head.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tensor, concat, conv2d, leaky_relu, linear, maxpool2d, reshape
+from .autograd import Tensor, concat, conv_pool_leaky, leaky_relu, linear, permute, reshape
 from .encoder import LEAKY_SLOPE, EncodedBundle
 from .errors import DimensionError
 from .model import ModelConfig, ModelParams, StreamCNNParams
@@ -21,15 +25,18 @@ from .model import ModelConfig, ModelParams, StreamCNNParams
 def stream_forward(image, stream: StreamCNNParams) -> Tensor:
     """(.., 3, T, T) image to a flat (.., F) feature vector."""
     x = image if isinstance(image, Tensor) else Tensor(np.asarray(image))
+    if x.data.ndim not in (3, 4):
+        raise DimensionError(f"stream expects a (3,T,T) or (B,3,T,T) image, got {x.shape}")
+    x = permute(x, (1, 2, 0) if x.data.ndim == 3 else (0, 2, 3, 1))
     for kernels, bias in (
         (stream.conv1_kernels, stream.conv1_bias),
         (stream.conv2_kernels, stream.conv2_bias),
         (stream.conv3_kernels, stream.conv3_bias),
     ):
-        x = leaky_relu(maxpool2d(conv2d(x, kernels, bias, stride=2, padding=1)), LEAKY_SLOPE)
-    if x.shape[-1] != 1 or x.shape[-2] != 1:
+        x = conv_pool_leaky(x, kernels, bias, LEAKY_SLOPE)
+    if x.shape[-3] != 1 or x.shape[-2] != 1:
         raise DimensionError(f"stream did not reduce spatially, got {x.shape}")
-    return reshape(x, x.shape[:-3] + (x.shape[-3],))
+    return reshape(x, x.shape[:-3] + (x.shape[-1],))
 
 
 def forward(bundle: EncodedBundle, params: ModelParams) -> Tensor:

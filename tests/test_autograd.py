@@ -1,13 +1,18 @@
 """Tensor engine tests: loop oracles for every forward op, finite-difference
-checks for every backward rule, and the Adam recurrence by hand."""
+checks for every backward rule, the fused CNN stage against the ops it fuses,
+the tape's lifetime and thread confinement, and the Adam recurrence by hand."""
+
+import gc
+import threading
+import weakref
 
 import numpy as np
 import pytest
 
 from skelact.autograd import (
-    Tape, Tensor, add, backward, concat, conv2d, cross_entropy, elementwise,
-    frame_velocity, grad_check, leaky_relu, linear, matmul, maxpool2d, mul,
-    permute, reshape, scale, softmax_rows, sub, sum_all, transpose_last2,
+    Tape, Tensor, add, backward, concat, conv2d, conv_pool_leaky, cross_entropy,
+    elementwise, frame_velocity, grad_check, leaky_relu, linear, matmul, maxpool2d,
+    mul, permute, reshape, scale, softmax_rows, sub, sum_all, transpose_last2,
 )
 from skelact.errors import DimensionError, UsageError
 from skelact.optim import Adam, AdamState, adam_step
@@ -266,6 +271,95 @@ def test_shape_plumbing_ops():
 
 
 # ---------------------------------------------------------------------------
+# fused conv -> pool -> leaky stage against the three ops it replaces
+
+
+def _fused_and_composed(x, k, b, upstream, slope=0.01):
+    """Output and (x, kernels, bias) gradients of the fused op on a
+    channels-last input, and of the composed channel-first reference, both in
+    channel-first layout."""
+    results = []
+    for fused in (True, False):
+        xt = Tensor(x.transpose(0, 2, 3, 1) if fused else x, requires_grad=True)
+        kt, bt = Tensor(k, requires_grad=True), Tensor(b, requires_grad=True)
+        w = Tensor(upstream.transpose(0, 2, 3, 1) if fused else upstream)
+        with Tape():
+            if fused:
+                out = conv_pool_leaky(xt, kt, bt, slope)
+            else:
+                out = leaky_relu(maxpool2d(conv2d(xt, kt, bt, stride=2, padding=1)), slope)
+            loss = sum_all(mul(out, w))
+        backward(loss)
+        if fused:
+            results.append((out.data.transpose(0, 3, 1, 2), xt.grad.transpose(0, 3, 1, 2), kt.grad, bt.grad))
+        else:
+            results.append((out.data, xt.grad, kt.grad, bt.grad))
+    return results
+
+
+def _same_bits(got, want):
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_conv_pool_leaky_is_bitwise_the_composed_ops():
+    for seed in range(4):
+        rng = np.random.default_rng(40 + seed)
+        c_in = seed + 1
+        x = rng.normal(size=(2, c_in, 12, 8)).astype(np.float32)
+        k = rng.normal(size=(5, c_in, 3, 3)).astype(np.float32)
+        b = rng.normal(size=5).astype(np.float32)
+        upstream = rng.normal(size=(2, 5, 3, 2)).astype(np.float32)
+        fused, composed = _fused_and_composed(x, k, b, upstream)
+        for got, want in zip(fused, composed):
+            assert _same_bits(got, want), f"seed {seed}"
+
+
+def test_conv_pool_leaky_ties_route_like_maxpool2d():
+    # small integers make exact ties in most pooling windows
+    for seed in range(6):
+        rng = np.random.default_rng(60 + seed)
+        c_in = seed % 4 + 1
+        x = rng.integers(-1, 2, size=(2, c_in, 8, 8)).astype(np.float32)
+        k = rng.integers(-1, 2, size=(3, c_in, 3, 3)).astype(np.float32)
+        b = rng.integers(-1, 2, size=3).astype(np.float32)
+        upstream = rng.integers(1, 4, size=(2, 3, 2, 2)).astype(np.float32)
+        fused, composed = _fused_and_composed(x, k, b, upstream)
+        for got, want in zip(fused, composed):
+            assert _same_bits(got, want), f"seed {seed}"
+
+
+def test_grad_conv_pool_leaky_fused():
+    rng = np.random.default_rng(24)
+    x = _rand64(rng, (2, 8, 8, 3))
+    k = _rand64(rng, (4, 3, 3, 3))
+    b = _rand64(rng, (4,))
+
+    def f():
+        out = conv_pool_leaky(x, k, b, 0.01)
+        return sum_all(mul(out, out))
+
+    assert grad_check(f, [x, k, b], samples=60, seed=4) < 1e-5
+
+
+def test_conv_pool_leaky_validates_shapes_and_slope():
+    x = Tensor(np.zeros((2, 8, 8, 3), dtype=np.float32))
+    k = Tensor(np.zeros((4, 3, 3, 3), dtype=np.float32))
+    b = Tensor(np.zeros(4, dtype=np.float32))
+    assert conv_pool_leaky(x, k, b).shape == (2, 2, 2, 4)
+    assert conv_pool_leaky(Tensor(x.data[0]), k, b).shape == (2, 2, 4)
+    with pytest.raises(DimensionError):  # channel mismatch
+        conv_pool_leaky(Tensor(np.zeros((2, 8, 8, 2))), k, b)
+    with pytest.raises(DimensionError):  # bias shape
+        conv_pool_leaky(x, k, Tensor(np.zeros(3)))
+    with pytest.raises(DimensionError):  # conv output 3x3 cannot pool 2x2
+        conv_pool_leaky(Tensor(np.zeros((2, 6, 6, 3))), k, b)
+    with pytest.raises(DimensionError):  # rank
+        conv_pool_leaky(Tensor(np.zeros((8, 8))), k, b)
+    with pytest.raises(UsageError):
+        conv_pool_leaky(x, k, b, slope=1.0)
+
+
+# ---------------------------------------------------------------------------
 # backward rules against central differences (64-bit)
 
 
@@ -388,6 +482,55 @@ def test_ops_without_tape_record_nothing():
     with tape:
         mul(x, x)
     assert len(tape.nodes) == 1
+
+
+def test_backward_frees_the_step_without_gc():
+    x = Tensor(np.ones((4, 4)), requires_grad=True)
+    gc.disable()
+    try:
+        with Tape() as tape:
+            hidden = mul(x, x)
+            loss = sum_all(add(hidden, hidden))
+        alive = weakref.ref(tape)
+        backward(loss)
+        assert not tape.nodes
+        del tape, hidden, loss
+        assert alive() is None  # freed by reference counting alone
+    finally:
+        gc.enable()
+    assert np.array_equal(x.grad, np.full((4, 4), 4.0))
+
+
+def test_second_backward_over_a_consumed_tape_raises():
+    x = Tensor(np.array([3.0]), requires_grad=True, dtype=np.float64)
+    with Tape():
+        loss = sum_all(mul(x, x))
+    backward(loss)
+    with pytest.raises(UsageError):
+        backward(loss)
+    assert x.grad[0] == pytest.approx(6.0)
+
+
+def test_tape_records_only_its_own_thread():
+    x = Tensor(np.ones(4), requires_grad=True)
+    opened, other_done = threading.Event(), threading.Event()
+    recorded = []
+
+    def owner():
+        with Tape() as tape:
+            opened.set()
+            other_done.wait(10)
+            recorded.append(len(tape.nodes))
+
+    thread = threading.Thread(target=owner)
+    thread.start()
+    assert opened.wait(10)
+    y = mul(x, x)  # no tape open in this thread
+    other_done.set()
+    thread.join(10)
+    assert not thread.is_alive()
+    assert y._tape is None
+    assert recorded == [0]
 
 
 def test_grad_check_rejects_float32():

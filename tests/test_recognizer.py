@@ -4,8 +4,11 @@ cost model (multiply-accumulate census and parameter count)."""
 import numpy as np
 import pytest
 
-from skelact.autograd import Tensor
-from skelact.encoder import EncodedBundle, EnhanceFlags, uniform_attention
+from skelact import recognizer
+from skelact.autograd import (
+    Tape, Tensor, backward, conv2d, cross_entropy, leaky_relu, maxpool2d, reshape,
+)
+from skelact.encoder import LEAKY_SLOPE, EncodedBundle, EnhanceFlags, encode, uniform_attention
 from skelact.errors import DimensionError, UsageError
 from skelact.model import ModelConfig, ModelParams
 from skelact.recognizer import count_flops, forward, predict, stream_forward
@@ -58,6 +61,14 @@ def test_stream_collapses_image_to_feature_column():
         stream_forward(np.zeros((3, 32, 32), dtype=np.float32), params.streams[0])
 
 
+def test_unbatched_stream_equals_row_zero_of_batch():
+    stream = ModelParams.build(_config(), seed=0).streams[0]
+    rng = np.random.default_rng(25)
+    images = rng.normal(size=(3, 3, 64, 64)).astype(np.float32)
+    batched = stream_forward(images, stream).data
+    assert np.array_equal(stream_forward(images[0], stream).data, batched[0])
+
+
 def test_zero_images_give_zero_logits():
     params = ModelParams.build(_config(), seed=0)
     zeros = [np.zeros((3, 64, 64), dtype=np.float32)] * 4
@@ -102,6 +113,36 @@ def test_batched_forward_matches_single():
     for b in range(2):
         single = forward(_bundle([i[b] for i in images]), params).data
         assert np.allclose(batched[b], single, atol=1e-5)
+
+
+def test_training_gradients_match_channel_first_stream_bitwise(monkeypatch):
+    # every gradient, the encoder's included, must come out as the composed
+    # channel-first ops produced it; the stem's input gradient layout decides
+    # the summation order of the temporal embeddings' gradients
+    def channel_first_stream(image, stream):
+        x = image
+        for kernels, bias in ((stream.conv1_kernels, stream.conv1_bias),
+                              (stream.conv2_kernels, stream.conv2_bias),
+                              (stream.conv3_kernels, stream.conv3_bias)):
+            x = leaky_relu(maxpool2d(conv2d(x, kernels, bias, stride=2, padding=1)), LEAKY_SLOPE)
+        return reshape(x, x.shape[:-3] + (x.shape[-3],))
+
+    rng = np.random.default_rng(6)
+    x = (rng.normal(size=(3, 64, 4, 3)) * 0.3).astype(np.float32)
+    labels = np.array([0, 2, 1])
+    runs = []
+    for stream_fn in (stream_forward, channel_first_stream):
+        monkeypatch.setattr(recognizer, "stream_forward", stream_fn)
+        params = ModelParams.build(_config(), seed=5)
+        with Tape():
+            logits = forward(encode(x, params.encoder), params)
+            loss = cross_entropy(logits, labels)
+        backward(loss)
+        runs.append((logits.data, {k: t.grad for k, t in params.trainable_tensors().items()}))
+    (fused_logits, fused), (ref_logits, ref) = runs
+    assert np.array_equal(fused_logits, ref_logits)
+    for name, grad in ref.items():
+        assert grad is not None and np.array_equal(fused[name], grad), name
 
 
 # ---------------------------------------------------------------------------
