@@ -11,7 +11,7 @@ from .autograd import Tape, Tensor, backward, grad_check
 from .checkpoint import load_checkpoint, save_checkpoint
 from .encoder import EncodedBundle, EncoderParams, EnhanceFlags, encode
 from .model import ModelConfig, ModelParams
-from .optim import Adam, AdamState, adam_step
+from .optim import AdamState, adam_step
 from .recognizer import FlopsReport, count_flops, forward, predict
 from .skeleton import (
     DatasetSplit, SkeletonSequence, Topology, center_root, ntu_topology,
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Tape", "Tensor", "backward", "grad_check",
-    "Adam", "AdamState", "adam_step",
+    "AdamState", "adam_step",
     "SkeletonSequence", "Topology", "DatasetSplit",
     "parse_ntu", "parse_jsonl", "write_jsonl",
     "resample", "center_root", "split_dataset", "ntu_topology",

@@ -31,15 +31,6 @@ from .errors import DimensionError, UsageError
 
 REAL = np.float32
 
-_DEBUG_CHECKS = False
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """Toggle post-op finiteness assertions (off by default for speed)."""
-    global _DEBUG_CHECKS
-    _DEBUG_CHECKS = bool(enabled)
-
-
 class Tensor:
     """A dense array participating in automatic differentiation.
 
@@ -68,17 +59,11 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def accumulate_grad(self, delta: np.ndarray) -> None:
         if self.grad is None:
             self.grad = np.array(np.broadcast_to(delta, self.data.shape), dtype=self.data.dtype)
         else:
             self.grad += delta
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -144,8 +129,6 @@ def _wrap(value, like: Tensor) -> Tensor:
 
 
 def _finish(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn, op: str) -> Tensor:
-    if _DEBUG_CHECKS and not np.all(np.isfinite(out_data)):
-        raise ArithmeticError(f"non-finite values produced by {op}")
     out = Tensor(out_data, dtype=out_data.dtype)
     tape = _active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
@@ -234,14 +217,6 @@ def scale(a: Tensor, s: float) -> Tensor:
         return (d * s,)
 
     return _finish(out, (a,), back, "scale")
-
-
-def elementwise(op: str, a: Tensor, b) -> Tensor:
-    """Dispatch table over the pointwise op set."""
-    table = {"add": add, "sub": sub, "mul": mul, "scale": scale}
-    if op not in table:
-        raise UsageError(f"unknown elementwise op {op!r}")
-    return table[op](a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -610,11 +585,6 @@ def backward(loss: Tensor) -> None:
     tape.nodes.clear()
 
 
-def zero_grads(tensors: Sequence[Tensor]) -> None:
-    for t in tensors:
-        t.zero_grad()
-
-
 # ---------------------------------------------------------------------------
 # finite-difference verification
 
@@ -638,12 +608,14 @@ def grad_check(
     for p in params:
         if p.data.dtype != np.float64:
             raise UsageError("grad_check requires float64 parameters")
-    zero_grads(params)
+    for p in params:
+        p.grad = None
     with Tape():
         loss = fn()
     backward(loss)
     analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
-    zero_grads(params)
+    for p in params:
+        p.grad = None
 
     if points is None:
         rng = np.random.default_rng(seed)

@@ -7,7 +7,9 @@ Layout, all integers little-endian u32 and all values little-endian f32:
 
 Entries are the model's configuration (stored as small f32 arrays under
 "config.*" names) followed by every parameter tensor in sorted name order,
-so identical parameters always serialize to identical bytes.
+so identical parameters always serialize to identical bytes.  Loading checks
+the stored tensor names and shapes against model.param_spec and wraps the
+stored arrays as they are; no weights are drawn.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ import struct
 
 import numpy as np
 
+from .autograd import Tensor
 from .encoder import EnhanceFlags
 from .errors import CheckpointError
-from .model import ModelConfig, ModelParams
+from .model import ModelConfig, ModelParams, param_spec
 
 MAGIC = b"AFEC"
 VERSION = 1
@@ -135,23 +138,24 @@ def _config_from_entries(entries: dict[str, np.ndarray]) -> ModelConfig:
 
 
 def load_checkpoint(path) -> ModelParams:
+    """Rebuild the model a checkpoint stores, without drawing any weights:
+    the stored tensor names and shapes must match param_spec exactly."""
     entries = read_entries(path)
     config = _config_from_entries(entries)
-    params = ModelParams.build(config, seed=0)
-    tensors = params.named_tensors()
+    spec = param_spec(config)
     stored = {k for k in entries if not k.startswith("config.")}
-    expected = set(tensors)
+    expected = {s.name for s in spec}
     if stored != expected:
         missing = sorted(expected - stored)
         extra = sorted(stored - expected)
         raise CheckpointError(
             f"tensor set mismatch: missing {missing[:3]}, unexpected {extra[:3]}"
         )
-    for name, tensor in tensors.items():
-        value = entries[name]
-        if value.shape != tensor.data.shape:
+    for s in spec:
+        if entries[s.name].shape != s.shape:
             raise CheckpointError(
-                f"{name}: stored shape {value.shape} != expected {tensor.data.shape}"
+                f"{s.name}: stored shape {entries[s.name].shape} != expected {s.shape}"
             )
-        tensor.data = value.astype(np.float32, copy=False)
-    return params
+    return ModelParams.from_tensors(
+        config, {s.name: Tensor(entries[s.name], requires_grad=s.trainable) for s in spec}
+    )

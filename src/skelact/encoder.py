@@ -19,7 +19,7 @@ learned stages; whatever remains stays differentiable end to end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -59,13 +59,21 @@ class ScaleHead:
     fc2_weight: Tensor
     fc2_bias: Tensor
 
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {
-            f"{prefix}.fc1.weight": self.fc1_weight,
-            f"{prefix}.fc1.bias": self.fc1_bias,
-            f"{prefix}.fc2.weight": self.fc2_weight,
-            f"{prefix}.fc2.bias": self.fc2_bias,
-        }
+
+def _tensor_name(prefix: str, field_name: str) -> str:
+    """A holder field's tensor name: fc1_weight under "joint_scale" is
+    "joint_scale.fc1.weight"."""
+    return f"{prefix}.{field_name.replace('_', '.')}"
+
+
+def named_fields(holder, prefix: str) -> dict[str, Tensor]:
+    """A parameter holder's tensors under their names, in field order."""
+    return {_tensor_name(prefix, f.name): getattr(holder, f.name) for f in fields(holder)}
+
+
+def from_named(cls, prefix: str, tensors: dict[str, Tensor]):
+    """Inverse of named_fields: build a ``cls`` holder from named tensors."""
+    return cls(**{f.name: tensors[_tensor_name(prefix, f.name)] for f in fields(cls)})
 
 
 @dataclass
@@ -83,14 +91,6 @@ class AttentionHead:
     shared_bias: Tensor
     query_weight: Tensor
     key_weight: Tensor
-
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {
-            f"{prefix}.shared.weight": self.shared_weight,
-            f"{prefix}.shared.bias": self.shared_bias,
-            f"{prefix}.query.weight": self.query_weight,
-            f"{prefix}.key.weight": self.key_weight,
-        }
 
 
 @dataclass
@@ -116,12 +116,10 @@ class EncoderParams:
 
     def named_tensors(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
-        if self.joint_scale is not None:
-            out.update(self.joint_scale.named("joint_scale"))
-        if self.bone_scale is not None:
-            out.update(self.bone_scale.named("bone_scale"))
-        if self.attention is not None:
-            out.update(self.attention.named("attention"))
+        for prefix in ("joint_scale", "bone_scale", "attention"):
+            holder = getattr(self, prefix)
+            if holder is not None:
+                out.update(named_fields(holder, prefix))
         for name in self.flags.active_streams():
             out[f"embed.{name}"] = self.embeddings[name].weight
         for name, te in self.temporals.items():

@@ -1,21 +1,27 @@
-"""Model configuration and parameter construction.
+"""Model configuration, the parameter table, and parameter construction.
 
 ModelConfig pins every structural choice (frame count, joint tree, channel
 widths, enabled stages, label vocabulary) so a checkpoint can rebuild the
-exact network.  ModelParams.build draws all weights from one seeded
-generator in a fixed order, which makes initialization reproducible.
+exact network.  param_spec(config) writes the architecture down once: every
+parameter tensor's name, shape, initializer, trainability and the
+multiply-accumulates its weight costs per sequence, in named_tensors()
+order.  ModelParams.build draws the tensors from one seeded generator in
+that order, which makes initialization reproducible; the parameter count,
+the MAC census (recognizer.count_flops) and checkpoint loading read the same
+table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autograd import Tensor
 from .encoder import (
     AttentionHead, EmbeddingLayer, EncoderParams, EnhanceFlags, ScaleHead,
-    TemporalEmbedding,
+    TemporalEmbedding, from_named, named_fields,
 )
 from .errors import UsageError
 from .skeleton import Topology
@@ -80,16 +86,6 @@ class StreamCNNParams:
     conv3_kernels: Tensor
     conv3_bias: Tensor
 
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {
-            f"{prefix}.conv1.kernels": self.conv1_kernels,
-            f"{prefix}.conv1.bias": self.conv1_bias,
-            f"{prefix}.conv2.kernels": self.conv2_kernels,
-            f"{prefix}.conv2.bias": self.conv2_bias,
-            f"{prefix}.conv3.kernels": self.conv3_kernels,
-            f"{prefix}.conv3.bias": self.conv3_bias,
-        }
-
 
 @dataclass
 class ClassifierParams:
@@ -98,27 +94,69 @@ class ClassifierParams:
     fc2_weight: Tensor
     fc2_bias: Tensor
 
-    def named(self, prefix: str = "classifier") -> dict[str, Tensor]:
-        return {
-            f"{prefix}.fc1.weight": self.fc1_weight,
-            f"{prefix}.fc1.bias": self.fc1_bias,
-            f"{prefix}.fc2.weight": self.fc2_weight,
-            f"{prefix}.fc2.bias": self.fc2_bias,
-        }
+
+@dataclass(frozen=True)
+class ParamSpec:
+    """One parameter tensor.  ``init`` names its initializer (kaiming,
+    small_uniform, zeros, ones, identity_like); ``macs`` is what the weight
+    costs per sequence (uses x weight size), None for a tensor that enters
+    no product."""
+
+    name: str
+    shape: tuple[int, ...]
+    init: str
+    trainable: bool = True
+    macs: int | None = None
 
 
-def _kaiming(rng, shape, fan_in, dtype) -> np.ndarray:
-    return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dtype)
+def _weight(name: str, shape: tuple[int, ...], uses: int, init: str = "kaiming", trainable: bool = True) -> ParamSpec:
+    return ParamSpec(name, shape, init, trainable, macs=uses * math.prod(shape))
 
 
-def _scale_head(rng, feat_width, hidden, dtype) -> ScaleHead:
-    # fc2 starts as bias 1 with tiny weights so initial scales sit near 1
-    return ScaleHead(
-        fc1_weight=Tensor(_kaiming(rng, (hidden, feat_width), feat_width, dtype), requires_grad=True, dtype=dtype),
-        fc1_bias=Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True, dtype=dtype),
-        fc2_weight=Tensor(rng.uniform(-0.01, 0.01, (1, hidden)).astype(dtype), requires_grad=True, dtype=dtype),
-        fc2_bias=Tensor(np.ones(1, dtype=dtype), requires_grad=True, dtype=dtype),
-    )
+def _bias(name: str, width: int, init: str = "zeros") -> ParamSpec:
+    return ParamSpec(name, (width,), init)
+
+
+def param_spec(config: ModelConfig) -> list[ParamSpec]:
+    """Every parameter tensor of ``config``, in named_tensors() order, which
+    is also the order build draws them in."""
+    t, j, hidden = config.frames, config.joints, config.scale_hidden
+    flags = config.flags
+    spec: list[ParamSpec] = []
+    for head, on, items in (("joint_scale", flags.joint_scale, j),
+                            ("bone_scale", flags.bone_scale, j - 1)):
+        if on:  # fc2 starts as bias 1 with tiny weights so initial scales sit near 1
+            spec += [_weight(f"{head}.fc1.weight", (hidden, t * 3), items),
+                     _bias(f"{head}.fc1.bias", hidden),
+                     _weight(f"{head}.fc2.weight", (1, hidden), items, "small_uniform"),
+                     _bias(f"{head}.fc2.bias", 1, "ones")]
+    if flags.attention:
+        d = j
+        spec += [_weight("attention.shared.weight", (d, j * 3), t),
+                 _bias("attention.shared.bias", d),
+                 _weight("attention.query.weight", (j, d), t),
+                 _weight("attention.key.weight", (j, d), t)]
+    # embeddings learn only when their source tensor is itself learned,
+    # so the raw baseline keeps fixed identity-like coordinate images
+    learnable = {"joints": flags.joint_scale, "joint_velocity": flags.joint_scale,
+                 "bones": flags.bone_scale, "bone_velocity": flags.bone_scale}
+    streams = flags.active_streams()
+    spec += [_weight(f"embed.{name}", (t, j), 3 * t, "identity_like", learnable[name]) for name in streams]
+    if flags.temporal:
+        spec += [_bias(f"temporal.{name}", t) for name in streams]
+    for i in range(config.stream_count()):
+        c_in = 3
+        for n, (pooled, c_out) in enumerate(config.conv_trace(), start=1):
+            # the conv output, before its 2x2 pool, is 2*pooled on a side
+            spec += [_weight(f"stream{i}.conv{n}.kernels", (c_out, c_in, 3, 3), (2 * pooled) ** 2),
+                     _bias(f"stream{i}.conv{n}.bias", c_out)]
+            c_in = c_out
+    width = config.stream_count() * config.feature_width()
+    spec += [_weight("classifier.fc1.weight", (config.fc_hidden, width), 1),
+             _bias("classifier.fc1.bias", config.fc_hidden),
+             _weight("classifier.fc2.weight", (config.classes, config.fc_hidden), 1),
+             _bias("classifier.fc2.bias", config.classes)]
+    return spec
 
 
 def identity_like_embedding(frames: int, joints: int, dtype=np.float32) -> np.ndarray:
@@ -127,6 +165,16 @@ def identity_like_embedding(frames: int, joints: int, dtype=np.float32) -> np.nd
     for t in range(frames):
         weight[t, t * joints // frames] = 1.0
     return weight
+
+
+# initializer name -> draw(rng, shape); kaiming's fan-in is prod(shape[1:])
+_INITS = {
+    "kaiming": lambda rng, shape: rng.standard_normal(shape) * np.sqrt(2.0 / math.prod(shape[1:])),
+    "small_uniform": lambda rng, shape: rng.uniform(-0.01, 0.01, shape),
+    "zeros": lambda rng, shape: np.zeros(shape),
+    "ones": lambda rng, shape: np.ones(shape),
+    "identity_like": lambda rng, shape: identity_like_embedding(*shape),
+}
 
 
 @dataclass
@@ -139,82 +187,40 @@ class ModelParams:
     @staticmethod
     def build(config: ModelConfig, seed: int = 0, dtype=np.float32) -> "ModelParams":
         rng = np.random.default_rng(seed)
+        return ModelParams.from_tensors(config, {
+            s.name: Tensor(_INITS[s.init](rng, s.shape).astype(dtype), requires_grad=s.trainable, dtype=dtype)
+            for s in param_spec(config)
+        })
+
+    @staticmethod
+    def from_tensors(config: ModelConfig, tensors: dict[str, Tensor]) -> "ModelParams":
+        """Wrap a named tensor set (param_spec's names) in the typed holders."""
         flags = config.flags
-        t, j = config.frames, config.joints
-        bone_count = j - 1
-
-        joint_head = _scale_head(rng, t * 3, config.scale_hidden, dtype) if flags.joint_scale else None
-        bone_head = _scale_head(rng, t * 3, config.scale_hidden, dtype) if flags.bone_scale else None
-
-        attention = None
-        if flags.attention:
-            d = j
-            attention = AttentionHead(
-                shared_weight=Tensor(_kaiming(rng, (d, j * 3), j * 3, dtype), requires_grad=True, dtype=dtype),
-                shared_bias=Tensor(np.zeros(d, dtype=dtype), requires_grad=True, dtype=dtype),
-                query_weight=Tensor(_kaiming(rng, (j, d), d, dtype), requires_grad=True, dtype=dtype),
-                key_weight=Tensor(_kaiming(rng, (j, d), d, dtype), requires_grad=True, dtype=dtype),
-            )
-
-        # embeddings learn only when their source tensor is itself learned,
-        # so the raw baseline keeps fixed identity-like coordinate images
-        learnable = {
-            "joints": flags.joint_scale,
-            "joint_velocity": flags.joint_scale,
-            "bones": flags.bone_scale,
-            "bone_velocity": flags.bone_scale,
-        }
-        embeddings = {}
-        temporals = {}
-        for name in flags.active_streams():
-            weight = identity_like_embedding(t, j, dtype)
-            embeddings[name] = EmbeddingLayer(Tensor(weight, requires_grad=learnable[name], dtype=dtype))
-            if flags.temporal:
-                temporals[name] = TemporalEmbedding(Tensor(np.zeros(t, dtype=dtype), requires_grad=True, dtype=dtype))
-
+        streams = flags.active_streams()
         encoder = EncoderParams(
             topology=config.topology(),
             flags=flags,
-            frames=t,
+            frames=config.frames,
             dt=config.dt,
-            joint_scale=joint_head,
-            bone_scale=bone_head,
-            attention=attention,
-            embeddings=embeddings,
-            temporals=temporals,
+            joint_scale=from_named(ScaleHead, "joint_scale", tensors) if flags.joint_scale else None,
+            bone_scale=from_named(ScaleHead, "bone_scale", tensors) if flags.bone_scale else None,
+            attention=from_named(AttentionHead, "attention", tensors) if flags.attention else None,
+            embeddings={name: EmbeddingLayer(tensors[f"embed.{name}"]) for name in streams},
+            temporals={name: TemporalEmbedding(tensors[f"temporal.{name}"]) for name in streams} if flags.temporal else {},
         )
-
-        c1, c2, c3 = config.channels
-        streams = []
-        for _ in range(config.stream_count()):
-            streams.append(StreamCNNParams(
-                conv1_kernels=Tensor(_kaiming(rng, (c1, 3, 3, 3), 3 * 9, dtype), requires_grad=True, dtype=dtype),
-                conv1_bias=Tensor(np.zeros(c1, dtype=dtype), requires_grad=True, dtype=dtype),
-                conv2_kernels=Tensor(_kaiming(rng, (c2, c1, 3, 3), c1 * 9, dtype), requires_grad=True, dtype=dtype),
-                conv2_bias=Tensor(np.zeros(c2, dtype=dtype), requires_grad=True, dtype=dtype),
-                conv3_kernels=Tensor(_kaiming(rng, (c3, c2, 3, 3), c2 * 9, dtype), requires_grad=True, dtype=dtype),
-                conv3_bias=Tensor(np.zeros(c3, dtype=dtype), requires_grad=True, dtype=dtype),
-            ))
-
-        concat_width = config.stream_count() * config.feature_width()
-        classifier = ClassifierParams(
-            fc1_weight=Tensor(_kaiming(rng, (config.fc_hidden, concat_width), concat_width, dtype), requires_grad=True, dtype=dtype),
-            fc1_bias=Tensor(np.zeros(config.fc_hidden, dtype=dtype), requires_grad=True, dtype=dtype),
-            fc2_weight=Tensor(_kaiming(rng, (config.classes, config.fc_hidden), config.fc_hidden, dtype), requires_grad=True, dtype=dtype),
-            fc2_bias=Tensor(np.zeros(config.classes, dtype=dtype), requires_grad=True, dtype=dtype),
+        return ModelParams(
+            config=config,
+            encoder=encoder,
+            streams=[from_named(StreamCNNParams, f"stream{i}", tensors) for i in range(config.stream_count())],
+            classifier=from_named(ClassifierParams, "classifier", tensors),
         )
-        return ModelParams(config=config, encoder=encoder, streams=streams, classifier=classifier)
 
     def named_tensors(self) -> dict[str, Tensor]:
         out = dict(self.encoder.named_tensors())
         for i, stream in enumerate(self.streams):
-            out.update(stream.named(f"stream{i}"))
-        out.update(self.classifier.named())
+            out.update(named_fields(stream, f"stream{i}"))
+        out.update(named_fields(self.classifier, "classifier"))
         return out
 
     def trainable_tensors(self) -> dict[str, Tensor]:
         return {k: t for k, t in self.named_tensors().items() if t.requires_grad}
-
-    def with_flags(self, flags: EnhanceFlags) -> "ModelParams":
-        """Fresh build under different flags (same everything else)."""
-        return ModelParams.build(replace(self.config, flags=flags))

@@ -54,18 +54,3 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
         p.data -= (lr / c1) * m / (np.sqrt(v / c2) + state.eps)
         p.grad = None
 
-
-class Adam:
-    """Thin stateful wrapper tying a parameter dict to its AdamState."""
-
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3, beta1: float = BETA1, beta2: float = BETA2, eps: float = EPS):
-        self.params = params
-        self.lr = lr
-        self.state = AdamState(params, beta1=beta1, beta2=beta2, eps=eps)
-
-    def step(self) -> None:
-        adam_step(self.params, self.state, self.lr)
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None

@@ -12,6 +12,7 @@ classifier head.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from .autograd import Tensor, concat, conv_pool_leaky, leaky_relu, linear, permute, reshape
 from .encoder import LEAKY_SLOPE, EncodedBundle
 from .errors import DimensionError
-from .model import ModelConfig, ModelParams, StreamCNNParams
+from .model import ModelConfig, ModelParams, StreamCNNParams, param_spec
 
 
 def stream_forward(image, stream: StreamCNNParams) -> Tensor:
@@ -75,72 +76,27 @@ class FlopsReport:
 def count_flops(config: ModelConfig) -> FlopsReport:
     """Multiply-accumulate census of one single-sequence forward pass.
 
-    Counts every matrix product on the inference path: the scale heads and
-    attention projections, the per-stream embedding products, the conv
-    stages (MACs = C_out * H' * W' * C_in * k * k), and the classifier.
-    Elementwise work (activations, softmax, velocity differences, the
-    attention product-and-add) is excluded.  flops = 2 * MACs.
+    Read off model.param_spec: each weight's entry carries its MACs (the
+    scale heads and attention projections, the per-stream embedding
+    products, the conv stages at C_out * H' * W' * C_in * k * k, and the
+    classifier), and the one product with no parameter, the attention
+    scores (T * T * J), is added here.  Elementwise work (activations,
+    softmax, velocity differences, the attention product-and-add) and the
+    constant bone-path product in scale_bones are excluded.
+    flops = 2 * MACs; param_count is the spec's total size.
     """
-    t, j = config.frames, config.joints
-    bones = j - 1
-    flags = config.flags
+    spec = param_spec(config)
     layers: dict[str, int] = {}
-
-    if flags.joint_scale:
-        layers["encoder.joint_scale.fc1"] = j * config.scale_hidden * (t * 3)
-        layers["encoder.joint_scale.fc2"] = j * config.scale_hidden
-    if flags.bone_scale:
-        layers["encoder.bone_scale.fc1"] = bones * config.scale_hidden * (t * 3)
-        layers["encoder.bone_scale.fc2"] = bones * config.scale_hidden
-    if flags.attention:
-        d = j
-        layers["encoder.attention.shared"] = t * d * (j * 3)
-        layers["encoder.attention.query"] = t * j * d
-        layers["encoder.attention.key"] = t * j * d
-        layers["encoder.attention.scores"] = t * t * j
-    for name in flags.active_streams():
-        layers[f"encoder.embed.{name}"] = 3 * t * j * t
-
-    for i in range(config.stream_count()):
-        size = t
-        c_in = 3
-        for n, c_out in enumerate(config.channels, start=1):
-            size = (size + 2 - 3) // 2 + 1
-            layers[f"stream{i}.conv{n}"] = c_out * size * size * c_in * 9
-            size //= 2
-            c_in = c_out
-
-    width = config.stream_count() * config.feature_width()
-    layers["classifier.fc1"] = width * config.fc_hidden
-    layers["classifier.fc2"] = config.fc_hidden * config.classes
-
+    for s in spec:
+        if s.macs is not None:  # a weight: its layer is its name less the tensor kind
+            layer = s.name.removesuffix(".weight").removesuffix(".kernels")
+            layers[layer if layer.startswith(("stream", "classifier")) else f"encoder.{layer}"] = s.macs
+        if s.name == "attention.key.weight":  # queries . keys^T, the product with no parameter
+            layers["encoder.attention.scores"] = config.frames * config.frames * config.joints
     total_macs = sum(layers.values())
     return FlopsReport(
         per_layer=layers,
         total_macs=total_macs,
         total_flops=2 * total_macs,
-        param_count=_count_params(config),
+        param_count=sum(math.prod(s.shape) for s in spec),
     )
-
-
-def _count_params(config: ModelConfig) -> int:
-    t, j = config.frames, config.joints
-    flags = config.flags
-    head = config.scale_hidden * (t * 3) + config.scale_hidden + config.scale_hidden + 1
-    total = 0
-    if flags.joint_scale:
-        total += head
-    if flags.bone_scale:
-        total += head
-    if flags.attention:
-        total += j * (j * 3) + j + 2 * (j * j)
-    streams = config.stream_count()
-    total += streams * t * j  # embeddings
-    if flags.temporal:
-        total += streams * t
-    c1, c2, c3 = config.channels
-    total += streams * (c1 * 3 * 9 + c1 + c2 * c1 * 9 + c2 + c3 * c2 * 9 + c3)
-    width = streams * config.feature_width()
-    total += config.fc_hidden * width + config.fc_hidden
-    total += config.classes * config.fc_hidden + config.classes
-    return total

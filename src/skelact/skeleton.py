@@ -4,7 +4,7 @@ A sequence is T frames of J joints in meters, with performer/camera/setup
 metadata.  Files come in two shapes: the NTU-style ``.skeleton`` text layout
 and a portable JSON-lines archive (one sequence per line).  The kinematic
 tree is a rooted spanning tree over the joints; its incidence matrix turns
-joint positions into bone vectors and the tree walk turns them back.
+joint positions into bone vectors and its root-path matrix turns them back.
 """
 
 from __future__ import annotations
@@ -133,7 +133,6 @@ class Topology:
     root: int
     incidence: np.ndarray = field(init=False, repr=False, compare=False)
     paths: np.ndarray = field(init=False, repr=False, compare=False)
-    _order: tuple[tuple[int, int, int, float], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bones = tuple((int(p), int(c)) for p, c in self.bones)
@@ -146,7 +145,6 @@ class Topology:
             adjacency[p].append((q, k, 1.0))   # traverse parent->child: add the bone
             adjacency[q].append((p, k, -1.0))  # traverse child->parent: subtract it
         paths = np.zeros((self.joint_count, len(bones)), dtype=np.float32)
-        order: list[tuple[int, int, int, float]] = []
         seen = [False] * self.joint_count
         seen[self.root] = True
         queue = [self.root]
@@ -158,11 +156,9 @@ class Topology:
                 seen[v] = True
                 paths[v] = paths[u]
                 paths[v, k] = sign
-                order.append((v, u, k, sign))
                 queue.append(v)
         object.__setattr__(self, "incidence", incidence)
         object.__setattr__(self, "paths", paths)
-        object.__setattr__(self, "_order", tuple(order))
 
     @property
     def bone_count(self) -> int:
@@ -174,19 +170,6 @@ def bones_from_joints(frames: np.ndarray, topology: Topology) -> np.ndarray:
     parents = np.array([p for p, _ in topology.bones])
     children = np.array([c for _, c in topology.bones])
     return frames[..., children, :] - frames[..., parents, :]
-
-
-def reconstruct_joints(bones: np.ndarray, topology: Topology, root_pos) -> np.ndarray:
-    """Recover a (3, J) joint matrix from (3, b) bone vectors by walking the
-    tree from the root, which carries ``root_pos``."""
-    bones = np.asarray(bones)
-    if bones.shape != (3, topology.bone_count):
-        raise UsageError(f"expected (3, {topology.bone_count}) bones, got {bones.shape}")
-    joints = np.zeros((3, topology.joint_count), dtype=bones.dtype)
-    joints[:, topology.root] = np.asarray(root_pos, dtype=bones.dtype)
-    for child, parent, k, sign in topology._order:
-        joints[:, child] = joints[:, parent] + sign * bones[:, k]
-    return joints
 
 
 def ntu_topology() -> Topology:
@@ -310,7 +293,9 @@ def write_jsonl(sequences, path) -> None:
 
 def parse_jsonl(path) -> list[SkeletonSequence]:
     """Inverse of write_jsonl.  An empty file is an empty dataset.  All
-    sequences in one file must agree on the joint count."""
+    sequences in one file must agree on the joint count.  label, subject,
+    camera and setup must be JSON integers (not booleans); coordinates must
+    be JSON numbers."""
     sequences: list[SkeletonSequence] = []
     expected_joints: int | None = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -327,6 +312,10 @@ def parse_jsonl(path) -> list[SkeletonSequence]:
             for key in ("label", "subject", "camera", "frames"):
                 if key not in obj:
                     raise ParseError(f"missing field {key!r}", line=num)
+            ids = {key: obj.get(key, 0) for key in ("label", "subject", "camera", "setup")}
+            for key, value in ids.items():
+                if type(value) is not int:  # rejects bools, floats (1e400 is inf) and strings
+                    raise ParseError(f"{key} must be an integer, got {value!r}", line=num)
             raw = obj["frames"]
             if not isinstance(raw, list) or len(raw) < 2:
                 raise ParseError("expected at least 2 frames", line=num)
@@ -340,22 +329,25 @@ def parse_jsonl(path) -> list[SkeletonSequence]:
                 for joint in frame:
                     if not isinstance(joint, list) or len(joint) != 3:
                         raise ParseError("joint is not an [x, y, z] triple", line=num)
-            frames = np.array(raw, dtype=np.float32)
+            try:
+                frames = np.array(raw)
+            except ValueError:  # a ragged nesting below a joint's three slots
+                frames = None
+            if frames is None or frames.ndim != 3 or frames.dtype.kind not in "iuf":
+                raise ParseError("expected numeric [x, y, z] joint coordinates", line=num)
+            frames = frames.astype(np.float32)
             if not np.all(np.isfinite(frames)):
                 raise ParseError("non-finite joint coordinate", line=num)
-            try:
-                sequences.append(
-                    SkeletonSequence(
-                        frames,
-                        action_label=int(obj["label"]),
-                        subject_id=int(obj["subject"]),
-                        camera_id=int(obj["camera"]),
-                        setup_id=int(obj.get("setup", 0)),
-                        source=f"{path}:{num}",
-                    )
+            sequences.append(
+                SkeletonSequence(
+                    frames,
+                    action_label=ids["label"],
+                    subject_id=ids["subject"],
+                    camera_id=ids["camera"],
+                    setup_id=ids["setup"],
+                    source=f"{path}:{num}",
                 )
-            except (TypeError, ValueError) as exc:
-                raise ParseError(str(exc), line=num) from None
+            )
     return sequences
 
 

@@ -11,11 +11,11 @@ import pytest
 
 from skelact.autograd import (
     Tape, Tensor, add, backward, concat, conv2d, conv_pool_leaky, cross_entropy,
-    elementwise, frame_velocity, grad_check, leaky_relu, linear, matmul, maxpool2d,
-    mul, permute, reshape, scale, softmax_rows, sub, sum_all, transpose_last2,
+    frame_velocity, grad_check, leaky_relu, linear, matmul, maxpool2d, mul,
+    permute, reshape, scale, softmax_rows, sub, sum_all, transpose_last2,
 )
 from skelact.errors import DimensionError, UsageError
-from skelact.optim import Adam, AdamState, adam_step
+from skelact.optim import AdamState, adam_step
 
 
 # ---------------------------------------------------------------------------
@@ -123,14 +123,6 @@ def test_matmul_broadcasts_batch_dims():
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(DimensionError, match=r"\(2, 3\).*\(4, 5\)"):
         matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
-
-
-def test_elementwise_add_and_zero_mul():
-    assert np.array_equal(elementwise("add", Tensor([1.0, 2.0]), Tensor([3.0, 4.0])).data, [4.0, 6.0])
-    x = Tensor(np.arange(6.0).reshape(2, 3))
-    assert not np.any(elementwise("mul", x, Tensor(np.zeros((2, 3)))).data)
-    with pytest.raises(UsageError):
-        elementwise("pow", x, x)
 
 
 def test_broadcast_mul_matches_per_channel_loop():
@@ -581,10 +573,11 @@ def test_adam_skips_parameters_without_grads():
     assert p.grad is None  # cleared after the step
 
 
-def test_adam_wrapper_reduces_quadratic_loss():
+def test_adam_step_reduces_quadratic_loss():
     target = np.array([3.0, -1.0], dtype=np.float32)
     p = Tensor(np.zeros(2), requires_grad=True)
-    opt = Adam({"p": p}, lr=0.1)
+    params = {"p": p}
+    state = AdamState(params)
     first = None
     for i in range(200):
         with Tape():
@@ -593,6 +586,6 @@ def test_adam_wrapper_reduces_quadratic_loss():
         if first is None:
             first = loss.item()
         backward(loss)
-        opt.step()
+        adam_step(params, state, 0.1)
     assert loss.item() < first * 1e-3
     assert np.allclose(p.data, target, atol=0.05)

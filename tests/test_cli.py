@@ -5,9 +5,10 @@ import pytest
 
 from skelact.checkpoint import load_checkpoint
 from skelact.cli import main
+from skelact.errors import ParseError
 from skelact.model import ModelConfig
 from skelact.recognizer import count_flops
-from skelact.skeleton import SkeletonSequence, write_jsonl
+from skelact.skeleton import SkeletonSequence, parse_jsonl, write_jsonl
 from skelact.synth import humanoid_topology
 
 
@@ -235,6 +236,24 @@ def test_bench_reports_latency_and_cost(capsys):
     report = count_flops(config)
     assert fields["gflops"] == repr(report.total_flops / 1e9)
     assert int(fields["params"]) == report.param_count
+
+
+GOOD_LINE = '{"label":0,"subject":1,"camera":1,"frames":[[[0,0,0],[1,1,1]],[[0,0,0],[1,1,1]]]}'
+
+
+@pytest.mark.parametrize("bad_line", [
+    '{"label":0,"subject":1,"camera":1,"frames":[[[0,0,"a"],[1,1,1]],[[0,0,0],[1,1,1]]]}',
+    '{"label":0,"subject":1,"camera":1,"frames":[[[0,0,[0]],[1,1,1]],[[0,0,0],[1,1,1]]]}',
+    '{"label":1e400,"subject":1,"camera":1,"frames":[[[0,0,0],[1,1,1]],[[0,0,0],[1,1,1]]]}',
+    '{"label":true,"subject":1,"camera":1,"frames":[[[0,0,0],[1,1,1]],[[0,0,0],[1,1,1]]]}',
+], ids=["string_coordinate", "nested_coordinate", "overflowing_label", "boolean_label"])
+def test_malformed_jsonl_is_exit_2(tmp_path, capsys, bad_line):
+    data = tmp_path / "bad.jsonl"
+    data.write_text(GOOD_LINE + "\n" + bad_line + "\n")
+    with pytest.raises(ParseError, match="line 2: "):
+        parse_jsonl(data)
+    assert main(_train_args(data, tmp_path / "x.ckpt")) == 2
+    assert "line 2: " in capsys.readouterr().err
 
 
 def test_exit_codes(tmp_path, dataset):

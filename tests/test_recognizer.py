@@ -10,9 +10,10 @@ from skelact.autograd import (
 )
 from skelact.encoder import LEAKY_SLOPE, EncodedBundle, EnhanceFlags, encode, uniform_attention
 from skelact.errors import DimensionError, UsageError
-from skelact.model import ModelConfig, ModelParams
+from skelact.model import ModelConfig, ModelParams, param_spec
 from skelact.recognizer import count_flops, forward, predict, stream_forward
 from skelact.skeleton import ntu_topology
+from skelact.training import VARIANT_GRID
 
 CHAIN_BONES = ((0, 1), (1, 2), (2, 3))
 
@@ -267,14 +268,20 @@ def test_flags_shrink_the_census():
     assert half.per_layer["classifier.fc1"] == (2 * 4) * 8
 
 
-@pytest.mark.parametrize("flags", [
+FLAG_SETS = [
     EnhanceFlags(),
     EnhanceFlags(False, False, False, False, True),
     EnhanceFlags(True, True, True, True, False),
     EnhanceFlags(True, False, True, False, True),
-])
+]
+
+
+@pytest.mark.parametrize("flags", FLAG_SETS + [f for _, f in VARIANT_GRID if f not in FLAG_SETS])
 def test_param_count_matches_built_tensors(flags):
     cfg = _config(flags=flags)
     report = count_flops(cfg)
-    built = sum(t.data.size for t in ModelParams.build(cfg).named_tensors().values())
-    assert report.param_count == built
+    named = ModelParams.build(cfg).named_tensors()
+    assert report.param_count == sum(t.data.size for t in named.values())
+    assert [(s.name, s.shape, s.trainable) for s in param_spec(cfg)] == [
+        (name, t.shape, t.requires_grad) for name, t in named.items()
+    ]

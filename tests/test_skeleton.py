@@ -283,9 +283,29 @@ def _random_tree(rng, joints):
     return Topology(joint_count=joints, bones=tuple(bones), root=int(labels[0]))
 
 
-def test_reconstruction_round_trips_random_trees():
-    from skelact.skeleton import reconstruct_joints
+def reconstruct_joints(bones, topology, root_pos):
+    """Tree-walk oracle: recover a (3, J) joint matrix from (3, b) bone
+    vectors breadth-first from the root, which carries ``root_pos``; each
+    joint is its tree neighbour plus the bone (parent to child) or minus it."""
+    adjacency = [[] for _ in range(topology.joint_count)]
+    for k, (p, q) in enumerate(topology.bones):
+        adjacency[p].append((q, k, 1.0))
+        adjacency[q].append((p, k, -1.0))
+    joints = np.zeros((3, topology.joint_count), dtype=bones.dtype)
+    joints[:, topology.root] = root_pos
+    seen = {topology.root}
+    queue = [topology.root]
+    while queue:
+        u = queue.pop(0)
+        for v, k, sign in adjacency[u]:
+            if v not in seen:
+                seen.add(v)
+                joints[:, v] = joints[:, u] + sign * bones[:, k]
+                queue.append(v)
+    return joints
 
+
+def test_reconstruction_round_trips_random_trees():
     rng = np.random.default_rng(5)
     for _ in range(20):
         joints = int(rng.integers(3, 12))
@@ -294,6 +314,9 @@ def test_reconstruction_round_trips_random_trees():
         bones = bones_from_joints(x, topo)
         back = reconstruct_joints(bones.T, topo, x[topo.root])
         assert np.allclose(back, x.T, atol=1e-6)
+        # the reconstruction scale_bones runs: root + paths . bones
+        product = x[topo.root] + topo.paths @ bones
+        assert np.allclose(product, back.T, atol=1e-6)
 
 
 def test_paths_matrix_is_left_inverse_of_incidence():

@@ -6,6 +6,7 @@ import pytest
 from skelact.checkpoint import MAGIC, load_checkpoint, read_entries, save_checkpoint
 from skelact.encoder import EnhanceFlags
 from skelact.errors import CheckpointError, ConfigMismatchError, UsageError
+from skelact.model import ModelConfig, ModelParams
 from skelact.skeleton import DatasetSplit, SkeletonSequence, split_dataset
 from skelact.synth import SynthConfig, humanoid_topology, synth_generate
 from skelact.training import (
@@ -209,6 +210,24 @@ def test_checkpoint_entries_include_config_and_tensors(tmp_path):
     assert entries["config.bones"].shape == (14, 2)
     stored = {k for k in entries if not k.startswith("config.")}
     assert stored == set(params.named_tensors())
+
+
+def test_load_checkpoint_draws_no_random_weights(tmp_path, monkeypatch):
+    config = ModelConfig(joints=TOPO.joint_count, classes=3, bones=TOPO.bones, root=TOPO.root,
+                         labels=(0, 1, 2), channels=(2, 2, 2), fc_hidden=8, scale_hidden=4)
+    params = ModelParams.build(config, seed=4)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, path)
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew from a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    loaded = load_checkpoint(path).named_tensors()
+    assert list(loaded) == list(params.named_tensors())
+    for name, tensor in params.named_tensors().items():
+        assert np.array_equal(loaded[name].data, tensor.data), name
+        assert loaded[name].requires_grad == tensor.requires_grad, name
 
 
 # ---------------------------------------------------------------------------
