@@ -12,10 +12,10 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .encoder import EncodedBundle, EncoderParams, EnhanceFlags, encode
 from .model import ModelConfig, ModelParams
 from .optim import AdamState, adam_step
-from .recognizer import FlopsReport, count_flops, forward, predict
+from .recognizer import FlopsReport, count_flops, forward
 from .skeleton import (
-    DatasetSplit, SkeletonSequence, Topology, center_root, ntu_topology,
-    parse_jsonl, parse_ntu, resample, split_dataset, write_jsonl,
+    DatasetSplit, SkeletonSequence, Topology, ntu_topology, parse_jsonl,
+    parse_ntu, split_dataset, write_jsonl,
 )
 from .synth import SynthConfig, humanoid_topology, synth_generate
 from .training import AblationResult, ConfusionMatrix, TrainConfig, ablate, evaluate, train
@@ -27,11 +27,11 @@ __all__ = [
     "AdamState", "adam_step",
     "SkeletonSequence", "Topology", "DatasetSplit",
     "parse_ntu", "parse_jsonl", "write_jsonl",
-    "resample", "center_root", "split_dataset", "ntu_topology",
+    "split_dataset", "ntu_topology",
     "SynthConfig", "synth_generate", "humanoid_topology",
     "EncodedBundle", "EncoderParams", "EnhanceFlags", "encode",
     "ModelConfig", "ModelParams",
-    "FlopsReport", "count_flops", "forward", "predict",
+    "FlopsReport", "count_flops", "forward",
     "TrainConfig", "ConfusionMatrix", "AblationResult",
     "train", "evaluate", "ablate",
     "save_checkpoint", "load_checkpoint",

@@ -41,7 +41,7 @@ def stream_forward(image, stream: StreamCNNParams) -> Tensor:
 
 
 def forward(bundle: EncodedBundle, params: ModelParams) -> Tensor:
-    """Logits over classes; softmax lives in the loss and in predict."""
+    """Logits over classes; softmax lives in the loss."""
     images = bundle.images()
     if len(images) != len(params.streams):
         raise DimensionError(
@@ -51,16 +51,6 @@ def forward(bundle: EncodedBundle, params: ModelParams) -> Tensor:
     merged = concat(features, axis=-1)
     hidden = leaky_relu(linear(merged, params.classifier.fc1_weight, params.classifier.fc1_bias), LEAKY_SLOPE)
     return linear(hidden, params.classifier.fc2_weight, params.classifier.fc2_bias)
-
-
-def predict(bundle: EncodedBundle, params: ModelParams) -> tuple[int, np.ndarray]:
-    """Class index (ties break to the lowest index) and the probability row."""
-    logits = forward(bundle, params).data
-    if logits.ndim != 1:
-        raise DimensionError("predict expects an unbatched bundle")
-    shifted = logits - logits.max()
-    probs = np.exp(shifted) / np.exp(shifted).sum()
-    return int(np.argmax(probs)), probs
 
 
 @dataclass

@@ -3,8 +3,9 @@
 A sequence is T frames of J joints in meters, with performer/camera/setup
 metadata.  Files come in two shapes: the NTU-style ``.skeleton`` text layout
 and a portable JSON-lines archive (one sequence per line).  The kinematic
-tree is a rooted spanning tree over the joints; its incidence matrix turns
-joint positions into bone vectors and its root-path matrix turns them back.
+tree is a rooted spanning tree over the joints: each bone vector is its
+child joint minus its parent joint, and the root-path matrix turns bone
+vectors back into joint positions.
 """
 
 from __future__ import annotations
@@ -85,45 +86,10 @@ class SkeletonSequence:
 # kinematic tree
 
 
-def build_incidence(bones, joint_count: int) -> np.ndarray:
-    """Joint-to-bone incidence matrix: column k has +1 at the bone's child
-    joint and -1 at its parent, so bone vectors are X . C for X of shape
-    (3, J).  Validates that the bones form a spanning tree."""
-    bones = [(int(p), int(c)) for p, c in bones]
-    if len(bones) != joint_count - 1:
-        raise TopologyError(f"{len(bones)} bones cannot span {joint_count} joints")
-    c = np.zeros((joint_count, len(bones)), dtype=np.float32)
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(joint_count)]
-    for k, (p, q) in enumerate(bones):
-        if not (0 <= p < joint_count and 0 <= q < joint_count):
-            raise TopologyError(f"bone ({p}, {q}) references a missing joint")
-        if p == q:
-            raise TopologyError(f"bone ({p}, {q}) is a self-loop")
-        c[q, k] = 1.0
-        c[p, k] = -1.0
-        adjacency[p].append((q, k))
-        adjacency[q].append((p, k))
-    seen = [False] * joint_count
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v, _ in adjacency[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                stack.append(v)
-    if count != joint_count:
-        raise TopologyError("bones do not connect all joints")
-    return c
-
-
 @dataclass(frozen=True)
 class Topology:
-    """Rooted spanning tree over joints, with derived matrices.
+    """Rooted spanning tree over joints, with its root-path matrix.
 
-    incidence: (J, b) with +1 child / -1 parent per column.
     paths: (J, b) signed membership of each bone on the root-to-joint path;
     joint positions recover from bone vectors as X = root + V . paths^T.
     """
@@ -131,38 +97,40 @@ class Topology:
     joint_count: int
     bones: tuple[tuple[int, int], ...]
     root: int
-    incidence: np.ndarray = field(init=False, repr=False, compare=False)
     paths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bones = tuple((int(p), int(c)) for p, c in self.bones)
         object.__setattr__(self, "bones", bones)
-        if not 0 <= self.root < self.joint_count:
+        joints = self.joint_count
+        if not 0 <= self.root < joints:
             raise TopologyError(f"root {self.root} out of range")
-        incidence = build_incidence(bones, self.joint_count)
-        adjacency: list[list[tuple[int, int, float]]] = [[] for _ in range(self.joint_count)]
+        if len(bones) != joints - 1:
+            raise TopologyError(f"{len(bones)} bones cannot span {joints} joints")
+        adjacency: list[list[tuple[int, int, float]]] = [[] for _ in range(joints)]
         for k, (p, q) in enumerate(bones):
+            if not (0 <= p < joints and 0 <= q < joints):
+                raise TopologyError(f"bone ({p}, {q}) references a missing joint")
+            if p == q:
+                raise TopologyError(f"bone ({p}, {q}) is a self-loop")
             adjacency[p].append((q, k, 1.0))   # traverse parent->child: add the bone
             adjacency[q].append((p, k, -1.0))  # traverse child->parent: subtract it
-        paths = np.zeros((self.joint_count, len(bones)), dtype=np.float32)
-        seen = [False] * self.joint_count
+        # one breadth-first walk from the root: a joint's path is its
+        # predecessor's plus the signed bone between them
+        paths = np.zeros((joints, len(bones)), dtype=np.float32)
+        seen = [False] * joints
         seen[self.root] = True
-        queue = [self.root]
-        while queue:
-            u = queue.pop(0)
+        reached = [self.root]
+        for u in reached:  # the walk appends to the list it reads
             for v, k, sign in adjacency[u]:
-                if seen[v]:
-                    continue
-                seen[v] = True
-                paths[v] = paths[u]
-                paths[v, k] = sign
-                queue.append(v)
-        object.__setattr__(self, "incidence", incidence)
+                if not seen[v]:
+                    seen[v] = True
+                    paths[v] = paths[u]
+                    paths[v, k] = sign
+                    reached.append(v)
+        if len(reached) != joints:
+            raise TopologyError("bones do not connect all joints")
         object.__setattr__(self, "paths", paths)
-
-    @property
-    def bone_count(self) -> int:
-        return len(self.bones)
 
 
 def bones_from_joints(frames: np.ndarray, topology: Topology) -> np.ndarray:
@@ -272,19 +240,15 @@ def parse_ntu(path) -> SkeletonSequence:
 # JSON-lines archive
 
 
-def _fmt(value: np.float32) -> str:
-    # 9 significant digits round-trip any float32 exactly
-    return "%.9g" % float(value)
-
-
 def write_jsonl(sequences, path) -> None:
-    """One JSON object per line: label, subject, camera, setup, frames."""
+    """One JSON object per line: label, subject, camera, setup, frames.
+    Coordinates print with 9 significant digits, which read back as the
+    same float32 (negative zero reads back as zero)."""
     with open(path, "w", encoding="utf-8") as fh:
         for seq in sequences:
-            frames = ",".join(
-                "[" + ",".join("[" + ",".join(_fmt(c) for c in joint) + "]" for joint in frame) + "]"
-                for frame in seq.frames
-            )
+            t, j, _ = seq.frames.shape
+            frame = "[" + ",".join(["[%.9g,%.9g,%.9g]"] * j) + "]"
+            frames = ",".join(frame % tuple(row) for row in seq.frames.reshape(t, -1).tolist())
             fh.write(
                 '{"label":%d,"subject":%d,"camera":%d,"setup":%d,"frames":[%s]}\n'
                 % (seq.action_label, seq.subject_id, seq.camera_id, seq.setup_id, frames)
@@ -317,24 +281,23 @@ def parse_jsonl(path) -> list[SkeletonSequence]:
                 if type(value) is not int:  # rejects bools, floats (1e400 is inf) and strings
                     raise ParseError(f"{key} must be an integer, got {value!r}", line=num)
             raw = obj["frames"]
-            if not isinstance(raw, list) or len(raw) < 2:
-                raise ParseError("expected at least 2 frames", line=num)
-            for frame in raw:
-                if not isinstance(frame, list):
-                    raise ParseError("frame is not a list of joints", line=num)
-                if expected_joints is None:
-                    expected_joints = len(frame)
-                if len(frame) != expected_joints:
-                    raise ParseError(f"expected {expected_joints} joints, got {len(frame)}", line=num)
-                for joint in frame:
-                    if not isinstance(joint, list) or len(joint) != 3:
-                        raise ParseError("joint is not an [x, y, z] triple", line=num)
             try:
                 frames = np.array(raw)
-            except ValueError:  # a ragged nesting below a joint's three slots
+            except ValueError:  # ragged nesting
                 frames = None
-            if frames is None or frames.ndim != 3 or frames.dtype.kind not in "iuf":
+            if (frames is None or frames.ndim != 3 or frames.shape[2] != 3
+                    or frames.dtype.kind not in "iuf"
+                    # numpy reads a boolean among numbers as 1/0; write_jsonl
+                    # never emits one, so only such lines pay for the walk
+                    or (("true" in line or "false" in line)
+                        and any(type(c) is bool for frame in raw for joint in frame for c in joint))):
                 raise ParseError("expected numeric [x, y, z] joint coordinates", line=num)
+            if frames.shape[0] < 2:
+                raise ParseError("expected at least 2 frames", line=num)
+            if expected_joints is None:
+                expected_joints = frames.shape[1]
+            if frames.shape[1] != expected_joints:
+                raise ParseError(f"expected {expected_joints} joints, got {frames.shape[1]}", line=num)
             frames = frames.astype(np.float32)
             if not np.all(np.isfinite(frames)):
                 raise ParseError("non-finite joint coordinate", line=num)
@@ -355,19 +318,11 @@ def parse_jsonl(path) -> list[SkeletonSequence]:
 # preprocessing
 
 
-def resample(seq: SkeletonSequence, frame_count: int) -> SkeletonSequence:
+def resample_frames(frames: np.ndarray, frame_count: int) -> np.ndarray:
     """Linear interpolation to exactly ``frame_count`` frames along uniform
     time positions; first and last frames are preserved bit-exactly."""
     if frame_count < 2:
-        raise UsageError(f"resample needs frame_count >= 2, got {frame_count}")
-    return SkeletonSequence(
-        resample_frames(seq.frames, frame_count),
-        action_label=seq.action_label, subject_id=seq.subject_id,
-        camera_id=seq.camera_id, setup_id=seq.setup_id, source=seq.source,
-    )
-
-
-def resample_frames(frames: np.ndarray, frame_count: int) -> np.ndarray:
+        raise UsageError(f"resampling needs frame_count >= 2, got {frame_count}")
     t_in = frames.shape[0]
     positions = np.arange(frame_count, dtype=np.float64) * (t_in - 1) / (frame_count - 1)
     base = np.minimum(positions.astype(np.int64), t_in - 2)
@@ -380,18 +335,10 @@ def resample_frames(frames: np.ndarray, frame_count: int) -> np.ndarray:
     return out
 
 
-def center_root(seq: SkeletonSequence, root: int = 0) -> SkeletonSequence:
-    """Translate so the first frame's root joint sits at the origin."""
-    offset = seq.frames[0, root].copy()
-    return SkeletonSequence(
-        seq.frames - offset, action_label=seq.action_label, subject_id=seq.subject_id,
-        camera_id=seq.camera_id, setup_id=seq.setup_id, source=seq.source,
-    )
-
-
 def preprocess(seq: SkeletonSequence, root: int, frame_count: int) -> np.ndarray:
-    """center_root then resample; returns the (frame_count, J, 3) array."""
-    return resample_frames(center_root(seq, root).frames, frame_count)
+    """Translate so the first frame's root joint sits at the origin, then
+    resample; returns the (frame_count, J, 3) array."""
+    return resample_frames(seq.frames - seq.frames[0, root], frame_count)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,28 @@
-"""Shared test plumbing: the acceptance-criteria verdict board.
+"""Shared test plumbing: the acceptance-criteria verdict board and the
+joint-to-bone incidence oracle.
 
 Acceptance tests record one verdict per criterion; the terminal summary
 prints them as single pass/fail lines so a full run ends with a compact
 scoreboard."""
+
+import numpy as np
 
 _VERDICTS: dict[int, tuple[str, bool, str]] = {}
 
 
 def record_verdict(number: int, title: str, ok: bool, detail: str) -> None:
     _VERDICTS[number] = (title, bool(ok), detail)
+
+
+def incidence_matrix(topology) -> np.ndarray:
+    """Joint-to-bone incidence matrix, built from the bone list alone: column
+    k has +1 at bone k's child joint and -1 at its parent, so bone vectors
+    are X . C for X of shape (3, J)."""
+    c = np.zeros((topology.joint_count, len(topology.bones)), dtype=np.float32)
+    for k, (p, q) in enumerate(topology.bones):
+        c[q, k] = 1.0
+        c[p, k] = -1.0
+    return c
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import record_verdict
+from conftest import incidence_matrix, record_verdict
 
 from skelact.autograd import Tensor, cross_entropy, frame_velocity, grad_check
 from skelact.cli import main
@@ -205,7 +205,7 @@ def test_criterion_03_bone_round_trip():
         scales, recovered = scale_bones(x, topo, _random_head(rng, frames * 3))
         bones = bones_from_joints(x, topo)
         target = bones * scales.data.reshape(-1)[None, :, None]
-        c = topo.incidence.astype(np.float64)
+        c = incidence_matrix(topo).astype(np.float64)
         free = [j for j in range(joints) if j != topo.root]
         for t in range(frames):
             for d in range(3):

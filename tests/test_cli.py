@@ -102,6 +102,11 @@ def test_train_is_byte_deterministic(tmp_path, dataset):
     assert l1.read_bytes() == l2.read_bytes()
 
 
+def test_train_with_one_frame_is_exit_1(tmp_path, dataset, capsys):
+    assert main(_train_args(dataset, tmp_path / "x.ckpt", extra=["--frames", "1"])) == 1
+    assert "frame_count >= 2" in capsys.readouterr().err
+
+
 def test_train_respects_stage_toggles(tmp_path, dataset):
     ckpt = tmp_path / "slim.ckpt"
     assert main(_train_args(dataset, ckpt, extra=["--no-velocity", "--no-attention"])) == 0
@@ -246,7 +251,10 @@ GOOD_LINE = '{"label":0,"subject":1,"camera":1,"frames":[[[0,0,0],[1,1,1]],[[0,0
     '{"label":0,"subject":1,"camera":1,"frames":[[[0,0,[0]],[1,1,1]],[[0,0,0],[1,1,1]]]}',
     '{"label":1e400,"subject":1,"camera":1,"frames":[[[0,0,0],[1,1,1]],[[0,0,0],[1,1,1]]]}',
     '{"label":true,"subject":1,"camera":1,"frames":[[[0,0,0],[1,1,1]],[[0,0,0],[1,1,1]]]}',
-], ids=["string_coordinate", "nested_coordinate", "overflowing_label", "boolean_label"])
+    '{"label":0,"subject":1,"camera":1,"frames":[[[true,0.5,1],[1,1,1]],[[0,0,0],[1,1,1]]]}',
+    '{"label":0,"subject":1,"camera":1,"frames":[[[false,0,1],[1,1,1]],[[0,0,0],[1,1,1]]]}',
+], ids=["string_coordinate", "nested_coordinate", "overflowing_label", "boolean_label",
+        "true_coordinate", "false_coordinate"])
 def test_malformed_jsonl_is_exit_2(tmp_path, capsys, bad_line):
     data = tmp_path / "bad.jsonl"
     data.write_text(GOOD_LINE + "\n" + bad_line + "\n")

@@ -3,6 +3,7 @@ frame attention, velocity images, temporal offsets, and the composed encode."""
 
 import numpy as np
 import pytest
+from conftest import incidence_matrix
 
 from skelact.autograd import Tape, Tensor, backward, sum_all
 from skelact.encoder import (
@@ -117,7 +118,7 @@ def test_scaled_bones_match_pinned_least_squares():
     scales, recovered = scale_bones(x, CHAIN, head)
     bones = bones_from_joints(x, CHAIN)                   # (T, b, 3)
     target = bones * scales.data.reshape(-1)[None, :, None]
-    c = CHAIN.incidence.astype(np.float64)
+    c = incidence_matrix(CHAIN).astype(np.float64)
     free = [j for j in range(4) if j != CHAIN.root]
     for t in range(5):
         for d in range(3):
@@ -285,7 +286,7 @@ def _build_encoder(rng, frames, flags=EnhanceFlags(), grad=False):
         return Tensor(rng.normal(size=shape).astype(np.float32) * scale,
                       requires_grad=grad)
 
-    j, b = CHAIN.joint_count, CHAIN.bone_count
+    j, b = CHAIN.joint_count, len(CHAIN.bones)
     hidden = 6
     head = lambda n: ScaleHead(tensor(hidden, frames * 3), tensor(hidden),
                                tensor(1, hidden), tensor(1))

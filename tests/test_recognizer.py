@@ -1,5 +1,5 @@
-"""Four-stream CNN classifier: forward semantics, prediction, and the static
-cost model (multiply-accumulate census and parameter count)."""
+"""Four-stream CNN classifier: forward semantics and the static cost model
+(multiply-accumulate census and parameter count)."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from skelact.autograd import (
 from skelact.encoder import LEAKY_SLOPE, EncodedBundle, EnhanceFlags, encode, uniform_attention
 from skelact.errors import DimensionError, UsageError
 from skelact.model import ModelConfig, ModelParams, param_spec
-from skelact.recognizer import count_flops, forward, predict, stream_forward
+from skelact.recognizer import count_flops, forward, stream_forward
 from skelact.skeleton import ntu_topology
 from skelact.training import VARIANT_GRID
 
@@ -144,36 +144,6 @@ def test_training_gradients_match_channel_first_stream_bitwise(monkeypatch):
     assert np.array_equal(fused_logits, ref_logits)
     for name, grad in ref.items():
         assert grad is not None and np.array_equal(fused[name], grad), name
-
-
-# ---------------------------------------------------------------------------
-# prediction
-
-
-def test_predict_reports_softmax_of_logits():
-    params = ModelParams.build(_config(), seed=4)
-    params.classifier.fc2_weight.data[:] = 0.0
-    params.classifier.fc2_bias.data[:] = [5.0, 1.0, 1.0]
-    rng = np.random.default_rng(5)
-    images = [rng.normal(size=(3, 64, 64)).astype(np.float32) for _ in range(4)]
-    cls, probs = predict(_bundle(images), params)
-    want = np.exp([5.0, 1.0, 1.0]) / np.exp([5.0, 1.0, 1.0]).sum()
-    assert cls == 0
-    assert np.allclose(probs, want, atol=1e-6)
-    assert probs.sum() == pytest.approx(1.0, abs=1e-6)
-
-
-def test_predict_breaks_ties_toward_lowest_class():
-    params = ModelParams.build(_config(), seed=5)
-    params.classifier.fc2_weight.data[:] = 0.0  # logits identically zero
-    rng = np.random.default_rng(6)
-    images = [rng.normal(size=(3, 64, 64)).astype(np.float32) for _ in range(4)]
-    cls, probs = predict(_bundle(images), params)
-    assert cls == 0
-    assert np.allclose(probs, 1.0 / 3, atol=1e-6)
-    batched = [np.stack([i, i]) for i in images]
-    with pytest.raises(DimensionError):
-        predict(_bundle(batched), params)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,13 @@ kinematic-tree algebra, split protocols, and the synthetic generator."""
 
 import numpy as np
 import pytest
+from conftest import incidence_matrix
 
 from skelact.errors import EmptyBodyError, ParseError, TopologyError, UsageError
 from skelact.skeleton import (
     NTU_TRAIN_SUBJECTS, DatasetSplit, SkeletonSequence, Topology,
-    bones_from_joints, build_incidence, center_root, ntu_topology, parse_jsonl,
-    parse_ntu, preprocess, resample, split_dataset, write_jsonl,
+    bones_from_joints, ntu_topology, parse_jsonl, parse_ntu, preprocess,
+    resample_frames, split_dataset, write_jsonl,
 )
 from skelact.synth import (
     BASE_POSE, CLASS_NAMES, SynthConfig, class_trajectory, humanoid_topology,
@@ -144,6 +145,20 @@ def test_jsonl_write_is_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_jsonl_write_pins_the_coordinate_format(tmp_path):
+    # nine significant digits, %g exponents, "-0" for negative zero
+    frames = np.array([[[0.1, -0.0, 1e-45], [3.4028235e38, 1.23456789, -2.5]],
+                       [[0.0, 1.0, -1e-45], [123456.789, -0.1, 7.0]]], dtype=np.float32)
+    path = tmp_path / "golden.jsonl"
+    write_jsonl([SkeletonSequence(frames, action_label=3, subject_id=12, camera_id=2,
+                                  setup_id=5)], path)
+    assert path.read_bytes() == (
+        b'{"label":3,"subject":12,"camera":2,"setup":5,"frames":'
+        b'[[[0.100000001,-0,1.40129846e-45],[3.40282347e+38,1.23456788,-2.5]],'
+        b'[[0,1,-1.40129846e-45],[123456.789,-0.100000001,7]]]}\n'
+    )
+
+
 def test_jsonl_parse_errors(tmp_path):
     path = tmp_path / "bad.jsonl"
 
@@ -201,7 +216,7 @@ def _seq(frames):
 def test_resample_preserves_endpoints_bit_exactly():
     rng = np.random.default_rng(2)
     frames = rng.normal(size=(7, 4, 3)).astype(np.float32)
-    out = resample(_seq(frames), 64).frames
+    out = resample_frames(frames, 64)
     assert out.shape == (64, 4, 3)
     assert np.array_equal(out[0], frames[0])
     assert np.array_equal(out[-1], frames[-1])
@@ -210,31 +225,31 @@ def test_resample_preserves_endpoints_bit_exactly():
 def test_resample_identity_when_lengths_match():
     rng = np.random.default_rng(3)
     frames = rng.normal(size=(16, 3, 3)).astype(np.float32)
-    assert np.array_equal(resample(_seq(frames), 16).frames, frames)
+    assert np.array_equal(resample_frames(frames, 16), frames)
 
 
 def test_resample_interpolates_linearly():
     frames = np.zeros((2, 1, 3), dtype=np.float32)
     frames[1] = 4.0
-    out = resample(_seq(frames), 5).frames
+    out = resample_frames(frames, 5)
     assert np.allclose(out[:, 0, 0], [0.0, 1.0, 2.0, 3.0, 4.0], atol=1e-6)
 
 
 def test_resample_downsamples_monotone_ramp():
     ramp = np.arange(33, dtype=np.float32)[:, None, None] * np.ones((33, 2, 3), dtype=np.float32)
-    out = resample(_seq(ramp), 9).frames[:, 0, 0]
+    out = resample_frames(ramp, 9)[:, 0, 0]
     assert np.all(np.diff(out) > 0)
     assert out[0] == 0.0 and out[-1] == 32.0
     with pytest.raises(UsageError):
-        resample(_seq(ramp), 1)
+        resample_frames(ramp, 1)
 
 
 def test_center_root_and_preprocess():
     frames = np.ones((3, 4, 3), dtype=np.float32)
     frames[0, 2] = [5.0, -1.0, 2.0]
-    out = center_root(_seq(frames), root=2)
-    assert np.array_equal(out.frames[0, 2], [0.0, 0.0, 0.0])
-    assert np.array_equal(out.frames[1, 0], np.array([1.0, 1.0, 1.0]) - [5.0, -1.0, 2.0])
+    out = preprocess(_seq(frames), root=2, frame_count=3)  # T frames: centring alone
+    assert np.array_equal(out[0, 2], [0.0, 0.0, 0.0])
+    assert np.array_equal(out[1, 0], np.array([1.0, 1.0, 1.0]) - [5.0, -1.0, 2.0])
     pre = preprocess(_seq(frames), root=2, frame_count=8)
     assert pre.shape == (8, 4, 3)
     assert np.array_equal(pre[0, 2], [0.0, 0.0, 0.0])
@@ -245,19 +260,19 @@ def test_center_root_and_preprocess():
 
 
 def test_incidence_three_joint_chain():
-    c = build_incidence([(0, 1), (1, 2)], 3)
+    c = incidence_matrix(Topology(joint_count=3, bones=((0, 1), (1, 2)), root=0))
     assert np.array_equal(c, [[-1.0, 0.0], [1.0, -1.0], [0.0, 1.0]])
 
 
 def test_incidence_validation():
     with pytest.raises(TopologyError, match="cannot span"):
-        build_incidence([(0, 1)], 3)
+        Topology(joint_count=3, bones=((0, 1),), root=0)
     with pytest.raises(TopologyError, match="self-loop"):
-        build_incidence([(0, 0), (1, 2)], 3)
+        Topology(joint_count=3, bones=((0, 0), (1, 2)), root=0)
     with pytest.raises(TopologyError, match="missing joint"):
-        build_incidence([(0, 5), (1, 2)], 3)
+        Topology(joint_count=3, bones=((0, 5), (1, 2)), root=0)
     with pytest.raises(TopologyError, match="connect"):
-        build_incidence([(0, 1), (1, 0), (2, 3), (3, 4)], 5)
+        Topology(joint_count=5, bones=((0, 1), (1, 0), (2, 3), (3, 4)), root=0)
     with pytest.raises(TopologyError, match="root"):
         Topology(joint_count=3, bones=((0, 1), (1, 2)), root=7)
 
@@ -270,7 +285,7 @@ def test_bones_match_incidence_product():
     assert bones.shape == (6, 24, 3)
     # B = X . C with X laid out (3, J)
     x = np.swapaxes(frames, -1, -2)
-    want = np.swapaxes(x @ topo.incidence, -1, -2)
+    want = np.swapaxes(x @ incidence_matrix(topo), -1, -2)
     assert np.allclose(bones, want, atol=1e-6)
 
 
@@ -324,7 +339,7 @@ def test_paths_matrix_is_left_inverse_of_incidence():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(3, 25)).astype(np.float32)
     x -= x[:, topo.root : topo.root + 1]  # pin the root at the origin
-    bones = x @ topo.incidence
+    bones = x @ incidence_matrix(topo)
     assert np.allclose(bones @ topo.paths.T, x, atol=1e-5)
 
 
@@ -423,7 +438,7 @@ def test_synth_degenerate_config_renders_base_pose_still():
 def test_humanoid_topology_is_consistent():
     topo = humanoid_topology()
     assert topo.joint_count == 15
-    assert topo.bone_count == 14
-    assert topo.incidence.shape == (15, 14)
+    assert len(topo.bones) == 14
+    assert topo.paths.shape == (15, 14)
     traj = class_trajectory(3, frame_count=32)
     assert traj.shape == (32, 15, 3)
