@@ -22,6 +22,8 @@ stretches, shorter ranks are left-padded with 1s, and nothing else aligns.
 
 from __future__ import annotations
 
+import math
+import threading
 from contextvars import ContextVar
 from typing import Callable, Sequence
 
@@ -128,14 +130,38 @@ def _wrap(value, like: Tensor) -> Tensor:
     return Tensor(np.asarray(value, dtype=like.data.dtype))
 
 
+def _recording(inputs: tuple[Tensor, ...]) -> Tape | None:
+    """The tape an op over ``inputs`` records onto, or None."""
+    tape = _active_tape()
+    return tape if tape is not None and any(t.requires_grad for t in inputs) else None
+
+
 def _finish(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn, op: str) -> Tensor:
     out = Tensor(out_data, dtype=out_data.dtype)
-    tape = _active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
+    tape = _recording(inputs)
+    if tape is not None:
         out.requires_grad = True
         out._tape = tape
         tape.nodes.append(_Node(out, inputs, backward_fn))
     return out
+
+
+# One byte buffer per role per thread, grown to the largest size asked for.
+_WORKSPACE = threading.local()
+
+
+def _workspace(role: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """A contiguous (shape, dtype) view of this thread's ``role`` buffer.
+
+    The view is overwritten by the next call for the same role, so only ops
+    whose arrays do not escape (no tape records them) may use it.
+    """
+    nbytes = math.prod(shape) * dtype.itemsize
+    buf = getattr(_WORKSPACE, role, None)
+    if buf is None or buf.size < nbytes:
+        buf = np.empty(nbytes, dtype=np.uint8)
+        setattr(_WORKSPACE, role, buf)
+    return buf[:nbytes].view(dtype).reshape(shape)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -378,6 +404,8 @@ def conv_pool_leaky(x: Tensor, kernels: Tensor, bias: Tensor, slope: float = 0.0
     the values and gradients of ``leaky_relu(maxpool2d(conv2d(.)))`` on the
     channel-first layout.  Kernels keep their (C_out,C_in,kh,kw) layout and
     the im2col columns keep (C_in,kh,kw) order, so the GEMM is conv2d's.
+    A call no tape records builds the columns and the conv output in this
+    thread's workspace instead of fresh arrays; the output never aliases it.
     """
     if not 0.0 < slope < 1.0:
         raise UsageError(f"conv_pool_leaky slope must lie in (0, 1), got {slope}")
@@ -397,19 +425,28 @@ def conv_pool_leaky(x: Tensor, kernels: Tensor, bias: Tensor, slope: float = 0.0
 
     xp = np.pad(xd, ((0, 0), (1, 1), (1, 1), (0, 0)))
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::2, ::2]
-    cols = np.ascontiguousarray(windows).reshape(batch * h_out * w_out, c_in * kh * kw)
     kmat = kernels.data.reshape(c_out, -1)
-    conv = (cols @ kmat.T + bias.data).reshape(batch, h_out, w_out, c_out)
+    cols_shape, conv_shape = (batch * h_out * w_out, c_in * kh * kw), (batch * h_out * w_out, c_out)
+    conv_dtype = np.result_type(xd, kmat)
+    if _recording((x, kernels, bias)) is not None:  # cols and conv escape into back
+        cols, conv = np.empty(cols_shape, xd.dtype), np.empty(conv_shape, conv_dtype)
+    else:
+        cols, conv = _workspace("cols", cols_shape, xd.dtype), _workspace("conv", conv_shape, conv_dtype)
+    np.copyto(cols.reshape(windows.shape), windows)
+    np.matmul(cols, kmat.T, out=conv)
+    conv += bias.data
+    conv = conv.reshape(batch, h_out, w_out, c_out)
     corners = [conv[:, i::2, j::2] for i in (0, 1) for j in (0, 1)]  # row-major window order
-    pooled = np.maximum(np.maximum(np.maximum(corners[0], corners[1]), corners[2]), corners[3])
-    mask = pooled >= 0
-    out = np.where(mask, pooled, pooled * pooled.dtype.type(slope))
+    pooled = np.maximum(corners[0], corners[1])
+    np.maximum(pooled, corners[2], out=pooled)
+    np.maximum(pooled, corners[3], out=pooled)
+    out = np.maximum(pooled * pooled.dtype.type(slope), pooled)  # leaky ReLU, as slope < 1
     if squeeze:
         out = out[0]
 
     def back(d):
         dd = d[None] if squeeze else d
-        dpool = np.where(mask, dd, dd * slope)
+        dpool = np.where(pooled >= 0, dd, dd * slope)
         dconv = np.empty_like(conv)
         taken = np.zeros(pooled.shape, dtype=bool)
         for n, corner in enumerate(corners):  # first max per window takes the gradient

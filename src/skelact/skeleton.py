@@ -29,6 +29,11 @@ NTU_TRAIN_SUBJECTS = frozenset(
 
 _NTU_NAME = re.compile(r"S(\d+)C(\d+)P(\d+)R(\d+)A(\d+)")
 
+# Largest coordinate magnitude a parsed file may hold.  Skeletons are in
+# meters; at this bound root-centring and the encoder's squares stay finite
+# in float32, where coordinates near its 3.4e38 limit overflow to inf.
+MAX_COORD = 1e6
+
 
 class SkeletonSequence:
     """Ordered joint frames plus capture metadata.
@@ -230,8 +235,8 @@ def parse_ntu(path) -> SkeletonSequence:
     frames = np.stack([coords for _, coords in observations[primary]])
     if frames.shape[0] < 2:
         raise ParseError(f"{path.name}: primary body tracked in fewer than 2 frames")
-    if not np.all(np.isfinite(frames)):
-        raise ParseError(f"{path.name}: non-finite joint coordinate")
+    if not np.abs(frames).max() <= MAX_COORD:  # also rejects NaN and inf
+        raise ParseError(f"{path.name}: non-finite joint coordinate or one beyond {MAX_COORD:g}")
     return SkeletonSequence(frames, action_label=action, subject_id=subject,
                             camera_id=camera, setup_id=setup, source=str(path))
 
@@ -259,7 +264,7 @@ def parse_jsonl(path) -> list[SkeletonSequence]:
     """Inverse of write_jsonl.  An empty file is an empty dataset.  All
     sequences in one file must agree on the joint count.  label, subject,
     camera and setup must be JSON integers (not booleans); coordinates must
-    be JSON numbers."""
+    be JSON numbers no larger than MAX_COORD in magnitude."""
     sequences: list[SkeletonSequence] = []
     expected_joints: int | None = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -299,8 +304,8 @@ def parse_jsonl(path) -> list[SkeletonSequence]:
             if frames.shape[1] != expected_joints:
                 raise ParseError(f"expected {expected_joints} joints, got {frames.shape[1]}", line=num)
             frames = frames.astype(np.float32)
-            if not np.all(np.isfinite(frames)):
-                raise ParseError("non-finite joint coordinate", line=num)
+            if not np.abs(frames).max() <= MAX_COORD:  # also rejects NaN and inf
+                raise ParseError(f"non-finite joint coordinate or one beyond {MAX_COORD:g}", line=num)
             sequences.append(
                 SkeletonSequence(
                     frames,

@@ -320,6 +320,32 @@ def test_conv_pool_leaky_ties_route_like_maxpool2d():
             assert _same_bits(got, want), f"seed {seed}"
 
 
+def test_untaped_conv_pool_leaky_changes_no_bits_and_aliases_nothing():
+    # untaped calls run in a per-thread workspace; these batch sizes grow,
+    # shrink and regrow it, and float64 after float32 reinterprets its bytes
+    for dtype in (np.float32, np.float64):
+        rng = np.random.default_rng(80)
+        k = Tensor(rng.normal(size=(5, 3, 3, 3)), requires_grad=True, dtype=dtype)
+        b = Tensor(rng.normal(size=5), requires_grad=True, dtype=dtype)
+        earlier = []
+        for batch in (2, 5, 1, 3):
+            x = Tensor(rng.normal(size=(batch, 12, 8, 3)), requires_grad=True, dtype=dtype)
+            untaped = conv_pool_leaky(x, k, b, 0.01)
+            assert untaped._tape is None
+            with Tape():
+                taped = conv_pool_leaky(x, k, b, 0.01)
+            assert taped._tape is not None
+            composed = leaky_relu(maxpool2d(conv2d(Tensor(x.data.transpose(0, 3, 1, 2), dtype=dtype), k, b)), 0.01)
+            assert untaped.dtype == dtype
+            assert _same_bits(untaped.data, taped.data), (dtype, batch)
+            assert _same_bits(untaped.data.transpose(0, 3, 1, 2), composed.data), (dtype, batch)
+            single = conv_pool_leaky(Tensor(x.data[-1], dtype=dtype), k, b, 0.01)
+            assert _same_bits(single.data, untaped.data[-1]), (dtype, batch)
+            earlier.append((untaped.data, untaped.data.copy()))
+        for data, copy in earlier:  # later calls wrote nothing into earlier outputs
+            assert _same_bits(data, copy)
+
+
 def test_grad_conv_pool_leaky_fused():
     rng = np.random.default_rng(24)
     x = _rand64(rng, (2, 8, 8, 3))

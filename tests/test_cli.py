@@ -253,8 +253,10 @@ GOOD_LINE = '{"label":0,"subject":1,"camera":1,"frames":[[[0,0,0],[1,1,1]],[[0,0
     '{"label":true,"subject":1,"camera":1,"frames":[[[0,0,0],[1,1,1]],[[0,0,0],[1,1,1]]]}',
     '{"label":0,"subject":1,"camera":1,"frames":[[[true,0.5,1],[1,1,1]],[[0,0,0],[1,1,1]]]}',
     '{"label":0,"subject":1,"camera":1,"frames":[[[false,0,1],[1,1,1]],[[0,0,0],[1,1,1]]]}',
+    # finite in float32, but centring on the first frame's root overflows
+    '{"label":0,"subject":1,"camera":1,"frames":[[[-3e38,0,0],[1,1,1]],[[3e38,0,0],[1,1,1]]]}',
 ], ids=["string_coordinate", "nested_coordinate", "overflowing_label", "boolean_label",
-        "true_coordinate", "false_coordinate"])
+        "true_coordinate", "false_coordinate", "huge_coordinate"])
 def test_malformed_jsonl_is_exit_2(tmp_path, capsys, bad_line):
     data = tmp_path / "bad.jsonl"
     data.write_text(GOOD_LINE + "\n" + bad_line + "\n")

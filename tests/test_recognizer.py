@@ -1,6 +1,9 @@
 """Four-stream CNN classifier: forward semantics and the static cost model
 (multiply-accumulate census and parameter count)."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -68,6 +71,38 @@ def test_unbatched_stream_equals_row_zero_of_batch():
     images = rng.normal(size=(3, 3, 64, 64)).astype(np.float32)
     batched = stream_forward(images, stream).data
     assert np.array_equal(stream_forward(images[0], stream).data, batched[0])
+
+
+def test_untaped_streams_in_concurrent_threads_match_their_single_thread_results():
+    # each thread's untaped stages get their own workspace; a shared one would
+    # let one thread's columns overwrite another's between the copy and the GEMM
+    stream = ModelParams.build(_config(channels=(8, 16, 32)), seed=0).streams[0]
+    rng = np.random.default_rng(26)
+    inputs = [rng.normal(size=(4, 3, 64, 64)).astype(np.float32) for _ in range(3)]
+    alone = [stream_forward(x, stream).data for x in inputs]
+    start = threading.Event()
+    results = [[] for _ in inputs]
+
+    def run(i):
+        start.wait(10)
+        for _ in range(20):
+            results[i].append(stream_forward(inputs[i], stream).data)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(inputs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        start.set()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for want, got in zip(alone, results):
+        assert len(got) == 20
+        assert all(np.array_equal(g.view(np.uint32), want.view(np.uint32)) for g in got)
 
 
 def test_zero_images_give_zero_logits():

@@ -109,6 +109,13 @@ def test_parse_ntu_error_cases(tmp_path):
     with pytest.raises(ParseError, match="fewer than 2"):
         parse_ntu(path)
 
+    far = _pose(0.0)
+    far[3, 1] = 2e6  # beyond MAX_COORD, though finite in float32
+    path = _write(tmp_path, "S001C001P001R001A006.skeleton",
+                  ["2"] + (["1"] + _body_block("b", far)) * 2)
+    with pytest.raises(ParseError, match="non-finite joint coordinate or one beyond 1e\\+06"):
+        parse_ntu(path)
+
 
 # ---------------------------------------------------------------------------
 # JSONL archive

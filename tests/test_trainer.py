@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from skelact import autograd, training
+from skelact.autograd import Tape
 from skelact.checkpoint import MAGIC, load_checkpoint, read_entries, save_checkpoint
-from skelact.encoder import EnhanceFlags
+from skelact.encoder import EnhanceFlags, encode
 from skelact.errors import CheckpointError, ConfigMismatchError, UsageError
 from skelact.model import ModelConfig, ModelParams
+from skelact.recognizer import forward
 from skelact.skeleton import DatasetSplit, SkeletonSequence, split_dataset
 from skelact.synth import SynthConfig, humanoid_topology, synth_generate
 from skelact.training import (
@@ -130,6 +133,33 @@ def test_evaluate_matches_log_tail_and_recounts():
                                 action_label=77, subject_id=1, camera_id=1)
     with pytest.raises(ConfigMismatchError, match="77"):
         evaluate(params, [outsider])
+
+
+def test_eval_logits_equal_the_taped_forward_and_reuse_the_workspace(monkeypatch):
+    config = ModelConfig(joints=TOPO.joint_count, classes=8, bones=TOPO.bones, root=TOPO.root,
+                         labels=tuple(range(8)))
+    params = ModelParams.build(config, seed=0)
+    data = np.random.default_rng(5).normal(size=(70, 64, TOPO.joint_count, 3)).astype(np.float32)
+    untaped = []
+
+    def keep_logits(bundle, p):
+        logits = forward(bundle, p)
+        untaped.append(logits)
+        return logits
+
+    monkeypatch.setattr(training, "forward", keep_logits)
+    preds = training._predict_classes(params, data)  # a batch of 64 and a tail of 6
+    buffers = (id(autograd._WORKSPACE.cols), id(autograd._WORKSPACE.conv))
+    assert [logits.shape[0] for logits in untaped] == [64, 6]
+    for logits, rows in zip(untaped, (slice(0, 64), slice(64, 70))):
+        with Tape():
+            taped = forward(encode(data[rows], params.encoder), params)
+        assert logits._tape is None and taped._tape is not None
+        assert np.array_equal(logits.data.view(np.uint32), taped.data.view(np.uint32))
+    assert np.array_equal(preds, np.concatenate([l.data for l in untaped]).argmax(axis=-1))
+    # no timing: a second call must find its buffers already grown
+    assert np.array_equal(training._predict_classes(params, data), preds)
+    assert (id(autograd._WORKSPACE.cols), id(autograd._WORKSPACE.conv)) == buffers
 
 
 # ---------------------------------------------------------------------------
