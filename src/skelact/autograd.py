@@ -37,8 +37,11 @@ class Tensor:
     """A dense array participating in automatic differentiation.
 
     ``data`` is a row-major numpy array (float32 unless ``dtype`` is given
-    explicitly).  ``grad`` is populated by :func:`backward` and accumulates
-    across calls; callers zero it between optimizer steps.
+    explicitly).  ``grad`` is populated by :func:`backward`.  A leaf (a
+    tensor no op produced, such as a parameter) owns its gradient and
+    accumulates into it across calls; callers zero it between optimizer
+    steps.  An op output's ``grad`` is a read-only view of the gradient
+    backward passed through it, not a copy.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_tape")
@@ -65,6 +68,8 @@ class Tensor:
         if self.grad is None:
             self.grad = np.array(np.broadcast_to(delta, self.data.shape), dtype=self.data.dtype)
         else:
+            if not self.grad.flags.writeable:  # the view an earlier backward left
+                self.grad = self.grad.copy()
             self.grad += delta
 
     def __repr__(self) -> str:
@@ -406,6 +411,11 @@ def conv_pool_leaky(x: Tensor, kernels: Tensor, bias: Tensor, slope: float = 0.0
     the im2col columns keep (C_in,kh,kw) order, so the GEMM is conv2d's.
     A call no tape records builds the columns and the conv output in this
     thread's workspace instead of fresh arrays; the output never aliases it.
+    The input gradient follows the input's memory layout: a C-contiguous
+    input gets a C-contiguous gradient, and any other (the permuted
+    channel-first stem image) gets conv2d's channel-first memory, so the
+    reductions over it upstream (the temporal embedding's) add in conv2d's
+    order.
     """
     if not 0.0 < slope < 1.0:
         raise UsageError(f"conv_pool_leaky slope must lie in (0, 1), got {slope}")
@@ -423,6 +433,7 @@ def conv_pool_leaky(x: Tensor, kernels: Tensor, bias: Tensor, slope: float = 0.0
     if h_out < 1 or w_out < 1 or h_out % 2 or w_out % 2:
         raise DimensionError(f"conv_pool_leaky: conv output {h_out}x{w_out} of input {x.shape} cannot be pooled 2x2")
 
+    channels_last = xd.flags.c_contiguous  # the input gradient's layout
     xp = np.pad(xd, ((0, 0), (1, 1), (1, 1), (0, 0)))
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::2, ::2]
     kmat = kernels.data.reshape(c_out, -1)
@@ -457,12 +468,15 @@ def conv_pool_leaky(x: Tensor, kernels: Tensor, bias: Tensor, slope: float = 0.0
         dk = (d2.T @ cols).reshape(kernels.shape)
         db = d2.sum(axis=0)
         dcols = (d2 @ kmat).reshape(batch, h_out, w_out, c_in, kh, kw)
-        # channel-first memory: the input gradient leaves in conv2d's layout, so
-        # reductions over it upstream (the temporal embedding's) add in its order
-        dxp = np.zeros((batch, c_in, h + 2, w + 2), dtype=dd.dtype).transpose(0, 2, 3, 1)
-        for i in range(kh):
+        if channels_last:
+            dxp = np.zeros((batch, h + 2, w + 2, c_in), dtype=dd.dtype)
+            taps = dcols
+        else:  # gather the taps once, channel-first like the buffer they add into
+            dxp = np.zeros((batch, c_in, h + 2, w + 2), dtype=dd.dtype).transpose(0, 2, 3, 1)
+            taps = np.ascontiguousarray(dcols.transpose(0, 3, 4, 5, 1, 2)).transpose(0, 4, 5, 1, 2, 3)
+        for i in range(kh):  # each element sums its taps in (i, j) row-major order from +0
             for j in range(kw):
-                dxp[:, i : i + 2 * h_out : 2, j : j + 2 * w_out : 2] += dcols[..., i, j]
+                dxp[:, i : i + 2 * h_out : 2, j : j + 2 * w_out : 2] += taps[..., i, j]
         dx = dxp[:, 1 : 1 + h, 1 : 1 + w]
         return (dx[0] if squeeze else dx), dk, db
 
@@ -587,6 +601,11 @@ def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(t) into ``t.grad`` for every requires_grad tensor
     reachable from ``loss`` on its tape, then clear the tape.
 
+    Only leaves accumulate: each op output's ``grad`` is set once, to a
+    read-only view of the gradient that reaches it, and is not copied.  A
+    leaf copies its first gradient, so later backwards and the optimizer
+    never write into an op output's gradient.
+
     Clearing drops the tape's references to every op output and closure,
     which breaks the output -> tape -> node -> output cycle so a step's
     arrays are freed by reference counting instead of a later full GC.
@@ -606,7 +625,12 @@ def backward(loss: Tensor) -> None:
         d_out = pending.pop(id(node.output), None)
         if d_out is None:
             continue
-        node.output.accumulate_grad(d_out)
+        out = node.output
+        if out.grad is None and d_out.shape == out.data.shape and d_out.dtype == out.data.dtype:
+            out.grad = d_out.view()
+            out.grad.flags.writeable = False
+        else:
+            out.accumulate_grad(d_out)
         d_inputs = node.backward_fn(d_out)
         for t, d in zip(node.inputs, d_inputs):
             if d is None or not t.requires_grad:

@@ -266,13 +266,18 @@ def test_shape_plumbing_ops():
 # fused conv -> pool -> leaky stage against the three ops it replaces
 
 
-def _fused_and_composed(x, k, b, upstream, slope=0.01):
+def _fused_and_composed(x, k, b, upstream, slope=0.01, contiguous=False):
     """Output and (x, kernels, bias) gradients of the fused op on a
     channels-last input, and of the composed channel-first reference, both in
-    channel-first layout."""
+    channel-first layout.  The fused op's input is the permuted channel-first
+    array, or a C-contiguous channels-last copy of it; its input gradient must
+    come back in that input's memory layout."""
     results = []
     for fused in (True, False):
-        xt = Tensor(x.transpose(0, 2, 3, 1) if fused else x, requires_grad=True)
+        xd = x
+        if fused:
+            xd = np.ascontiguousarray(x.transpose(0, 2, 3, 1)) if contiguous else x.transpose(0, 2, 3, 1)
+        xt = Tensor(xd, requires_grad=True)
         kt, bt = Tensor(k, requires_grad=True), Tensor(b, requires_grad=True)
         w = Tensor(upstream.transpose(0, 2, 3, 1) if fused else upstream)
         with Tape():
@@ -283,6 +288,10 @@ def _fused_and_composed(x, k, b, upstream, slope=0.01):
             loss = sum_all(mul(out, w))
         backward(loss)
         if fused:
+            if contiguous:
+                assert xt.grad.flags.c_contiguous
+            else:
+                assert xt.grad.transpose(0, 3, 1, 2).flags.c_contiguous
             results.append((out.data.transpose(0, 3, 1, 2), xt.grad.transpose(0, 3, 1, 2), kt.grad, bt.grad))
         else:
             results.append((out.data, xt.grad, kt.grad, bt.grad))
@@ -301,9 +310,10 @@ def test_conv_pool_leaky_is_bitwise_the_composed_ops():
         k = rng.normal(size=(5, c_in, 3, 3)).astype(np.float32)
         b = rng.normal(size=5).astype(np.float32)
         upstream = rng.normal(size=(2, 5, 3, 2)).astype(np.float32)
-        fused, composed = _fused_and_composed(x, k, b, upstream)
-        for got, want in zip(fused, composed):
-            assert _same_bits(got, want), f"seed {seed}"
+        for contiguous in (False, True):
+            fused, composed = _fused_and_composed(x, k, b, upstream, contiguous=contiguous)
+            for got, want in zip(fused, composed):
+                assert _same_bits(got, want), f"seed {seed}, contiguous {contiguous}"
 
 
 def test_conv_pool_leaky_ties_route_like_maxpool2d():
@@ -315,9 +325,10 @@ def test_conv_pool_leaky_ties_route_like_maxpool2d():
         k = rng.integers(-1, 2, size=(3, c_in, 3, 3)).astype(np.float32)
         b = rng.integers(-1, 2, size=3).astype(np.float32)
         upstream = rng.integers(1, 4, size=(2, 3, 2, 2)).astype(np.float32)
-        fused, composed = _fused_and_composed(x, k, b, upstream)
-        for got, want in zip(fused, composed):
-            assert _same_bits(got, want), f"seed {seed}"
+        for contiguous in (False, True):
+            fused, composed = _fused_and_composed(x, k, b, upstream, contiguous=contiguous)
+            for got, want in zip(fused, composed):
+                assert _same_bits(got, want), f"seed {seed}, contiguous {contiguous}"
 
 
 def test_untaped_conv_pool_leaky_changes_no_bits_and_aliases_nothing():
@@ -490,6 +501,71 @@ def test_double_backward_accumulates_grads():
             loss = sum_all(mul(x, x))
         backward(loss)
     assert x.grad[0] == pytest.approx(12.0)  # 6.0 accumulated twice
+
+
+def test_intermediate_grads_are_read_only_views_of_the_copied_values():
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True, dtype=np.float64)
+    w = Tensor(rng.normal(size=(4, 2)), requires_grad=True, dtype=np.float64)
+    with Tape():
+        h = matmul(x, w)
+        a = leaky_relu(h, 0.1)
+        loss = sum_all(mul(a, a))
+    backward(loss)
+    da = a.data + a.data  # what backward used to copy into each .grad
+    dh = np.where(h.data >= 0, da, da * 0.1)
+    for t, want in ((loss, np.ones(())), (a, da), (h, dh)):
+        assert not t.grad.flags.writeable
+        assert _same_bits(t.grad, want)
+    with pytest.raises(ValueError):
+        h.grad[0, 0] = 1.0
+    assert _same_bits(x.grad, dh @ w.data.T) and _same_bits(w.grad, x.data.T @ dh)
+    for leaf in (x, w):  # only leaves own (writeable, accumulating) gradients
+        assert leaf.grad.flags.writeable
+        for t in (loss, a, h):
+            assert not np.shares_memory(leaf.grad, t.grad)
+
+
+def test_two_backwards_through_pass_through_ops_accumulate_the_leaf():
+    # reshape, permute, concat and an equal-shape add hand their upstream
+    # gradient on as views, so every intermediate's .grad aliases one buffer
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.normal(size=(2, 3)), requires_grad=True, dtype=np.float64)
+    weight = Tensor(rng.normal(size=(4, 3)), dtype=np.float64)
+    steps = []
+    for _ in range(2):
+        with Tape():
+            p = permute(x, (1, 0))
+            r = reshape(p, (2, 3))
+            j = concat([r, r], axis=0)
+            s = add(j, j)
+            loss = sum_all(mul(s, weight))
+        backward(loss)
+        inter = (p, r, j, s)
+        for t in inter:
+            assert not t.grad.flags.writeable and not np.shares_memory(x.grad, t.grad)
+        steps.append([(t.grad, t.grad.copy()) for t in inter])
+    g = weight.data + weight.data
+    once = (g[:2] + g[2:]).reshape(3, 2)
+    assert _same_bits(x.grad, once.T + once.T)
+    assert _same_bits(steps[0][0][1], once) and _same_bits(steps[0][3][1], weight.data)
+    for grads in steps:  # the second backward wrote nothing into the first's grads
+        for grad, copy in grads:
+            assert _same_bits(grad, copy)
+
+
+def test_an_intermediate_reused_as_a_leaf_accumulates_into_its_own_copy():
+    x = Tensor(np.array([3.0]), requires_grad=True, dtype=np.float64)
+    with Tape():
+        y = mul(x, x)
+        loss = sum_all(y)
+    backward(loss)
+    first = y.grad
+    with Tape():  # y was produced on the consumed tape, so here it is a leaf
+        loss = sum_all(scale(y, 2.0))
+    backward(loss)
+    assert y.grad[0] == 3.0 and y.grad.flags.writeable
+    assert first[0] == 1.0 and x.grad[0] == 6.0
 
 
 def test_ops_without_tape_record_nothing():

@@ -14,6 +14,7 @@ from skelact.autograd import (
 from skelact.encoder import LEAKY_SLOPE, EncodedBundle, EnhanceFlags, encode, uniform_attention
 from skelact.errors import DimensionError, UsageError
 from skelact.model import ModelConfig, ModelParams, param_spec
+from skelact.optim import AdamState, adam_step
 from skelact.recognizer import count_flops, forward, stream_forward
 from skelact.skeleton import ntu_topology
 from skelact.training import VARIANT_GRID
@@ -163,6 +164,7 @@ def test_training_gradients_match_channel_first_stream_bitwise(monkeypatch):
             x = leaky_relu(maxpool2d(conv2d(x, kernels, bias, stride=2, padding=1)), LEAKY_SLOPE)
         return reshape(x, x.shape[:-3] + (x.shape[-3],))
 
+    # over three Adam steps, so that a gradient aliased across steps shows
     rng = np.random.default_rng(6)
     x = (rng.normal(size=(3, 64, 4, 3)) * 0.3).astype(np.float32)
     labels = np.array([0, 2, 1])
@@ -170,15 +172,21 @@ def test_training_gradients_match_channel_first_stream_bitwise(monkeypatch):
     for stream_fn in (stream_forward, channel_first_stream):
         monkeypatch.setattr(recognizer, "stream_forward", stream_fn)
         params = ModelParams.build(_config(), seed=5)
-        with Tape():
-            logits = forward(encode(x, params.encoder), params)
-            loss = cross_entropy(logits, labels)
-        backward(loss)
-        runs.append((logits.data, {k: t.grad for k, t in params.trainable_tensors().items()}))
-    (fused_logits, fused), (ref_logits, ref) = runs
-    assert np.array_equal(fused_logits, ref_logits)
-    for name, grad in ref.items():
-        assert grad is not None and np.array_equal(fused[name], grad), name
+        named = params.named_tensors()
+        state = AdamState(named)
+        steps = []
+        for _ in range(3):
+            with Tape():
+                logits = forward(encode(x, params.encoder), params)
+                loss = cross_entropy(logits, labels)
+            backward(loss)
+            steps.append((logits.data, {k: t.grad for k, t in params.trainable_tensors().items()}))
+            adam_step(named, state, 1e-2)
+        runs.append(steps)
+    for step, ((fused_logits, fused), (ref_logits, ref)) in enumerate(zip(*runs)):
+        assert np.array_equal(fused_logits, ref_logits), step
+        for name, grad in ref.items():
+            assert grad is not None and np.array_equal(fused[name], grad), (step, name)
 
 
 # ---------------------------------------------------------------------------
