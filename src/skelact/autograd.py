@@ -18,6 +18,10 @@ tape next step; backward frees the tape's nodes, so one tape serves one
 backward.  With no tape active every op is pure forward computation.
 Broadcasting follows the singleton-axis rule only: an axis of extent 1
 stretches, shorter ranks are left-padded with 1s, and nothing else aligns.
+
+The fused stage pads its input into a per-thread workspace buffer, reused
+call after call, and so do its im2col columns and conv output when no tape
+records the call; arrays a tape records are always fresh.
 """
 
 from __future__ import annotations
@@ -158,8 +162,9 @@ _WORKSPACE = threading.local()
 def _workspace(role: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
     """A contiguous (shape, dtype) view of this thread's ``role`` buffer.
 
-    The view is overwritten by the next call for the same role, so only ops
-    whose arrays do not escape (no tape records them) may use it.
+    The view is overwritten by the next call for the same role, so it may
+    only hold an array that does not outlive the op's call: never one a
+    backward closure reads.
     """
     nbytes = math.prod(shape) * dtype.itemsize
     buf = getattr(_WORKSPACE, role, None)
@@ -409,8 +414,13 @@ def conv_pool_leaky(x: Tensor, kernels: Tensor, bias: Tensor, slope: float = 0.0
     the values and gradients of ``leaky_relu(maxpool2d(conv2d(.)))`` on the
     channel-first layout.  Kernels keep their (C_out,C_in,kh,kw) layout and
     the im2col columns keep (C_in,kh,kw) order, so the GEMM is conv2d's.
-    A call no tape records builds the columns and the conv output in this
-    thread's workspace instead of fresh arrays; the output never aliases it.
+    The input is first copied into a zero-bordered channel-first buffer from
+    this thread's workspace, whose border alone is re-zeroed each call; in
+    it, as in a column row, the kw taps of one (c, i) kernel row are
+    adjacent, so one copy of kw-element items fills the columns.
+    A call no tape records also builds the columns and the conv output in
+    this thread's workspace instead of fresh arrays; the output never aliases
+    it.
     The input gradient follows the input's memory layout: a C-contiguous
     input gets a C-contiguous gradient, and any other (the permuted
     channel-first stem image) gets conv2d's channel-first memory, so the
@@ -434,8 +444,9 @@ def conv_pool_leaky(x: Tensor, kernels: Tensor, bias: Tensor, slope: float = 0.0
         raise DimensionError(f"conv_pool_leaky: conv output {h_out}x{w_out} of input {x.shape} cannot be pooled 2x2")
 
     channels_last = xd.flags.c_contiguous  # the input gradient's layout
-    xp = np.pad(xd, ((0, 0), (1, 1), (1, 1), (0, 0)))
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::2, ::2]
+    xp = _workspace("pad", (batch, c_in, h + 2, w + 2), xd.dtype)  # back never reads it
+    xp[:, :, 0], xp[:, :, -1], xp[:, :, :, 0], xp[:, :, :, -1] = 0, 0, 0, 0
+    xp[:, :, 1:-1, 1:-1] = xd.transpose(0, 3, 1, 2)
     kmat = kernels.data.reshape(c_out, -1)
     cols_shape, conv_shape = (batch * h_out * w_out, c_in * kh * kw), (batch * h_out * w_out, c_out)
     conv_dtype = np.result_type(xd, kmat)
@@ -443,7 +454,12 @@ def conv_pool_leaky(x: Tensor, kernels: Tensor, bias: Tensor, slope: float = 0.0
         cols, conv = np.empty(cols_shape, xd.dtype), np.empty(conv_shape, conv_dtype)
     else:
         cols, conv = _workspace("cols", cols_shape, xd.dtype), _workspace("conv", conv_shape, conv_dtype)
-    np.copyto(cols.reshape(windows.shape), windows)
+    tap_row, rows_shape = np.dtype(f"V{kw * xd.dtype.itemsize}"), (batch, h_out, w_out, c_in, kh)
+    s_b, s_c, s_h, s_w = xp.strides
+    np.copyto(
+        np.ndarray(rows_shape, tap_row, cols, strides=cols.reshape(*rows_shape, kw).strides[:5]),
+        np.ndarray(rows_shape, tap_row, xp, strides=(s_b, 2 * s_h, 2 * s_w, s_c, s_h)),
+    )
     np.matmul(cols, kmat.T, out=conv)
     conv += bias.data
     conv = conv.reshape(batch, h_out, w_out, c_out)

@@ -6,8 +6,9 @@ Layout, all integers little-endian u32 and all values little-endian f32:
     per entry: name length | utf-8 name | rank | extents... | values...
 
 Entries are the model's configuration (stored as small f32 arrays under
-"config.*" names) followed by every parameter tensor in sorted name order,
-so identical parameters always serialize to identical bytes.  Loading checks
+"config.*" names; saving refuses a config integer that f32 cannot hold
+exactly) followed by every parameter tensor in sorted name order, so
+identical parameters always serialize to identical bytes.  Loading checks
 the stored tensor names and shapes against model.param_spec and wraps the
 stored arrays as they are; no weights are drawn.
 """
@@ -20,7 +21,7 @@ import numpy as np
 
 from .autograd import Tensor
 from .encoder import EnhanceFlags
-from .errors import CheckpointError
+from .errors import CheckpointError, UsageError
 from .model import ModelConfig, ModelParams, param_spec
 
 MAGIC = b"AFEC"
@@ -30,20 +31,32 @@ _FLAG_ORDER = ("joint_scale", "bone_scale", "attention", "temporal", "velocity")
 
 
 def _config_entries(config: ModelConfig) -> list[tuple[str, np.ndarray]]:
-    flags = np.array([getattr(config.flags, f) for f in _FLAG_ORDER], dtype=np.float32)
-    return [
-        ("config.frames", np.float32(config.frames)),
-        ("config.joints", np.float32(config.joints)),
-        ("config.classes", np.float32(config.classes)),
-        ("config.fc_hidden", np.float32(config.fc_hidden)),
-        ("config.scale_hidden", np.float32(config.scale_hidden)),
-        ("config.root", np.float32(config.root)),
-        ("config.dt", np.float32(config.dt)),
-        ("config.channels", np.array(config.channels, dtype=np.float32)),
+    """The config as f32 entries.  Every field but dt holds integers, which
+    must come back exactly, so one that f32 would round is refused."""
+    flags = [getattr(config.flags, f) for f in _FLAG_ORDER]
+    fields = [
+        ("config.frames", config.frames),
+        ("config.joints", config.joints),
+        ("config.classes", config.classes),
+        ("config.fc_hidden", config.fc_hidden),
+        ("config.scale_hidden", config.scale_hidden),
+        ("config.root", config.root),
+        ("config.dt", config.dt),
+        ("config.channels", config.channels),
         ("config.flags", flags),
-        ("config.labels", np.array(config.labels, dtype=np.float32)),
-        ("config.bones", np.array(config.bones, dtype=np.float32)),
+        ("config.labels", config.labels),
+        ("config.bones", config.bones),
     ]
+    entries = []
+    for name, value in fields:
+        with np.errstate(over="ignore"):
+            arr = np.array(value, dtype=np.float32)
+        exact = np.array(value, dtype=object).reshape(-1).tolist()
+        rounded = [v for v, stored in zip(exact, arr.reshape(-1).tolist()) if stored != v]
+        if rounded and name != "config.dt":
+            raise UsageError(f"cannot checkpoint {name} value {rounded[0]}: float32 cannot hold it exactly")
+        entries.append((name, arr))
+    return entries
 
 
 def save_checkpoint(params: ModelParams, path) -> None:

@@ -130,10 +130,9 @@ class EncoderParams:
 
 @dataclass
 class EncodedBundle:
-    """The four enhanced images plus intermediates worth keeping around.
+    """The four enhanced images plus the attention map.
 
-    joint/bone velocity images are None when the velocity stage is off;
-    scaled_bones holds the joints as recovered from the scaled bone vectors.
+    joint/bone velocity images are None when the velocity stage is off.
     """
 
     joints_image: Tensor
@@ -141,8 +140,6 @@ class EncodedBundle:
     joint_vel_image: Tensor | None
     bone_vel_image: Tensor | None
     attention: Tensor
-    scaled_joints: Tensor
-    scaled_bones: Tensor
 
     def images(self) -> list[Tensor]:
         out = [self.joints_image, self.bones_image]
@@ -305,6 +302,4 @@ def encode(x, enc: EncoderParams) -> EncodedBundle:
         joint_vel_image=joint_vel,
         bone_vel_image=bone_vel,
         attention=attention,
-        scaled_joints=scaled_joints,
-        scaled_bones=scaled_bones,
     )

@@ -248,12 +248,17 @@ def parse_ntu(path) -> SkeletonSequence:
 def write_jsonl(sequences, path) -> None:
     """One JSON object per line: label, subject, camera, setup, frames.
     Coordinates print with 9 significant digits, which read back as the
-    same float32 (negative zero reads back as zero)."""
+    same float32."""
     with open(path, "w", encoding="utf-8") as fh:
         for seq in sequences:
             t, j, _ = seq.frames.shape
             frame = "[" + ",".join(["[%.9g,%.9g,%.9g]"] * j) + "]"
             frames = ",".join(frame % tuple(row) for row in seq.frames.reshape(t, -1).tolist())
+            # %g prints -0.0 as the JSON integer -0, which reads back as +0;
+            # no other token ends in "-0" (exponents have two digits).  The
+            # check skips two scans of the text when there is no -0.0.
+            if (np.signbit(seq.frames) & (seq.frames == 0)).any():
+                frames = frames.replace("-0,", "-0.0,").replace("-0]", "-0.0]")
             fh.write(
                 '{"label":%d,"subject":%d,"camera":%d,"setup":%d,"frames":[%s]}\n'
                 % (seq.action_label, seq.subject_id, seq.camera_id, seq.setup_id, frames)

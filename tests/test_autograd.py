@@ -9,6 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
+from skelact import autograd
 from skelact.autograd import (
     Tape, Tensor, add, backward, concat, conv2d, conv_pool_leaky, cross_entropy,
     frame_velocity, grad_check, leaky_relu, linear, matmul, maxpool2d, mul,
@@ -277,9 +278,9 @@ def _fused_and_composed(x, k, b, upstream, slope=0.01, contiguous=False):
         xd = x
         if fused:
             xd = np.ascontiguousarray(x.transpose(0, 2, 3, 1)) if contiguous else x.transpose(0, 2, 3, 1)
-        xt = Tensor(xd, requires_grad=True)
-        kt, bt = Tensor(k, requires_grad=True), Tensor(b, requires_grad=True)
-        w = Tensor(upstream.transpose(0, 2, 3, 1) if fused else upstream)
+        xt = Tensor(xd, requires_grad=True, dtype=x.dtype)
+        kt, bt = Tensor(k, requires_grad=True, dtype=k.dtype), Tensor(b, requires_grad=True, dtype=b.dtype)
+        w = Tensor(upstream.transpose(0, 2, 3, 1) if fused else upstream, dtype=upstream.dtype)
         with Tape():
             if fused:
                 out = conv_pool_leaky(xt, kt, bt, slope)
@@ -355,6 +356,52 @@ def test_untaped_conv_pool_leaky_changes_no_bits_and_aliases_nothing():
             earlier.append((untaped.data, untaped.data.copy()))
         for data, copy in earlier:  # later calls wrote nothing into earlier outputs
             assert _same_bits(data, copy)
+
+
+def test_conv_pool_leaky_tap_rows_for_any_item_size_kernel_and_layout():
+    # the columns are copied as kw-tap items: 24-byte items in float64, 16-byte
+    # items for kw = 4, and strided items from a sliced channels-last input
+    rng = np.random.default_rng(90)
+    wide = rng.normal(size=(2, 11, 12, 5)).astype(np.float32)
+    cases = [  # (channel-first input, kernel shape)
+        (rng.normal(size=(2, 3, 12, 8)), (5, 3, 3, 3)),
+        (rng.normal(size=(2, 2, 8, 8)).astype(np.float32), (3, 2, 4, 4)),
+        (rng.normal(size=(2, 2, 8, 8)).astype(np.float32), (3, 2, 3, 4)),
+        (wide[:, 1:9, 2:10, 1:4].transpose(0, 3, 1, 2), (4, 3, 3, 3)),
+    ]
+    for n, (x, k_shape) in enumerate(cases):
+        k = rng.normal(size=k_shape).astype(x.dtype)
+        b = rng.normal(size=k_shape[0]).astype(x.dtype)
+        ref = leaky_relu(maxpool2d(conv2d(Tensor(x, dtype=x.dtype), Tensor(k, dtype=x.dtype), Tensor(b, dtype=x.dtype))), 0.01)
+        upstream = rng.normal(size=ref.shape).astype(x.dtype)
+        untaped = conv_pool_leaky(Tensor(x.transpose(0, 2, 3, 1), dtype=x.dtype), Tensor(k, dtype=x.dtype), Tensor(b, dtype=x.dtype))
+        assert untaped.dtype == x.dtype and _same_bits(untaped.data.transpose(0, 3, 1, 2), ref.data), n
+        for contiguous in (False, True):
+            fused, composed = _fused_and_composed(x, k, b, upstream, contiguous=contiguous)
+            for got, want in zip(fused, composed):
+                assert got.dtype == x.dtype and _same_bits(got, want), (n, contiguous)
+
+
+def test_conv_pool_leaky_rezeroes_the_border_of_a_reused_pad_buffer():
+    rng = np.random.default_rng(91)
+    k = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
+    b = rng.normal(size=4).astype(np.float32)
+    large = Tensor(rng.uniform(1, 2, size=(3, 16, 16, 3)))
+    x = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
+    border = np.ones((10, 10), dtype=bool)
+    border[1:-1, 1:-1] = False
+    upstream = rng.normal(size=(2, 4, 2, 2)).astype(np.float32)
+    for taped in (False, True):
+        conv_pool_leaky(large, Tensor(k), Tensor(b))
+        stale = autograd._workspace("pad", (2, 3, 10, 10), np.dtype(np.float32))[:, :, border]
+        assert np.count_nonzero(stale) > stale.size // 2  # the large input's interior
+        if taped:
+            fused, composed = _fused_and_composed(x, k, b, upstream)
+            assert all(_same_bits(got, want) for got, want in zip(fused, composed))
+        else:
+            got = conv_pool_leaky(Tensor(x.transpose(0, 2, 3, 1)), Tensor(k), Tensor(b))
+            want = leaky_relu(maxpool2d(conv2d(Tensor(x), Tensor(k), Tensor(b))), 0.01)
+            assert _same_bits(got.data.transpose(0, 3, 1, 2), want.data)
 
 
 def test_grad_conv_pool_leaky_fused():

@@ -107,6 +107,19 @@ def test_train_with_one_frame_is_exit_1(tmp_path, dataset, capsys):
     assert "frame_count >= 2" in capsys.readouterr().err
 
 
+def test_train_with_a_label_float32_cannot_hold_is_exit_1(tmp_path, dataset, capsys):
+    sequences = parse_jsonl(dataset)
+    for seq in sequences:
+        if seq.action_label == 1:
+            seq.action_label = 16777217  # float32 rounds it to 16777216
+    relabelled = tmp_path / "relabelled.jsonl"
+    write_jsonl(sequences, relabelled)
+    ckpt = tmp_path / "x.ckpt"
+    assert main(_train_args(relabelled, ckpt)) == 1
+    assert "config.labels value 16777217" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
 def test_train_respects_stage_toggles(tmp_path, dataset):
     ckpt = tmp_path / "slim.ckpt"
     assert main(_train_args(dataset, ckpt, extra=["--no-velocity", "--no-attention"])) == 0

@@ -44,7 +44,6 @@ def _bundle(images):
         joint_vel_image=imgs[2] if len(imgs) > 2 else None,
         bone_vel_image=imgs[3] if len(imgs) > 2 else None,
         attention=uniform_attention(imgs[0].shape[-1]),
-        scaled_joints=imgs[0], scaled_bones=imgs[1],
     )
 
 

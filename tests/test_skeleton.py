@@ -134,13 +134,17 @@ def _random_sequences(rng, count=5, joints=25):
 def test_jsonl_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     seqs = _random_sequences(rng)
+    for seq in seqs:  # signed zeros at the start, middle and end of a frame
+        seq.frames[0, 0, 0] = seq.frames[-1, -1, -1] = -0.0
+        seq.frames[0, -1, 1] = 0.0
     path = tmp_path / "data.jsonl"
     write_jsonl(seqs, path)
     back = parse_jsonl(path)
     assert len(back) == len(seqs)
     for a, b in zip(seqs, back):
         assert a == b
-        assert np.array_equal(a.frames, b.frames)
+        assert b.frames.dtype == np.float32
+        assert np.array_equal(a.frames.view(np.uint32), b.frames.view(np.uint32))
 
 
 def test_jsonl_write_is_deterministic(tmp_path):
@@ -153,7 +157,7 @@ def test_jsonl_write_is_deterministic(tmp_path):
 
 
 def test_jsonl_write_pins_the_coordinate_format(tmp_path):
-    # nine significant digits, %g exponents, "-0" for negative zero
+    # nine significant digits, %g exponents, "-0.0" for negative zero
     frames = np.array([[[0.1, -0.0, 1e-45], [3.4028235e38, 1.23456789, -2.5]],
                        [[0.0, 1.0, -1e-45], [123456.789, -0.1, 7.0]]], dtype=np.float32)
     path = tmp_path / "golden.jsonl"
@@ -161,7 +165,7 @@ def test_jsonl_write_pins_the_coordinate_format(tmp_path):
                                   setup_id=5)], path)
     assert path.read_bytes() == (
         b'{"label":3,"subject":12,"camera":2,"setup":5,"frames":'
-        b'[[[0.100000001,-0,1.40129846e-45],[3.40282347e+38,1.23456788,-2.5]],'
+        b'[[[0.100000001,-0.0,1.40129846e-45],[3.40282347e+38,1.23456788,-2.5]],'
         b'[[0,1,-1.40129846e-45],[123456.789,-0.100000001,7]]]}\n'
     )
 

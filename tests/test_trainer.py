@@ -242,6 +242,22 @@ def test_checkpoint_entries_include_config_and_tensors(tmp_path):
     assert stored == set(params.named_tensors())
 
 
+def test_checkpoint_refuses_config_integers_float32_would_round(tmp_path):
+    def params(labels):
+        return ModelParams.build(ModelConfig(joints=TOPO.joint_count, classes=len(labels), bones=TOPO.bones,
+                                             root=TOPO.root, labels=labels, channels=(2, 2, 2), fc_hidden=8,
+                                             scale_hidden=4))
+
+    exact = tmp_path / "exact.ckpt"  # 2**24 and 2**25 are still exact in float32
+    save_checkpoint(params((0, 2**24, -(2**25))), exact)
+    assert load_checkpoint(exact).config.labels == (0, 2**24, -(2**25))
+    for rounded in (2**24 + 1, -(2**24) - 1, 10**40):
+        path = tmp_path / "rounded.ckpt"
+        with pytest.raises(UsageError, match=f"config.labels value {rounded}: float32 cannot hold"):
+            save_checkpoint(params((0, rounded)), path)
+        assert not path.exists()  # refused before any byte is written
+
+
 def test_load_checkpoint_draws_no_random_weights(tmp_path, monkeypatch):
     config = ModelConfig(joints=TOPO.joint_count, classes=3, bones=TOPO.bones, root=TOPO.root,
                          labels=(0, 1, 2), channels=(2, 2, 2), fc_hidden=8, scale_hidden=4)
