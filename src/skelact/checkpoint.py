@@ -5,63 +5,39 @@ Layout, all integers little-endian u32 and all values little-endian f32:
     magic "AFEC" | version | entry count |
     per entry: name length | utf-8 name | rank | extents... | values...
 
-Entries are the model's configuration (stored as small f32 arrays under
-"config.*" names; saving refuses a config integer that f32 cannot hold
-exactly) followed by every parameter tensor in sorted name order, so
-identical parameters always serialize to identical bytes.  Loading checks
-the stored tensor names and shapes against model.param_spec and wraps the
-stored arrays as they are; no weights are drawn.
+The first entries are ModelConfig's fields in declaration order, each an
+f32 array named "config.<field>": a scalar has shape (1,), a tuple one
+extent per tuple level (bones is (b, 2)), and the flags are one 0/1 vector
+in EnhanceFlags' field order.  ModelConfig refuses an integer f32 cannot hold,
+so every config integer comes back exact.  Every parameter tensor follows
+in sorted name order, so identical parameters always serialize to
+identical bytes.  Entries are read by name, in any order.  Loading decodes
+each config entry by its field's type (rank and extents, integral values,
+0/1 flags), checks the stored tensor names and shapes against
+model.param_spec and wraps the stored arrays as they are; no weights are
+drawn.  Any fault in the file is a CheckpointError.
 """
 
 from __future__ import annotations
 
+import math
 import struct
+from dataclasses import astuple, fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .autograd import Tensor
-from .encoder import EnhanceFlags
-from .errors import CheckpointError, UsageError
+from .errors import CheckpointError, TopologyError, UsageError
 from .model import ModelConfig, ModelParams, param_spec
 
 MAGIC = b"AFEC"
 VERSION = 1
 
-_FLAG_ORDER = ("joint_scale", "bone_scale", "attention", "temporal", "velocity")
-
-
-def _config_entries(config: ModelConfig) -> list[tuple[str, np.ndarray]]:
-    """The config as f32 entries.  Every field but dt holds integers, which
-    must come back exactly, so one that f32 would round is refused."""
-    flags = [getattr(config.flags, f) for f in _FLAG_ORDER]
-    fields = [
-        ("config.frames", config.frames),
-        ("config.joints", config.joints),
-        ("config.classes", config.classes),
-        ("config.fc_hidden", config.fc_hidden),
-        ("config.scale_hidden", config.scale_hidden),
-        ("config.root", config.root),
-        ("config.dt", config.dt),
-        ("config.channels", config.channels),
-        ("config.flags", flags),
-        ("config.labels", config.labels),
-        ("config.bones", config.bones),
-    ]
-    entries = []
-    for name, value in fields:
-        with np.errstate(over="ignore"):
-            arr = np.array(value, dtype=np.float32)
-        exact = np.array(value, dtype=object).reshape(-1).tolist()
-        rounded = [v for v, stored in zip(exact, arr.reshape(-1).tolist()) if stored != v]
-        if rounded and name != "config.dt":
-            raise UsageError(f"cannot checkpoint {name} value {rounded[0]}: float32 cannot hold it exactly")
-        entries.append((name, arr))
-    return entries
-
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    tensors = params.named_tensors()
-    entries = _config_entries(params.config)
+    config, tensors = params.config, params.named_tensors()
+    entries = [(f"config.{f.name}", value) for f, value in zip(fields(config), astuple(config))]
     entries += [(name, tensors[name].data) for name in sorted(tensors)]
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -105,58 +81,76 @@ def read_entries(path) -> dict[str, np.ndarray]:
     count = reader.u32()
     entries: dict[str, np.ndarray] = {}
     for _ in range(count):
-        name_len = reader.u32()
-        name = reader.take(name_len).decode("utf-8")
+        raw_name = reader.take(reader.u32())
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"entry name {raw_name!r} is not UTF-8") from None
         if name in entries:
             raise CheckpointError(f"duplicate entry {name!r}")
         rank = reader.u32()
         if rank > 8:
             raise CheckpointError(f"implausible rank {rank} for {name!r}")
         shape = tuple(reader.u32() for _ in range(rank))
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        raw = reader.take(4 * size)
+        raw = reader.take(4 * math.prod(shape))
         entries[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
     if reader.pos != len(reader.blob):
         raise CheckpointError("trailing bytes after final entry")
     return entries
 
 
-def _config_from_entries(entries: dict[str, np.ndarray]) -> ModelConfig:
-    def scalar(name: str) -> int:
-        if name not in entries:
-            raise CheckpointError(f"missing {name!r}")
-        return int(entries[name].reshape(-1)[0])
+def _extents(hint) -> tuple[int | None, ...]:
+    """The stored shape of a config field of type ``hint``: one extent per
+    tuple level, None for a variadic one; the flags are one vector."""
+    if is_dataclass(hint):
+        return (len(fields(hint)),)
+    if get_origin(hint) is not tuple:
+        return ()
+    args = get_args(hint)
+    return (None if args[-1] is Ellipsis else len(args), *_extents(args[0]))
 
-    for name in ("config.channels", "config.flags", "config.labels", "config.bones"):
-        if name not in entries:
-            raise CheckpointError(f"missing {name!r}")
-    flags_arr = entries["config.flags"]
-    if flags_arr.shape != (len(_FLAG_ORDER),):
-        raise CheckpointError(f"config.flags has shape {flags_arr.shape}")
-    flags = EnhanceFlags(**{f: bool(flags_arr[i]) for i, f in enumerate(_FLAG_ORDER)})
-    bones = tuple((int(p), int(c)) for p, c in entries["config.bones"])
-    return ModelConfig(
-        joints=scalar("config.joints"),
-        classes=scalar("config.classes"),
-        bones=bones,
-        root=scalar("config.root"),
-        labels=tuple(int(v) for v in entries["config.labels"]),
-        frames=scalar("config.frames"),
-        channels=tuple(int(v) for v in entries["config.channels"]),
-        fc_hidden=scalar("config.fc_hidden"),
-        scale_hidden=scalar("config.scale_hidden"),
-        dt=float(entries["config.dt"].reshape(-1)[0]),
-        flags=flags,
-    )
+
+def _ints(value):
+    return tuple(map(_ints, value)) if isinstance(value, list) else int(value)
+
+
+def _decode(entries: dict[str, np.ndarray], field, hint):
+    """Field ``field`` of a ModelConfig, read from its entry by its type."""
+    name = f"config.{field.name}"
+    if name not in entries:
+        raise CheckpointError(f"missing {name!r}")
+    arr = entries[name]
+    extents = _extents(hint)
+    fits = extents or (1,)  # a scalar is stored as shape (1,)
+    if arr.ndim != len(fits) or any(e not in (None, s) for e, s in zip(fits, arr.shape)):
+        raise CheckpointError(f"{name} has shape {arr.shape}, which does not fit {field.type}")
+    value = arr if extents else arr[0]
+    if hint is float:
+        return float(value)
+    if is_dataclass(hint):
+        bad = arr[(arr != 0) & (arr != 1)]
+        if bad.size:
+            raise CheckpointError(f"{name} value {bad[0]} is not 0 or 1")
+        return hint(*arr.astype(bool).tolist())
+    bad = arr[~np.isfinite(arr) | (arr != np.trunc(arr))]
+    if bad.size:
+        raise CheckpointError(f"{name} value {bad[0]} is not an integer")
+    return _ints(value.tolist())
 
 
 def load_checkpoint(path) -> ModelParams:
     """Rebuild the model a checkpoint stores, without drawing any weights:
     the stored tensor names and shapes must match param_spec exactly."""
     entries = read_entries(path)
-    config = _config_from_entries(entries)
-    spec = param_spec(config)
-    stored = {k for k in entries if not k.startswith("config.")}
+    hints = get_type_hints(ModelConfig)
+    config_fields = fields(ModelConfig)
+    try:
+        config = ModelConfig(**{f.name: _decode(entries, f, hints[f.name]) for f in config_fields})
+        config.topology()  # checks root and bones; from_tensors builds it again
+        spec = param_spec(config)
+    except (UsageError, TopologyError) as exc:
+        raise CheckpointError(f"config entries describe no model: {exc}") from None
+    stored = set(entries) - {f"config.{f.name}" for f in config_fields}
     expected = {s.name for s in spec}
     if stored != expected:
         missing = sorted(expected - stored)

@@ -14,7 +14,7 @@ table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -25,6 +25,13 @@ from .encoder import (
 )
 from .errors import UsageError
 from .skeleton import Topology
+
+
+def _float32_exact(value: int) -> bool:
+    try:
+        return int(np.float32(value)) == value
+    except OverflowError:  # float32 inf, or beyond even float64
+        return False
 
 
 @dataclass(frozen=True)
@@ -48,6 +55,17 @@ class ModelConfig:
             raise UsageError(f"{len(self.bones)} bones cannot span {self.joints} joints")
         if self.frames < 2:
             raise UsageError("frames must be >= 2")
+        if len(set(self.labels)) != len(self.labels):
+            raise UsageError(f"labels {self.labels} repeat a label")
+        # a checkpoint stores the config as float32: every integer must come
+        # back exactly, and dt must stay finite and positive
+        with np.errstate(over="ignore"):
+            for f in fields(self):
+                for value in np.ravel(np.array(getattr(self, f.name), dtype=object)):
+                    if isinstance(value, (int, np.integer)) and not _float32_exact(value):
+                        raise UsageError(f"config.{f.name} value {value}: float32 cannot hold it exactly")
+            if not 0 < np.float32(self.dt) < np.inf:
+                raise UsageError(f"dt must be finite and positive in float32, got {self.dt}")
 
     def topology(self) -> Topology:
         return Topology(joint_count=self.joints, bones=self.bones, root=self.root)

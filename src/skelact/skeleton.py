@@ -195,7 +195,10 @@ def parse_ntu(path) -> SkeletonSequence:
         raise ParseError(f"filename {path.name!r} lacks the SsssCcccPpppRrrrAaaa pattern")
     setup, camera, subject, _, action = (int(g) for g in match.groups())
 
-    cur = _Cursor(path.read_text())
+    try:
+        cur = _Cursor(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path.name}: not UTF-8 text ({exc.reason})") from None
     frame_count, _ = cur.take_int("frame count")
     observations: dict[str, list[tuple[int, np.ndarray]]] = {}
     body_order: list[str] = []
@@ -265,6 +268,14 @@ def write_jsonl(sequences, path) -> None:
             )
 
 
+def _numbered_lines(fh, path):
+    """enumerate(fh, start=1), with bytes that are not UTF-8 a ParseError."""
+    try:
+        yield from enumerate(fh, start=1)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def parse_jsonl(path) -> list[SkeletonSequence]:
     """Inverse of write_jsonl.  An empty file is an empty dataset.  All
     sequences in one file must agree on the joint count.  label, subject,
@@ -273,7 +284,7 @@ def parse_jsonl(path) -> list[SkeletonSequence]:
     sequences: list[SkeletonSequence] = []
     expected_joints: int | None = None
     with open(path, "r", encoding="utf-8") as fh:
-        for num, line in enumerate(fh, start=1):
+        for num, line in _numbered_lines(fh, path):
             line = line.strip()
             if not line:
                 continue

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from skelact import training
 from skelact.checkpoint import load_checkpoint
 from skelact.cli import main
 from skelact.errors import ParseError
@@ -107,7 +108,9 @@ def test_train_with_one_frame_is_exit_1(tmp_path, dataset, capsys):
     assert "frame_count >= 2" in capsys.readouterr().err
 
 
-def test_train_with_a_label_float32_cannot_hold_is_exit_1(tmp_path, dataset, capsys):
+def test_train_with_a_label_float32_cannot_hold_is_exit_1(tmp_path, dataset, capsys, monkeypatch):
+    steps = []
+    monkeypatch.setattr(training, "backward", lambda loss: steps.append(loss))
     sequences = parse_jsonl(dataset)
     for seq in sequences:
         if seq.action_label == 1:
@@ -118,6 +121,7 @@ def test_train_with_a_label_float32_cannot_hold_is_exit_1(tmp_path, dataset, cap
     assert main(_train_args(relabelled, ckpt)) == 1
     assert "config.labels value 16777217" in capsys.readouterr().err
     assert not ckpt.exists()
+    assert steps == []  # refused before the first training step
 
 
 def test_train_respects_stage_toggles(tmp_path, dataset):
@@ -234,6 +238,31 @@ def test_ingest_merges_existing_jsonl(tmp_path, dataset, capsys):
     assert main(["ingest", "--ntu-dir", str(src), "--jsonl", str(dataset),
                  "--out", str(out)]) == 0
     assert "sequences=25" in capsys.readouterr().out  # 1 parsed + 24 merged
+
+
+@pytest.mark.parametrize("command", ["train", "ingest"])
+def test_jsonl_that_is_not_utf8_is_exit_2(tmp_path, capsys, command):
+    data = tmp_path / "bad.jsonl"
+    data.write_bytes(b"\xff\xfe" + GOOD_LINE.encode() + b"\n")
+    with pytest.raises(ParseError, match="not UTF-8"):
+        parse_jsonl(data)
+    args = {"train": _train_args(data, tmp_path / "x.ckpt"),
+            "ingest": ["ingest", "--jsonl", str(data), "--out", str(tmp_path / "o.jsonl")]}[command]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not UTF-8" in err
+
+
+def test_ingest_skips_a_skeleton_file_that_is_not_utf8(tmp_path, capsys):
+    src = tmp_path / "raw"
+    src.mkdir()
+    _skeleton_file(src, "S001C001P001R001A001.skeleton", [0.0, 0.1])
+    (src / "S001C002P002R001A002.skeleton").write_bytes(b"\xff\xfe2\n")
+    assert main(["ingest", "--ntu-dir", str(src), "--out", str(tmp_path / "o.jsonl")]) == 0
+    captured = capsys.readouterr()
+    assert "skipping S001C002P002R001A002.skeleton" in captured.err
+    assert "not UTF-8" in captured.err
+    assert "sequences=1" in captured.out
 
 
 # ---------------------------------------------------------------------------

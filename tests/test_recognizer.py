@@ -209,6 +209,12 @@ def test_config_validation():
         _config(classes=5)
     with pytest.raises(UsageError, match="span"):
         _config(bones=CHAIN_BONES[:2])
+    with pytest.raises(UsageError, match="repeat a label"):
+        _config(labels=(0, 1, 1))
+    # NaN would pass frame_velocity's dt <= 0 check and turn every logit NaN
+    for dt in (float("nan"), float("inf"), 0.0, -1.0, 1e39, 1e-50):
+        with pytest.raises(UsageError, match="dt must be finite and positive"):
+            _config(dt=dt)
 
 
 def test_build_is_seed_deterministic():

@@ -1,16 +1,19 @@
 """Training loop, evaluation metrics, ablation grid, and checkpoint format."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from skelact import autograd, training
 from skelact.autograd import Tape
 from skelact.checkpoint import MAGIC, load_checkpoint, read_entries, save_checkpoint
+from skelact.cli import main
 from skelact.encoder import EnhanceFlags, encode
 from skelact.errors import CheckpointError, ConfigMismatchError, UsageError
 from skelact.model import ModelConfig, ModelParams
 from skelact.recognizer import forward
-from skelact.skeleton import DatasetSplit, SkeletonSequence, split_dataset
+from skelact.skeleton import DatasetSplit, SkeletonSequence, split_dataset, write_jsonl
 from skelact.synth import SynthConfig, humanoid_topology, synth_generate
 from skelact.training import (
     VARIANT_GRID, AblationResult, ConfusionMatrix, TrainConfig, ablate,
@@ -274,6 +277,104 @@ def test_load_checkpoint_draws_no_random_weights(tmp_path, monkeypatch):
     for name, tensor in params.named_tensors().items():
         assert np.array_equal(loaded[name].data, tensor.data), name
         assert loaded[name].requires_grad == tensor.requires_grad, name
+
+
+def _small_checkpoint(path, **kw):
+    config = ModelConfig(joints=TOPO.joint_count, classes=3, bones=TOPO.bones, root=TOPO.root,
+                         labels=(0, 1, 2), channels=(2, 2, 2), fc_hidden=8, scale_hidden=4, **kw)
+    params = ModelParams.build(config, seed=4)
+    save_checkpoint(params, path)
+    return params
+
+
+def _write_v1(path, entries):
+    """The v1 layout written from (name, array) pairs in the given order."""
+    out = [MAGIC, struct.pack("<II", 1, len(entries))]
+    for name, value in entries:
+        arr = np.ascontiguousarray(value, dtype="<f4")
+        out += [struct.pack("<I", len(name.encode())), name.encode(), struct.pack("<I", arr.ndim),
+                *(struct.pack("<I", extent) for extent in arr.shape), arr.tobytes()]
+    path.write_bytes(b"".join(out))
+
+
+def test_checkpoint_loads_config_entries_in_any_order(tmp_path):
+    params = _small_checkpoint(tmp_path / "model.ckpt", dt=0.5)
+    entries = read_entries(tmp_path / "model.ckpt")
+    order = ["frames", "joints", "classes", "fc_hidden", "scale_hidden", "root", "dt",
+             "channels", "flags", "labels", "bones"]  # the order of the first v1 writer
+    reordered = [(f"config.{name}", entries.pop(f"config.{name}")) for name in order]
+    assert not [name for name in entries if name.startswith("config.")]
+    _write_v1(tmp_path / "old.ckpt", reordered + list(entries.items()))
+    loaded = load_checkpoint(tmp_path / "old.ckpt")
+    assert loaded.config == params.config
+    for name, tensor in params.named_tensors().items():
+        assert loaded.named_tensors()[name].data.tobytes() == tensor.data.tobytes(), name
+
+
+_MALFORMED_CONFIG = {
+    "empty_joints": ("config.joints", lambda v: v[:0], r"config.joints has shape \(0,\)"),
+    "nan_joints": ("config.joints", lambda v: v * np.nan, "config.joints value nan is not an integer"),
+    "inf_joints": ("config.joints", lambda v: v * np.inf, "config.joints value inf is not an integer"),
+    "rank2_labels": ("config.labels", lambda v: v[None], r"config.labels has shape \(1, 3\)"),
+    "rank1_bones": ("config.bones", lambda v: v.reshape(-1), r"config.bones has shape \(28,\)"),
+    "non_tree_bones": ("config.bones", lambda v: np.concatenate([v[:-1], v[:1]]), "do not connect all joints"),
+    "root_99": ("config.root", lambda v: v * 0 + 99, "root 99 out of range"),
+    "three_flags": ("config.flags", lambda v: v[:3], r"config.flags has shape \(3,\)"),
+    "half_flag": ("config.flags", lambda v: v * [0.5, 1, 1, 1, 1], "config.flags value 0.5 is not 0 or 1"),
+    "fractional_scale_hidden": ("config.scale_hidden", lambda v: v + 0.5,
+                                "config.scale_hidden value 4.5 is not an integer"),
+    "frames_17": ("config.frames", lambda v: v * 0 + 17, "frame count 17 does not pool evenly"),
+    "two_channels": ("config.channels", lambda v: v[:2], r"config.channels has shape \(2,\)"),
+    "classes_not_labels": ("config.classes", lambda v: v + 1, "4 classes but 3 labels"),
+    "repeated_label": ("config.labels", lambda v: v * [1, 0, 1], "repeat a label"),
+    "empty_dt": ("config.dt", lambda v: v[:0], r"config.dt has shape \(0,\)"),
+    "nan_dt": ("config.dt", lambda v: v * np.nan, "dt must be finite and positive"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_CONFIG))
+def test_malformed_config_entry_is_a_checkpoint_error_and_exit_2(tmp_path, capsys, case):
+    name, mutate, message = _MALFORMED_CONFIG[case]
+    _small_checkpoint(tmp_path / "model.ckpt")
+    entries = read_entries(tmp_path / "model.ckpt")
+    entries[name] = mutate(entries[name]).astype(np.float32)
+    bad = tmp_path / "bad.ckpt"
+    _write_v1(bad, list(entries.items()))
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(bad)
+    data = tmp_path / "data.jsonl"
+    write_jsonl(SMALL_DATA[:4], data)
+    assert main(["eval", "--checkpoint", str(bad), "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_checkpoint_entry_name_that_is_not_utf8_is_exit_2(tmp_path, capsys):
+    _small_checkpoint(tmp_path / "model.ckpt")
+    blob = (tmp_path / "model.ckpt").read_bytes()
+    first_name = blob.index(b"config.")
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob[:first_name] + b"\xff" + blob[first_name + 1:])
+    with pytest.raises(CheckpointError, match="is not UTF-8"):
+        load_checkpoint(bad)
+    assert main(["eval", "--checkpoint", str(bad), "--data", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_byte_mutated_checkpoint_loads_or_is_a_checkpoint_error(tmp_path):
+    _small_checkpoint(tmp_path / "model.ckpt")
+    blob = (tmp_path / "model.ckpt").read_bytes()
+    rng = np.random.default_rng(8)
+    mutant = tmp_path / "mutant.ckpt"
+    outcomes = {"loaded": 0, "refused": 0}
+    for pos, flip in zip(rng.integers(0, 600, 300), rng.integers(1, 256, 300)):
+        mutant.write_bytes(blob[:pos] + bytes([blob[pos] ^ flip]) + blob[pos + 1:])
+        try:
+            load_checkpoint(mutant)
+            outcomes["loaded"] += 1
+        except CheckpointError:
+            outcomes["refused"] += 1
+    assert outcomes["loaded"] and outcomes["refused"], outcomes
 
 
 # ---------------------------------------------------------------------------
