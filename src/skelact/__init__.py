@@ -12,7 +12,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .encoder import EncodedBundle, EncoderParams, EnhanceFlags, encode
 from .model import ModelConfig, ModelParams
 from .optim import AdamState, adam_step
-from .recognizer import FlopsReport, count_flops, forward
+from .recognizer import FlopsReport, count_flops, forward, infer
 from .skeleton import (
     DatasetSplit, SkeletonSequence, Topology, ntu_topology, parse_jsonl,
     parse_ntu, split_dataset, write_jsonl,
@@ -31,7 +31,7 @@ __all__ = [
     "SynthConfig", "synth_generate", "humanoid_topology",
     "EncodedBundle", "EncoderParams", "EnhanceFlags", "encode",
     "ModelConfig", "ModelParams",
-    "FlopsReport", "count_flops", "forward",
+    "FlopsReport", "count_flops", "forward", "infer",
     "TrainConfig", "ConfusionMatrix", "AblationResult",
     "train", "evaluate", "ablate",
     "save_checkpoint", "load_checkpoint",

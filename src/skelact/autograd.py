@@ -19,9 +19,13 @@ backward.  With no tape active every op is pure forward computation.
 Broadcasting follows the singleton-axis rule only: an axis of extent 1
 stretches, shorter ranks are left-padded with 1s, and nothing else aligns.
 
-The fused stage pads its input into a per-thread workspace buffer, reused
-call after call, and so do its im2col columns and conv output when no tape
-records the call; arrays a tape records are always fresh.
+The fused stage pads its input into a per-thread workspace buffer
+(:func:`pad_buffer`), reused call after call.  When no tape records it, it
+runs :func:`conv_pool_stage`, the one untaped stage, whose im2col columns,
+conv output and pooled maxima also live in that workspace; the untaped
+inference path (``recognizer.infer``) calls it directly and chains each
+stage's output into the next stage's pad buffer.  Arrays a tape records are
+always fresh.
 """
 
 from __future__ import annotations
@@ -406,6 +410,80 @@ def maxpool2d(x: Tensor) -> Tensor:
     return _finish(out, (x,), back, "maxpool2d")
 
 
+def pad_buffer(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """This thread's zero-bordered channel-first stage input buffer,
+    (B, C, H+2, W+2).  Only the one-element border is zeroed; the caller
+    writes the interior ``[:, :, 1:-1, 1:-1]``.  The buffer is the next
+    call's, like any workspace view."""
+    xp = _workspace("pad", shape, np.dtype(dtype))
+    xp[:, :, 0], xp[:, :, -1], xp[:, :, :, 0], xp[:, :, :, -1] = 0, 0, 0, 0
+    return xp
+
+
+def _fill_columns(xp: np.ndarray, cols: np.ndarray, kh: int, kw: int) -> None:
+    """im2col of a padded buffer for a stride-2 kh x kw kernel, rows in
+    (b, y, x) order and columns in (c, i, j) order.  The kw taps of one
+    (c, i) kernel row are adjacent in the buffer and in a column row, so
+    one copy moves them as single kw-element items."""
+    batch, c_in = xp.shape[:2]
+    h_out, w_out = (xp.shape[2] - kh) // 2 + 1, (xp.shape[3] - kw) // 2 + 1
+    tap_row, rows_shape = np.dtype(f"V{kw * xp.dtype.itemsize}"), (batch, h_out, w_out, c_in, kh)
+    s_b, s_c, s_h, s_w = xp.strides
+    np.copyto(
+        np.ndarray(rows_shape, tap_row, cols, strides=cols.reshape(*rows_shape, kw).strides[:5]),
+        np.ndarray(rows_shape, tap_row, xp, strides=(s_b, 2 * s_h, 2 * s_w, s_c, s_h)),
+    )
+
+
+def _pool_then_bias(conv: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """2x2 max pool of a (B, H, W, C) conv output into this thread's
+    workspace, then the bias added.  fl(a + b) is monotone in a and max only
+    selects, so this is bit for bit the pool of ``conv + bias``, the order
+    the taped op keeps for its tie routing."""
+    corners = [conv[:, i::2, j::2] for i in (0, 1) for j in (0, 1)]  # row-major window order
+    pooled = _workspace("pool", corners[0].shape, conv.dtype)
+    np.maximum(corners[0], corners[1], out=pooled)
+    np.maximum(pooled, corners[2], out=pooled)
+    np.maximum(pooled, corners[3], out=pooled)
+    pooled += bias
+    return pooled
+
+
+def conv_pool_stage(xp: np.ndarray, kernels: np.ndarray, bias: np.ndarray, slope: float,
+                    chain: bool = False) -> np.ndarray:
+    """One untaped CNN stage from a filled :func:`pad_buffer`: stride-2 conv,
+    2x2 max pool, bias, leaky ReLU, with the values of
+    ``leaky_relu(maxpool2d(conv2d(.)))``.
+
+    The columns, the conv output and the pooled maxima live in this
+    thread's workspace, and the pool runs before the bias add.  With
+    ``chain`` the leaky output goes into the interior of the next stage's
+    pad buffer, which is returned; the columns hold all ``xp`` held by
+    then, so that buffer may reuse its bytes.  Otherwise the output is a
+    fresh (B, H'/2, W'/2, C_out) array.
+    """
+    c_out, _, kh, kw = kernels.shape
+    batch = xp.shape[0]
+    h_out, w_out = (xp.shape[2] - kh) // 2 + 1, (xp.shape[3] - kw) // 2 + 1
+    kmat = kernels.reshape(c_out, -1)
+    dtype = np.result_type(xp, kmat)
+    cols = _workspace("cols", (batch * h_out * w_out, kmat.shape[1]), xp.dtype)
+    _fill_columns(xp, cols, kh, kw)
+    conv = _workspace("conv", (batch * h_out * w_out, c_out), dtype)
+    np.matmul(cols, kmat.T, out=conv)
+    pooled = _pool_then_bias(conv.reshape(batch, h_out, w_out, c_out), bias)
+    # chained, the conv buffer is spent and holds the output until one copy
+    # moves it channel-first: faster than a leaky ReLU written strided
+    out = _workspace("conv", pooled.shape, dtype) if chain else np.empty(pooled.shape, dtype)
+    np.multiply(pooled, dtype.type(slope), out=out)
+    np.maximum(out, pooled, out=out)  # leaky ReLU, as slope < 1
+    if not chain:
+        return out
+    xp = pad_buffer((batch, c_out, h_out // 2 + 2, w_out // 2 + 2), dtype)
+    xp[:, :, 1:-1, 1:-1] = out.transpose(0, 3, 1, 2)
+    return xp
+
+
 def conv_pool_leaky(x: Tensor, kernels: Tensor, bias: Tensor, slope: float = 0.01) -> Tensor:
     """One channels-last CNN stage as a single tape node: stride-2 padding-1
     conv, 2x2 max pool, leaky ReLU.
@@ -414,13 +492,9 @@ def conv_pool_leaky(x: Tensor, kernels: Tensor, bias: Tensor, slope: float = 0.0
     the values and gradients of ``leaky_relu(maxpool2d(conv2d(.)))`` on the
     channel-first layout.  Kernels keep their (C_out,C_in,kh,kw) layout and
     the im2col columns keep (C_in,kh,kw) order, so the GEMM is conv2d's.
-    The input is first copied into a zero-bordered channel-first buffer from
-    this thread's workspace, whose border alone is re-zeroed each call; in
-    it, as in a column row, the kw taps of one (c, i) kernel row are
-    adjacent, so one copy of kw-element items fills the columns.
-    A call no tape records also builds the columns and the conv output in
-    this thread's workspace instead of fresh arrays; the output never aliases
-    it.
+    The input is first copied into this thread's :func:`pad_buffer`.
+    A call no tape records then runs :func:`conv_pool_stage`, the one
+    untaped stage; its output never aliases the workspace.
     The input gradient follows the input's memory layout: a C-contiguous
     input gets a C-contiguous gradient, and any other (the permuted
     channel-first stem image) gets conv2d's channel-first memory, so the
@@ -443,24 +517,16 @@ def conv_pool_leaky(x: Tensor, kernels: Tensor, bias: Tensor, slope: float = 0.0
     if h_out < 1 or w_out < 1 or h_out % 2 or w_out % 2:
         raise DimensionError(f"conv_pool_leaky: conv output {h_out}x{w_out} of input {x.shape} cannot be pooled 2x2")
 
-    channels_last = xd.flags.c_contiguous  # the input gradient's layout
-    xp = _workspace("pad", (batch, c_in, h + 2, w + 2), xd.dtype)  # back never reads it
-    xp[:, :, 0], xp[:, :, -1], xp[:, :, :, 0], xp[:, :, :, -1] = 0, 0, 0, 0
+    xp = pad_buffer((batch, c_in, h + 2, w + 2), xd.dtype)  # back never reads it
     xp[:, :, 1:-1, 1:-1] = xd.transpose(0, 3, 1, 2)
+    if _recording((x, kernels, bias)) is None:
+        out = conv_pool_stage(xp, kernels.data, bias.data, slope)
+        return Tensor(out[0] if squeeze else out, dtype=out.dtype)
+    channels_last = xd.flags.c_contiguous  # the input gradient's layout
     kmat = kernels.data.reshape(c_out, -1)
-    cols_shape, conv_shape = (batch * h_out * w_out, c_in * kh * kw), (batch * h_out * w_out, c_out)
-    conv_dtype = np.result_type(xd, kmat)
-    if _recording((x, kernels, bias)) is not None:  # cols and conv escape into back
-        cols, conv = np.empty(cols_shape, xd.dtype), np.empty(conv_shape, conv_dtype)
-    else:
-        cols, conv = _workspace("cols", cols_shape, xd.dtype), _workspace("conv", conv_shape, conv_dtype)
-    tap_row, rows_shape = np.dtype(f"V{kw * xd.dtype.itemsize}"), (batch, h_out, w_out, c_in, kh)
-    s_b, s_c, s_h, s_w = xp.strides
-    np.copyto(
-        np.ndarray(rows_shape, tap_row, cols, strides=cols.reshape(*rows_shape, kw).strides[:5]),
-        np.ndarray(rows_shape, tap_row, xp, strides=(s_b, 2 * s_h, 2 * s_w, s_c, s_h)),
-    )
-    np.matmul(cols, kmat.T, out=conv)
+    cols = np.empty((batch * h_out * w_out, c_in * kh * kw), xd.dtype)  # cols and conv escape into back
+    _fill_columns(xp, cols, kh, kw)
+    conv = cols @ kmat.T
     conv += bias.data
     conv = conv.reshape(batch, h_out, w_out, c_out)
     corners = [conv[:, i::2, j::2] for i in (0, 1) for j in (0, 1)]  # row-major window order

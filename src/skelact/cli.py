@@ -24,7 +24,7 @@ from .errors import (
 )
 from .model import ModelConfig, ModelParams
 from .ppm import channels_to_rgb, heat_to_yellow, write_ppm
-from .recognizer import count_flops, forward
+from .recognizer import count_flops, infer
 from .skeleton import (
     Topology, ntu_topology, parse_jsonl, parse_ntu, preprocess, split_dataset,
     write_jsonl,
@@ -233,7 +233,7 @@ def cmd_bench(args) -> int:
     sequence = rng.normal(scale=0.3, size=(config.frames, config.joints, 3)).astype(np.float32)
 
     def one_pass():
-        forward(encode(sequence, params.encoder), params)
+        infer(sequence, params)
 
     for _ in range(args.warmup):
         one_pass()

@@ -14,6 +14,12 @@ The pipeline per sequence:
 
 All ops accept an optional leading batch axis.  Ablation flags prune the
 learned stages; whatever remains stays differentiable end to end.
+
+``enhance`` computes everything before the embeddings: the scaled
+channels, their velocities and the attention map.  ``encode`` builds the
+images from it as tape ops; ``write_image`` builds one stream's image
+untaped, with the same bits, and copies it into a buffer the caller owns
+(the CNN's stage-1 pad buffer).
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .autograd import (
-    Tensor, add, frame_velocity, leaky_relu, linear, matmul, mul,
+    Tensor, _workspace, add, frame_velocity, leaky_relu, linear, matmul, mul,
     permute, reshape, scale, softmax_rows, transpose_last2,
 )
 from .errors import DimensionError
@@ -33,6 +39,7 @@ from .skeleton import Topology, bones_from_joints
 LEAKY_SLOPE = 0.01
 
 STREAMS = ("joints", "bones", "joint_velocity", "bone_velocity")
+ATTENDED = STREAMS[:2]  # the position images the attention map reweights
 
 
 @dataclass(frozen=True)
@@ -259,12 +266,13 @@ def uniform_attention(t: int, dtype=np.float32) -> Tensor:
     return Tensor(np.full((t, t), 1.0 / t, dtype=dtype))
 
 
-def encode(x, enc: EncoderParams) -> EncodedBundle:
-    """Run every enabled stage; pure function of (x, enc)."""
+def enhance(x, enc: EncoderParams) -> tuple[dict[str, Tensor], Tensor | None]:
+    """The stages before the embeddings, shared by encode and the untaped
+    inference path: each active stream's (.., 3, J, T) channels in STREAMS
+    order (scaled joints and bones, and their frame-difference velocities),
+    plus the attention map, None when that stage is off."""
     x = _as_tensor(x)
-    t = x.shape[-3]
     flags = enc.flags
-
     if flags.joint_scale:
         _, scaled_joints = scale_joints(x, enc.joint_scale)
     else:
@@ -273,33 +281,51 @@ def encode(x, enc: EncoderParams) -> EncodedBundle:
         _, scaled_bones = scale_bones(x, enc.topology, enc.bone_scale)
     else:
         scaled_bones = _to_channels(x)
-
-    joints_image = embed_to_image(scaled_joints, enc.embeddings["joints"])
-    bones_image = embed_to_image(scaled_bones, enc.embeddings["bones"])
-
-    if flags.attention:
-        attention = attention_map(x, enc.attention)
-        joints_image = apply_attention(joints_image, attention)
-        bones_image = apply_attention(bones_image, attention)
-    else:
-        attention = uniform_attention(t, dtype=x.data.dtype)
-
-    joint_vel = bone_vel = None
+    attention = attention_map(x, enc.attention) if flags.attention else None
+    channels = {"joints": scaled_joints, "bones": scaled_bones}
     if flags.velocity:
-        joint_vel = velocity_image(scaled_joints, enc.embeddings["joint_velocity"], enc.dt)
-        bone_vel = velocity_image(scaled_bones, enc.embeddings["bone_velocity"], enc.dt)
+        channels["joint_velocity"] = frame_velocity(scaled_joints, enc.dt)
+        channels["bone_velocity"] = frame_velocity(scaled_bones, enc.dt)
+    return channels, attention
 
-    if flags.temporal:
-        joints_image = temporal_embed(joints_image, enc.temporals["joints"])
-        bones_image = temporal_embed(bones_image, enc.temporals["bones"])
-        if flags.velocity:
-            joint_vel = temporal_embed(joint_vel, enc.temporals["joint_velocity"])
-            bone_vel = temporal_embed(bone_vel, enc.temporals["bone_velocity"])
 
+def encode(x, enc: EncoderParams) -> EncodedBundle:
+    """Run every enabled stage; pure function of (x, enc)."""
+    x = _as_tensor(x)
+    channels, attention = enhance(x, enc)
+    images = {}
+    for name, ch in channels.items():
+        image = embed_to_image(ch, enc.embeddings[name])
+        if attention is not None and name in ATTENDED:
+            image = apply_attention(image, attention)
+        if enc.flags.temporal:
+            image = temporal_embed(image, enc.temporals[name])
+        images[name] = image
     return EncodedBundle(
-        joints_image=joints_image,
-        bones_image=bones_image,
-        joint_vel_image=joint_vel,
-        bone_vel_image=bone_vel,
-        attention=attention,
+        joints_image=images["joints"],
+        bones_image=images["bones"],
+        joint_vel_image=images.get("joint_velocity"),
+        bone_vel_image=images.get("bone_velocity"),
+        attention=uniform_attention(x.shape[-3], dtype=x.data.dtype) if attention is None else attention,
     )
+
+
+def write_image(out: np.ndarray, name: str, channels: Tensor, attention: Tensor | None,
+                enc: EncoderParams) -> None:
+    """Untaped: write stream ``name``'s (.., 3, T, T) image into ``out``,
+    bit for bit the one encode builds from the same enhance() results.
+
+    The image is built in this thread's workspace, each operation with its
+    operands in encode's order, and then copied into ``out`` once: ``out``
+    is strided (the interior of a CNN stage's pad buffer), and elementwise
+    passes over a contiguous image run faster than over strided rows.
+    """
+    image = _workspace("image", out.shape, out.dtype)
+    np.matmul(enc.embeddings[name].weight.data, channels.data, out=image)
+    if attention is not None and name in ATTENDED:
+        product = _workspace("attended", out.shape, out.dtype)
+        np.multiply(image, attention.data[..., None, :, :], out=product)
+        np.add(product, image, out=image)
+    if enc.flags.temporal:
+        image += enc.temporals[name].values.data
+    np.copyto(out, image)

@@ -51,6 +51,13 @@ class ModelConfig:
     def __post_init__(self):
         if self.classes != len(self.labels):
             raise UsageError(f"{self.classes} classes but {len(self.labels)} labels")
+        if self.joints < 2:
+            raise UsageError(f"a skeleton needs at least 2 joints (1 bone), got {self.joints}")
+        if len(self.channels) != 3:
+            raise UsageError(f"channels must give 3 stage widths, got {self.channels}")
+        if min(self.channels) < 1 or self.fc_hidden < 1 or self.scale_hidden < 1:
+            raise UsageError(f"layer widths must be positive: channels={self.channels}, "
+                             f"fc_hidden={self.fc_hidden}, scale_hidden={self.scale_hidden}")
         if len(self.bones) != self.joints - 1:
             raise UsageError(f"{len(self.bones)} bones cannot span {self.joints} joints")
         if self.frames < 2:

@@ -8,6 +8,11 @@ A stream turns its image channels-last once and runs each stage as the fused
 reference ops, and ``leaky_relu(maxpool2d(conv2d(.)))`` is the stage's
 bit-exact reference.  The streams' features concatenate into a two-layer
 classifier head.
+
+``forward(encode(x))`` is the taped training path.  ``infer`` is the
+untaped one that evaluation and ``skelact bench`` run: one stream at a
+time, from the encoder's image written into the stage-1 pad buffer through
+stages chained buffer to buffer, with the same logits bit for bit.
 """
 
 from __future__ import annotations
@@ -17,10 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tensor, concat, conv_pool_leaky, leaky_relu, linear, permute, reshape
-from .encoder import LEAKY_SLOPE, EncodedBundle
+from .autograd import (
+    Tensor, concat, conv_pool_leaky, conv_pool_stage, leaky_relu, linear, pad_buffer, permute, reshape,
+)
+from .encoder import LEAKY_SLOPE, EncodedBundle, enhance, write_image
 from .errors import DimensionError
 from .model import ModelConfig, ModelParams, StreamCNNParams, param_spec
+
+
+def _stages(stream: StreamCNNParams) -> tuple[tuple[Tensor, Tensor], ...]:
+    return ((stream.conv1_kernels, stream.conv1_bias), (stream.conv2_kernels, stream.conv2_bias),
+            (stream.conv3_kernels, stream.conv3_bias))
 
 
 def stream_forward(image, stream: StreamCNNParams) -> Tensor:
@@ -29,11 +41,7 @@ def stream_forward(image, stream: StreamCNNParams) -> Tensor:
     if x.data.ndim not in (3, 4):
         raise DimensionError(f"stream expects a (3,T,T) or (B,3,T,T) image, got {x.shape}")
     x = permute(x, (1, 2, 0) if x.data.ndim == 3 else (0, 2, 3, 1))
-    for kernels, bias in (
-        (stream.conv1_kernels, stream.conv1_bias),
-        (stream.conv2_kernels, stream.conv2_bias),
-        (stream.conv3_kernels, stream.conv3_bias),
-    ):
+    for kernels, bias in _stages(stream):
         x = conv_pool_leaky(x, kernels, bias, LEAKY_SLOPE)
     if x.shape[-3] != 1 or x.shape[-2] != 1:
         raise DimensionError(f"stream did not reduce spatially, got {x.shape}")
@@ -47,10 +55,44 @@ def forward(bundle: EncodedBundle, params: ModelParams) -> Tensor:
         raise DimensionError(
             f"bundle carries {len(images)} images but the model has {len(params.streams)} streams"
         )
-    features = [stream_forward(img, s) for img, s in zip(images, params.streams)]
+    return _head([stream_forward(img, s) for img, s in zip(images, params.streams)], params)
+
+
+def _head(features: list[Tensor], params: ModelParams) -> Tensor:
     merged = concat(features, axis=-1)
     hidden = leaky_relu(linear(merged, params.classifier.fc1_weight, params.classifier.fc1_bias), LEAKY_SLOPE)
     return linear(hidden, params.classifier.fc2_weight, params.classifier.fc2_bias)
+
+
+def infer(x, params: ModelParams) -> np.ndarray:
+    """Logits of a (T, J, 3) sequence or a (B, T, J, 3) batch, untaped:
+    bit for bit ``forward(encode(x, params.encoder), params).data``.
+
+    Streams run one at a time.  The encoder writes a stream's image into
+    the interior of this thread's stage-1 pad buffer, and stages 1 and 2
+    write their output into the next stage's, all through per-thread
+    workspace, so the last stage's output is the first fresh array.  Run
+    it outside any Tape; the returned logits are a fresh array.
+    """
+    x = np.asarray(x)
+    config = params.config
+    if x.ndim not in (3, 4) or x.shape[-3:] != (config.frames, config.joints, 3):
+        raise DimensionError(
+            f"infer expects (T,J,3) or (B,T,J,3) with T={config.frames}, J={config.joints}, got {x.shape}"
+        )
+    channels, attention = enhance(x, params.encoder)
+    batch, t = x.shape[:-3], config.frames
+    features = []
+    for (name, ch), stream in zip(channels.items(), params.streams):
+        dtype = np.result_type(params.encoder.embeddings[name].weight.data, ch.data)
+        xp = pad_buffer((math.prod(batch), 3, t + 2, t + 2), dtype)
+        interior = xp[:, :, 1:-1, 1:-1]
+        write_image(interior if batch else interior[0], name, ch, attention, params.encoder)
+        stages = _stages(stream)
+        for n, (kernels, bias) in enumerate(stages, start=1):
+            xp = conv_pool_stage(xp, kernels.data, bias.data, LEAKY_SLOPE, chain=n < len(stages))
+        features.append(Tensor(xp.reshape(batch + (xp.shape[-1],)), dtype=xp.dtype))
+    return _head(features, params).data
 
 
 @dataclass

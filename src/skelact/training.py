@@ -16,7 +16,7 @@ from .encoder import EnhanceFlags, encode
 from .errors import ConfigMismatchError, UsageError
 from .model import ModelConfig, ModelParams
 from .optim import AdamState, adam_step
-from .recognizer import forward
+from .recognizer import forward, infer
 from .skeleton import DatasetSplit, Topology, preprocess
 
 
@@ -95,8 +95,7 @@ def _predict_classes(params: ModelParams, data: np.ndarray, batch_size: int = 64
     preds = np.empty(len(data), dtype=np.int64)
     for start in range(0, len(data), batch_size):
         chunk = data[start : start + batch_size]
-        logits = forward(encode(chunk, params.encoder), params)
-        preds[start : start + len(chunk)] = logits.data.argmax(axis=-1)
+        preds[start : start + len(chunk)] = infer(chunk, params).argmax(axis=-1)
     return preds
 
 

@@ -358,6 +358,31 @@ def test_untaped_conv_pool_leaky_changes_no_bits_and_aliases_nothing():
             assert _same_bits(data, copy)
 
 
+def test_untaped_pool_before_bias_is_bitwise_bias_first_on_zero_and_tie_corners():
+    # the untaped stage pools the conv output and then adds the bias; the
+    # taped stage adds first.  Windows of signed zeros, exact ties, values a
+    # large bias rounds together and a bias that cancels the maximum
+    # exactly, under a -0, a +0 and nonzero biases, in both float widths
+    for dtype in (np.float32, np.float64):
+        one_up = np.nextafter(dtype(1), dtype(2))
+        windows = np.array([
+            [-0.0, 0.0, -0.0, 0.0], [0.0, -0.0, 0.0, -0.0], [-0.0] * 4, [0.0] * 4,
+            [1, 1, 1, 1], [-1, -0.0, -1, 0.0], [-0.0, -1, 0.0, -1], [1, one_up, 1, one_up],
+            [one_up, 1, one_up, 1], [-3, -3, -2, -2], [2, 2, -0.0, 0.0], [-2, 2, 2, -2],
+        ], dtype=dtype)
+        bias = np.array([-0.0, 0.0, 1, -1, 2.0 ** 60, -2, 2], dtype=dtype)
+        conv = np.empty((1, 2 * len(windows), 2, len(bias)), dtype=dtype)
+        for k, window in enumerate(windows):
+            conv[0, 2 * k : 2 * k + 2] = window.reshape(2, 2, 1)
+        biased = conv + bias
+        want = np.maximum(np.maximum(np.maximum(biased[:, 0::2, 0::2], biased[:, 0::2, 1::2]),
+                                     biased[:, 1::2, 0::2]), biased[:, 1::2, 1::2])
+        zeros = want == 0
+        assert np.any(np.signbit(want[zeros])) and not np.all(np.signbit(want[zeros]))
+        got = autograd._pool_then_bias(conv, bias)
+        assert _same_bits(got, want), dtype
+
+
 def test_conv_pool_leaky_tap_rows_for_any_item_size_kernel_and_layout():
     # the columns are copied as kw-tap items: 24-byte items in float64, 16-byte
     # items for kw = 4, and strided items from a sliced channels-last input

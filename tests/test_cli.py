@@ -108,6 +108,16 @@ def test_train_with_one_frame_is_exit_1(tmp_path, dataset, capsys):
     assert "frame_count >= 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [["--fc-hidden", "0"], ["--scale-hidden", "0"], ["--channels", "0", "2", "2"]],
+                         ids=["fc_hidden_0", "scale_hidden_0", "channels_0"])
+def test_train_with_a_zero_width_is_exit_1(tmp_path, dataset, capsys, extra):
+    ckpt = tmp_path / "x.ckpt"
+    assert main(_train_args(dataset, ckpt, extra=extra)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: layer widths must be positive") and "Traceback" not in err
+    assert not ckpt.exists()
+
+
 def test_train_with_a_label_float32_cannot_hold_is_exit_1(tmp_path, dataset, capsys, monkeypatch):
     steps = []
     monkeypatch.setattr(training, "backward", lambda loss: steps.append(loss))

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from skelact import recognizer
+from skelact import autograd, recognizer
 from skelact.autograd import (
     Tape, Tensor, backward, conv2d, cross_entropy, leaky_relu, maxpool2d, reshape,
 )
@@ -15,7 +15,7 @@ from skelact.encoder import LEAKY_SLOPE, EncodedBundle, EnhanceFlags, encode, un
 from skelact.errors import DimensionError, UsageError
 from skelact.model import ModelConfig, ModelParams, param_spec
 from skelact.optim import AdamState, adam_step
-from skelact.recognizer import count_flops, forward, stream_forward
+from skelact.recognizer import count_flops, forward, infer, stream_forward
 from skelact.skeleton import ntu_topology
 from skelact.training import VARIANT_GRID
 
@@ -75,18 +75,25 @@ def test_unbatched_stream_equals_row_zero_of_batch():
 
 def test_untaped_streams_in_concurrent_threads_match_their_single_thread_results():
     # each thread's untaped stages get their own workspace; a shared one would
-    # let one thread's columns overwrite another's between the copy and the GEMM
-    stream = ModelParams.build(_config(channels=(8, 16, 32)), seed=0).streams[0]
+    # let one thread's columns overwrite another's between the copy and the
+    # GEMM, and, for infer, one thread's image or chained stage output
+    # overwrite another's pad buffer
+    params = ModelParams.build(_config(channels=(8, 16, 32)), seed=0)
+    stream = params.streams[0]
     rng = np.random.default_rng(26)
     inputs = [rng.normal(size=(4, 3, 64, 64)).astype(np.float32) for _ in range(3)]
+    sequences = [(rng.normal(size=(4, 64, 4, 3)) * 0.3).astype(np.float32) for _ in range(3)]
     alone = [stream_forward(x, stream).data for x in inputs]
+    alone_logits = [infer(x, params) for x in sequences]
     start = threading.Event()
     results = [[] for _ in inputs]
+    logits = [[] for _ in inputs]
 
     def run(i):
         start.wait(10)
         for _ in range(20):
             results[i].append(stream_forward(inputs[i], stream).data)
+            logits[i].append(infer(sequences[i], params))
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(len(inputs))]
     interval = sys.getswitchinterval()
@@ -101,6 +108,9 @@ def test_untaped_streams_in_concurrent_threads_match_their_single_thread_results
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     for want, got in zip(alone, results):
+        assert len(got) == 20
+        assert all(np.array_equal(g.view(np.uint32), want.view(np.uint32)) for g in got)
+    for want, got in zip(alone_logits, logits):
         assert len(got) == 20
         assert all(np.array_equal(g.view(np.uint32), want.view(np.uint32)) for g in got)
 
@@ -188,6 +198,45 @@ def test_training_gradients_match_channel_first_stream_bitwise(monkeypatch):
             assert grad is not None and np.array_equal(fused[name], grad), (step, name)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("variant", [name for name, _ in VARIANT_GRID])
+def test_infer_is_bitwise_the_taped_forward(variant, dtype):
+    flags = dict(VARIANT_GRID)[variant]
+    params = ModelParams.build(_config(flags=flags), seed=9, dtype=dtype)
+    rng = np.random.default_rng(27)
+    for tensor in params.named_tensors().values():  # biases and temporal vectors start at 0
+        tensor.data += (rng.normal(size=tensor.shape) * 0.1).astype(dtype)
+    x = (rng.normal(size=(64, 64, 4, 3)) * 0.3).astype(dtype)
+    for batch in (x, x[:6], x[:1], x[0]):  # 64, 6, 1 and unbatched
+        got = infer(batch, params)
+        with Tape():
+            want = forward(encode(batch, params.encoder), params)
+        assert want._tape is not None
+        assert got.dtype == dtype and got.shape == want.shape, batch.shape
+        assert np.array_equal(got, want.data) and np.array_equal(np.signbit(got), np.signbit(want.data)), batch.shape
+
+
+def test_infer_logits_alias_no_workspace_and_later_calls_change_nothing():
+    params = ModelParams.build(_config(), seed=10)
+    rng = np.random.default_rng(28)
+    earlier = []
+    for batch in (5, 2, 7, 1):  # grows, shrinks and regrows the workspace
+        logits = infer((rng.normal(size=(batch, 64, 4, 3)) * 0.3).astype(np.float32), params)
+        buffers = [buf for buf in vars(autograd._WORKSPACE).values() if isinstance(buf, np.ndarray)]
+        assert {"pad", "cols", "conv", "pool", "image", "attended"} <= set(vars(autograd._WORKSPACE))
+        assert not any(np.shares_memory(logits, buf) for buf in buffers)
+        earlier.append((logits, logits.copy()))
+    for got, copy in earlier:
+        assert np.array_equal(got.view(np.uint32), copy.view(np.uint32))
+
+
+def test_infer_rejects_sequences_of_the_wrong_shape():
+    params = ModelParams.build(_config(), seed=0)
+    for shape in ((32, 4, 3), (2, 64, 5, 3), (64, 4, 2), (4, 3), (1, 2, 64, 4, 3)):
+        with pytest.raises(DimensionError, match="infer expects"):
+            infer(np.zeros(shape, dtype=np.float32), params)
+
+
 # ---------------------------------------------------------------------------
 # configuration geometry
 
@@ -215,6 +264,18 @@ def test_config_validation():
     for dt in (float("nan"), float("inf"), 0.0, -1.0, 1e39, 1e-50):
         with pytest.raises(UsageError, match="dt must be finite and positive"):
             _config(dt=dt)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(fc_hidden=0), "widths must be positive"),
+    (dict(channels=(0, 2, 2)), "widths must be positive"),
+    (dict(scale_hidden=0), "widths must be positive"),
+    (dict(frames=16, channels=(2, 2)), "3 stage widths"),
+    (dict(joints=1, bones=()), "at least 2 joints"),
+], ids=["fc_hidden_0", "channels_0", "scale_hidden_0", "two_stages", "one_joint"])
+def test_config_refuses_what_the_model_cannot_be_built_or_run_with(fields, message):
+    with pytest.raises(UsageError, match=message):
+        _config(**fields)
 
 
 def test_build_is_seed_deterministic():

@@ -12,7 +12,7 @@ from skelact.cli import main
 from skelact.encoder import EnhanceFlags, encode
 from skelact.errors import CheckpointError, ConfigMismatchError, UsageError
 from skelact.model import ModelConfig, ModelParams
-from skelact.recognizer import forward
+from skelact.recognizer import forward, infer
 from skelact.skeleton import DatasetSplit, SkeletonSequence, split_dataset, write_jsonl
 from skelact.synth import SynthConfig, humanoid_topology, synth_generate
 from skelact.training import (
@@ -145,24 +145,25 @@ def test_eval_logits_equal_the_taped_forward_and_reuse_the_workspace(monkeypatch
     data = np.random.default_rng(5).normal(size=(70, 64, TOPO.joint_count, 3)).astype(np.float32)
     untaped = []
 
-    def keep_logits(bundle, p):
-        logits = forward(bundle, p)
+    def keep_logits(chunk, p):
+        logits = infer(chunk, p)
         untaped.append(logits)
         return logits
 
-    monkeypatch.setattr(training, "forward", keep_logits)
+    monkeypatch.setattr(training, "infer", keep_logits)
     preds = training._predict_classes(params, data)  # a batch of 64 and a tail of 6
-    buffers = (id(autograd._WORKSPACE.cols), id(autograd._WORKSPACE.conv))
+    roles = ("pad", "cols", "conv", "pool", "image", "attended")
+    buffers = [id(getattr(autograd._WORKSPACE, role)) for role in roles]
     assert [logits.shape[0] for logits in untaped] == [64, 6]
     for logits, rows in zip(untaped, (slice(0, 64), slice(64, 70))):
         with Tape():
             taped = forward(encode(data[rows], params.encoder), params)
-        assert logits._tape is None and taped._tape is not None
-        assert np.array_equal(logits.data.view(np.uint32), taped.data.view(np.uint32))
-    assert np.array_equal(preds, np.concatenate([l.data for l in untaped]).argmax(axis=-1))
+        assert isinstance(logits, np.ndarray) and taped._tape is not None
+        assert np.array_equal(logits.view(np.uint32), taped.data.view(np.uint32))
+    assert np.array_equal(preds, np.concatenate(untaped).argmax(axis=-1))
     # no timing: a second call must find its buffers already grown
     assert np.array_equal(training._predict_classes(params, data), preds)
-    assert (id(autograd._WORKSPACE.cols), id(autograd._WORKSPACE.conv)) == buffers
+    assert [id(getattr(autograd._WORKSPACE, role)) for role in roles] == buffers
 
 
 # ---------------------------------------------------------------------------
