@@ -2,11 +2,12 @@
 
 Covers exactly the operation set the recognition pipeline needs: matmul with
 broadcast batch dims, pointwise arithmetic with singleton-axis broadcasting,
-leaky ReLU, row softmax, fully connected layers, strided 2D convolution,
-2x2 max pooling, a fused channels-last conv/pool/leaky-ReLU stage (the CNN
-hot path; the three separate ops are its reference), frame-difference
-velocity, shape plumbing (reshape, transpose, concat), and a fused softmax
-cross-entropy loss.
+leaky ReLU, row softmax, fully connected layers, the encoder's fused image
+op (embedding product, attention and temporal add; the composed ops are its
+reference), strided 2D convolution, 2x2 max pooling, a fused channels-last
+conv/pool/leaky-ReLU stage (the CNN hot path; the three separate ops are
+its reference), frame-difference velocity, shape plumbing (reshape,
+transpose, concat), and a fused softmax cross-entropy loss.
 
 Tensors hold 32-bit values for training and inference.  A parallel 64-bit
 mode (pass ``dtype=np.float64`` when building parameters) exists solely for
@@ -14,18 +15,20 @@ finite-difference verification via :func:`grad_check`.
 
 The tape is define-by-run: activate one with ``with Tape():`` around the
 forward pass, call :func:`backward` on the scalar loss, and rebuild a fresh
-tape next step; backward frees the tape's nodes, so one tape serves one
-backward.  With no tape active every op is pure forward computation.
+tape next step; backward takes the tape's nodes and releases each one once
+its backward rule has run, so one tape serves one backward and what the
+forward saved is freed as the pass goes.  With no tape active every op is
+pure forward computation.
 Broadcasting follows the singleton-axis rule only: an axis of extent 1
 stretches, shorter ranks are left-padded with 1s, and nothing else aligns.
 
 The fused stage pads its input into a per-thread workspace buffer
-(:func:`pad_buffer`), reused call after call.  When no tape records it, it
-runs :func:`conv_pool_stage`, the one untaped stage, whose im2col columns,
-conv output and pooled maxima also live in that workspace; the untaped
-inference path (``recognizer.infer``) calls it directly and chains each
-stage's output into the next stage's pad buffer.  Arrays a tape records are
-always fresh.
+(:func:`pad_buffer`), reused call after call, and its conv output and
+pooled maxima live in that workspace too.  When no tape records it, it runs
+:func:`conv_pool_stage`, the one untaped stage, whose im2col columns are
+also workspace; the untaped inference path (``recognizer.infer``) calls it
+directly and chains each stage's output into the next stage's pad buffer.
+Arrays a tape records or a backward rule reads are always fresh.
 """
 
 from __future__ import annotations
@@ -305,6 +308,54 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return _finish(out, inputs, back, "linear")
 
 
+def embed_image(channels: Tensor, weight: Tensor, attention: Tensor | None = None,
+                temporal: Tensor | None = None) -> Tensor:
+    """One encoder image as a single tape node: the (T, J) ``weight`` times
+    each (J, T) channel of ``channels``, then, given the (.., T, T)
+    ``attention`` map A spread over channels, ``product * A + product``,
+    then, given the length-T ``temporal`` vector, that added to every row.
+
+    Values and gradients are bit for bit those of the composed nodes
+    ``temporal_embed(apply_attention(embed_to_image(.)))`` in the encoder:
+    the forward keeps their operand order, and the backward sums each
+    gradient as they do (``d + d * A`` into the product, the attention
+    gradient summed over channels, the temporal one over rows, channels and
+    batch).  The node saves the pre-attention product when ``attention`` is
+    given and nothing else beyond its inputs.
+    """
+    t, j = weight.shape
+    if channels.shape[-2:] != (j, t):
+        raise DimensionError(f"embedding {weight.shape} cannot map channels {channels.shape}")
+    if attention is not None and attention.shape[-2:] != (t, t):
+        raise DimensionError(f"attention {attention.shape} does not match a {t}x{t} image")
+    if temporal is not None and temporal.shape != (t,):
+        raise DimensionError(f"temporal vector {temporal.shape} does not match a {t}x{t} image")
+    w_data, ch_data = weight.data, channels.data
+    product = w_data @ ch_data
+    image = product
+    if attention is not None:
+        spread = attention.data[..., None, :, :]
+        image = product * spread
+        image += product
+    else:
+        product = None  # back reads it only for the attention gradient
+    if temporal is not None:
+        image += temporal.data
+
+    def back(d):
+        extra, d_product = [], d
+        if attention is not None:
+            extra.append(_unbroadcast(d * product, spread.shape).reshape(attention.shape))
+            d_product = _unbroadcast(d, product.shape) + _unbroadcast(d * spread, product.shape)
+        if temporal is not None:
+            extra.append(_unbroadcast(d, (1,) * (d.ndim - 1) + (t,)).reshape(t))
+        return (_unbroadcast(np.swapaxes(w_data, -1, -2) @ d_product, channels.shape),
+                _unbroadcast(d_product @ np.swapaxes(ch_data, -1, -2), weight.shape), *extra)
+
+    inputs = (channels, weight) + tuple(x for x in (attention, temporal) if x is not None)
+    return _finish(image, inputs, back, "embed_image")
+
+
 # ---------------------------------------------------------------------------
 # activations and normalization
 
@@ -495,6 +546,18 @@ def conv_pool_leaky(x: Tensor, kernels: Tensor, bias: Tensor, slope: float = 0.0
     The input is first copied into this thread's :func:`pad_buffer`.
     A call no tape records then runs :func:`conv_pool_stage`, the one
     untaped stage; its output never aliases the workspace.
+    A recorded call adds the bias before it pools, and builds an int8 index
+    of each window's first maximum from strict ``>`` compares taken in
+    row-major corner order; backward routes the window's gradient to that
+    corner.  A compare with a NaN is false and the running maximum stays
+    NaN once it meets one, so a window holding a NaN routes its gradient to
+    the first maximum of the corners before its first NaN, or to that NaN
+    when it is the first corner (``maxpool2d`` routes it to the first NaN).
+    The leaky slope of the gradient follows the sign of the pooled maximum,
+    not of the output, which is -0 where a tiny negative maximum times the
+    slope underflows.  Backward reads only the im2col columns, that index
+    and a bool leaky mask; the conv output and the pooled maxima stay in
+    this thread's workspace.
     The input gradient follows the input's memory layout: a C-contiguous
     input gets a C-contiguous gradient, and any other (the permuted
     channel-first stem image) gets conv2d's channel-first memory, so the
@@ -524,28 +587,32 @@ def conv_pool_leaky(x: Tensor, kernels: Tensor, bias: Tensor, slope: float = 0.0
         return Tensor(out[0] if squeeze else out, dtype=out.dtype)
     channels_last = xd.flags.c_contiguous  # the input gradient's layout
     kmat = kernels.data.reshape(c_out, -1)
-    cols = np.empty((batch * h_out * w_out, c_in * kh * kw), xd.dtype)  # cols and conv escape into back
+    dtype = np.result_type(xd, kmat)
+    cols = np.empty((batch * h_out * w_out, c_in * kh * kw), xd.dtype)  # back reads it for dk
     _fill_columns(xp, cols, kh, kw)
-    conv = cols @ kmat.T
-    conv += bias.data
+    conv = _workspace("conv", (batch * h_out * w_out, c_out), dtype)
+    np.matmul(cols, kmat.T, out=conv)
+    conv += bias.data  # bias first: the index below compares the biased corners
     conv = conv.reshape(batch, h_out, w_out, c_out)
     corners = [conv[:, i::2, j::2] for i in (0, 1) for j in (0, 1)]  # row-major window order
-    pooled = np.maximum(corners[0], corners[1])
-    np.maximum(pooled, corners[2], out=pooled)
-    np.maximum(pooled, corners[3], out=pooled)
-    out = np.maximum(pooled * pooled.dtype.type(slope), pooled)  # leaky ReLU, as slope < 1
+    pooled = _workspace("pool", corners[0].shape, dtype)
+    first = np.greater(corners[1], corners[0]).view(np.int8)  # the first max's corner
+    np.maximum(corners[0], corners[1], out=pooled)
+    for n in (2, 3):
+        later = np.greater(corners[n], pooled).view(np.int8)
+        np.maximum(first, later * n, out=first)
+        np.maximum(pooled, corners[n], out=pooled)
+    rising = pooled >= 0
+    out = np.maximum(pooled * dtype.type(slope), pooled)  # leaky ReLU, as slope < 1
     if squeeze:
         out = out[0]
 
     def back(d):
         dd = d[None] if squeeze else d
-        dpool = np.where(pooled >= 0, dd, dd * slope)
-        dconv = np.empty_like(conv)
-        taken = np.zeros(pooled.shape, dtype=bool)
-        for n, corner in enumerate(corners):  # first max per window takes the gradient
-            hit = (corner == pooled) & ~taken
-            np.multiply(dpool, hit, out=dconv[:, n // 2 :: 2, n % 2 :: 2])
-            taken |= hit
+        dpool = np.where(rising, dd, dd * slope)
+        dconv = np.empty((batch, h_out, w_out, c_out), dtype)
+        for n in range(4):
+            np.multiply(dpool, first == n, out=dconv[:, n // 2 :: 2, n % 2 :: 2])
         d2 = dconv.reshape(-1, c_out)
         dk = (d2.T @ cols).reshape(kernels.shape)
         db = d2.sum(axis=0)
@@ -681,16 +748,22 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(t) into ``t.grad`` for every requires_grad tensor
-    reachable from ``loss`` on its tape, then clear the tape.
+    reachable from ``loss`` on its tape, consuming the tape.
 
     Only leaves accumulate: each op output's ``grad`` is set once, to a
     read-only view of the gradient that reaches it, and is not copied.  A
     leaf copies its first gradient, so later backwards and the optimizer
     never write into an op output's gradient.
 
-    Clearing drops the tape's references to every op output and closure,
-    which breaks the output -> tape -> node -> output cycle so a step's
-    arrays are freed by reference counting instead of a later full GC.
+    The tape gives up its nodes before the first one runs, so a backward
+    that raises leaves it consumed too, and the output -> tape -> node ->
+    output cycle is broken: a step's arrays are freed by reference counting
+    instead of a later full GC.  Each node (its closure, inputs and output)
+    is released as soon as its backward rule has run, so what the forward
+    saved is freed stage by stage rather than all at the end.  A pending
+    gradient is keyed by its tensor's ``id``, which stays unique because
+    the tensor stays alive: an unrun node holds an op output, and
+    ``holders`` holds a leaf until it accumulates.
     """
     if loss.data.size != 1:
         raise UsageError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -699,22 +772,24 @@ def backward(loss: Tensor) -> None:
         if loss.requires_grad:
             loss.accumulate_grad(np.ones_like(loss.data))
         return
-    if not tape.nodes:
+    nodes, tape.nodes = tape.nodes, []
+    if not nodes:
         raise UsageError("backward: the loss's tape was already consumed by an earlier backward")
     pending: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     holders: dict[int, Tensor] = {id(loss): loss}
-    for node in reversed(tape.nodes):
+    while nodes:
+        node = nodes.pop()  # rebinding releases the node run before it
         d_out = pending.pop(id(node.output), None)
         if d_out is None:
             continue
+        del holders[id(node.output)]
         out = node.output
         if out.grad is None and d_out.shape == out.data.shape and d_out.dtype == out.data.dtype:
             out.grad = d_out.view()
             out.grad.flags.writeable = False
         else:
             out.accumulate_grad(d_out)
-        d_inputs = node.backward_fn(d_out)
-        for t, d in zip(node.inputs, d_inputs):
+        for t, d in zip(node.inputs, node.backward_fn(d_out)):
             if d is None or not t.requires_grad:
                 continue
             key = id(t)
@@ -725,7 +800,6 @@ def backward(loss: Tensor) -> None:
                 holders[key] = t
     for key, d in pending.items():  # leaves: tensors never produced by a node
         holders[key].accumulate_grad(d)
-    tape.nodes.clear()
 
 
 # ---------------------------------------------------------------------------

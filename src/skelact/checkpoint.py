@@ -15,7 +15,8 @@ identical bytes.  Entries are read by name, in any order.  Loading decodes
 each config entry by its field's type (rank and extents, integral values,
 0/1 flags), checks the stored tensor names and shapes against
 model.param_spec and wraps the stored arrays as they are; no weights are
-drawn.  Any fault in the file is a CheckpointError.
+drawn.  Any fault in the file is a CheckpointError, a NaN or an infinity in
+a tensor among them; saving such a tensor is refused.
 """
 
 from __future__ import annotations
@@ -35,8 +36,22 @@ MAGIC = b"AFEC"
 VERSION = 1
 
 
+def _non_finite(tensors: dict[str, np.ndarray]) -> str | None:
+    """A message naming the first array holding a NaN or an infinity, if any."""
+    for name, arr in tensors.items():
+        bad = np.count_nonzero(~np.isfinite(arr))
+        if bad:
+            return f"{name} holds {bad} non-finite value{'s' if bad > 1 else ''}"
+    return None
+
+
 def save_checkpoint(params: ModelParams, path) -> None:
+    """Write ``params`` to ``path``; a tensor holding a NaN or an infinity
+    is a UsageError, raised before the file is opened."""
     config, tensors = params.config, params.named_tensors()
+    fault = _non_finite({name: tensors[name].data for name in sorted(tensors)})
+    if fault:
+        raise UsageError(f"refusing to save a checkpoint: {fault}")
     entries = [(f"config.{f.name}", value) for f, value in zip(fields(config), astuple(config))]
     entries += [(name, tensors[name].data) for name in sorted(tensors)]
     with open(path, "wb") as fh:
@@ -140,7 +155,8 @@ def _decode(entries: dict[str, np.ndarray], field, hint):
 
 def load_checkpoint(path) -> ModelParams:
     """Rebuild the model a checkpoint stores, without drawing any weights:
-    the stored tensor names and shapes must match param_spec exactly."""
+    the stored tensor names and shapes must match param_spec exactly, and
+    every stored value must be finite."""
     entries = read_entries(path)
     hints = get_type_hints(ModelConfig)
     config_fields = fields(ModelConfig)
@@ -163,6 +179,9 @@ def load_checkpoint(path) -> ModelParams:
             raise CheckpointError(
                 f"{s.name}: stored shape {entries[s.name].shape} != expected {s.shape}"
             )
+    fault = _non_finite({s.name: entries[s.name] for s in spec})
+    if fault:
+        raise CheckpointError(fault)
     return ModelParams.from_tensors(
         config, {s.name: Tensor(entries[s.name], requires_grad=s.trainable) for s in spec}
     )

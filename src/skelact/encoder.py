@@ -16,8 +16,10 @@ All ops accept an optional leading batch axis.  Ablation flags prune the
 learned stages; whatever remains stays differentiable end to end.
 
 ``enhance`` computes everything before the embeddings: the scaled
-channels, their velocities and the attention map.  ``encode`` builds the
-images from it as tape ops; ``write_image`` builds one stream's image
+channels, their velocities and the attention map.  ``encode`` builds each
+image from it as one tape node, ``autograd.embed_image``, whose values and
+gradients are bit for bit those of ``embed_to_image``, ``apply_attention``
+and ``temporal_embed`` composed; ``write_image`` builds one stream's image
 untaped, with the same bits, and copies it into a buffer the caller owns
 (the CNN's stage-1 pad buffer).
 """
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .autograd import (
-    Tensor, _workspace, add, frame_velocity, leaky_relu, linear, matmul, mul,
+    Tensor, _workspace, add, embed_image, frame_velocity, leaky_relu, linear, matmul, mul,
     permute, reshape, scale, softmax_rows, transpose_last2,
 )
 from .errors import DimensionError
@@ -293,14 +295,11 @@ def encode(x, enc: EncoderParams) -> EncodedBundle:
     """Run every enabled stage; pure function of (x, enc)."""
     x = _as_tensor(x)
     channels, attention = enhance(x, enc)
-    images = {}
-    for name, ch in channels.items():
-        image = embed_to_image(ch, enc.embeddings[name])
-        if attention is not None and name in ATTENDED:
-            image = apply_attention(image, attention)
-        if enc.flags.temporal:
-            image = temporal_embed(image, enc.temporals[name])
-        images[name] = image
+    images = {
+        name: embed_image(ch, enc.embeddings[name].weight, attention if name in ATTENDED else None,
+                          enc.temporals[name].values if enc.flags.temporal else None)
+        for name, ch in channels.items()
+    }
     return EncodedBundle(
         joints_image=images["joints"],
         bones_image=images["bones"],

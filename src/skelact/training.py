@@ -7,6 +7,7 @@ config seed, and no OS entropy is consulted anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -104,7 +105,9 @@ def train(sequences, topology: Topology, split: DatasetSplit, config: TrainConfi
 
     Returns (params, log) where log holds one "epoch,loss,test_acc,lr" line
     per epoch; loss is the train-set mean for the epoch and test_acc is
-    measured on the split's test side after the epoch's updates.
+    measured on the split's test side after the epoch's updates.  A batch
+    whose loss is not finite stops training with a UsageError naming its
+    epoch and batch, before that batch updates any weight.
     """
     sequences = list(sequences)
     if not split.train:
@@ -137,15 +140,19 @@ def train(sequences, topology: Topology, split: DatasetSplit, config: TrainConfi
         lr = config.lr * (config.lr_decay if epoch > config.decay_epoch else 1.0)
         order = train_idx[shuffle.permutation(len(train_idx))]
         loss_sum = 0.0
-        for start in range(0, len(order), config.batch_size):
+        for step, start in enumerate(range(0, len(order), config.batch_size), start=1):
             batch = order[start : start + config.batch_size]
             with Tape():
                 bundle = encode(data[batch], params.encoder)
                 logits = forward(bundle, params)
                 loss = cross_entropy(logits, classes[batch])
+            value = loss.item()
+            if not math.isfinite(value):
+                raise UsageError(f"training diverged: epoch {epoch}, batch {step} has loss {value}; "
+                                 f"try a lower learning rate than {lr:g}")
             backward(loss)
             adam_step(named, state, lr)
-            loss_sum += loss.item() * len(batch)
+            loss_sum += value * len(batch)
         mean_loss = loss_sum / len(order)
         if len(test_idx):
             preds = _predict_classes(params, data[test_idx], config.batch_size)

@@ -1,5 +1,6 @@
-"""Shared test plumbing: the acceptance-criteria verdict board and the
-joint-to-bone incidence oracle.
+"""Shared test plumbing: the acceptance-criteria verdict board, the
+joint-to-bone incidence oracle and the composed reference of the fused
+encoder image op.
 
 Acceptance tests record one verdict per criterion; the terminal summary
 prints them as single pass/fail lines so a full run ends with a compact
@@ -23,6 +24,19 @@ def incidence_matrix(topology) -> np.ndarray:
         c[q, k] = 1.0
         c[p, k] = -1.0
     return c
+
+
+def composed_embed_image(channels, weight, attention=None, temporal=None):
+    """autograd.embed_image as the separate tape nodes it fuses: the
+    embedding product, the attention multiply-and-add and the temporal add."""
+    from skelact.encoder import EmbeddingLayer, TemporalEmbedding, apply_attention, embed_to_image, temporal_embed
+
+    image = embed_to_image(channels, EmbeddingLayer(weight))
+    if attention is not None:
+        image = apply_attention(image, attention)
+    if temporal is not None:
+        image = temporal_embed(image, TemporalEmbedding(temporal))
+    return image
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

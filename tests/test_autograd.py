@@ -429,6 +429,65 @@ def test_conv_pool_leaky_rezeroes_the_border_of_a_reused_pad_buffer():
             assert _same_bits(got.data.transpose(0, 3, 1, 2), want.data)
 
 
+def _centre_tap_stage(grid, slope=0.01):
+    """conv_pool_leaky's output and input gradient under sum_all, for a
+    centre-tap kernel and an input whose even-indexed pixels are ``grid``
+    (zeros elsewhere): the conv output is then ``grid``, and each of its
+    pixels gets its gradient from no other tap, so ``grad[::2, ::2]`` is the
+    routed pool gradient."""
+    dtype = grid.dtype
+    x = np.zeros((1, 2 * grid.shape[0], 2 * grid.shape[1], 1), dtype)
+    x[0, ::2, ::2, 0] = grid
+    k = np.zeros((1, 1, 3, 3), dtype)
+    k[0, 0, 1, 1] = 1
+    xt = Tensor(x, requires_grad=True, dtype=dtype)
+    with Tape():
+        out = conv_pool_leaky(xt, Tensor(k, dtype=dtype), Tensor(np.zeros(1), dtype=dtype), slope)
+        loss = sum_all(out)
+    backward(loss)
+    assert np.count_nonzero(xt.grad[0, 1::2]) == np.count_nonzero(xt.grad[0, :, 1::2]) == 0
+    return out.data[0, :, :, 0], xt.grad[0, ::2, ::2, 0]
+
+
+def test_conv_pool_leaky_routes_a_nan_window_to_its_first_max_before_the_first_nan():
+    nan = np.nan
+    windows = [  # corners in row-major order, and the corner the gradient reaches
+        ([1, 2, 3, 4], 3), ([4, 4, 4, 4], 0), ([1, nan, 3, 2], 0), ([nan, 5, 1, 2], 0),
+        ([1, 4, nan, 9], 1), ([2, 2, 1, nan], 0), ([nan, nan, 1, 1], 0), ([-1, -3, -2, nan], 0),
+    ]
+    for dtype in (np.float32, np.float64):
+        grid = np.zeros((4, 8), dtype)  # 2 x 4 pooling windows
+        for n, (corners, _) in enumerate(windows):
+            wy, wx = divmod(n, 4)
+            grid[2 * wy : 2 * wy + 2, 2 * wx : 2 * wx + 2] = np.reshape(corners, (2, 2))
+        out, routed = _centre_tap_stage(grid)
+        assert np.count_nonzero(routed) == len(windows)
+        for n, (corners, corner) in enumerate(windows):
+            wy, wx = divmod(n, 4)
+            has_nan = np.isnan(corners).any()
+            want = np.zeros(4, dtype)
+            want[corner] = dtype(0.01) if has_nan else 1  # a NaN maximum is not >= 0
+            assert np.array_equal(routed[2 * wy : 2 * wy + 2, 2 * wx : 2 * wx + 2].reshape(4), want), (dtype, corners)
+            assert np.isnan(out[wy, wx]) == has_nan
+
+
+def test_conv_pool_leaky_slope_follows_the_pooled_sign_where_the_output_underflows():
+    # -tiny * slope rounds to -0, so the output is >= 0 while the pooled
+    # maximum is not; the composed leaky_relu takes the slope from the latter
+    for dtype in (np.float32, np.float64):
+        tiny = np.nextafter(dtype(0), dtype(1))
+        grid = np.array([[-tiny, -2 * tiny, 1, -1], [-3 * tiny, -tiny, 0, -1]], dtype)
+        out, routed = _centre_tap_stage(grid)
+        assert out[0, 0] == 0 and np.signbit(out[0, 0]) and out[0, 1] == 1
+        want = np.array([[0.01, 0, 1, 0], [0, 0, 0, 0]], dtype)
+        assert np.array_equal(routed, want), dtype
+        x = Tensor(np.repeat(np.repeat(grid, 2, 0), 2, 1)[None, None], dtype=dtype)  # the reference, through conv2d
+        k = np.zeros((1, 1, 3, 3), dtype)
+        k[0, 0, 1, 1] = 1
+        composed = leaky_relu(maxpool2d(conv2d(x, Tensor(k, dtype=dtype), Tensor(np.zeros(1), dtype=dtype))), 0.01)
+        assert _same_bits(out, composed.data[0, 0])
+
+
 def test_grad_conv_pool_leaky_fused():
     rng = np.random.default_rng(24)
     x = _rand64(rng, (2, 8, 8, 3))
@@ -665,6 +724,51 @@ def test_backward_frees_the_step_without_gc():
     finally:
         gc.enable()
     assert np.array_equal(x.grad, np.full((4, 4), 4.0))
+
+
+def _probe(x, back, saved=None):
+    """A custom op recorded through _finish: its output is a copy of x's
+    data, and ``back`` is its backward rule, closing over ``saved``."""
+    return autograd._finish(x.data.copy(), (x,), lambda d: back(d, saved), "probe")
+
+
+def test_backward_releases_each_node_once_its_rule_has_run():
+    x = Tensor(np.arange(1.0, 4.0), requires_grad=True, dtype=np.float64)
+    held = np.full(3, 2.0)  # only the later node's closure keeps it
+    alive = weakref.ref(held)
+    seen = []
+
+    def earlier_back(d, _):
+        seen.append((alive(), middle_data()))
+        return (d,)
+
+    with Tape() as tape:
+        y = _probe(x, earlier_back)
+        z = _probe(y, lambda d, w: (d * w,), held)
+        middle_data = weakref.ref(z.data)  # held by z's node and by the caller, until both let go
+        loss = sum_all(z)
+    del held, z
+    assert alive() is not None and middle_data() is not None
+    backward(loss)
+    assert seen == [(None, None)]  # the later node, its closure and its output were gone
+    assert not tape.nodes and y.grad is not None and not y.grad.flags.writeable
+    assert np.array_equal(x.grad, np.full(3, 2.0))
+
+
+def test_a_backward_that_raises_leaves_the_tape_consumed():
+    x = Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
+
+    def fail(d, _):
+        raise RuntimeError("backward rule failed")
+
+    with Tape() as tape:
+        loss = sum_all(_probe(x, fail))
+    with pytest.raises(RuntimeError, match="backward rule failed"):
+        backward(loss)
+    assert not tape.nodes
+    with pytest.raises(UsageError, match="already consumed"):
+        backward(loss)
+    assert x.grad is None
 
 
 def test_second_backward_over_a_consumed_tape_raises():

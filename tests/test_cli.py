@@ -134,6 +134,22 @@ def test_train_with_a_label_float32_cannot_hold_is_exit_1(tmp_path, dataset, cap
     assert steps == []  # refused before the first training step
 
 
+def test_diverging_train_is_exit_1_and_writes_no_checkpoint(tmp_path, capsys):
+    data = tmp_path / "d.jsonl"
+    assert main(_synth_args(data, per_class=10, classes=8)) == 0  # 80 sequences
+    capsys.readouterr()
+    ckpt = tmp_path / "x.ckpt"
+    with np.errstate(all="ignore"):
+        code = main(["train", "--data", str(data), "--epochs", "2", "--lr", "1e8",
+                     "--channels", "4", "4", "4", "--fc-hidden", "8", "--scale-hidden", "4",
+                     "--out-checkpoint", str(ckpt)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: training diverged: epoch ") and ", batch " in captured.err
+    assert "loss nan" in captured.err or "loss inf" in captured.err
+    assert not ckpt.exists() and not captured.out
+
+
 def test_train_respects_stage_toggles(tmp_path, dataset):
     ckpt = tmp_path / "slim.ckpt"
     assert main(_train_args(dataset, ckpt, extra=["--no-velocity", "--no-attention"])) == 0

@@ -3,9 +3,11 @@ frame attention, velocity images, temporal offsets, and the composed encode."""
 
 import numpy as np
 import pytest
-from conftest import incidence_matrix
+from conftest import composed_embed_image, incidence_matrix
 
-from skelact.autograd import Tape, Tensor, backward, sum_all
+from skelact.autograd import (
+    Tape, Tensor, add, backward, embed_image, frame_velocity, grad_check, mul, scale, softmax_rows, sum_all,
+)
 from skelact.encoder import (
     AttentionHead, EmbeddingLayer, EncoderParams, EnhanceFlags, ScaleHead,
     TemporalEmbedding, apply_attention, attention_map, embed_to_image, encode,
@@ -275,6 +277,81 @@ def test_temporal_embedding_breaks_time_reversal():
     fwd = temporal_embed(Tensor(img), te).data
     rev = temporal_embed(Tensor(img[..., ::-1].copy()), te).data
     assert not np.allclose(fwd[..., ::-1], rev, atol=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# the fused image op against the nodes it fuses
+
+
+def _same_bits(got, want):
+    return (got.dtype == want.dtype and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [(2,), ()], ids=["batched", "unbatched"])
+def test_embed_image_is_bitwise_the_composed_nodes(dtype, batch):
+    # three images as encode builds them: the first two share the attention
+    # map, and the first and the third (its velocity) read one channel
+    # tensor, so the order in which those gradients are summed shows
+    rng = np.random.default_rng(30)
+    t, j = 6, 4
+
+    def leaf(*shape):
+        return Tensor(rng.normal(size=shape), requires_grad=True, dtype=dtype)
+
+    base, scores = leaf(*batch, 3, j, t), leaf(*batch, t, t)
+    weights, temporals = [leaf(t, j) for _ in range(3)], [leaf(t) for _ in range(3)]
+    upstream = [Tensor(rng.normal(size=(*batch, 3, t, t)), dtype=dtype) for _ in range(3)]
+    leaves = [base, scores, *weights, *temporals]
+    for attend in (True, False):
+        for temporal in (True, False):
+            runs = []
+            for op in (embed_image, composed_embed_image):
+                for p in leaves:
+                    p.grad = None
+                with Tape() as tape:
+                    joints, bones = scale(base, 1.5), scale(base, -0.5)
+                    attention = softmax_rows(scores) if attend else None
+                    start = len(tape.nodes)
+                    images = [op(ch, w, attention if k < 2 else None, te if temporal else None)
+                              for k, (ch, w, te) in enumerate(zip((joints, bones, frame_velocity(joints)),
+                                                                  weights, temporals))]
+                    if op is embed_image:  # one node per image, after the velocity's
+                        assert len(tape.nodes) == start + 4
+                    loss = sum_all(mul(images[0], upstream[0]))
+                    for image, u in zip(images[1:], upstream[1:]):
+                        loss = add(loss, sum_all(mul(image, u)))
+                backward(loss)
+                runs.append(([im.data for im in images] + [im.grad for im in images],
+                             [p.grad for p in leaves]))
+            (fused, fused_grads), (composed, composed_grads) = runs
+            for got, want in zip(fused, composed):
+                assert _same_bits(got, want), (attend, temporal)
+            for n, (got, want) in enumerate(zip(fused_grads, composed_grads)):
+                assert (got is None) == (want is None), (attend, temporal, n)
+                assert got is None or _same_bits(got, want), (attend, temporal, n)
+            assert (scores.grad is not None) == attend and (temporals[0].grad is not None) == temporal
+
+
+def test_embed_image_gradients_match_central_differences():
+    rng = np.random.default_rng(31)
+    leaf = lambda *shape: Tensor(rng.normal(size=shape), requires_grad=True, dtype=np.float64)
+    ch, w, a, te = leaf(2, 3, 4, 5), leaf(5, 4), leaf(2, 5, 5), leaf(5)
+    u = Tensor(rng.normal(size=(2, 3, 5, 5)), dtype=np.float64)
+    assert grad_check(lambda: sum_all(mul(embed_image(ch, w, a, te), u)), [ch, w, a, te], samples=80) < 1e-6
+
+
+def test_embed_image_validates_shapes():
+    ch = Tensor(np.zeros((2, 3, 4, 5), dtype=np.float32))
+    w = Tensor(np.zeros((5, 4), dtype=np.float32))
+    assert embed_image(ch, w, Tensor(np.zeros((2, 5, 5))), Tensor(np.zeros(5))).shape == (2, 3, 5, 5)
+    with pytest.raises(DimensionError, match="cannot map channels"):
+        embed_image(ch, Tensor(np.zeros((4, 5))))
+    with pytest.raises(DimensionError, match="attention"):
+        embed_image(ch, w, Tensor(np.zeros((2, 4, 4))))
+    with pytest.raises(DimensionError, match="temporal"):
+        embed_image(ch, w, None, Tensor(np.zeros(4)))
 
 
 # ---------------------------------------------------------------------------

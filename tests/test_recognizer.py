@@ -6,8 +6,9 @@ import threading
 
 import numpy as np
 import pytest
+from conftest import composed_embed_image
 
-from skelact import autograd, recognizer
+from skelact import autograd, encoder, recognizer
 from skelact.autograd import (
     Tape, Tensor, backward, conv2d, cross_entropy, leaky_relu, maxpool2d, reshape,
 )
@@ -196,6 +197,41 @@ def test_training_gradients_match_channel_first_stream_bitwise(monkeypatch):
         assert np.array_equal(fused_logits, ref_logits), step
         for name, grad in ref.items():
             assert grad is not None and np.array_equal(fused[name], grad), (step, name)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("variant", [name for name, _ in VARIANT_GRID])
+def test_training_steps_match_the_composed_encoder_images_bitwise(monkeypatch, variant, dtype):
+    # encode's one image node per stream against the matmul, attention and
+    # temporal nodes it fuses: logits and every gradient over three Adam
+    # steps, with every parameter perturbed so the zero-initialised temporal
+    # vectors matter from the first step
+    flags = dict(VARIANT_GRID)[variant]
+    rng = np.random.default_rng(29)
+    x = (rng.normal(size=(3, 64, 4, 3)) * 0.3).astype(dtype)
+    labels = np.array([0, 2, 1])
+    runs = []
+    for image_op in (encoder.embed_image, composed_embed_image):
+        monkeypatch.setattr(encoder, "embed_image", image_op)
+        params = ModelParams.build(_config(flags=flags), seed=11, dtype=dtype)
+        noise = np.random.default_rng(30)
+        for tensor in params.named_tensors().values():
+            tensor.data += (noise.normal(size=tensor.shape) * 0.1).astype(dtype)
+        named = params.named_tensors()
+        state = AdamState(named)
+        steps = []
+        for _ in range(3):
+            with Tape():
+                logits = forward(encode(x, params.encoder), params)
+                loss = cross_entropy(logits, labels)
+            backward(loss)
+            steps.append((logits.data, {k: t.grad for k, t in params.trainable_tensors().items()}))
+            adam_step(named, state, 1e-2)
+        runs.append(steps)
+    for step, ((fused_logits, fused), (ref_logits, ref)) in enumerate(zip(*runs)):
+        assert np.array_equal(fused_logits.view(np.uint8), ref_logits.view(np.uint8)), step
+        for name, grad in ref.items():
+            assert grad is not None and np.array_equal(fused[name].view(np.uint8), grad.view(np.uint8)), (step, name)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

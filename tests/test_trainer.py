@@ -362,6 +362,33 @@ def test_checkpoint_entry_name_that_is_not_utf8_is_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_save_checkpoint_refuses_a_non_finite_tensor_before_writing(tmp_path, value):
+    config = ModelConfig(joints=TOPO.joint_count, classes=3, bones=TOPO.bones, root=TOPO.root,
+                         labels=(0, 1, 2), channels=(2, 2, 2), fc_hidden=8, scale_hidden=4)
+    params = ModelParams.build(config, seed=4)
+    params.classifier.fc2_bias.data[1] = value
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(UsageError, match="classifier.fc2.bias holds 1 non-finite value"):
+        save_checkpoint(params, path)
+    assert not path.exists()
+
+
+def test_non_finite_tensor_in_a_checkpoint_is_a_checkpoint_error_and_exit_2(tmp_path, capsys):
+    _small_checkpoint(tmp_path / "model.ckpt")
+    entries = read_entries(tmp_path / "model.ckpt")
+    entries["stream1.conv2.kernels"][0, 0, 1] = [np.nan, np.inf, -np.inf]
+    bad = tmp_path / "bad.ckpt"
+    _write_v1(bad, list(entries.items()))
+    with pytest.raises(CheckpointError, match="stream1.conv2.kernels holds 3 non-finite values"):
+        load_checkpoint(bad)
+    data = tmp_path / "data.jsonl"
+    write_jsonl(SMALL_DATA[:4], data)
+    assert main(["eval", "--checkpoint", str(bad), "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-finite" in err and "accuracy" not in err
+
+
 def test_byte_mutated_checkpoint_loads_or_is_a_checkpoint_error(tmp_path):
     _small_checkpoint(tmp_path / "model.ckpt")
     blob = (tmp_path / "model.ckpt").read_bytes()
