@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import threading
+from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Callable, Sequence
 
@@ -138,6 +139,16 @@ _ACTIVE_TAPE: ContextVar[Tape | None] = ContextVar("skelact_active_tape", defaul
 
 def _active_tape() -> Tape | None:
     return _ACTIVE_TAPE.get()
+
+
+@contextmanager
+def no_tape():
+    """Run the block with no active tape, so none of its ops is recorded."""
+    token = _ACTIVE_TAPE.set(None)
+    try:
+        yield
+    finally:
+        _ACTIVE_TAPE.reset(token)
 
 
 def _wrap(value, like: Tensor) -> Tensor:

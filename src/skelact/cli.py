@@ -24,7 +24,7 @@ from .errors import (
 )
 from .model import ModelConfig, ModelParams
 from .ppm import channels_to_rgb, heat_to_yellow, write_ppm
-from .recognizer import count_flops, infer
+from .recognizer import blas_threads, count_flops, infer, infer_workers
 from .skeleton import (
     Topology, ntu_topology, parse_jsonl, parse_ntu, preprocess, split_dataset,
     write_jsonl,
@@ -244,7 +244,8 @@ def cmd_bench(args) -> int:
         times.append((time.perf_counter() - start) * 1000.0)
     times = np.array(times)
     report = count_flops(config)
-    print(f"# {platform.platform()} / python {platform.python_version()} / numpy {np.__version__}")
+    print(f"# {platform.platform()} / python {platform.python_version()} / numpy {np.__version__}"
+          f" / blas_threads {blas_threads()} / infer_workers {infer_workers()}")
     print(f"mean_ms={times.mean():.3f}")
     print(f"median_ms={np.median(times):.3f}")
     print(f"p95_ms={np.percentile(times, 95):.3f}")

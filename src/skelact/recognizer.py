@@ -12,18 +12,27 @@ classifier head.
 ``forward(encode(x))`` is the taped training path.  ``infer`` is the
 untaped one that evaluation and ``skelact bench`` run: one stream at a
 time, from the encoder's image written into the stage-1 pad buffer through
-stages chained buffer to buffer, with the same logits bit for bit.
+stages chained buffer to buffer, with the same logits bit for bit.  A batch
+of ``SPLIT_MIN`` or more runs as two halves, on two worker threads while
+OpenBLAS is held at one thread, so both cores do the work between GEMMs.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextvars import copy_context
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .autograd import (
-    Tensor, concat, conv_pool_leaky, conv_pool_stage, leaky_relu, linear, pad_buffer, permute, reshape,
+    Tensor, concat, conv_pool_leaky, conv_pool_stage, leaky_relu, linear, no_tape, pad_buffer, permute,
+    reshape,
 )
 from .encoder import LEAKY_SLOPE, EncodedBundle, enhance, write_image
 from .errors import DimensionError
@@ -64,6 +73,11 @@ def _head(features: list[Tensor], params: ModelParams) -> Tensor:
     return linear(hidden, params.classifier.fc2_weight, params.classifier.fc2_bias)
 
 
+# Below this batch size some GEMM of a half takes OpenBLAS's small-matrix
+# path and the bits differ from the whole batch's, so it runs whole.
+SPLIT_MIN = 16
+
+
 def infer(x, params: ModelParams) -> np.ndarray:
     """Logits of a (T, J, 3) sequence or a (B, T, J, 3) batch, untaped:
     bit for bit ``forward(encode(x, params.encoder), params).data``.
@@ -71,8 +85,17 @@ def infer(x, params: ModelParams) -> np.ndarray:
     Streams run one at a time.  The encoder writes a stream's image into
     the interior of this thread's stage-1 pad buffer, and stages 1 and 2
     write their output into the next stage's, all through per-thread
-    workspace, so the last stage's output is the first fresh array.  Run
-    it outside any Tape; the returned logits are a fresh array.
+    workspace, so the last stage's output is the first fresh array.  No op
+    is recorded, even inside a Tape; the returned logits are a fresh array.
+
+    A batch of ``SPLIT_MIN`` or more runs as ``x[:ceil(B/2)]`` and the
+    rest, each through that body, and the logits are concatenated.  The
+    halves run on two worker threads when :func:`infer_workers` is 2 and
+    no other call holds them, else one after the other on the caller's
+    thread: the same bits, as the split depends on B alone.  While the
+    workers run, the process's OpenBLAS runs one thread, whose count is
+    put back after: a second BLAS thread would hold the other core after
+    every GEMM.
     """
     x = np.asarray(x)
     config = params.config
@@ -80,19 +103,90 @@ def infer(x, params: ModelParams) -> np.ndarray:
         raise DimensionError(
             f"infer expects (T,J,3) or (B,T,J,3) with T={config.frames}, J={config.joints}, got {x.shape}"
         )
-    channels, attention = enhance(x, params.encoder)
-    batch, t = x.shape[:-3], config.frames
-    features = []
-    for (name, ch), stream in zip(channels.items(), params.streams):
-        dtype = np.result_type(params.encoder.embeddings[name].weight.data, ch.data)
-        xp = pad_buffer((math.prod(batch), 3, t + 2, t + 2), dtype)
-        interior = xp[:, :, 1:-1, 1:-1]
-        write_image(interior if batch else interior[0], name, ch, attention, params.encoder)
-        stages = _stages(stream)
-        for n, (kernels, bias) in enumerate(stages, start=1):
-            xp = conv_pool_stage(xp, kernels.data, bias.data, LEAKY_SLOPE, chain=n < len(stages))
-        features.append(Tensor(xp.reshape(batch + (xp.shape[-1],)), dtype=xp.dtype))
-    return _head(features, params).data
+    if x.ndim == 3 or len(x) < SPLIT_MIN:
+        return _infer_rows(x, params)
+    halves = np.array_split(x, 2)
+    if infer_workers() < 2 or not _workers_lock.acquire(blocking=False):
+        return np.concatenate([_infer_rows(half, params) for half in halves])
+    get_threads, set_threads = _blas_thread_calls()
+    threads = get_threads()
+    set_threads(1)
+    try:
+        # each half in a copy of the caller's context, so numpy's errstate holds there
+        futures = [_workers.submit(copy_context().run, _infer_rows, half, params) for half in halves]
+        wait(futures)
+        return np.concatenate([future.result() for future in futures])
+    finally:
+        set_threads(threads)
+        _workers_lock.release()
+
+
+def _infer_rows(x: np.ndarray, params: ModelParams) -> np.ndarray:
+    """:func:`infer`'s body for one validated sequence or batch."""
+    config = params.config
+    with no_tape():
+        channels, attention = enhance(x, params.encoder)
+        batch, t = x.shape[:-3], config.frames
+        features = []
+        for (name, ch), stream in zip(channels.items(), params.streams):
+            dtype = np.result_type(params.encoder.embeddings[name].weight.data, ch.data)
+            xp = pad_buffer((math.prod(batch), 3, t + 2, t + 2), dtype)
+            interior = xp[:, :, 1:-1, 1:-1]
+            write_image(interior if batch else interior[0], name, ch, attention, params.encoder)
+            stages = _stages(stream)
+            for n, (kernels, bias) in enumerate(stages, start=1):
+                xp = conv_pool_stage(xp, kernels.data, bias.data, LEAKY_SLOPE, chain=n < len(stages))
+            features.append(Tensor(xp.reshape(batch + (xp.shape[-1],)), dtype=xp.dtype))
+        return _head(features, params).data
+
+
+@cache
+def _blas_thread_calls():
+    """(get, set) of the process's OpenBLAS thread count, or None when no
+    OpenBLAS with both calls shows in ``/proc/self/maps``."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line and "/" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in ((p, s) for p in ("scipy_openblas_", "openblas_") for s in ("64_", "")):
+            get_threads = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            set_threads = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get_threads is not None and set_threads is not None:
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                return get_threads, set_threads
+    return None
+
+
+def blas_threads() -> int | None:
+    """Threads the loaded OpenBLAS runs a GEMM on, or None without one."""
+    calls = _blas_thread_calls()
+    return None if calls is None else calls[0]()
+
+
+def infer_workers() -> int:
+    """Threads a batched :func:`infer` runs its halves on: 2 with an
+    OpenBLAS whose thread count it can set and 2 usable CPUs, else 1."""
+    return 2 if _blas_thread_calls() is not None and len(os.sched_getaffinity(0)) >= 2 else 1
+
+
+def _new_workers() -> None:
+    """Two idle half-batch workers, whose threads start on first use, and
+    the lock the one infer call using them holds.  A forked child makes
+    its own: it has none of its parent's threads."""
+    global _workers, _workers_lock
+    _workers, _workers_lock = ThreadPoolExecutor(2, thread_name_prefix="skelact-infer"), threading.Lock()
+
+
+_new_workers()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_workers)
 
 
 @dataclass

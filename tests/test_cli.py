@@ -8,7 +8,7 @@ from skelact.checkpoint import load_checkpoint
 from skelact.cli import main
 from skelact.errors import ParseError
 from skelact.model import ModelConfig
-from skelact.recognizer import count_flops
+from skelact.recognizer import blas_threads, count_flops, infer_workers
 from skelact.skeleton import SkeletonSequence, parse_jsonl, write_jsonl
 from skelact.synth import humanoid_topology
 
@@ -299,6 +299,8 @@ def test_bench_reports_latency_and_cost(capsys):
     assert main(["bench", "--iters", "3", "--warmup", "1", "--seed", "0"]) == 0
     out = capsys.readouterr().out.strip().split("\n")
     assert out[0].startswith("# ")
+    assert out[0].endswith(f" / blas_threads {blas_threads()} / infer_workers {infer_workers()}")
+    assert infer_workers() in (1, 2)
     fields = dict(line.split("=", 1) for line in out[1:])
     assert set(fields) == {"mean_ms", "median_ms", "p95_ms", "gflops", "params"}
     assert float(fields["mean_ms"]) > 0

@@ -1,6 +1,7 @@
 """Four-stream CNN classifier: forward semantics and the static cost model
 (multiply-accumulate census and parameter count)."""
 
+import multiprocessing
 import sys
 import threading
 
@@ -18,6 +19,7 @@ from skelact.model import ModelConfig, ModelParams, param_spec
 from skelact.optim import AdamState, adam_step
 from skelact.recognizer import count_flops, forward, infer, stream_forward
 from skelact.skeleton import ntu_topology
+from skelact.synth import humanoid_topology
 from skelact.training import VARIANT_GRID
 
 CHAIN_BONES = ((0, 1), (1, 2), (2, 3))
@@ -271,6 +273,155 @@ def test_infer_rejects_sequences_of_the_wrong_shape():
     for shape in ((32, 4, 3), (2, 64, 5, 3), (64, 4, 2), (4, 3), (1, 2, 64, 4, 3)):
         with pytest.raises(DimensionError, match="infer expects"):
             infer(np.zeros(shape, dtype=np.float32), params)
+
+
+def _humanoid_params(dtype=np.float32):
+    topo = humanoid_topology()
+    config = ModelConfig(joints=topo.joint_count, classes=8, bones=topo.bones, root=topo.root,
+                         labels=tuple(range(8)))
+    params = ModelParams.build(config, seed=11, dtype=dtype)
+    rng = np.random.default_rng(29)
+    for tensor in params.named_tensors().values():  # biases and temporal vectors start at 0
+        tensor.data += (rng.normal(size=tensor.shape) * 0.1).astype(dtype)
+    return params, (rng.normal(size=(128, 64, topo.joint_count, 3)) * 0.3).astype(dtype)
+
+
+def _spy_rows(monkeypatch):
+    """Record (thread name, rows) of every infer body run."""
+    runs, body = [], recognizer._infer_rows
+
+    def spy(x, params):
+        runs.append((threading.current_thread().name, len(x) if x.ndim == 4 else None))
+        return body(x, params)
+
+    monkeypatch.setattr(recognizer, "_infer_rows", spy)
+    return runs
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_infer_halves_are_bitwise_the_taped_forward_on_workers_and_inline(dtype, monkeypatch):
+    params, x = _humanoid_params(dtype)
+    runs = _spy_rows(monkeypatch)
+    for batch in (1, 15, 16, 17, 37, 64, 128, None):
+        seqs = x[0] if batch is None else x[:batch]
+        with Tape():
+            want = forward(encode(seqs, params.encoder), params).data
+        runs.clear()
+        got = infer(seqs, params)
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), batch
+        if batch is None or batch < recognizer.SPLIT_MIN:
+            assert runs == [("MainThread", batch)]
+        else:
+            assert sorted(rows for _, rows in runs) == [batch // 2, -(-batch // 2)]
+            worker = "skelact-infer" if recognizer.infer_workers() == 2 else "MainThread"
+            assert all(name.startswith(worker) for name, _ in runs)
+        with monkeypatch.context() as m:  # no BLAS hook: both halves inline
+            m.setattr(recognizer, "_blas_thread_calls", lambda: None)
+            runs.clear()
+            inline = infer(seqs, params)
+        assert np.array_equal(inline.view(np.uint8), want.view(np.uint8)), batch
+        assert all(name == "MainThread" for name, _ in runs)
+
+
+def test_batched_infer_keeps_the_callers_numpy_errstate():
+    params = ModelParams.build(_config(), seed=16)
+    for tensor in params.named_tensors().values():
+        tensor.data += np.float32(1e30)  # the first stage's GEMM overflows
+    x = (np.random.default_rng(34).normal(size=(20, 64, 4, 3)) * 0.3).astype(np.float32)
+    for seqs in (x[:4], x):  # whole batch, halves
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            infer(seqs, params)
+
+
+def test_infer_records_nothing_on_an_active_tape(monkeypatch):
+    params = ModelParams.build(_config(), seed=12)
+    x = (np.random.default_rng(30).normal(size=(20, 64, 4, 3)) * 0.3).astype(np.float32)
+    for inline in (False, True):
+        with monkeypatch.context() as m:
+            if inline:
+                m.setattr(recognizer, "_blas_thread_calls", lambda: None)
+            with Tape() as tape:
+                for seqs in (x[0], x[:4], x):  # unbatched, whole batch, halves
+                    infer(seqs, params)
+        assert tape.nodes == [], inline
+
+
+@pytest.fixture
+def two_blas_threads():
+    """OpenBLAS set to 2 threads, not the 1 a batched infer runs its halves
+    with, and put back after the test; None when no OpenBLAS is loaded."""
+    calls = recognizer._blas_thread_calls()
+    if calls is None:
+        yield None
+        return
+    get_threads, set_threads = calls
+    original = get_threads()
+    set_threads(2)
+    try:
+        yield 2
+    finally:
+        set_threads(original)
+
+
+def test_batched_infer_leaves_the_blas_thread_count_as_it_was(two_blas_threads):
+    if two_blas_threads is None:
+        pytest.skip("no OpenBLAS loaded")
+    params = ModelParams.build(_config(), seed=13)
+    x = (np.random.default_rng(31).normal(size=(32, 64, 4, 3)) * 0.3).astype(np.float32)
+    infer(x, params)
+    assert recognizer.blas_threads() == two_blas_threads
+
+
+def test_concurrent_batched_infers_give_their_own_bits_and_restore_the_blas_count(two_blas_threads):
+    # one call at a time holds the workers; a call that finds them busy runs
+    # its halves inline, with the same bits
+    params = ModelParams.build(_config(), seed=14)
+    rng = np.random.default_rng(32)
+    batches = [(rng.normal(size=(16 + i, 64, 4, 3)) * 0.3).astype(np.float32) for i in range(3)]
+    alone = [infer(x, params) for x in batches]
+    results = [[] for _ in batches]
+
+    def run(i):
+        for _ in range(4):
+            results[i].append(infer(batches[i], params))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(batches))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for want, got in zip(alone, results):
+        assert len(got) == 4 and all(np.array_equal(g.view(np.uint8), want.view(np.uint8)) for g in got)
+    assert recognizer.blas_threads() == two_blas_threads
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork() of a process with threads
+def test_a_forked_child_runs_batched_infer_with_its_own_workers():
+    params = ModelParams.build(_config(), seed=15)
+    x = (np.random.default_rng(33).normal(size=(64, 64, 4, 3)) * 0.3).astype(np.float32)
+    want = infer(x, params)  # the parent's workers exist from here on
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+
+    def child():
+        send.send(infer(x, params).tobytes())
+
+    proc = ctx.Process(target=child)
+    proc.start()
+    try:
+        assert receive.poll(60), "the forked child's infer did not finish"
+        assert receive.recv() == want.tobytes()
+    finally:
+        proc.join(10)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
 
 
 # ---------------------------------------------------------------------------
