@@ -1,14 +1,17 @@
-"""SHA-256 over the numbers a few training steps produce.
+"""SHA-256 over the numbers a few training steps and inference calls produce.
 
     PYTHONPATH=src python scripts/step_hash.py [--steps 5] [--batch 64] [--seed 0]
 
 Builds the default 15-joint, 64-frame, all-flags model in float32 and in
 float64, and runs ``--steps`` steps of ``encode -> forward -> cross_entropy
 -> backward -> adam_step`` (lr 1e-3) on batches of random sequences.  One
-hash per dtype covers the logits and every parameter gradient of every step,
-then the final weights, byte for byte (zero signs included).  It uses only
-the public model API, so it runs unchanged against any source tree put first
-on PYTHONPATH: two trees that print the same hashes train identically.
+hash per dtype (``sha256``) covers the logits and every parameter gradient
+of every step, then the final weights, byte for byte (zero signs included).
+A second (``infer_sha256``) covers the ``recognizer.infer`` logits of the
+trained model for (B, T, J, 3) batches of 64, 6 and 1 fresh sequences: the
+first runs as two halves, the others whole.  It uses only the public model
+API, so it runs unchanged against any source tree put first on PYTHONPATH:
+two trees that print the same hashes train and infer identically.
 """
 
 from __future__ import annotations
@@ -22,11 +25,12 @@ from skelact.autograd import Tape, backward, cross_entropy
 from skelact.encoder import encode
 from skelact.model import ModelConfig, ModelParams
 from skelact.optim import AdamState, adam_step
-from skelact.recognizer import forward
+from skelact.recognizer import forward, infer
 from skelact.synth import humanoid_topology
 
 
-def step_hash(dtype, steps: int, batch: int, seed: int) -> str:
+def step_hash(dtype, steps: int, batch: int, seed: int) -> tuple[str, str]:
+    """The training hash and the inference hash of one dtype."""
     topology = humanoid_topology()
     config = ModelConfig(joints=topology.joint_count, classes=8, bones=topology.bones,
                          root=topology.root, labels=tuple(range(8)))
@@ -49,7 +53,11 @@ def step_hash(dtype, steps: int, batch: int, seed: int) -> str:
         adam_step(named, state, 1e-3)
     for name in sorted(named):
         digest.update(name.encode() + named[name].data.tobytes())
-    return digest.hexdigest()
+    x = (rng.normal(size=(64, config.frames, config.joints, 3)) * 0.3).astype(dtype)
+    inferred = hashlib.sha256()
+    for rows in (64, 6, 1):
+        inferred.update(infer(x[:rows], params).tobytes())
+    return digest.hexdigest(), inferred.hexdigest()
 
 
 def main() -> None:
@@ -61,8 +69,9 @@ def main() -> None:
     if args.steps < 1 or args.batch < 1:
         parser.error("--steps and --batch must be positive")
     for dtype in (np.float32, np.float64):
+        trained, inferred = step_hash(dtype, args.steps, args.batch, args.seed)
         print(f"{np.dtype(dtype).name} steps={args.steps} batch={args.batch} seed={args.seed} "
-              f"sha256={step_hash(dtype, args.steps, args.batch, args.seed)}")
+              f"sha256={trained} infer_sha256={inferred}")
 
 
 if __name__ == "__main__":

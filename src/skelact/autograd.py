@@ -22,13 +22,15 @@ pure forward computation.
 Broadcasting follows the singleton-axis rule only: an axis of extent 1
 stretches, shorter ranks are left-padded with 1s, and nothing else aligns.
 
-The fused stage pads its input into a per-thread workspace buffer
-(:func:`pad_buffer`), reused call after call, and its conv output and
-pooled maxima live in that workspace too.  When no tape records it, it runs
-:func:`conv_pool_stage`, the one untaped stage, whose im2col columns are
-also workspace; the untaped inference path (``recognizer.infer``) calls it
-directly and chains each stage's output into the next stage's pad buffer.
-Arrays a tape records or a backward rule reads are always fresh.
+The CNN ops take a batch axis only: ``conv2d``, ``maxpool2d`` and the fused
+stage accept (B, ..) inputs and nothing else.  The fused stage pads its
+input into a per-thread workspace buffer (:func:`pad_buffer`), reused call
+after call, and its conv output and pooled maxima live in that workspace
+too; it runs the same body whether or not a tape records it.
+:func:`conv_pool_stage` is the untaped stage of the inference path
+(``recognizer.infer``), whose im2col columns are also workspace and which
+chains each stage's output into the next stage's pad buffer.  Arrays a tape
+records or a backward rule reads are always fresh.
 """
 
 from __future__ import annotations
@@ -157,16 +159,10 @@ def _wrap(value, like: Tensor) -> Tensor:
     return Tensor(np.asarray(value, dtype=like.data.dtype))
 
 
-def _recording(inputs: tuple[Tensor, ...]) -> Tape | None:
-    """The tape an op over ``inputs`` records onto, or None."""
-    tape = _active_tape()
-    return tape if tape is not None and any(t.requires_grad for t in inputs) else None
-
-
 def _finish(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn, op: str) -> Tensor:
     out = Tensor(out_data, dtype=out_data.dtype)
-    tape = _recording(inputs)
-    if tape is not None:
+    tape = _active_tape()
+    if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out._tape = tape
         tape.nodes.append(_Node(out, inputs, backward_fn))
@@ -401,14 +397,13 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 2, padding: int = 1) -> Tensor:
-    """Strided cross-correlation of a (C,H,W) or (B,C,H,W) input.
+    """Strided cross-correlation of a (B,C,H,W) input.
 
     Output extent per spatial axis is floor((n + 2*padding - k) / stride) + 1.
     """
-    squeeze = x.data.ndim == 3
-    xd = x.data[None] if squeeze else x.data
+    xd = x.data
     if xd.ndim != 4:
-        raise DimensionError(f"conv2d expects (C,H,W) or (B,C,H,W), got {x.shape}")
+        raise DimensionError(f"conv2d expects (B,C,H,W), got {x.shape}")
     c_out, c_in, kh, kw = kernels.shape
     batch, c_x, h, w = xd.shape
     if c_x != c_in:
@@ -426,32 +421,28 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 2, padding: i
     cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(batch * h_out * w_out, c_in * kh * kw)
     kmat = kernels.data.reshape(c_out, -1)
     out = (cols @ kmat.T + bias.data).reshape(batch, h_out, w_out, c_out).transpose(0, 3, 1, 2)
-    if squeeze:
-        out = out[0]
 
     def back(d):
-        dd = d[None] if squeeze else d
-        d2 = np.ascontiguousarray(dd.transpose(0, 2, 3, 1)).reshape(-1, c_out)
+        d2 = np.ascontiguousarray(d.transpose(0, 2, 3, 1)).reshape(-1, c_out)
         dk = (d2.T @ cols).reshape(kernels.shape)
         db = d2.sum(axis=0)
         dcols = (d2 @ kmat).reshape(batch, h_out, w_out, c_in, kh, kw)
         hp, wp = h + 2 * padding, w + 2 * padding
-        dxp = np.zeros((batch, c_in, hp, wp), dtype=dd.dtype)
+        dxp = np.zeros((batch, c_in, hp, wp), dtype=d.dtype)
         for i in range(kh):
             for j in range(kw):
                 dxp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
         dx = dxp[:, :, padding : padding + h, padding : padding + w] if padding else dxp
-        return (dx[0] if squeeze else dx), dk, db
+        return dx, dk, db
 
     return _finish(out, (x, kernels, bias), back, "conv2d")
 
 
 def maxpool2d(x: Tensor) -> Tensor:
     """2x2 max pool with stride 2; gradient routes to the first max per window."""
-    squeeze = x.data.ndim == 3
-    xd = x.data[None] if squeeze else x.data
+    xd = x.data
     if xd.ndim != 4:
-        raise DimensionError(f"maxpool2d expects (C,H,W) or (B,C,H,W), got {x.shape}")
+        raise DimensionError(f"maxpool2d expects (B,C,H,W), got {x.shape}")
     b, c, h, w = xd.shape
     if h % 2 or w % 2:
         raise DimensionError(f"maxpool2d requires even spatial extents, got {x.shape}")
@@ -459,15 +450,11 @@ def maxpool2d(x: Tensor) -> Tensor:
     windows = xd.reshape(b, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h2, w2, 4)
     idx = windows.argmax(axis=-1)  # first occurrence wins ties (row-major window order)
     out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
-    if squeeze:
-        out = out[0]
 
     def back(d):
-        dd = d[None] if squeeze else d
-        dwin = np.zeros((b, c, h2, w2, 4), dtype=dd.dtype)
-        np.put_along_axis(dwin, idx[..., None], dd[..., None], axis=-1)
-        dx = dwin.reshape(b, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h, w)
-        return (dx[0] if squeeze else dx,)
+        dwin = np.zeros((b, c, h2, w2, 4), dtype=d.dtype)
+        np.put_along_axis(dwin, idx[..., None], d[..., None], axis=-1)
+        return (dwin.reshape(b, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h, w),)
 
     return _finish(out, (x,), back, "maxpool2d")
 
@@ -515,7 +502,7 @@ def conv_pool_stage(xp: np.ndarray, kernels: np.ndarray, bias: np.ndarray, slope
                     chain: bool = False) -> np.ndarray:
     """One untaped CNN stage from a filled :func:`pad_buffer`: stride-2 conv,
     2x2 max pool, bias, leaky ReLU, with the values of
-    ``leaky_relu(maxpool2d(conv2d(.)))``.
+    ``leaky_relu(maxpool2d(conv2d(.)))``.  ``recognizer.infer`` runs it.
 
     The columns, the conv output and the pooled maxima live in this
     thread's workspace, and the pool runs before the bias add.  With
@@ -550,14 +537,14 @@ def conv_pool_leaky(x: Tensor, kernels: Tensor, bias: Tensor, slope: float = 0.0
     """One channels-last CNN stage as a single tape node: stride-2 padding-1
     conv, 2x2 max pool, leaky ReLU.
 
-    Takes (H,W,C_in) or (B,H,W,C_in) and returns (..,H'/2,W'/2,C_out), with
-    the values and gradients of ``leaky_relu(maxpool2d(conv2d(.)))`` on the
+    Takes (B,H,W,C_in) and returns (B,H'/2,W'/2,C_out), with the values
+    and gradients of ``leaky_relu(maxpool2d(conv2d(.)))`` on the
     channel-first layout.  Kernels keep their (C_out,C_in,kh,kw) layout and
     the im2col columns keep (C_in,kh,kw) order, so the GEMM is conv2d's.
     The input is first copied into this thread's :func:`pad_buffer`.
-    A call no tape records then runs :func:`conv_pool_stage`, the one
-    untaped stage; its output never aliases the workspace.
-    A recorded call adds the bias before it pools, and builds an int8 index
+    A call no tape records runs the same body and gives the same bits; its
+    output never aliases the workspace.
+    The stage adds the bias before it pools, and builds an int8 index
     of each window's first maximum from strict ``>`` compares taken in
     row-major corner order; backward routes the window's gradient to that
     corner.  A compare with a NaN is false and the running maximum stays
@@ -577,10 +564,9 @@ def conv_pool_leaky(x: Tensor, kernels: Tensor, bias: Tensor, slope: float = 0.0
     """
     if not 0.0 < slope < 1.0:
         raise UsageError(f"conv_pool_leaky slope must lie in (0, 1), got {slope}")
-    squeeze = x.data.ndim == 3
-    xd = x.data[None] if squeeze else x.data
+    xd = x.data
     if xd.ndim != 4:
-        raise DimensionError(f"conv_pool_leaky expects (H,W,C) or (B,H,W,C), got {x.shape}")
+        raise DimensionError(f"conv_pool_leaky expects (B,H,W,C), got {x.shape}")
     c_out, c_in, kh, kw = kernels.shape
     batch, h, w, c_x = xd.shape
     if c_x != c_in:
@@ -593,9 +579,6 @@ def conv_pool_leaky(x: Tensor, kernels: Tensor, bias: Tensor, slope: float = 0.0
 
     xp = pad_buffer((batch, c_in, h + 2, w + 2), xd.dtype)  # back never reads it
     xp[:, :, 1:-1, 1:-1] = xd.transpose(0, 3, 1, 2)
-    if _recording((x, kernels, bias)) is None:
-        out = conv_pool_stage(xp, kernels.data, bias.data, slope)
-        return Tensor(out[0] if squeeze else out, dtype=out.dtype)
     channels_last = xd.flags.c_contiguous  # the input gradient's layout
     kmat = kernels.data.reshape(c_out, -1)
     dtype = np.result_type(xd, kmat)
@@ -615,12 +598,9 @@ def conv_pool_leaky(x: Tensor, kernels: Tensor, bias: Tensor, slope: float = 0.0
         np.maximum(pooled, corners[n], out=pooled)
     rising = pooled >= 0
     out = np.maximum(pooled * dtype.type(slope), pooled)  # leaky ReLU, as slope < 1
-    if squeeze:
-        out = out[0]
 
     def back(d):
-        dd = d[None] if squeeze else d
-        dpool = np.where(rising, dd, dd * slope)
+        dpool = np.where(rising, d, d * slope)
         dconv = np.empty((batch, h_out, w_out, c_out), dtype)
         for n in range(4):
             np.multiply(dpool, first == n, out=dconv[:, n // 2 :: 2, n % 2 :: 2])
@@ -629,16 +609,15 @@ def conv_pool_leaky(x: Tensor, kernels: Tensor, bias: Tensor, slope: float = 0.0
         db = d2.sum(axis=0)
         dcols = (d2 @ kmat).reshape(batch, h_out, w_out, c_in, kh, kw)
         if channels_last:
-            dxp = np.zeros((batch, h + 2, w + 2, c_in), dtype=dd.dtype)
+            dxp = np.zeros((batch, h + 2, w + 2, c_in), dtype=d.dtype)
             taps = dcols
         else:  # gather the taps once, channel-first like the buffer they add into
-            dxp = np.zeros((batch, c_in, h + 2, w + 2), dtype=dd.dtype).transpose(0, 2, 3, 1)
+            dxp = np.zeros((batch, c_in, h + 2, w + 2), dtype=d.dtype).transpose(0, 2, 3, 1)
             taps = np.ascontiguousarray(dcols.transpose(0, 3, 4, 5, 1, 2)).transpose(0, 4, 5, 1, 2, 3)
         for i in range(kh):  # each element sums its taps in (i, j) row-major order from +0
             for j in range(kw):
                 dxp[:, i : i + 2 * h_out : 2, j : j + 2 * w_out : 2] += taps[..., i, j]
-        dx = dxp[:, 1 : 1 + h, 1 : 1 + w]
-        return (dx[0] if squeeze else dx), dk, db
+        return dxp[:, 1 : 1 + h, 1 : 1 + w], dk, db
 
     return _finish(out, (x, kernels, bias), back, "conv_pool_leaky")
 

@@ -217,6 +217,8 @@ def cmd_encode(args) -> int:
 def cmd_bench(args) -> int:
     if args.iters < 1:
         raise UsageError("--iters must be >= 1")
+    if args.warmup < 0:
+        raise UsageError("--warmup must be >= 0")
     if args.checkpoint is not None:
         params = load_checkpoint(args.checkpoint)
     elif args.data is not None:
@@ -230,7 +232,7 @@ def cmd_bench(args) -> int:
         params = ModelParams.build(config, seed=_resolve_seed(args))
     config = params.config
     rng = np.random.default_rng(_resolve_seed(args))
-    sequence = rng.normal(scale=0.3, size=(config.frames, config.joints, 3)).astype(np.float32)
+    sequence = rng.normal(scale=0.3, size=(1, config.frames, config.joints, 3)).astype(np.float32)
 
     def one_pass():
         infer(sequence, params)

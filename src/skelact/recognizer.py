@@ -12,9 +12,12 @@ classifier head.
 ``forward(encode(x))`` is the taped training path.  ``infer`` is the
 untaped one that evaluation and ``skelact bench`` run: one stream at a
 time, from the encoder's image written into the stage-1 pad buffer through
-stages chained buffer to buffer, with the same logits bit for bit.  A batch
-of ``SPLIT_MIN`` or more runs as two halves, on two worker threads while
-OpenBLAS is held at one thread, so both cores do the work between GEMMs.
+stages chained buffer to buffer, with the same logits bit for bit.  Both
+paths take a batch axis only: images are (B, 3, T, T) and ``infer`` takes
+(B, T, J, 3), so ``skelact bench`` passes its one sequence as a batch of
+one.  A batch of ``SPLIT_MIN`` or more runs as two halves, on two worker
+threads while OpenBLAS is held at one thread, so both cores do the work
+between GEMMs.
 """
 
 from __future__ import annotations
@@ -45,16 +48,16 @@ def _stages(stream: StreamCNNParams) -> tuple[tuple[Tensor, Tensor], ...]:
 
 
 def stream_forward(image, stream: StreamCNNParams) -> Tensor:
-    """(.., 3, T, T) image to a flat (.., F) feature vector."""
+    """(B, 3, T, T) image to a flat (B, F) feature matrix."""
     x = image if isinstance(image, Tensor) else Tensor(np.asarray(image))
-    if x.data.ndim not in (3, 4):
-        raise DimensionError(f"stream expects a (3,T,T) or (B,3,T,T) image, got {x.shape}")
-    x = permute(x, (1, 2, 0) if x.data.ndim == 3 else (0, 2, 3, 1))
+    if x.data.ndim != 4:
+        raise DimensionError(f"stream expects a (B,3,T,T) image, got {x.shape}")
+    x = permute(x, (0, 2, 3, 1))
     for kernels, bias in _stages(stream):
         x = conv_pool_leaky(x, kernels, bias, LEAKY_SLOPE)
-    if x.shape[-3] != 1 or x.shape[-2] != 1:
+    if x.shape[1:3] != (1, 1):
         raise DimensionError(f"stream did not reduce spatially, got {x.shape}")
-    return reshape(x, x.shape[:-3] + (x.shape[-1],))
+    return reshape(x, (x.shape[0], x.shape[-1]))
 
 
 def forward(bundle: EncodedBundle, params: ModelParams) -> Tensor:
@@ -79,8 +82,9 @@ SPLIT_MIN = 16
 
 
 def infer(x, params: ModelParams) -> np.ndarray:
-    """Logits of a (T, J, 3) sequence or a (B, T, J, 3) batch, untaped:
-    bit for bit ``forward(encode(x, params.encoder), params).data``.
+    """Logits of a (B, T, J, 3) batch, untaped: bit for bit
+    ``forward(encode(x, params.encoder), params).data``.  One sequence is a
+    batch of one.
 
     Streams run one at a time.  The encoder writes a stream's image into
     the interior of this thread's stage-1 pad buffer, and stages 1 and 2
@@ -99,11 +103,9 @@ def infer(x, params: ModelParams) -> np.ndarray:
     """
     x = np.asarray(x)
     config = params.config
-    if x.ndim not in (3, 4) or x.shape[-3:] != (config.frames, config.joints, 3):
-        raise DimensionError(
-            f"infer expects (T,J,3) or (B,T,J,3) with T={config.frames}, J={config.joints}, got {x.shape}"
-        )
-    if x.ndim == 3 or len(x) < SPLIT_MIN:
+    if x.ndim != 4 or x.shape[1:] != (config.frames, config.joints, 3):
+        raise DimensionError(f"infer expects (B,T,J,3) with T={config.frames}, J={config.joints}, got {x.shape}")
+    if len(x) < SPLIT_MIN:
         return _infer_rows(x, params)
     halves = np.array_split(x, 2)
     if infer_workers() < 2 or not _workers_lock.acquire(blocking=False):
@@ -122,21 +124,19 @@ def infer(x, params: ModelParams) -> np.ndarray:
 
 
 def _infer_rows(x: np.ndarray, params: ModelParams) -> np.ndarray:
-    """:func:`infer`'s body for one validated sequence or batch."""
-    config = params.config
+    """:func:`infer`'s body for one validated batch."""
+    batch, t = len(x), params.config.frames
     with no_tape():
         channels, attention = enhance(x, params.encoder)
-        batch, t = x.shape[:-3], config.frames
         features = []
         for (name, ch), stream in zip(channels.items(), params.streams):
             dtype = np.result_type(params.encoder.embeddings[name].weight.data, ch.data)
-            xp = pad_buffer((math.prod(batch), 3, t + 2, t + 2), dtype)
-            interior = xp[:, :, 1:-1, 1:-1]
-            write_image(interior if batch else interior[0], name, ch, attention, params.encoder)
+            xp = pad_buffer((batch, 3, t + 2, t + 2), dtype)
+            write_image(xp[:, :, 1:-1, 1:-1], name, ch, attention, params.encoder)
             stages = _stages(stream)
             for n, (kernels, bias) in enumerate(stages, start=1):
                 xp = conv_pool_stage(xp, kernels.data, bias.data, LEAKY_SLOPE, chain=n < len(stages))
-            features.append(Tensor(xp.reshape(batch + (xp.shape[-1],)), dtype=xp.dtype))
+            features.append(Tensor(xp.reshape(batch, xp.shape[-1]), dtype=xp.dtype))
         return _head(features, params).data
 
 

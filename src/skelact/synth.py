@@ -9,6 +9,7 @@ generator in a fixed order, so a config fully determines the dataset.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,8 +76,11 @@ class SynthConfig:
             raise UsageError(f"class_count must be 1..{len(CLASS_NAMES)}, got {self.class_count}")
         if self.sequences_per_class < 1:
             raise UsageError("sequences_per_class must be positive")
-        if self.noise_std < 0:
-            raise UsageError("noise_std must be non-negative")
+        if not 0 <= self.noise_std < math.inf:
+            raise UsageError(f"noise_std must be finite and non-negative, got {self.noise_std}")
+        if not all(map(math.isfinite, (*self.view_yaw_range, *self.body_scale_range))):
+            raise UsageError(f"yaw and body scale ranges must be finite, got {self.view_yaw_range} "
+                             f"and {self.body_scale_range}")
         lo, hi = self.view_yaw_range
         if lo > hi:
             raise UsageError(f"empty yaw range {self.view_yaw_range}")

@@ -38,8 +38,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise UsageError("epochs and batch_size must be positive")
-        if self.lr <= 0 or self.lr_decay <= 0:
-            raise UsageError("learning rates must be positive")
+        if not (0 < self.lr < math.inf and 0 < self.lr_decay < math.inf):
+            raise UsageError(f"learning rates must be finite and positive, got lr {self.lr}, lr_decay {self.lr_decay}")
 
 
 class ConfusionMatrix:

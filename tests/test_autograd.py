@@ -11,8 +11,8 @@ import pytest
 
 from skelact import autograd
 from skelact.autograd import (
-    Tape, Tensor, add, backward, concat, conv2d, conv_pool_leaky, cross_entropy,
-    frame_velocity, grad_check, leaky_relu, linear, matmul, maxpool2d, mul,
+    Tape, Tensor, add, backward, concat, conv2d, conv_pool_leaky, conv_pool_stage, cross_entropy,
+    frame_velocity, grad_check, leaky_relu, linear, matmul, maxpool2d, mul, pad_buffer,
     permute, reshape, scale, softmax_rows, sub, sum_all, transpose_last2,
 )
 from skelact.errors import DimensionError, UsageError
@@ -187,18 +187,20 @@ def test_conv2d_matches_loop_oracle():
         assert np.allclose(got, conv_oracle(x, k, b, stride, pad), atol=1e-5)
 
 
-def test_conv2d_unbatched_and_errors():
+def test_conv2d_batch_of_one_and_errors():
     rng = np.random.default_rng(6)
-    x = rng.normal(size=(3, 8, 8)).astype(np.float32)
+    x = rng.normal(size=(1, 3, 8, 8)).astype(np.float32)
     k = rng.normal(size=(2, 3, 3, 3)).astype(np.float32)
     b = np.zeros(2, dtype=np.float32)
     got = conv2d(Tensor(x), Tensor(k), Tensor(b)).data
-    want = conv_oracle(x[None], k, b, 2, 1)[0]
+    want = conv_oracle(x, k, b, 2, 1)
     assert np.allclose(got, want, atol=1e-5)
     with pytest.raises(DimensionError):
-        conv2d(Tensor(np.zeros((4, 8, 8))), Tensor(k), Tensor(b))
+        conv2d(Tensor(np.zeros((1, 4, 8, 8))), Tensor(k), Tensor(b))
     with pytest.raises(DimensionError):
         conv2d(Tensor(x), Tensor(k), Tensor(np.zeros(3)))
+    with pytest.raises(DimensionError, match=r"expects \(B,C,H,W\)"):  # no batch axis
+        conv2d(Tensor(x[0]), Tensor(k), Tensor(b))
 
 
 def test_maxpool_matches_loop_oracle():
@@ -207,6 +209,8 @@ def test_maxpool_matches_loop_oracle():
     assert np.array_equal(maxpool2d(Tensor(x)).data, pool_oracle(x))
     with pytest.raises(DimensionError):
         maxpool2d(Tensor(np.zeros((1, 1, 5, 4))))
+    with pytest.raises(DimensionError, match=r"expects \(B,C,H,W\)"):  # no batch axis
+        maxpool2d(Tensor(x[0]))
 
 
 def test_maxpool_tie_routes_gradient_to_first_window_slot():
@@ -351,8 +355,8 @@ def test_untaped_conv_pool_leaky_changes_no_bits_and_aliases_nothing():
             assert untaped.dtype == dtype
             assert _same_bits(untaped.data, taped.data), (dtype, batch)
             assert _same_bits(untaped.data.transpose(0, 3, 1, 2), composed.data), (dtype, batch)
-            single = conv_pool_leaky(Tensor(x.data[-1], dtype=dtype), k, b, 0.01)
-            assert _same_bits(single.data, untaped.data[-1]), (dtype, batch)
+            single = conv_pool_leaky(Tensor(x.data[-1:], dtype=dtype), k, b, 0.01)
+            assert _same_bits(single.data, untaped.data[-1:]), (dtype, batch)
             earlier.append((untaped.data, untaped.data.copy()))
         for data, copy in earlier:  # later calls wrote nothing into earlier outputs
             assert _same_bits(data, copy)
@@ -381,6 +385,37 @@ def test_untaped_pool_before_bias_is_bitwise_bias_first_on_zero_and_tie_corners(
         assert np.any(np.signbit(want[zeros])) and not np.all(np.signbit(want[zeros]))
         got = autograd._pool_then_bias(conv, bias)
         assert _same_bits(got, want), dtype
+
+
+def test_conv_pool_stage_chained_and_last_is_bitwise_the_composed_ops_and_aliases_nothing():
+    # the untaped stage infer runs, from a filled pad buffer: chained into the
+    # next stage's pad buffer, then as a last stage into a fresh array.  These
+    # batch sizes grow, shrink and regrow the workspace, and float64 after
+    # float32 reinterprets its bytes
+    earlier = []
+    for dtype in (np.float32, np.float64):
+        rng = np.random.default_rng(82)
+        k1, b1 = rng.normal(size=(4, 3, 3, 3)).astype(dtype), rng.normal(size=4).astype(dtype)
+        k2, b2 = rng.normal(size=(5, 4, 3, 3)).astype(dtype), rng.normal(size=5).astype(dtype)
+        for batch in (2, 5, 1, 3):
+            x = rng.normal(size=(batch, 3, 16, 32)).astype(dtype)
+            mid = leaky_relu(maxpool2d(conv2d(Tensor(x, dtype=dtype), Tensor(k1, dtype=dtype),
+                                              Tensor(b1, dtype=dtype))), 0.01)
+            want = leaky_relu(maxpool2d(conv2d(mid, Tensor(k2, dtype=dtype), Tensor(b2, dtype=dtype))), 0.01)
+            xp = pad_buffer((batch, 3, 18, 34), dtype)
+            xp[:, :, 1:-1, 1:-1] = x
+            chained = conv_pool_stage(xp, k1, b1, 0.01, chain=True)
+            assert chained.dtype == dtype
+            assert _same_bits(chained, np.pad(mid.data, ((0, 0), (0, 0), (1, 1), (1, 1)))), (dtype, batch)
+            last = conv_pool_stage(chained, k2, b2, 0.01)
+            assert last.dtype == dtype and last.shape == (batch, 1, 2, 5)
+            assert _same_bits(last.transpose(0, 3, 1, 2), want.data), (dtype, batch)
+            buffers = [buf for buf in vars(autograd._WORKSPACE).values() if isinstance(buf, np.ndarray)]
+            assert {"pad", "cols", "conv", "pool"} <= set(vars(autograd._WORKSPACE))
+            assert not any(np.shares_memory(last, buf) for buf in buffers)
+            earlier.append((last, last.copy()))
+    for data, copy in earlier:  # later calls wrote nothing into earlier outputs
+        assert _same_bits(data, copy)
 
 
 def test_conv_pool_leaky_tap_rows_for_any_item_size_kernel_and_layout():
@@ -506,7 +541,7 @@ def test_conv_pool_leaky_validates_shapes_and_slope():
     k = Tensor(np.zeros((4, 3, 3, 3), dtype=np.float32))
     b = Tensor(np.zeros(4, dtype=np.float32))
     assert conv_pool_leaky(x, k, b).shape == (2, 2, 2, 4)
-    assert conv_pool_leaky(Tensor(x.data[0]), k, b).shape == (2, 2, 4)
+    assert conv_pool_leaky(Tensor(x.data[:1]), k, b).shape == (1, 2, 2, 4)
     with pytest.raises(DimensionError):  # channel mismatch
         conv_pool_leaky(Tensor(np.zeros((2, 8, 8, 2))), k, b)
     with pytest.raises(DimensionError):  # bias shape
@@ -515,6 +550,8 @@ def test_conv_pool_leaky_validates_shapes_and_slope():
         conv_pool_leaky(Tensor(np.zeros((2, 6, 6, 3))), k, b)
     with pytest.raises(DimensionError):  # rank
         conv_pool_leaky(Tensor(np.zeros((8, 8))), k, b)
+    with pytest.raises(DimensionError, match=r"expects \(B,H,W,C\)"):  # no batch axis
+        conv_pool_leaky(Tensor(x.data[0]), k, b)
     with pytest.raises(UsageError):
         conv_pool_leaky(x, k, b, slope=1.0)
 

@@ -50,6 +50,17 @@ def test_synth_writes_dataset_and_reports(tmp_path, capsys):
     assert "sequences=12 classes=4" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("extra", [["--yaw-range", "nan", "nan"], ["--yaw-range", "0", "inf"],
+                                   ["--scale-range", "1", "inf"], ["--noise", "nan"], ["--noise", "inf"]],
+                         ids=["yaw_nan", "yaw_inf", "scale_inf", "noise_nan", "noise_inf"])
+def test_synth_with_a_non_finite_range_or_noise_is_exit_1(tmp_path, capsys, extra):
+    out = tmp_path / "d.jsonl"
+    assert main(_synth_args(out, extra=extra)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_synth_is_byte_deterministic(tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     main(_synth_args(a))
@@ -336,7 +347,7 @@ def test_malformed_jsonl_is_exit_2(tmp_path, capsys, bad_line):
     assert "line 2: " in capsys.readouterr().err
 
 
-def test_exit_codes(tmp_path, dataset):
+def test_exit_codes(tmp_path, dataset, capsys):
     assert main(["train", "--data", str(dataset), "--bogus-flag"]) == 1
     assert main(["no-such-command"]) == 1
     corrupt = tmp_path / "broken.jsonl"
@@ -347,3 +358,11 @@ def test_exit_codes(tmp_path, dataset):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
     assert main(_train_args(empty, tmp_path / "x.ckpt")) == 2
+    capsys.readouterr()
+    for lr in ("nan", "inf", "0"):  # refused before the first step, not at save
+        assert main(_train_args(dataset, tmp_path / "x.ckpt", extra=["--lr", lr])) == 1
+        assert "learning rates must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "x.ckpt").exists()
+    assert main(["bench", "--iters", "0"]) == 1
+    assert main(["bench", "--warmup", "-1"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: --iters must be >= 1", "error: --warmup must be >= 0"]

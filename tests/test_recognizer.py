@@ -57,23 +57,25 @@ def _bundle(images):
 def test_stream_collapses_image_to_feature_column():
     params = ModelParams.build(_config(), seed=0)
     rng = np.random.default_rng(0)
-    img = rng.normal(size=(3, 64, 64)).astype(np.float32)
+    img = rng.normal(size=(1, 3, 64, 64)).astype(np.float32)
     feats = stream_forward(img, params.streams[0])
-    assert feats.shape == (4,)
-    batch = stream_forward(np.stack([img, img]), params.streams[0])
+    assert feats.shape == (1, 4)
+    batch = stream_forward(np.concatenate([img, img]), params.streams[0])
     assert batch.shape == (2, 4)
     assert np.array_equal(batch.data[0], batch.data[1])
-    assert np.allclose(batch.data[0], feats.data, atol=1e-6)
+    assert np.allclose(batch.data[0], feats.data[0], atol=1e-6)
     with pytest.raises(DimensionError):
-        stream_forward(np.zeros((3, 32, 32), dtype=np.float32), params.streams[0])
+        stream_forward(np.zeros((1, 3, 32, 32), dtype=np.float32), params.streams[0])
+    with pytest.raises(DimensionError, match=r"expects a \(B,3,T,T\)"):  # no batch axis
+        stream_forward(img[0], params.streams[0])
 
 
-def test_unbatched_stream_equals_row_zero_of_batch():
+def test_batch_of_one_stream_equals_row_zero_of_batch():
     stream = ModelParams.build(_config(), seed=0).streams[0]
     rng = np.random.default_rng(25)
     images = rng.normal(size=(3, 3, 64, 64)).astype(np.float32)
     batched = stream_forward(images, stream).data
-    assert np.array_equal(stream_forward(images[0], stream).data, batched[0])
+    assert np.array_equal(stream_forward(images[:1], stream).data, batched[:1])
 
 
 def test_untaped_streams_in_concurrent_threads_match_their_single_thread_results():
@@ -120,9 +122,9 @@ def test_untaped_streams_in_concurrent_threads_match_their_single_thread_results
 
 def test_zero_images_give_zero_logits():
     params = ModelParams.build(_config(), seed=0)
-    zeros = [np.zeros((3, 64, 64), dtype=np.float32)] * 4
+    zeros = [np.zeros((1, 3, 64, 64), dtype=np.float32)] * 4
     logits = forward(_bundle(zeros), params)
-    assert logits.shape == (3,)
+    assert logits.shape == (1, 3)
     assert not np.any(logits.data)  # every bias starts at zero
 
 
@@ -131,7 +133,7 @@ def test_forward_is_positively_homogeneous():
     # positive scaling, so doubling the images exactly doubles the logits
     params = ModelParams.build(_config(), seed=1)
     rng = np.random.default_rng(1)
-    images = [rng.normal(size=(3, 64, 64)).astype(np.float32) for _ in range(4)]
+    images = [rng.normal(size=(1, 3, 64, 64)).astype(np.float32) for _ in range(4)]
     base = forward(_bundle(images), params).data
     twice = forward(_bundle([2.0 * i for i in images]), params).data
     assert np.allclose(twice, 2.0 * base, atol=1e-4)
@@ -140,7 +142,7 @@ def test_forward_is_positively_homogeneous():
 def test_stream_order_matters():
     params = ModelParams.build(_config(), seed=2)
     rng = np.random.default_rng(2)
-    images = [rng.normal(size=(3, 64, 64)).astype(np.float32) for _ in range(4)]
+    images = [rng.normal(size=(1, 3, 64, 64)).astype(np.float32) for _ in range(4)]
     base = forward(_bundle(images), params).data
     swapped = forward(_bundle([images[1], images[0]] + images[2:]), params).data
     assert not np.allclose(base, swapped, atol=1e-3)
@@ -149,7 +151,7 @@ def test_stream_order_matters():
 def test_forward_rejects_stream_mismatch():
     params = ModelParams.build(_config(), seed=0)  # 4 streams
     rng = np.random.default_rng(3)
-    images = [rng.normal(size=(3, 64, 64)).astype(np.float32) for _ in range(2)]
+    images = [rng.normal(size=(1, 3, 64, 64)).astype(np.float32) for _ in range(2)]
     with pytest.raises(DimensionError, match="2 images.*4 streams"):
         forward(_bundle(images), params)
 
@@ -160,8 +162,8 @@ def test_batched_forward_matches_single():
     images = [rng.normal(size=(2, 3, 64, 64)).astype(np.float32) for _ in range(4)]
     batched = forward(_bundle(images), params).data
     for b in range(2):
-        single = forward(_bundle([i[b] for i in images]), params).data
-        assert np.allclose(batched[b], single, atol=1e-5)
+        single = forward(_bundle([i[b : b + 1] for i in images]), params).data
+        assert np.allclose(batched[b], single[0], atol=1e-5)
 
 
 def test_training_gradients_match_channel_first_stream_bitwise(monkeypatch):
@@ -245,7 +247,7 @@ def test_infer_is_bitwise_the_taped_forward(variant, dtype):
     for tensor in params.named_tensors().values():  # biases and temporal vectors start at 0
         tensor.data += (rng.normal(size=tensor.shape) * 0.1).astype(dtype)
     x = (rng.normal(size=(64, 64, 4, 3)) * 0.3).astype(dtype)
-    for batch in (x, x[:6], x[:1], x[0]):  # 64, 6, 1 and unbatched
+    for batch in (x, x[:6], x[:1]):
         got = infer(batch, params)
         with Tape():
             want = forward(encode(batch, params.encoder), params)
@@ -270,7 +272,7 @@ def test_infer_logits_alias_no_workspace_and_later_calls_change_nothing():
 
 def test_infer_rejects_sequences_of_the_wrong_shape():
     params = ModelParams.build(_config(), seed=0)
-    for shape in ((32, 4, 3), (2, 64, 5, 3), (64, 4, 2), (4, 3), (1, 2, 64, 4, 3)):
+    for shape in ((32, 4, 3), (2, 64, 5, 3), (64, 4, 2), (4, 3), (1, 2, 64, 4, 3), (64, 4, 3)):
         with pytest.raises(DimensionError, match="infer expects"):
             infer(np.zeros(shape, dtype=np.float32), params)
 
@@ -291,7 +293,7 @@ def _spy_rows(monkeypatch):
     runs, body = [], recognizer._infer_rows
 
     def spy(x, params):
-        runs.append((threading.current_thread().name, len(x) if x.ndim == 4 else None))
+        runs.append((threading.current_thread().name, len(x)))
         return body(x, params)
 
     monkeypatch.setattr(recognizer, "_infer_rows", spy)
@@ -302,14 +304,14 @@ def _spy_rows(monkeypatch):
 def test_infer_halves_are_bitwise_the_taped_forward_on_workers_and_inline(dtype, monkeypatch):
     params, x = _humanoid_params(dtype)
     runs = _spy_rows(monkeypatch)
-    for batch in (1, 15, 16, 17, 37, 64, 128, None):
-        seqs = x[0] if batch is None else x[:batch]
+    for batch in (1, 15, 16, 17, 37, 64, 128):
+        seqs = x[:batch]
         with Tape():
             want = forward(encode(seqs, params.encoder), params).data
         runs.clear()
         got = infer(seqs, params)
         assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), batch
-        if batch is None or batch < recognizer.SPLIT_MIN:
+        if batch < recognizer.SPLIT_MIN:
             assert runs == [("MainThread", batch)]
         else:
             assert sorted(rows for _, rows in runs) == [batch // 2, -(-batch // 2)]
@@ -341,7 +343,7 @@ def test_infer_records_nothing_on_an_active_tape(monkeypatch):
             if inline:
                 m.setattr(recognizer, "_blas_thread_calls", lambda: None)
             with Tape() as tape:
-                for seqs in (x[0], x[:4], x):  # unbatched, whole batch, halves
+                for seqs in (x[:1], x[:4], x):  # batches of one and four, halves
                     infer(seqs, params)
         assert tape.nodes == [], inline
 

@@ -444,6 +444,11 @@ def test_synth_degenerate_config_renders_base_pose_still():
         SynthConfig(class_count=9)
     with pytest.raises(UsageError):
         SynthConfig(noise_std=-0.1)
+    nan, inf = float("nan"), float("inf")
+    for bad in (dict(noise_std=nan), dict(noise_std=inf), dict(view_yaw_range=(nan, nan)),
+                dict(view_yaw_range=(0.0, inf)), dict(view_yaw_range=(-inf, 0.0)), dict(body_scale_range=(1.0, inf))):
+        with pytest.raises(UsageError, match="must be finite"):
+            SynthConfig(**bad)
 
 
 def test_humanoid_topology_is_consistent():

@@ -34,6 +34,11 @@ def test_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(UsageError):
         TrainConfig(lr=-1.0)
+    for bad in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(UsageError, match="finite and positive"):
+            TrainConfig(lr=bad)
+        with pytest.raises(UsageError, match="finite and positive"):
+            TrainConfig(lr_decay=bad)
 
 
 # ---------------------------------------------------------------------------
