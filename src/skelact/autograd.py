@@ -23,14 +23,13 @@ Broadcasting follows the singleton-axis rule only: an axis of extent 1
 stretches, shorter ranks are left-padded with 1s, and nothing else aligns.
 
 The CNN ops take a batch axis only: ``conv2d``, ``maxpool2d`` and the fused
-stage accept (B, ..) inputs and nothing else.  The fused stage pads its
-input into a per-thread workspace buffer (:func:`pad_buffer`), reused call
+stage accept (B, ..) inputs and nothing else.  The fused stage is the one
+place a CNN stage is computed, for training and for ``recognizer.infer``
+alike.  It pads its input into a per-thread workspace buffer, reused call
 after call, and its conv output and pooled maxima live in that workspace
-too; it runs the same body whether or not a tape records it.
-:func:`conv_pool_stage` is the untaped stage of the inference path
-(``recognizer.infer``), whose im2col columns are also workspace and which
-chains each stage's output into the next stage's pad buffer.  Arrays a tape
-records or a backward rule reads are always fresh.
+too; an unrecorded call's im2col columns are workspace as well.  Arrays a
+tape records or a backward rule reads are always fresh, and so is the
+stage's output.
 """
 
 from __future__ import annotations
@@ -139,10 +138,6 @@ class Tape:
 _ACTIVE_TAPE: ContextVar[Tape | None] = ContextVar("skelact_active_tape", default=None)
 
 
-def _active_tape() -> Tape | None:
-    return _ACTIVE_TAPE.get()
-
-
 @contextmanager
 def no_tape():
     """Run the block with no active tape, so none of its ops is recorded."""
@@ -159,10 +154,16 @@ def _wrap(value, like: Tensor) -> Tensor:
     return Tensor(np.asarray(value, dtype=like.data.dtype))
 
 
+def _recording(inputs: tuple[Tensor, ...]) -> Tape | None:
+    """The tape an op over ``inputs`` records onto, or None."""
+    tape = _ACTIVE_TAPE.get()
+    return tape if tape is not None and any(t.requires_grad for t in inputs) else None
+
+
 def _finish(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn, op: str) -> Tensor:
     out = Tensor(out_data, dtype=out_data.dtype)
-    tape = _active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
+    tape = _recording(inputs)
+    if tape is not None:
         out.requires_grad = True
         out._tape = tape
         tape.nodes.append(_Node(out, inputs, backward_fn))
@@ -459,16 +460,6 @@ def maxpool2d(x: Tensor) -> Tensor:
     return _finish(out, (x,), back, "maxpool2d")
 
 
-def pad_buffer(shape: tuple[int, ...], dtype) -> np.ndarray:
-    """This thread's zero-bordered channel-first stage input buffer,
-    (B, C, H+2, W+2).  Only the one-element border is zeroed; the caller
-    writes the interior ``[:, :, 1:-1, 1:-1]``.  The buffer is the next
-    call's, like any workspace view."""
-    xp = _workspace("pad", shape, np.dtype(dtype))
-    xp[:, :, 0], xp[:, :, -1], xp[:, :, :, 0], xp[:, :, :, -1] = 0, 0, 0, 0
-    return xp
-
-
 def _fill_columns(xp: np.ndarray, cols: np.ndarray, kh: int, kw: int) -> None:
     """im2col of a padded buffer for a stride-2 kh x kw kernel, rows in
     (b, y, x) order and columns in (c, i, j) order.  The kw taps of one
@@ -488,7 +479,7 @@ def _pool_then_bias(conv: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """2x2 max pool of a (B, H, W, C) conv output into this thread's
     workspace, then the bias added.  fl(a + b) is monotone in a and max only
     selects, so this is bit for bit the pool of ``conv + bias``, the order
-    the taped op keeps for its tie routing."""
+    a recorded stage keeps for its tie routing."""
     corners = [conv[:, i::2, j::2] for i in (0, 1) for j in (0, 1)]  # row-major window order
     pooled = _workspace("pool", corners[0].shape, conv.dtype)
     np.maximum(corners[0], corners[1], out=pooled)
@@ -496,41 +487,6 @@ def _pool_then_bias(conv: np.ndarray, bias: np.ndarray) -> np.ndarray:
     np.maximum(pooled, corners[3], out=pooled)
     pooled += bias
     return pooled
-
-
-def conv_pool_stage(xp: np.ndarray, kernels: np.ndarray, bias: np.ndarray, slope: float,
-                    chain: bool = False) -> np.ndarray:
-    """One untaped CNN stage from a filled :func:`pad_buffer`: stride-2 conv,
-    2x2 max pool, bias, leaky ReLU, with the values of
-    ``leaky_relu(maxpool2d(conv2d(.)))``.  ``recognizer.infer`` runs it.
-
-    The columns, the conv output and the pooled maxima live in this
-    thread's workspace, and the pool runs before the bias add.  With
-    ``chain`` the leaky output goes into the interior of the next stage's
-    pad buffer, which is returned; the columns hold all ``xp`` held by
-    then, so that buffer may reuse its bytes.  Otherwise the output is a
-    fresh (B, H'/2, W'/2, C_out) array.
-    """
-    c_out, _, kh, kw = kernels.shape
-    batch = xp.shape[0]
-    h_out, w_out = (xp.shape[2] - kh) // 2 + 1, (xp.shape[3] - kw) // 2 + 1
-    kmat = kernels.reshape(c_out, -1)
-    dtype = np.result_type(xp, kmat)
-    cols = _workspace("cols", (batch * h_out * w_out, kmat.shape[1]), xp.dtype)
-    _fill_columns(xp, cols, kh, kw)
-    conv = _workspace("conv", (batch * h_out * w_out, c_out), dtype)
-    np.matmul(cols, kmat.T, out=conv)
-    pooled = _pool_then_bias(conv.reshape(batch, h_out, w_out, c_out), bias)
-    # chained, the conv buffer is spent and holds the output until one copy
-    # moves it channel-first: faster than a leaky ReLU written strided
-    out = _workspace("conv", pooled.shape, dtype) if chain else np.empty(pooled.shape, dtype)
-    np.multiply(pooled, dtype.type(slope), out=out)
-    np.maximum(out, pooled, out=out)  # leaky ReLU, as slope < 1
-    if not chain:
-        return out
-    xp = pad_buffer((batch, c_out, h_out // 2 + 2, w_out // 2 + 2), dtype)
-    xp[:, :, 1:-1, 1:-1] = out.transpose(0, 3, 1, 2)
-    return xp
 
 
 def conv_pool_leaky(x: Tensor, kernels: Tensor, bias: Tensor, slope: float = 0.01) -> Tensor:
@@ -541,10 +497,11 @@ def conv_pool_leaky(x: Tensor, kernels: Tensor, bias: Tensor, slope: float = 0.0
     and gradients of ``leaky_relu(maxpool2d(conv2d(.)))`` on the
     channel-first layout.  Kernels keep their (C_out,C_in,kh,kw) layout and
     the im2col columns keep (C_in,kh,kw) order, so the GEMM is conv2d's.
-    The input is first copied into this thread's :func:`pad_buffer`.
-    A call no tape records runs the same body and gives the same bits; its
-    output never aliases the workspace.
-    The stage adds the bias before it pools, and builds an int8 index
+    The input is copied into a zero-bordered pad buffer, and the conv
+    output and the pooled maxima live in this thread's workspace; the
+    output is always fresh.
+    A call a tape records fills fresh im2col columns, which backward reads
+    for ``dk``, adds the bias before it pools, and builds an int8 index
     of each window's first maximum from strict ``>`` compares taken in
     row-major corner order; backward routes the window's gradient to that
     corner.  A compare with a NaN is false and the running maximum stays
@@ -554,8 +511,9 @@ def conv_pool_leaky(x: Tensor, kernels: Tensor, bias: Tensor, slope: float = 0.0
     The leaky slope of the gradient follows the sign of the pooled maximum,
     not of the output, which is -0 where a tiny negative maximum times the
     slope underflows.  Backward reads only the im2col columns, that index
-    and a bool leaky mask; the conv output and the pooled maxima stay in
-    this thread's workspace.
+    and a bool leaky mask.  A call no tape records (``recognizer.infer``'s)
+    fills workspace columns and pools before the bias add, building neither
+    index nor mask: the same bits, with less work.
     The input gradient follows the input's memory layout: a C-contiguous
     input gets a C-contiguous gradient, and any other (the permuted
     channel-first stem image) gets conv2d's channel-first memory, so the
@@ -577,27 +535,35 @@ def conv_pool_leaky(x: Tensor, kernels: Tensor, bias: Tensor, slope: float = 0.0
     if h_out < 1 or w_out < 1 or h_out % 2 or w_out % 2:
         raise DimensionError(f"conv_pool_leaky: conv output {h_out}x{w_out} of input {x.shape} cannot be pooled 2x2")
 
-    xp = pad_buffer((batch, c_in, h + 2, w + 2), xd.dtype)  # back never reads it
+    recorded = _recording((x, kernels, bias)) is not None
+    xp = _workspace("pad", (batch, c_in, h + 2, w + 2), xd.dtype)  # back never reads it
+    xp[:, :, 0], xp[:, :, -1], xp[:, :, :, 0], xp[:, :, :, -1] = 0, 0, 0, 0  # the border only
     xp[:, :, 1:-1, 1:-1] = xd.transpose(0, 3, 1, 2)
     channels_last = xd.flags.c_contiguous  # the input gradient's layout
     kmat = kernels.data.reshape(c_out, -1)
     dtype = np.result_type(xd, kmat)
-    cols = np.empty((batch * h_out * w_out, c_in * kh * kw), xd.dtype)  # back reads it for dk
+    cols_shape = (batch * h_out * w_out, c_in * kh * kw)
+    # back reads a recorded call's columns for dk
+    cols = np.empty(cols_shape, xd.dtype) if recorded else _workspace("cols", cols_shape, xd.dtype)
     _fill_columns(xp, cols, kh, kw)
     conv = _workspace("conv", (batch * h_out * w_out, c_out), dtype)
     np.matmul(cols, kmat.T, out=conv)
-    conv += bias.data  # bias first: the index below compares the biased corners
     conv = conv.reshape(batch, h_out, w_out, c_out)
-    corners = [conv[:, i::2, j::2] for i in (0, 1) for j in (0, 1)]  # row-major window order
-    pooled = _workspace("pool", corners[0].shape, dtype)
-    first = np.greater(corners[1], corners[0]).view(np.int8)  # the first max's corner
-    np.maximum(corners[0], corners[1], out=pooled)
-    for n in (2, 3):
-        later = np.greater(corners[n], pooled).view(np.int8)
-        np.maximum(first, later * n, out=first)
-        np.maximum(pooled, corners[n], out=pooled)
-    rising = pooled >= 0
-    out = np.maximum(pooled * dtype.type(slope), pooled)  # leaky ReLU, as slope < 1
+    if recorded:
+        conv += bias.data  # bias first: the index below compares the biased corners
+        corners = [conv[:, i::2, j::2] for i in (0, 1) for j in (0, 1)]  # row-major window order
+        pooled = _workspace("pool", corners[0].shape, dtype)
+        first = np.greater(corners[1], corners[0]).view(np.int8)  # the first max's corner
+        np.maximum(corners[0], corners[1], out=pooled)
+        for n in (2, 3):
+            later = np.greater(corners[n], pooled).view(np.int8)
+            np.maximum(first, later * n, out=first)
+            np.maximum(pooled, corners[n], out=pooled)
+        rising = pooled >= 0
+    else:
+        pooled = _pool_then_bias(conv, bias.data)
+    out = np.multiply(pooled, dtype.type(slope))
+    np.maximum(out, pooled, out=out)  # leaky ReLU, as slope < 1
 
     def back(d):
         dpool = np.where(rising, d, d * slope)

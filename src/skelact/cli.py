@@ -40,15 +40,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get("AFE_SEED", "0"))
-    except ValueError:
-        raise UsageError(f"AFE_SEED must be an integer, got {os.environ['AFE_SEED']!r}") from None
-
-
 def _resolve_seed(args) -> int:
-    return args.seed if args.seed is not None else _default_seed()
+    seed, source = args.seed, "--seed"
+    if seed is None:
+        seed, source = os.environ.get("AFE_SEED", "0"), "AFE_SEED"
+        try:
+            seed = int(seed)
+        except ValueError:
+            raise UsageError(f"AFE_SEED must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise UsageError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _topology_for(joint_count: int) -> Topology:

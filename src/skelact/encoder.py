@@ -20,8 +20,8 @@ channels, their velocities and the attention map.  ``encode`` builds each
 image from it as one tape node, ``autograd.embed_image``, whose values and
 gradients are bit for bit those of ``embed_to_image``, ``apply_attention``
 and ``temporal_embed`` composed; ``write_image`` builds one stream's image
-untaped, with the same bits, and copies it into a buffer the caller owns
-(the CNN's stage-1 pad buffer).
+untaped, with the same bits, in this thread's workspace, and returns it
+without a copy.
 """
 
 from __future__ import annotations
@@ -309,22 +309,23 @@ def encode(x, enc: EncoderParams) -> EncodedBundle:
     )
 
 
-def write_image(out: np.ndarray, name: str, channels: Tensor, attention: Tensor | None,
-                enc: EncoderParams) -> None:
-    """Untaped: write stream ``name``'s (.., 3, T, T) image into ``out``,
-    bit for bit the one encode builds from the same enhance() results.
+def write_image(name: str, channels: Tensor, attention: Tensor | None, enc: EncoderParams) -> Tensor:
+    """Untaped: stream ``name``'s (.., 3, T, T) image, bit for bit the one
+    encode builds from the same enhance() results.
 
     The image is built in this thread's workspace, each operation with its
-    operands in encode's order, and then copied into ``out`` once: ``out``
-    is strided (the interior of a CNN stage's pad buffer), and elementwise
-    passes over a contiguous image run faster than over strided rows.
+    operands in encode's order, and returned as a Tensor of its own dtype
+    over that workspace view: the next call for this thread overwrites it.
     """
-    image = _workspace("image", out.shape, out.dtype)
-    np.matmul(enc.embeddings[name].weight.data, channels.data, out=image)
+    weight = enc.embeddings[name].weight.data
+    t = weight.shape[0]
+    shape, dtype = channels.shape[:-2] + (t, t), np.result_type(weight, channels.data)
+    image = _workspace("image", shape, dtype)
+    np.matmul(weight, channels.data, out=image)
     if attention is not None and name in ATTENDED:
-        product = _workspace("attended", out.shape, out.dtype)
+        product = _workspace("attended", shape, dtype)
         np.multiply(image, attention.data[..., None, :, :], out=product)
         np.add(product, image, out=image)
     if enc.flags.temporal:
         image += enc.temporals[name].values.data
-    np.copyto(out, image)
+    return Tensor(image, dtype=dtype)

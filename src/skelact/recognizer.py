@@ -11,9 +11,9 @@ classifier head.
 
 ``forward(encode(x))`` is the taped training path.  ``infer`` is the
 untaped one that evaluation and ``skelact bench`` run: one stream at a
-time, from the encoder's image written into the stage-1 pad buffer through
-stages chained buffer to buffer, with the same logits bit for bit.  Both
-paths take a batch axis only: images are (B, 3, T, T) and ``infer`` takes
+time, each image built in the encoder's workspace and run through the
+same ``stream_forward``, with the same logits bit for bit.  Both paths
+take a batch axis only: images are (B, 3, T, T) and ``infer`` takes
 (B, T, J, 3), so ``skelact bench`` passes its one sequence as a batch of
 one.  A batch of ``SPLIT_MIN`` or more runs as two halves, on two worker
 threads while OpenBLAS is held at one thread, so both cores do the work
@@ -33,18 +33,10 @@ from functools import cache
 
 import numpy as np
 
-from .autograd import (
-    Tensor, concat, conv_pool_leaky, conv_pool_stage, leaky_relu, linear, no_tape, pad_buffer, permute,
-    reshape,
-)
+from .autograd import Tensor, concat, conv_pool_leaky, leaky_relu, linear, no_tape, permute, reshape
 from .encoder import LEAKY_SLOPE, EncodedBundle, enhance, write_image
 from .errors import DimensionError
 from .model import ModelConfig, ModelParams, StreamCNNParams, param_spec
-
-
-def _stages(stream: StreamCNNParams) -> tuple[tuple[Tensor, Tensor], ...]:
-    return ((stream.conv1_kernels, stream.conv1_bias), (stream.conv2_kernels, stream.conv2_bias),
-            (stream.conv3_kernels, stream.conv3_bias))
 
 
 def stream_forward(image, stream: StreamCNNParams) -> Tensor:
@@ -53,7 +45,8 @@ def stream_forward(image, stream: StreamCNNParams) -> Tensor:
     if x.data.ndim != 4:
         raise DimensionError(f"stream expects a (B,3,T,T) image, got {x.shape}")
     x = permute(x, (0, 2, 3, 1))
-    for kernels, bias in _stages(stream):
+    for kernels, bias in ((stream.conv1_kernels, stream.conv1_bias), (stream.conv2_kernels, stream.conv2_bias),
+                          (stream.conv3_kernels, stream.conv3_bias)):
         x = conv_pool_leaky(x, kernels, bias, LEAKY_SLOPE)
     if x.shape[1:3] != (1, 1):
         raise DimensionError(f"stream did not reduce spatially, got {x.shape}")
@@ -86,10 +79,9 @@ def infer(x, params: ModelParams) -> np.ndarray:
     ``forward(encode(x, params.encoder), params).data``.  One sequence is a
     batch of one.
 
-    Streams run one at a time.  The encoder writes a stream's image into
-    the interior of this thread's stage-1 pad buffer, and stages 1 and 2
-    write their output into the next stage's, all through per-thread
-    workspace, so the last stage's output is the first fresh array.  No op
+    Streams run one at a time: ``write_image`` builds a stream's image in
+    this thread's workspace, and :func:`stream_forward` runs it untaped,
+    through the unrecorded path of each ``conv_pool_leaky`` stage.  No op
     is recorded, even inside a Tape; the returned logits are a fresh array.
 
     A batch of ``SPLIT_MIN`` or more runs as ``x[:ceil(B/2)]`` and the
@@ -124,20 +116,12 @@ def infer(x, params: ModelParams) -> np.ndarray:
 
 
 def _infer_rows(x: np.ndarray, params: ModelParams) -> np.ndarray:
-    """:func:`infer`'s body for one validated batch."""
-    batch, t = len(x), params.config.frames
+    """:func:`infer`'s body for one validated batch.  Each stream runs on
+    its image before the next ``write_image`` overwrites it."""
     with no_tape():
         channels, attention = enhance(x, params.encoder)
-        features = []
-        for (name, ch), stream in zip(channels.items(), params.streams):
-            dtype = np.result_type(params.encoder.embeddings[name].weight.data, ch.data)
-            xp = pad_buffer((batch, 3, t + 2, t + 2), dtype)
-            write_image(xp[:, :, 1:-1, 1:-1], name, ch, attention, params.encoder)
-            stages = _stages(stream)
-            for n, (kernels, bias) in enumerate(stages, start=1):
-                xp = conv_pool_stage(xp, kernels.data, bias.data, LEAKY_SLOPE, chain=n < len(stages))
-            features.append(Tensor(xp.reshape(batch, xp.shape[-1]), dtype=xp.dtype))
-        return _head(features, params).data
+        return _head([stream_forward(write_image(name, ch, attention, params.encoder), stream)
+                      for (name, ch), stream in zip(channels.items(), params.streams)], params).data
 
 
 @cache

@@ -187,7 +187,9 @@ def parse_ntu(path) -> SkeletonSequence:
     fields are x y z.  When several bodies are tracked, the one with the
     largest total frame-to-frame displacement energy wins; frames without a
     tracked body are dropped.  Metadata comes from the SsssCcccPpppRrrrAaaa
-    filename pattern.
+    filename pattern.  A coordinate that is not finite or lies beyond
+    MAX_COORD in magnitude is a ParseError naming its line, raised before
+    the float32 cast or the energy's squares could overflow on it.
     """
     path = Path(path)
     match = _NTU_NAME.search(path.name)
@@ -217,9 +219,12 @@ def parse_ntu(path) -> SkeletonSequence:
                 if len(parts) < 3:
                     raise ParseError(f"joint line has {len(parts)} fields, need at least 3", line=num)
                 try:
-                    coords[j] = [float(parts[0]), float(parts[1]), float(parts[2])]
+                    xyz = [float(parts[0]), float(parts[1]), float(parts[2])]
                 except ValueError:
                     raise ParseError(f"bad joint coordinates {text!r}", line=num) from None
+                if not all(abs(c) <= MAX_COORD for c in xyz):  # also rejects NaN and inf
+                    raise ParseError(f"non-finite joint coordinate or one beyond {MAX_COORD:g}", line=num)
+                coords[j] = xyz
             if body_id not in observations:
                 observations[body_id] = []
                 body_order.append(body_id)
@@ -238,8 +243,6 @@ def parse_ntu(path) -> SkeletonSequence:
     frames = np.stack([coords for _, coords in observations[primary]])
     if frames.shape[0] < 2:
         raise ParseError(f"{path.name}: primary body tracked in fewer than 2 frames")
-    if not np.abs(frames).max() <= MAX_COORD:  # also rejects NaN and inf
-        raise ParseError(f"{path.name}: non-finite joint coordinate or one beyond {MAX_COORD:g}")
     return SkeletonSequence(frames, action_label=action, subject_id=subject,
                             camera_id=camera, setup_id=setup, source=str(path))
 
@@ -319,7 +322,8 @@ def parse_jsonl(path) -> list[SkeletonSequence]:
                 expected_joints = frames.shape[1]
             if frames.shape[1] != expected_joints:
                 raise ParseError(f"expected {expected_joints} joints, got {frames.shape[1]}", line=num)
-            frames = frames.astype(np.float32)
+            with np.errstate(over="ignore"):  # a value beyond float32 casts to inf, refused below
+                frames = frames.astype(np.float32)
             if not np.abs(frames).max() <= MAX_COORD:  # also rejects NaN and inf
                 raise ParseError(f"non-finite joint coordinate or one beyond {MAX_COORD:g}", line=num)
             sequences.append(

@@ -11,9 +11,8 @@ import pytest
 
 from skelact import autograd
 from skelact.autograd import (
-    Tape, Tensor, add, backward, concat, conv2d, conv_pool_leaky, conv_pool_stage, cross_entropy,
-    frame_velocity, grad_check, leaky_relu, linear, matmul, maxpool2d, mul, pad_buffer,
-    permute, reshape, scale, softmax_rows, sub, sum_all, transpose_last2,
+    Tape, Tensor, add, backward, concat, conv2d, conv_pool_leaky, cross_entropy,
+    frame_velocity, grad_check, leaky_relu, linear, matmul, maxpool2d, mul, permute, reshape, scale, softmax_rows, sub, sum_all, transpose_last2,
 )
 from skelact.errors import DimensionError, UsageError
 from skelact.optim import AdamState, adam_step
@@ -387,33 +386,32 @@ def test_untaped_pool_before_bias_is_bitwise_bias_first_on_zero_and_tie_corners(
         assert _same_bits(got, want), dtype
 
 
-def test_conv_pool_stage_chained_and_last_is_bitwise_the_composed_ops_and_aliases_nothing():
-    # the untaped stage infer runs, from a filled pad buffer: chained into the
-    # next stage's pad buffer, then as a last stage into a fresh array.  These
-    # batch sizes grow, shrink and regrow the workspace, and float64 after
-    # float32 reinterprets its bytes
+def test_unrecorded_stages_chained_are_bitwise_the_composed_ops_and_alias_nothing():
+    # two unrecorded stages, as infer runs them, the second fed the first's
+    # output.  These batch sizes grow, shrink and regrow the workspace, and
+    # float64 after float32 reinterprets its bytes
     earlier = []
     for dtype in (np.float32, np.float64):
         rng = np.random.default_rng(82)
         k1, b1 = rng.normal(size=(4, 3, 3, 3)).astype(dtype), rng.normal(size=4).astype(dtype)
         k2, b2 = rng.normal(size=(5, 4, 3, 3)).astype(dtype), rng.normal(size=5).astype(dtype)
+        params = [Tensor(p, requires_grad=True, dtype=dtype) for p in (k1, b1, k2, b2)]
         for batch in (2, 5, 1, 3):
             x = rng.normal(size=(batch, 3, 16, 32)).astype(dtype)
-            mid = leaky_relu(maxpool2d(conv2d(Tensor(x, dtype=dtype), Tensor(k1, dtype=dtype),
-                                              Tensor(b1, dtype=dtype))), 0.01)
-            want = leaky_relu(maxpool2d(conv2d(mid, Tensor(k2, dtype=dtype), Tensor(b2, dtype=dtype))), 0.01)
-            xp = pad_buffer((batch, 3, 18, 34), dtype)
-            xp[:, :, 1:-1, 1:-1] = x
-            chained = conv_pool_stage(xp, k1, b1, 0.01, chain=True)
-            assert chained.dtype == dtype
-            assert _same_bits(chained, np.pad(mid.data, ((0, 0), (0, 0), (1, 1), (1, 1)))), (dtype, batch)
-            last = conv_pool_stage(chained, k2, b2, 0.01)
+            mid = leaky_relu(maxpool2d(conv2d(Tensor(x, dtype=dtype), *params[:2])), 0.01)
+            want = leaky_relu(maxpool2d(conv2d(mid, *params[2:])), 0.01)
+            with autograd.no_tape():
+                first = conv_pool_leaky(Tensor(x.transpose(0, 2, 3, 1), dtype=dtype), *params[:2], 0.01)
+                last = conv_pool_leaky(first, *params[2:], 0.01)
+            assert first._tape is None and last._tape is None
+            assert first.dtype == dtype
+            assert _same_bits(first.data.transpose(0, 3, 1, 2), mid.data), (dtype, batch)
             assert last.dtype == dtype and last.shape == (batch, 1, 2, 5)
-            assert _same_bits(last.transpose(0, 3, 1, 2), want.data), (dtype, batch)
+            assert _same_bits(last.data.transpose(0, 3, 1, 2), want.data), (dtype, batch)
             buffers = [buf for buf in vars(autograd._WORKSPACE).values() if isinstance(buf, np.ndarray)]
             assert {"pad", "cols", "conv", "pool"} <= set(vars(autograd._WORKSPACE))
-            assert not any(np.shares_memory(last, buf) for buf in buffers)
-            earlier.append((last, last.copy()))
+            assert not any(np.shares_memory(out.data, buf) for out in (first, last) for buf in buffers)
+            earlier += [(out.data, out.data.copy()) for out in (first, last)]
     for data, copy in earlier:  # later calls wrote nothing into earlier outputs
         assert _same_bits(data, copy)
 

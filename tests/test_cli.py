@@ -1,5 +1,8 @@
 """End-to-end command-line flows, exit-code mapping, and output artifacts."""
 
+import json
+import warnings
+
 import numpy as np
 import pytest
 
@@ -336,18 +339,70 @@ GOOD_LINE = '{"label":0,"subject":1,"camera":1,"frames":[[[0,0,0],[1,1,1]],[[0,0
     '{"label":0,"subject":1,"camera":1,"frames":[[[false,0,1],[1,1,1]],[[0,0,0],[1,1,1]]]}',
     # finite in float32, but centring on the first frame's root overflows
     '{"label":0,"subject":1,"camera":1,"frames":[[[-3e38,0,0],[1,1,1]],[[3e38,0,0],[1,1,1]]]}',
+    # beyond float32: the cast gives inf, with no numpy overflow warning
+    '{"label":0,"subject":1,"camera":1,"frames":[[[1e39,0,0],[1,1,1]],[[0,0,0],[1,1,1]]]}',
 ], ids=["string_coordinate", "nested_coordinate", "overflowing_label", "boolean_label",
-        "true_coordinate", "false_coordinate", "huge_coordinate"])
+        "true_coordinate", "false_coordinate", "huge_coordinate", "beyond_float32_coordinate"])
 def test_malformed_jsonl_is_exit_2(tmp_path, capsys, bad_line):
     data = tmp_path / "bad.jsonl"
     data.write_text(GOOD_LINE + "\n" + bad_line + "\n")
-    with pytest.raises(ParseError, match="line 2: "):
-        parse_jsonl(data)
-    assert main(_train_args(data, tmp_path / "x.ckpt")) == 2
-    assert "line 2: " in capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match="line 2: "):
+            parse_jsonl(data)
+        assert main(_train_args(data, tmp_path / "x.ckpt")) == 2
+        assert main(["ingest", "--jsonl", str(data), "--out", str(tmp_path / "o.jsonl")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0] == err[1] and err[0].startswith("error: line 2: ")
 
 
-def test_exit_codes(tmp_path, dataset, capsys):
+def _mutants(text: str, count: int, seed: int):
+    """``count`` copies of ``text``, each with 1-3 random byte flips,
+    deletions or inserted number/JSON characters."""
+    rng = np.random.default_rng(seed)
+    inserts = b"0123456789-+.eE[]{},:\" "
+    for _ in range(count):
+        data = bytearray(text.encode())
+        for _ in range(int(rng.integers(1, 4))):
+            at = int(rng.integers(len(data)))
+            kind = rng.integers(3)
+            if kind == 0:
+                data[at] = int(rng.integers(256))
+            elif kind == 1:
+                del data[at]
+            else:
+                data.insert(at, inserts[int(rng.integers(len(inserts)))])
+        yield bytes(data)
+
+
+@pytest.mark.parametrize("source", ["jsonl", "ntu"])
+def test_ingest_of_mutated_input_is_exit_0_or_2_without_a_traceback_or_warning(tmp_path, capsys, source):
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    if source == "jsonl":
+        path = inputs / "data.jsonl"
+        path.write_text(json.dumps({"label": 3, "subject": 2, "camera": 1, "setup": 4,
+                                    "frames": [[[0.5, -1.25, 2e3], [1, 1, 1], [0, 3.5e-2, -7]]] * 3}) + "\n")
+        argv = ["ingest", "--jsonl", str(path)]
+    else:
+        path = _skeleton_file(inputs, "S001C001P001R001A001.skeleton", [0.0, 0.1, -0.2])
+        argv = ["ingest", "--ntu-dir", str(inputs)]
+    argv += ["--out", str(tmp_path / "o.jsonl")]
+    good = path.read_text()
+    codes = set()
+    for n, mutant in enumerate(_mutants(good, 300, seed=140 if source == "jsonl" else 141)):
+        path.write_bytes(mutant)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)  # an exception here is the traceback the CLI would print
+        err = capsys.readouterr().err
+        assert code in (0, 2), (n, mutant)
+        assert not caught and "Traceback" not in err and "Warning" not in err, (n, mutant, caught, err)
+        codes.add(code)
+    assert codes == {0, 2}  # the mutants reach both outcomes
+
+
+def test_exit_codes(tmp_path, dataset, capsys, monkeypatch):
     assert main(["train", "--data", str(dataset), "--bogus-flag"]) == 1
     assert main(["no-such-command"]) == 1
     corrupt = tmp_path / "broken.jsonl"
@@ -366,3 +421,18 @@ def test_exit_codes(tmp_path, dataset, capsys):
     assert main(["bench", "--iters", "0"]) == 1
     assert main(["bench", "--warmup", "-1"]) == 1
     assert capsys.readouterr().err.splitlines() == ["error: --iters must be >= 1", "error: --warmup must be >= 0"]
+    negative_seeds = [  # (argv, AFE_SEED, the error line)
+        (_synth_args(tmp_path / "s.jsonl", extra=["--seed", "-1"]), None, "--seed must be a non-negative integer, got -1"),
+        (_train_args(dataset, tmp_path / "x.ckpt", extra=["--seed", "-2"]), None,
+         "--seed must be a non-negative integer, got -2"),
+        (["bench", "--seed", "-1"], None, "--seed must be a non-negative integer, got -1"),
+        (["bench"], "-3", "AFE_SEED must be a non-negative integer, got -3"),
+    ]
+    for argv, env, message in negative_seeds:
+        with monkeypatch.context() as m:
+            if env is not None:
+                m.setenv("AFE_SEED", env)
+            assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {message}"] and "Traceback" not in err
+    assert not (tmp_path / "s.jsonl").exists() and not (tmp_path / "x.ckpt").exists()

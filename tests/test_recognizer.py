@@ -81,8 +81,8 @@ def test_batch_of_one_stream_equals_row_zero_of_batch():
 def test_untaped_streams_in_concurrent_threads_match_their_single_thread_results():
     # each thread's untaped stages get their own workspace; a shared one would
     # let one thread's columns overwrite another's between the copy and the
-    # GEMM, and, for infer, one thread's image or chained stage output
-    # overwrite another's pad buffer
+    # GEMM, and, for infer, one thread's image overwrite another's before
+    # its stream runs
     params = ModelParams.build(_config(channels=(8, 16, 32)), seed=0)
     stream = params.streams[0]
     rng = np.random.default_rng(26)

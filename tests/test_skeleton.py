@@ -1,6 +1,8 @@
 """Skeleton data layer: file parsing, the JSONL archive, preprocessing,
 kinematic-tree algebra, split protocols, and the synthetic generator."""
 
+import warnings
+
 import numpy as np
 import pytest
 from conftest import incidence_matrix
@@ -115,6 +117,18 @@ def test_parse_ntu_error_cases(tmp_path):
                   ["2"] + (["1"] + _body_block("b", far)) * 2)
     with pytest.raises(ParseError, match="non-finite joint coordinate or one beyond 1e\\+06"):
         parse_ntu(path)
+
+    # refused on its own line, before a float32 cast (1e39) or the motion
+    # energy's squares (1e20) overflow with a numpy warning
+    for n, value in enumerate((1e39, 1e20)):
+        huge = _pose(0.0)
+        huge[3, 1] = value
+        path = _write(tmp_path, f"S001C001P001R001A00{7 + n}.skeleton",
+                      ["2", "1"] + _body_block("b", _pose(0.0)) + ["1"] + _body_block("b", huge))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match="line 36: non-finite joint coordinate or one beyond 1e\\+06"):
+                parse_ntu(path)
 
 
 # ---------------------------------------------------------------------------
