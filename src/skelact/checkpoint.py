@@ -14,9 +14,10 @@ in sorted name order, so identical parameters always serialize to
 identical bytes.  Entries are read by name, in any order.  Loading decodes
 each config entry by its field's type (rank and extents, integral values,
 0/1 flags), checks the stored tensor names and shapes against
-model.param_spec and wraps the stored arrays as they are; no weights are
-drawn.  Any fault in the file is a CheckpointError, a NaN or an infinity in
-a tensor among them; saving such a tensor is refused.
+model.param_spec and hands the stored arrays, as they are and in spec
+order, to ModelParams as its named tensors; no weights are drawn.  Any
+fault in the file is a CheckpointError, a NaN or an infinity in a tensor
+among them; saving such a tensor is refused.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def _non_finite(tensors: dict[str, np.ndarray]) -> str | None:
 def save_checkpoint(params: ModelParams, path) -> None:
     """Write ``params`` to ``path``; a tensor holding a NaN or an infinity
     is a UsageError, raised before the file is opened."""
-    config, tensors = params.config, params.named_tensors()
+    config, tensors = params.config, params.tensors
     fault = _non_finite({name: tensors[name].data for name in sorted(tensors)})
     if fault:
         raise UsageError(f"refusing to save a checkpoint: {fault}")
@@ -162,7 +163,7 @@ def load_checkpoint(path) -> ModelParams:
     config_fields = fields(ModelConfig)
     try:
         config = ModelConfig(**{f.name: _decode(entries, f, hints[f.name]) for f in config_fields})
-        config.topology()  # checks root and bones; from_tensors builds it again
+        config.topology()  # checks root and bones
         spec = param_spec(config)
     except (UsageError, TopologyError) as exc:
         raise CheckpointError(f"config entries describe no model: {exc}") from None
@@ -182,6 +183,4 @@ def load_checkpoint(path) -> ModelParams:
     fault = _non_finite({s.name: entries[s.name] for s in spec})
     if fault:
         raise CheckpointError(fault)
-    return ModelParams.from_tensors(
-        config, {s.name: Tensor(entries[s.name], requires_grad=s.trainable) for s in spec}
-    )
+    return ModelParams(config, {s.name: Tensor(entries[s.name], requires_grad=s.trainable) for s in spec})

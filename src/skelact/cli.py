@@ -194,6 +194,9 @@ def cmd_encode(args) -> int:
         raise UsageError(f"--sequence {args.sequence} out of range 0..{len(sequences) - 1}")
     seq = sequences[args.sequence]
     config = params.config
+    if seq.joint_count != config.joints:
+        raise ConfigMismatchError(f"sequence {args.sequence} has {seq.joint_count} joints, "
+                                  f"the model expects {config.joints}")
     data = preprocess(seq, config.root, config.frames)
     bundle = encode(data, params.encoder)
     out_dir = Path(args.out_dir)

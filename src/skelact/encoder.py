@@ -15,6 +15,12 @@ The pipeline per sequence:
 All ops accept an optional leading batch axis.  Ablation flags prune the
 learned stages; whatever remains stays differentiable end to end.
 
+EncoderParams shares the model's one tensor dict, keyed by
+model.param_spec's names.  The scale heads and the attention map take that
+dict and read ``joint_scale.*``, ``bone_scale.*`` and ``attention.*``; the
+embedding and temporal stages take the bare ``embed.<stream>`` and
+``temporal.<stream>`` tensors.
+
 ``enhance`` computes everything before the embeddings: the scaled
 channels, their velocities and the attention map.  ``encode`` builds each
 image from it as one tape node, ``autograd.embed_image``, whose values and
@@ -27,7 +33,7 @@ without a copy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,82 +65,14 @@ class EnhanceFlags:
 
 
 @dataclass
-class ScaleHead:
-    """Two fully connected layers mapping a flattened (T*3) trajectory to a
-    single scale factor, applied independently per joint or per bone."""
-
-    fc1_weight: Tensor
-    fc1_bias: Tensor
-    fc2_weight: Tensor
-    fc2_bias: Tensor
-
-
-def _tensor_name(prefix: str, field_name: str) -> str:
-    """A holder field's tensor name: fc1_weight under "joint_scale" is
-    "joint_scale.fc1.weight"."""
-    return f"{prefix}.{field_name.replace('_', '.')}"
-
-
-def named_fields(holder, prefix: str) -> dict[str, Tensor]:
-    """A parameter holder's tensors under their names, in field order."""
-    return {_tensor_name(prefix, f.name): getattr(holder, f.name) for f in fields(holder)}
-
-
-def from_named(cls, prefix: str, tensors: dict[str, Tensor]):
-    """Inverse of named_fields: build a ``cls`` holder from named tensors."""
-    return cls(**{f.name: tensors[_tensor_name(prefix, f.name)] for f in fields(cls)})
-
-
-@dataclass
-class EmbeddingLayer:
-    """T x J matrix multiplying each channel of a (3, J, T) tensor."""
-
-    weight: Tensor
-
-
-@dataclass
-class AttentionHead:
-    """Shared frame encoder plus separate query/key projections."""
-
-    shared_weight: Tensor
-    shared_bias: Tensor
-    query_weight: Tensor
-    key_weight: Tensor
-
-
-@dataclass
-class TemporalEmbedding:
-    """Length-T vector added per image column."""
-
-    values: Tensor
-
-
-@dataclass
 class EncoderParams:
-    """Every learned piece of the encoder plus its structural constants."""
+    """The encoder's structural constants and the model's tensors, under
+    model.param_spec's names; each stage reads its own by name."""
 
     topology: Topology
     flags: EnhanceFlags
-    frames: int
-    dt: float = 1.0
-    joint_scale: ScaleHead | None = None
-    bone_scale: ScaleHead | None = None
-    attention: AttentionHead | None = None
-    embeddings: dict[str, EmbeddingLayer] = field(default_factory=dict)
-    temporals: dict[str, TemporalEmbedding] = field(default_factory=dict)
-
-    def named_tensors(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for prefix in ("joint_scale", "bone_scale", "attention"):
-            holder = getattr(self, prefix)
-            if holder is not None:
-                out.update(named_fields(holder, prefix))
-        for name in self.flags.active_streams():
-            out[f"embed.{name}"] = self.embeddings[name].weight
-        for name, te in self.temporals.items():
-            out[f"temporal.{name}"] = te.values
-        # dict insertion order is the deterministic parameter order
-        return out
+    dt: float
+    tensors: dict[str, Tensor]
 
 
 @dataclass
@@ -170,16 +108,18 @@ def _to_channels(x: Tensor) -> Tensor:
     return permute(x, tuple(range(nd - 3)) + (nd - 1, nd - 2, nd - 3))
 
 
-def _head_scales(per_item: Tensor, head: ScaleHead) -> Tensor:
-    """Apply a scale head over the trailing feature axis: (.., n, T*3) -> (.., 1, n, 1)."""
-    hidden = leaky_relu(linear(per_item, head.fc1_weight, head.fc1_bias), LEAKY_SLOPE)
-    raw = linear(hidden, head.fc2_weight, head.fc2_bias)
+def _head_scales(per_item: Tensor, tensors: dict[str, Tensor], head: str) -> Tensor:
+    """Scale head ``head`` ("joint_scale" or "bone_scale"): two fully
+    connected layers mapping each item's flattened (T*3) trajectory to one
+    scale factor, (.., n, T*3) -> (.., 1, n, 1)."""
+    hidden = leaky_relu(linear(per_item, tensors[f"{head}.fc1.weight"], tensors[f"{head}.fc1.bias"]), LEAKY_SLOPE)
+    raw = linear(hidden, tensors[f"{head}.fc2.weight"], tensors[f"{head}.fc2.bias"])
     batch = raw.shape[:-2]
     return reshape(raw, batch + (1, raw.shape[-2], 1))
 
 
-def scale_joints(x, head: ScaleHead) -> tuple[Tensor, Tensor]:
-    """Per-joint learned scaling.
+def scale_joints(x, tensors: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
+    """Per-joint learned scaling by the "joint_scale" head.
 
     Returns (scales, scaled): scales has one factor per joint, shape
     (.., 1, J, 1); scaled is the (.., 3, J, T) channel view multiplied by it.
@@ -189,13 +129,13 @@ def scale_joints(x, head: ScaleHead) -> tuple[Tensor, Tensor]:
     t, j = x.shape[-3], x.shape[-2]
     per_joint = permute(x, tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1))
     feat = reshape(per_joint, per_joint.shape[:-2] + (t * 3,))
-    scales = _head_scales(feat, head)
+    scales = _head_scales(feat, tensors, "joint_scale")
     scaled = mul(scales, _to_channels(x))
     return scales, scaled
 
 
-def scale_bones(x, topology: Topology, head: ScaleHead) -> tuple[Tensor, Tensor]:
-    """Per-bone learned scaling with tree reassembly.
+def scale_bones(x, topology: Topology, tensors: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
+    """Per-bone learned scaling by the "bone_scale" head, with tree reassembly.
 
     Bone vectors are scaled like joints are in scale_joints, then joint
     positions are recovered by accumulating each root-to-joint path (a
@@ -208,7 +148,7 @@ def scale_bones(x, topology: Topology, head: ScaleHead) -> tuple[Tensor, Tensor]
     bones = Tensor(bones_from_joints(x.data, topology), dtype=x.data.dtype)
     per_bone = permute(bones, tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1))
     feat = reshape(per_bone, per_bone.shape[:-2] + (t * 3,))
-    scales = _head_scales(feat, head)
+    scales = _head_scales(feat, tensors, "bone_scale")
     scaled_vecs = mul(scales, _to_channels(bones))
     paths = Tensor(topology.paths.astype(x.data.dtype))
     recovered = matmul(paths, scaled_vecs)
@@ -217,25 +157,26 @@ def scale_bones(x, topology: Topology, head: ScaleHead) -> tuple[Tensor, Tensor]
     return scales, recovered
 
 
-def embed_to_image(channels: Tensor, emb: EmbeddingLayer) -> Tensor:
+def embed_to_image(channels: Tensor, weight: Tensor) -> Tensor:
     """Each channel: (T x J) embedding times (J x T) slice -> (T x T)."""
-    t, j = emb.weight.shape
+    t, j = weight.shape
     if channels.shape[-2] != j or channels.shape[-1] != t:
         raise DimensionError(
-            f"embedding {emb.weight.shape} cannot map channels {channels.shape}"
+            f"embedding {weight.shape} cannot map channels {channels.shape}"
         )
-    return matmul(emb.weight, channels)
+    return matmul(weight, channels)
 
 
-def attention_map(x, head: AttentionHead) -> Tensor:
+def attention_map(x, tensors: dict[str, Tensor]) -> Tensor:
     """Row-stochastic (.., T, T) map from scaled dot products of per-frame
-    query/key projections."""
+    query/key projections of a shared frame encoder ("attention.*")."""
     x = _as_tensor(x)
     j = x.shape[-2]
     feat = reshape(x, x.shape[:-2] + (j * 3,))
-    hidden = leaky_relu(linear(feat, head.shared_weight, head.shared_bias), LEAKY_SLOPE)
-    queries = linear(hidden, head.query_weight)
-    keys = linear(hidden, head.key_weight)
+    hidden = leaky_relu(linear(feat, tensors["attention.shared.weight"], tensors["attention.shared.bias"]),
+                        LEAKY_SLOPE)
+    queries = linear(hidden, tensors["attention.query.weight"])
+    keys = linear(hidden, tensors["attention.key.weight"])
     d_k = queries.shape[-1]
     scores = scale(matmul(queries, transpose_last2(keys)), 1.0 / math.sqrt(d_k))
     return softmax_rows(scores)
@@ -251,17 +192,17 @@ def apply_attention(image: Tensor, attention: Tensor) -> Tensor:
     return add(mul(image, spread), image)
 
 
-def velocity_image(channels: Tensor, emb: EmbeddingLayer, dt: float = 1.0) -> Tensor:
+def velocity_image(channels: Tensor, weight: Tensor, dt: float = 1.0) -> Tensor:
     """Frame-difference quotient along time, zero-padded, then embedded."""
-    return embed_to_image(frame_velocity(channels, dt), emb)
+    return embed_to_image(frame_velocity(channels, dt), weight)
 
 
-def temporal_embed(image: Tensor, te: TemporalEmbedding) -> Tensor:
+def temporal_embed(image: Tensor, values: Tensor) -> Tensor:
     """Add one learned value per image column, broadcast over rows/channels."""
-    t = te.values.shape[0]
+    t = values.shape[0]
     if image.shape[-1] != t:
         raise DimensionError(f"temporal vector {t} does not match image {image.shape}")
-    return add(image, reshape(te.values, (1,) * (image.data.ndim - 1) + (t,)))
+    return add(image, reshape(values, (1,) * (image.data.ndim - 1) + (t,)))
 
 
 def uniform_attention(t: int, dtype=np.float32) -> Tensor:
@@ -276,14 +217,14 @@ def enhance(x, enc: EncoderParams) -> tuple[dict[str, Tensor], Tensor | None]:
     x = _as_tensor(x)
     flags = enc.flags
     if flags.joint_scale:
-        _, scaled_joints = scale_joints(x, enc.joint_scale)
+        _, scaled_joints = scale_joints(x, enc.tensors)
     else:
         scaled_joints = _to_channels(x)
     if flags.bone_scale:
-        _, scaled_bones = scale_bones(x, enc.topology, enc.bone_scale)
+        _, scaled_bones = scale_bones(x, enc.topology, enc.tensors)
     else:
         scaled_bones = _to_channels(x)
-    attention = attention_map(x, enc.attention) if flags.attention else None
+    attention = attention_map(x, enc.tensors) if flags.attention else None
     channels = {"joints": scaled_joints, "bones": scaled_bones}
     if flags.velocity:
         channels["joint_velocity"] = frame_velocity(scaled_joints, enc.dt)
@@ -296,8 +237,8 @@ def encode(x, enc: EncoderParams) -> EncodedBundle:
     x = _as_tensor(x)
     channels, attention = enhance(x, enc)
     images = {
-        name: embed_image(ch, enc.embeddings[name].weight, attention if name in ATTENDED else None,
-                          enc.temporals[name].values if enc.flags.temporal else None)
+        name: embed_image(ch, enc.tensors[f"embed.{name}"], attention if name in ATTENDED else None,
+                          enc.tensors[f"temporal.{name}"] if enc.flags.temporal else None)
         for name, ch in channels.items()
     }
     return EncodedBundle(
@@ -317,7 +258,7 @@ def write_image(name: str, channels: Tensor, attention: Tensor | None, enc: Enco
     operands in encode's order, and returned as a Tensor of its own dtype
     over that workspace view: the next call for this thread overwrites it.
     """
-    weight = enc.embeddings[name].weight.data
+    weight = enc.tensors[f"embed.{name}"].data
     t = weight.shape[0]
     shape, dtype = channels.shape[:-2] + (t, t), np.result_type(weight, channels.data)
     image = _workspace("image", shape, dtype)
@@ -327,5 +268,5 @@ def write_image(name: str, channels: Tensor, attention: Tensor | None, enc: Enco
         np.multiply(image, attention.data[..., None, :, :], out=product)
         np.add(product, image, out=image)
     if enc.flags.temporal:
-        image += enc.temporals[name].values.data
+        image += enc.tensors[f"temporal.{name}"].data
     return Tensor(image, dtype=dtype)

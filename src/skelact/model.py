@@ -4,10 +4,12 @@ ModelConfig pins every structural choice (frame count, joint tree, channel
 widths, enabled stages, label vocabulary) so a checkpoint can rebuild the
 exact network.  param_spec(config) writes the architecture down once: every
 parameter tensor's name, shape, initializer, trainability and the
-multiply-accumulates its weight costs per sequence, in named_tensors()
-order.  ModelParams.build draws the tensors from one seeded generator in
-that order, which makes initialization reproducible; the parameter count,
-the MAC census (recognizer.count_flops) and checkpoint loading read the same
+multiply-accumulates its weight costs per sequence.  ModelParams is the
+config plus one dict of those tensors, keyed by their spec names in spec
+order, and every layer reads its own tensors from it by name.
+ModelParams.build draws the tensors from one seeded generator in that
+order, which makes initialization reproducible; the parameter count, the
+MAC census (recognizer.count_flops) and checkpoint loading read the same
 table.
 """
 
@@ -19,10 +21,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .autograd import Tensor
-from .encoder import (
-    AttentionHead, EmbeddingLayer, EncoderParams, EnhanceFlags, ScaleHead,
-    TemporalEmbedding, from_named, named_fields,
-)
+from .encoder import EncoderParams, EnhanceFlags
 from .errors import UsageError
 from .skeleton import Topology
 
@@ -100,26 +99,6 @@ class ModelConfig:
         return c3
 
 
-@dataclass
-class StreamCNNParams:
-    """Three conv stages of one stream; each is followed by pool + leaky."""
-
-    conv1_kernels: Tensor
-    conv1_bias: Tensor
-    conv2_kernels: Tensor
-    conv2_bias: Tensor
-    conv3_kernels: Tensor
-    conv3_bias: Tensor
-
-
-@dataclass
-class ClassifierParams:
-    fc1_weight: Tensor
-    fc1_bias: Tensor
-    fc2_weight: Tensor
-    fc2_bias: Tensor
-
-
 @dataclass(frozen=True)
 class ParamSpec:
     """One parameter tensor.  ``init`` names its initializer (kaiming,
@@ -143,8 +122,8 @@ def _bias(name: str, width: int, init: str = "zeros") -> ParamSpec:
 
 
 def param_spec(config: ModelConfig) -> list[ParamSpec]:
-    """Every parameter tensor of ``config``, in named_tensors() order, which
-    is also the order build draws them in."""
+    """Every parameter tensor of ``config``, in the order build draws them
+    in and ModelParams holds them."""
     t, j, hidden = config.frames, config.joints, config.scale_hidden
     flags = config.flags
     spec: list[ParamSpec] = []
@@ -204,48 +183,27 @@ _INITS = {
 
 @dataclass
 class ModelParams:
+    """A model: its config and every parameter tensor, under param_spec's
+    names and in its order.  ``encoder`` shares the same dict."""
+
     config: ModelConfig
-    encoder: EncoderParams
-    streams: list[StreamCNNParams]
-    classifier: ClassifierParams
+    tensors: dict[str, Tensor]
+    encoder: EncoderParams = field(init=False)
+
+    def __post_init__(self):
+        config = self.config
+        self.encoder = EncoderParams(config.topology(), config.flags, config.dt, self.tensors)
 
     @staticmethod
     def build(config: ModelConfig, seed: int = 0, dtype=np.float32) -> "ModelParams":
         rng = np.random.default_rng(seed)
-        return ModelParams.from_tensors(config, {
+        return ModelParams(config, {
             s.name: Tensor(_INITS[s.init](rng, s.shape).astype(dtype), requires_grad=s.trainable, dtype=dtype)
             for s in param_spec(config)
         })
 
-    @staticmethod
-    def from_tensors(config: ModelConfig, tensors: dict[str, Tensor]) -> "ModelParams":
-        """Wrap a named tensor set (param_spec's names) in the typed holders."""
-        flags = config.flags
-        streams = flags.active_streams()
-        encoder = EncoderParams(
-            topology=config.topology(),
-            flags=flags,
-            frames=config.frames,
-            dt=config.dt,
-            joint_scale=from_named(ScaleHead, "joint_scale", tensors) if flags.joint_scale else None,
-            bone_scale=from_named(ScaleHead, "bone_scale", tensors) if flags.bone_scale else None,
-            attention=from_named(AttentionHead, "attention", tensors) if flags.attention else None,
-            embeddings={name: EmbeddingLayer(tensors[f"embed.{name}"]) for name in streams},
-            temporals={name: TemporalEmbedding(tensors[f"temporal.{name}"]) for name in streams} if flags.temporal else {},
-        )
-        return ModelParams(
-            config=config,
-            encoder=encoder,
-            streams=[from_named(StreamCNNParams, f"stream{i}", tensors) for i in range(config.stream_count())],
-            classifier=from_named(ClassifierParams, "classifier", tensors),
-        )
-
     def named_tensors(self) -> dict[str, Tensor]:
-        out = dict(self.encoder.named_tensors())
-        for i, stream in enumerate(self.streams):
-            out.update(named_fields(stream, f"stream{i}"))
-        out.update(named_fields(self.classifier, "classifier"))
-        return out
+        return dict(self.tensors)
 
     def trainable_tensors(self) -> dict[str, Tensor]:
-        return {k: t for k, t in self.named_tensors().items() if t.requires_grad}
+        return {k: t for k, t in self.tensors.items() if t.requires_grad}

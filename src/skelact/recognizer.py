@@ -7,7 +7,9 @@ A stream turns its image channels-last once and runs each stage as the fused
 ``conv_pool_leaky`` op; ``conv2d`` and ``maxpool2d`` remain as channel-first
 reference ops, and ``leaky_relu(maxpool2d(conv2d(.)))`` is the stage's
 bit-exact reference.  The streams' features concatenate into a two-layer
-classifier head.
+classifier head.  Each layer reads its tensors from the model's one dict by
+model.param_spec's names: stream i's stages ``stream{i}.conv{n}.*`` and the
+head ``classifier.*``.
 
 ``forward(encode(x))`` is the taped training path.  ``infer`` is the
 untaped one that evaluation and ``skelact bench`` run: one stream at a
@@ -36,18 +38,18 @@ import numpy as np
 from .autograd import Tensor, concat, conv_pool_leaky, leaky_relu, linear, no_tape, permute, reshape
 from .encoder import LEAKY_SLOPE, EncodedBundle, enhance, write_image
 from .errors import DimensionError
-from .model import ModelConfig, ModelParams, StreamCNNParams, param_spec
+from .model import ModelConfig, ModelParams, param_spec
 
 
-def stream_forward(image, stream: StreamCNNParams) -> Tensor:
-    """(B, 3, T, T) image to a flat (B, F) feature matrix."""
+def stream_forward(image, tensors: dict[str, Tensor], i: int) -> Tensor:
+    """Stream ``i``: a (B, 3, T, T) image to a flat (B, F) feature matrix,
+    through the stages ``stream{i}.conv1`` to ``conv3``."""
     x = image if isinstance(image, Tensor) else Tensor(np.asarray(image))
     if x.data.ndim != 4:
         raise DimensionError(f"stream expects a (B,3,T,T) image, got {x.shape}")
     x = permute(x, (0, 2, 3, 1))
-    for kernels, bias in ((stream.conv1_kernels, stream.conv1_bias), (stream.conv2_kernels, stream.conv2_bias),
-                          (stream.conv3_kernels, stream.conv3_bias)):
-        x = conv_pool_leaky(x, kernels, bias, LEAKY_SLOPE)
+    for n in (1, 2, 3):
+        x = conv_pool_leaky(x, tensors[f"stream{i}.conv{n}.kernels"], tensors[f"stream{i}.conv{n}.bias"], LEAKY_SLOPE)
     if x.shape[1:3] != (1, 1):
         raise DimensionError(f"stream did not reduce spatially, got {x.shape}")
     return reshape(x, (x.shape[0], x.shape[-1]))
@@ -56,17 +58,16 @@ def stream_forward(image, stream: StreamCNNParams) -> Tensor:
 def forward(bundle: EncodedBundle, params: ModelParams) -> Tensor:
     """Logits over classes; softmax lives in the loss."""
     images = bundle.images()
-    if len(images) != len(params.streams):
-        raise DimensionError(
-            f"bundle carries {len(images)} images but the model has {len(params.streams)} streams"
-        )
-    return _head([stream_forward(img, s) for img, s in zip(images, params.streams)], params)
+    streams = params.config.stream_count()
+    if len(images) != streams:
+        raise DimensionError(f"bundle carries {len(images)} images but the model has {streams} streams")
+    return _head([stream_forward(img, params.tensors, i) for i, img in enumerate(images)], params.tensors)
 
 
-def _head(features: list[Tensor], params: ModelParams) -> Tensor:
+def _head(features: list[Tensor], tensors: dict[str, Tensor]) -> Tensor:
     merged = concat(features, axis=-1)
-    hidden = leaky_relu(linear(merged, params.classifier.fc1_weight, params.classifier.fc1_bias), LEAKY_SLOPE)
-    return linear(hidden, params.classifier.fc2_weight, params.classifier.fc2_bias)
+    hidden = leaky_relu(linear(merged, tensors["classifier.fc1.weight"], tensors["classifier.fc1.bias"]), LEAKY_SLOPE)
+    return linear(hidden, tensors["classifier.fc2.weight"], tensors["classifier.fc2.bias"])
 
 
 # Below this batch size some GEMM of a half takes OpenBLAS's small-matrix
@@ -120,8 +121,8 @@ def _infer_rows(x: np.ndarray, params: ModelParams) -> np.ndarray:
     its image before the next ``write_image`` overwrites it."""
     with no_tape():
         channels, attention = enhance(x, params.encoder)
-        return _head([stream_forward(write_image(name, ch, attention, params.encoder), stream)
-                      for (name, ch), stream in zip(channels.items(), params.streams)], params).data
+        return _head([stream_forward(write_image(name, ch, attention, params.encoder), params.tensors, i)
+                      for i, (name, ch) in enumerate(channels.items())], params.tensors).data
 
 
 @cache

@@ -129,8 +129,7 @@ def train(sequences, topology: Topology, split: DatasetSplit, config: TrainConfi
         flags=config.flags,
     )
     params = ModelParams.build(model_config, seed=config.seed)
-    named = params.named_tensors()
-    state = AdamState(named)
+    state = AdamState(params.tensors)
     shuffle = np.random.default_rng([config.seed, 1])
 
     train_idx = np.fromiter(split.train, dtype=np.int64)
@@ -151,7 +150,7 @@ def train(sequences, topology: Topology, split: DatasetSplit, config: TrainConfi
                 raise UsageError(f"training diverged: epoch {epoch}, batch {step} has loss {value}; "
                                  f"try a lower learning rate than {lr:g}")
             backward(loss)
-            adam_step(named, state, lr)
+            adam_step(params.tensors, state, lr)
             loss_sum += value * len(batch)
         mean_loss = loss_sum / len(order)
         if len(test_idx):

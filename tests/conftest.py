@@ -1,6 +1,7 @@
 """Shared test plumbing: the acceptance-criteria verdict board, the
-joint-to-bone incidence oracle and the composed reference of the fused
-encoder image op.
+joint-to-bone incidence oracle, scale-head and attention tensors under
+their parameter names, and the composed reference of the fused encoder
+image op.
 
 Acceptance tests record one verdict per criterion; the terminal summary
 prints them as single pass/fail lines so a full run ends with a compact
@@ -26,16 +27,29 @@ def incidence_matrix(topology) -> np.ndarray:
     return c
 
 
+def scale_heads(fc1_weight, fc1_bias, fc2_weight, fc2_bias):
+    """One scale head's tensors under both heads' param_spec names, so that
+    scale_joints and scale_bones read the same head."""
+    parts = {"fc1.weight": fc1_weight, "fc1.bias": fc1_bias, "fc2.weight": fc2_weight, "fc2.bias": fc2_bias}
+    return {f"{head}.{part}": t for head in ("joint_scale", "bone_scale") for part, t in parts.items()}
+
+
+def attention_tensors(shared_weight, shared_bias, query_weight, key_weight):
+    """An attention map's tensors under their param_spec names."""
+    return {"attention.shared.weight": shared_weight, "attention.shared.bias": shared_bias,
+            "attention.query.weight": query_weight, "attention.key.weight": key_weight}
+
+
 def composed_embed_image(channels, weight, attention=None, temporal=None):
     """autograd.embed_image as the separate tape nodes it fuses: the
     embedding product, the attention multiply-and-add and the temporal add."""
-    from skelact.encoder import EmbeddingLayer, TemporalEmbedding, apply_attention, embed_to_image, temporal_embed
+    from skelact.encoder import apply_attention, embed_to_image, temporal_embed
 
-    image = embed_to_image(channels, EmbeddingLayer(weight))
+    image = embed_to_image(channels, weight)
     if attention is not None:
         image = apply_attention(image, attention)
     if temporal is not None:
-        image = temporal_embed(image, TemporalEmbedding(temporal))
+        image = temporal_embed(image, temporal)
     return image
 
 

@@ -11,13 +11,12 @@ import time
 
 import numpy as np
 import pytest
-from conftest import incidence_matrix, record_verdict
+from conftest import attention_tensors, incidence_matrix, record_verdict, scale_heads
 
 from skelact.autograd import Tensor, cross_entropy, frame_velocity, grad_check
 from skelact.cli import main
 from skelact.encoder import (
-    AttentionHead, EmbeddingLayer, ScaleHead, apply_attention, attention_map,
-    scale_bones, scale_joints, uniform_attention, velocity_image,
+    apply_attention, attention_map, scale_bones, scale_joints, uniform_attention, velocity_image,
 )
 from skelact.model import ModelConfig, ModelParams
 from skelact.recognizer import count_flops, forward
@@ -34,12 +33,12 @@ def _verdict(number, title, ok, detail):
 
 def _zero_head(in_dim, value, hidden=4):
     z = lambda *s: Tensor(np.zeros(s, dtype=np.float32))
-    return ScaleHead(z(hidden, in_dim), z(hidden), z(1, hidden),
-                     Tensor(np.full(1, value, dtype=np.float32)))
+    return scale_heads(z(hidden, in_dim), z(hidden), z(1, hidden),
+                       Tensor(np.full(1, value, dtype=np.float32)))
 
 
 def _random_head(rng, in_dim, hidden=5):
-    return ScaleHead(
+    return scale_heads(
         Tensor(rng.normal(size=(hidden, in_dim)).astype(np.float32) * 0.4),
         Tensor(rng.normal(size=hidden).astype(np.float32) * 0.1),
         Tensor(rng.normal(size=(1, hidden)).astype(np.float32) * 0.4),
@@ -228,7 +227,7 @@ def test_criterion_04_attention_contract():
         t = int(rng.integers(3, 10))
         j = int(rng.integers(2, 6))
         x = rng.normal(size=(t, j, 3)).astype(np.float32)
-        head = AttentionHead(
+        head = attention_tensors(
             Tensor(rng.normal(size=(j, j * 3)).astype(np.float32) * 0.4),
             Tensor(rng.normal(size=j).astype(np.float32) * 0.1),
             Tensor(rng.normal(size=(j, j)).astype(np.float32) * 0.4),
@@ -239,7 +238,7 @@ def test_criterion_04_attention_contract():
 
     t, j = 16, 5
     x = rng.normal(size=(t, j, 3)).astype(np.float32)
-    zero_qk = AttentionHead(
+    zero_qk = attention_tensors(
         Tensor(rng.normal(size=(j, j * 3)).astype(np.float32) * 0.4),
         Tensor(rng.normal(size=j).astype(np.float32) * 0.1),
         Tensor(np.zeros((j, j), dtype=np.float32)),
@@ -287,7 +286,7 @@ def test_criterion_06_velocity_contract():
         vel = frame_velocity(Tensor(ramp), dt).data
         if not (np.allclose(vel[..., :-1], 1.0 / dt, atol=1e-6) and not np.any(vel[..., -1])):
             still_ok = False
-    emb = EmbeddingLayer(Tensor(np.eye(t, 15, dtype=np.float32)))
+    emb = Tensor(np.eye(t, 15, dtype=np.float32))
     img = velocity_image(Tensor(ramp), emb, dt=0.5).data
     ramp_ok = np.allclose(img[..., :-1], 2.0, atol=1e-6) and not np.any(img[..., -1])
 

@@ -170,10 +170,10 @@ def test_train_respects_stage_toggles(tmp_path, dataset):
     params = load_checkpoint(ckpt)
     assert params.config.flags.velocity is False
     assert params.config.flags.attention is False
-    assert len(params.streams) == 2
+    assert {k.split(".")[0] for k in params.tensors if k.startswith("stream")} == {"stream0", "stream1"}
 
 
-def test_eval_checkpoint_topology_mismatch_is_exit_3(tmp_path, dataset):
+def test_eval_checkpoint_topology_mismatch_is_exit_3(tmp_path, dataset, capsys):
     ckpt = tmp_path / "model.ckpt"
     main(_train_args(dataset, ckpt))
     rng = np.random.default_rng(0)
@@ -184,6 +184,12 @@ def test_eval_checkpoint_topology_mismatch_is_exit_3(tmp_path, dataset):
         for i in range(6)
     ], foreign)
     assert main(["eval", "--checkpoint", str(ckpt), "--data", str(foreign)]) == 3
+    capsys.readouterr()
+    out_dir = tmp_path / "imgs"
+    assert main(["encode", "--checkpoint", str(ckpt), "--data", str(foreign), "--out-dir", str(out_dir)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not list(tmp_path.rglob("*.ppm"))
 
 
 def test_eval_rejects_corrupt_checkpoint(tmp_path, dataset):

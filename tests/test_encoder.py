@@ -3,14 +3,13 @@ frame attention, velocity images, temporal offsets, and the composed encode."""
 
 import numpy as np
 import pytest
-from conftest import composed_embed_image, incidence_matrix
+from conftest import attention_tensors, composed_embed_image, incidence_matrix, scale_heads
 
 from skelact.autograd import (
     Tape, Tensor, add, backward, embed_image, frame_velocity, grad_check, mul, scale, softmax_rows, sum_all,
 )
 from skelact.encoder import (
-    AttentionHead, EmbeddingLayer, EncoderParams, EnhanceFlags, ScaleHead,
-    TemporalEmbedding, apply_attention, attention_map, embed_to_image, encode,
+    EncoderParams, EnhanceFlags, apply_attention, attention_map, embed_to_image, encode,
     scale_bones, scale_joints, temporal_embed, uniform_attention, velocity_image,
 )
 from skelact.errors import DimensionError
@@ -22,12 +21,12 @@ CHAIN = Topology(joint_count=4, bones=((0, 1), (1, 2), (2, 3)), root=0)
 def _const_head(in_dim, value, hidden=5):
     """Head whose output is exactly ``value`` regardless of the input."""
     z = lambda *s: Tensor(np.zeros(s, dtype=np.float32))
-    return ScaleHead(z(hidden, in_dim), z(hidden),
-                     z(1, hidden), Tensor(np.full(1, value, dtype=np.float32)))
+    return scale_heads(z(hidden, in_dim), z(hidden),
+                       z(1, hidden), Tensor(np.full(1, value, dtype=np.float32)))
 
 
 def _rand_head(rng, in_dim, hidden=6):
-    return ScaleHead(
+    return scale_heads(
         Tensor(rng.normal(size=(hidden, in_dim)).astype(np.float32) * 0.4),
         Tensor(rng.normal(size=hidden).astype(np.float32) * 0.1),
         Tensor(rng.normal(size=(1, hidden)).astype(np.float32) * 0.4),
@@ -36,7 +35,7 @@ def _rand_head(rng, in_dim, hidden=6):
 
 
 def _identity_embedding(t):
-    return EmbeddingLayer(Tensor(np.eye(t, dtype=np.float32)))
+    return Tensor(np.eye(t, dtype=np.float32))
 
 
 def _channels(x):
@@ -72,9 +71,9 @@ def test_scale_joints_matches_loop_oracle():
     scales, scaled = scale_joints(x, head)
     for jj in range(j):
         v = x[:, jj, :].reshape(-1)  # frame-major trajectory
-        z = head.fc1_weight.data @ v + head.fc1_bias.data
+        z = head["joint_scale.fc1.weight"].data @ v + head["joint_scale.fc1.bias"].data
         h = np.where(z > 0, z, 0.01 * z)
-        s = (head.fc2_weight.data @ h + head.fc2_bias.data).item()
+        s = (head["joint_scale.fc2.weight"].data @ h + head["joint_scale.fc2.bias"].data).item()
         assert scales.data[0, jj, 0] == pytest.approx(s, abs=1e-5)
         for c in range(3):
             for tt in range(t):
@@ -146,7 +145,7 @@ def test_embedding_rows_select_joints():
     ch = rng.normal(size=(3, 4, 5)).astype(np.float32)
     w = np.zeros((5, 4), dtype=np.float32)
     w[0, 2] = 1.0  # image row 0 reads joint 2
-    img = embed_to_image(Tensor(ch), EmbeddingLayer(Tensor(w))).data
+    img = embed_to_image(Tensor(ch), Tensor(w)).data
     assert np.array_equal(img[:, 0, :], ch[:, 2, :])
     assert not np.any(img[:, 1:, :])
 
@@ -156,14 +155,14 @@ def test_embedding_matches_loop_oracle_and_validates():
     t, j = 5, 3
     ch = rng.normal(size=(3, j, t)).astype(np.float32)
     w = rng.normal(size=(t, j)).astype(np.float32)
-    img = embed_to_image(Tensor(ch), EmbeddingLayer(Tensor(w))).data
+    img = embed_to_image(Tensor(ch), Tensor(w)).data
     for c in range(3):
         for t1 in range(t):
             for t2 in range(t):
                 want = sum(w[t1, jj] * ch[c, jj, t2] for jj in range(j))
                 assert img[c, t1, t2] == pytest.approx(want, abs=1e-5)
     with pytest.raises(DimensionError):
-        embed_to_image(Tensor(ch), EmbeddingLayer(Tensor(w.T)))
+        embed_to_image(Tensor(ch), Tensor(w.T))
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +170,7 @@ def test_embedding_matches_loop_oracle_and_validates():
 
 
 def _rand_attention(rng, joints, hidden=7, dim=4):
-    return AttentionHead(
+    return attention_tensors(
         Tensor(rng.normal(size=(hidden, joints * 3)).astype(np.float32) * 0.4),
         Tensor(rng.normal(size=hidden).astype(np.float32) * 0.1),
         Tensor(rng.normal(size=(dim, hidden)).astype(np.float32) * 0.4),
@@ -192,8 +191,8 @@ def test_zero_projections_give_uniform_attention():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(8, 4, 3)).astype(np.float32)
     head = _rand_attention(rng, 4)
-    head.query_weight.data[:] = 0.0
-    head.key_weight.data[:] = 0.0
+    head["attention.query.weight"].data[:] = 0.0
+    head["attention.key.weight"].data[:] = 0.0
     a = attention_map(x, head).data
     assert np.allclose(a, 1.0 / 8, atol=1e-7)
 
@@ -213,10 +212,10 @@ def test_attention_matches_loop_oracle():
     head = _rand_attention(rng, j, hidden=5, dim=2)
     got = attention_map(x, head).data
     feats = x.reshape(t, -1)
-    z = feats @ head.shared_weight.data.T + head.shared_bias.data
+    z = feats @ head["attention.shared.weight"].data.T + head["attention.shared.bias"].data
     h = np.where(z > 0, z, 0.01 * z)
-    q = h @ head.query_weight.data.T
-    k = h @ head.key_weight.data.T
+    q = h @ head["attention.query.weight"].data.T
+    k = h @ head["attention.key.weight"].data.T
     scores = (q @ k.T) / np.sqrt(2.0)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     want = e / e.sum(axis=-1, keepdims=True)
@@ -263,17 +262,17 @@ def test_temporal_embedding_adds_per_column():
     rng = np.random.default_rng(16)
     img = rng.normal(size=(3, 5, 5)).astype(np.float32)
     values = np.arange(5, dtype=np.float32) * 0.1
-    out = temporal_embed(Tensor(img), TemporalEmbedding(Tensor(values))).data
+    out = temporal_embed(Tensor(img), Tensor(values)).data
     for t in range(5):
         assert np.allclose(out[..., t], img[..., t] + 0.1 * t, atol=1e-6)
     with pytest.raises(DimensionError):
-        temporal_embed(Tensor(img), TemporalEmbedding(Tensor(np.zeros(4, dtype=np.float32))))
+        temporal_embed(Tensor(img), Tensor(np.zeros(4, dtype=np.float32)))
 
 
 def test_temporal_embedding_breaks_time_reversal():
     rng = np.random.default_rng(17)
     img = rng.normal(size=(3, 5, 5)).astype(np.float32)
-    te = TemporalEmbedding(Tensor(np.arange(5, dtype=np.float32)))
+    te = Tensor(np.arange(5, dtype=np.float32))
     fwd = temporal_embed(Tensor(img), te).data
     rev = temporal_embed(Tensor(img[..., ::-1].copy()), te).data
     assert not np.allclose(fwd[..., ::-1], rev, atol=1e-3)
@@ -363,22 +362,20 @@ def _build_encoder(rng, frames, flags=EnhanceFlags(), grad=False):
         return Tensor(rng.normal(size=shape).astype(np.float32) * scale,
                       requires_grad=grad)
 
-    j, b = CHAIN.joint_count, len(CHAIN.bones)
+    j = CHAIN.joint_count
     hidden = 6
-    head = lambda n: ScaleHead(tensor(hidden, frames * 3), tensor(hidden),
-                               tensor(1, hidden), tensor(1))
-    attn = AttentionHead(tensor(hidden, j * 3), tensor(hidden),
-                         tensor(j, hidden), tensor(j, hidden))
+    attn = attention_tensors(tensor(hidden, j * 3), tensor(hidden), tensor(j, hidden), tensor(j, hidden))
     streams = flags.active_streams()
-    emb = {name: EmbeddingLayer(tensor(frames, j, scale=0.5)) for name in streams}
-    tem = {name: TemporalEmbedding(tensor(frames)) for name in streams} if flags.temporal else {}
-    return EncoderParams(
-        topology=CHAIN, flags=flags, frames=frames,
-        joint_scale=head("j") if flags.joint_scale else None,
-        bone_scale=head("b") if flags.bone_scale else None,
-        attention=attn if flags.attention else None,
-        embeddings=emb, temporals=tem,
-    )
+    tensors = {f"embed.{name}": tensor(frames, j, scale=0.5) for name in streams}
+    if flags.temporal:
+        tensors.update({f"temporal.{name}": tensor(frames) for name in streams})
+    for head, on in (("joint_scale", flags.joint_scale), ("bone_scale", flags.bone_scale)):
+        if on:
+            tensors.update({f"{head}.fc1.weight": tensor(hidden, frames * 3), f"{head}.fc1.bias": tensor(hidden),
+                            f"{head}.fc2.weight": tensor(1, hidden), f"{head}.fc2.bias": tensor(1)})
+    if flags.attention:
+        tensors.update(attn)
+    return EncoderParams(topology=CHAIN, flags=flags, dt=1.0, tensors=tensors)
 
 
 def test_encode_matches_hand_composition():
@@ -387,17 +384,14 @@ def test_encode_matches_hand_composition():
     enc = _build_encoder(np.random.default_rng(100), 8)
     bundle = encode(x, enc)
 
-    _, sj = scale_joints(x, enc.joint_scale)
-    _, sb = scale_bones(x, CHAIN, enc.bone_scale)
-    a = attention_map(x, enc.attention)
-    ji = temporal_embed(apply_attention(embed_to_image(sj, enc.embeddings["joints"]), a),
-                        enc.temporals["joints"])
-    bi = temporal_embed(apply_attention(embed_to_image(sb, enc.embeddings["bones"]), a),
-                        enc.temporals["bones"])
-    jv = temporal_embed(velocity_image(sj, enc.embeddings["joint_velocity"], enc.dt),
-                        enc.temporals["joint_velocity"])
-    bv = temporal_embed(velocity_image(sb, enc.embeddings["bone_velocity"], enc.dt),
-                        enc.temporals["bone_velocity"])
+    w = enc.tensors
+    _, sj = scale_joints(x, w)
+    _, sb = scale_bones(x, CHAIN, w)
+    a = attention_map(x, w)
+    ji = temporal_embed(apply_attention(embed_to_image(sj, w["embed.joints"]), a), w["temporal.joints"])
+    bi = temporal_embed(apply_attention(embed_to_image(sb, w["embed.bones"]), a), w["temporal.bones"])
+    jv = temporal_embed(velocity_image(sj, w["embed.joint_velocity"], enc.dt), w["temporal.joint_velocity"])
+    bv = temporal_embed(velocity_image(sb, w["embed.bone_velocity"], enc.dt), w["temporal.bone_velocity"])
 
     assert np.array_equal(bundle.joints_image.data, ji.data)
     assert np.array_equal(bundle.bones_image.data, bi.data)
@@ -414,8 +408,8 @@ def test_encode_with_everything_off_is_raw_coordinates():
     x = rng.normal(size=(4, 4, 3)).astype(np.float32)
     flags = EnhanceFlags(False, False, False, False, False)
     enc = _build_encoder(np.random.default_rng(101), 4, flags)
-    enc.embeddings["joints"] = _identity_embedding(4)
-    enc.embeddings["bones"] = _identity_embedding(4)
+    enc.tensors["embed.joints"] = _identity_embedding(4)
+    enc.tensors["embed.bones"] = _identity_embedding(4)
     bundle = encode(x, enc)
     assert bundle.joint_vel_image is None and bundle.bone_vel_image is None
     assert len(bundle.images()) == 2
@@ -440,7 +434,7 @@ def test_gradients_reach_every_encoder_parameter():
         for img in bundle.images()[1:]:
             loss = loss + sum_all(img)
     backward(loss)
-    for name, tensor in enc.named_tensors().items():
+    for name, tensor in enc.tensors.items():
         assert tensor.grad is not None, name
         assert np.any(tensor.grad != 0) or "temporal" in name, name
 

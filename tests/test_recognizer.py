@@ -4,6 +4,7 @@
 import multiprocessing
 import sys
 import threading
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -58,24 +59,24 @@ def test_stream_collapses_image_to_feature_column():
     params = ModelParams.build(_config(), seed=0)
     rng = np.random.default_rng(0)
     img = rng.normal(size=(1, 3, 64, 64)).astype(np.float32)
-    feats = stream_forward(img, params.streams[0])
+    feats = stream_forward(img, params.tensors, 0)
     assert feats.shape == (1, 4)
-    batch = stream_forward(np.concatenate([img, img]), params.streams[0])
+    batch = stream_forward(np.concatenate([img, img]), params.tensors, 0)
     assert batch.shape == (2, 4)
     assert np.array_equal(batch.data[0], batch.data[1])
     assert np.allclose(batch.data[0], feats.data[0], atol=1e-6)
     with pytest.raises(DimensionError):
-        stream_forward(np.zeros((1, 3, 32, 32), dtype=np.float32), params.streams[0])
+        stream_forward(np.zeros((1, 3, 32, 32), dtype=np.float32), params.tensors, 0)
     with pytest.raises(DimensionError, match=r"expects a \(B,3,T,T\)"):  # no batch axis
-        stream_forward(img[0], params.streams[0])
+        stream_forward(img[0], params.tensors, 0)
 
 
 def test_batch_of_one_stream_equals_row_zero_of_batch():
-    stream = ModelParams.build(_config(), seed=0).streams[0]
+    tensors = ModelParams.build(_config(), seed=0).tensors
     rng = np.random.default_rng(25)
     images = rng.normal(size=(3, 3, 64, 64)).astype(np.float32)
-    batched = stream_forward(images, stream).data
-    assert np.array_equal(stream_forward(images[:1], stream).data, batched[:1])
+    batched = stream_forward(images, tensors, 0).data
+    assert np.array_equal(stream_forward(images[:1], tensors, 0).data, batched[:1])
 
 
 def test_untaped_streams_in_concurrent_threads_match_their_single_thread_results():
@@ -84,11 +85,10 @@ def test_untaped_streams_in_concurrent_threads_match_their_single_thread_results
     # GEMM, and, for infer, one thread's image overwrite another's before
     # its stream runs
     params = ModelParams.build(_config(channels=(8, 16, 32)), seed=0)
-    stream = params.streams[0]
     rng = np.random.default_rng(26)
     inputs = [rng.normal(size=(4, 3, 64, 64)).astype(np.float32) for _ in range(3)]
     sequences = [(rng.normal(size=(4, 64, 4, 3)) * 0.3).astype(np.float32) for _ in range(3)]
-    alone = [stream_forward(x, stream).data for x in inputs]
+    alone = [stream_forward(x, params.tensors, 0).data for x in inputs]
     alone_logits = [infer(x, params) for x in sequences]
     start = threading.Event()
     results = [[] for _ in inputs]
@@ -97,7 +97,7 @@ def test_untaped_streams_in_concurrent_threads_match_their_single_thread_results
     def run(i):
         start.wait(10)
         for _ in range(20):
-            results[i].append(stream_forward(inputs[i], stream).data)
+            results[i].append(stream_forward(inputs[i], params.tensors, 0).data)
             logits[i].append(infer(sequences[i], params))
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(len(inputs))]
@@ -170,11 +170,10 @@ def test_training_gradients_match_channel_first_stream_bitwise(monkeypatch):
     # every gradient, the encoder's included, must come out as the composed
     # channel-first ops produced it; the stem's input gradient layout decides
     # the summation order of the temporal embeddings' gradients
-    def channel_first_stream(image, stream):
+    def channel_first_stream(image, tensors, i):
         x = image
-        for kernels, bias in ((stream.conv1_kernels, stream.conv1_bias),
-                              (stream.conv2_kernels, stream.conv2_bias),
-                              (stream.conv3_kernels, stream.conv3_bias)):
+        for n in (1, 2, 3):
+            kernels, bias = tensors[f"stream{i}.conv{n}.kernels"], tensors[f"stream{i}.conv{n}.bias"]
             x = leaky_relu(maxpool2d(conv2d(x, kernels, bias, stride=2, padding=1)), LEAKY_SLOPE)
         return reshape(x, x.shape[:-3] + (x.shape[-3],))
 
@@ -544,7 +543,10 @@ FLAG_SETS = [
 ]
 
 
-@pytest.mark.parametrize("flags", FLAG_SETS + [f for _, f in VARIANT_GRID if f not in FLAG_SETS])
+ALL_FLAG_SETS = FLAG_SETS + [f for _, f in VARIANT_GRID if f not in FLAG_SETS]
+
+
+@pytest.mark.parametrize("flags", ALL_FLAG_SETS)
 def test_param_count_matches_built_tensors(flags):
     cfg = _config(flags=flags)
     report = count_flops(cfg)
@@ -553,3 +555,37 @@ def test_param_count_matches_built_tensors(flags):
     assert [(s.name, s.shape, s.trainable) for s in param_spec(cfg)] == [
         (name, t.shape, t.requires_grad) for name, t in named.items()
     ]
+
+
+class _ReadRecorder(Mapping):
+    """A tensor dict that records every name read from it."""
+
+    def __init__(self, tensors):
+        self.tensors, self.read = tensors, set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return self.tensors[name]
+
+    def __iter__(self):
+        return iter(self.tensors)
+
+    def __len__(self):
+        return len(self.tensors)
+
+
+@pytest.mark.parametrize("flags", ALL_FLAG_SETS)
+def test_forward_and_infer_read_exactly_the_param_spec_tensors(flags):
+    # the layers read their tensors by name, so this is what catches a spec
+    # entry that no layer reads: it would be built, trained and saved unused
+    cfg = _config(flags=flags)
+    recorder = _ReadRecorder(ModelParams.build(cfg, seed=0).tensors)
+    params = ModelParams(cfg, recorder)
+    want = {s.name for s in param_spec(cfg)}
+    x = (np.random.default_rng(35).normal(size=(2, 64, 4, 3)) * 0.3).astype(np.float32)
+    with Tape():
+        forward(encode(x, params.encoder), params)
+    assert recorder.read == want
+    recorder.read.clear()
+    infer(x, params)
+    assert recorder.read == want

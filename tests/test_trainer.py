@@ -372,7 +372,7 @@ def test_save_checkpoint_refuses_a_non_finite_tensor_before_writing(tmp_path, va
     config = ModelConfig(joints=TOPO.joint_count, classes=3, bones=TOPO.bones, root=TOPO.root,
                          labels=(0, 1, 2), channels=(2, 2, 2), fc_hidden=8, scale_hidden=4)
     params = ModelParams.build(config, seed=4)
-    params.classifier.fc2_bias.data[1] = value
+    params.tensors["classifier.fc2.bias"].data[1] = value
     path = tmp_path / "model.ckpt"
     with pytest.raises(UsageError, match="classifier.fc2.bias holds 1 non-finite value"):
         save_checkpoint(params, path)
