@@ -8,7 +8,10 @@ random batches, then prints the process's peak RSS.  It then records one
 more forward on a tape and, before its backward, walks ``tape.nodes``: each
 array a node's output, inputs or backward closure reaches is charged once,
 by its underlying buffer, to the first node in tape order that reaches it,
-as ``out`` when it is that node's output and as ``saved`` otherwise.
+as ``out`` when it is that node's output and as ``saved`` otherwise.  A
+tape a node's closure reaches is walked in place, so a node that records
+its own tape (the four CNN streams') has its inner nodes charged to their
+ops.
 Parameters and the input batch are not charged.  Ops are named after their
 backward closure (``conv_pool_leaky.<locals>.back`` is ``conv_pool_leaky``).
 It reads only ``Tape.nodes`` and each node's ``output``, ``inputs`` and
@@ -42,9 +45,9 @@ def _owner(arr: np.ndarray) -> np.ndarray:
 
 
 def _arrays(value, depth: int = 0):
-    """The arrays a closure cell or node input reaches: itself, a Tensor's
-    data, or the items of a list or tuple."""
-    if isinstance(value, np.ndarray):
+    """The arrays and tapes a closure cell or node input reaches: itself, a
+    Tensor's data, or the items of a list or tuple."""
+    if isinstance(value, (np.ndarray, Tape)):
         yield value
     elif isinstance(value, Tensor):
         yield value.data
@@ -60,10 +63,13 @@ def _contents(cell):
         return None
 
 
-def tape_bytes(tape: Tape, exclude: set[int]) -> dict[str, list[int]]:
-    """op -> [nodes, output bytes, saved bytes] over one recorded tape."""
-    seen = set(exclude)
-    table: dict[str, list[int]] = defaultdict(lambda: [0, 0, 0])
+def tape_bytes(tape: Tape, seen: set[int], table=None) -> dict[str, list[int]]:
+    """op -> [nodes, output bytes, saved bytes] over one recorded tape,
+    charging no buffer whose id is in ``seen`` and adding each one it
+    charges.  A tape a node's closure reaches (an op that records its own,
+    such as the streams node) is walked where it is found, its nodes
+    charged to their own ops."""
+    table = defaultdict(lambda: [0, 0, 0]) if table is None else table
     for node in tape.nodes:
         op = node.backward_fn.__qualname__.split(".")[0]
         row = table[op]
@@ -72,6 +78,9 @@ def tape_bytes(tape: Tape, exclude: set[int]) -> dict[str, list[int]]:
         for column, values in ((1, [node.output]), (2, list(node.inputs) + cells)):
             for value in values:
                 for arr in _arrays(value):
+                    if isinstance(arr, Tape):
+                        tape_bytes(arr, seen, table)
+                        continue
                     owner = _owner(arr)
                     if id(owner) not in seen:
                         seen.add(id(owner))

@@ -26,10 +26,11 @@ The CNN ops take a batch axis only: ``conv2d``, ``maxpool2d`` and the fused
 stage accept (B, ..) inputs and nothing else.  The fused stage is the one
 place a CNN stage is computed, for training and for ``recognizer.infer``
 alike.  It pads its input into a per-thread workspace buffer, reused call
-after call, and its conv output and pooled maxima live in that workspace
-too; an unrecorded call's im2col columns are workspace as well.  Arrays a
-tape records or a backward rule reads are always fresh, and so is the
-stage's output.
+after call, and its im2col columns, conv output and pooled maxima live in
+that workspace too.  Arrays a tape records are always fresh, and so are
+the stage's output and every gradient a backward rule returns; the
+stage's backward rule rebuilds its columns from its saved input and keeps
+its conv and column gradients in the workspace of the thread that runs it.
 """
 
 from __future__ import annotations
@@ -475,6 +476,19 @@ def _fill_columns(xp: np.ndarray, cols: np.ndarray, kh: int, kw: int) -> None:
     )
 
 
+def _columns(xd: np.ndarray, cols_shape: tuple[int, int], kh: int, kw: int) -> np.ndarray:
+    """The stride-2 padding-1 im2col columns of a (B, H, W, C) input, in
+    this thread's workspace: ``xd`` copied channel-first into the
+    zero-bordered ``pad`` buffer, then :func:`_fill_columns` into ``cols``."""
+    batch, h, w, c_in = xd.shape
+    xp = _workspace("pad", (batch, c_in, h + 2, w + 2), xd.dtype)
+    xp[:, :, 0], xp[:, :, -1], xp[:, :, :, 0], xp[:, :, :, -1] = 0, 0, 0, 0  # the border only
+    xp[:, :, 1:-1, 1:-1] = xd.transpose(0, 3, 1, 2)
+    cols = _workspace("cols", cols_shape, xd.dtype)
+    _fill_columns(xp, cols, kh, kw)
+    return cols
+
+
 def _pool_then_bias(conv: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """2x2 max pool of a (B, H, W, C) conv output into this thread's
     workspace, then the bias added.  fl(a + b) is monotone in a and max only
@@ -497,23 +511,25 @@ def conv_pool_leaky(x: Tensor, kernels: Tensor, bias: Tensor, slope: float = 0.0
     and gradients of ``leaky_relu(maxpool2d(conv2d(.)))`` on the
     channel-first layout.  Kernels keep their (C_out,C_in,kh,kw) layout and
     the im2col columns keep (C_in,kh,kw) order, so the GEMM is conv2d's.
-    The input is copied into a zero-bordered pad buffer, and the conv
-    output and the pooled maxima live in this thread's workspace; the
-    output is always fresh.
-    A call a tape records fills fresh im2col columns, which backward reads
-    for ``dk``, adds the bias before it pools, and builds an int8 index
-    of each window's first maximum from strict ``>`` compares taken in
-    row-major corner order; backward routes the window's gradient to that
-    corner.  A compare with a NaN is false and the running maximum stays
+    The input is copied into a zero-bordered pad buffer, and the im2col
+    columns, the conv output and the pooled maxima live in this thread's
+    workspace; the output is always fresh.
+    A call a tape records adds the bias before it pools, and builds an int8
+    index of each window's first maximum from strict ``>`` compares taken
+    in row-major corner order; backward routes the window's gradient to
+    that corner.  A compare with a NaN is false and the running maximum stays
     NaN once it meets one, so a window holding a NaN routes its gradient to
     the first maximum of the corners before its first NaN, or to that NaN
     when it is the first corner (``maxpool2d`` routes it to the first NaN).
     The leaky slope of the gradient follows the sign of the pooled maximum,
     not of the output, which is -0 where a tiny negative maximum times the
-    slope underflows.  Backward reads only the im2col columns, that index
-    and a bool leaky mask.  A call no tape records (``recognizer.infer``'s)
-    fills workspace columns and pools before the bias add, building neither
-    index nor mask: the same bits, with less work.
+    slope underflows.  Backward reads only the input, that index and a bool
+    leaky mask: it refills the pad and column buffers from the input for
+    ``dk``, then writes the conv gradient and the column gradient into
+    this thread's ``conv`` and ``cols`` buffers, so the tape keeps no
+    columns and every returned gradient is fresh.  A call no tape records (``recognizer.infer``'s)
+    pools before the bias add, building neither index nor mask: the same
+    bits, with less work.
     The input gradient follows the input's memory layout: a C-contiguous
     input gets a C-contiguous gradient, and any other (the permuted
     channel-first stem image) gets conv2d's channel-first memory, so the
@@ -536,18 +552,12 @@ def conv_pool_leaky(x: Tensor, kernels: Tensor, bias: Tensor, slope: float = 0.0
         raise DimensionError(f"conv_pool_leaky: conv output {h_out}x{w_out} of input {x.shape} cannot be pooled 2x2")
 
     recorded = _recording((x, kernels, bias)) is not None
-    xp = _workspace("pad", (batch, c_in, h + 2, w + 2), xd.dtype)  # back never reads it
-    xp[:, :, 0], xp[:, :, -1], xp[:, :, :, 0], xp[:, :, :, -1] = 0, 0, 0, 0  # the border only
-    xp[:, :, 1:-1, 1:-1] = xd.transpose(0, 3, 1, 2)
     channels_last = xd.flags.c_contiguous  # the input gradient's layout
     kmat = kernels.data.reshape(c_out, -1)
     dtype = np.result_type(xd, kmat)
     cols_shape = (batch * h_out * w_out, c_in * kh * kw)
-    # back reads a recorded call's columns for dk
-    cols = np.empty(cols_shape, xd.dtype) if recorded else _workspace("cols", cols_shape, xd.dtype)
-    _fill_columns(xp, cols, kh, kw)
     conv = _workspace("conv", (batch * h_out * w_out, c_out), dtype)
-    np.matmul(cols, kmat.T, out=conv)
+    np.matmul(_columns(xd, cols_shape, kh, kw), kmat.T, out=conv)
     conv = conv.reshape(batch, h_out, w_out, c_out)
     if recorded:
         conv += bias.data  # bias first: the index below compares the biased corners
@@ -567,13 +577,14 @@ def conv_pool_leaky(x: Tensor, kernels: Tensor, bias: Tensor, slope: float = 0.0
 
     def back(d):
         dpool = np.where(rising, d, d * slope)
-        dconv = np.empty((batch, h_out, w_out, c_out), dtype)
+        dconv = _workspace("conv", (batch, h_out, w_out, c_out), dtype)
         for n in range(4):
             np.multiply(dpool, first == n, out=dconv[:, n // 2 :: 2, n % 2 :: 2])
         d2 = dconv.reshape(-1, c_out)
-        dk = (d2.T @ cols).reshape(kernels.shape)
+        dk = (d2.T @ _columns(xd, cols_shape, kh, kw)).reshape(kernels.shape)
         db = d2.sum(axis=0)
-        dcols = (d2 @ kmat).reshape(batch, h_out, w_out, c_in, kh, kw)
+        dcols = np.matmul(d2, kmat, out=_workspace("cols", cols_shape, dtype))  # dk has read the columns
+        dcols = dcols.reshape(batch, h_out, w_out, c_in, kh, kw)
         if channels_last:
             dxp = np.zeros((batch, h + 2, w + 2, c_in), dtype=d.dtype)
             taps = dcols
@@ -731,8 +742,21 @@ def backward(loss: Tensor) -> None:
     nodes, tape.nodes = tape.nodes, []
     if not nodes:
         raise UsageError("backward: the loss's tape was already consumed by an earlier backward")
-    pending: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    holders: dict[int, Tensor] = {id(loss): loss}
+    pending, holders = propagate(nodes, loss, np.ones_like(loss.data))
+    for key, d in pending.items():  # leaves: tensors never produced by a node
+        holders[key].accumulate_grad(d)
+
+
+def propagate(nodes: list[_Node], output: Tensor, d_out: np.ndarray) -> tuple[dict[int, np.ndarray], dict[int, Tensor]]:
+    """Run ``nodes``, a tape's node list in recording order, backward from
+    ``output`` with gradient ``d_out``, popping and so releasing each node
+    as it goes.  Returns the gradients that reach leaves, keyed by each
+    leaf's ``id``, and the leaves under the same keys; :func:`backward`
+    accumulates them, and an op whose forward runs a tape of its own
+    returns them as its input gradients.
+    """
+    pending: dict[int, np.ndarray] = {id(output): d_out}
+    holders: dict[int, Tensor] = {id(output): output}
     while nodes:
         node = nodes.pop()  # rebinding releases the node run before it
         d_out = pending.pop(id(node.output), None)
@@ -754,8 +778,7 @@ def backward(loss: Tensor) -> None:
             else:
                 pending[key] = d
                 holders[key] = t
-    for key, d in pending.items():  # leaves: tensors never produced by a node
-        holders[key].accumulate_grad(d)
+    return pending, holders
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,20 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _check_writable(path: str, flag: str) -> None:
+    """Refuse, before any work, a file path whose directory is missing or
+    not writable, or that names a directory: an OSError, so exit 2."""
+    target = Path(path)
+    if not target.parent.is_dir():
+        raise OSError(f"{flag} {path}: no directory {target.parent}")
+    if target.is_dir() or not os.access(target if target.exists() else target.parent, os.W_OK):
+        raise OSError(f"{flag} {path}: not a writable file")
+
+
 def cmd_train(args) -> int:
+    _check_writable(args.out_checkpoint, "--out-checkpoint")
+    if args.log is not None:
+        _check_writable(args.log, "--log")
     sequences = _load_dataset(args.data)
     topology = _topology_for(sequences[0].joint_count)
     split = split_dataset(sequences, args.protocol)

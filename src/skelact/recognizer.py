@@ -11,15 +11,18 @@ classifier head.  Each layer reads its tensors from the model's one dict by
 model.param_spec's names: stream i's stages ``stream{i}.conv{n}.*`` and the
 head ``classifier.*``.
 
-``forward(encode(x))`` is the taped training path.  ``infer`` is the
-untaped one that evaluation and ``skelact bench`` run: one stream at a
-time, each image built in the encoder's workspace and run through the
-same ``stream_forward``, with the same logits bit for bit.  Both paths
-take a batch axis only: images are (B, 3, T, T) and ``infer`` takes
-(B, T, J, 3), so ``skelact bench`` passes its one sequence as a batch of
-one.  A batch of ``SPLIT_MIN`` or more runs as two halves, on two worker
-threads while OpenBLAS is held at one thread, so both cores do the work
-between GEMMs.
+``forward(encode(x))`` is the taped training path.  Its streams and the
+head's concatenation are one tape node, whose forward and backward run
+streams 0, 2 and 1, 3 on two worker threads, each stream under a tape of
+its own.  ``infer`` is the untaped path that evaluation and ``skelact
+bench`` run: one stream at a time, each image built in the encoder's
+workspace and run through the same ``stream_forward``, with the same
+logits bit for bit.  Both paths take a batch axis only: images are
+(B, 3, T, T) and ``infer`` takes (B, T, J, 3), so ``skelact bench``
+passes its one sequence as a batch of one.  A batch of ``SPLIT_MIN`` or
+more runs as two halves on the same two workers.  A call that runs on
+the workers sets the process's OpenBLAS to one thread and leaves it
+there, so both cores do the work between GEMMs.
 """
 
 from __future__ import annotations
@@ -35,7 +38,9 @@ from functools import cache
 
 import numpy as np
 
-from .autograd import Tensor, concat, conv_pool_leaky, leaky_relu, linear, no_tape, permute, reshape
+from .autograd import (
+    Tape, Tensor, _finish, _recording, concat, conv_pool_leaky, leaky_relu, linear, no_tape, permute, propagate, reshape,
+)
 from .encoder import LEAKY_SLOPE, EncodedBundle, enhance, write_image
 from .errors import DimensionError
 from .model import ModelConfig, ModelParams, param_spec
@@ -45,14 +50,24 @@ def stream_forward(image, tensors: dict[str, Tensor], i: int) -> Tensor:
     """Stream ``i``: a (B, 3, T, T) image to a flat (B, F) feature matrix,
     through the stages ``stream{i}.conv1`` to ``conv3``."""
     x = image if isinstance(image, Tensor) else Tensor(np.asarray(image))
-    if x.data.ndim != 4:
-        raise DimensionError(f"stream expects a (B,3,T,T) image, got {x.shape}")
-    x = permute(x, (0, 2, 3, 1))
+    _check_image(x)
+    x = _stages(permute(x, (0, 2, 3, 1)), tensors, i)
+    return reshape(x, (x.shape[0], x.shape[-1]))
+
+
+def _check_image(image: Tensor) -> None:
+    if image.data.ndim != 4:
+        raise DimensionError(f"stream expects a (B,3,T,T) image, got {image.shape}")
+
+
+def _stages(x: Tensor, tensors: dict[str, Tensor], i: int) -> Tensor:
+    """Stream ``i``'s stages on a channels-last (B, T, T, 3) input: its
+    (B, 1, 1, F) output."""
     for n in (1, 2, 3):
         x = conv_pool_leaky(x, tensors[f"stream{i}.conv{n}.kernels"], tensors[f"stream{i}.conv{n}.bias"], LEAKY_SLOPE)
     if x.shape[1:3] != (1, 1):
         raise DimensionError(f"stream did not reduce spatially, got {x.shape}")
-    return reshape(x, (x.shape[0], x.shape[-1]))
+    return x
 
 
 def forward(bundle: EncodedBundle, params: ModelParams) -> Tensor:
@@ -61,11 +76,69 @@ def forward(bundle: EncodedBundle, params: ModelParams) -> Tensor:
     streams = params.config.stream_count()
     if len(images) != streams:
         raise DimensionError(f"bundle carries {len(images)} images but the model has {streams} streams")
-    return _head([stream_forward(img, params.tensors, i) for i, img in enumerate(images)], params.tensors)
+    return _head(_streams(images, params.tensors), params.tensors)
 
 
-def _head(features: list[Tensor], tensors: dict[str, Tensor]) -> Tensor:
-    merged = concat(features, axis=-1)
+def _streams(images: list[Tensor], tensors: dict[str, Tensor]) -> Tensor:
+    """``concat([stream_forward(image, tensors, i) ...], axis=-1)`` as one
+    tape node, values and gradients bit for bit.
+
+    Streams 0, 2 and 1, 3 run through :func:`_on_workers`, in the forward
+    and again in the backward.  The node does a stream's layout changes
+    itself, in numpy, so a worker runs only its stages: perfbench's tracer
+    wraps ``stream_forward``, ``permute`` and ``reshape`` with one span
+    stack, which spans on two threads at once would corrupt.  A recorded call
+    runs each stream's stages under a tape of its own, over a leaf on the
+    channels-last view of its image's data; the node's backward splits the
+    gradient as ``concat`` does, runs each stream's tape through
+    ``propagate``, and returns the image, kernel and bias gradients that
+    reach its leaves as the node's input gradients, each image gradient
+    turned back channel-first as ``permute`` does.
+    """
+    stages = [[tensors[f"stream{i}.conv{n}.{kind}"] for n in (1, 2, 3) for kind in ("kernels", "bias")]
+              for i in range(len(images))]
+    inputs = (*images, *(t for stage in stages for t in stage))
+    recorded = _recording(inputs) is not None
+
+    def run(i):
+        _check_image(images[i])
+        x = images[i].data.transpose(0, 2, 3, 1)
+        if not recorded:
+            return None, None, _stages(Tensor(x, dtype=x.dtype), tensors, i)
+        leaf = Tensor(x, requires_grad=True, dtype=x.dtype)
+        with Tape() as tape:
+            out = _stages(leaf, tensors, i)
+        return tape, leaf, out
+
+    runs = _by_stream(run, len(images))
+    features = [out.data.reshape(len(out.data), -1) for _, _, out in runs]
+    splits = np.cumsum([f.shape[-1] for f in features])[:-1]
+
+    def back(d):
+        pieces = np.split(d, splits, axis=-1)
+
+        def run_back(i):
+            tape, leaf, out = runs[i]
+            nodes, tape.nodes = tape.nodes, []
+            pending, _ = propagate(nodes, out, pieces[i].reshape(out.shape))
+            image = pending.get(id(leaf))
+            return [None if image is None else np.transpose(image, (0, 3, 1, 2)), *(pending.get(id(t)) for t in stages[i])]
+
+        grads = _by_stream(run_back, len(images))
+        return [g[0] for g in grads] + [stage for g in grads for stage in g[1:]]
+
+    return _finish(np.concatenate(features, axis=-1), inputs, back, "streams")
+
+
+def _by_stream(fn, count: int) -> list:
+    """``[fn(i) for i in range(count)]``, the even streams on one worker and
+    the odd ones on the other."""
+    out = [None] * count
+    out[0::2], out[1::2] = _on_workers(lambda part: [fn(i) for i in part], [range(0, count, 2), range(1, count, 2)])
+    return out
+
+
+def _head(merged: Tensor, tensors: dict[str, Tensor]) -> Tensor:
     hidden = leaky_relu(linear(merged, tensors["classifier.fc1.weight"], tensors["classifier.fc1.bias"]), LEAKY_SLOPE)
     return linear(hidden, tensors["classifier.fc2.weight"], tensors["classifier.fc2.bias"])
 
@@ -86,13 +159,9 @@ def infer(x, params: ModelParams) -> np.ndarray:
     is recorded, even inside a Tape; the returned logits are a fresh array.
 
     A batch of ``SPLIT_MIN`` or more runs as ``x[:ceil(B/2)]`` and the
-    rest, each through that body, and the logits are concatenated.  The
-    halves run on two worker threads when :func:`infer_workers` is 2 and
-    no other call holds them, else one after the other on the caller's
-    thread: the same bits, as the split depends on B alone.  While the
-    workers run, the process's OpenBLAS runs one thread, whose count is
-    put back after: a second BLAS thread would hold the other core after
-    every GEMM.
+    rest, each through that body, on :func:`_on_workers`, and the logits
+    are concatenated: the same bits wherever the halves run, as the split
+    depends on B alone.
     """
     x = np.asarray(x)
     config = params.config
@@ -100,20 +169,7 @@ def infer(x, params: ModelParams) -> np.ndarray:
         raise DimensionError(f"infer expects (B,T,J,3) with T={config.frames}, J={config.joints}, got {x.shape}")
     if len(x) < SPLIT_MIN:
         return _infer_rows(x, params)
-    halves = np.array_split(x, 2)
-    if infer_workers() < 2 or not _workers_lock.acquire(blocking=False):
-        return np.concatenate([_infer_rows(half, params) for half in halves])
-    get_threads, set_threads = _blas_thread_calls()
-    threads = get_threads()
-    set_threads(1)
-    try:
-        # each half in a copy of the caller's context, so numpy's errstate holds there
-        futures = [_workers.submit(copy_context().run, _infer_rows, half, params) for half in halves]
-        wait(futures)
-        return np.concatenate([future.result() for future in futures])
-    finally:
-        set_threads(threads)
-        _workers_lock.release()
+    return np.concatenate(_on_workers(lambda half: _infer_rows(half, params), np.array_split(x, 2)))
 
 
 def _infer_rows(x: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -121,8 +177,29 @@ def _infer_rows(x: np.ndarray, params: ModelParams) -> np.ndarray:
     its image before the next ``write_image`` overwrites it."""
     with no_tape():
         channels, attention = enhance(x, params.encoder)
-        return _head([stream_forward(write_image(name, ch, attention, params.encoder), params.tensors, i)
-                      for i, (name, ch) in enumerate(channels.items())], params.tensors).data
+        return _head(concat([stream_forward(write_image(name, ch, attention, params.encoder), params.tensors, i)
+                             for i, (name, ch) in enumerate(channels.items())]), params.tensors).data
+
+
+def _on_workers(fn, parts: list) -> list:
+    """``[fn(part) for part in parts]`` for two parts, run on the two
+    workers when :func:`infer_workers` is 2 and no other call holds them,
+    else one after the other on the caller's thread.  Each worker runs in
+    a copy of the caller's context, so its tape and numpy's errstate hold
+    there.  A call that uses the workers sets the process's OpenBLAS to one
+    thread and leaves it there: a second BLAS thread spins after every GEMM
+    and would hold the other core.
+    """
+    if infer_workers() < 2 or not _workers_lock.acquire(blocking=False):
+        return [fn(part) for part in parts]
+    try:
+        _, set_threads = _blas_thread_calls()
+        set_threads(1)
+        futures = [_workers.submit(copy_context().run, fn, part) for part in parts]
+        wait(futures)
+        return [future.result() for future in futures]
+    finally:
+        _workers_lock.release()
 
 
 @cache
@@ -156,17 +233,18 @@ def blas_threads() -> int | None:
 
 
 def infer_workers() -> int:
-    """Threads a batched :func:`infer` runs its halves on: 2 with an
-    OpenBLAS whose thread count it can set and 2 usable CPUs, else 1."""
+    """Threads :func:`_on_workers` runs its parts on (a batched
+    :func:`infer`'s halves, a training step's streams): 2 with an OpenBLAS
+    whose thread count it can set and 2 usable CPUs, else 1."""
     return 2 if _blas_thread_calls() is not None and len(os.sched_getaffinity(0)) >= 2 else 1
 
 
 def _new_workers() -> None:
-    """Two idle half-batch workers, whose threads start on first use, and
-    the lock the one infer call using them holds.  A forked child makes
+    """Two idle workers, whose threads start on first use, and the lock the
+    one :func:`_on_workers` call using them holds.  A forked child makes
     its own: it has none of its parent's threads."""
     global _workers, _workers_lock
-    _workers, _workers_lock = ThreadPoolExecutor(2, thread_name_prefix="skelact-infer"), threading.Lock()
+    _workers, _workers_lock = ThreadPoolExecutor(2, thread_name_prefix="skelact-worker"), threading.Lock()
 
 
 _new_workers()

@@ -416,6 +416,75 @@ def test_unrecorded_stages_chained_are_bitwise_the_composed_ops_and_alias_nothin
         assert _same_bits(data, copy)
 
 
+def _chained_stages(x, params, upstream, fused):
+    """Two stages, the second fed the first's output, taped and backwarded
+    under sum_all(out * upstream): (output, input gradient, parameter
+    gradients), all channel-first.  ``fused`` runs them as conv_pool_leaky
+    on the permuted (so not C-contiguous) input, as a stream does."""
+    dtype = x.dtype
+    xt = Tensor(x.transpose(0, 2, 3, 1) if fused else x, requires_grad=True, dtype=dtype)
+    ps = [Tensor(p, requires_grad=True, dtype=dtype) for p in params]
+    w = Tensor(upstream.transpose(0, 2, 3, 1) if fused else upstream, dtype=dtype)
+    with Tape():
+        if fused:
+            last = conv_pool_leaky(conv_pool_leaky(xt, *ps[:2], 0.01), *ps[2:], 0.01)
+        else:
+            last = leaky_relu(maxpool2d(conv2d(leaky_relu(maxpool2d(conv2d(xt, *ps[:2])), 0.01), *ps[2:])), 0.01)
+        loss = sum_all(mul(last, w))
+    backward(loss)
+    if fused:
+        return last.data.transpose(0, 3, 1, 2), xt.grad.transpose(0, 3, 1, 2), [p.grad for p in ps]
+    return last.data, xt.grad, [p.grad for p in ps]
+
+
+def test_recorded_stages_chained_are_bitwise_the_composed_ops_and_alias_nothing():
+    # the recorded path of the unrecorded test above: two taped stages, the
+    # first on a channel-first input (its backward gathers its taps), with
+    # the workspace grown, shrunk and regrown and reinterpreted across dtypes
+    earlier = []
+    for dtype in (np.float32, np.float64):
+        rng = np.random.default_rng(83)
+        params = [rng.normal(size=shape).astype(dtype) for shape in ((4, 3, 3, 3), (4,), (5, 4, 3, 3), (5,))]
+        for batch in (2, 5, 1, 3):
+            x = rng.normal(size=(batch, 3, 16, 32)).astype(dtype)
+            upstream = rng.normal(size=(batch, 5, 1, 2)).astype(dtype)
+            out, dx, grads = _chained_stages(x, params, upstream, fused=True)
+            want_out, want_dx, want_grads = _chained_stages(x, params, upstream, fused=False)
+            for got, want in zip([out, dx, *grads], [want_out, want_dx, *want_grads]):
+                assert got.dtype == dtype and _same_bits(got, want), (dtype, batch)
+            assert {"pad", "cols", "conv", "pool"} <= set(vars(autograd._WORKSPACE))
+            buffers = [buf for buf in vars(autograd._WORKSPACE).values() if isinstance(buf, np.ndarray)]
+            assert not any(np.shares_memory(arr, buf) for arr in (out, dx, *grads) for buf in buffers)
+            earlier += [(arr, arr.copy()) for arr in (out, dx, *grads)]
+    for data, copy in earlier:  # later calls wrote nothing into earlier outputs or gradients
+        assert _same_bits(data, copy)
+
+
+def test_two_tapes_on_one_thread_backwarded_in_either_order_give_their_own_bits():
+    # a recorded stage's backward rebuilds its columns in the workspace from
+    # its saved input, so a second tape recorded in between (growing or
+    # shrinking the buffers) changes nothing
+    rng = np.random.default_rng(84)
+    params = [rng.normal(size=shape).astype(np.float32) for shape in ((4, 3, 3, 3), (4,), (5, 4, 3, 3), (5,))]
+    xs = [rng.normal(size=(batch, 3, 16, 32)).astype(np.float32) for batch in (3, 6)]
+    ups = [rng.normal(size=(len(x), 5, 1, 2)).astype(np.float32) for x in xs]
+    alone = [_chained_stages(x, params, up, fused=True) for x, up in zip(xs, ups)]
+    for order in ((0, 1), (1, 0)):
+        runs = []
+        for x, up in zip(xs, ups):
+            xt = Tensor(x.transpose(0, 2, 3, 1), requires_grad=True)
+            ps = [Tensor(p, requires_grad=True) for p in params]
+            with Tape():
+                last = conv_pool_leaky(conv_pool_leaky(xt, *ps[:2], 0.01), *ps[2:], 0.01)
+                loss = sum_all(mul(last, Tensor(up.transpose(0, 2, 3, 1))))
+            runs.append((loss, xt, ps))
+        for n in order:
+            backward(runs[n][0])
+        for (_, xt, ps), (_, want_dx, want_grads) in zip(runs, alone):
+            got = [xt.grad.transpose(0, 3, 1, 2)] + [p.grad for p in ps]
+            assert all(_same_bits(g, w) for g, w in zip(got, [want_dx, *want_grads])), order
+
+
 def test_conv_pool_leaky_tap_rows_for_any_item_size_kernel_and_layout():
     # the columns are copied as kw-tap items: 24-byte items in float64, 16-byte
     # items for kw = 4, and strided items from a sliced channels-last input

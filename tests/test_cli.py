@@ -164,6 +164,23 @@ def test_diverging_train_is_exit_1_and_writes_no_checkpoint(tmp_path, capsys):
     assert not ckpt.exists() and not captured.out
 
 
+@pytest.mark.parametrize("where", ["missing_dir", "dir_is_a_file", "is_a_dir"])
+@pytest.mark.parametrize("flag", ["--out-checkpoint", "--log"])
+def test_train_to_an_unwritable_path_is_exit_2_before_the_first_epoch(tmp_path, dataset, capsys, monkeypatch, flag, where):
+    trained = []
+    monkeypatch.setattr("skelact.cli.train", lambda *args: trained.append(args))
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    bad = {"missing_dir": tmp_path / "missing" / "out", "dir_is_a_file": tmp_path / "file" / "out",
+           "is_a_dir": tmp_path}[where]
+    ckpt, log = (bad, tmp_path / "log.csv") if flag == "--out-checkpoint" else (tmp_path / "x.ckpt", bad)
+    assert main(_train_args(dataset, ckpt, log)) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {flag} {bad}") and not captured.out
+    assert trained == []
+    assert not (tmp_path / "x.ckpt").exists() and not (tmp_path / "log.csv").exists()
+
+
 def test_train_respects_stage_toggles(tmp_path, dataset):
     ckpt = tmp_path / "slim.ckpt"
     assert main(_train_args(dataset, ckpt, extra=["--no-velocity", "--no-attention"])) == 0

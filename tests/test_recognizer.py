@@ -12,7 +12,7 @@ from conftest import composed_embed_image
 
 from skelact import autograd, encoder, recognizer
 from skelact.autograd import (
-    Tape, Tensor, backward, conv2d, cross_entropy, leaky_relu, maxpool2d, reshape,
+    Tape, Tensor, backward, concat, conv2d, cross_entropy, leaky_relu, maxpool2d, reshape,
 )
 from skelact.encoder import LEAKY_SLOPE, EncodedBundle, EnhanceFlags, encode, uniform_attention
 from skelact.errors import DimensionError, UsageError
@@ -170,7 +170,10 @@ def test_training_gradients_match_channel_first_stream_bitwise(monkeypatch):
     # every gradient, the encoder's included, must come out as the composed
     # channel-first ops produced it; the stem's input gradient layout decides
     # the summation order of the temporal embeddings' gradients
+    reference_calls = []
+
     def channel_first_stream(image, tensors, i):
+        reference_calls.append(i)
         x = image
         for n in (1, 2, 3):
             kernels, bias = tensors[f"stream{i}.conv{n}.kernels"], tensors[f"stream{i}.conv{n}.bias"]
@@ -182,8 +185,13 @@ def test_training_gradients_match_channel_first_stream_bitwise(monkeypatch):
     x = (rng.normal(size=(3, 64, 4, 3)) * 0.3).astype(np.float32)
     labels = np.array([0, 2, 1])
     runs = []
-    for stream_fn in (stream_forward, channel_first_stream):
-        monkeypatch.setattr(recognizer, "stream_forward", stream_fn)
+    fused_streams = recognizer._streams
+
+    def channel_first_streams(images, tensors):
+        return concat([channel_first_stream(image, tensors, i) for i, image in enumerate(images)], axis=-1)
+
+    for streams_fn in (fused_streams, channel_first_streams):
+        monkeypatch.setattr(recognizer, "_streams", streams_fn)
         params = ModelParams.build(_config(), seed=5)
         named = params.named_tensors()
         state = AdamState(named)
@@ -196,6 +204,7 @@ def test_training_gradients_match_channel_first_stream_bitwise(monkeypatch):
             steps.append((logits.data, {k: t.grad for k, t in params.trainable_tensors().items()}))
             adam_step(named, state, 1e-2)
         runs.append(steps)
+    assert reference_calls == [0, 1, 2, 3] * 3  # the reference run took the channel-first ops
     for step, ((fused_logits, fused), (ref_logits, ref)) in enumerate(zip(*runs)):
         assert np.array_equal(fused_logits, ref_logits), step
         for name, grad in ref.items():
@@ -314,7 +323,7 @@ def test_infer_halves_are_bitwise_the_taped_forward_on_workers_and_inline(dtype,
             assert runs == [("MainThread", batch)]
         else:
             assert sorted(rows for _, rows in runs) == [batch // 2, -(-batch // 2)]
-            worker = "skelact-infer" if recognizer.infer_workers() == 2 else "MainThread"
+            worker = "skelact-worker" if recognizer.infer_workers() == 2 else "MainThread"
             assert all(name.startswith(worker) for name, _ in runs)
         with monkeypatch.context() as m:  # no BLAS hook: both halves inline
             m.setattr(recognizer, "_blas_thread_calls", lambda: None)
@@ -349,8 +358,8 @@ def test_infer_records_nothing_on_an_active_tape(monkeypatch):
 
 @pytest.fixture
 def two_blas_threads():
-    """OpenBLAS set to 2 threads, not the 1 a batched infer runs its halves
-    with, and put back after the test; None when no OpenBLAS is loaded."""
+    """OpenBLAS set to 2 threads, not the 1 a call on the workers leaves it
+    at, and put back after the test; None when no OpenBLAS is loaded."""
     calls = recognizer._blas_thread_calls()
     if calls is None:
         yield None
@@ -364,22 +373,33 @@ def two_blas_threads():
         set_threads(original)
 
 
-def test_batched_infer_leaves_the_blas_thread_count_as_it_was(two_blas_threads):
+def test_batched_infer_and_training_on_the_workers_leave_one_blas_thread(two_blas_threads):
+    # a call that runs on the workers sets OpenBLAS to one thread and leaves
+    # it there; a call that runs whole on the caller's thread sets nothing
     if two_blas_threads is None:
         pytest.skip("no OpenBLAS loaded")
+    on_workers = 1 if recognizer.infer_workers() == 2 else two_blas_threads
     params = ModelParams.build(_config(), seed=13)
     x = (np.random.default_rng(31).normal(size=(32, 64, 4, 3)) * 0.3).astype(np.float32)
-    infer(x, params)
+    infer(x[:4], params)
     assert recognizer.blas_threads() == two_blas_threads
+    infer(x, params)
+    assert recognizer.blas_threads() == on_workers
+    recognizer._blas_thread_calls()[1](2)
+    with Tape():
+        forward(encode(x[:4], params.encoder), params)
+    assert recognizer.blas_threads() == on_workers
 
 
-def test_concurrent_batched_infers_give_their_own_bits_and_restore_the_blas_count(two_blas_threads):
+def test_concurrent_batched_infers_give_their_own_bits_and_leave_one_blas_thread(two_blas_threads):
     # one call at a time holds the workers; a call that finds them busy runs
     # its halves inline, with the same bits
     params = ModelParams.build(_config(), seed=14)
     rng = np.random.default_rng(32)
     batches = [(rng.normal(size=(16 + i, 64, 4, 3)) * 0.3).astype(np.float32) for i in range(3)]
     alone = [infer(x, params) for x in batches]
+    if two_blas_threads is not None:
+        recognizer._blas_thread_calls()[1](two_blas_threads)
     results = [[] for _ in batches]
 
     def run(i):
@@ -399,7 +419,219 @@ def test_concurrent_batched_infers_give_their_own_bits_and_restore_the_blas_coun
     assert not any(thread.is_alive() for thread in threads)
     for want, got in zip(alone, results):
         assert len(got) == 4 and all(np.array_equal(g.view(np.uint8), want.view(np.uint8)) for g in got)
-    assert recognizer.blas_threads() == two_blas_threads
+    if two_blas_threads is not None:
+        assert recognizer.blas_threads() == (1 if recognizer.infer_workers() == 2 else two_blas_threads)
+
+
+# ---------------------------------------------------------------------------
+# the streams node: four streams trained 2+2 on the workers
+
+
+def _perturbed_params(dtype, seed=17):
+    params = ModelParams.build(_config(), seed=seed, dtype=dtype)
+    rng = np.random.default_rng(seed)
+    for tensor in params.named_tensors().values():  # biases and temporal vectors start at 0
+        tensor.data += (rng.normal(size=tensor.shape) * 0.1).astype(dtype)
+    return params
+
+
+def _step_bytes(params, x, labels) -> list[bytes]:
+    """One taped forward and backward from cleared gradients: the bytes of
+    the logits and of every parameter gradient, in spec order."""
+    named = params.named_tensors()
+    for tensor in named.values():
+        tensor.grad = None
+    with Tape():
+        logits = forward(encode(x, params.encoder), params)
+        loss = cross_entropy(logits, labels)
+    backward(loss)
+    return [logits.data.tobytes()] + [name.encode() + (b"-" if t.grad is None else t.grad.tobytes())
+                                      for name, t in named.items()]
+
+
+def _sequential_streams(images, tensors):
+    """The streams node's reference: each stream's stage nodes on the
+    caller's tape, one stream after the other, then ``concat``."""
+    return concat([stream_forward(image, tensors, i) for i, image in enumerate(images)], axis=-1)
+
+
+def _thread_spy(monkeypatch, module, name):
+    """Record the thread name of every call of ``module.name``."""
+    names, original = [], getattr(module, name)
+
+    def spy(*args, **kwargs):
+        names.append(threading.current_thread().name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return names
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_streams_node_is_bitwise_the_sequential_stages_on_workers_and_inline(dtype, monkeypatch):
+    rng = np.random.default_rng(35)
+    x = (rng.normal(size=(64, 64, 4, 3)) * 0.3).astype(dtype)
+    labels = rng.integers(0, 3, size=64)
+    for batch in (64, 6, 1):
+        params = _perturbed_params(dtype)
+        with monkeypatch.context() as m:
+            m.setattr(recognizer, "_streams", _sequential_streams)
+            want = _step_bytes(params, x[:batch], labels[:batch])
+        with monkeypatch.context() as m:
+            forwards = _thread_spy(m, recognizer, "_stages")
+            backwards = _thread_spy(m, recognizer, "propagate")
+            traced = [_thread_spy(m, recognizer, name) for name in ("stream_forward", "permute", "reshape")]
+            got = _step_bytes(params, x[:batch], labels[:batch])
+        assert got == want, batch
+        worker = "skelact-worker" if recognizer.infer_workers() == 2 else "MainThread"
+        assert len(forwards) == len(backwards) == 4, batch
+        assert all(name.startswith(worker) for name in forwards + backwards), batch
+        # perfbench's tracer wraps these with one span stack: no worker may call them
+        assert all(name == "MainThread" for names in traced for name in names), batch
+        with monkeypatch.context() as m:  # no BLAS hook: every stream inline
+            m.setattr(recognizer, "_blas_thread_calls", lambda: None)
+            forwards = _thread_spy(m, recognizer, "_stages")
+            inline = _step_bytes(params, x[:batch], labels[:batch])
+        assert inline == want, batch
+        assert forwards == ["MainThread"] * 4, batch
+
+
+def test_untaped_forward_records_nothing_and_is_the_taped_logits():
+    params = _perturbed_params(np.float32)
+    x = (np.random.default_rng(36).normal(size=(6, 64, 4, 3)) * 0.3).astype(np.float32)
+    untaped = forward(encode(x, params.encoder), params)
+    with Tape():
+        taped = forward(encode(x, params.encoder), params)
+    assert untaped._tape is None and taped._tape is not None
+    assert np.array_equal(untaped.data.view(np.uint8), taped.data.view(np.uint8))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_two_threads_training_at_once_get_their_own_bits(dtype):
+    # one thread's streams hold the workers, the other's run inline; each
+    # thread's workspace and each stage's rebuilt columns keep them apart
+    rng = np.random.default_rng(37)
+    runs = [((rng.normal(size=(batch, 64, 4, 3)) * 0.3).astype(dtype), rng.integers(0, 3, size=batch))
+            for batch in (64, 6, 1)]
+    params = [_perturbed_params(dtype, seed=18 + i) for i in range(len(runs))]
+    alone = [_step_bytes(p, x, y) for p, (x, y) in zip(params, runs)]
+    results = [[] for _ in runs]
+
+    def train(i):
+        for _ in range(3):
+            results[i].append(_step_bytes(params[i], *runs[i]))
+
+    threads = [threading.Thread(target=train, args=(i,)) for i in range(len(runs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for want, got in zip(alone, results):
+        assert len(got) == 3 and all(g == want for g in got)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_taped_forward_keeps_the_callers_numpy_errstate_in_the_streams(dtype, monkeypatch):
+    # the first stage's GEMM overflows; the streams run on the workers (or
+    # inline), each in a copy of the caller's context
+    params = ModelParams.build(_config(), seed=19, dtype=dtype)
+    big = dtype(np.finfo(dtype).max ** 0.75)
+    for name, tensor in params.tensors.items():
+        if name.startswith("stream"):
+            tensor.data += big
+    rng = np.random.default_rng(38)
+    for inline in (False, True):
+        for batch in (64, 6, 1):
+            images = [Tensor(rng.normal(size=(batch, 3, 64, 64)) * big, requires_grad=True, dtype=dtype)
+                      for _ in range(4)]
+            bundle = EncodedBundle(*images, attention=uniform_attention(64))
+            with monkeypatch.context() as m:
+                if inline:
+                    m.setattr(recognizer, "_blas_thread_calls", lambda: None)
+                with Tape(), np.errstate(all="raise"), pytest.raises(FloatingPointError) as caught:
+                    forward(bundle, params)
+            assert any(entry.name == "conv_pool_leaky" for entry in caught.traceback), (inline, batch)
+
+
+def _thread_workspaces(on_workers: bool) -> list[dict[str, np.ndarray]]:
+    """This thread's workspace buffers by role and, with ``on_workers``,
+    each worker's; a barrier holds the first worker until the second has
+    its task."""
+    workspaces = [dict(vars(autograd._WORKSPACE))]
+    if on_workers:
+        barrier = threading.Barrier(2)
+
+        def grab():
+            barrier.wait(10)
+            return dict(vars(autograd._WORKSPACE))
+
+        workspaces += [f.result() for f in [recognizer._workers.submit(grab) for _ in range(2)]]
+    return workspaces
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_no_gradient_a_backward_returns_shares_a_workspace_on_any_thread(dtype, monkeypatch):
+    rng = np.random.default_rng(39)
+    x = (rng.normal(size=(64, 64, 4, 3)) * 0.3).astype(dtype)
+    labels = rng.integers(0, 3, size=64)
+    params = _perturbed_params(dtype)
+    on_workers = recognizer.infer_workers() == 2
+    for inline in (False, True):
+        returned, lock, finish = [], threading.Lock(), autograd._finish
+
+        def spy(out_data, inputs, back, op):
+            def traced(d):
+                grads = back(d)
+                with lock:
+                    returned.extend(g for g in grads if g is not None)
+                return grads
+
+            return finish(out_data, inputs, traced, op)
+
+        with monkeypatch.context() as m:
+            m.setattr(autograd, "_finish", spy)
+            m.setattr(recognizer, "_finish", spy)
+            if inline:
+                m.setattr(recognizer, "_blas_thread_calls", lambda: None)
+            for batch in (64, 6, 1):
+                _step_bytes(params, x[:batch], labels[:batch])
+        workspaces = _thread_workspaces(on_workers)
+        ran_stages = workspaces[1:] if on_workers and not inline else workspaces[:1]
+        assert all({"pad", "cols", "conv", "pool"} <= set(ws) for ws in ran_stages), inline
+        buffers = [buf for ws in workspaces for buf in ws.values() if isinstance(buf, np.ndarray)]
+        assert len(returned) > 100
+        assert not any(np.shares_memory(g, buf) for g in returned for buf in buffers), inline
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork() of a process with threads
+def test_a_forked_child_trains_a_step_with_its_own_workers():
+    params = _perturbed_params(np.float32)
+    rng = np.random.default_rng(40)
+    x = (rng.normal(size=(64, 64, 4, 3)) * 0.3).astype(np.float32)
+    labels = rng.integers(0, 3, size=64)
+    want = _step_bytes(params, x, labels)  # the parent's workers exist from here on
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+
+    def child():
+        send.send(_step_bytes(params, x, labels))
+
+    proc = ctx.Process(target=child)
+    proc.start()
+    try:
+        assert receive.poll(60), "the forked child's training step did not finish"
+        assert receive.recv() == want
+    finally:
+        proc.join(10)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
 
 
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork() of a process with threads
