@@ -27,10 +27,17 @@ stage accept (B, ..) inputs and nothing else.  The fused stage is the one
 place a CNN stage is computed, for training and for ``recognizer.infer``
 alike.  It pads its input into a per-thread workspace buffer, reused call
 after call, and its im2col columns, conv output and pooled maxima live in
-that workspace too.  Arrays a tape records are always fresh, and so are
-the stage's output and every gradient a backward rule returns; the
-stage's backward rule rebuilds its columns from its saved input and keeps
-its conv and column gradients in the workspace of the thread that runs it.
+that workspace too.  It runs the per-sample work in near-equal batch
+blocks of at most ``BLOCK_ROWS`` GEMM rows, so a forward's workspace holds
+one block (only stage 1 of a batch of 17 or more splits).  The edges are
+balanced, since a short tail block's GEMM has given other bits; the
+kernel and bias gradients add over every row, so they stay whole-batch.
+A block of half ``BLOCK_ROWS`` or more fills its columns transposed, the
+faster copy, for a GEMM that OpenBLAS runs with the same bits.
+Arrays a tape records are always fresh, and so are the stage's output
+and every gradient a backward rule returns; the stage's backward rule
+rebuilds its columns from its saved input and keeps its conv and column
+gradients in the workspace of the thread that runs it.
 """
 
 from __future__ import annotations
@@ -461,6 +468,25 @@ def maxpool2d(x: Tensor) -> Tensor:
     return _finish(out, (x,), back, "maxpool2d")
 
 
+# The most GEMM rows one batch block of a fused stage runs.  Stage 1 of a
+# B=64 batch is 65,536 rows, whose columns and conv output (7.1 and 8.4 MB
+# in float32) each pass over them reads from L3 or memory; one block's are
+# a quarter of that.
+BLOCK_ROWS = 16384
+
+
+def _batch_blocks(batch: int, rows: int) -> list[tuple[int, int]]:
+    """The (first, end) samples of the near-equal batch blocks a fused stage
+    with ``rows`` GEMM rows per sample runs in: ceil(batch * rows /
+    BLOCK_ROWS) blocks, at most one per sample, block i starting at
+    batch * i // count.  Balanced edges keep every block of a split batch
+    at half of BLOCK_ROWS or more, where a short tail block's GEMM has
+    given other bits."""
+    count = max(1, min(batch, -(-batch * rows // BLOCK_ROWS)))
+    edges = [batch * i // count for i in range(count + 1)]
+    return list(zip(edges, edges[1:]))
+
+
 def _fill_columns(xp: np.ndarray, cols: np.ndarray, kh: int, kw: int) -> None:
     """im2col of a padded buffer for a stride-2 kh x kw kernel, rows in
     (b, y, x) order and columns in (c, i, j) order.  The kw taps of one
@@ -476,17 +502,41 @@ def _fill_columns(xp: np.ndarray, cols: np.ndarray, kh: int, kw: int) -> None:
     )
 
 
-def _columns(xd: np.ndarray, cols_shape: tuple[int, int], kh: int, kw: int) -> np.ndarray:
-    """The stride-2 padding-1 im2col columns of a (B, H, W, C) input, in
-    this thread's workspace: ``xd`` copied channel-first into the
-    zero-bordered ``pad`` buffer, then :func:`_fill_columns` into ``cols``."""
+def _fill_columns_transposed(xp: np.ndarray, cols_t: np.ndarray, kh: int, kw: int) -> None:
+    """:func:`_fill_columns`' columns, transposed: one row of ``cols_t`` per
+    (c, i, j) tap, holding that tap's samples in (b, y, x) order, so one
+    copy moves single elements, contiguous along x."""
+    batch, c_in = xp.shape[:2]
+    h_out, w_out = (xp.shape[2] - kh) // 2 + 1, (xp.shape[3] - kw) // 2 + 1
+    shape, (s_b, s_c, s_h, s_w) = (c_in, kh, kw, batch, h_out, w_out), xp.strides
+    np.copyto(cols_t.reshape(shape), np.lib.stride_tricks.as_strided(xp, shape, (s_c, s_h, s_w, s_b, 2 * s_h, 2 * s_w)))
+
+
+def _columns(xd: np.ndarray, kh: int, kw: int, c_out: int) -> np.ndarray:
+    """The stride-2 padding-1 im2col columns of a (B, H, W, C) input for a
+    GEMM with ``c_out`` outputs, rows in (b, y, x) order and columns in
+    (c, i, j) order, in this thread's workspace: ``xd`` copied
+    channel-first into the zero-bordered ``pad`` buffer, then filled into
+    ``cols``.  Columns of ``BLOCK_ROWS // 2`` rows or more for two or more
+    outputs (every block of a split stage 1) are filled transposed and
+    returned as a transposed view: that fill takes a third of the time
+    (0.36 against 0.98 ms for a 16-sample float32 stage-1 block on a
+    2-vCPU Xeon), and OpenBLAS gives a GEMM this large the same bits with
+    either operand layout.  Smaller GEMMs (its small-matrix kernels) and
+    single-output ones (a matrix-vector product) do not, so their columns
+    stay row-major."""
     batch, h, w, c_in = xd.shape
     xp = _workspace("pad", (batch, c_in, h + 2, w + 2), xd.dtype)
     xp[:, :, 0], xp[:, :, -1], xp[:, :, :, 0], xp[:, :, :, -1] = 0, 0, 0, 0  # the border only
     xp[:, :, 1:-1, 1:-1] = xd.transpose(0, 3, 1, 2)
-    cols = _workspace("cols", cols_shape, xd.dtype)
-    _fill_columns(xp, cols, kh, kw)
-    return cols
+    rows, taps = batch * ((h + 2 - kh) // 2 + 1) * ((w + 2 - kw) // 2 + 1), c_in * kh * kw
+    if rows < BLOCK_ROWS // 2 or c_out < 2:
+        cols = _workspace("cols", (rows, taps), xd.dtype)
+        _fill_columns(xp, cols, kh, kw)
+        return cols
+    cols_t = _workspace("cols", (taps, rows), xd.dtype)
+    _fill_columns_transposed(xp, cols_t, kh, kw)
+    return cols_t.T
 
 
 def _pool_then_bias(conv: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -510,10 +560,19 @@ def conv_pool_leaky(x: Tensor, kernels: Tensor, bias: Tensor, slope: float = 0.0
     Takes (B,H,W,C_in) and returns (B,H'/2,W'/2,C_out), with the values
     and gradients of ``leaky_relu(maxpool2d(conv2d(.)))`` on the
     channel-first layout.  Kernels keep their (C_out,C_in,kh,kw) layout and
-    the im2col columns keep (C_in,kh,kw) order, so the GEMM is conv2d's.
+    the im2col columns keep (C_in,kh,kw) order, so the GEMM is conv2d's
+    (:func:`_columns` stores a large block's columns transposed).
     The input is copied into a zero-bordered pad buffer, and the im2col
     columns, the conv output and the pooled maxima live in this thread's
     workspace; the output is always fresh.
+    The per-sample work runs in the near-equal batch blocks of
+    :func:`_batch_blocks`, at most ``BLOCK_ROWS`` GEMM rows each, so the
+    forward's workspace holds one block at a time (only stage 1 of a batch
+    of 17 or more splits).  Each block's pad, columns, conv GEMM, pool and
+    leaky ReLU run before the next block's, writing into that block's
+    slice of the fresh output.  OpenBLAS computes each row of a GEMM of
+    half ``BLOCK_ROWS`` rows or more as the same dot product however the
+    rows are blocked, and the other forward steps are elementwise.
     A call a tape records adds the bias before it pools, and builds an int8
     index of each window's first maximum from strict ``>`` compares taken
     in row-major corner order; backward routes the window's gradient to
@@ -524,10 +583,14 @@ def conv_pool_leaky(x: Tensor, kernels: Tensor, bias: Tensor, slope: float = 0.0
     The leaky slope of the gradient follows the sign of the pooled maximum,
     not of the output, which is -0 where a tiny negative maximum times the
     slope underflows.  Backward reads only the input, that index and a bool
-    leaky mask: it refills the pad and column buffers from the input for
-    ``dk``, then writes the conv gradient and the column gradient into
-    this thread's ``conv`` and ``cols`` buffers, so the tape keeps no
-    columns and every returned gradient is fresh.  A call no tape records (``recognizer.infer``'s)
+    leaky mask: it routes each block's gradient into this thread's ``conv``
+    buffer, refills the pad and column buffers from the whole input for
+    ``dk``, then runs each block's column gradient GEMM into the ``cols``
+    buffer and its col2im into that block's slice of the fresh input
+    gradient, so the tape keeps no columns and every returned gradient is
+    fresh.  ``dk`` and ``db`` stay one whole-batch GEMM and one sum: both
+    add over the rows, so blocking them would change their bits.
+    A call no tape records (``recognizer.infer``'s)
     pools before the bias add, building neither index nor mask: the same
     bits, with less work.
     The input gradient follows the input's memory layout: a C-contiguous
@@ -555,45 +618,56 @@ def conv_pool_leaky(x: Tensor, kernels: Tensor, bias: Tensor, slope: float = 0.0
     channels_last = xd.flags.c_contiguous  # the input gradient's layout
     kmat = kernels.data.reshape(c_out, -1)
     dtype = np.result_type(xd, kmat)
-    cols_shape = (batch * h_out * w_out, c_in * kh * kw)
-    conv = _workspace("conv", (batch * h_out * w_out, c_out), dtype)
-    np.matmul(_columns(xd, cols_shape, kh, kw), kmat.T, out=conv)
-    conv = conv.reshape(batch, h_out, w_out, c_out)
+    per_sample = h_out * w_out
+    blocks = _batch_blocks(batch, per_sample)
+    out = np.empty((batch, h_out // 2, w_out // 2, c_out), dtype)
     if recorded:
-        conv += bias.data  # bias first: the index below compares the biased corners
-        corners = [conv[:, i::2, j::2] for i in (0, 1) for j in (0, 1)]  # row-major window order
-        pooled = _workspace("pool", corners[0].shape, dtype)
-        first = np.greater(corners[1], corners[0]).view(np.int8)  # the first max's corner
-        np.maximum(corners[0], corners[1], out=pooled)
-        for n in (2, 3):
-            later = np.greater(corners[n], pooled).view(np.int8)
-            np.maximum(first, later * n, out=first)
-            np.maximum(pooled, corners[n], out=pooled)
-        rising = pooled >= 0
-    else:
-        pooled = _pool_then_bias(conv, bias.data)
-    out = np.multiply(pooled, dtype.type(slope))
-    np.maximum(out, pooled, out=out)  # leaky ReLU, as slope < 1
+        first = np.empty(out.shape, np.int8)  # each window's first max's corner
+        rising = np.empty(out.shape, bool)
+    for lo, hi in blocks:
+        conv = _workspace("conv", ((hi - lo) * per_sample, c_out), dtype)
+        np.matmul(_columns(xd[lo:hi], kh, kw, c_out), kmat.T, out=conv)
+        conv = conv.reshape(hi - lo, h_out, w_out, c_out)
+        if recorded:
+            conv += bias.data  # bias first: the index below compares the biased corners
+            corners = [conv[:, i::2, j::2] for i in (0, 1) for j in (0, 1)]  # row-major window order
+            pooled = _workspace("pool", corners[0].shape, dtype)
+            index = first[lo:hi]
+            np.greater(corners[1], corners[0], out=index.view(bool))
+            np.maximum(corners[0], corners[1], out=pooled)
+            for n in (2, 3):
+                later = np.greater(corners[n], pooled).view(np.int8)
+                np.maximum(index, later * n, out=index)
+                np.maximum(pooled, corners[n], out=pooled)
+            np.greater_equal(pooled, 0, out=rising[lo:hi])
+        else:
+            pooled = _pool_then_bias(conv, bias.data)
+        np.multiply(pooled, dtype.type(slope), out=out[lo:hi])
+        np.maximum(out[lo:hi], pooled, out=out[lo:hi])  # leaky ReLU, as slope < 1
 
     def back(d):
-        dpool = np.where(rising, d, d * slope)
         dconv = _workspace("conv", (batch, h_out, w_out, c_out), dtype)
-        for n in range(4):
-            np.multiply(dpool, first == n, out=dconv[:, n // 2 :: 2, n % 2 :: 2])
+        for lo, hi in blocks:
+            dpool = np.where(rising[lo:hi], d[lo:hi], d[lo:hi] * slope)
+            for n in range(4):
+                np.multiply(dpool, first[lo:hi] == n, out=dconv[lo:hi, n // 2 :: 2, n % 2 :: 2])
         d2 = dconv.reshape(-1, c_out)
-        dk = (d2.T @ _columns(xd, cols_shape, kh, kw)).reshape(kernels.shape)
+        dk = (d2.T @ _columns(xd, kh, kw, c_out)).reshape(kernels.shape)
         db = d2.sum(axis=0)
-        dcols = np.matmul(d2, kmat, out=_workspace("cols", cols_shape, dtype))  # dk has read the columns
-        dcols = dcols.reshape(batch, h_out, w_out, c_in, kh, kw)
         if channels_last:
             dxp = np.zeros((batch, h + 2, w + 2, c_in), dtype=d.dtype)
-            taps = dcols
-        else:  # gather the taps once, channel-first like the buffer they add into
+        else:  # channel-first memory: each block gathers its taps to match
             dxp = np.zeros((batch, c_in, h + 2, w + 2), dtype=d.dtype).transpose(0, 2, 3, 1)
-            taps = np.ascontiguousarray(dcols.transpose(0, 3, 4, 5, 1, 2)).transpose(0, 4, 5, 1, 2, 3)
-        for i in range(kh):  # each element sums its taps in (i, j) row-major order from +0
-            for j in range(kw):
-                dxp[:, i : i + 2 * h_out : 2, j : j + 2 * w_out : 2] += taps[..., i, j]
+        for lo, hi in blocks:  # dk has read the columns
+            dcols = _workspace("cols", ((hi - lo) * per_sample, c_in * kh * kw), dtype)
+            np.matmul(d2[lo * per_sample : hi * per_sample], kmat, out=dcols)
+            taps = dcols.reshape(hi - lo, h_out, w_out, c_in, kh, kw)
+            if not channels_last:
+                taps = np.ascontiguousarray(taps.transpose(0, 3, 4, 5, 1, 2)).transpose(0, 4, 5, 1, 2, 3)
+            dxb = dxp[lo:hi]
+            for i in range(kh):  # each element sums its taps in (i, j) row-major order from +0
+                for j in range(kw):
+                    dxb[:, i : i + 2 * h_out : 2, j : j + 2 * w_out : 2] += taps[..., i, j]
         return dxp[:, 1 : 1 + h, 1 : 1 + w], dk, db
 
     return _finish(out, (x, kernels, bias), back, "conv_pool_leaky")

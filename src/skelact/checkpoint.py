@@ -17,12 +17,16 @@ each config entry by its field's type (rank and extents, integral values,
 model.param_spec and hands the stored arrays, as they are and in spec
 order, to ModelParams as its named tensors; no weights are drawn.  Any
 fault in the file is a CheckpointError, a NaN or an infinity in a tensor
-among them; saving such a tensor is refused.
+among them; saving such a tensor is refused.  A save writes a temporary
+file beside the target and renames it into place, so a save that fails
+leaves no partial file, and any earlier checkpoint at the path as it was.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import secrets
 import struct
 from dataclasses import astuple, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
@@ -47,26 +51,37 @@ def _non_finite(tensors: dict[str, np.ndarray]) -> str | None:
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    """Write ``params`` to ``path``; a tensor holding a NaN or an infinity
-    is a UsageError, raised before the file is opened."""
+    """Write ``params`` to ``path`` through a temporary file in the same
+    directory, replaced onto ``path`` once complete and removed if the
+    write fails; a tensor holding a NaN or an infinity is a UsageError,
+    raised before any file is opened."""
     config, tensors = params.config, params.tensors
     fault = _non_finite({name: tensors[name].data for name in sorted(tensors)})
     if fault:
         raise UsageError(f"refusing to save a checkpoint: {fault}")
     entries = [(f"config.{f.name}", value) for f, value in zip(fields(config), astuple(config))]
     entries += [(name, tensors[name].data) for name in sorted(tensors)]
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, len(entries)))
-        for name, value in entries:
-            arr = np.ascontiguousarray(value, dtype="<f4")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", arr.ndim))
-            for extent in arr.shape:
-                fh.write(struct.pack("<I", extent))
-            fh.write(arr.tobytes())
+    path = os.fsdecode(path)
+    directory, base = os.path.split(path)
+    temp = os.path.join(directory, f".{base}.{secrets.token_hex(8)}.tmp")
+    try:
+        with open(temp, "xb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<II", VERSION, len(entries)))
+            for name, value in entries:
+                arr = np.ascontiguousarray(value, dtype="<f4")
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<I", arr.ndim))
+                for extent in arr.shape:
+                    fh.write(struct.pack("<I", extent))
+                fh.write(arr.tobytes())
+        os.replace(temp, path)
+    except BaseException:
+        if os.path.exists(temp):
+            os.remove(temp)
+        raise
 
 
 class _Reader:

@@ -531,6 +531,68 @@ def test_conv_pool_leaky_rezeroes_the_border_of_a_reused_pad_buffer():
             assert _same_bits(got.data.transpose(0, 3, 1, 2), want.data)
 
 
+# the default model's three stages: (H, W, C_in) input and (C_out, C_in) kernels
+# with 1,024, 64 and 4 GEMM rows per sample; stage 1 runs in blocks from B=17,
+# and fills its columns transposed from B=8.  Last, a one-channel stage 1,
+# whose columns stay row-major at any batch
+MODEL_STAGES = [((64, 64, 3), (32, 3)), ((16, 16, 32), (64, 32)), ((4, 4, 64), (128, 64)), ((64, 64, 3), (1, 3))]
+
+
+def _stage_in_blocks(x, k, b, upstream, monkeypatch, one_block):
+    """conv_pool_leaky's unrecorded output, then its recorded output and
+    (x, kernels, bias) gradients under sum_all(out * upstream), and the
+    GEMM rows of each block the unrecorded call filled columns for;
+    ``one_block`` runs every batch as one block, with row-major columns."""
+    rows, columns = [], autograd._columns
+
+    def counted(*args):
+        cols = columns(*args)
+        rows.append(len(cols))
+        return cols
+
+    dtype = x.dtype
+    with monkeypatch.context() as m:
+        if one_block:
+            m.setattr(autograd, "BLOCK_ROWS", 2**62)
+        m.setattr(autograd, "_columns", counted)
+        kt, bt = Tensor(k, requires_grad=True, dtype=dtype), Tensor(b, requires_grad=True, dtype=dtype)
+        untaped = conv_pool_leaky(Tensor(x, dtype=dtype), kt, bt, 0.01).data
+        blocks = list(rows)
+        xt = Tensor(x, requires_grad=True, dtype=dtype)
+        with Tape():
+            out = conv_pool_leaky(xt, kt, bt, 0.01)
+            loss = sum_all(mul(out, Tensor(upstream, dtype=dtype)))
+        backward(loss)
+    return [untaped, out.data, xt.grad, kt.grad, bt.grad], blocks
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batch_blocked_stage_is_bytewise_one_block_in_balanced_blocks(dtype, monkeypatch):
+    for batch in (1, 8, 16, 17, 33, 65):
+        for (h, w, c_in), (c_out, _) in MODEL_STAGES:
+            rng = np.random.default_rng(batch)
+            x = rng.normal(size=(batch, c_in, h, w)).astype(dtype).transpose(0, 2, 3, 1)
+            if c_in > 3:  # stage 1 reads the permuted image, later stages a C-contiguous output
+                x = np.ascontiguousarray(x)
+            k = (rng.normal(size=(c_out, c_in, 3, 3)) * 0.2).astype(dtype)
+            b = rng.normal(size=c_out).astype(dtype)
+            upstream = rng.normal(size=(batch, h // 4, w // 4, c_out)).astype(dtype)
+            got, blocks = _stage_in_blocks(x, k, b, upstream, monkeypatch, one_block=False)
+            want, whole = _stage_in_blocks(x, k, b, upstream, monkeypatch, one_block=True)
+            case = (batch, h, w, c_in)
+            assert whole == [batch * h * w // 4] == [sum(blocks)], case
+            assert len(blocks) == -(-sum(blocks) // autograd.BLOCK_ROWS), case
+            if len(blocks) > 1:
+                assert autograd.BLOCK_ROWS // 2 <= min(blocks) and max(blocks) <= autograd.BLOCK_ROWS, case
+            for g, want_g in zip(got, want):
+                assert g.dtype == dtype and g.tobytes() == want_g.tobytes(), case
+            buffers = [buf for buf in vars(autograd._WORKSPACE).values() if isinstance(buf, np.ndarray)]
+            assert not any(np.shares_memory(g, buf) for g in got for buf in buffers), case
+    assert autograd._batch_blocks(65, 1024) == [(0, 13), (13, 26), (26, 39), (39, 52), (52, 65)]
+    assert autograd._batch_blocks(17, 1024) == [(0, 8), (8, 17)]
+    assert autograd._batch_blocks(2, 10**6) == [(0, 1), (1, 2)]  # at most one block a sample
+
+
 def _centre_tap_stage(grid, slope=0.01):
     """conv_pool_leaky's output and input gradient under sum_all, for a
     centre-tap kernel and an input whose even-indexed pixels are ``grid``

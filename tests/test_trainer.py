@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from skelact import autograd, training
+from skelact import autograd, checkpoint, training
 from skelact.autograd import Tape
 from skelact.checkpoint import MAGIC, load_checkpoint, read_entries, save_checkpoint
 from skelact.cli import main
@@ -285,6 +285,55 @@ def test_load_checkpoint_draws_no_random_weights(tmp_path, monkeypatch):
     for name, tensor in params.named_tensors().items():
         assert np.array_equal(loaded[name].data, tensor.data), name
         assert loaded[name].requires_grad == tensor.requires_grad, name
+
+
+class _FullDisk:
+    """A binary file that takes ``budget`` bytes and then fails like a
+    full disk, after writing what fits of the write that overflows."""
+
+    def __init__(self, fh, budget):
+        self.fh, self.budget = fh, budget
+
+    def write(self, data):
+        if len(data) > self.budget:
+            self.fh.write(bytes(data)[: self.budget])
+            raise OSError(28, "No space left on device")
+        self.budget -= len(data)
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def test_a_save_that_fails_partway_leaves_the_earlier_checkpoint_and_no_temp_file(tmp_path, monkeypatch):
+    config = ModelConfig(joints=TOPO.joint_count, classes=3, bones=TOPO.bones, root=TOPO.root,
+                         labels=(0, 1, 2), channels=(2, 2, 2), fc_hidden=8, scale_hidden=4)
+    earlier, later = ModelParams.build(config, seed=4), ModelParams.build(config, seed=5)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(earlier, path)
+    blob = path.read_bytes()
+    opened = []
+
+    def full_disk_open(file, mode="r", *args, **kwargs):
+        opened.append(file)
+        return _FullDisk(open(file, mode, *args, **kwargs), budget=len(blob) // 2)
+
+    for target in (path, tmp_path / "fresh.ckpt"):
+        opened.clear()
+        with monkeypatch.context() as m:
+            m.setattr(checkpoint, "open", full_disk_open, raising=False)
+            with pytest.raises(OSError, match="No space left"):
+                save_checkpoint(later, target)
+        assert len(opened) == 1 and str(opened[0]) != str(target)  # a temporary file beside the target
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+        assert path.read_bytes() == blob
+    save_checkpoint(later, path)  # an unhindered save replaces the file whole
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+    assert np.array_equal(load_checkpoint(path).tensors["classifier.fc2.weight"].data,
+                          later.tensors["classifier.fc2.weight"].data)
 
 
 def _small_checkpoint(path, **kw):
