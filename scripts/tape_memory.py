@@ -9,13 +9,16 @@ more forward on a tape and, before its backward, walks ``tape.nodes``: each
 array a node's output, inputs or backward closure reaches is charged once,
 by its underlying buffer, to the first node in tape order that reaches it,
 as ``out`` when it is that node's output and as ``saved`` otherwise.  A
-tape a node's closure reaches is walked in place, so a node that records
-its own tape (the four CNN streams') has its inner nodes charged to their
+backward rule a node's closure reaches (the CNN streams node keeps each
+stage's) counts as a node of its own op, and the arrays its closure
+reaches are charged to that op as ``saved``; a tape a closure reaches (an
+op that records its own) is walked in place, its nodes charged to their
 ops.
 Parameters and the input batch are not charged.  Ops are named after their
-backward closure (``conv_pool_leaky.<locals>.back`` is ``conv_pool_leaky``).
-It reads only ``Tape.nodes`` and each node's ``output``, ``inputs`` and
-``backward_fn``, so it runs unchanged against any source tree put first on
+backward closure (``conv_pool_leaky_arrays.<locals>.back`` is
+``conv_pool_leaky_arrays``).  It reads only ``Tape.nodes``, each node's
+``output``, ``inputs`` and ``backward_fn``, and the closures of those
+functions, so it runs unchanged against any source tree put first on
 PYTHONPATH.
 """
 
@@ -24,6 +27,7 @@ from __future__ import annotations
 import argparse
 import resource
 from collections import defaultdict
+from types import FunctionType
 
 import numpy as np
 
@@ -44,16 +48,16 @@ def _owner(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _arrays(value, depth: int = 0):
-    """The arrays and tapes a closure cell or node input reaches: itself, a
-    Tensor's data, or the items of a list or tuple."""
-    if isinstance(value, (np.ndarray, Tape)):
+def _reach(value, depth: int = 0):
+    """The arrays, tapes and backward rules a closure cell or node input
+    reaches: itself, a Tensor's data, or the items of a list or tuple."""
+    if isinstance(value, (np.ndarray, Tape)) or (isinstance(value, FunctionType) and value.__closure__):
         yield value
     elif isinstance(value, Tensor):
         yield value.data
-    elif isinstance(value, (list, tuple)) and depth < 2:
+    elif isinstance(value, (list, tuple)) and depth < 3:
         for item in value:
-            yield from _arrays(item, depth + 1)
+            yield from _reach(item, depth + 1)
 
 
 def _contents(cell):
@@ -63,28 +67,42 @@ def _contents(cell):
         return None
 
 
+def _op(fn) -> str:
+    return fn.__qualname__.split(".")[0]
+
+
+def _cells(fn) -> list:
+    return [_contents(c) for c in fn.__closure__ or ()]
+
+
+def _charge(table, op: str, column: int, values, seen: set[int]) -> None:
+    """Charge to ``op``'s ``column`` each buffer ``values`` reach whose id
+    is not in ``seen``, adding it there.  A tape or a backward rule they
+    reach is walked where it is found, charged to its own ops."""
+    for value in values:
+        for item in _reach(value):
+            if isinstance(item, Tape):
+                tape_bytes(item, seen, table)
+            elif isinstance(item, FunctionType):
+                table[_op(item)][0] += 1
+                _charge(table, _op(item), 2, _cells(item), seen)
+            else:
+                owner = _owner(item)
+                if id(owner) not in seen:
+                    seen.add(id(owner))
+                    table[op][column] += owner.nbytes
+
+
 def tape_bytes(tape: Tape, seen: set[int], table=None) -> dict[str, list[int]]:
     """op -> [nodes, output bytes, saved bytes] over one recorded tape,
     charging no buffer whose id is in ``seen`` and adding each one it
-    charges.  A tape a node's closure reaches (an op that records its own,
-    such as the streams node) is walked where it is found, its nodes
-    charged to their own ops."""
+    charges."""
     table = defaultdict(lambda: [0, 0, 0]) if table is None else table
     for node in tape.nodes:
-        op = node.backward_fn.__qualname__.split(".")[0]
-        row = table[op]
-        row[0] += 1
-        cells = [_contents(c) for c in node.backward_fn.__closure__ or ()]
-        for column, values in ((1, [node.output]), (2, list(node.inputs) + cells)):
-            for value in values:
-                for arr in _arrays(value):
-                    if isinstance(arr, Tape):
-                        tape_bytes(arr, seen, table)
-                        continue
-                    owner = _owner(arr)
-                    if id(owner) not in seen:
-                        seen.add(id(owner))
-                        row[column] += owner.nbytes
+        op = _op(node.backward_fn)
+        table[op][0] += 1
+        _charge(table, op, 1, [node.output], seen)
+        _charge(table, op, 2, list(node.inputs) + _cells(node.backward_fn), seen)
     return table
 
 
@@ -125,12 +143,12 @@ def main() -> None:
     backward(loss)
 
     print(f"batch={args.batch} nodes={sum(row[0] for row in table.values())}")
-    print(f"{'op':<18}{'nodes':>6}{'out_MiB':>10}{'saved_MiB':>11}{'total_MiB':>11}")
+    print(f"{'op':<24}{'nodes':>6}{'out_MiB':>10}{'saved_MiB':>11}{'total_MiB':>11}")
     for op, (nodes, out, saved) in sorted(table.items(), key=lambda kv: -(kv[1][1] + kv[1][2])):
-        print(f"{op:<18}{nodes:>6}{out / MIB:>10.1f}{saved / MIB:>11.1f}{(out + saved) / MIB:>11.1f}")
+        print(f"{op:<24}{nodes:>6}{out / MIB:>10.1f}{saved / MIB:>11.1f}{(out + saved) / MIB:>11.1f}")
     out = sum(row[1] for row in table.values())
     saved = sum(row[2] for row in table.values())
-    print(f"{'tape':<18}{'':>6}{out / MIB:>10.1f}{saved / MIB:>11.1f}{(out + saved) / MIB:>11.1f}")
+    print(f"{'tape':<24}{'':>6}{out / MIB:>10.1f}{saved / MIB:>11.1f}{(out + saved) / MIB:>11.1f}")
     print(f"peak_rss_mb={peak:.1f} after {args.steps} steps")
 
 

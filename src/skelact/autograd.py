@@ -1,13 +1,14 @@
 """Dense tensor engine with reverse-mode differentiation.
 
 Covers exactly the operation set the recognition pipeline needs: matmul with
-broadcast batch dims, pointwise arithmetic with singleton-axis broadcasting,
-leaky ReLU, row softmax, fully connected layers, the encoder's fused image
-op (embedding product, attention and temporal add; the composed ops are its
-reference), strided 2D convolution, 2x2 max pooling, a fused channels-last
-conv/pool/leaky-ReLU stage (the CNN hot path; the three separate ops are
-its reference), frame-difference velocity, shape plumbing (reshape,
-transpose, concat), and a fused softmax cross-entropy loss.
+broadcast batch dims, pointwise arithmetic of two tensors with
+singleton-axis broadcasting, leaky ReLU, row softmax, fully connected
+layers, the encoder's fused image op (embedding product, attention and
+temporal add; the composed ops are its reference), strided 2D convolution,
+2x2 max pooling, a fused channels-last conv/pool/leaky-ReLU stage (the CNN
+hot path; the three separate ops are its reference), frame-difference
+velocity, shape plumbing (reshape, transpose, concat), and a fused softmax
+cross-entropy loss.
 
 Tensors hold 32-bit values for training and inference.  A parallel 64-bit
 mode (pass ``dtype=np.float64`` when building parameters) exists solely for
@@ -25,13 +26,17 @@ stretches, shorter ranks are left-padded with 1s, and nothing else aligns.
 The CNN ops take a batch axis only: ``conv2d``, ``maxpool2d`` and the fused
 stage accept (B, ..) inputs and nothing else.  The fused stage is the one
 place a CNN stage is computed, for training and for ``recognizer.infer``
-alike.  It pads its input into a per-thread workspace buffer, reused call
-after call, and its im2col columns, conv output and pooled maxima live in
-that workspace too.  It runs the per-sample work in near-equal batch
-blocks of at most ``BLOCK_ROWS`` GEMM rows, so a forward's workspace holds
-one block (only stage 1 of a batch of 17 or more splits).  The edges are
-balanced, since a short tail block's GEMM has given other bits; the
-kernel and bias gradients add over every row, so they stay whole-batch.
+alike.  Its body is the array-level :func:`conv_pool_leaky_arrays`, which
+returns the output and, when recorded, the backward rule:
+``conv_pool_leaky`` makes that one tape node, and the recognizer's streams
+node chains each stream's rules itself.  It pads its input into a
+per-thread workspace buffer, reused call after call, and its im2col
+columns, conv output and pooled maxima live in that workspace too.  It
+runs the per-sample work in near-equal batch blocks of at most
+``BLOCK_ROWS`` GEMM rows, so a forward's workspace holds one block (only
+stage 1 of a batch of 17 or more splits).  The edges are balanced, since
+a short tail block's GEMM has given other bits; the kernel and bias
+gradients add over every row, so they stay whole-batch.
 A block of half ``BLOCK_ROWS`` or more fills its columns transposed, the
 faster copy, for a GEMM that OpenBLAS runs with the same bits.
 Arrays a tape records are always fresh, and so are the stage's output
@@ -96,25 +101,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # Operator sugar; scalars are allowed on either side of + - *.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
 
 class _Node:
     __slots__ = ("output", "inputs", "backward_fn")
@@ -154,12 +140,6 @@ def no_tape():
         yield
     finally:
         _ACTIVE_TAPE.reset(token)
-
-
-def _wrap(value, like: Tensor) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=like.data.dtype))
 
 
 def _recording(inputs: tuple[Tensor, ...]) -> Tape | None:
@@ -219,15 +199,7 @@ def _broadcast_check(a_shape, b_shape, op: str) -> None:
 # pointwise arithmetic
 
 
-def add(a: Tensor, b) -> Tensor:
-    if isinstance(b, (int, float)):
-        out = a.data + b
-
-        def back(d):
-            return (d,)
-
-        return _finish(out, (a,), back, "add")
-    b = _wrap(b, a)
+def add(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_check(a.shape, b.shape, "add")
     out = a.data + b.data
 
@@ -237,15 +209,7 @@ def add(a: Tensor, b) -> Tensor:
     return _finish(out, (a, b), back, "add")
 
 
-def sub(a: Tensor, b) -> Tensor:
-    if isinstance(b, (int, float)):
-        out = a.data - b
-
-        def back(d):
-            return (d,)
-
-        return _finish(out, (a,), back, "sub")
-    b = _wrap(b, a)
+def sub(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_check(a.shape, b.shape, "sub")
     out = a.data - b.data
 
@@ -255,10 +219,7 @@ def sub(a: Tensor, b) -> Tensor:
     return _finish(out, (a, b), back, "sub")
 
 
-def mul(a: Tensor, b) -> Tensor:
-    if isinstance(b, (int, float)):
-        return scale(a, float(b))
-    b = _wrap(b, a)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_check(a.shape, b.shape, "mul")
     out = a.data * b.data
     a_data, b_data = a.data, b.data
@@ -553,9 +514,13 @@ def _pool_then_bias(conv: np.ndarray, bias: np.ndarray) -> np.ndarray:
     return pooled
 
 
-def conv_pool_leaky(x: Tensor, kernels: Tensor, bias: Tensor, slope: float = 0.01) -> Tensor:
-    """One channels-last CNN stage as a single tape node: stride-2 padding-1
-    conv, 2x2 max pool, leaky ReLU.
+def conv_pool_leaky_arrays(xd: np.ndarray, kernels: np.ndarray, bias: np.ndarray, slope: float,
+                           recorded: bool) -> tuple[np.ndarray, Callable | None]:
+    """One channels-last CNN stage on arrays: stride-2 padding-1 conv, 2x2
+    max pool, leaky ReLU.  Returns the output and, when ``recorded``, the
+    stage's backward rule, ``d -> (d_input, d_kernels, d_bias)``; else None.
+    :func:`conv_pool_leaky` is its tape node, and the recognizer's streams
+    chain its rules themselves.
 
     Takes (B,H,W,C_in) and returns (B,H'/2,W'/2,C_out), with the values
     and gradients of ``leaky_relu(maxpool2d(conv2d(.)))`` on the
@@ -573,7 +538,7 @@ def conv_pool_leaky(x: Tensor, kernels: Tensor, bias: Tensor, slope: float = 0.0
     slice of the fresh output.  OpenBLAS computes each row of a GEMM of
     half ``BLOCK_ROWS`` rows or more as the same dot product however the
     rows are blocked, and the other forward steps are elementwise.
-    A call a tape records adds the bias before it pools, and builds an int8
+    A recorded call adds the bias before it pools, and builds an int8
     index of each window's first maximum from strict ``>`` compares taken
     in row-major corner order; backward routes the window's gradient to
     that corner.  A compare with a NaN is false and the running maximum stays
@@ -590,7 +555,7 @@ def conv_pool_leaky(x: Tensor, kernels: Tensor, bias: Tensor, slope: float = 0.0
     gradient, so the tape keeps no columns and every returned gradient is
     fresh.  ``dk`` and ``db`` stay one whole-batch GEMM and one sum: both
     add over the rows, so blocking them would change their bits.
-    A call no tape records (``recognizer.infer``'s)
+    An unrecorded call (``recognizer.infer``'s and ``stream_forward``'s)
     pools before the bias add, building neither index nor mask: the same
     bits, with less work.
     The input gradient follows the input's memory layout: a C-contiguous
@@ -601,22 +566,20 @@ def conv_pool_leaky(x: Tensor, kernels: Tensor, bias: Tensor, slope: float = 0.0
     """
     if not 0.0 < slope < 1.0:
         raise UsageError(f"conv_pool_leaky slope must lie in (0, 1), got {slope}")
-    xd = x.data
     if xd.ndim != 4:
-        raise DimensionError(f"conv_pool_leaky expects (B,H,W,C), got {x.shape}")
+        raise DimensionError(f"conv_pool_leaky expects (B,H,W,C), got {xd.shape}")
     c_out, c_in, kh, kw = kernels.shape
     batch, h, w, c_x = xd.shape
     if c_x != c_in:
-        raise DimensionError(f"conv_pool_leaky channel mismatch: input {x.shape} vs kernels {kernels.shape}")
+        raise DimensionError(f"conv_pool_leaky channel mismatch: input {xd.shape} vs kernels {kernels.shape}")
     if bias.shape != (c_out,):
         raise DimensionError(f"conv_pool_leaky bias {bias.shape} does not match kernels {kernels.shape}")
     h_out, w_out = (h + 2 - kh) // 2 + 1, (w + 2 - kw) // 2 + 1
     if h_out < 1 or w_out < 1 or h_out % 2 or w_out % 2:
-        raise DimensionError(f"conv_pool_leaky: conv output {h_out}x{w_out} of input {x.shape} cannot be pooled 2x2")
+        raise DimensionError(f"conv_pool_leaky: conv output {h_out}x{w_out} of input {xd.shape} cannot be pooled 2x2")
 
-    recorded = _recording((x, kernels, bias)) is not None
     channels_last = xd.flags.c_contiguous  # the input gradient's layout
-    kmat = kernels.data.reshape(c_out, -1)
+    kmat = kernels.reshape(c_out, -1)
     dtype = np.result_type(xd, kmat)
     per_sample = h_out * w_out
     blocks = _batch_blocks(batch, per_sample)
@@ -629,7 +592,7 @@ def conv_pool_leaky(x: Tensor, kernels: Tensor, bias: Tensor, slope: float = 0.0
         np.matmul(_columns(xd[lo:hi], kh, kw, c_out), kmat.T, out=conv)
         conv = conv.reshape(hi - lo, h_out, w_out, c_out)
         if recorded:
-            conv += bias.data  # bias first: the index below compares the biased corners
+            conv += bias  # bias first: the index below compares the biased corners
             corners = [conv[:, i::2, j::2] for i in (0, 1) for j in (0, 1)]  # row-major window order
             pooled = _workspace("pool", corners[0].shape, dtype)
             index = first[lo:hi]
@@ -641,7 +604,7 @@ def conv_pool_leaky(x: Tensor, kernels: Tensor, bias: Tensor, slope: float = 0.0
                 np.maximum(pooled, corners[n], out=pooled)
             np.greater_equal(pooled, 0, out=rising[lo:hi])
         else:
-            pooled = _pool_then_bias(conv, bias.data)
+            pooled = _pool_then_bias(conv, bias)
         np.multiply(pooled, dtype.type(slope), out=out[lo:hi])
         np.maximum(out[lo:hi], pooled, out=out[lo:hi])  # leaky ReLU, as slope < 1
 
@@ -670,7 +633,14 @@ def conv_pool_leaky(x: Tensor, kernels: Tensor, bias: Tensor, slope: float = 0.0
                     dxb[:, i : i + 2 * h_out : 2, j : j + 2 * w_out : 2] += taps[..., i, j]
         return dxp[:, 1 : 1 + h, 1 : 1 + w], dk, db
 
-    return _finish(out, (x, kernels, bias), back, "conv_pool_leaky")
+    return out, back if recorded else None
+
+
+def conv_pool_leaky(x: Tensor, kernels: Tensor, bias: Tensor, slope: float = 0.01) -> Tensor:
+    """:func:`conv_pool_leaky_arrays` as one tape node over ``x``."""
+    inputs = (x, kernels, bias)
+    out, rule = conv_pool_leaky_arrays(x.data, kernels.data, bias.data, slope, _recording(inputs) is not None)
+    return _finish(out, inputs, rule, "conv_pool_leaky")
 
 
 # ---------------------------------------------------------------------------
@@ -816,21 +786,8 @@ def backward(loss: Tensor) -> None:
     nodes, tape.nodes = tape.nodes, []
     if not nodes:
         raise UsageError("backward: the loss's tape was already consumed by an earlier backward")
-    pending, holders = propagate(nodes, loss, np.ones_like(loss.data))
-    for key, d in pending.items():  # leaves: tensors never produced by a node
-        holders[key].accumulate_grad(d)
-
-
-def propagate(nodes: list[_Node], output: Tensor, d_out: np.ndarray) -> tuple[dict[int, np.ndarray], dict[int, Tensor]]:
-    """Run ``nodes``, a tape's node list in recording order, backward from
-    ``output`` with gradient ``d_out``, popping and so releasing each node
-    as it goes.  Returns the gradients that reach leaves, keyed by each
-    leaf's ``id``, and the leaves under the same keys; :func:`backward`
-    accumulates them, and an op whose forward runs a tape of its own
-    returns them as its input gradients.
-    """
-    pending: dict[int, np.ndarray] = {id(output): d_out}
-    holders: dict[int, Tensor] = {id(output): output}
+    pending: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    holders: dict[int, Tensor] = {id(loss): loss}
     while nodes:
         node = nodes.pop()  # rebinding releases the node run before it
         d_out = pending.pop(id(node.output), None)
@@ -852,7 +809,8 @@ def propagate(nodes: list[_Node], output: Tensor, d_out: np.ndarray) -> tuple[di
             else:
                 pending[key] = d
                 holders[key] = t
-    return pending, holders
+    for key, d in pending.items():  # leaves: tensors never produced by a node
+        holders[key].accumulate_grad(d)
 
 
 # ---------------------------------------------------------------------------

@@ -3,26 +3,28 @@
 Each enhanced image runs through its own three-stage conv encoder
 (3x3 kernels, stride 2, padding 1, each stage followed by 2x2 max pooling
 and a leaky ReLU), collapsing a 64x64 image to a single feature column.
-A stream turns its image channels-last once and runs each stage as the fused
-``conv_pool_leaky`` op; ``conv2d`` and ``maxpool2d`` remain as channel-first
-reference ops, and ``leaky_relu(maxpool2d(conv2d(.)))`` is the stage's
-bit-exact reference.  The streams' features concatenate into a two-layer
-classifier head.  Each layer reads its tensors from the model's one dict by
-model.param_spec's names: stream i's stages ``stream{i}.conv{n}.*`` and the
-head ``classifier.*``.
+One body, ``_stages``, runs a stream: it turns the image channels-last
+once and chains the array-level fused stage ``conv_pool_leaky_arrays``
+three times, keeping each stage's backward rule when recorded.
+``conv2d`` and ``maxpool2d`` remain as channel-first reference ops, and
+``leaky_relu(maxpool2d(conv2d(.)))`` is the stage's bit-exact reference.
+The streams' features concatenate into a two-layer classifier head.  Each
+layer reads its tensors from the model's one dict by model.param_spec's
+names: stream i's stages ``stream{i}.conv{n}.*`` and the head
+``classifier.*``.
 
 ``forward(encode(x))`` is the taped training path.  Its streams and the
-head's concatenation are one tape node, whose forward and backward run
-streams 0, 2 and 1, 3 on two worker threads, each stream under a tape of
-its own.  ``infer`` is the untaped path that evaluation and ``skelact
-bench`` run: one stream at a time, each image built in the encoder's
-workspace and run through the same ``stream_forward``, with the same
-logits bit for bit.  Both paths take a batch axis only: images are
-(B, 3, T, T) and ``infer`` takes (B, T, J, 3), so ``skelact bench``
-passes its one sequence as a batch of one.  A batch of ``SPLIT_MIN`` or
-more runs as two halves on the same two workers.  A call that runs on
-the workers sets the process's OpenBLAS to one thread and leaves it
-there, so both cores do the work between GEMMs.
+head's concatenation are one tape node, whose forward runs the streams'
+bodies and whose backward runs their stage rules, streams 0, 2 and 1, 3
+on two worker threads.  ``infer`` is the untaped path that evaluation and
+``skelact bench`` run: one stream at a time, each image built in the
+encoder's workspace and run through ``stream_forward``, the same body
+untaped, with the same logits bit for bit.  Both paths take a batch axis
+only: images are (B, 3, T, T) and ``infer`` takes (B, T, J, 3), so
+``skelact bench`` passes its one sequence as a batch of one.  A batch of
+``SPLIT_MIN`` or more runs as two halves on the same two workers.  A call
+that runs on the workers sets the process's OpenBLAS to one thread and
+leaves it there, so both cores do the work between GEMMs.
 """
 
 from __future__ import annotations
@@ -38,9 +40,7 @@ from functools import cache
 
 import numpy as np
 
-from .autograd import (
-    Tape, Tensor, _finish, _recording, concat, conv_pool_leaky, leaky_relu, linear, no_tape, permute, propagate, reshape,
-)
+from .autograd import Tensor, _finish, _recording, concat, conv_pool_leaky_arrays, leaky_relu, linear, no_tape
 from .encoder import LEAKY_SLOPE, EncodedBundle, enhance, write_image
 from .errors import DimensionError
 from .model import ModelConfig, ModelParams, param_spec
@@ -48,26 +48,26 @@ from .model import ModelConfig, ModelParams, param_spec
 
 def stream_forward(image, tensors: dict[str, Tensor], i: int) -> Tensor:
     """Stream ``i``: a (B, 3, T, T) image to a flat (B, F) feature matrix,
-    through the stages ``stream{i}.conv1`` to ``conv3``."""
-    x = image if isinstance(image, Tensor) else Tensor(np.asarray(image))
-    _check_image(x)
-    x = _stages(permute(x, (0, 2, 3, 1)), tensors, i)
-    return reshape(x, (x.shape[0], x.shape[-1]))
+    through the stages ``stream{i}.conv1`` to ``conv3``.  Untaped: it
+    records nothing, even inside a Tape."""
+    features, _ = _stages((image if isinstance(image, Tensor) else Tensor(image)).data, tensors, i, False)
+    return Tensor(features, dtype=features.dtype)
 
 
-def _check_image(image: Tensor) -> None:
-    if image.data.ndim != 4:
+def _stages(image: np.ndarray, tensors: dict[str, Tensor], i: int, recorded: bool) -> tuple[np.ndarray, list]:
+    """Stream ``i``'s stages on the channels-last view of a (B, 3, T, T)
+    image: its (B, F) features and each stage's backward rule, in stage
+    order (None when not ``recorded``)."""
+    if image.ndim != 4:
         raise DimensionError(f"stream expects a (B,3,T,T) image, got {image.shape}")
-
-
-def _stages(x: Tensor, tensors: dict[str, Tensor], i: int) -> Tensor:
-    """Stream ``i``'s stages on a channels-last (B, T, T, 3) input: its
-    (B, 1, 1, F) output."""
+    x, rules = image.transpose(0, 2, 3, 1), []
     for n in (1, 2, 3):
-        x = conv_pool_leaky(x, tensors[f"stream{i}.conv{n}.kernels"], tensors[f"stream{i}.conv{n}.bias"], LEAKY_SLOPE)
+        x, rule = conv_pool_leaky_arrays(x, tensors[f"stream{i}.conv{n}.kernels"].data,
+                                         tensors[f"stream{i}.conv{n}.bias"].data, LEAKY_SLOPE, recorded)
+        rules.append(rule)
     if x.shape[1:3] != (1, 1):
         raise DimensionError(f"stream did not reduce spatially, got {x.shape}")
-    return x
+    return x.reshape(len(x), -1), rules
 
 
 def forward(bundle: EncodedBundle, params: ModelParams) -> Tensor:
@@ -80,54 +80,42 @@ def forward(bundle: EncodedBundle, params: ModelParams) -> Tensor:
 
 
 def _streams(images: list[Tensor], tensors: dict[str, Tensor]) -> Tensor:
-    """``concat([stream_forward(image, tensors, i) ...], axis=-1)`` as one
-    tape node, values and gradients bit for bit.
+    """The streams' features concatenated, as one tape node: values and
+    gradients bit for bit those of each stream's stages taped as
+    ``permute``, three ``conv_pool_leaky`` nodes and ``reshape``, then
+    ``concat``.
 
-    Streams 0, 2 and 1, 3 run through :func:`_on_workers`, in the forward
-    and again in the backward.  The node does a stream's layout changes
-    itself, in numpy, so a worker runs only its stages: perfbench's tracer
-    wraps ``stream_forward``, ``permute`` and ``reshape`` with one span
-    stack, which spans on two threads at once would corrupt.  A recorded call
-    runs each stream's stages under a tape of its own, over a leaf on the
-    channels-last view of its image's data; the node's backward splits the
-    gradient as ``concat`` does, runs each stream's tape through
-    ``propagate``, and returns the image, kernel and bias gradients that
-    reach its leaves as the node's input gradients, each image gradient
-    turned back channel-first as ``permute`` does.
+    Streams 0, 2 and 1, 3 run :func:`_stages` through :func:`_on_workers`,
+    in the forward, and their stage rules in the backward.  A worker runs
+    no function perfbench's tracer wraps: its one span stack would be
+    corrupted by spans on two threads at once.  The node's backward splits
+    the gradient as ``concat`` does, runs each stream's rules from stage 3
+    down to stage 1, releasing each once it has run as ``backward``
+    releases a node, and returns each image gradient turned back
+    channel-first, as ``permute`` does, then each stream's kernel and bias
+    gradients.
     """
     stages = [[tensors[f"stream{i}.conv{n}.{kind}"] for n in (1, 2, 3) for kind in ("kernels", "bias")]
               for i in range(len(images))]
     inputs = (*images, *(t for stage in stages for t in stage))
     recorded = _recording(inputs) is not None
-
-    def run(i):
-        _check_image(images[i])
-        x = images[i].data.transpose(0, 2, 3, 1)
-        if not recorded:
-            return None, None, _stages(Tensor(x, dtype=x.dtype), tensors, i)
-        leaf = Tensor(x, requires_grad=True, dtype=x.dtype)
-        with Tape() as tape:
-            out = _stages(leaf, tensors, i)
-        return tape, leaf, out
-
-    runs = _by_stream(run, len(images))
-    features = [out.data.reshape(len(out.data), -1) for _, _, out in runs]
-    splits = np.cumsum([f.shape[-1] for f in features])[:-1]
+    runs = _by_stream(lambda i: _stages(images[i].data, tensors, i, recorded), len(images))
+    splits = np.cumsum([features.shape[-1] for features, _ in runs])[:-1]
 
     def back(d):
         pieces = np.split(d, splits, axis=-1)
 
         def run_back(i):
-            tape, leaf, out = runs[i]
-            nodes, tape.nodes = tape.nodes, []
-            pending, _ = propagate(nodes, out, pieces[i].reshape(out.shape))
-            image = pending.get(id(leaf))
-            return [None if image is None else np.transpose(image, (0, 3, 1, 2)), *(pending.get(id(t)) for t in stages[i])]
+            dx, grads, rules = pieces[i].reshape(len(d), 1, 1, -1), [], runs[i][1]
+            while rules:  # popping frees each rule, and the arrays it saved, once it has run
+                dx, dk, db = rules.pop()(dx)
+                grads[:0] = (dk, db)
+            return [np.transpose(dx, (0, 3, 1, 2)), *grads]
 
         grads = _by_stream(run_back, len(images))
         return [g[0] for g in grads] + [stage for g in grads for stage in g[1:]]
 
-    return _finish(np.concatenate(features, axis=-1), inputs, back, "streams")
+    return _finish(np.concatenate([features for features, _ in runs], axis=-1), inputs, back, "streams")
 
 
 def _by_stream(fn, count: int) -> list:
@@ -154,9 +142,9 @@ def infer(x, params: ModelParams) -> np.ndarray:
     batch of one.
 
     Streams run one at a time: ``write_image`` builds a stream's image in
-    this thread's workspace, and :func:`stream_forward` runs it untaped,
-    through the unrecorded path of each ``conv_pool_leaky`` stage.  No op
-    is recorded, even inside a Tape; the returned logits are a fresh array.
+    this thread's workspace, and :func:`stream_forward` runs it through
+    the unrecorded path of each fused stage.  No op is recorded, even
+    inside a Tape; the returned logits are a fresh array.
 
     A batch of ``SPLIT_MIN`` or more runs as ``x[:ceil(B/2)]`` and the
     rest, each through that body, on :func:`_on_workers`, and the logits

@@ -14,7 +14,7 @@ import numpy as np
 
 from .autograd import Tape, backward, cross_entropy
 from .encoder import EnhanceFlags, encode
-from .errors import ConfigMismatchError, UsageError
+from .errors import CheckpointError, ConfigMismatchError, UsageError
 from .model import ModelConfig, ModelParams
 from .optim import AdamState, adam_step
 from .recognizer import forward, infer
@@ -92,11 +92,30 @@ def _class_indices(sequences, labels: tuple[int, ...]) -> np.ndarray:
     return out
 
 
+class _NonFiniteLogits(ValueError):
+    """``count`` of ``total`` rows of logits hold a NaN or an infinity, the
+    first at ``row``."""
+
+    def __init__(self, count: int, total: int, row: int):
+        super().__init__(f"non-finite logits in {count} of {total} rows, the first row {row}")
+        self.count, self.total, self.row = count, total, row
+
+
+def _source(sequences, index: int) -> str:
+    return sequences[index].source or f"sequence {index}"
+
+
 def _predict_classes(params: ModelParams, data: np.ndarray, batch_size: int = 64) -> np.ndarray:
+    """``infer``'s argmax class per row; a _NonFiniteLogits error when any
+    row's logits hold a NaN or an infinity."""
     preds = np.empty(len(data), dtype=np.int64)
+    finite = np.empty(len(data), dtype=bool)
     for start in range(0, len(data), batch_size):
-        chunk = data[start : start + batch_size]
-        preds[start : start + len(chunk)] = infer(chunk, params).argmax(axis=-1)
+        logits = infer(data[start : start + batch_size], params)
+        preds[start : start + len(logits)] = logits.argmax(axis=-1)
+        finite[start : start + len(logits)] = np.isfinite(logits).all(axis=-1)
+    if not finite.all():
+        raise _NonFiniteLogits(int((~finite).sum()), len(data), int(np.argmin(finite)))
     return preds
 
 
@@ -107,7 +126,8 @@ def train(sequences, topology: Topology, split: DatasetSplit, config: TrainConfi
     per epoch; loss is the train-set mean for the epoch and test_acc is
     measured on the split's test side after the epoch's updates.  A batch
     whose loss is not finite stops training with a UsageError naming its
-    epoch and batch, before that batch updates any weight.
+    epoch and batch, before that batch updates any weight; so do test-side
+    logits that an epoch's updates left non-finite, naming that epoch.
     """
     sequences = list(sequences)
     if not split.train:
@@ -154,7 +174,12 @@ def train(sequences, topology: Topology, split: DatasetSplit, config: TrainConfi
             loss_sum += value * len(batch)
         mean_loss = loss_sum / len(order)
         if len(test_idx):
-            preds = _predict_classes(params, data[test_idx], config.batch_size)
+            try:
+                preds = _predict_classes(params, data[test_idx], config.batch_size)
+            except _NonFiniteLogits as exc:
+                raise UsageError(f"training diverged: epoch {epoch} left non-finite logits for {exc.count} of "
+                                 f"{exc.total} test sequences, the first {_source(sequences, test_idx[exc.row])}; "
+                                 f"try a lower learning rate than {lr:g}") from None
             test_acc = float((preds == classes[test_idx]).mean())
         else:
             test_acc = float("nan")
@@ -166,7 +191,9 @@ def evaluate(params: ModelParams, sequences, batch_size: int = 64):
     """Score a sequence list against a trained model.
 
     Returns (accuracy, ConfusionMatrix, per-class accuracy array).  Classes
-    absent from the test set get NaN per-class entries.
+    absent from the test set get NaN per-class entries.  Logits holding a
+    NaN or an infinity are a CheckpointError naming the first such
+    sequence's source: the model cannot be used.
     """
     sequences = list(sequences)
     if not sequences:
@@ -175,7 +202,11 @@ def evaluate(params: ModelParams, sequences, batch_size: int = 64):
     topology = params.encoder.topology
     data = _stack_dataset(sequences, topology, config.frames)
     true_classes = _class_indices(sequences, config.labels)
-    preds = _predict_classes(params, data, batch_size)
+    try:
+        preds = _predict_classes(params, data, batch_size)
+    except _NonFiniteLogits as exc:
+        raise CheckpointError(f"the model gives non-finite logits for {exc.count} of {exc.total} sequences, "
+                              f"the first {_source(sequences, exc.row)}") from None
     matrix = ConfusionMatrix(config.classes)
     matrix.update(true_classes, preds)
     return matrix.accuracy(), matrix, matrix.per_class()

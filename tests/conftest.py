@@ -1,11 +1,14 @@
 """Shared test plumbing: the acceptance-criteria verdict board, the
 joint-to-bone incidence oracle, scale-head and attention tensors under
-their parameter names, and the composed reference of the fused encoder
-image op.
+their parameter names, the composed reference of the fused encoder image
+op, and the benchmark tracer's name tables.
 
 Acceptance tests record one verdict per criterion; the terminal summary
 prints them as single pass/fail lines so a full run ends with a compact
 scoreboard."""
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 
@@ -51,6 +54,16 @@ def composed_embed_image(channels, weight, attention=None, temporal=None):
     if temporal is not None:
         image = temporal_embed(image, temporal)
     return image
+
+
+def perfbench_spans():
+    """perfbench/spans.py as a module: its ``OP_GROUPS`` and
+    ``LAYER_FUNCTIONS`` name what the benchmark tracer wraps."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

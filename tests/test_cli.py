@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from skelact import training
-from skelact.checkpoint import load_checkpoint
+from skelact.checkpoint import load_checkpoint, save_checkpoint
 from skelact.cli import main
 from skelact.errors import ParseError
 from skelact.model import ModelConfig
@@ -153,14 +153,30 @@ def test_diverging_train_is_exit_1_and_writes_no_checkpoint(tmp_path, capsys):
     assert main(_synth_args(data, per_class=10, classes=8)) == 0  # 80 sequences
     capsys.readouterr()
     ckpt = tmp_path / "x.ckpt"
-    with np.errstate(all="ignore"):
-        code = main(["train", "--data", str(data), "--epochs", "2", "--lr", "1e8",
+    with np.errstate(all="ignore"):  # batches of 8: a later batch of epoch 1 sees the loss the first update broke
+        code = main(["train", "--data", str(data), "--epochs", "2", "--lr", "1e8", "--batch", "8",
                      "--channels", "4", "4", "4", "--fc-hidden", "8", "--scale-hidden", "4",
                      "--out-checkpoint", str(ckpt)])
     assert code == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: training diverged: epoch ") and ", batch " in captured.err
     assert "loss nan" in captured.err or "loss inf" in captured.err
+    assert not ckpt.exists() and not captured.out
+
+
+def test_train_whose_epoch_leaves_non_finite_logits_is_exit_1_and_writes_no_checkpoint(tmp_path, capsys):
+    # one epoch of one batch: no later loss sees the weights its update
+    # broke, but the epoch's test score does
+    data = tmp_path / "d.jsonl"
+    assert main(_synth_args(data, per_class=6, classes=8)) == 0  # 48 sequences
+    capsys.readouterr()
+    ckpt = tmp_path / "x.ckpt"
+    with np.errstate(all="ignore"):
+        code = main(["train", "--data", str(data), "--epochs", "1", "--lr", "1e8", "--out-checkpoint", str(ckpt)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: training diverged: epoch 1 left non-finite logits for ")
+    assert f"the first {data}:" in captured.err
     assert not ckpt.exists() and not captured.out
 
 
@@ -213,6 +229,25 @@ def test_eval_rejects_corrupt_checkpoint(tmp_path, dataset):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"XXXX" + b"\x00" * 64)
     assert main(["eval", "--checkpoint", str(bad), "--data", str(dataset)]) == 2
+
+
+def test_eval_of_finite_weights_that_give_non_finite_logits_is_exit_2(tmp_path, dataset, capsys):
+    ckpt, broken, out_dir = tmp_path / "model.ckpt", tmp_path / "broken.ckpt", tmp_path / "out"
+    assert main(_train_args(dataset, ckpt)) == 0
+    params = load_checkpoint(ckpt)
+    signs = np.random.default_rng(0)
+    for name, tensor in params.tensors.items():  # products overflow, and inf - inf is NaN
+        if name.startswith(("stream", "classifier")):
+            tensor.data[...] = signs.choice([-1e30, 1e30], size=tensor.shape)
+    save_checkpoint(params, broken)
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        code = main(["eval", "--checkpoint", str(broken), "--data", str(dataset), "--out-dir", str(out_dir)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: the model gives non-finite logits for ")
+    assert f"the first {dataset}:" in captured.err
+    assert not captured.out and not out_dir.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -432,7 +432,7 @@ def test_gradients_reach_every_encoder_parameter():
         bundle = encode(x, enc)
         loss = sum_all(bundle.joints_image)
         for img in bundle.images()[1:]:
-            loss = loss + sum_all(img)
+            loss = add(loss, sum_all(img))
     backward(loss)
     for name, tensor in enc.tensors.items():
         assert tensor.grad is not None, name

@@ -1,6 +1,7 @@
 """Four-stream CNN classifier: forward semantics and the static cost model
 (multiply-accumulate census and parameter count)."""
 
+import importlib
 import multiprocessing
 import sys
 import threading
@@ -8,11 +9,11 @@ from collections.abc import Mapping
 
 import numpy as np
 import pytest
-from conftest import composed_embed_image
+from conftest import composed_embed_image, perfbench_spans
 
 from skelact import autograd, encoder, recognizer
 from skelact.autograd import (
-    Tape, Tensor, backward, concat, conv2d, cross_entropy, leaky_relu, maxpool2d, reshape,
+    Tape, Tensor, backward, concat, conv2d, conv_pool_leaky, cross_entropy, leaky_relu, maxpool2d, permute, reshape,
 )
 from skelact.encoder import LEAKY_SLOPE, EncodedBundle, EnhanceFlags, encode, uniform_attention
 from skelact.errors import DimensionError, UsageError
@@ -450,9 +451,17 @@ def _step_bytes(params, x, labels) -> list[bytes]:
 
 
 def _sequential_streams(images, tensors):
-    """The streams node's reference: each stream's stage nodes on the
+    """The streams node's reference: each stream's stages taped as
+    ``permute``, three ``conv_pool_leaky`` nodes and ``reshape`` on the
     caller's tape, one stream after the other, then ``concat``."""
-    return concat([stream_forward(image, tensors, i) for i, image in enumerate(images)], axis=-1)
+    features = []
+    for i, image in enumerate(images):
+        x = permute(image, (0, 2, 3, 1))
+        for n in (1, 2, 3):
+            x = conv_pool_leaky(x, tensors[f"stream{i}.conv{n}.kernels"], tensors[f"stream{i}.conv{n}.bias"],
+                                LEAKY_SLOPE)
+        features.append(reshape(x, (x.shape[0], x.shape[-1])))
+    return concat(features, axis=-1)
 
 
 def _thread_spy(monkeypatch, module, name):
@@ -464,6 +473,43 @@ def _thread_spy(monkeypatch, module, name):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, spy)
+    return names
+
+
+def _rule_spy(monkeypatch):
+    """Record the thread name of every stage rule the recognizer runs."""
+    names, stage = [], recognizer.conv_pool_leaky_arrays
+
+    def spy(*args):
+        out, rule = stage(*args)
+
+        def traced(d):
+            names.append(threading.current_thread().name)
+            return rule(d)
+
+        return out, None if rule is None else traced
+
+    monkeypatch.setattr(recognizer, "conv_pool_leaky_arrays", spy)
+    return names
+
+
+def _traced_spy(monkeypatch):
+    """Record the thread name of every call of a function perfbench's
+    tracer wraps, in every skelact module that holds it, as the tracer
+    patches them."""
+    spans = perfbench_spans()
+    wrapped = [getattr(autograd, op) for op in spans.OP_GROUPS]
+    wrapped += [getattr(importlib.import_module(f"skelact.{module}"), name)
+                for module, names in spans.LAYER_FUNCTIONS.items() for name in names]
+    names = []
+    for module in [m for key, m in sys.modules.items() if key.startswith("skelact.")]:
+        for attr, value in list(vars(module).items()):
+            if any(value is fn for fn in wrapped):
+                def spy(*args, _original=value, **kwargs):
+                    names.append(threading.current_thread().name)
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, attr, spy)
     return names
 
 
@@ -479,21 +525,31 @@ def test_streams_node_is_bitwise_the_sequential_stages_on_workers_and_inline(dty
             want = _step_bytes(params, x[:batch], labels[:batch])
         with monkeypatch.context() as m:
             forwards = _thread_spy(m, recognizer, "_stages")
-            backwards = _thread_spy(m, recognizer, "propagate")
-            traced = [_thread_spy(m, recognizer, name) for name in ("stream_forward", "permute", "reshape")]
+            backwards = _rule_spy(m)
+            traced = _traced_spy(m)
             got = _step_bytes(params, x[:batch], labels[:batch])
         assert got == want, batch
         worker = "skelact-worker" if recognizer.infer_workers() == 2 else "MainThread"
-        assert len(forwards) == len(backwards) == 4, batch
+        assert len(forwards) == 4 and len(backwards) == 12, batch
         assert all(name.startswith(worker) for name in forwards + backwards), batch
         # perfbench's tracer wraps these with one span stack: no worker may call them
-        assert all(name == "MainThread" for names in traced for name in names), batch
+        assert traced and all(name == "MainThread" for name in traced), batch
         with monkeypatch.context() as m:  # no BLAS hook: every stream inline
             m.setattr(recognizer, "_blas_thread_calls", lambda: None)
             forwards = _thread_spy(m, recognizer, "_stages")
             inline = _step_bytes(params, x[:batch], labels[:batch])
         assert inline == want, batch
         assert forwards == ["MainThread"] * 4, batch
+
+
+def test_stream_forward_records_nothing_inside_a_tape():
+    params = _perturbed_params(np.float32)
+    image = Tensor(np.random.default_rng(41).normal(size=(2, 3, 64, 64)), requires_grad=True)
+    want = stream_forward(image, params.tensors, 0).data
+    with Tape() as tape:
+        got = stream_forward(image, params.tensors, 0)
+    assert tape.nodes == [] and got._tape is None and not got.requires_grad
+    assert np.array_equal(got.data.view(np.uint32), want.view(np.uint32))
 
 
 def test_untaped_forward_records_nothing_and_is_the_taped_logits():
@@ -556,7 +612,7 @@ def test_taped_forward_keeps_the_callers_numpy_errstate_in_the_streams(dtype, mo
                     m.setattr(recognizer, "_blas_thread_calls", lambda: None)
                 with Tape(), np.errstate(all="raise"), pytest.raises(FloatingPointError) as caught:
                     forward(bundle, params)
-            assert any(entry.name == "conv_pool_leaky" for entry in caught.traceback), (inline, batch)
+            assert any(entry.name == "conv_pool_leaky_arrays" for entry in caught.traceback), (inline, batch)
 
 
 def _thread_workspaces(on_workers: bool) -> list[dict[str, np.ndarray]]:
