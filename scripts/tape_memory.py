@@ -9,14 +9,15 @@ more forward on a tape and, before its backward, walks ``tape.nodes``: each
 array a node's output, inputs or backward closure reaches is charged once,
 by its underlying buffer, to the first node in tape order that reaches it,
 as ``out`` when it is that node's output and as ``saved`` otherwise.  A
-backward rule a node's closure reaches (the CNN streams node keeps each
-stage's) counts as a node of its own op, and the arrays its closure
-reaches are charged to that op as ``saved``; a tape a closure reaches (an
-op that records its own) is walked in place, its nodes charged to their
-ops.
+backward rule a node's closure reaches (the streams node keeps each
+stream's image rule and its three stage rules) counts as a node of its own
+op, and the arrays its closure reaches are charged to that op as
+``saved``; a tape a closure reaches (an op that records its own) is walked
+in place, its nodes charged to their ops.
 Parameters and the input batch are not charged.  Ops are named after their
 backward closure (``conv_pool_leaky_arrays.<locals>.back`` is
-``conv_pool_leaky_arrays``).  It reads only ``Tape.nodes``, each node's
+``conv_pool_leaky_arrays``, ``embed_image_arrays.<locals>.rule`` is
+``embed_image_arrays``).  It reads only ``Tape.nodes``, each node's
 ``output``, ``inputs`` and ``backward_fn``, and the closures of those
 functions, so it runs unchanged against any source tree put first on
 PYTHONPATH.

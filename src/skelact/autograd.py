@@ -3,7 +3,7 @@
 Covers exactly the operation set the recognition pipeline needs: matmul with
 broadcast batch dims, pointwise arithmetic of two tensors with
 singleton-axis broadcasting, leaky ReLU, row softmax, fully connected
-layers, the encoder's fused image op (embedding product, attention and
+layers, the encoder's fused image body (embedding product, attention and
 temporal add; the composed ops are its reference), strided 2D convolution,
 2x2 max pooling, a fused channels-last conv/pool/leaky-ReLU stage (the CNN
 hot path; the three separate ops are its reference), frame-difference
@@ -27,10 +27,11 @@ The CNN ops take a batch axis only: ``conv2d``, ``maxpool2d`` and the fused
 stage accept (B, ..) inputs and nothing else.  The fused stage is the one
 place a CNN stage is computed, for training and for ``recognizer.infer``
 alike.  Its body is the array-level :func:`conv_pool_leaky_arrays`, which
-returns the output and, when recorded, the backward rule:
-``conv_pool_leaky`` makes that one tape node, and the recognizer's streams
-node chains each stream's rules itself.  It pads its input into a
-per-thread workspace buffer, reused call after call, and its im2col
+returns the output and, when recorded, the backward rule; the recognizer's
+streams node chains each stream's rules itself.  The image body,
+:func:`embed_image_arrays`, works the same way, and builds an unrecorded
+image in the workspace.  The stage pads its input into a per-thread
+workspace buffer, reused call after call, and its im2col
 columns, conv output and pooled maxima live in that workspace too.  It
 runs the per-sample work in near-equal batch blocks of at most
 ``BLOCK_ROWS`` GEMM rows, so a forward's workspace holds one block (only
@@ -285,20 +286,26 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return _finish(out, inputs, back, "linear")
 
 
-def embed_image(channels: Tensor, weight: Tensor, attention: Tensor | None = None,
-                temporal: Tensor | None = None) -> Tensor:
-    """One encoder image as a single tape node: the (T, J) ``weight`` times
-    each (J, T) channel of ``channels``, then, given the (.., T, T)
-    ``attention`` map A spread over channels, ``product * A + product``,
-    then, given the length-T ``temporal`` vector, that added to every row.
+def embed_image_arrays(channels: np.ndarray, weight: np.ndarray, attention: np.ndarray | None,
+                       temporal: np.ndarray | None, recorded: bool) -> tuple[np.ndarray, Callable | None]:
+    """One encoder image on arrays: the (T, J) ``weight`` times each (J, T)
+    channel of ``channels``, then, given the (.., T, T) ``attention`` map A
+    spread over channels, ``product * A + product``, then, given the
+    length-T ``temporal`` vector, that added to every row.  Returns the
+    image and, when ``recorded``, its backward rule, ``d -> (d_channels,
+    d_weight, d_attention, d_temporal)``, with None for an absent input;
+    else None.
 
     Values and gradients are bit for bit those of the composed nodes
     ``temporal_embed(apply_attention(embed_to_image(.)))`` in the encoder:
-    the forward keeps their operand order, and the backward sums each
-    gradient as they do (``d + d * A`` into the product, the attention
-    gradient summed over channels, the temporal one over rows, channels and
-    batch).  The node saves the pre-attention product when ``attention`` is
-    given and nothing else beyond its inputs.
+    the forward keeps their operand order, and the rule sums each gradient
+    as they do (``d + d * A`` into the product, the attention gradient
+    summed over channels, the temporal one over rows, channels and batch).
+    A recorded image is fresh, and the rule saves the pre-attention product
+    when ``attention`` is given and nothing else beyond the inputs.  An
+    unrecorded image is built in this thread's ``image`` and ``attended``
+    workspace and returned without a copy: the next call for this thread
+    overwrites it.
     """
     t, j = weight.shape
     if channels.shape[-2:] != (j, t):
@@ -307,30 +314,30 @@ def embed_image(channels: Tensor, weight: Tensor, attention: Tensor | None = Non
         raise DimensionError(f"attention {attention.shape} does not match a {t}x{t} image")
     if temporal is not None and temporal.shape != (t,):
         raise DimensionError(f"temporal vector {temporal.shape} does not match a {t}x{t} image")
-    w_data, ch_data = weight.data, channels.data
-    product = w_data @ ch_data
-    image = product
+    shape, dtype = channels.shape[:-2] + (t, t), np.result_type(weight, channels)
+    product = image = np.matmul(weight, channels, out=None if recorded else _workspace("image", shape, dtype))
     if attention is not None:
-        spread = attention.data[..., None, :, :]
-        image = product * spread
+        spread = attention[..., None, :, :]
+        image = np.multiply(product, spread, out=None if recorded else _workspace("attended", shape, dtype))
         image += product
     else:
-        product = None  # back reads it only for the attention gradient
+        product = None  # the rule reads it only for the attention gradient
     if temporal is not None:
-        image += temporal.data
+        image += temporal
+    if not recorded:
+        return image, None
 
-    def back(d):
-        extra, d_product = [], d
+    def rule(d):
+        d_product, d_attention, d_temporal = d, None, None
         if attention is not None:
-            extra.append(_unbroadcast(d * product, spread.shape).reshape(attention.shape))
+            d_attention = _unbroadcast(d * product, spread.shape).reshape(attention.shape)
             d_product = _unbroadcast(d, product.shape) + _unbroadcast(d * spread, product.shape)
         if temporal is not None:
-            extra.append(_unbroadcast(d, (1,) * (d.ndim - 1) + (t,)).reshape(t))
-        return (_unbroadcast(np.swapaxes(w_data, -1, -2) @ d_product, channels.shape),
-                _unbroadcast(d_product @ np.swapaxes(ch_data, -1, -2), weight.shape), *extra)
+            d_temporal = _unbroadcast(d, (1,) * (d.ndim - 1) + (t,)).reshape(t)
+        return (_unbroadcast(np.swapaxes(weight, -1, -2) @ d_product, channels.shape),
+                _unbroadcast(d_product @ np.swapaxes(channels, -1, -2), weight.shape), d_attention, d_temporal)
 
-    inputs = (channels, weight) + tuple(x for x in (attention, temporal) if x is not None)
-    return _finish(image, inputs, back, "embed_image")
+    return image, rule
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +526,7 @@ def conv_pool_leaky_arrays(xd: np.ndarray, kernels: np.ndarray, bias: np.ndarray
     """One channels-last CNN stage on arrays: stride-2 padding-1 conv, 2x2
     max pool, leaky ReLU.  Returns the output and, when ``recorded``, the
     stage's backward rule, ``d -> (d_input, d_kernels, d_bias)``; else None.
-    :func:`conv_pool_leaky` is its tape node, and the recognizer's streams
-    chain its rules themselves.
+    The recognizer's streams chain its rules themselves.
 
     Takes (B,H,W,C_in) and returns (B,H'/2,W'/2,C_out), with the values
     and gradients of ``leaky_relu(maxpool2d(conv2d(.)))`` on the
@@ -634,13 +640,6 @@ def conv_pool_leaky_arrays(xd: np.ndarray, kernels: np.ndarray, bias: np.ndarray
         return dxp[:, 1 : 1 + h, 1 : 1 + w], dk, db
 
     return out, back if recorded else None
-
-
-def conv_pool_leaky(x: Tensor, kernels: Tensor, bias: Tensor, slope: float = 0.01) -> Tensor:
-    """:func:`conv_pool_leaky_arrays` as one tape node over ``x``."""
-    inputs = (x, kernels, bias)
-    out, rule = conv_pool_leaky_arrays(x.data, kernels.data, bias.data, slope, _recording(inputs) is not None)
-    return _finish(out, inputs, rule, "conv_pool_leaky")
 
 
 # ---------------------------------------------------------------------------

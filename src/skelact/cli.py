@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .encoder import EnhanceFlags, encode
+from .encoder import STREAMS, EnhanceFlags, encode, stream_image, uniform_attention
 from .errors import (
     CheckpointError, ConfigMismatchError, EmptyBodyError, ParseError, UsageError,
 )
@@ -214,19 +214,12 @@ def cmd_encode(args) -> int:
     bundle = encode(data, params.encoder)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    images = {
-        "enhanced_joints.ppm": bundle.joints_image,
-        "enhanced_bones.ppm": bundle.bones_image,
-        "joint_velocity.ppm": bundle.joint_vel_image,
-        "bone_velocity.ppm": bundle.bone_vel_image,
-    }
-    written = []
-    for name, image in images.items():
-        if image is None:
-            continue
-        write_ppm(out_dir / name, channels_to_rgb(image.data))
-        written.append(name)
-    write_ppm(out_dir / "attention.ppm", heat_to_yellow(bundle.attention.data))
+    files = ("enhanced_joints.ppm", "enhanced_bones.ppm", "joint_velocity.ppm", "bone_velocity.ppm")
+    written = list(files[: len(bundle.channels)])
+    for stream, name in zip(STREAMS, written):  # each written before the next image overwrites it
+        write_ppm(out_dir / name, channels_to_rgb(stream_image(bundle, stream, params.encoder, False)[0]))
+    attention = uniform_attention(config.frames) if bundle.attention is None else bundle.attention
+    write_ppm(out_dir / "attention.ppm", heat_to_yellow(attention.data))
     written.append("attention.ppm")
     print(f"wrote {len(written)} images to {out_dir}")
     return 0

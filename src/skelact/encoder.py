@@ -21,25 +21,28 @@ dict and read ``joint_scale.*``, ``bone_scale.*`` and ``attention.*``; the
 embedding and temporal stages take the bare ``embed.<stream>`` and
 ``temporal.<stream>`` tensors.
 
-``enhance`` computes everything before the embeddings: the scaled
-channels, their velocities and the attention map.  ``encode`` builds each
-image from it as one tape node, ``autograd.embed_image``, whose values and
-gradients are bit for bit those of ``embed_to_image``, ``apply_attention``
-and ``temporal_embed`` composed; ``write_image`` builds one stream's image
-untaped, with the same bits, in this thread's workspace, and returns it
-without a copy.
+``encode`` runs everything before the embeddings: each stream's channels
+(the scaled joints and bones of steps 1 and 2, and their frame differences
+for step 5) and the attention map of step 4.  The embedding, the
+reweighting and the temporal add belong to the stream body:
+``stream_image`` builds one stream's image from the bundle with
+``autograd.embed_image_arrays``, whose values and gradients are bit for
+bit those of ``embed_to_image``, ``apply_attention`` and
+``temporal_embed`` composed.  The recognizer's streams node calls it for
+each stream, and ``skelact encode`` for each image it writes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .autograd import (
-    Tensor, _workspace, add, embed_image, frame_velocity, leaky_relu, linear, matmul, mul,
-    permute, reshape, scale, softmax_rows, transpose_last2,
+    Tensor, add, embed_image_arrays, frame_velocity, leaky_relu, linear, matmul, mul, permute, reshape,
+    scale, softmax_rows, transpose_last2,
 )
 from .errors import DimensionError
 from .skeleton import Topology, bones_from_joints
@@ -77,22 +80,11 @@ class EncoderParams:
 
 @dataclass
 class EncodedBundle:
-    """The four enhanced images plus the attention map.
+    """The active streams' (.., 3, J, T) channels in STREAMS order, and the
+    (.., T, T) attention map, None when that stage is off."""
 
-    joint/bone velocity images are None when the velocity stage is off.
-    """
-
-    joints_image: Tensor
-    bones_image: Tensor
-    joint_vel_image: Tensor | None
-    bone_vel_image: Tensor | None
-    attention: Tensor
-
-    def images(self) -> list[Tensor]:
-        out = [self.joints_image, self.bones_image]
-        if self.joint_vel_image is not None:
-            out += [self.joint_vel_image, self.bone_vel_image]
-        return out
+    channels: tuple[Tensor, ...]
+    attention: Tensor | None
 
 
 def _as_tensor(x, like_dtype=None) -> Tensor:
@@ -209,11 +201,8 @@ def uniform_attention(t: int, dtype=np.float32) -> Tensor:
     return Tensor(np.full((t, t), 1.0 / t, dtype=dtype))
 
 
-def enhance(x, enc: EncoderParams) -> tuple[dict[str, Tensor], Tensor | None]:
-    """The stages before the embeddings, shared by encode and the untaped
-    inference path: each active stream's (.., 3, J, T) channels in STREAMS
-    order (scaled joints and bones, and their frame-difference velocities),
-    plus the attention map, None when that stage is off."""
+def encode(x, enc: EncoderParams) -> EncodedBundle:
+    """Run every enabled stage before the embeddings; pure function of (x, enc)."""
     x = _as_tensor(x)
     flags = enc.flags
     if flags.joint_scale:
@@ -225,48 +214,20 @@ def enhance(x, enc: EncoderParams) -> tuple[dict[str, Tensor], Tensor | None]:
     else:
         scaled_bones = _to_channels(x)
     attention = attention_map(x, enc.tensors) if flags.attention else None
-    channels = {"joints": scaled_joints, "bones": scaled_bones}
+    channels = (scaled_joints, scaled_bones)
     if flags.velocity:
-        channels["joint_velocity"] = frame_velocity(scaled_joints, enc.dt)
-        channels["bone_velocity"] = frame_velocity(scaled_bones, enc.dt)
-    return channels, attention
+        channels += (frame_velocity(scaled_joints, enc.dt), frame_velocity(scaled_bones, enc.dt))
+    return EncodedBundle(channels, attention)
 
 
-def encode(x, enc: EncoderParams) -> EncodedBundle:
-    """Run every enabled stage; pure function of (x, enc)."""
-    x = _as_tensor(x)
-    channels, attention = enhance(x, enc)
-    images = {
-        name: embed_image(ch, enc.tensors[f"embed.{name}"], attention if name in ATTENDED else None,
-                          enc.tensors[f"temporal.{name}"] if enc.flags.temporal else None)
-        for name, ch in channels.items()
-    }
-    return EncodedBundle(
-        joints_image=images["joints"],
-        bones_image=images["bones"],
-        joint_vel_image=images.get("joint_velocity"),
-        bone_vel_image=images.get("bone_velocity"),
-        attention=uniform_attention(x.shape[-3], dtype=x.data.dtype) if attention is None else attention,
-    )
-
-
-def write_image(name: str, channels: Tensor, attention: Tensor | None, enc: EncoderParams) -> Tensor:
-    """Untaped: stream ``name``'s (.., 3, T, T) image, bit for bit the one
-    encode builds from the same enhance() results.
-
-    The image is built in this thread's workspace, each operation with its
-    operands in encode's order, and returned as a Tensor of its own dtype
-    over that workspace view: the next call for this thread overwrites it.
-    """
-    weight = enc.tensors[f"embed.{name}"].data
-    t = weight.shape[0]
-    shape, dtype = channels.shape[:-2] + (t, t), np.result_type(weight, channels.data)
-    image = _workspace("image", shape, dtype)
-    np.matmul(weight, channels.data, out=image)
-    if attention is not None and name in ATTENDED:
-        product = _workspace("attended", shape, dtype)
-        np.multiply(image, attention.data[..., None, :, :], out=product)
-        np.add(product, image, out=image)
-    if enc.flags.temporal:
-        image += enc.tensors[f"temporal.{name}"].data
-    return Tensor(image, dtype=dtype)
+def stream_image(bundle: EncodedBundle, name: str, enc: EncoderParams,
+                 recorded: bool) -> tuple[np.ndarray, Callable | None]:
+    """Stream ``name``'s (.., 3, T, T) image and, when ``recorded``, its
+    backward rule: ``embed_image_arrays`` over the stream's channels,
+    ``embed.<name>``, the attention map for the ATTENDED streams, and
+    ``temporal.<name>`` when that stage is on.  An unrecorded image lives
+    in this thread's workspace until the next call overwrites it."""
+    attention = bundle.attention if name in ATTENDED else None
+    return embed_image_arrays(bundle.channels[STREAMS.index(name)].data, enc.tensors[f"embed.{name}"].data,
+                              None if attention is None else attention.data,
+                              enc.tensors[f"temporal.{name}"].data if enc.flags.temporal else None, recorded)

@@ -13,18 +13,21 @@ layer reads its tensors from the model's one dict by model.param_spec's
 names: stream i's stages ``stream{i}.conv{n}.*`` and the head
 ``classifier.*``.
 
-``forward(encode(x))`` is the taped training path.  Its streams and the
-head's concatenation are one tape node, whose forward runs the streams'
-bodies and whose backward runs their stage rules, streams 0, 2 and 1, 3
-on two worker threads.  ``infer`` is the untaped path that evaluation and
-``skelact bench`` run: one stream at a time, each image built in the
-encoder's workspace and run through ``stream_forward``, the same body
-untaped, with the same logits bit for bit.  Both paths take a batch axis
-only: images are (B, 3, T, T) and ``infer`` takes (B, T, J, 3), so
-``skelact bench`` passes its one sequence as a batch of one.  A batch of
-``SPLIT_MIN`` or more runs as two halves on the same two workers.  A call
-that runs on the workers sets the process's OpenBLAS to one thread and
-leaves it there, so both cores do the work between GEMMs.
+``forward(encode(x))`` is the one model body.  The encoder yields each
+stream's channels; the streams and the head's concatenation are one node,
+in which each stream builds its image (``encoder.stream_image``) and runs
+``_stages`` on it.  Taped, the node's forward and backward run streams 0,
+2 and 1, 3 on two worker threads, each stream's stage rules and then its
+image rule.  ``infer``, which evaluation and ``skelact bench`` run, is
+that body untaped: the streams run one at a time on the caller's thread,
+each image built in the thread's workspace, with the same logits bit for
+bit.  ``stream_forward`` is one stream's stages untaped, on an image.
+Both paths take a batch axis only: images are (B, 3, T, T) and ``infer``
+takes (B, T, J, 3), so ``skelact bench`` passes its one sequence as a
+batch of one.  An ``infer`` batch of ``SPLIT_MIN`` or more runs as two
+halves on the same two workers.  A call that runs on the workers sets the
+process's OpenBLAS to one thread and leaves it there, so both cores do
+the work between GEMMs.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ from functools import cache
 
 import numpy as np
 
-from .autograd import Tensor, _finish, _recording, concat, conv_pool_leaky_arrays, leaky_relu, linear, no_tape
-from .encoder import LEAKY_SLOPE, EncodedBundle, enhance, write_image
+from .autograd import Tensor, _finish, _recording, conv_pool_leaky_arrays, leaky_relu, linear, no_tape
+from .encoder import LEAKY_SLOPE, STREAMS, EncodedBundle, encode, stream_image
 from .errors import DimensionError
 from .model import ModelConfig, ModelParams, param_spec
 
@@ -72,34 +75,48 @@ def _stages(image: np.ndarray, tensors: dict[str, Tensor], i: int, recorded: boo
 
 def forward(bundle: EncodedBundle, params: ModelParams) -> Tensor:
     """Logits over classes; softmax lives in the loss."""
-    images = bundle.images()
-    streams = params.config.stream_count()
-    if len(images) != streams:
-        raise DimensionError(f"bundle carries {len(images)} images but the model has {streams} streams")
-    return _head(_streams(images, params.tensors), params.tensors)
+    count, streams = len(bundle.channels), params.config.stream_count()
+    if count != streams:
+        raise DimensionError(f"bundle carries channels for {count} streams but the model has {streams} streams")
+    return _head(_streams(bundle, params), params.tensors)
 
 
-def _streams(images: list[Tensor], tensors: dict[str, Tensor]) -> Tensor:
+def _streams(bundle: EncodedBundle, params: ModelParams) -> Tensor:
     """The streams' features concatenated, as one tape node: values and
-    gradients bit for bit those of each stream's stages taped as
-    ``permute``, three ``conv_pool_leaky`` nodes and ``reshape``, then
+    gradients bit for bit those of each stream's image taped as
+    ``embed_to_image``, ``apply_attention`` and ``temporal_embed``, its
+    stages as ``permute``, three fused stage nodes and ``reshape``, then
     ``concat``.
 
-    Streams 0, 2 and 1, 3 run :func:`_stages` through :func:`_on_workers`,
-    in the forward, and their stage rules in the backward.  A worker runs
-    no function perfbench's tracer wraps: its one span stack would be
-    corrupted by spans on two threads at once.  The node's backward splits
-    the gradient as ``concat`` does, runs each stream's rules from stage 3
-    down to stage 1, releasing each once it has run as ``backward``
-    releases a node, and returns each image gradient turned back
-    channel-first, as ``permute`` does, then each stream's kernel and bias
-    gradients.
+    Each stream runs :func:`stream_image` and then :func:`_stages`.
+    Recorded, streams 0, 2 and 1, 3 run on :func:`_on_workers`, forward
+    and backward; unrecorded, one after the other on the caller's thread,
+    each on its workspace image before the next overwrites it.  A worker
+    runs no function perfbench's tracer wraps: its one span stack would be
+    corrupted by spans on two threads at once.  The backward splits the
+    gradient as ``concat`` does, then runs each stream's stage rules from
+    stage 3 down and its image rule on that gradient turned channel-first,
+    as ``permute`` does, freeing each rule once it has run.  It returns the
+    channel gradients, the attention map's (the bones stream's plus the
+    joints stream's, as ``backward`` added them), then each stream's
+    embedding, temporal, kernel and bias gradients.
     """
-    stages = [[tensors[f"stream{i}.conv{n}.{kind}"] for n in (1, 2, 3) for kind in ("kernels", "bias")]
-              for i in range(len(images))]
-    inputs = (*images, *(t for stage in stages for t in stage))
+    count, tensors = len(bundle.channels), params.tensors
+    names = STREAMS[:count]
+    image_prefixes = ("embed", "temporal") if params.config.flags.temporal else ("embed",)
+    per_stream = [[tensors[f"{prefix}.{name}"] for prefix in image_prefixes]
+                  + [tensors[f"stream{i}.conv{n}.{kind}"] for n in (1, 2, 3) for kind in ("kernels", "bias")]
+                  for i, name in enumerate(names)]
+    attention = () if bundle.attention is None else (bundle.attention,)
+    inputs = (*bundle.channels, *attention, *(t for stream in per_stream for t in stream))
     recorded = _recording(inputs) is not None
-    runs = _by_stream(lambda i: _stages(images[i].data, tensors, i, recorded), len(images))
+
+    def run(i):
+        image, image_rule = stream_image(bundle, names[i], params.encoder, recorded)
+        features, rules = _stages(image, tensors, i, recorded)
+        return features, [image_rule, *rules]
+
+    runs = _by_stream(run, count) if recorded else [run(i) for i in range(count)]
     splits = np.cumsum([features.shape[-1] for features, _ in runs])[:-1]
 
     def back(d):
@@ -107,13 +124,15 @@ def _streams(images: list[Tensor], tensors: dict[str, Tensor]) -> Tensor:
 
         def run_back(i):
             dx, grads, rules = pieces[i].reshape(len(d), 1, 1, -1), [], runs[i][1]
-            while rules:  # popping frees each rule, and the arrays it saved, once it has run
+            while len(rules) > 1:  # popping frees each rule, and the arrays it saved, once it has run
                 dx, dk, db = rules.pop()(dx)
                 grads[:0] = (dk, db)
-            return [np.transpose(dx, (0, 3, 1, 2)), *grads]
+            d_channels, d_weight, d_attention, d_temporal = rules.pop()(np.transpose(dx, (0, 3, 1, 2)))
+            return d_channels, d_attention, [g for g in (d_weight, d_temporal) if g is not None] + grads
 
-        grads = _by_stream(run_back, len(images))
-        return [g[0] for g in grads] + [stage for g in grads for stage in g[1:]]
+        grads = _by_stream(run_back, count)
+        d_attention = [grads[1][1] + grads[0][1]] if attention else []
+        return [g[0] for g in grads] + d_attention + [t for g in grads for t in g[2]]
 
     return _finish(np.concatenate([features for features, _ in runs], axis=-1), inputs, back, "streams")
 
@@ -141,10 +160,10 @@ def infer(x, params: ModelParams) -> np.ndarray:
     ``forward(encode(x, params.encoder), params).data``.  One sequence is a
     batch of one.
 
-    Streams run one at a time: ``write_image`` builds a stream's image in
-    this thread's workspace, and :func:`stream_forward` runs it through
-    the unrecorded path of each fused stage.  No op is recorded, even
-    inside a Tape; the returned logits are a fresh array.
+    It is exactly that, run with no tape: ``encode``, then the streams node
+    unrecorded, whose streams run one at a time on this thread, each on its
+    image in this thread's workspace.  No op is recorded, even inside a
+    Tape; the returned logits are a fresh array.
 
     A batch of ``SPLIT_MIN`` or more runs as ``x[:ceil(B/2)]`` and the
     rest, each through that body, on :func:`_on_workers`, and the logits
@@ -161,12 +180,9 @@ def infer(x, params: ModelParams) -> np.ndarray:
 
 
 def _infer_rows(x: np.ndarray, params: ModelParams) -> np.ndarray:
-    """:func:`infer`'s body for one validated batch.  Each stream runs on
-    its image before the next ``write_image`` overwrites it."""
+    """:func:`infer`'s body for one validated batch."""
     with no_tape():
-        channels, attention = enhance(x, params.encoder)
-        return _head(concat([stream_forward(write_image(name, ch, attention, params.encoder), params.tensors, i)
-                             for i, (name, ch) in enumerate(channels.items())]), params.tensors).data
+        return forward(encode(x, params.encoder), params).data
 
 
 def _on_workers(fn, parts: list) -> list:

@@ -107,11 +107,14 @@ def _source(sequences, index: int) -> str:
 
 def _predict_classes(params: ModelParams, data: np.ndarray, batch_size: int = 64) -> np.ndarray:
     """``infer``'s argmax class per row; a _NonFiniteLogits error when any
-    row's logits hold a NaN or an infinity."""
+    row's logits hold a NaN or an infinity.  That check reports the fault,
+    so numpy's overflow and invalid-value warnings are off while ``infer``
+    runs (its workers inherit the setting)."""
     preds = np.empty(len(data), dtype=np.int64)
     finite = np.empty(len(data), dtype=bool)
     for start in range(0, len(data), batch_size):
-        logits = infer(data[start : start + batch_size], params)
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits = infer(data[start : start + batch_size], params)
         preds[start : start + len(logits)] = logits.argmax(axis=-1)
         finite[start : start + len(logits)] = np.isfinite(logits).all(axis=-1)
     if not finite.all():
@@ -127,7 +130,9 @@ def train(sequences, topology: Topology, split: DatasetSplit, config: TrainConfi
     measured on the split's test side after the epoch's updates.  A batch
     whose loss is not finite stops training with a UsageError naming its
     epoch and batch, before that batch updates any weight; so do test-side
-    logits that an epoch's updates left non-finite, naming that epoch.
+    logits that an epoch's updates left non-finite, naming that epoch.  A
+    split with no test side has its train-side logits checked once, after
+    the last epoch.
     """
     sequences = list(sequences)
     if not split.train:
@@ -155,6 +160,15 @@ def train(sequences, topology: Topology, split: DatasetSplit, config: TrainConfi
     train_idx = np.fromiter(split.train, dtype=np.int64)
     test_idx = np.fromiter(split.test, dtype=np.int64)
     log: list[str] = []
+
+    def predict(side: np.ndarray, name: str) -> np.ndarray:
+        try:
+            return _predict_classes(params, data[side], config.batch_size)
+        except _NonFiniteLogits as exc:
+            raise UsageError(f"training diverged: epoch {epoch} left non-finite logits for {exc.count} of "
+                             f"{exc.total} {name} sequences, the first {_source(sequences, side[exc.row])}; "
+                             f"try a lower learning rate than {lr:g}") from None
+
     for epoch in range(1, config.epochs + 1):
         lr = config.lr * (config.lr_decay if epoch > config.decay_epoch else 1.0)
         order = train_idx[shuffle.permutation(len(train_idx))]
@@ -173,16 +187,11 @@ def train(sequences, topology: Topology, split: DatasetSplit, config: TrainConfi
             adam_step(params.tensors, state, lr)
             loss_sum += value * len(batch)
         mean_loss = loss_sum / len(order)
+        test_acc = float("nan")
         if len(test_idx):
-            try:
-                preds = _predict_classes(params, data[test_idx], config.batch_size)
-            except _NonFiniteLogits as exc:
-                raise UsageError(f"training diverged: epoch {epoch} left non-finite logits for {exc.count} of "
-                                 f"{exc.total} test sequences, the first {_source(sequences, test_idx[exc.row])}; "
-                                 f"try a lower learning rate than {lr:g}") from None
-            test_acc = float((preds == classes[test_idx]).mean())
-        else:
-            test_acc = float("nan")
+            test_acc = float((predict(test_idx, "test") == classes[test_idx]).mean())
+        elif epoch == config.epochs:  # no test side: the trained weights' logits are checked once
+            predict(train_idx, "train")
         log.append(f"{epoch},{mean_loss:.6f},{test_acc:.4f},{lr:g}")
     return params, log
 

@@ -1,7 +1,8 @@
 """Shared test plumbing: the acceptance-criteria verdict board, the
 joint-to-bone incidence oracle, scale-head and attention tensors under
-their parameter names, the composed reference of the fused encoder image
-op, and the benchmark tracer's name tables.
+their parameter names, the array-level image and stage bodies as tape
+nodes, the composed reference of the image body, and the benchmark
+tracer's name tables.
 
 Acceptance tests record one verdict per criterion; the terminal summary
 prints them as single pass/fail lines so a full run ends with a compact
@@ -11,6 +12,8 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+
+from skelact import autograd
 
 _VERDICTS: dict[int, tuple[str, bool, str]] = {}
 
@@ -43,9 +46,28 @@ def attention_tensors(shared_weight, shared_bias, query_weight, key_weight):
             "attention.query.weight": query_weight, "attention.key.weight": key_weight}
 
 
+def conv_pool_leaky(x, kernels, bias, slope=0.01):
+    """autograd.conv_pool_leaky_arrays as one tape node over ``x``."""
+    inputs = (x, kernels, bias)
+    out, rule = autograd.conv_pool_leaky_arrays(x.data, kernels.data, bias.data, slope,
+                                                autograd._recording(inputs) is not None)
+    return autograd._finish(out, inputs, rule, "conv_pool_leaky")
+
+
+def embed_image(channels, weight, attention=None, temporal=None):
+    """autograd.embed_image_arrays as one tape node, always with a fresh
+    image: the embedding product, the attention multiply-and-add and the
+    temporal add."""
+    given = [t for t in (attention, temporal) if t is not None]
+    image, rule = autograd.embed_image_arrays(channels.data, weight.data, None if attention is None else attention.data,
+                                              None if temporal is None else temporal.data, True)
+    return autograd._finish(image, (channels, weight, *given), lambda d: [g for g in rule(d) if g is not None],
+                            "embed_image")
+
+
 def composed_embed_image(channels, weight, attention=None, temporal=None):
-    """autograd.embed_image as the separate tape nodes it fuses: the
-    embedding product, the attention multiply-and-add and the temporal add."""
+    """embed_image as the separate tape nodes it fuses: the embedding
+    product, the attention multiply-and-add and the temporal add."""
     from skelact.encoder import apply_attention, embed_to_image, temporal_embed
 
     image = embed_to_image(channels, weight)
@@ -54,6 +76,17 @@ def composed_embed_image(channels, weight, attention=None, temporal=None):
     if temporal is not None:
         image = temporal_embed(image, temporal)
     return image
+
+
+def composed_images(bundle, enc, image_op=composed_embed_image):
+    """Each stream's image from an encoder bundle, in STREAMS order, built by
+    ``image_op`` from what encoder.stream_image reads of the EncoderParams
+    ``enc``."""
+    from skelact.encoder import ATTENDED, STREAMS
+
+    return [image_op(channels, enc.tensors[f"embed.{name}"], bundle.attention if name in ATTENDED else None,
+                     enc.tensors[f"temporal.{name}"] if enc.flags.temporal else None)
+            for name, channels in zip(STREAMS, bundle.channels)]
 
 
 def perfbench_spans():

@@ -8,10 +8,11 @@ import weakref
 
 import numpy as np
 import pytest
+from conftest import conv_pool_leaky
 
 from skelact import autograd
 from skelact.autograd import (
-    Tape, Tensor, add, backward, concat, conv2d, conv_pool_leaky, cross_entropy,
+    Tape, Tensor, add, backward, concat, conv2d, cross_entropy,
     frame_velocity, grad_check, leaky_relu, linear, matmul, maxpool2d, mul, permute, reshape, scale, softmax_rows, sub, sum_all, transpose_last2,
 )
 from skelact.errors import DimensionError, UsageError

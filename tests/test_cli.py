@@ -241,7 +241,8 @@ def test_eval_of_finite_weights_that_give_non_finite_logits_is_exit_2(tmp_path, 
             tensor.data[...] = signs.choice([-1e30, 1e30], size=tensor.shape)
     save_checkpoint(params, broken)
     capsys.readouterr()
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():  # the error line reports the fault, with no numpy warning before it
+        warnings.simplefilter("error", RuntimeWarning)
         code = main(["eval", "--checkpoint", str(broken), "--data", str(dataset), "--out-dir", str(out_dir)])
     assert code == 2
     captured = capsys.readouterr()

@@ -3,14 +3,17 @@ frame attention, velocity images, temporal offsets, and the composed encode."""
 
 import numpy as np
 import pytest
-from conftest import attention_tensors, composed_embed_image, incidence_matrix, scale_heads
+from conftest import (
+    attention_tensors, composed_embed_image, composed_images, embed_image, incidence_matrix, scale_heads,
+)
 
+from skelact import autograd
 from skelact.autograd import (
-    Tape, Tensor, add, backward, embed_image, frame_velocity, grad_check, mul, scale, softmax_rows, sum_all,
+    Tape, Tensor, add, backward, embed_image_arrays, frame_velocity, grad_check, mul, scale, softmax_rows, sum_all,
 )
 from skelact.encoder import (
-    EncoderParams, EnhanceFlags, apply_attention, attention_map, embed_to_image, encode,
-    scale_bones, scale_joints, temporal_embed, uniform_attention, velocity_image,
+    STREAMS, EncoderParams, EnhanceFlags, apply_attention, attention_map, embed_to_image, encode,
+    scale_bones, scale_joints, stream_image, temporal_embed, uniform_attention, velocity_image,
 )
 from skelact.errors import DimensionError
 from skelact.skeleton import Topology, bones_from_joints
@@ -353,6 +356,27 @@ def test_embed_image_validates_shapes():
         embed_image(ch, w, None, Tensor(np.zeros(4)))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_unrecorded_image_is_the_recorded_bits_in_the_workspace(dtype):
+    # the unrecorded image is built in this thread's workspace, with the
+    # recorded image's bits; the recorded one is fresh and has a rule
+    rng = np.random.default_rng(32)
+    t, j = 6, 4
+    ch, w = rng.normal(size=(2, 3, j, t)).astype(dtype), rng.normal(size=(t, j)).astype(dtype)
+    a, te = rng.normal(size=(2, t, t)).astype(dtype), rng.normal(size=t).astype(dtype)
+    for attention in (a, None):
+        for temporal in (te, None):
+            want, rule = embed_image_arrays(ch, w, attention, temporal, True)
+            got, no_rule = embed_image_arrays(ch, w, attention, temporal, False)
+            buffers = [buf for buf in vars(autograd._WORKSPACE).values() if isinstance(buf, np.ndarray)]
+            assert rule is not None and no_rule is None
+            assert _same_bits(got, want), (attention is None, temporal is None)
+            assert any(np.shares_memory(got, buf) for buf in buffers)
+            assert not any(np.shares_memory(want, buf) for buf in buffers)
+            grads = rule(np.ones_like(want))
+            assert [g is None for g in grads[2:]] == [attention is None, temporal is None]
+
+
 # ---------------------------------------------------------------------------
 # composed encoder
 
@@ -393,14 +417,16 @@ def test_encode_matches_hand_composition():
     jv = temporal_embed(velocity_image(sj, w["embed.joint_velocity"], enc.dt), w["temporal.joint_velocity"])
     bv = temporal_embed(velocity_image(sb, w["embed.bone_velocity"], enc.dt), w["temporal.bone_velocity"])
 
-    assert np.array_equal(bundle.joints_image.data, ji.data)
-    assert np.array_equal(bundle.bones_image.data, bi.data)
-    assert np.array_equal(bundle.joint_vel_image.data, jv.data)
-    assert np.array_equal(bundle.bone_vel_image.data, bv.data)
+    channels = (sj, sb, frame_velocity(sj, enc.dt), frame_velocity(sb, enc.dt))
+    assert len(bundle.channels) == 4
+    for got, want in zip(bundle.channels, channels):
+        assert np.array_equal(got.data, want.data)
     assert np.array_equal(bundle.attention.data, a.data)
-    assert len(bundle.images()) == 4
-    for img in bundle.images():
-        assert img.shape == (3, 8, 8)
+    for name, want in zip(STREAMS, (ji, bi, jv, bv)):
+        for recorded in (True, False):
+            image, rule = stream_image(bundle, name, enc, recorded)
+            assert image.shape == (3, 8, 8) and (rule is not None) == recorded, (name, recorded)
+            assert np.array_equal(image, want.data), (name, recorded)
 
 
 def test_encode_with_everything_off_is_raw_coordinates():
@@ -411,12 +437,10 @@ def test_encode_with_everything_off_is_raw_coordinates():
     enc.tensors["embed.joints"] = _identity_embedding(4)
     enc.tensors["embed.bones"] = _identity_embedding(4)
     bundle = encode(x, enc)
-    assert bundle.joint_vel_image is None and bundle.bone_vel_image is None
-    assert len(bundle.images()) == 2
+    assert len(bundle.channels) == 2 and bundle.attention is None
     # identity embeddings make both streams the raw coordinate view
-    assert np.array_equal(bundle.joints_image.data, _channels(x))
-    assert np.array_equal(bundle.bones_image.data, _channels(x))
-    assert np.allclose(bundle.attention.data, 1.0 / 4)
+    for name in ("joints", "bones"):
+        assert np.array_equal(stream_image(bundle, name, enc, False)[0], _channels(x)), name
 
 
 def test_active_streams_follow_velocity_flag():
@@ -429,9 +453,9 @@ def test_gradients_reach_every_encoder_parameter():
     x = rng.normal(size=(8, 4, 3)).astype(np.float32)
     enc = _build_encoder(np.random.default_rng(102), 8, grad=True)
     with Tape():
-        bundle = encode(x, enc)
-        loss = sum_all(bundle.joints_image)
-        for img in bundle.images()[1:]:
+        images = composed_images(encode(x, enc), enc, embed_image)
+        loss = sum_all(images[0])
+        for img in images[1:]:
             loss = add(loss, sum_all(img))
     backward(loss)
     for name, tensor in enc.tensors.items():
@@ -446,6 +470,9 @@ def test_encode_batched_equals_stacked_single():
     batch = encode(x, enc)
     for b in range(3):
         single = encode(x[b], enc)
-        assert np.allclose(batch.joints_image.data[b], single.joints_image.data, atol=1e-6)
-        assert np.allclose(batch.bone_vel_image.data[b], single.bone_vel_image.data, atol=1e-6)
+        for got, want in zip(batch.channels, single.channels):
+            assert np.allclose(got.data[b], want.data, atol=1e-6)
+        for name in STREAMS:
+            want = stream_image(single, name, enc, True)[0]
+            assert np.allclose(stream_image(batch, name, enc, False)[0][b], want, atol=1e-6), name
         assert np.allclose(batch.attention.data[b], single.attention.data, atol=1e-6)

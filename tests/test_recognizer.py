@@ -9,11 +9,11 @@ from collections.abc import Mapping
 
 import numpy as np
 import pytest
-from conftest import composed_embed_image, perfbench_spans
+from conftest import composed_images, conv_pool_leaky, embed_image, perfbench_spans
 
 from skelact import autograd, encoder, recognizer
 from skelact.autograd import (
-    Tape, Tensor, backward, concat, conv2d, conv_pool_leaky, cross_entropy, leaky_relu, maxpool2d, permute, reshape,
+    Tape, Tensor, backward, concat, conv2d, cross_entropy, leaky_relu, maxpool2d, permute, reshape,
 )
 from skelact.encoder import LEAKY_SLOPE, EncodedBundle, EnhanceFlags, encode, uniform_attention
 from skelact.errors import DimensionError, UsageError
@@ -42,14 +42,11 @@ def _ntu_config(**kw):
     return ModelConfig(**base)
 
 
-def _bundle(images):
-    imgs = [Tensor(np.asarray(i, dtype=np.float32)) for i in images]
-    return EncodedBundle(
-        joints_image=imgs[0], bones_image=imgs[1],
-        joint_vel_image=imgs[2] if len(imgs) > 2 else None,
-        bone_vel_image=imgs[3] if len(imgs) > 2 else None,
-        attention=uniform_attention(imgs[0].shape[-1]),
-    )
+def _bundle(channels):
+    """An encoder bundle of the given (B, 3, J, T) stream channels under a
+    uniform attention map."""
+    chans = tuple(Tensor(np.asarray(c, dtype=np.float32)) for c in channels)
+    return EncodedBundle(chans, uniform_attention(chans[0].shape[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -123,47 +120,48 @@ def test_untaped_streams_in_concurrent_threads_match_their_single_thread_results
 
 def test_zero_images_give_zero_logits():
     params = ModelParams.build(_config(), seed=0)
-    zeros = [np.zeros((1, 3, 64, 64), dtype=np.float32)] * 4
+    zeros = [np.zeros((1, 3, 4, 64), dtype=np.float32)] * 4
     logits = forward(_bundle(zeros), params)
     assert logits.shape == (1, 3)
     assert not np.any(logits.data)  # every bias starts at zero
 
 
 def test_forward_is_positively_homogeneous():
-    # leaky ReLU, max pooling and bias-free affine maps all commute with
-    # positive scaling, so doubling the images exactly doubles the logits
+    # leaky ReLU, max pooling, the attention product-and-add and bias-free
+    # affine maps all commute with positive scaling, so doubling the
+    # channels exactly doubles the logits
     params = ModelParams.build(_config(), seed=1)
     rng = np.random.default_rng(1)
-    images = [rng.normal(size=(1, 3, 64, 64)).astype(np.float32) for _ in range(4)]
-    base = forward(_bundle(images), params).data
-    twice = forward(_bundle([2.0 * i for i in images]), params).data
+    channels = [rng.normal(size=(1, 3, 4, 64)).astype(np.float32) for _ in range(4)]
+    base = forward(_bundle(channels), params).data
+    twice = forward(_bundle([2.0 * c for c in channels]), params).data
     assert np.allclose(twice, 2.0 * base, atol=1e-4)
 
 
 def test_stream_order_matters():
     params = ModelParams.build(_config(), seed=2)
     rng = np.random.default_rng(2)
-    images = [rng.normal(size=(1, 3, 64, 64)).astype(np.float32) for _ in range(4)]
-    base = forward(_bundle(images), params).data
-    swapped = forward(_bundle([images[1], images[0]] + images[2:]), params).data
+    channels = [rng.normal(size=(1, 3, 4, 64)).astype(np.float32) for _ in range(4)]
+    base = forward(_bundle(channels), params).data
+    swapped = forward(_bundle([channels[1], channels[0]] + channels[2:]), params).data
     assert not np.allclose(base, swapped, atol=1e-3)
 
 
 def test_forward_rejects_stream_mismatch():
     params = ModelParams.build(_config(), seed=0)  # 4 streams
     rng = np.random.default_rng(3)
-    images = [rng.normal(size=(1, 3, 64, 64)).astype(np.float32) for _ in range(2)]
-    with pytest.raises(DimensionError, match="2 images.*4 streams"):
-        forward(_bundle(images), params)
+    channels = [rng.normal(size=(1, 3, 4, 64)).astype(np.float32) for _ in range(2)]
+    with pytest.raises(DimensionError, match="channels for 2 streams.*4 streams"):
+        forward(_bundle(channels), params)
 
 
 def test_batched_forward_matches_single():
     params = ModelParams.build(_config(), seed=3)
     rng = np.random.default_rng(4)
-    images = [rng.normal(size=(2, 3, 64, 64)).astype(np.float32) for _ in range(4)]
-    batched = forward(_bundle(images), params).data
+    channels = [rng.normal(size=(2, 3, 4, 64)).astype(np.float32) for _ in range(4)]
+    batched = forward(_bundle(channels), params).data
     for b in range(2):
-        single = forward(_bundle([i[b : b + 1] for i in images]), params).data
+        single = forward(_bundle([c[b : b + 1] for c in channels]), params).data
         assert np.allclose(batched[b], single[0], atol=1e-5)
 
 
@@ -188,8 +186,9 @@ def test_training_gradients_match_channel_first_stream_bitwise(monkeypatch):
     runs = []
     fused_streams = recognizer._streams
 
-    def channel_first_streams(images, tensors):
-        return concat([channel_first_stream(image, tensors, i) for i, image in enumerate(images)], axis=-1)
+    def channel_first_streams(bundle, params):
+        images = composed_images(bundle, params.encoder, embed_image)
+        return concat([channel_first_stream(image, params.tensors, i) for i, image in enumerate(images)], axis=-1)
 
     for streams_fn in (fused_streams, channel_first_streams):
         monkeypatch.setattr(recognizer, "_streams", streams_fn)
@@ -215,36 +214,40 @@ def test_training_gradients_match_channel_first_stream_bitwise(monkeypatch):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("variant", [name for name, _ in VARIANT_GRID])
 def test_training_steps_match_the_composed_encoder_images_bitwise(monkeypatch, variant, dtype):
-    # encode's one image node per stream against the matmul, attention and
-    # temporal nodes it fuses: logits and every gradient over three Adam
-    # steps, with every parameter perturbed so the zero-initialised temporal
-    # vectors matter from the first step
+    # the streams node's image body, on the workers and inline, against a
+    # taped reference: each image as the matmul, attention and temporal
+    # nodes it fuses, then the sequential stages.  Logits and every gradient
+    # over three Adam steps, with every parameter perturbed so the
+    # zero-initialised temporal vectors matter from the first step
     flags = dict(VARIANT_GRID)[variant]
     rng = np.random.default_rng(29)
     x = (rng.normal(size=(3, 64, 4, 3)) * 0.3).astype(dtype)
     labels = np.array([0, 2, 1])
     runs = []
-    for image_op in (encoder.embed_image, composed_embed_image):
-        monkeypatch.setattr(encoder, "embed_image", image_op)
-        params = ModelParams.build(_config(flags=flags), seed=11, dtype=dtype)
-        noise = np.random.default_rng(30)
-        for tensor in params.named_tensors().values():
-            tensor.data += (noise.normal(size=tensor.shape) * 0.1).astype(dtype)
-        named = params.named_tensors()
-        state = AdamState(named)
-        steps = []
-        for _ in range(3):
-            with Tape():
-                logits = forward(encode(x, params.encoder), params)
-                loss = cross_entropy(logits, labels)
-            backward(loss)
-            steps.append((logits.data, {k: t.grad for k, t in params.trainable_tensors().items()}))
-            adam_step(named, state, 1e-2)
+    for patch in ({}, {"_blas_thread_calls": lambda: None}, {"_streams": _composed_streams}):
+        with monkeypatch.context() as m:  # on the workers, inline, then the reference
+            for name, value in patch.items():
+                m.setattr(recognizer, name, value)
+            params = ModelParams.build(_config(flags=flags), seed=11, dtype=dtype)
+            noise = np.random.default_rng(30)
+            for tensor in params.named_tensors().values():
+                tensor.data += (noise.normal(size=tensor.shape) * 0.1).astype(dtype)
+            named = params.named_tensors()
+            state = AdamState(named)
+            steps = []
+            for _ in range(3):
+                with Tape():
+                    logits = forward(encode(x, params.encoder), params)
+                    loss = cross_entropy(logits, labels)
+                backward(loss)
+                steps.append((logits.data, {k: t.grad for k, t in params.trainable_tensors().items()}))
+                adam_step(named, state, 1e-2)
         runs.append(steps)
-    for step, ((fused_logits, fused), (ref_logits, ref)) in enumerate(zip(*runs)):
-        assert np.array_equal(fused_logits.view(np.uint8), ref_logits.view(np.uint8)), step
-        for name, grad in ref.items():
-            assert grad is not None and np.array_equal(fused[name].view(np.uint8), grad.view(np.uint8)), (step, name)
+    for fused_run in runs[:2]:
+        for step, ((fused_logits, fused), (ref_logits, ref)) in enumerate(zip(fused_run, runs[2])):
+            assert np.array_equal(fused_logits.view(np.uint8), ref_logits.view(np.uint8)), step
+            for name, grad in ref.items():
+                assert grad is not None and np.array_equal(fused[name].view(np.uint8), grad.view(np.uint8)), (step, name)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -450,10 +453,16 @@ def _step_bytes(params, x, labels) -> list[bytes]:
                                       for name, t in named.items()]
 
 
+def _composed_streams(bundle, params):
+    """The streams node's reference: each stream's image taped as the
+    composed encoder nodes, then :func:`_sequential_streams`."""
+    return _sequential_streams(composed_images(bundle, params.encoder), params.tensors)
+
+
 def _sequential_streams(images, tensors):
-    """The streams node's reference: each stream's stages taped as
-    ``permute``, three ``conv_pool_leaky`` nodes and ``reshape`` on the
-    caller's tape, one stream after the other, then ``concat``."""
+    """Each stream's stages taped as ``permute``, three ``conv_pool_leaky``
+    nodes and ``reshape`` on the caller's tape, one stream after the other,
+    then ``concat``."""
     features = []
     for i, image in enumerate(images):
         x = permute(image, (0, 2, 3, 1))
@@ -477,19 +486,20 @@ def _thread_spy(monkeypatch, module, name):
 
 
 def _rule_spy(monkeypatch):
-    """Record the thread name of every stage rule the recognizer runs."""
-    names, stage = [], recognizer.conv_pool_leaky_arrays
+    """Record the thread name of every stage and image rule the streams
+    node runs."""
+    names = []
+    for module, name in ((recognizer, "conv_pool_leaky_arrays"), (encoder, "embed_image_arrays")):
+        def spy(*args, _body=getattr(module, name)):
+            out, rule = _body(*args)
 
-    def spy(*args):
-        out, rule = stage(*args)
+            def traced(d):
+                names.append(threading.current_thread().name)
+                return rule(d)
 
-        def traced(d):
-            names.append(threading.current_thread().name)
-            return rule(d)
+            return out, None if rule is None else traced
 
-        return out, None if rule is None else traced
-
-    monkeypatch.setattr(recognizer, "conv_pool_leaky_arrays", spy)
+        monkeypatch.setattr(module, name, spy)
     return names
 
 
@@ -521,7 +531,7 @@ def test_streams_node_is_bitwise_the_sequential_stages_on_workers_and_inline(dty
     for batch in (64, 6, 1):
         params = _perturbed_params(dtype)
         with monkeypatch.context() as m:
-            m.setattr(recognizer, "_streams", _sequential_streams)
+            m.setattr(recognizer, "_streams", _composed_streams)
             want = _step_bytes(params, x[:batch], labels[:batch])
         with monkeypatch.context() as m:
             forwards = _thread_spy(m, recognizer, "_stages")
@@ -530,7 +540,7 @@ def test_streams_node_is_bitwise_the_sequential_stages_on_workers_and_inline(dty
             got = _step_bytes(params, x[:batch], labels[:batch])
         assert got == want, batch
         worker = "skelact-worker" if recognizer.infer_workers() == 2 else "MainThread"
-        assert len(forwards) == 4 and len(backwards) == 12, batch
+        assert len(forwards) == 4 and len(backwards) == 16, batch  # 12 stage rules and 4 image rules
         assert all(name.startswith(worker) for name in forwards + backwards), batch
         # perfbench's tracer wraps these with one span stack: no worker may call them
         assert traced and all(name == "MainThread" for name in traced), batch
@@ -604,9 +614,9 @@ def test_taped_forward_keeps_the_callers_numpy_errstate_in_the_streams(dtype, mo
     rng = np.random.default_rng(38)
     for inline in (False, True):
         for batch in (64, 6, 1):
-            images = [Tensor(rng.normal(size=(batch, 3, 64, 64)) * big, requires_grad=True, dtype=dtype)
-                      for _ in range(4)]
-            bundle = EncodedBundle(*images, attention=uniform_attention(64))
+            channels = tuple(Tensor(rng.normal(size=(batch, 3, 4, 64)) * big, requires_grad=True, dtype=dtype)
+                             for _ in range(4))
+            bundle = EncodedBundle(channels, uniform_attention(64, dtype))
             with monkeypatch.context() as m:
                 if inline:
                     m.setattr(recognizer, "_blas_thread_calls", lambda: None)

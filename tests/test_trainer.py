@@ -120,6 +120,19 @@ def test_train_without_test_side_logs_nan_accuracy():
     assert log[0].split(",")[2] == "nan"
 
 
+def test_train_without_test_side_refuses_weights_whose_logits_are_non_finite():
+    # one epoch of one batch: its loss is taken before the update that
+    # breaks every logit, and no test side scores the epoch, so the train
+    # side's logits are checked after the last epoch
+    cfg = TrainConfig(epochs=1, batch_size=64, lr=1e8, seed=0, frames=64,
+                      channels=(4, 8, 16), fc_hidden=32, scale_hidden=16)
+    split = DatasetSplit(tuple(range(len(SMALL_DATA))), (), "manual")
+    with np.errstate(all="ignore"), pytest.raises(UsageError) as caught:
+        train(SMALL_DATA, TOPO, split, cfg)
+    assert str(caught.value).startswith(f"training diverged: epoch 1 left non-finite logits for {len(SMALL_DATA)} "
+                                        f"of {len(SMALL_DATA)} train sequences, the first ")
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
