@@ -68,6 +68,15 @@ def _load_dataset(path) -> list:
     return sequences
 
 
+def _model_config(args, sequences, **architecture) -> ModelConfig:
+    """The model for ``sequences``: the built-in joint tree of their joint
+    count, their sorted labels as the classes, and ``--frames``."""
+    topology = _topology_for(sequences[0].joint_count)
+    labels = tuple(sorted({s.action_label for s in sequences}))
+    return ModelConfig(joints=topology.joint_count, classes=len(labels), bones=topology.bones,
+                       root=topology.root, labels=labels, frames=args.frames, **architecture)
+
+
 def _flags_from(args) -> EnhanceFlags:
     return EnhanceFlags(
         joint_scale=not args.no_joint_scale,
@@ -141,20 +150,11 @@ def cmd_train(args) -> int:
     if args.log is not None:
         _check_writable(args.log, "--log")
     sequences = _load_dataset(args.data)
-    topology = _topology_for(sequences[0].joint_count)
+    model = _model_config(args, sequences, channels=tuple(args.channels), fc_hidden=args.fc_hidden,
+                          scale_hidden=args.scale_hidden, flags=_flags_from(args))
     split = split_dataset(sequences, args.protocol)
-    config = TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch,
-        lr=args.lr,
-        seed=_resolve_seed(args),
-        frames=args.frames,
-        channels=tuple(args.channels),
-        fc_hidden=args.fc_hidden,
-        scale_hidden=args.scale_hidden,
-        flags=_flags_from(args),
-    )
-    params, log = train(sequences, topology, split, config)
+    config = TrainConfig(epochs=args.epochs, batch_size=args.batch, lr=args.lr, seed=_resolve_seed(args))
+    params, log = train(sequences, model, split, config)
     save_checkpoint(params, args.out_checkpoint)
     if args.log is not None:
         Path(args.log).write_text("\n".join(log) + "\n", encoding="utf-8")
@@ -185,17 +185,7 @@ def cmd_eval(args) -> int:
 def _params_for(args, sequences) -> ModelParams:
     if args.checkpoint is not None:
         return load_checkpoint(args.checkpoint)
-    topology = _topology_for(sequences[0].joint_count)
-    labels = tuple(sorted({s.action_label for s in sequences}))
-    config = ModelConfig(
-        joints=topology.joint_count,
-        classes=len(labels),
-        bones=topology.bones,
-        root=topology.root,
-        labels=labels,
-        frames=args.frames,
-    )
-    return ModelParams.build(config, seed=_resolve_seed(args))
+    return ModelParams.build(_model_config(args, sequences), seed=_resolve_seed(args))
 
 
 def cmd_encode(args) -> int:

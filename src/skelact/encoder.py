@@ -87,11 +87,11 @@ class EncodedBundle:
     attention: Tensor | None
 
 
-def _as_tensor(x, like_dtype=None) -> Tensor:
+def _as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
     arr = np.asarray(x)
-    return Tensor(arr, dtype=arr.dtype if like_dtype is None else like_dtype)
+    return Tensor(arr, dtype=arr.dtype)
 
 
 def _to_channels(x: Tensor) -> Tensor:

@@ -77,7 +77,7 @@ class ModelConfig:
         return Topology(joint_count=self.joints, bones=self.bones, root=self.root)
 
     def stream_count(self) -> int:
-        return 4 if self.flags.velocity else 2
+        return len(self.flags.active_streams())
 
     def conv_trace(self) -> list[tuple[int, int]]:
         """(spatial extent, channels) after each conv+pool stage."""

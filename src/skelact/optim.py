@@ -22,10 +22,7 @@ EPS = 1e-8
 class AdamState:
     """First/second moment buffers plus the shared step counter."""
 
-    def __init__(self, params: dict[str, Tensor], beta1: float = BETA1, beta2: float = BETA2, eps: float = EPS):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, params: dict[str, Tensor]):
         self.step = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -39,18 +36,18 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
     """
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    c1 = 1.0 - BETA1 ** t
+    c2 = 1.0 - BETA2 ** t
     for name, p in params.items():
         g = p.grad
         if g is None:
             continue
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
-        p.data -= (lr / c1) * m / (np.sqrt(v / c2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * np.square(g)
+        p.data -= (lr / c1) * m / (np.sqrt(v / c2) + EPS)
         p.grad = None
 

@@ -70,7 +70,7 @@ def _stages(image: np.ndarray, tensors: dict[str, Tensor], i: int, recorded: boo
         rules.append(rule)
     if x.shape[1:3] != (1, 1):
         raise DimensionError(f"stream did not reduce spatially, got {x.shape}")
-    return x.reshape(len(x), -1), rules
+    return x.reshape(len(x), x.shape[-1]), rules
 
 
 def forward(bundle: EncodedBundle, params: ModelParams) -> Tensor:

@@ -1,14 +1,14 @@
 """Training loop, evaluation metrics, and the enhancement-stage ablation grid.
 
-train() is fully deterministic given (sequences, split, config): parameter
-initialization and batch shuffling use separate generators derived from the
-config seed, and no OS entropy is consulted anywhere.
+train() is fully deterministic given (sequences, model, split, config):
+parameter initialization and batch shuffling use separate generators derived
+from the config seed, and no OS entropy is consulted anywhere.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,28 +18,27 @@ from .errors import CheckpointError, ConfigMismatchError, UsageError
 from .model import ModelConfig, ModelParams
 from .optim import AdamState, adam_step
 from .recognizer import forward, infer
-from .skeleton import DatasetSplit, Topology, preprocess
+from .skeleton import DatasetSplit, preprocess
+
+# the learning rate falls by LR_DECAY after epoch DECAY_EPOCH
+LR_DECAY = 0.1
+DECAY_EPOCH = 20
 
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """How to train; the ModelConfig passed beside it says what."""
+
     epochs: int = 60
     batch_size: int = 64
     lr: float = 0.001
-    lr_decay: float = 0.1
-    decay_epoch: int = 20
     seed: int = 0
-    frames: int = 64
-    channels: tuple[int, int, int] = (32, 64, 128)
-    fc_hidden: int = 256
-    scale_hidden: int = 64
-    flags: EnhanceFlags = field(default_factory=EnhanceFlags)
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise UsageError("epochs and batch_size must be positive")
-        if not (0 < self.lr < math.inf and 0 < self.lr_decay < math.inf):
-            raise UsageError(f"learning rates must be finite and positive, got lr {self.lr}, lr_decay {self.lr_decay}")
+        if not 0 < self.lr < math.inf:
+            raise UsageError(f"learning rates must be finite and positive, got lr {self.lr}")
 
 
 class ConfusionMatrix:
@@ -71,25 +70,22 @@ class ConfusionMatrix:
         return "\n".join(",".join(str(v) for v in row) for row in self.counts) + "\n"
 
 
-def _stack_dataset(sequences, topology: Topology, frames: int):
-    joints = topology.joint_count
+def _dataset(sequences, config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The preprocessed (N, T, J, 3) batch and each sequence's class index
+    in ``config.labels``; every joint count is checked before any label."""
     for seq in sequences:
-        if seq.joint_count != joints:
+        if seq.joint_count != config.joints:
             raise ConfigMismatchError(
-                f"sequence has {seq.joint_count} joints, topology expects {joints}"
+                f"sequence has {seq.joint_count} joints, topology expects {config.joints}"
             )
-    data = np.stack([preprocess(s, topology.root, frames) for s in sequences])
-    return data
-
-
-def _class_indices(sequences, labels: tuple[int, ...]) -> np.ndarray:
-    lookup = {label: i for i, label in enumerate(labels)}
-    out = np.empty(len(sequences), dtype=np.int64)
+    data = np.stack([preprocess(s, config.root, config.frames) for s in sequences])
+    lookup = {label: i for i, label in enumerate(config.labels)}
+    classes = np.empty(len(sequences), dtype=np.int64)
     for i, seq in enumerate(sequences):
         if seq.action_label not in lookup:
-            raise ConfigMismatchError(f"label {seq.action_label} not in model vocabulary {labels}")
-        out[i] = lookup[seq.action_label]
-    return out
+            raise ConfigMismatchError(f"label {seq.action_label} not in model vocabulary {config.labels}")
+        classes[i] = lookup[seq.action_label]
+    return data, classes
 
 
 class _NonFiniteLogits(ValueError):
@@ -122,8 +118,8 @@ def _predict_classes(params: ModelParams, data: np.ndarray, batch_size: int = 64
     return preds
 
 
-def train(sequences, topology: Topology, split: DatasetSplit, config: TrainConfig):
-    """Fit the model on the split's train side.
+def train(sequences, model: ModelConfig, split: DatasetSplit, config: TrainConfig):
+    """Fit a fresh ``model`` on the split's train side.
 
     Returns (params, log) where log holds one "epoch,loss,test_acc,lr" line
     per epoch; loss is the train-set mean for the epoch and test_acc is
@@ -137,23 +133,8 @@ def train(sequences, topology: Topology, split: DatasetSplit, config: TrainConfi
     sequences = list(sequences)
     if not split.train:
         raise UsageError("empty train split")
-    labels = tuple(sorted({s.action_label for s in sequences}))
-    data = _stack_dataset(sequences, topology, config.frames)
-    classes = _class_indices(sequences, labels)
-
-    model_config = ModelConfig(
-        joints=topology.joint_count,
-        classes=len(labels),
-        bones=topology.bones,
-        root=topology.root,
-        labels=labels,
-        frames=config.frames,
-        channels=config.channels,
-        fc_hidden=config.fc_hidden,
-        scale_hidden=config.scale_hidden,
-        flags=config.flags,
-    )
-    params = ModelParams.build(model_config, seed=config.seed)
+    data, classes = _dataset(sequences, model)
+    params = ModelParams.build(model, seed=config.seed)
     state = AdamState(params.tensors)
     shuffle = np.random.default_rng([config.seed, 1])
 
@@ -170,7 +151,7 @@ def train(sequences, topology: Topology, split: DatasetSplit, config: TrainConfi
                              f"try a lower learning rate than {lr:g}") from None
 
     for epoch in range(1, config.epochs + 1):
-        lr = config.lr * (config.lr_decay if epoch > config.decay_epoch else 1.0)
+        lr = config.lr * (LR_DECAY if epoch > DECAY_EPOCH else 1.0)
         order = train_idx[shuffle.permutation(len(train_idx))]
         loss_sum = 0.0
         for step, start in enumerate(range(0, len(order), config.batch_size), start=1):
@@ -207,16 +188,13 @@ def evaluate(params: ModelParams, sequences, batch_size: int = 64):
     sequences = list(sequences)
     if not sequences:
         raise UsageError("empty evaluation set")
-    config = params.config
-    topology = params.encoder.topology
-    data = _stack_dataset(sequences, topology, config.frames)
-    true_classes = _class_indices(sequences, config.labels)
+    data, true_classes = _dataset(sequences, params.config)
     try:
         preds = _predict_classes(params, data, batch_size)
     except _NonFiniteLogits as exc:
         raise CheckpointError(f"the model gives non-finite logits for {exc.count} of {exc.total} sequences, "
                               f"the first {_source(sequences, exc.row)}") from None
-    matrix = ConfusionMatrix(config.classes)
+    matrix = ConfusionMatrix(params.config.classes)
     matrix.update(true_classes, preds)
     return matrix.accuracy(), matrix, matrix.per_class()
 
@@ -240,26 +218,26 @@ VARIANT_GRID: tuple[tuple[str, EnhanceFlags], ...] = (
 )
 
 
-def ablate(sequences, topology: Topology, config: TrainConfig,
+def ablate(sequences, model: ModelConfig, config: TrainConfig,
            subject_split: DatasetSplit, view_split: DatasetSplit | None = None,
            variants=None) -> list[AblationResult]:
-    """Train and score each enhancement variant on the given split(s)."""
+    """Train and score each enhancement variant of ``model`` on the given split(s)."""
     sequences = list(sequences)
     if variants is None:
         variants = VARIANT_GRID
     results = []
     for name, flags in variants:
-        variant_config = replace(config, flags=flags)
-        subject_acc = _final_accuracy(sequences, topology, subject_split, variant_config)
+        variant = replace(model, flags=flags)
+        subject_acc = _final_accuracy(sequences, variant, subject_split, config)
         view_acc = None
         if view_split is not None:
-            view_acc = _final_accuracy(sequences, topology, view_split, variant_config)
+            view_acc = _final_accuracy(sequences, variant, view_split, config)
         results.append(AblationResult(variant=name, subject_acc=subject_acc, view_acc=view_acc))
     return results
 
 
-def _final_accuracy(sequences, topology, split, config) -> float:
-    params, _ = train(sequences, topology, split, config)
+def _final_accuracy(sequences, model, split, config) -> float:
+    params, _ = train(sequences, model, split, config)
     test = [sequences[i] for i in split.test]
     accuracy, _, _ = evaluate(params, test, config.batch_size)
     return accuracy

@@ -1,8 +1,8 @@
-"""Shared test plumbing: the acceptance-criteria verdict board, the
-joint-to-bone incidence oracle, scale-head and attention tensors under
-their parameter names, the array-level image and stage bodies as tape
-nodes, the composed reference of the image body, and the benchmark
-tracer's name tables.
+"""Shared test plumbing: the acceptance-criteria verdict board, a dataset's
+model config, the joint-to-bone incidence oracle, scale-head and attention
+tensors under their parameter names, the array-level image and stage
+bodies as tape nodes, the composed reference of the image body, and the
+benchmark tracer's name tables.
 
 Acceptance tests record one verdict per criterion; the terminal summary
 prints them as single pass/fail lines so a full run ends with a compact
@@ -14,12 +14,21 @@ from pathlib import Path
 import numpy as np
 
 from skelact import autograd
+from skelact.model import ModelConfig
 
 _VERDICTS: dict[int, tuple[str, bool, str]] = {}
 
 
 def record_verdict(number: int, title: str, ok: bool, detail: str) -> None:
     _VERDICTS[number] = (title, bool(ok), detail)
+
+
+def model_config(sequences, topology, **architecture) -> ModelConfig:
+    """A model of ``topology`` whose classes are the sequences' sorted
+    labels, as ``skelact train`` derives them."""
+    labels = tuple(sorted({s.action_label for s in sequences}))
+    return ModelConfig(joints=topology.joint_count, classes=len(labels), bones=topology.bones,
+                       root=topology.root, labels=labels, **architecture)
 
 
 def incidence_matrix(topology) -> np.ndarray:

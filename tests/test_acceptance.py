@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import attention_tensors, incidence_matrix, record_verdict, scale_heads
+from conftest import attention_tensors, incidence_matrix, model_config, record_verdict, scale_heads
 
 from skelact.autograd import Tensor, cross_entropy, frame_velocity, grad_check
 from skelact.cli import main
@@ -301,7 +301,7 @@ def test_criterion_07_desk_scale_learning():
     split = split_dataset(data, "cross-subject")
     sizes_ok = (len(split.train), len(split.test)) == (800, 200)
     config = TrainConfig(epochs=3)  # criterion allows up to 60
-    _, log = train(data, humanoid_topology(), split, config)
+    _, log = train(data, model_config(data, humanoid_topology()), split, config)
     accs = [float(line.split(",")[2]) for line in log]
     best = max(accs)
     elapsed = time.perf_counter() - started
@@ -320,12 +320,11 @@ def test_criterion_08_ablation_direction():
     split = split_dataset(data, "cross-subject")
     names = ("raw", "joint_scale", "bone_scale", "full", "no_velocity")
     variants = [v for v in VARIANT_GRID if v[0] in names]
-    base = TrainConfig(epochs=10, batch_size=16, lr=0.001, frames=64,
-                       channels=(8, 16, 32), fc_hidden=64, scale_hidden=32)
+    model = model_config(data, humanoid_topology(), frames=64, channels=(8, 16, 32), fc_hidden=64, scale_hidden=32)
+    base = TrainConfig(epochs=10, batch_size=16, lr=0.001)
     accs = {name: [] for name in names}
     for seed in (0, 1, 2):
-        results = ablate(data, humanoid_topology(),
-                         dataclasses.replace(base, seed=seed), split,
+        results = ablate(data, model, dataclasses.replace(base, seed=seed), split,
                          variants=variants)
         for result in results:
             accs[result.variant].append(result.subject_acc)
@@ -419,9 +418,8 @@ def test_criterion_10_determinism(tmp_path):
 def test_criterion_11_checkpoint_round_trip(tmp_path):
     data = synth_generate(SynthConfig(sequences_per_class=6, noise_std=0.02, seed=3))
     split = split_dataset(data, "cross-subject")
-    config = TrainConfig(epochs=2, batch_size=8, channels=(4, 8, 16),
-                         fc_hidden=32, scale_hidden=16)
-    params, _ = train(data, humanoid_topology(), split, config)
+    model = model_config(data, humanoid_topology(), channels=(4, 8, 16), fc_hidden=32, scale_hidden=16)
+    params, _ = train(data, model, split, TrainConfig(epochs=2, batch_size=8))
     test_seqs = [data[i] for i in split.test]
     acc_before, matrix_before, _ = evaluate(params, test_seqs)
 

@@ -119,7 +119,7 @@ def test_train_is_byte_deterministic(tmp_path, dataset):
 
 def test_train_with_one_frame_is_exit_1(tmp_path, dataset, capsys):
     assert main(_train_args(dataset, tmp_path / "x.ckpt", extra=["--frames", "1"])) == 1
-    assert "frame_count >= 2" in capsys.readouterr().err
+    assert "frames must be >= 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra", [["--fc-hidden", "0"], ["--scale-hidden", "0"], ["--channels", "0", "2", "2"]],

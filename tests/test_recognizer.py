@@ -289,6 +289,14 @@ def test_infer_rejects_sequences_of_the_wrong_shape():
             infer(np.zeros(shape, dtype=np.float32), params)
 
 
+def test_infer_and_the_taped_forward_of_an_empty_batch_give_empty_logits():
+    params = ModelParams.build(_config(), seed=0)
+    x = np.zeros((0, 64, 4, 3), dtype=np.float32)
+    assert infer(x, params).shape == (0, 3)
+    with Tape():
+        assert forward(encode(x, params.encoder), params).shape == (0, 3)
+
+
 def _humanoid_params(dtype=np.float32):
     topo = humanoid_topology()
     config = ModelConfig(joints=topo.joint_count, classes=8, bones=topo.bones, root=topo.root,

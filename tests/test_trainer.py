@@ -4,6 +4,7 @@ import struct
 
 import numpy as np
 import pytest
+from conftest import model_config
 
 from skelact import autograd, checkpoint, training
 from skelact.autograd import Tape
@@ -25,8 +26,9 @@ TOPO = humanoid_topology()
 # small-but-learnable shared fixture; per-module tests stay under a minute
 SMALL_DATA = synth_generate(SynthConfig(sequences_per_class=6, noise_std=0.02, seed=3))
 SMALL_SPLIT = split_dataset(SMALL_DATA, "cross-subject")
-SMALL_TRAIN = TrainConfig(epochs=2, batch_size=8, lr=0.001, seed=0, frames=64,
-                          channels=(4, 8, 16), fc_hidden=32, scale_hidden=16)
+SMALL_MODEL = model_config(SMALL_DATA, TOPO, frames=64, channels=(4, 8, 16), fc_hidden=32, scale_hidden=16)
+SMALL_TRAIN = TrainConfig(epochs=2, batch_size=8, lr=0.001, seed=0)
+TINY = dict(frames=64, channels=(2, 2, 2), fc_hidden=8, scale_hidden=4)
 
 
 def test_config_validation():
@@ -37,8 +39,6 @@ def test_config_validation():
     for bad in (float("nan"), float("inf"), 0.0):
         with pytest.raises(UsageError, match="finite and positive"):
             TrainConfig(lr=bad)
-        with pytest.raises(UsageError, match="finite and positive"):
-            TrainConfig(lr_decay=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +76,7 @@ def test_confusion_matrix_empty_class_is_nan():
 
 
 def test_training_reduces_loss_and_logs_every_epoch():
-    params, log = train(SMALL_DATA, TOPO, SMALL_SPLIT, SMALL_TRAIN)
+    params, log = train(SMALL_DATA, SMALL_MODEL, SMALL_SPLIT, SMALL_TRAIN)
     assert len(log) == SMALL_TRAIN.epochs
     losses = [float(line.split(",")[1]) for line in log]
     assert losses[-1] < losses[0]
@@ -86,37 +86,48 @@ def test_training_reduces_loss_and_logs_every_epoch():
 
 
 def test_training_is_seed_deterministic():
-    a_params, a_log = train(SMALL_DATA, TOPO, SMALL_SPLIT, SMALL_TRAIN)
-    b_params, b_log = train(SMALL_DATA, TOPO, SMALL_SPLIT, SMALL_TRAIN)
+    a_params, a_log = train(SMALL_DATA, SMALL_MODEL, SMALL_SPLIT, SMALL_TRAIN)
+    b_params, b_log = train(SMALL_DATA, SMALL_MODEL, SMALL_SPLIT, SMALL_TRAIN)
     assert a_log == b_log
     for name, tensor in a_params.named_tensors().items():
         assert np.array_equal(tensor.data, b_params.named_tensors()[name].data), name
-    _, c_log = train(SMALL_DATA, TOPO, SMALL_SPLIT, SMALL_TRAIN.__class__(
+    _, c_log = train(SMALL_DATA, SMALL_MODEL, SMALL_SPLIT, SMALL_TRAIN.__class__(
         **{**SMALL_TRAIN.__dict__, "seed": 9}))
     assert c_log != a_log
 
 
-def test_learning_rate_decays_after_configured_epoch():
-    cfg = TrainConfig(epochs=4, batch_size=8, lr=0.001, lr_decay=0.1, decay_epoch=2,
-                      seed=0, frames=64, channels=(2, 2, 2), fc_hidden=8, scale_hidden=4)
-    _, log = train(SMALL_DATA[:16], TOPO, DatasetSplit(tuple(range(12)), tuple(range(12, 16)), "manual"), cfg)
+def test_learning_rate_decays_after_configured_epoch(monkeypatch):
+    monkeypatch.setattr(training, "DECAY_EPOCH", 2)
+    cfg = TrainConfig(epochs=4, batch_size=8, lr=0.001, seed=0)
+    _, log = train(SMALL_DATA[:16], model_config(SMALL_DATA[:16], TOPO, **TINY),
+                   DatasetSplit(tuple(range(12)), tuple(range(12, 16)), "manual"), cfg)
     rates = [line.split(",")[3] for line in log]
     assert rates == ["0.001", "0.001", "0.0001", "0.0001"]
 
 
 def test_train_rejects_empty_split_and_foreign_joints():
     with pytest.raises(UsageError, match="empty train split"):
-        train(SMALL_DATA, TOPO, DatasetSplit((), (0, 1), "manual"), SMALL_TRAIN)
+        train(SMALL_DATA, SMALL_MODEL, DatasetSplit((), (0, 1), "manual"), SMALL_TRAIN)
     alien = SkeletonSequence(np.zeros((4, 9, 3), dtype=np.float32), action_label=0,
                              subject_id=1, camera_id=1)
     with pytest.raises(ConfigMismatchError, match="9 joints"):
-        train([alien] * 4, TOPO, DatasetSplit((0, 1), (2, 3), "manual"), SMALL_TRAIN)
+        train([alien] * 4, model_config([alien], TOPO), DatasetSplit((0, 1), (2, 3), "manual"), SMALL_TRAIN)
+
+
+def test_train_keeps_the_vocabulary_it_is_given():
+    # the data hold labels 0..7; the model's head has room for 0..9
+    model = ModelConfig(joints=TOPO.joint_count, classes=10, bones=TOPO.bones, root=TOPO.root,
+                        labels=tuple(range(10)), **TINY)
+    params, _ = train(SMALL_DATA, model, SMALL_SPLIT, TrainConfig(epochs=1, batch_size=8))
+    assert params.config == model and params.tensors["classifier.fc2.bias"].shape == (10,)
+    _, matrix, per_class = evaluate(params, [SMALL_DATA[i] for i in SMALL_SPLIT.test])
+    assert matrix.counts.shape == (10, 10) and np.isnan(per_class[8:]).all()
 
 
 def test_train_without_test_side_logs_nan_accuracy():
-    cfg = TrainConfig(epochs=1, batch_size=8, lr=0.001, seed=0, frames=64,
-                      channels=(2, 2, 2), fc_hidden=8, scale_hidden=4)
-    _, log = train(SMALL_DATA[:8], TOPO, DatasetSplit(tuple(range(8)), (), "manual"), cfg)
+    cfg = TrainConfig(epochs=1, batch_size=8, lr=0.001, seed=0)
+    _, log = train(SMALL_DATA[:8], model_config(SMALL_DATA[:8], TOPO, **TINY),
+                   DatasetSplit(tuple(range(8)), (), "manual"), cfg)
     assert log[0].split(",")[2] == "nan"
 
 
@@ -124,11 +135,10 @@ def test_train_without_test_side_refuses_weights_whose_logits_are_non_finite():
     # one epoch of one batch: its loss is taken before the update that
     # breaks every logit, and no test side scores the epoch, so the train
     # side's logits are checked after the last epoch
-    cfg = TrainConfig(epochs=1, batch_size=64, lr=1e8, seed=0, frames=64,
-                      channels=(4, 8, 16), fc_hidden=32, scale_hidden=16)
+    cfg = TrainConfig(epochs=1, batch_size=64, lr=1e8, seed=0)
     split = DatasetSplit(tuple(range(len(SMALL_DATA))), (), "manual")
     with np.errstate(all="ignore"), pytest.raises(UsageError) as caught:
-        train(SMALL_DATA, TOPO, split, cfg)
+        train(SMALL_DATA, SMALL_MODEL, split, cfg)
     assert str(caught.value).startswith(f"training diverged: epoch 1 left non-finite logits for {len(SMALL_DATA)} "
                                         f"of {len(SMALL_DATA)} train sequences, the first ")
 
@@ -138,7 +148,7 @@ def test_train_without_test_side_refuses_weights_whose_logits_are_non_finite():
 
 
 def test_evaluate_matches_log_tail_and_recounts():
-    params, log = train(SMALL_DATA, TOPO, SMALL_SPLIT, SMALL_TRAIN)
+    params, log = train(SMALL_DATA, SMALL_MODEL, SMALL_SPLIT, SMALL_TRAIN)
     test_seqs = [SMALL_DATA[i] for i in SMALL_SPLIT.test]
     accuracy, matrix, per_class = evaluate(params, test_seqs)
     assert f"{accuracy:.4f}" == log[-1].split(",")[2]
@@ -191,7 +201,7 @@ def test_eval_logits_equal_the_taped_forward_and_reuse_the_workspace(monkeypatch
 
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
-    params, _ = train(SMALL_DATA, TOPO, SMALL_SPLIT, SMALL_TRAIN)
+    params, _ = train(SMALL_DATA, SMALL_MODEL, SMALL_SPLIT, SMALL_TRAIN)
     path = tmp_path / "model.ckpt"
     save_checkpoint(params, path)
     loaded = load_checkpoint(path)
@@ -208,10 +218,9 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
 
 
 def test_checkpoint_write_is_deterministic(tmp_path):
-    params, _ = train(SMALL_DATA[:16], TOPO,
+    params, _ = train(SMALL_DATA[:16], model_config(SMALL_DATA[:16], TOPO, **TINY),
                       DatasetSplit(tuple(range(12)), tuple(range(12, 16)), "manual"),
-                      TrainConfig(epochs=1, batch_size=8, lr=0.001, seed=0, frames=64,
-                                  channels=(2, 2, 2), fc_hidden=8, scale_hidden=4))
+                      TrainConfig(epochs=1, batch_size=8, lr=0.001, seed=0))
     a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     save_checkpoint(params, a)
     save_checkpoint(params, b)
@@ -220,10 +229,9 @@ def test_checkpoint_write_is_deterministic(tmp_path):
 
 
 def test_checkpoint_corruption_errors(tmp_path):
-    params, _ = train(SMALL_DATA[:16], TOPO,
+    params, _ = train(SMALL_DATA[:16], model_config(SMALL_DATA[:16], TOPO, **TINY),
                       DatasetSplit(tuple(range(12)), tuple(range(12, 16)), "manual"),
-                      TrainConfig(epochs=1, batch_size=8, lr=0.001, seed=0, frames=64,
-                                  channels=(2, 2, 2), fc_hidden=8, scale_hidden=4))
+                      TrainConfig(epochs=1, batch_size=8, lr=0.001, seed=0))
     path = tmp_path / "model.ckpt"
     save_checkpoint(params, path)
     blob = path.read_bytes()
@@ -250,10 +258,9 @@ def test_checkpoint_corruption_errors(tmp_path):
 
 
 def test_checkpoint_entries_include_config_and_tensors(tmp_path):
-    params, _ = train(SMALL_DATA[:16], TOPO,
+    params, _ = train(SMALL_DATA[:16], model_config(SMALL_DATA[:16], TOPO, **TINY),
                       DatasetSplit(tuple(range(12)), tuple(range(12, 16)), "manual"),
-                      TrainConfig(epochs=1, batch_size=8, lr=0.001, seed=0, frames=64,
-                                  channels=(2, 2, 2), fc_hidden=8, scale_hidden=4))
+                      TrainConfig(epochs=1, batch_size=8, lr=0.001, seed=0))
     path = tmp_path / "model.ckpt"
     save_checkpoint(params, path)
     entries = read_entries(path)
@@ -492,7 +499,7 @@ def test_variant_grid_covers_expected_flag_combinations():
 def test_ablate_runs_selected_variants_on_both_splits():
     subset = [v for v in VARIANT_GRID if v[0] in ("raw", "full")]
     view_split = split_dataset(SMALL_DATA, "cross-view")
-    results = ablate(SMALL_DATA, TOPO, SMALL_TRAIN, SMALL_SPLIT,
+    results = ablate(SMALL_DATA, SMALL_MODEL, SMALL_TRAIN, SMALL_SPLIT,
                      view_split=view_split, variants=subset)
     assert [r.variant for r in results] == ["raw", "full"]
     for r in results:
@@ -503,5 +510,5 @@ def test_ablate_runs_selected_variants_on_both_splits():
 
 def test_ablate_defaults_to_single_split_full_grid():
     subset = [v for v in VARIANT_GRID if v[0] == "no_velocity"]
-    results = ablate(SMALL_DATA, TOPO, SMALL_TRAIN, SMALL_SPLIT, variants=subset)
+    results = ablate(SMALL_DATA, SMALL_MODEL, SMALL_TRAIN, SMALL_SPLIT, variants=subset)
     assert results[0].view_acc is None
