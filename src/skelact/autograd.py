@@ -32,14 +32,19 @@ streams node chains each stream's rules itself.  The image body,
 :func:`embed_image_arrays`, works the same way, and builds an unrecorded
 image in the workspace.  The stage pads its input into a per-thread
 workspace buffer, reused call after call, and its im2col
-columns, conv output and pooled maxima live in that workspace too.  It
-runs the per-sample work in near-equal batch blocks of at most
-``BLOCK_ROWS`` GEMM rows, so a forward's workspace holds one block (only
-stage 1 of a batch of 17 or more splits).  The edges are balanced, since
-a short tail block's GEMM has given other bits; the kernel and bias
-gradients add over every row, so they stay whole-batch.
-A block of half ``BLOCK_ROWS`` or more fills its columns transposed, the
-faster copy, for a GEMM that OpenBLAS runs with the same bits.
+columns, conv output and pooled maxima live in that workspace too.  Its
+GEMM rows are in pooling-corner-major order, so the conv output is four
+contiguous corner slabs; a C-contiguous input is padded channels-last
+with (i, j, c) taps, the permuted stem image channel-first with (c, i, j)
+taps.  It runs the forward's per-sample work in near-equal batch blocks
+of at most ``BLOCK_ROWS`` GEMM rows, so a forward's workspace holds one
+block (only stage 1 of a batch of 17 or more splits).  The edges are
+balanced, since a short tail block's GEMM has given other bits; the
+backward's GEMMs run over the whole batch, so the kernel and bias
+gradients, which add over every row, do not depend on the blocks.  A
+channel-first block of half ``BLOCK_ROWS`` or more fills its columns
+transposed, the faster copy, for a GEMM that OpenBLAS runs with the same
+bits.
 Arrays a tape records are always fresh, and so are the stage's output
 and every gradient a backward rule returns; the stage's backward rule
 rebuilds its columns from its saved input and keeps its conv and column
@@ -455,52 +460,65 @@ def _batch_blocks(batch: int, rows: int) -> list[tuple[int, int]]:
     return list(zip(edges, edges[1:]))
 
 
-def _fill_columns(xp: np.ndarray, cols: np.ndarray, kh: int, kw: int) -> None:
-    """im2col of a padded buffer for a stride-2 kh x kw kernel, rows in
-    (b, y, x) order and columns in (c, i, j) order.  The kw taps of one
-    (c, i) kernel row are adjacent in the buffer and in a column row, so
-    one copy moves them as single kw-element items."""
-    batch, c_in = xp.shape[:2]
-    h_out, w_out = (xp.shape[2] - kh) // 2 + 1, (xp.shape[3] - kw) // 2 + 1
-    tap_row, rows_shape = np.dtype(f"V{kw * xp.dtype.itemsize}"), (batch, h_out, w_out, c_in, kh)
-    s_b, s_c, s_h, s_w = xp.strides
-    np.copyto(
-        np.ndarray(rows_shape, tap_row, cols, strides=cols.reshape(*rows_shape, kw).strides[:5]),
-        np.ndarray(rows_shape, tap_row, xp, strides=(s_b, 2 * s_h, 2 * s_w, s_c, s_h)),
-    )
+def _fill_columns(xp: np.ndarray, cols: np.ndarray, kh: int, kw: int, channels_last: bool) -> None:
+    """im2col of a zero-bordered buffer for a stride-2 kh x kw kernel into
+    row-major ``cols``, rows in pooling-corner-major (ci, cj, b, y', x')
+    order: the conv output pixel (2y' + ci, 2x' + cj) of sample b, so each
+    corner of the 2x2 pool is one contiguous slab of rows.  A channel-first
+    (B, C, H, W) ``xp`` gives columns in (c, i, j) order, copied as items
+    of the kw adjacent taps of one (c, i) kernel row; a ``channels_last``
+    (B, H, W, C) one gives (i, j, c) order, copied as items of the kw * C
+    adjacent values of one kernel row i.  One copy moves every item."""
+    if channels_last:
+        (batch, hp, wp, c_in), (s_b, s_h, s_w, s_c) = xp.shape, xp.strides
+        taps, tap_strides, item = (kh,), (s_h,), kw * c_in
+    else:
+        (batch, c_in, hp, wp), (s_b, s_c, s_h, s_w) = xp.shape, xp.strides
+        taps, tap_strides, item = (c_in, kh), (s_c, s_h), kw
+    shape = (2, 2, batch, ((hp - kh) // 2 + 1) // 2, ((wp - kw) // 2 + 1) // 2, *taps)
+    tap = np.dtype(f"V{item * xp.dtype.itemsize}")
+    np.copyto(np.ndarray(shape, tap, cols, strides=cols.reshape(*shape, item).strides[:-1]),
+              np.ndarray(shape, tap, xp, strides=(2 * s_h, 2 * s_w, s_b, 4 * s_h, 4 * s_w, *tap_strides)))
 
 
 def _fill_columns_transposed(xp: np.ndarray, cols_t: np.ndarray, kh: int, kw: int) -> None:
-    """:func:`_fill_columns`' columns, transposed: one row of ``cols_t`` per
-    (c, i, j) tap, holding that tap's samples in (b, y, x) order, so one
-    copy moves single elements, contiguous along x."""
-    batch, c_in = xp.shape[:2]
-    h_out, w_out = (xp.shape[2] - kh) // 2 + 1, (xp.shape[3] - kw) // 2 + 1
-    shape, (s_b, s_c, s_h, s_w) = (c_in, kh, kw, batch, h_out, w_out), xp.strides
-    np.copyto(cols_t.reshape(shape), np.lib.stride_tricks.as_strided(xp, shape, (s_c, s_h, s_w, s_b, 2 * s_h, 2 * s_w)))
+    """:func:`_fill_columns`' columns of a channel-first buffer, transposed:
+    one row of ``cols_t`` per (c, i, j) tap, holding that tap's samples in
+    (ci, cj, b, y', x') order, so one copy moves single elements."""
+    batch, c_in, hp, wp = xp.shape
+    s_b, s_c, s_h, s_w = xp.strides
+    shape = (c_in, kh, kw, 2, 2, batch, ((hp - kh) // 2 + 1) // 2, ((wp - kw) // 2 + 1) // 2)
+    np.copyto(cols_t.reshape(shape), np.lib.stride_tricks.as_strided(
+        xp, shape, (s_c, s_h, s_w, 2 * s_h, 2 * s_w, s_b, 4 * s_h, 4 * s_w)))
 
 
-def _columns(xd: np.ndarray, kh: int, kw: int, c_out: int) -> np.ndarray:
+def _columns(xd: np.ndarray, kh: int, kw: int, c_out: int, channels_last: bool) -> np.ndarray:
     """The stride-2 padding-1 im2col columns of a (B, H, W, C) input for a
-    GEMM with ``c_out`` outputs, rows in (b, y, x) order and columns in
-    (c, i, j) order, in this thread's workspace: ``xd`` copied
-    channel-first into the zero-bordered ``pad`` buffer, then filled into
-    ``cols``.  Columns of ``BLOCK_ROWS // 2`` rows or more for two or more
-    outputs (every block of a split stage 1) are filled transposed and
-    returned as a transposed view: that fill takes a third of the time
+    GEMM with ``c_out`` outputs, rows in :func:`_fill_columns`'
+    pooling-corner-major order, in this thread's workspace: ``xd`` copied
+    into the zero-bordered ``pad`` buffer, then filled into ``cols``.
+
+    ``channels_last`` (stages 2 and 3) pads channels-last and gives
+    (i, j, c) columns, each row built from kw * C-element runs; otherwise
+    (the permuted channel-first stem image) the pad is channel-first and
+    the columns are in (c, i, j) order.  With one channel the two orders
+    agree.  Channel-first columns of ``BLOCK_ROWS // 2`` rows or more for two or
+    more outputs (every block of a split stage 1) are filled transposed
+    and returned as a transposed view: that fill takes a third of the time
     (0.36 against 0.98 ms for a 16-sample float32 stage-1 block on a
     2-vCPU Xeon), and OpenBLAS gives a GEMM this large the same bits with
     either operand layout.  Smaller GEMMs (its small-matrix kernels) and
     single-output ones (a matrix-vector product) do not, so their columns
     stay row-major."""
     batch, h, w, c_in = xd.shape
-    xp = _workspace("pad", (batch, c_in, h + 2, w + 2), xd.dtype)
-    xp[:, :, 0], xp[:, :, -1], xp[:, :, :, 0], xp[:, :, :, -1] = 0, 0, 0, 0  # the border only
-    xp[:, :, 1:-1, 1:-1] = xd.transpose(0, 3, 1, 2)
+    xp = _workspace("pad", (batch, h + 2, w + 2, c_in) if channels_last else (batch, c_in, h + 2, w + 2), xd.dtype)
+    view = xp if channels_last else xp.transpose(0, 2, 3, 1)  # (B, H + 2, W + 2, C) either way
+    view[:, 0], view[:, -1], view[:, :, 0], view[:, :, -1] = 0, 0, 0, 0  # the border only
+    view[:, 1:-1, 1:-1] = xd
     rows, taps = batch * ((h + 2 - kh) // 2 + 1) * ((w + 2 - kw) // 2 + 1), c_in * kh * kw
-    if rows < BLOCK_ROWS // 2 or c_out < 2:
+    if channels_last or rows < BLOCK_ROWS // 2 or c_out < 2:
         cols = _workspace("cols", (rows, taps), xd.dtype)
-        _fill_columns(xp, cols, kh, kw)
+        _fill_columns(xp, cols, kh, kw, channels_last)
         return cols
     cols_t = _workspace("cols", (taps, rows), xd.dtype)
     _fill_columns_transposed(xp, cols_t, kh, kw)
@@ -508,15 +526,15 @@ def _columns(xd: np.ndarray, kh: int, kw: int, c_out: int) -> np.ndarray:
 
 
 def _pool_then_bias(conv: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """2x2 max pool of a (B, H, W, C) conv output into this thread's
-    workspace, then the bias added.  fl(a + b) is monotone in a and max only
-    selects, so this is bit for bit the pool of ``conv + bias``, the order
-    a recorded stage keeps for its tie routing."""
-    corners = [conv[:, i::2, j::2] for i in (0, 1) for j in (0, 1)]  # row-major window order
-    pooled = _workspace("pool", corners[0].shape, conv.dtype)
-    np.maximum(corners[0], corners[1], out=pooled)
-    np.maximum(pooled, corners[2], out=pooled)
-    np.maximum(pooled, corners[3], out=pooled)
+    """2x2 max pool of a corner-major (4, B, H', W', C) conv output into
+    this thread's workspace, the max of its four contiguous corner slabs in
+    row-major corner order, then the bias added.  fl(a + b) is monotone in
+    a and max only selects, so this is bit for bit the pool of ``conv +
+    bias``, the order a recorded stage keeps for its tie routing."""
+    pooled = _workspace("pool", conv.shape[1:], conv.dtype)
+    np.maximum(conv[0], conv[1], out=pooled)
+    np.maximum(pooled, conv[2], out=pooled)
+    np.maximum(pooled, conv[3], out=pooled)
     pooled += bias
     return pooled
 
@@ -525,14 +543,25 @@ def conv_pool_leaky_arrays(xd: np.ndarray, kernels: np.ndarray, bias: np.ndarray
                            recorded: bool) -> tuple[np.ndarray, Callable | None]:
     """One channels-last CNN stage on arrays: stride-2 padding-1 conv, 2x2
     max pool, leaky ReLU.  Returns the output and, when ``recorded``, the
-    stage's backward rule, ``d -> (d_input, d_kernels, d_bias)``; else None.
-    The recognizer's streams chain its rules themselves.
+    stage's backward rule, ``d -> (d_input, d_kernels, d_bias)``; else
+    None.  The recognizer's streams chain its rules themselves.
 
     Takes (B,H,W,C_in) and returns (B,H'/2,W'/2,C_out), with the values
-    and gradients of ``leaky_relu(maxpool2d(conv2d(.)))`` on the
-    channel-first layout.  Kernels keep their (C_out,C_in,kh,kw) layout and
-    the im2col columns keep (C_in,kh,kw) order, so the GEMM is conv2d's
-    (:func:`_columns` stores a large block's columns transposed).
+    of ``leaky_relu(maxpool2d(conv2d(.)))`` on the channel-first layout to
+    within float rounding: its dot products add in another order, so the
+    two agree within 1e-5 relative in float32 (``tests/conftest.py``'s
+    ``reference_stage`` gives the exact bits).  The GEMM rows of each
+    batch block are in pooling-corner-major order (:func:`_fill_columns`),
+    so the conv output is four contiguous corner slabs.  A C-contiguous
+    input (stages 2 and 3) is padded channels-last and its columns are in
+    (i, j, c) order, so the GEMM reads one small (C_out, kh, kw, C_in) copy
+    of the kernels; any other input (the permuted channel-first stem image)
+    keeps conv2d's (c, i, j) columns.  At the stem's sizes (1,024 GEMM
+    rows a sample) OpenBLAS computes each row alike wherever it sits, so
+    the stem's conv output and input gradient have the bits they had in
+    natural row order; a toy stage's small GEMMs may not.  Kernels keep
+    their (C_out,C_in,kh,kw) layout in the parameters, and ``d_kernels``
+    comes back in it.
     The input is copied into a zero-bordered pad buffer, and the im2col
     columns, the conv output and the pooled maxima live in this thread's
     workspace; the output is always fresh.
@@ -543,7 +572,8 @@ def conv_pool_leaky_arrays(xd: np.ndarray, kernels: np.ndarray, bias: np.ndarray
     leaky ReLU run before the next block's, writing into that block's
     slice of the fresh output.  OpenBLAS computes each row of a GEMM of
     half ``BLOCK_ROWS`` rows or more as the same dot product however the
-    rows are blocked, and the other forward steps are elementwise.
+    rows are blocked or ordered, and the other forward steps are
+    elementwise, so a blocked stage is bit for bit one block.
     A recorded call adds the bias before it pools, and builds an int8
     index of each window's first maximum from strict ``>`` compares taken
     in row-major corner order; backward routes the window's gradient to
@@ -554,13 +584,17 @@ def conv_pool_leaky_arrays(xd: np.ndarray, kernels: np.ndarray, bias: np.ndarray
     The leaky slope of the gradient follows the sign of the pooled maximum,
     not of the output, which is -0 where a tiny negative maximum times the
     slope underflows.  Backward reads only the input, that index and a bool
-    leaky mask: it routes each block's gradient into this thread's ``conv``
-    buffer, refills the pad and column buffers from the whole input for
-    ``dk``, then runs each block's column gradient GEMM into the ``cols``
-    buffer and its col2im into that block's slice of the fresh input
-    gradient, so the tape keeps no columns and every returned gradient is
-    fresh.  ``dk`` and ``db`` stay one whole-batch GEMM and one sum: both
-    add over the rows, so blocking them would change their bits.
+    leaky mask.  It routes the whole batch's pooled gradient, corner by
+    corner, into this thread's ``conv`` buffer in corner-major
+    (ci, cj, b, y', x') row order, refills the pad and column buffers from
+    the whole input in that same order, and takes ``dk`` as one
+    whole-batch GEMM and ``db`` as one sum over the pooled gradient (each
+    routed to one conv row, a quarter of the rows).  The column gradient
+    is one whole-batch GEMM into the ``cols`` buffer, and each block's
+    col2im adds it into that block's slice of the fresh input gradient,
+    every element summing its taps in (i, j) row-major order from +0.  So
+    the tape keeps no columns, every returned gradient is fresh, and no
+    sum over the rows depends on the blocks.
     An unrecorded call (``recognizer.infer``'s and ``stream_forward``'s)
     pools before the bias add, building neither index nor mask: the same
     bits, with less work.
@@ -584,30 +618,28 @@ def conv_pool_leaky_arrays(xd: np.ndarray, kernels: np.ndarray, bias: np.ndarray
     if h_out < 1 or w_out < 1 or h_out % 2 or w_out % 2:
         raise DimensionError(f"conv_pool_leaky: conv output {h_out}x{w_out} of input {xd.shape} cannot be pooled 2x2")
 
-    channels_last = xd.flags.c_contiguous  # the input gradient's layout
-    kmat = kernels.reshape(c_out, -1)
+    channels_last = xd.flags.c_contiguous  # the tap order and the input gradient's layout, for every block
+    kmat = (kernels.transpose(0, 2, 3, 1) if channels_last else kernels).reshape(c_out, -1)
     dtype = np.result_type(xd, kmat)
-    per_sample = h_out * w_out
-    blocks = _batch_blocks(batch, per_sample)
-    out = np.empty((batch, h_out // 2, w_out // 2, c_out), dtype)
+    h2, w2 = h_out // 2, w_out // 2
+    blocks = _batch_blocks(batch, h_out * w_out)
+    out = np.empty((batch, h2, w2, c_out), dtype)
     if recorded:
         first = np.empty(out.shape, np.int8)  # each window's first max's corner
         rising = np.empty(out.shape, bool)
     for lo, hi in blocks:
-        conv = _workspace("conv", ((hi - lo) * per_sample, c_out), dtype)
-        np.matmul(_columns(xd[lo:hi], kh, kw, c_out), kmat.T, out=conv)
-        conv = conv.reshape(hi - lo, h_out, w_out, c_out)
+        conv = _workspace("conv", (4, hi - lo, h2, w2, c_out), dtype)  # corner slabs, row-major corner order
+        np.matmul(_columns(xd[lo:hi], kh, kw, c_out, channels_last), kmat.T, out=conv.reshape(-1, c_out))
         if recorded:
             conv += bias  # bias first: the index below compares the biased corners
-            corners = [conv[:, i::2, j::2] for i in (0, 1) for j in (0, 1)]  # row-major window order
-            pooled = _workspace("pool", corners[0].shape, dtype)
+            pooled = _workspace("pool", conv.shape[1:], dtype)
             index = first[lo:hi]
-            np.greater(corners[1], corners[0], out=index.view(bool))
-            np.maximum(corners[0], corners[1], out=pooled)
+            np.greater(conv[1], conv[0], out=index.view(bool))
+            np.maximum(conv[0], conv[1], out=pooled)
             for n in (2, 3):
-                later = np.greater(corners[n], pooled).view(np.int8)
+                later = np.greater(conv[n], pooled).view(np.int8)
                 np.maximum(index, later * n, out=index)
-                np.maximum(pooled, corners[n], out=pooled)
+                np.maximum(pooled, conv[n], out=pooled)
             np.greater_equal(pooled, 0, out=rising[lo:hi])
         else:
             pooled = _pool_then_bias(conv, bias)
@@ -615,28 +647,38 @@ def conv_pool_leaky_arrays(xd: np.ndarray, kernels: np.ndarray, bias: np.ndarray
         np.maximum(out[lo:hi], pooled, out=out[lo:hi])  # leaky ReLU, as slope < 1
 
     def back(d):
-        dconv = _workspace("conv", (batch, h_out, w_out, c_out), dtype)
-        for lo, hi in blocks:
-            dpool = np.where(rising[lo:hi], d[lo:hi], d[lo:hi] * slope)
-            for n in range(4):
-                np.multiply(dpool, first[lo:hi] == n, out=dconv[lo:hi, n // 2 :: 2, n % 2 :: 2])
+        dpool = np.where(rising, d, d * slope)
+        db = dpool.reshape(-1, c_out).sum(axis=0)
+        dconv = _workspace("conv", (4, *d.shape), dtype)
+        for n in range(4):
+            np.multiply(dpool, first == n, out=dconv[n])
+        del dpool  # before the refill, which peaks the memory
         d2 = dconv.reshape(-1, c_out)
-        dk = (d2.T @ _columns(xd, kh, kw, c_out)).reshape(kernels.shape)
-        db = d2.sum(axis=0)
+        dk = d2.T @ _columns(xd, kh, kw, c_out, channels_last)
+        if channels_last:  # (C_out, kh, kw, C_in) back to the kernels' layout
+            dk = np.ascontiguousarray(dk.reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2))
+        dk = dk.reshape(kernels.shape)
+        dcols = _workspace("cols", (4, batch, h2, w2, c_in * kh * kw), dtype)  # dk has read the columns
+        np.matmul(d2, kmat, out=dcols.reshape(len(d2), -1))
         if channels_last:
             dxp = np.zeros((batch, h + 2, w + 2, c_in), dtype=d.dtype)
         else:  # channel-first memory: each block gathers its taps to match
             dxp = np.zeros((batch, c_in, h + 2, w + 2), dtype=d.dtype).transpose(0, 2, 3, 1)
-        for lo, hi in blocks:  # dk has read the columns
-            dcols = _workspace("cols", ((hi - lo) * per_sample, c_in * kh * kw), dtype)
-            np.matmul(d2[lo * per_sample : hi * per_sample], kmat, out=dcols)
-            taps = dcols.reshape(hi - lo, h_out, w_out, c_in, kh, kw)
-            if not channels_last:
-                taps = np.ascontiguousarray(taps.transpose(0, 3, 4, 5, 1, 2)).transpose(0, 4, 5, 1, 2, 3)
-            dxb = dxp[lo:hi]
+        for lo, hi in blocks:
+            nb = hi - lo
+            if channels_last:  # (ci, cj, b, y', x', i, j, c) rows read as (b, y', ci, x', cj, c, i, j)
+                taps = dcols[:, lo:hi].reshape(2, 2, nb, h2, w2, kh, kw, c_in).transpose(2, 3, 0, 4, 1, 7, 5, 6)
+            else:  # each corner gathered at its parity into (b, c, i, j, y, x), as the memory runs
+                corners = dcols[:, lo:hi].reshape(2, 2, nb, h2, w2, c_in, kh, kw)
+                taps = np.empty((nb, c_in, kh, kw, h_out, w_out), dtype)
+                for ci in (0, 1):
+                    for cj in (0, 1):
+                        taps[..., ci::2, cj::2] = corners[ci, cj].transpose(0, 3, 4, 5, 1, 2)
+                taps = taps.reshape(nb, c_in, kh, kw, h2, 2, w2, 2).transpose(0, 4, 5, 6, 7, 1, 2, 3)
             for i in range(kh):  # each element sums its taps in (i, j) row-major order from +0
                 for j in range(kw):
-                    dxb[:, i : i + 2 * h_out : 2, j : j + 2 * w_out : 2] += taps[..., i, j]
+                    into = dxp[lo:hi, i : i + 2 * h_out : 2, j : j + 2 * w_out : 2].reshape(nb, h2, 2, w2, 2, c_in)
+                    into += taps[..., i, j]
         return dxp[:, 1 : 1 + h, 1 : 1 + w], dk, db
 
     return out, back if recorded else None

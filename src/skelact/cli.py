@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: ingest, synth, train, eval, encode, bench.  Exit codes:
-0 success, 1 usage error, 2 data or parse error, 3 configuration mismatch.
+0 success, 1 usage error (a model too large to build or run included),
+2 data or parse error, 3 configuration mismatch.
 The AFE_SEED environment variable overrides the default seed of any
 subcommand that takes one; an explicit --seed flag wins over both.
 """
@@ -9,6 +10,7 @@ subcommand that takes one; an explicit --seed flag wins over both.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import platform
 import sys
@@ -22,7 +24,7 @@ from .encoder import STREAMS, EnhanceFlags, encode, stream_image, uniform_attent
 from .errors import (
     CheckpointError, ConfigMismatchError, EmptyBodyError, ParseError, UsageError,
 )
-from .model import ModelConfig, ModelParams
+from .model import ModelConfig, ModelParams, param_spec
 from .ppm import channels_to_rgb, heat_to_yellow, write_ppm
 from .recognizer import blas_threads, count_flops, infer, infer_workers
 from .skeleton import (
@@ -68,13 +70,25 @@ def _load_dataset(path) -> list:
     return sequences
 
 
+# The most parameters a model built here may have: 1 GiB of float32
+# weights, of which training holds four copies (weights, gradients and
+# Adam's two moments).  The default model has 536,446.
+MAX_PARAMS = 2**28
+
+
 def _model_config(args, sequences, **architecture) -> ModelConfig:
     """The model for ``sequences``: the built-in joint tree of their joint
-    count, their sorted labels as the classes, and ``--frames``."""
+    count, their sorted labels as the classes, and ``--frames``.  A model
+    of more than ``MAX_PARAMS`` parameters is refused before anything is
+    allocated."""
     topology = _topology_for(sequences[0].joint_count)
     labels = tuple(sorted({s.action_label for s in sequences}))
-    return ModelConfig(joints=topology.joint_count, classes=len(labels), bones=topology.bones,
-                       root=topology.root, labels=labels, frames=args.frames, **architecture)
+    model = ModelConfig(joints=topology.joint_count, classes=len(labels), bones=topology.bones,
+                        root=topology.root, labels=labels, frames=args.frames, **architecture)
+    count = sum(math.prod(s.shape) for s in param_spec(model))
+    if count > MAX_PARAMS:
+        raise UsageError(f"the model has {count:,} parameters, over the bound of {MAX_PARAMS:,}")
+    return model
 
 
 def _flags_from(args) -> EnhanceFlags:
@@ -330,6 +344,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 1
     except (ParseError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

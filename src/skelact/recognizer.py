@@ -5,9 +5,14 @@ Each enhanced image runs through its own three-stage conv encoder
 and a leaky ReLU), collapsing a 64x64 image to a single feature column.
 One body, ``_stages``, runs a stream: it turns the image channels-last
 once and chains the array-level fused stage ``conv_pool_leaky_arrays``
-three times, keeping each stage's backward rule when recorded.
-``conv2d`` and ``maxpool2d`` remain as channel-first reference ops, and
-``leaky_relu(maxpool2d(conv2d(.)))`` is the stage's bit-exact reference.
+three times, keeping each stage's backward rule when recorded.  Each
+stage's GEMM rows are in pooling-corner-major order; stage 1 reads the
+permuted channel-first image with (c, i, j) taps, and stages 2 and 3 read
+the C-contiguous output before them with (i, j, c) taps.  ``conv2d`` and
+``maxpool2d`` remain as channel-first reference ops:
+``leaky_relu(maxpool2d(conv2d(.)))`` agrees with a stage to within float
+rounding (1e-5 relative in float32), and the tests' ``reference_stage``
+gives its exact bits.
 The streams' features concatenate into a two-layer classifier head.  Each
 layer reads its tensors from the model's one dict by model.param_spec's
 names: stream i's stages ``stream{i}.conv{n}.*`` and the head

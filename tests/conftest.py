@@ -1,8 +1,8 @@
 """Shared test plumbing: the acceptance-criteria verdict board, a dataset's
 model config, the joint-to-bone incidence oracle, scale-head and attention
 tensors under their parameter names, the array-level image and stage
-bodies as tape nodes, the composed reference of the image body, and the
-benchmark tracer's name tables.
+bodies as tape nodes, the fused stage's plain reference, the composed
+reference of the image body, and the benchmark tracer's name tables.
 
 Acceptance tests record one verdict per criterion; the terminal summary
 prints them as single pass/fail lines so a full run ends with a compact
@@ -61,6 +61,56 @@ def conv_pool_leaky(x, kernels, bias, slope=0.01):
     out, rule = autograd.conv_pool_leaky_arrays(x.data, kernels.data, bias.data, slope,
                                                 autograd._recording(inputs) is not None)
     return autograd._finish(out, inputs, rule, "conv_pool_leaky")
+
+
+def reference_stage(x, kernels, bias, slope=0.01):
+    """The fused stage's bit-exact reference, one tape node written plainly:
+    ``np.pad`` and a sliding-window im2col of the whole batch, with no
+    workspace, blocks or transposed fill.  GEMM rows are in pooling-
+    corner-major (ci, cj, b, y', x') order; a C-contiguous (B, H, W, C)
+    input gives (i, j, c) columns and kernels read as (C_out, kh, kw, C_in),
+    any other input (c, i, j) columns.  Bias, then the first maximum of
+    the four corners (``argmax``; no NaN), then leaky ReLU.  Backward routes
+    each window's gradient to that corner, sums the bias gradient over the
+    pooled gradient, and adds each input element's taps in (i, j) order
+    from +0 into a gradient of the input's memory layout.  It equals
+    ``leaky_relu(maxpool2d(conv2d(.)))`` to within float rounding, which
+    ``test_reference_stage_matches_the_loop_oracle_and_the_composed_ops``
+    bounds."""
+    xd, k = x.data, kernels.data
+    channels_last = xd.flags.c_contiguous
+    batch, h, w, c_in = xd.shape
+    c_out, _, kh, kw = k.shape
+    tap_axes = (6, 7, 5) if channels_last else (5, 6, 7)  # of (ci, cj, b, y', x', c, i, j) windows
+    padded = np.pad(xd, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))[:, ::2, ::2]
+    h2, w2 = windows.shape[1] // 2, windows.shape[2] // 2
+    windows = windows.reshape(batch, h2, 2, w2, 2, c_in, kh, kw).transpose(2, 4, 0, 1, 3, 5, 6, 7)
+    cols = windows.transpose(0, 1, 2, 3, 4, *tap_axes).reshape(4 * batch * h2 * w2, -1)
+    kmat = (k.transpose(0, 2, 3, 1) if channels_last else k).reshape(c_out, -1)
+    conv = (cols @ kmat.T + bias.data).reshape(4, batch, h2, w2, c_out)
+    first = conv.argmax(axis=0)
+    pooled = np.take_along_axis(conv, first[None], axis=0)[0]
+    out = np.where(pooled >= 0, pooled, pooled * pooled.dtype.type(slope))
+
+    def back(d):
+        dpool = np.where(pooled >= 0, d, d * slope)
+        d2 = (dpool * (first == np.arange(4).reshape(4, 1, 1, 1, 1))).reshape(-1, c_out)
+        dk = (d2.T @ cols).reshape((c_out, kh, kw, c_in) if channels_last else k.shape)
+        taps = (d2 @ kmat).reshape(2, 2, batch, h2, w2, *(kh, kw, c_in) if channels_last else (c_in, kh, kw))
+        taps = taps.transpose(2, 3, 0, 4, 1, *(7, 5, 6) if channels_last else (5, 6, 7))  # (b, y', ci, x', cj, c, i, j)
+        taps = taps.reshape(batch, 2 * h2, 2 * w2, c_in, kh, kw)
+        if channels_last:
+            dxp = np.zeros((batch, h + 2, w + 2, c_in), d.dtype)
+        else:
+            dxp = np.zeros((batch, c_in, h + 2, w + 2), d.dtype).transpose(0, 2, 3, 1)
+        for i in range(kh):
+            for j in range(kw):
+                dxp[:, i : i + 4 * h2 : 2, j : j + 4 * w2 : 2] += taps[..., i, j]
+        dk = dk.transpose(0, 3, 1, 2) if channels_last else dk
+        return dxp[:, 1:-1, 1:-1], dk, dpool.reshape(-1, c_out).sum(axis=0)
+
+    return autograd._finish(out, (x, kernels, bias), back, "reference_stage")
 
 
 def embed_image(channels, weight, attention=None, temporal=None):

@@ -1,6 +1,7 @@
 """Tensor engine tests: loop oracles for every forward op, finite-difference
-checks for every backward rule, the fused CNN stage against the ops it fuses,
-the tape's lifetime and thread confinement, and the Adam recurrence by hand."""
+checks for every backward rule, the fused CNN stage against its reference
+stage and the ops it fuses, the tape's lifetime and thread confinement, and
+the Adam recurrence by hand."""
 
 import gc
 import threading
@@ -8,7 +9,7 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import conv_pool_leaky
+from conftest import conv_pool_leaky, reference_stage
 
 from skelact import autograd
 from skelact.autograd import (
@@ -271,43 +272,71 @@ def test_shape_plumbing_ops():
 # fused conv -> pool -> leaky stage against the three ops it replaces
 
 
-def _fused_and_composed(x, k, b, upstream, slope=0.01, contiguous=False):
-    """Output and (x, kernels, bias) gradients of the fused op on a
-    channels-last input, and of the composed channel-first reference, both in
-    channel-first layout.  The fused op's input is the permuted channel-first
-    array, or a C-contiguous channels-last copy of it; its input gradient must
-    come back in that input's memory layout."""
+def _fused_and_reference(x, k, b, upstream, slope=0.01, contiguous=False):
+    """Output and (x, kernels, bias) gradients of the fused op and of its
+    reference, conftest.reference_stage, on the same channels-last input,
+    all in channel-first layout.  The input is the permuted channel-first
+    array, or a C-contiguous channels-last copy of it; both input gradients
+    must come back in that input's memory layout."""
+    xd = np.ascontiguousarray(x.transpose(0, 2, 3, 1)) if contiguous else x.transpose(0, 2, 3, 1)
     results = []
-    for fused in (True, False):
-        xd = x
-        if fused:
-            xd = np.ascontiguousarray(x.transpose(0, 2, 3, 1)) if contiguous else x.transpose(0, 2, 3, 1)
+    for stage in (conv_pool_leaky, reference_stage):
         xt = Tensor(xd, requires_grad=True, dtype=x.dtype)
         kt, bt = Tensor(k, requires_grad=True, dtype=k.dtype), Tensor(b, requires_grad=True, dtype=b.dtype)
-        w = Tensor(upstream.transpose(0, 2, 3, 1) if fused else upstream, dtype=upstream.dtype)
         with Tape():
-            if fused:
-                out = conv_pool_leaky(xt, kt, bt, slope)
-            else:
-                out = leaky_relu(maxpool2d(conv2d(xt, kt, bt, stride=2, padding=1)), slope)
-            loss = sum_all(mul(out, w))
+            out = stage(xt, kt, bt, slope)
+            loss = sum_all(mul(out, Tensor(upstream.transpose(0, 2, 3, 1), dtype=upstream.dtype)))
         backward(loss)
-        if fused:
-            if contiguous:
-                assert xt.grad.flags.c_contiguous
-            else:
-                assert xt.grad.transpose(0, 3, 1, 2).flags.c_contiguous
-            results.append((out.data.transpose(0, 3, 1, 2), xt.grad.transpose(0, 3, 1, 2), kt.grad, bt.grad))
+        if contiguous:
+            assert xt.grad.flags.c_contiguous
         else:
-            results.append((out.data, xt.grad, kt.grad, bt.grad))
+            assert xt.grad.transpose(0, 3, 1, 2).flags.c_contiguous
+        results.append((out.data.transpose(0, 3, 1, 2), xt.grad.transpose(0, 3, 1, 2), kt.grad, bt.grad))
     return results
+
+
+def _composed(x, k, b, upstream, slope=0.01):
+    """Output and (x, kernels, bias) gradients of the channel-first
+    ``leaky_relu(maxpool2d(conv2d(.)))`` under sum_all(out * upstream)."""
+    xt, kt, bt = (Tensor(a, requires_grad=True, dtype=a.dtype) for a in (x, k, b))
+    with Tape():
+        out = leaky_relu(maxpool2d(conv2d(xt, kt, bt)), slope)
+        loss = sum_all(mul(out, Tensor(upstream, dtype=upstream.dtype)))
+    backward(loss)
+    return out.data, xt.grad, kt.grad, bt.grad
 
 
 def _same_bits(got, want):
     return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def test_reference_stage_matches_the_loop_oracle_and_the_composed_ops():
+    # the reference adds its dot products in corner-major row order, and in
+    # (i, j, c) order for a C-contiguous input: within 1e-12 of the float64
+    # loop oracle, and its output and gradients within 1e-5 relative of the
+    # composed channel-first ops in float32 (random inputs, so no ties)
+    for seed in range(4):
+        rng = np.random.default_rng(120 + seed)
+        c_in = seed + 1
+        x = rng.normal(size=(2, c_in, 12, 8))
+        k, b = rng.normal(size=(5, c_in, 3, 3)), rng.normal(size=5)
+        upstream = rng.normal(size=(2, 5, 3, 2))
+        pooled = pool_oracle(conv_oracle(x, k, b, 2, 1))
+        want = np.where(pooled >= 0, pooled, pooled * 0.01)
+        for contiguous in (False, True):
+            xd = np.ascontiguousarray(x.transpose(0, 2, 3, 1)) if contiguous else x.transpose(0, 2, 3, 1)
+            got = reference_stage(Tensor(xd, dtype=np.float64), Tensor(k, dtype=np.float64), Tensor(b, dtype=np.float64))
+            assert np.allclose(got.data.transpose(0, 3, 1, 2), want, rtol=0, atol=1e-12), (seed, contiguous)
+            f32 = [a.astype(np.float32) for a in (x, k, b, upstream)]
+            reference = _fused_and_reference(*f32, contiguous=contiguous)[1]
+            for got_a, want_a in zip(reference, _composed(*f32)):
+                assert np.abs(got_a - want_a).max() <= 1e-5 * max(1.0, np.abs(want_a).max()), (seed, contiguous)
+
+
 def test_conv_pool_leaky_is_bitwise_the_composed_ops():
+    # the composed ops are conftest.reference_stage's: a plain im2col, GEMM,
+    # corner pool and leaky ReLU with the fused op's row and tap orders (the
+    # channel-first conv2d, maxpool2d and leaky_relu differ in the last bits)
     for seed in range(4):
         rng = np.random.default_rng(40 + seed)
         c_in = seed + 1
@@ -316,13 +345,16 @@ def test_conv_pool_leaky_is_bitwise_the_composed_ops():
         b = rng.normal(size=5).astype(np.float32)
         upstream = rng.normal(size=(2, 5, 3, 2)).astype(np.float32)
         for contiguous in (False, True):
-            fused, composed = _fused_and_composed(x, k, b, upstream, contiguous=contiguous)
-            for got, want in zip(fused, composed):
+            fused, reference = _fused_and_reference(x, k, b, upstream, contiguous=contiguous)
+            for got, want in zip(fused, reference):
                 assert _same_bits(got, want), f"seed {seed}, contiguous {contiguous}"
 
 
 def test_conv_pool_leaky_ties_route_like_maxpool2d():
-    # small integers make exact ties in most pooling windows
+    # small integers make exact ties in most pooling windows, and make every
+    # conv value exact in any add order: the output is bitwise the composed
+    # channel-first ops', and a tie routed to another corner than
+    # maxpool2d's first maximum would move a gradient by far more than 1e-5
     for seed in range(6):
         rng = np.random.default_rng(60 + seed)
         c_in = seed % 4 + 1
@@ -331,9 +363,13 @@ def test_conv_pool_leaky_ties_route_like_maxpool2d():
         b = rng.integers(-1, 2, size=3).astype(np.float32)
         upstream = rng.integers(1, 4, size=(2, 3, 2, 2)).astype(np.float32)
         for contiguous in (False, True):
-            fused, composed = _fused_and_composed(x, k, b, upstream, contiguous=contiguous)
-            for got, want in zip(fused, composed):
+            fused, reference = _fused_and_reference(x, k, b, upstream, contiguous=contiguous)
+            for got, want in zip(fused, reference):
                 assert _same_bits(got, want), f"seed {seed}, contiguous {contiguous}"
+            composed = _composed(x, k, b, upstream)
+            assert _same_bits(fused[0], composed[0]), f"seed {seed}, contiguous {contiguous}"
+            for got, want in zip(fused[1:], composed[1:]):
+                assert np.abs(got - want).max() <= 1e-5 * max(1.0, np.abs(want).max()), (seed, contiguous)
 
 
 def test_untaped_conv_pool_leaky_changes_no_bits_and_aliases_nothing():
@@ -351,10 +387,10 @@ def test_untaped_conv_pool_leaky_changes_no_bits_and_aliases_nothing():
             with Tape():
                 taped = conv_pool_leaky(x, k, b, 0.01)
             assert taped._tape is not None
-            composed = leaky_relu(maxpool2d(conv2d(Tensor(x.data.transpose(0, 3, 1, 2), dtype=dtype), k, b)), 0.01)
+            reference = reference_stage(x, k, b, 0.01)
             assert untaped.dtype == dtype
             assert _same_bits(untaped.data, taped.data), (dtype, batch)
-            assert _same_bits(untaped.data.transpose(0, 3, 1, 2), composed.data), (dtype, batch)
+            assert _same_bits(untaped.data, reference.data), (dtype, batch)
             single = conv_pool_leaky(Tensor(x.data[-1:], dtype=dtype), k, b, 0.01)
             assert _same_bits(single.data, untaped.data[-1:]), (dtype, batch)
             earlier.append((untaped.data, untaped.data.copy()))
@@ -363,10 +399,11 @@ def test_untaped_conv_pool_leaky_changes_no_bits_and_aliases_nothing():
 
 
 def test_untaped_pool_before_bias_is_bitwise_bias_first_on_zero_and_tie_corners():
-    # the untaped stage pools the conv output and then adds the bias; the
-    # taped stage adds first.  Windows of signed zeros, exact ties, values a
-    # large bias rounds together and a bias that cancels the maximum
-    # exactly, under a -0, a +0 and nonzero biases, in both float widths
+    # the untaped stage pools the corner-major conv output and then adds the
+    # bias; the taped stage adds first.  Windows of signed zeros, exact ties,
+    # values a large bias rounds together and a bias that cancels the
+    # maximum exactly, under a -0, a +0 and nonzero biases, in both float
+    # widths, each window's corners in the four corner slabs
     for dtype in (np.float32, np.float64):
         one_up = np.nextafter(dtype(1), dtype(2))
         windows = np.array([
@@ -375,12 +412,10 @@ def test_untaped_pool_before_bias_is_bitwise_bias_first_on_zero_and_tie_corners(
             [one_up, 1, one_up, 1], [-3, -3, -2, -2], [2, 2, -0.0, 0.0], [-2, 2, 2, -2],
         ], dtype=dtype)
         bias = np.array([-0.0, 0.0, 1, -1, 2.0 ** 60, -2, 2], dtype=dtype)
-        conv = np.empty((1, 2 * len(windows), 2, len(bias)), dtype=dtype)
-        for k, window in enumerate(windows):
-            conv[0, 2 * k : 2 * k + 2] = window.reshape(2, 2, 1)
+        conv = np.empty((4, 1, len(windows), 1, len(bias)), dtype=dtype)  # (corner, b, y', x', c)
+        conv[:] = windows.T.reshape(4, 1, len(windows), 1, 1)
         biased = conv + bias
-        want = np.maximum(np.maximum(np.maximum(biased[:, 0::2, 0::2], biased[:, 0::2, 1::2]),
-                                     biased[:, 1::2, 0::2]), biased[:, 1::2, 1::2])
+        want = np.maximum(np.maximum(np.maximum(biased[0], biased[1]), biased[2]), biased[3])
         zeros = want == 0
         assert np.any(np.signbit(want[zeros])) and not np.all(np.signbit(want[zeros]))
         got = autograd._pool_then_bias(conv, bias)
@@ -389,8 +424,9 @@ def test_untaped_pool_before_bias_is_bitwise_bias_first_on_zero_and_tie_corners(
 
 def test_unrecorded_stages_chained_are_bitwise_the_composed_ops_and_alias_nothing():
     # two unrecorded stages, as infer runs them, the second fed the first's
-    # output.  These batch sizes grow, shrink and regrow the workspace, and
-    # float64 after float32 reinterprets its bytes
+    # C-contiguous output (so its taps are channels-last), against two
+    # reference stages.  These batch sizes grow, shrink and regrow the
+    # workspace, and float64 after float32 reinterprets its bytes
     earlier = []
     for dtype in (np.float32, np.float64):
         rng = np.random.default_rng(82)
@@ -398,17 +434,17 @@ def test_unrecorded_stages_chained_are_bitwise_the_composed_ops_and_alias_nothin
         k2, b2 = rng.normal(size=(5, 4, 3, 3)).astype(dtype), rng.normal(size=5).astype(dtype)
         params = [Tensor(p, requires_grad=True, dtype=dtype) for p in (k1, b1, k2, b2)]
         for batch in (2, 5, 1, 3):
-            x = rng.normal(size=(batch, 3, 16, 32)).astype(dtype)
-            mid = leaky_relu(maxpool2d(conv2d(Tensor(x, dtype=dtype), *params[:2])), 0.01)
-            want = leaky_relu(maxpool2d(conv2d(mid, *params[2:])), 0.01)
+            x = Tensor(rng.normal(size=(batch, 3, 16, 32)).astype(dtype).transpose(0, 2, 3, 1), dtype=dtype)
             with autograd.no_tape():
-                first = conv_pool_leaky(Tensor(x.transpose(0, 2, 3, 1), dtype=dtype), *params[:2], 0.01)
+                mid = reference_stage(x, *params[:2], 0.01)
+                want = reference_stage(mid, *params[2:], 0.01)
+                first = conv_pool_leaky(x, *params[:2], 0.01)
                 last = conv_pool_leaky(first, *params[2:], 0.01)
             assert first._tape is None and last._tape is None
-            assert first.dtype == dtype
-            assert _same_bits(first.data.transpose(0, 3, 1, 2), mid.data), (dtype, batch)
+            assert first.dtype == dtype and first.data.flags.c_contiguous
+            assert _same_bits(first.data, mid.data), (dtype, batch)
             assert last.dtype == dtype and last.shape == (batch, 1, 2, 5)
-            assert _same_bits(last.data.transpose(0, 3, 1, 2), want.data), (dtype, batch)
+            assert _same_bits(last.data, want.data), (dtype, batch)
             buffers = [buf for buf in vars(autograd._WORKSPACE).values() if isinstance(buf, np.ndarray)]
             assert {"pad", "cols", "conv", "pool"} <= set(vars(autograd._WORKSPACE))
             assert not any(np.shares_memory(out.data, buf) for out in (first, last) for buf in buffers)
@@ -420,28 +456,25 @@ def test_unrecorded_stages_chained_are_bitwise_the_composed_ops_and_alias_nothin
 def _chained_stages(x, params, upstream, fused):
     """Two stages, the second fed the first's output, taped and backwarded
     under sum_all(out * upstream): (output, input gradient, parameter
-    gradients), all channel-first.  ``fused`` runs them as conv_pool_leaky
-    on the permuted (so not C-contiguous) input, as a stream does."""
+    gradients), all channel-first.  Both run on the permuted (so not
+    C-contiguous) input, as a stream does: ``fused`` as conv_pool_leaky,
+    else as conftest.reference_stage."""
     dtype = x.dtype
-    xt = Tensor(x.transpose(0, 2, 3, 1) if fused else x, requires_grad=True, dtype=dtype)
+    stage = conv_pool_leaky if fused else reference_stage
+    xt = Tensor(x.transpose(0, 2, 3, 1), requires_grad=True, dtype=dtype)
     ps = [Tensor(p, requires_grad=True, dtype=dtype) for p in params]
-    w = Tensor(upstream.transpose(0, 2, 3, 1) if fused else upstream, dtype=dtype)
     with Tape():
-        if fused:
-            last = conv_pool_leaky(conv_pool_leaky(xt, *ps[:2], 0.01), *ps[2:], 0.01)
-        else:
-            last = leaky_relu(maxpool2d(conv2d(leaky_relu(maxpool2d(conv2d(xt, *ps[:2])), 0.01), *ps[2:])), 0.01)
-        loss = sum_all(mul(last, w))
+        last = stage(stage(xt, *ps[:2], 0.01), *ps[2:], 0.01)
+        loss = sum_all(mul(last, Tensor(upstream.transpose(0, 2, 3, 1), dtype=dtype)))
     backward(loss)
-    if fused:
-        return last.data.transpose(0, 3, 1, 2), xt.grad.transpose(0, 3, 1, 2), [p.grad for p in ps]
-    return last.data, xt.grad, [p.grad for p in ps]
+    return last.data.transpose(0, 3, 1, 2), xt.grad.transpose(0, 3, 1, 2), [p.grad for p in ps]
 
 
 def test_recorded_stages_chained_are_bitwise_the_composed_ops_and_alias_nothing():
     # the recorded path of the unrecorded test above: two taped stages, the
-    # first on a channel-first input (its backward gathers its taps), with
-    # the workspace grown, shrunk and regrown and reinterpreted across dtypes
+    # first on a channel-first input (its backward gathers its taps), against
+    # two reference stages, with the workspace grown, shrunk and regrown and
+    # reinterpreted across dtypes
     earlier = []
     for dtype in (np.float32, np.float64):
         rng = np.random.default_rng(83)
@@ -505,31 +538,58 @@ def test_conv_pool_leaky_tap_rows_for_any_item_size_kernel_and_layout():
         untaped = conv_pool_leaky(Tensor(x.transpose(0, 2, 3, 1), dtype=x.dtype), Tensor(k, dtype=x.dtype), Tensor(b, dtype=x.dtype))
         assert untaped.dtype == x.dtype and _same_bits(untaped.data.transpose(0, 3, 1, 2), ref.data), n
         for contiguous in (False, True):
-            fused, composed = _fused_and_composed(x, k, b, upstream, contiguous=contiguous)
-            for got, want in zip(fused, composed):
+            fused, reference = _fused_and_reference(x, k, b, upstream, contiguous=contiguous)
+            for got, want in zip(fused, reference):
                 assert got.dtype == x.dtype and _same_bits(got, want), (n, contiguous)
 
 
 def test_conv_pool_leaky_rezeroes_the_border_of_a_reused_pad_buffer():
+    # a large call fills the pad buffer; a smaller one, padded channel-first
+    # (a permuted input) or channels-last (a C-contiguous one), must find
+    # its border zero again
     rng = np.random.default_rng(91)
     k = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
     b = rng.normal(size=4).astype(np.float32)
-    large = Tensor(rng.uniform(1, 2, size=(3, 16, 16, 3)))
+    large = Tensor(rng.uniform(1, 2, size=(3, 3, 16, 16)).transpose(0, 2, 3, 1))
     x = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
     border = np.ones((10, 10), dtype=bool)
     border[1:-1, 1:-1] = False
     upstream = rng.normal(size=(2, 4, 2, 2)).astype(np.float32)
-    for taped in (False, True):
-        conv_pool_leaky(large, Tensor(k), Tensor(b))
-        stale = autograd._workspace("pad", (2, 3, 10, 10), np.dtype(np.float32))[:, :, border]
-        assert np.count_nonzero(stale) > stale.size // 2  # the large input's interior
-        if taped:
-            fused, composed = _fused_and_composed(x, k, b, upstream)
-            assert all(_same_bits(got, want) for got, want in zip(fused, composed))
-        else:
-            got = conv_pool_leaky(Tensor(x.transpose(0, 2, 3, 1)), Tensor(k), Tensor(b))
-            want = leaky_relu(maxpool2d(conv2d(Tensor(x), Tensor(k), Tensor(b))), 0.01)
-            assert _same_bits(got.data.transpose(0, 3, 1, 2), want.data)
+    for contiguous in (False, True):
+        xd = np.ascontiguousarray(x.transpose(0, 2, 3, 1)) if contiguous else x.transpose(0, 2, 3, 1)
+        for taped in (False, True):
+            conv_pool_leaky(large, Tensor(k), Tensor(b))
+            pad = autograd._workspace("pad", (2, 10, 10, 3) if contiguous else (2, 3, 10, 10), np.dtype(np.float32))
+            stale = pad[:, border] if contiguous else pad[:, :, border]
+            assert np.count_nonzero(stale) > stale.size // 2  # the large input's interior
+            if taped:
+                fused, reference = _fused_and_reference(x, k, b, upstream, contiguous=contiguous)
+                assert all(_same_bits(got, want) for got, want in zip(fused, reference)), contiguous
+            else:
+                got = conv_pool_leaky(Tensor(xd), Tensor(k), Tensor(b))
+                assert _same_bits(got.data, reference_stage(Tensor(xd), Tensor(k), Tensor(b)).data), contiguous
+
+
+def test_one_sample_blocks_of_a_strided_batch_keep_the_batch_tap_order(monkeypatch):
+    # each sample of every other sample of a channels-last array is
+    # C-contiguous while the batch is not, so the stage takes (c, i, j) taps;
+    # run as one-sample blocks, each block must take them too.  Blocks this
+    # small may round differently from one GEMM, hence the tolerance
+    rng = np.random.default_rng(92)
+    x = rng.normal(size=(6, 8, 8, 3)).astype(np.float32)[::2]
+    k, b = rng.normal(size=(4, 3, 3, 3)).astype(np.float32), rng.normal(size=4).astype(np.float32)
+    upstream = Tensor(rng.normal(size=(3, 2, 2, 4)).astype(np.float32))
+    monkeypatch.setattr(autograd, "BLOCK_ROWS", 16)  # 16 GEMM rows a sample: a block each
+    results = []
+    for stage in (conv_pool_leaky, reference_stage):
+        xt, kt, bt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True), Tensor(b, requires_grad=True)
+        with Tape():
+            out = stage(xt, kt, bt, 0.01)
+            loss = sum_all(mul(out, upstream))
+        backward(loss)
+        results.append((out.data, xt.grad, kt.grad, bt.grad))
+    for got, want in zip(*results):
+        assert np.allclose(got, want, rtol=1e-5, atol=1e-5)
 
 
 # the default model's three stages: (H, W, C_in) input and (C_out, C_in) kernels
@@ -585,8 +645,13 @@ def test_batch_blocked_stage_is_bytewise_one_block_in_balanced_blocks(dtype, mon
             assert len(blocks) == -(-sum(blocks) // autograd.BLOCK_ROWS), case
             if len(blocks) > 1:
                 assert autograd.BLOCK_ROWS // 2 <= min(blocks) and max(blocks) <= autograd.BLOCK_ROWS, case
-            for g, want_g in zip(got, want):
-                assert g.dtype == dtype and g.tobytes() == want_g.tobytes(), case
+            xt, kt, bt = (Tensor(a, requires_grad=True, dtype=dtype) for a in (x, k, b))
+            with Tape():  # and both are the reference's bits, transposed fills and all
+                ref = reference_stage(xt, kt, bt, 0.01)
+                loss = sum_all(mul(ref, Tensor(upstream, dtype=dtype)))
+            backward(loss)
+            for g, want_g, ref_g in zip(got, want, [ref.data, ref.data, xt.grad, kt.grad, bt.grad]):
+                assert g.dtype == dtype and g.tobytes() == want_g.tobytes() == ref_g.tobytes(), case
             buffers = [buf for buf in vars(autograd._WORKSPACE).values() if isinstance(buf, np.ndarray)]
             assert not any(np.shares_memory(g, buf) for g in got for buf in buffers), case
     assert autograd._batch_blocks(65, 1024) == [(0, 13), (13, 26), (26, 39), (39, 52), (52, 65)]

@@ -1,16 +1,18 @@
 """End-to-end command-line flows, exit-code mapping, and output artifacts."""
 
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
+from conftest import model_config
 
 from skelact import training
 from skelact.checkpoint import load_checkpoint, save_checkpoint
-from skelact.cli import main
+from skelact.cli import MAX_PARAMS, main
 from skelact.errors import ParseError
-from skelact.model import ModelConfig
+from skelact.model import ModelConfig, ModelParams, param_spec
 from skelact.recognizer import blas_threads, count_flops, infer_workers
 from skelact.skeleton import SkeletonSequence, parse_jsonl, write_jsonl
 from skelact.synth import humanoid_topology
@@ -129,6 +131,35 @@ def test_train_with_a_zero_width_is_exit_1(tmp_path, dataset, capsys, extra):
     assert main(_train_args(dataset, ckpt, extra=extra)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: layer widths must be positive") and "Traceback" not in err
+    assert not ckpt.exists()
+
+
+def test_train_of_a_model_over_the_parameter_bound_is_exit_1(tmp_path, dataset, capsys, monkeypatch):
+    # refused from its parameter spec; the patched build fails the test
+    # rather than allocate a width this large
+    monkeypatch.setattr(ModelParams, "build", staticmethod(lambda *args, **kwargs: pytest.fail("model built")))
+    ckpt = tmp_path / "x.ckpt"
+    assert main(_train_args(dataset, ckpt, extra=["--channels", "32", "64", "8589934592"])) == 1
+    err = capsys.readouterr().err
+    model = model_config(parse_jsonl(dataset), humanoid_topology(), channels=(32, 64, 8589934592),
+                         fc_hidden=16, scale_hidden=8)
+    count = sum(math.prod(s.shape) for s in param_spec(model))
+    assert err == f"error: the model has {count:,} parameters, over the bound of {MAX_PARAMS:,}\n"
+    assert not ckpt.exists()
+
+
+def test_a_failed_allocation_is_exit_1_naming_its_size(tmp_path, dataset, capsys, monkeypatch):
+    # numpy's MemoryError for a model too large to allocate, raised by a
+    # patched build rather than by a real allocation
+    message = "Unable to allocate 36.0 TiB for an array with shape (8589934592, 64, 3, 3) and data type float32"
+
+    def build(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(ModelParams, "build", staticmethod(build))
+    ckpt = tmp_path / "x.ckpt"
+    assert main(_train_args(dataset, ckpt)) == 1
+    assert capsys.readouterr().err == f"error: out of memory: {message}\n"
     assert not ckpt.exists()
 
 

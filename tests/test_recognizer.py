@@ -9,11 +9,11 @@ from collections.abc import Mapping
 
 import numpy as np
 import pytest
-from conftest import composed_images, conv_pool_leaky, embed_image, perfbench_spans
+from conftest import composed_images, conv_pool_leaky, embed_image, perfbench_spans, reference_stage
 
 from skelact import autograd, encoder, recognizer
 from skelact.autograd import (
-    Tape, Tensor, backward, concat, conv2d, cross_entropy, leaky_relu, maxpool2d, permute, reshape,
+    Tape, Tensor, backward, concat, cross_entropy, permute, reshape,
 )
 from skelact.encoder import LEAKY_SLOPE, EncodedBundle, EnhanceFlags, encode, uniform_attention
 from skelact.errors import DimensionError, UsageError
@@ -166,18 +166,20 @@ def test_batched_forward_matches_single():
 
 
 def test_training_gradients_match_channel_first_stream_bitwise(monkeypatch):
-    # every gradient, the encoder's included, must come out as the composed
-    # channel-first ops produced it; the stem's input gradient layout decides
-    # the summation order of the temporal embeddings' gradients
+    # every gradient, the encoder's included, must come out as a taped stream
+    # of separate nodes produced it: a permute of the channel-first image to
+    # channels-last, three reference stages (the first with (c, i, j) taps,
+    # the others, on C-contiguous inputs, with (i, j, c) taps) and a reshape.
+    # The stem's input gradient layout decides the summation order of the
+    # temporal embeddings' gradients
     reference_calls = []
 
     def channel_first_stream(image, tensors, i):
         reference_calls.append(i)
-        x = image
+        x = permute(image, (0, 2, 3, 1))
         for n in (1, 2, 3):
-            kernels, bias = tensors[f"stream{i}.conv{n}.kernels"], tensors[f"stream{i}.conv{n}.bias"]
-            x = leaky_relu(maxpool2d(conv2d(x, kernels, bias, stride=2, padding=1)), LEAKY_SLOPE)
-        return reshape(x, x.shape[:-3] + (x.shape[-3],))
+            x = reference_stage(x, tensors[f"stream{i}.conv{n}.kernels"], tensors[f"stream{i}.conv{n}.bias"], LEAKY_SLOPE)
+        return reshape(x, (len(x.data), x.shape[-1]))
 
     # over three Adam steps, so that a gradient aliased across steps shows
     rng = np.random.default_rng(6)
@@ -204,7 +206,7 @@ def test_training_gradients_match_channel_first_stream_bitwise(monkeypatch):
             steps.append((logits.data, {k: t.grad for k, t in params.trainable_tensors().items()}))
             adam_step(named, state, 1e-2)
         runs.append(steps)
-    assert reference_calls == [0, 1, 2, 3] * 3  # the reference run took the channel-first ops
+    assert reference_calls == [0, 1, 2, 3] * 3  # the reference run took the reference stages
     for step, ((fused_logits, fused), (ref_logits, ref)) in enumerate(zip(*runs)):
         assert np.array_equal(fused_logits, ref_logits), step
         for name, grad in ref.items():
