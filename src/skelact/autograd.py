@@ -36,19 +36,20 @@ columns, conv output and pooled maxima live in that workspace too.  Its
 GEMM rows are in pooling-corner-major order, so the conv output is four
 contiguous corner slabs; a C-contiguous input is padded channels-last
 with (i, j, c) taps, the permuted stem image channel-first with (c, i, j)
-taps.  It runs the forward's per-sample work in near-equal batch blocks
-of at most ``BLOCK_ROWS`` GEMM rows, so a forward's workspace holds one
-block (only stage 1 of a batch of 17 or more splits).  The edges are
-balanced, since a short tail block's GEMM has given other bits; the
-backward's GEMMs run over the whole batch, so the kernel and bias
-gradients, which add over every row, do not depend on the blocks.  A
+taps.  It runs its per-sample work, forward and backward, in near-equal
+batch blocks of at most ``BLOCK_ROWS`` GEMM rows, so its workspace holds
+one block (only stage 1 of a batch of 17 or more splits).  The edges are
+balanced, since a short tail block's GEMM has given other bits.  The
+kernel and bias gradients, which add over every row, add the blocks'
+partial sums in block order, so they alone depend on the blocks.  A
 channel-first block of half ``BLOCK_ROWS`` or more fills its columns
-transposed, the faster copy, for a GEMM that OpenBLAS runs with the same
+transposed, the faster copy, for GEMMs that OpenBLAS runs with the same
 bits.
 Arrays a tape records are always fresh, and so are the stage's output
 and every gradient a backward rule returns; the stage's backward rule
 rebuilds its columns from its saved input and keeps its conv and column
-gradients in the workspace of the thread that runs it.
+gradients, and the stem's gathered taps, in the workspace of the thread
+that runs it.
 """
 
 from __future__ import annotations
@@ -584,17 +585,21 @@ def conv_pool_leaky_arrays(xd: np.ndarray, kernels: np.ndarray, bias: np.ndarray
     The leaky slope of the gradient follows the sign of the pooled maximum,
     not of the output, which is -0 where a tiny negative maximum times the
     slope underflows.  Backward reads only the input, that index and a bool
-    leaky mask.  It routes the whole batch's pooled gradient, corner by
-    corner, into this thread's ``conv`` buffer in corner-major
-    (ci, cj, b, y', x') row order, refills the pad and column buffers from
-    the whole input in that same order, and takes ``dk`` as one
-    whole-batch GEMM and ``db`` as one sum over the pooled gradient (each
-    routed to one conv row, a quarter of the rows).  The column gradient
-    is one whole-batch GEMM into the ``cols`` buffer, and each block's
-    col2im adds it into that block's slice of the fresh input gradient,
-    every element summing its taps in (i, j) row-major order from +0.  So
-    the tape keeps no columns, every returned gradient is fresh, and no
-    sum over the rows depends on the blocks.
+    leaky mask, and runs the forward's batch blocks one after another, so
+    its workspace holds one block too.  For each block it routes the
+    pooled gradient, corner by corner, into this thread's ``conv`` buffer
+    in corner-major (ci, cj, b, y', x') row order and sums it for the
+    block's ``db`` partial (each value routed to one conv row, a quarter of
+    the rows), refills the pad and column buffers from the block's input in
+    that same order, and takes the block's ``dk`` partial as one GEMM.  The
+    column gradient is a GEMM into the ``cols`` buffer, and col2im adds it
+    into the block's slice of the fresh input gradient, every element
+    summing its taps in (i, j) row-major order from +0.  The ``dk`` and
+    ``db`` partials add up in block order, starting from the first block's,
+    so a call that runs as one block (stages 2 and 3, and any batch of 16
+    or fewer) has the bits of one whole-batch sum; only a split stage 1's
+    ``dk`` and ``db`` depend on the blocks.  The tape keeps no columns, and
+    every returned gradient is fresh.
     An unrecorded call (``recognizer.infer``'s and ``stream_forward``'s)
     pools before the bias add, building neither index nor mask: the same
     bits, with less work.
@@ -647,30 +652,35 @@ def conv_pool_leaky_arrays(xd: np.ndarray, kernels: np.ndarray, bias: np.ndarray
         np.maximum(out[lo:hi], pooled, out=out[lo:hi])  # leaky ReLU, as slope < 1
 
     def back(d):
-        dpool = np.where(rising, d, d * slope)
-        db = dpool.reshape(-1, c_out).sum(axis=0)
-        dconv = _workspace("conv", (4, *d.shape), dtype)
-        for n in range(4):
-            np.multiply(dpool, first == n, out=dconv[n])
-        del dpool  # before the refill, which peaks the memory
-        d2 = dconv.reshape(-1, c_out)
-        dk = d2.T @ _columns(xd, kh, kw, c_out, channels_last)
-        if channels_last:  # (C_out, kh, kw, C_in) back to the kernels' layout
-            dk = np.ascontiguousarray(dk.reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2))
-        dk = dk.reshape(kernels.shape)
-        dcols = _workspace("cols", (4, batch, h2, w2, c_in * kh * kw), dtype)  # dk has read the columns
-        np.matmul(d2, kmat, out=dcols.reshape(len(d2), -1))
+        leak = np.array([slope, 1], dtype)  # taken by the leaky mask: d * slope or d, as np.where would
         if channels_last:
             dxp = np.zeros((batch, h + 2, w + 2, c_in), dtype=d.dtype)
         else:  # channel-first memory: each block gathers its taps to match
             dxp = np.zeros((batch, c_in, h + 2, w + 2), dtype=d.dtype).transpose(0, 2, 3, 1)
         for lo, hi in blocks:
             nb = hi - lo
+            dpool = d[lo:hi] * leak.take(rising[lo:hi].view(np.uint8))
+            db_part = dpool.reshape(-1, c_out).sum(axis=0)
+            dconv = _workspace("conv", (4, *dpool.shape), dtype)
+            for n in range(4):
+                np.multiply(dpool, first[lo:hi] == n, out=dconv[n])
+            del dpool  # before the refill
+            d2 = dconv.reshape(-1, c_out)
+            cols = _columns(xd[lo:hi], kh, kw, c_out, channels_last)
+            # on the transposed view, the C-contiguous product is the faster GEMM, with the same bits
+            dk_part = d2.T @ cols if cols.flags.c_contiguous else (cols.T @ d2).T
+            if lo == 0:  # the sums start from the first block's partials, so one block keeps their bits
+                dk, db = dk_part, db_part
+            else:
+                dk += dk_part
+                db += db_part
+            dcols = _workspace("cols", (4, nb, h2, w2, c_in * kh * kw), dtype)  # dk has read the columns
+            np.matmul(d2, kmat, out=dcols.reshape(len(d2), -1))
             if channels_last:  # (ci, cj, b, y', x', i, j, c) rows read as (b, y', ci, x', cj, c, i, j)
-                taps = dcols[:, lo:hi].reshape(2, 2, nb, h2, w2, kh, kw, c_in).transpose(2, 3, 0, 4, 1, 7, 5, 6)
+                taps = dcols.reshape(2, 2, nb, h2, w2, kh, kw, c_in).transpose(2, 3, 0, 4, 1, 7, 5, 6)
             else:  # each corner gathered at its parity into (b, c, i, j, y, x), as the memory runs
-                corners = dcols[:, lo:hi].reshape(2, 2, nb, h2, w2, c_in, kh, kw)
-                taps = np.empty((nb, c_in, kh, kw, h_out, w_out), dtype)
+                corners = dcols.reshape(2, 2, nb, h2, w2, c_in, kh, kw)
+                taps = _workspace("taps", (nb, c_in, kh, kw, h_out, w_out), dtype)
                 for ci in (0, 1):
                     for cj in (0, 1):
                         taps[..., ci::2, cj::2] = corners[ci, cj].transpose(0, 3, 4, 5, 1, 2)
@@ -679,7 +689,9 @@ def conv_pool_leaky_arrays(xd: np.ndarray, kernels: np.ndarray, bias: np.ndarray
                 for j in range(kw):
                     into = dxp[lo:hi, i : i + 2 * h_out : 2, j : j + 2 * w_out : 2].reshape(nb, h2, 2, w2, 2, c_in)
                     into += taps[..., i, j]
-        return dxp[:, 1 : 1 + h, 1 : 1 + w], dk, db
+        if channels_last:  # (C_out, kh, kw, C_in) back to the kernels' layout
+            dk = dk.reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)
+        return dxp[:, 1 : 1 + h, 1 : 1 + w], np.ascontiguousarray(dk).reshape(kernels.shape), db
 
     return out, back if recorded else None
 

@@ -627,6 +627,29 @@ def _stage_in_blocks(x, k, b, upstream, monkeypatch, one_block):
     return [untaped, out.data, xt.grad, kt.grad, bt.grad], blocks
 
 
+def _reference_run(x, k, b, upstream):
+    """conftest.reference_stage's output and (x, kernels, bias) gradients
+    under sum_all(out * upstream)."""
+    dtype = x.dtype
+    xt, kt, bt = (Tensor(a, requires_grad=True, dtype=dtype) for a in (x, k, b))
+    with Tape():
+        out = reference_stage(xt, kt, bt, 0.01)
+        loss = sum_all(mul(out, Tensor(upstream, dtype=dtype)))
+    backward(loss)
+    return [out.data, xt.grad, kt.grad, bt.grad]
+
+
+def _block_partial_sums(x, k, b, upstream):
+    """The kernel and bias gradients of reference_stage run on each of the
+    fused stage's batch blocks alone, added in block order from the first
+    block's: the sums a blocked backward takes."""
+    sums = None
+    for lo, hi in autograd._batch_blocks(len(x), x.shape[1] * x.shape[2] // 4):
+        parts = _reference_run(x[lo:hi], k, b, upstream[lo:hi])[2:]
+        sums = parts if sums is None else [s + p for s, p in zip(sums, parts)]
+    return sums
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_batch_blocked_stage_is_bytewise_one_block_in_balanced_blocks(dtype, monkeypatch):
     for batch in (1, 8, 16, 17, 33, 65):
@@ -645,18 +668,46 @@ def test_batch_blocked_stage_is_bytewise_one_block_in_balanced_blocks(dtype, mon
             assert len(blocks) == -(-sum(blocks) // autograd.BLOCK_ROWS), case
             if len(blocks) > 1:
                 assert autograd.BLOCK_ROWS // 2 <= min(blocks) and max(blocks) <= autograd.BLOCK_ROWS, case
-            xt, kt, bt = (Tensor(a, requires_grad=True, dtype=dtype) for a in (x, k, b))
-            with Tape():  # and both are the reference's bits, transposed fills and all
-                ref = reference_stage(xt, kt, bt, 0.01)
-                loss = sum_all(mul(ref, Tensor(upstream, dtype=dtype)))
-            backward(loss)
-            for g, want_g, ref_g in zip(got, want, [ref.data, ref.data, xt.grad, kt.grad, bt.grad]):
+            ref = _reference_run(x, k, b, upstream)  # and both are its bits, transposed fills and all
+            for g, want_g, ref_g in zip(got[:3], want, ref[:1] + ref):  # the values and the input gradient
                 assert g.dtype == dtype and g.tobytes() == want_g.tobytes() == ref_g.tobytes(), case
+            # the kernel and bias gradients add each block's partial sum over its rows in block order
+            for g, want_g, ref_g, part_g in zip(got[3:], want[3:], ref[2:], _block_partial_sums(x, k, b, upstream)):
+                assert want_g.tobytes() == ref_g.tobytes(), case
+                assert g.dtype == dtype and g.tobytes() == part_g.tobytes(), case
             buffers = [buf for buf in vars(autograd._WORKSPACE).values() if isinstance(buf, np.ndarray)]
             assert not any(np.shares_memory(g, buf) for g in got for buf in buffers), case
     assert autograd._batch_blocks(65, 1024) == [(0, 13), (13, 26), (26, 39), (39, 52), (52, 65)]
     assert autograd._batch_blocks(17, 1024) == [(0, 8), (8, 17)]
     assert autograd._batch_blocks(2, 10**6) == [(0, 1), (1, 2)]  # at most one block a sample
+
+
+def test_blocked_backward_grows_no_workspace_buffer_beyond_one_block():
+    # a recorded B=64 stage 1, forward and backward, on a thread of its own
+    # (so a fresh workspace): the backward runs block by block, so no buffer
+    # outgrows a 16-sample block's conv output, a quarter of the batch's
+    (h, w, c_in), (c_out, _) = MODEL_STAGES[0]
+    rng = np.random.default_rng(93)
+    x = rng.normal(size=(64, c_in, h, w)).astype(np.float32).transpose(0, 2, 3, 1)
+    k = (rng.normal(size=(c_out, c_in, 3, 3)) * 0.2).astype(np.float32)
+    b = rng.normal(size=c_out).astype(np.float32)
+    sizes = {}
+
+    def run():
+        xt, kt, bt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True), Tensor(b, requires_grad=True)
+        with Tape():
+            loss = sum_all(conv_pool_leaky(xt, kt, bt, 0.01))
+        backward(loss)
+        sizes.update((role, buf.nbytes) for role, buf in vars(autograd._WORKSPACE).items())
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(60)
+    assert not thread.is_alive()
+    assert autograd._batch_blocks(64, h * w // 4) == [(0, 16), (16, 32), (32, 48), (48, 64)]
+    block_conv = 4 * 16 * (h // 4) * (w // 4) * c_out * 4
+    assert sizes["conv"] == block_conv and max(sizes.values()) <= block_conv, sizes
+    assert {"pad", "cols", "conv", "pool", "taps"} <= set(sizes)
 
 
 def _centre_tap_stage(grid, slope=0.01):
