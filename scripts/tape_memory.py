@@ -17,21 +17,25 @@ in place, its nodes charged to their ops.
 Parameters and the input batch are not charged.  Ops are named after their
 backward closure (``conv_pool_leaky_arrays.<locals>.back`` is
 ``conv_pool_leaky_arrays``, ``embed_image_arrays.<locals>.rule`` is
-``embed_image_arrays``).  It reads only ``Tape.nodes``, each node's
-``output``, ``inputs`` and ``backward_fn``, and the closures of those
-functions, so it runs unchanged against any source tree put first on
-PYTHONPATH.
+``embed_image_arrays``).  Last it prints each ``recognizer._workers``
+thread's workspace buffers by role, as the ``--steps`` steps left them
+(the workers run a training step's streams).  It reads only ``Tape.nodes``, each node's
+``output``, ``inputs`` and ``backward_fn``, the closures of those
+functions, ``autograd._WORKSPACE`` and ``recognizer._workers``, so it runs
+unchanged against any source tree put first on PYTHONPATH that has them.
 """
 
 from __future__ import annotations
 
 import argparse
 import resource
+import threading
 from collections import defaultdict
 from types import FunctionType
 
 import numpy as np
 
+from skelact import autograd, recognizer
 from skelact.autograd import Tape, Tensor, backward, cross_entropy
 from skelact.encoder import encode
 from skelact.model import ModelConfig, ModelParams
@@ -107,6 +111,18 @@ def tape_bytes(tape: Tape, seen: set[int], table=None) -> dict[str, list[int]]:
     return table
 
 
+def worker_workspaces() -> list[dict[str, int]]:
+    """Each worker thread's workspace, role -> bytes.  A barrier holds the
+    first task until the second worker has taken its own."""
+    barrier = threading.Barrier(2)
+
+    def read():
+        barrier.wait(10)
+        return {role: buf.nbytes for role, buf in vars(autograd._WORKSPACE).items()}
+
+    return [future.result() for future in [recognizer._workers.submit(read) for _ in range(2)]]
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--steps", type=int, default=4)
@@ -135,6 +151,7 @@ def main() -> None:
         backward(loss)
         adam_step(named, state, 1e-3)
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    workspaces = worker_workspaces()
 
     x, y = batch()
     with Tape() as tape:
@@ -151,6 +168,9 @@ def main() -> None:
     saved = sum(row[2] for row in table.values())
     print(f"{'tape':<24}{'':>6}{out / MIB:>10.1f}{saved / MIB:>11.1f}{(out + saved) / MIB:>11.1f}")
     print(f"peak_rss_mb={peak:.1f} after {args.steps} steps")
+    for n, roles in enumerate(workspaces):
+        sizes = " ".join(f"{role}={size / MIB:.2f}" for role, size in sorted(roles.items()))
+        print(f"worker{n}_workspace_mib {sizes} total={sum(roles.values()) / MIB:.2f}")
 
 
 if __name__ == "__main__":

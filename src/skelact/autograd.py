@@ -31,8 +31,8 @@ returns the output and, when recorded, the backward rule; the recognizer's
 streams node chains each stream's rules itself.  The image body,
 :func:`embed_image_arrays`, works the same way, and builds an unrecorded
 image in the workspace.  The stage pads its input into a per-thread
-workspace buffer, reused call after call, and its im2col
-columns, conv output and pooled maxima live in that workspace too.  Its
+workspace buffer, reused call after call, and its im2col columns, conv
+output and pooled maxima (in the spent pad) live there too.  Its
 GEMM rows are in pooling-corner-major order, so the conv output is four
 contiguous corner slabs; a C-contiguous input is padded channels-last
 with (i, j, c) taps, the permuted stem image channel-first with (c, i, j)
@@ -48,8 +48,8 @@ bits.
 Arrays a tape records are always fresh, and so are the stage's output
 and every gradient a backward rule returns; the stage's backward rule
 rebuilds its columns from its saved input and keeps its conv and column
-gradients, and the stem's gathered taps, in the workspace of the thread
-that runs it.
+gradients in the running thread's workspace, the stem's gathered taps in
+its spent pad; the image's rule recomputes its pre-attention product.
 """
 
 from __future__ import annotations
@@ -174,7 +174,9 @@ def _workspace(role: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray
 
     The view is overwritten by the next call for the same role, so it may
     only hold an array that does not outlive the op's call: never one a
-    backward closure reads.
+    backward closure reads.  A stage block's pooled maxima and the stem's
+    gathered taps reuse the ``pad`` buffer: both start after
+    :func:`_columns`, its one reader, has filled the block's columns.
     """
     nbytes = math.prod(shape) * dtype.itemsize
     buf = getattr(_WORKSPACE, role, None)
@@ -307,11 +309,11 @@ def embed_image_arrays(channels: np.ndarray, weight: np.ndarray, attention: np.n
     the forward keeps their operand order, and the rule sums each gradient
     as they do (``d + d * A`` into the product, the attention gradient
     summed over channels, the temporal one over rows, channels and batch).
-    A recorded image is fresh, and the rule saves the pre-attention product
-    when ``attention`` is given and nothing else beyond the inputs.  An
-    unrecorded image is built in this thread's ``image`` and ``attended``
-    workspace and returned without a copy: the next call for this thread
-    overwrites it.
+    A recorded image is fresh, and the rule saves nothing beyond the
+    inputs: given ``attention``, it recomputes the pre-attention product
+    (the same GEMM, so the same bits).  An unrecorded image is built in
+    this thread's ``image`` and ``attended`` workspace and returned
+    without a copy: the next call for this thread overwrites it.
     """
     t, j = weight.shape
     if channels.shape[-2:] != (j, t):
@@ -326,8 +328,6 @@ def embed_image_arrays(channels: np.ndarray, weight: np.ndarray, attention: np.n
         spread = attention[..., None, :, :]
         image = np.multiply(product, spread, out=None if recorded else _workspace("attended", shape, dtype))
         image += product
-    else:
-        product = None  # the rule reads it only for the attention gradient
     if temporal is not None:
         image += temporal
     if not recorded:
@@ -336,8 +336,13 @@ def embed_image_arrays(channels: np.ndarray, weight: np.ndarray, attention: np.n
     def rule(d):
         d_product, d_attention, d_temporal = d, None, None
         if attention is not None:
-            d_attention = _unbroadcast(d * product, spread.shape).reshape(attention.shape)
-            d_product = _unbroadcast(d, product.shape) + _unbroadcast(d * spread, product.shape)
+            scratch = np.matmul(weight, channels)  # the forward's product, bit for bit
+            scratch *= d
+            d_attention = _unbroadcast(scratch, spread.shape).reshape(attention.shape)
+            if np.may_share_memory(d_attention, scratch):  # one channel: nothing was summed
+                d_attention = d_attention.copy()
+            d_product = np.multiply(d, spread, out=scratch)
+            d_product += d  # fl(d * A + d) = fl(d + d * A)
         if temporal is not None:
             d_temporal = _unbroadcast(d, (1,) * (d.ndim - 1) + (t,)).reshape(t)
         return (_unbroadcast(np.swapaxes(weight, -1, -2) @ d_product, channels.shape),
@@ -528,11 +533,11 @@ def _columns(xd: np.ndarray, kh: int, kw: int, c_out: int, channels_last: bool) 
 
 def _pool_then_bias(conv: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """2x2 max pool of a corner-major (4, B, H', W', C) conv output into
-    this thread's workspace, the max of its four contiguous corner slabs in
+    this thread's spent pad buffer, the max of its four corner slabs in
     row-major corner order, then the bias added.  fl(a + b) is monotone in
     a and max only selects, so this is bit for bit the pool of ``conv +
     bias``, the order a recorded stage keeps for its tie routing."""
-    pooled = _workspace("pool", conv.shape[1:], conv.dtype)
+    pooled = _workspace("pad", conv.shape[1:], conv.dtype)
     np.maximum(conv[0], conv[1], out=pooled)
     np.maximum(pooled, conv[2], out=pooled)
     np.maximum(pooled, conv[3], out=pooled)
@@ -564,8 +569,8 @@ def conv_pool_leaky_arrays(xd: np.ndarray, kernels: np.ndarray, bias: np.ndarray
     their (C_out,C_in,kh,kw) layout in the parameters, and ``d_kernels``
     comes back in it.
     The input is copied into a zero-bordered pad buffer, and the im2col
-    columns, the conv output and the pooled maxima live in this thread's
-    workspace; the output is always fresh.
+    columns and the conv output, then the pooled maxima in the spent pad,
+    live in this thread's workspace; the output is always fresh.
     The per-sample work runs in the near-equal batch blocks of
     :func:`_batch_blocks`, at most ``BLOCK_ROWS`` GEMM rows each, so the
     forward's workspace holds one block at a time (only stage 1 of a batch
@@ -592,9 +597,10 @@ def conv_pool_leaky_arrays(xd: np.ndarray, kernels: np.ndarray, bias: np.ndarray
     block's ``db`` partial (each value routed to one conv row, a quarter of
     the rows), refills the pad and column buffers from the block's input in
     that same order, and takes the block's ``dk`` partial as one GEMM.  The
-    column gradient is a GEMM into the ``cols`` buffer, and col2im adds it
-    into the block's slice of the fresh input gradient, every element
-    summing its taps in (i, j) row-major order from +0.  The ``dk`` and
+    column gradient is a GEMM into the ``cols`` buffer, which the stem
+    gathers into the spent pad, and col2im adds it into the block's slice
+    of the fresh input gradient, every element summing its taps in (i, j)
+    row-major order from +0.  The ``dk`` and
     ``db`` partials add up in block order, starting from the first block's,
     so a call that runs as one block (stages 2 and 3, and any batch of 16
     or fewer) has the bits of one whole-batch sum; only a split stage 1's
@@ -637,7 +643,7 @@ def conv_pool_leaky_arrays(xd: np.ndarray, kernels: np.ndarray, bias: np.ndarray
         np.matmul(_columns(xd[lo:hi], kh, kw, c_out, channels_last), kmat.T, out=conv.reshape(-1, c_out))
         if recorded:
             conv += bias  # bias first: the index below compares the biased corners
-            pooled = _workspace("pool", conv.shape[1:], dtype)
+            pooled = _workspace("pad", conv.shape[1:], dtype)  # the pad is spent: the columns are filled
             index = first[lo:hi]
             np.greater(conv[1], conv[0], out=index.view(bool))
             np.maximum(conv[0], conv[1], out=pooled)
@@ -680,7 +686,7 @@ def conv_pool_leaky_arrays(xd: np.ndarray, kernels: np.ndarray, bias: np.ndarray
                 taps = dcols.reshape(2, 2, nb, h2, w2, kh, kw, c_in).transpose(2, 3, 0, 4, 1, 7, 5, 6)
             else:  # each corner gathered at its parity into (b, c, i, j, y, x), as the memory runs
                 corners = dcols.reshape(2, 2, nb, h2, w2, c_in, kh, kw)
-                taps = _workspace("taps", (nb, c_in, kh, kw, h_out, w_out), dtype)
+                taps = _workspace("pad", (nb, c_in, kh, kw, h_out, w_out), dtype)  # the refill is spent
                 for ci in (0, 1):
                     for cj in (0, 1):
                         taps[..., ci::2, cj::2] = corners[ci, cj].transpose(0, 3, 4, 5, 1, 2)

@@ -377,6 +377,42 @@ def test_unrecorded_image_is_the_recorded_bits_in_the_workspace(dtype):
             assert [g is None for g in grads[2:]] == [attention is None, temporal is None]
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_recorded_image_rule_saves_no_image_sized_array(dtype):
+    # the rule recomputes the pre-attention product in backward, so what its
+    # closure reaches (the inputs and views of them) is smaller than the image
+    rng = np.random.default_rng(35)
+    t, j = 8, 4
+    ch, w = rng.normal(size=(2, 3, j, t)).astype(dtype), rng.normal(size=(t, j)).astype(dtype)
+    a, te = rng.normal(size=(2, t, t)).astype(dtype), rng.normal(size=t).astype(dtype)
+    image, rule = embed_image_arrays(ch, w, a, te, True)
+    reached = [cell.cell_contents for cell in rule.__closure__]
+    owners = [arr if arr.base is None else arr.base for arr in reached if isinstance(arr, np.ndarray)]
+    assert len(owners) >= 3 and max(arr.nbytes for arr in owners) < image.nbytes
+    assert not any(np.shares_memory(arr, image) for arr in owners)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_one_channel_image_gradients_are_bitwise_the_composed_nodes(dtype):
+    # one channel under a batched attention map: the attention gradient sums
+    # over nothing, yet the rule must not overwrite it with the product's
+    rng = np.random.default_rng(36)
+    t, j = 6, 4
+    leaves = [Tensor(rng.normal(size=shape), requires_grad=True, dtype=dtype)
+              for shape in ((2, 1, j, t), (t, j), (2, t, t), (t,))]
+    upstream = Tensor(rng.normal(size=(2, 1, t, t)), dtype=dtype)
+    runs = []
+    for op in (embed_image, composed_embed_image):
+        for p in leaves:
+            p.grad = None
+        with Tape():
+            loss = sum_all(mul(op(*leaves), upstream))
+        backward(loss)
+        runs.append([p.grad for p in leaves])
+    for n, (got, want) in enumerate(zip(*runs)):
+        assert _same_bits(got, want), n
+
+
 # ---------------------------------------------------------------------------
 # composed encoder
 

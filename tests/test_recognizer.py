@@ -6,6 +6,7 @@ import multiprocessing
 import sys
 import threading
 from collections.abc import Mapping
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -277,7 +278,7 @@ def test_infer_logits_alias_no_workspace_and_later_calls_change_nothing():
     for batch in (5, 2, 7, 1):  # grows, shrinks and regrows the workspace
         logits = infer((rng.normal(size=(batch, 64, 4, 3)) * 0.3).astype(np.float32), params)
         buffers = [buf for buf in vars(autograd._WORKSPACE).values() if isinstance(buf, np.ndarray)]
-        assert {"pad", "cols", "conv", "pool", "image", "attended"} <= set(vars(autograd._WORKSPACE))
+        assert set(vars(autograd._WORKSPACE)) == {"pad", "cols", "conv", "image", "attended"}
         assert not any(np.shares_memory(logits, buf) for buf in buffers)
         earlier.append((logits, logits.copy()))
     for got, copy in earlier:
@@ -679,10 +680,37 @@ def test_no_gradient_a_backward_returns_shares_a_workspace_on_any_thread(dtype, 
                 _step_bytes(params, x[:batch], labels[:batch])
         workspaces = _thread_workspaces(on_workers)
         ran_stages = workspaces[1:] if on_workers and not inline else workspaces[:1]
-        assert all({"pad", "cols", "conv", "pool"} <= set(ws) for ws in ran_stages), inline
+        # the image roles are there where an earlier test's infer ran
+        assert all(set(ws) - {"image", "attended"} == {"pad", "cols", "conv"} for ws in ran_stages), inline
         buffers = [buf for ws in workspaces for buf in ws.values() if isinstance(buf, np.ndarray)]
         assert len(returned) > 100
         assert not any(np.shares_memory(g, buf) for g in returned for buf in buffers), inline
+
+
+def test_a_training_step_leaves_each_stage_thread_only_its_pad_columns_and_conv(monkeypatch):
+    # one recorded B=64 step of the default widths, on fresh threads (so fresh
+    # workspaces): the pooled maxima and the stem's gathered taps reuse the
+    # spent pad, so each thread that ran stages holds three buffers, each
+    # sized by its largest use (float32 items)
+    bound = 4 * (64 * 8 * 8 * 288  # cols: stage 2's one block, 64 x 8 x 8 rows of 3 x 3 x 32 taps
+                 + 64 * 18 * 18 * 32  # pad: stage 2's zero-bordered input
+                 + 4 * 16 * 16 * 16 * 32)  # conv: a 16-sample stage-1 block's four corner slabs
+    params = ModelParams.build(_config(channels=(32, 64, 128)), seed=18)
+    rng = np.random.default_rng(42)
+    x, labels = (rng.normal(size=(64, 64, 4, 3)) * 0.3).astype(np.float32), rng.integers(0, 3, size=64)
+    on_workers = recognizer.infer_workers() == 2
+
+    def step():
+        _step_bytes(params, x, labels)
+        return _thread_workspaces(on_workers)
+
+    with ThreadPoolExecutor(2, thread_name_prefix="skelact-worker") as workers, ThreadPoolExecutor(1) as caller:
+        monkeypatch.setattr(recognizer, "_workers", workers)
+        monkeypatch.setattr(recognizer, "_workers_lock", threading.Lock())
+        workspaces = caller.submit(step).result(120)
+    for ws in workspaces[1:] if on_workers else workspaces[:1]:
+        assert set(ws) == {"pad", "cols", "conv"}
+        assert sum(buf.nbytes for buf in ws.values()) <= bound, {role: buf.nbytes for role, buf in ws.items()}
 
 
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork() of a process with threads

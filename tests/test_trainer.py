@@ -190,7 +190,8 @@ def test_eval_logits_equal_the_taped_forward_and_reuse_the_workspace(monkeypatch
     # no timing: a second call must find its buffers already grown.  Taken
     # after the taped forwards, which may run their streams on this thread
     # and grow its buffers beyond what the first call needed
-    roles = ("pad", "cols", "conv", "pool", "image", "attended")
+    roles = ("pad", "cols", "conv", "image", "attended")
+    assert set(vars(autograd._WORKSPACE)) == set(roles)
     buffers = [id(getattr(autograd._WORKSPACE, role)) for role in roles]
     assert np.array_equal(training._predict_classes(params, data), preds)
     assert [id(getattr(autograd._WORKSPACE, role)) for role in roles] == buffers
