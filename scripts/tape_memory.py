@@ -17,12 +17,17 @@ in place, its nodes charged to their ops.
 Parameters and the input batch are not charged.  Ops are named after their
 backward closure (``conv_pool_leaky_arrays.<locals>.back`` is
 ``conv_pool_leaky_arrays``, ``embed_image_arrays.<locals>.rule`` is
-``embed_image_arrays``).  Last it prints each ``recognizer._workers``
-thread's workspace buffers by role, as the ``--steps`` steps left them
-(the workers run a training step's streams).  It reads only ``Tape.nodes``, each node's
-``output``, ``inputs`` and ``backward_fn``, the closures of those
-functions, ``autograd._WORKSPACE`` and ``recognizer._workers``, so it runs
-unchanged against any source tree put first on PYTHONPATH that has them.
+``embed_image_arrays``; a stem's rule reaches its image source, whose
+fill counts as one more ``embed_image_arrays`` node).  Last it prints
+each ``recognizer._workers`` thread's workspace buffers by role, as the
+``--steps`` steps left them (the workers run a training step's streams),
+and then as one ``recognizer.infer`` of a ``--batch`` batch leaves a
+fresh pair of workers (a batch of 16 or more runs as two halves on them).
+It reads only ``Tape.nodes``, each node's ``output``, ``inputs`` and
+``backward_fn``, the closures of those functions, ``autograd._WORKSPACE``
+and ``recognizer._workers``, and calls ``recognizer._new_workers`` and
+``recognizer.infer``, so it runs unchanged against any source tree put
+first on PYTHONPATH that has them.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from skelact.autograd import Tape, Tensor, backward, cross_entropy
 from skelact.encoder import encode
 from skelact.model import ModelConfig, ModelParams
 from skelact.optim import AdamState, adam_step
-from skelact.recognizer import forward
+from skelact.recognizer import forward, infer
 from skelact.synth import humanoid_topology
 
 MIB = 2.0**20
@@ -159,6 +164,9 @@ def main() -> None:
     exclude = {id(_owner(t.data)) for t in named.values()} | {id(_owner(x))}
     table = tape_bytes(tape, exclude)
     backward(loss)
+    recognizer._new_workers()  # fresh threads, so fresh workspaces, for one infer
+    infer(batch()[0], params)
+    infer_workspaces = worker_workspaces()
 
     print(f"batch={args.batch} nodes={sum(row[0] for row in table.values())}")
     print(f"{'op':<24}{'nodes':>6}{'out_MiB':>10}{'saved_MiB':>11}{'total_MiB':>11}")
@@ -168,9 +176,10 @@ def main() -> None:
     saved = sum(row[2] for row in table.values())
     print(f"{'tape':<24}{'':>6}{out / MIB:>10.1f}{saved / MIB:>11.1f}{(out + saved) / MIB:>11.1f}")
     print(f"peak_rss_mb={peak:.1f} after {args.steps} steps")
-    for n, roles in enumerate(workspaces):
-        sizes = " ".join(f"{role}={size / MIB:.2f}" for role, size in sorted(roles.items()))
-        print(f"worker{n}_workspace_mib {sizes} total={sum(roles.values()) / MIB:.2f}")
+    for when, spaces in (("train", workspaces), ("infer", infer_workspaces)):
+        for n, roles in enumerate(spaces):
+            sizes = " ".join(f"{role}={size / MIB:.2f}" for role, size in sorted(roles.items()))
+            print(f"{when} worker{n}_workspace_mib {sizes} total={sum(roles.values()) / MIB:.2f}")
 
 
 if __name__ == "__main__":

@@ -29,10 +29,11 @@ place a CNN stage is computed, for training and for ``recognizer.infer``
 alike.  Its body is the array-level :func:`conv_pool_leaky_arrays`, which
 returns the output and, when recorded, the backward rule; the recognizer's
 streams node chains each stream's rules itself.  The image body,
-:func:`embed_image_arrays`, works the same way, and builds an unrecorded
-image in the workspace.  The stage pads its input into a per-thread
-workspace buffer, reused call after call, and its im2col columns, conv
-output and pooled maxima (in the spent pad) live there too.  Its
+:func:`embed_image_arrays`, returns an :class:`ImageSource`, which the
+stem fills into its pad a batch block at a time.  The stage pads its
+input into a per-thread workspace buffer, reused call after call, and
+its im2col columns, conv output and pooled maxima (in the spent pad)
+live there too.  Its
 GEMM rows are in pooling-corner-major order, so the conv output is four
 contiguous corner slabs; a C-contiguous input is padded channels-last
 with (i, j, c) taps, the permuted stem image channel-first with (c, i, j)
@@ -47,9 +48,10 @@ transposed, the faster copy, for GEMMs that OpenBLAS runs with the same
 bits.
 Arrays a tape records are always fresh, and so are the stage's output
 and every gradient a backward rule returns; the stage's backward rule
-rebuilds its columns from its saved input and keeps its conv and column
-gradients in the running thread's workspace, the stem's gathered taps in
-its spent pad; the image's rule recomputes its pre-attention product.
+rebuilds its columns from its saved input or image source and keeps
+its conv and column gradients in the running thread's workspace, the
+stem's gathered taps in its spent pad; the image's rule recomputes its
+pre-attention product.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ import math
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -176,7 +178,8 @@ def _workspace(role: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray
     only hold an array that does not outlive the op's call: never one a
     backward closure reads.  A stage block's pooled maxima and the stem's
     gathered taps reuse the ``pad`` buffer: both start after
-    :func:`_columns`, its one reader, has filled the block's columns.
+    :func:`_columns`, its one reader, has filled the block's columns; an
+    image source's fill builds the block in ``cols`` before they are filled.
     """
     nbytes = math.prod(shape) * dtype.itemsize
     buf = getattr(_WORKSPACE, role, None)
@@ -294,44 +297,60 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return _finish(out, inputs, back, "linear")
 
 
+class ImageSource(NamedTuple):
+    """An image no array holds: ``fill(lo, hi, out)`` writes rows ``lo:hi``
+    of its first axis (a (B, C, H, W) image's samples) into array ``out``."""
+
+    shape: tuple[int, ...]
+    dtype: np.dtype
+    fill: Callable[[int, int, np.ndarray], None]
+
+
 def embed_image_arrays(channels: np.ndarray, weight: np.ndarray, attention: np.ndarray | None,
-                       temporal: np.ndarray | None, recorded: bool) -> tuple[np.ndarray, Callable | None]:
-    """One encoder image on arrays: the (T, J) ``weight`` times each (J, T)
-    channel of ``channels``, then, given the (.., T, T) ``attention`` map A
-    spread over channels, ``product * A + product``, then, given the
-    length-T ``temporal`` vector, that added to every row.  Returns the
-    image and, when ``recorded``, its backward rule, ``d -> (d_channels,
-    d_weight, d_attention, d_temporal)``, with None for an absent input;
-    else None.
+                       temporal: np.ndarray | None) -> tuple[ImageSource, Callable]:
+    """One encoder image on arrays, as an :class:`ImageSource`: the (T, J)
+    ``weight`` times each (J, T) channel of ``channels``, then, given the
+    (.., T, T) ``attention`` map A spread over channels, ``product * A +
+    product``, then, given the length-T ``temporal`` vector, that added to
+    every row.  Returns the source and its backward rule, ``d ->
+    (d_channels, d_weight, d_attention, d_temporal)``, with None for an
+    absent input.
 
     Values and gradients are bit for bit those of the composed nodes
     ``temporal_embed(apply_attention(embed_to_image(.)))`` in the encoder:
-    the forward keeps their operand order, and the rule sums each gradient
-    as they do (``d + d * A`` into the product, the attention gradient
-    summed over channels, the temporal one over rows, channels and batch).
-    A recorded image is fresh, and the rule saves nothing beyond the
-    inputs: given ``attention``, it recomputes the pre-attention product
-    (the same GEMM, so the same bits).  An unrecorded image is built in
-    this thread's ``image`` and ``attended`` workspace and returned
-    without a copy: the next call for this thread overwrites it.
+    the fill keeps their operand order (each channel's product is a GEMM
+    of its own, so any block has the whole image's bits), and the rule
+    sums each gradient as they do (``d + d * A`` into the product, the
+    attention gradient summed over channels, the temporal one over rows,
+    channels and batch).  The fill builds its block in this thread's
+    ``cols`` workspace, then copies it into ``out``.  Neither the fill nor
+    the rule saves anything beyond the inputs: given ``attention``, the
+    rule recomputes the product (the same GEMM, so the same bits).
     """
     t, j = weight.shape
     if channels.shape[-2:] != (j, t):
         raise DimensionError(f"embedding {weight.shape} cannot map channels {channels.shape}")
-    if attention is not None and attention.shape[-2:] != (t, t):
-        raise DimensionError(f"attention {attention.shape} does not match a {t}x{t} image")
-    if temporal is not None and temporal.shape != (t,):
-        raise DimensionError(f"temporal vector {temporal.shape} does not match a {t}x{t} image")
     shape, dtype = channels.shape[:-2] + (t, t), np.result_type(weight, channels)
-    product = image = np.matmul(weight, channels, out=None if recorded else _workspace("image", shape, dtype))
     if attention is not None:
         spread = attention[..., None, :, :]
-        image = np.multiply(product, spread, out=None if recorded else _workspace("attended", shape, dtype))
-        image += product
-    if temporal is not None:
-        image += temporal
-    if not recorded:
-        return image, None
+        try:
+            spread_rows = np.broadcast_to(spread, shape)  # sliced as the channels are
+        except ValueError:
+            spread_rows = None
+        if attention.shape[-2:] != (t, t) or spread_rows is None:
+            raise DimensionError(f"attention {attention.shape} does not match a {shape} image")
+    if temporal is not None and temporal.shape != (t,):
+        raise DimensionError(f"temporal vector {temporal.shape} does not match a {t}x{t} image")
+
+    def fill(lo, hi, out):
+        work = _workspace("cols", (2, hi - lo, *shape[1:]), dtype)
+        image = np.matmul(weight, channels[lo:hi], out=work[0])
+        if attention is not None:
+            image = np.multiply(work[0], spread_rows[lo:hi], out=work[1])
+            image += work[0]
+        if temporal is not None:
+            image += temporal
+        np.copyto(out, image)
 
     def rule(d):
         d_product, d_attention, d_temporal = d, None, None
@@ -348,7 +367,7 @@ def embed_image_arrays(channels: np.ndarray, weight: np.ndarray, attention: np.n
         return (_unbroadcast(np.swapaxes(weight, -1, -2) @ d_product, channels.shape),
                 _unbroadcast(d_product @ np.swapaxes(channels, -1, -2), weight.shape), d_attention, d_temporal)
 
-    return image, rule
+    return ImageSource(shape, dtype, fill), rule
 
 
 # ---------------------------------------------------------------------------
@@ -498,29 +517,34 @@ def _fill_columns_transposed(xp: np.ndarray, cols_t: np.ndarray, kh: int, kw: in
         xp, shape, (s_c, s_h, s_w, 2 * s_h, 2 * s_w, s_b, 4 * s_h, 4 * s_w)))
 
 
-def _columns(xd: np.ndarray, kh: int, kw: int, c_out: int, channels_last: bool) -> np.ndarray:
-    """The stride-2 padding-1 im2col columns of a (B, H, W, C) input for a
-    GEMM with ``c_out`` outputs, rows in :func:`_fill_columns`'
-    pooling-corner-major order, in this thread's workspace: ``xd`` copied
-    into the zero-bordered ``pad`` buffer, then filled into ``cols``.
+def _columns(xd: np.ndarray | ImageSource, lo: int, hi: int, kh: int, kw: int, c_out: int,
+             channels_last: bool) -> np.ndarray:
+    """The stride-2 padding-1 im2col columns of samples ``lo:hi`` of a
+    (B, H, W, C) input or an image source for a GEMM with ``c_out``
+    outputs, rows in :func:`_fill_columns`' pooling-corner-major order, in
+    this thread's workspace: the samples copied or filled into the
+    zero-bordered ``pad`` buffer, then filled into ``cols``.
 
     ``channels_last`` (stages 2 and 3) pads channels-last and gives
     (i, j, c) columns, each row built from kw * C-element runs; otherwise
-    (the permuted channel-first stem image) the pad is channel-first and
-    the columns are in (c, i, j) order.  With one channel the two orders
-    agree.  Channel-first columns of ``BLOCK_ROWS // 2`` rows or more for two or
-    more outputs (every block of a split stage 1) are filled transposed
-    and returned as a transposed view: that fill takes a third of the time
-    (0.36 against 0.98 ms for a 16-sample float32 stage-1 block on a
-    2-vCPU Xeon), and OpenBLAS gives a GEMM this large the same bits with
-    either operand layout.  Smaller GEMMs (its small-matrix kernels) and
-    single-output ones (a matrix-vector product) do not, so their columns
-    stay row-major."""
-    batch, h, w, c_in = xd.shape
+    (an image source, or a permuted channel-first image) the pad is
+    channel-first and the columns are in (c, i, j) order.  With one channel
+    the two orders agree.  Channel-first columns of ``BLOCK_ROWS // 2``
+    rows or more for two or more outputs (every block of a split stage 1)
+    are filled transposed and returned as a transposed view: that fill
+    takes a third of the time (0.36 against 0.98 ms for a 16-sample float32
+    stage-1 block on a 2-vCPU Xeon), and OpenBLAS gives a GEMM this large
+    the same bits with either operand layout.  Smaller GEMMs (its
+    small-matrix kernels) and single-output ones (a matrix-vector product)
+    do not, so their columns stay row-major."""
+    batch, h, w, c_in = hi - lo, *_nhwc(xd)[1:]
     xp = _workspace("pad", (batch, h + 2, w + 2, c_in) if channels_last else (batch, c_in, h + 2, w + 2), xd.dtype)
     view = xp if channels_last else xp.transpose(0, 2, 3, 1)  # (B, H + 2, W + 2, C) either way
     view[:, 0], view[:, -1], view[:, :, 0], view[:, :, -1] = 0, 0, 0, 0  # the border only
-    view[:, 1:-1, 1:-1] = xd
+    if isinstance(xd, ImageSource):
+        xd.fill(lo, hi, xp[:, :, 1:-1, 1:-1])
+    else:
+        view[:, 1:-1, 1:-1] = xd[lo:hi]
     rows, taps = batch * ((h + 2 - kh) // 2 + 1) * ((w + 2 - kw) // 2 + 1), c_in * kh * kw
     if channels_last or rows < BLOCK_ROWS // 2 or c_out < 2:
         cols = _workspace("cols", (rows, taps), xd.dtype)
@@ -529,6 +553,11 @@ def _columns(xd: np.ndarray, kh: int, kw: int, c_out: int, channels_last: bool) 
     cols_t = _workspace("cols", (taps, rows), xd.dtype)
     _fill_columns_transposed(xp, cols_t, kh, kw)
     return cols_t.T
+
+
+def _nhwc(xd: np.ndarray | ImageSource) -> tuple[int, ...]:
+    """A stage input's (B, H, W, C) extents: an image source's permuted."""
+    return tuple(xd.shape[n] for n in (0, 2, 3, 1)) if isinstance(xd, ImageSource) else xd.shape
 
 
 def _pool_then_bias(conv: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -545,14 +574,15 @@ def _pool_then_bias(conv: np.ndarray, bias: np.ndarray) -> np.ndarray:
     return pooled
 
 
-def conv_pool_leaky_arrays(xd: np.ndarray, kernels: np.ndarray, bias: np.ndarray, slope: float,
+def conv_pool_leaky_arrays(xd: np.ndarray | ImageSource, kernels: np.ndarray, bias: np.ndarray, slope: float,
                            recorded: bool) -> tuple[np.ndarray, Callable | None]:
     """One channels-last CNN stage on arrays: stride-2 padding-1 conv, 2x2
     max pool, leaky ReLU.  Returns the output and, when ``recorded``, the
     stage's backward rule, ``d -> (d_input, d_kernels, d_bias)``; else
     None.  The recognizer's streams chain its rules themselves.
 
-    Takes (B,H,W,C_in) and returns (B,H'/2,W'/2,C_out), with the values
+    Takes (B,H,W,C_in), or an :class:`ImageSource` of a (B,C_in,H,W)
+    image, and returns (B,H'/2,W'/2,C_out), with the values
     of ``leaky_relu(maxpool2d(conv2d(.)))`` on the channel-first layout to
     within float rounding: its dot products add in another order, so the
     two agree within 1e-5 relative in float32 (``tests/conftest.py``'s
@@ -561,16 +591,16 @@ def conv_pool_leaky_arrays(xd: np.ndarray, kernels: np.ndarray, bias: np.ndarray
     so the conv output is four contiguous corner slabs.  A C-contiguous
     input (stages 2 and 3) is padded channels-last and its columns are in
     (i, j, c) order, so the GEMM reads one small (C_out, kh, kw, C_in) copy
-    of the kernels; any other input (the permuted channel-first stem image)
-    keeps conv2d's (c, i, j) columns.  At the stem's sizes (1,024 GEMM
-    rows a sample) OpenBLAS computes each row alike wherever it sits, so
-    the stem's conv output and input gradient have the bits they had in
-    natural row order; a toy stage's small GEMMs may not.  Kernels keep
-    their (C_out,C_in,kh,kw) layout in the parameters, and ``d_kernels``
-    comes back in it.
-    The input is copied into a zero-bordered pad buffer, and the im2col
-    columns and the conv output, then the pooled maxima in the spent pad,
-    live in this thread's workspace; the output is always fresh.
+    of the kernels; any other input (the stem's image source, or a permuted
+    channel-first image) keeps conv2d's (c, i, j) columns.  At the stem's
+    sizes (1,024 GEMM rows a sample) OpenBLAS computes each row alike
+    wherever it sits, so the stem's conv output and input gradient have
+    the bits they had in natural row order; a toy stage's small GEMMs may
+    not.  Kernels keep their (C_out,C_in,kh,kw) layout in the parameters,
+    and ``d_kernels`` comes back in it.
+    The input is copied (a source filled) into a zero-bordered pad buffer,
+    and the im2col columns and the conv output, then the pooled maxima in
+    the spent pad, live in this thread's workspace; the output is fresh.
     The per-sample work runs in the near-equal batch blocks of
     :func:`_batch_blocks`, at most ``BLOCK_ROWS`` GEMM rows each, so the
     forward's workspace holds one block at a time (only stage 1 of a batch
@@ -610,17 +640,17 @@ def conv_pool_leaky_arrays(xd: np.ndarray, kernels: np.ndarray, bias: np.ndarray
     pools before the bias add, building neither index nor mask: the same
     bits, with less work.
     The input gradient follows the input's memory layout: a C-contiguous
-    input gets a C-contiguous gradient, and any other (the permuted
-    channel-first stem image) gets conv2d's channel-first memory, so the
+    input gets a C-contiguous gradient, and any other (the stem's) gets
+    conv2d's channel-first memory, so the
     reductions over it upstream (the temporal embedding's) add in conv2d's
     order.
     """
     if not 0.0 < slope < 1.0:
         raise UsageError(f"conv_pool_leaky slope must lie in (0, 1), got {slope}")
-    if xd.ndim != 4:
+    if len(xd.shape) != 4:
         raise DimensionError(f"conv_pool_leaky expects (B,H,W,C), got {xd.shape}")
     c_out, c_in, kh, kw = kernels.shape
-    batch, h, w, c_x = xd.shape
+    batch, h, w, c_x = _nhwc(xd)
     if c_x != c_in:
         raise DimensionError(f"conv_pool_leaky channel mismatch: input {xd.shape} vs kernels {kernels.shape}")
     if bias.shape != (c_out,):
@@ -629,9 +659,9 @@ def conv_pool_leaky_arrays(xd: np.ndarray, kernels: np.ndarray, bias: np.ndarray
     if h_out < 1 or w_out < 1 or h_out % 2 or w_out % 2:
         raise DimensionError(f"conv_pool_leaky: conv output {h_out}x{w_out} of input {xd.shape} cannot be pooled 2x2")
 
-    channels_last = xd.flags.c_contiguous  # the tap order and the input gradient's layout, for every block
+    channels_last = not isinstance(xd, ImageSource) and xd.flags.c_contiguous  # the taps and gradient layout
     kmat = (kernels.transpose(0, 2, 3, 1) if channels_last else kernels).reshape(c_out, -1)
-    dtype = np.result_type(xd, kmat)
+    dtype = np.result_type(xd.dtype, kmat)
     h2, w2 = h_out // 2, w_out // 2
     blocks = _batch_blocks(batch, h_out * w_out)
     out = np.empty((batch, h2, w2, c_out), dtype)
@@ -640,7 +670,7 @@ def conv_pool_leaky_arrays(xd: np.ndarray, kernels: np.ndarray, bias: np.ndarray
         rising = np.empty(out.shape, bool)
     for lo, hi in blocks:
         conv = _workspace("conv", (4, hi - lo, h2, w2, c_out), dtype)  # corner slabs, row-major corner order
-        np.matmul(_columns(xd[lo:hi], kh, kw, c_out, channels_last), kmat.T, out=conv.reshape(-1, c_out))
+        np.matmul(_columns(xd, lo, hi, kh, kw, c_out, channels_last), kmat.T, out=conv.reshape(-1, c_out))
         if recorded:
             conv += bias  # bias first: the index below compares the biased corners
             pooled = _workspace("pad", conv.shape[1:], dtype)  # the pad is spent: the columns are filled
@@ -672,7 +702,7 @@ def conv_pool_leaky_arrays(xd: np.ndarray, kernels: np.ndarray, bias: np.ndarray
                 np.multiply(dpool, first[lo:hi] == n, out=dconv[n])
             del dpool  # before the refill
             d2 = dconv.reshape(-1, c_out)
-            cols = _columns(xd[lo:hi], kh, kw, c_out, channels_last)
+            cols = _columns(xd, lo, hi, kh, kw, c_out, channels_last)
             # on the transposed view, the C-contiguous product is the faster GEMM, with the same bits
             dk_part = d2.T @ cols if cols.flags.c_contiguous else (cols.T @ d2).T
             if lo == 0:  # the sums start from the first block's partials, so one block keeps their bits

@@ -215,15 +215,18 @@ def cmd_encode(args) -> int:
         raise ConfigMismatchError(f"sequence {args.sequence} has {seq.joint_count} joints, "
                                   f"the model expects {config.joints}")
     data = preprocess(seq, config.root, config.frames)
-    bundle = encode(data, params.encoder)
+    bundle = encode(data[None], params.encoder)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = ("enhanced_joints.ppm", "enhanced_bones.ppm", "joint_velocity.ppm", "bone_velocity.ppm")
     written = list(files[: len(bundle.channels)])
-    for stream, name in zip(STREAMS, written):  # each written before the next image overwrites it
-        write_ppm(out_dir / name, channels_to_rgb(stream_image(bundle, stream, params.encoder, False)[0]))
-    attention = uniform_attention(config.frames) if bundle.attention is None else bundle.attention
-    write_ppm(out_dir / "attention.ppm", heat_to_yellow(attention.data))
+    for stream, name in zip(STREAMS, written):
+        source, _ = stream_image(bundle, stream, params.encoder)
+        image = np.empty(source.shape, source.dtype)
+        source.fill(0, 1, image)
+        write_ppm(out_dir / name, channels_to_rgb(image[0]))
+    attention = uniform_attention(config.frames).data if bundle.attention is None else bundle.attention.data[0]
+    write_ppm(out_dir / "attention.ppm", heat_to_yellow(attention))
     written.append("attention.ppm")
     print(f"wrote {len(written)} images to {out_dir}")
     return 0

@@ -25,11 +25,12 @@ embedding and temporal stages take the bare ``embed.<stream>`` and
 (the scaled joints and bones of steps 1 and 2, and their frame differences
 for step 5) and the attention map of step 4.  The embedding, the
 reweighting and the temporal add belong to the stream body:
-``stream_image`` builds one stream's image from the bundle with
-``autograd.embed_image_arrays``, whose values and gradients are bit for
-bit those of ``embed_to_image``, ``apply_attention`` and
-``temporal_embed`` composed.  The recognizer's streams node calls it for
-each stream, and ``skelact encode`` for each image it writes.
+``stream_image`` gives one stream's image from the bundle as a source
+(``autograd.embed_image_arrays``) that fills any block of samples, with
+values and gradients bit for bit those of ``embed_to_image``,
+``apply_attention`` and ``temporal_embed`` composed.  The recognizer's
+streams node calls it for each stream, and ``skelact encode`` for each
+image it writes.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .autograd import (
-    Tensor, add, embed_image_arrays, frame_velocity, leaky_relu, linear, matmul, mul, permute, reshape,
+    ImageSource, Tensor, add, embed_image_arrays, frame_velocity, leaky_relu, linear, matmul, mul, permute, reshape,
     scale, softmax_rows, transpose_last2,
 )
 from .errors import DimensionError
@@ -220,14 +221,12 @@ def encode(x, enc: EncoderParams) -> EncodedBundle:
     return EncodedBundle(channels, attention)
 
 
-def stream_image(bundle: EncodedBundle, name: str, enc: EncoderParams,
-                 recorded: bool) -> tuple[np.ndarray, Callable | None]:
-    """Stream ``name``'s (.., 3, T, T) image and, when ``recorded``, its
-    backward rule: ``embed_image_arrays`` over the stream's channels,
+def stream_image(bundle: EncodedBundle, name: str, enc: EncoderParams) -> tuple[ImageSource, Callable]:
+    """Stream ``name``'s (.., 3, T, T) image source and its backward rule:
+    ``embed_image_arrays`` over the stream's channels,
     ``embed.<name>``, the attention map for the ATTENDED streams, and
-    ``temporal.<name>`` when that stage is on.  An unrecorded image lives
-    in this thread's workspace until the next call overwrites it."""
+    ``temporal.<name>`` when that stage is on."""
     attention = bundle.attention if name in ATTENDED else None
     return embed_image_arrays(bundle.channels[STREAMS.index(name)].data, enc.tensors[f"embed.{name}"].data,
                               None if attention is None else attention.data,
-                              enc.tensors[f"temporal.{name}"].data if enc.flags.temporal else None, recorded)
+                              enc.tensors[f"temporal.{name}"].data if enc.flags.temporal else None)

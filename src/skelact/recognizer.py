@@ -23,10 +23,11 @@ stream's channels; the streams and the head's concatenation are one node,
 in which each stream builds its image (``encoder.stream_image``) and runs
 ``_stages`` on it.  Taped, the node's forward and backward run streams 0,
 2 and 1, 3 on two worker threads, each stream's stage rules and then its
-image rule.  ``infer``, which evaluation and ``skelact bench`` run, is
-that body untaped: the streams run one at a time on the caller's thread,
-each image built in the thread's workspace, with the same logits bit for
-bit.  ``stream_forward`` is one stream's stages untaped, on an image.
+image rule; its stem fills the image into its pad one batch block at a
+time, so no image is stored whole.  ``infer``, which evaluation and
+``skelact bench`` run, is that body untaped: the streams run one at a
+time on the caller's thread, with the same logits bit for bit.
+``stream_forward`` is one stream's stages untaped, on an image array.
 Both paths take a batch axis only: images are (B, 3, T, T) and ``infer``
 takes (B, T, J, 3), so ``skelact bench`` passes its one sequence as a
 batch of one.  An ``infer`` batch of ``SPLIT_MIN`` or more runs as two
@@ -48,7 +49,7 @@ from functools import cache
 
 import numpy as np
 
-from .autograd import Tensor, _finish, _recording, conv_pool_leaky_arrays, leaky_relu, linear, no_tape
+from .autograd import ImageSource, Tensor, _finish, _recording, conv_pool_leaky_arrays, leaky_relu, linear, no_tape
 from .encoder import LEAKY_SLOPE, STREAMS, EncodedBundle, encode, stream_image
 from .errors import DimensionError
 from .model import ModelConfig, ModelParams, param_spec
@@ -62,13 +63,14 @@ def stream_forward(image, tensors: dict[str, Tensor], i: int) -> Tensor:
     return Tensor(features, dtype=features.dtype)
 
 
-def _stages(image: np.ndarray, tensors: dict[str, Tensor], i: int, recorded: bool) -> tuple[np.ndarray, list]:
+def _stages(image: np.ndarray | ImageSource, tensors: dict[str, Tensor], i: int,
+            recorded: bool) -> tuple[np.ndarray, list]:
     """Stream ``i``'s stages on the channels-last view of a (B, 3, T, T)
-    image: its (B, F) features and each stage's backward rule, in stage
-    order (None when not ``recorded``)."""
-    if image.ndim != 4:
+    image array, or on an image source: its (B, F) features and each
+    stage's backward rule, in stage order (None when not ``recorded``)."""
+    if len(image.shape) != 4:
         raise DimensionError(f"stream expects a (B,3,T,T) image, got {image.shape}")
-    x, rules = image.transpose(0, 2, 3, 1), []
+    x, rules = (image if isinstance(image, ImageSource) else image.transpose(0, 2, 3, 1)), []
     for n in (1, 2, 3):
         x, rule = conv_pool_leaky_arrays(x, tensors[f"stream{i}.conv{n}.kernels"].data,
                                          tensors[f"stream{i}.conv{n}.bias"].data, LEAKY_SLOPE, recorded)
@@ -95,16 +97,15 @@ def _streams(bundle: EncodedBundle, params: ModelParams) -> Tensor:
 
     Each stream runs :func:`stream_image` and then :func:`_stages`.
     Recorded, streams 0, 2 and 1, 3 run on :func:`_on_workers`, forward
-    and backward; unrecorded, one after the other on the caller's thread,
-    each on its workspace image before the next overwrites it.  A worker
-    runs no function perfbench's tracer wraps: its one span stack would be
-    corrupted by spans on two threads at once.  The backward splits the
-    gradient as ``concat`` does, then runs each stream's stage rules from
-    stage 3 down and its image rule on that gradient turned channel-first,
-    as ``permute`` does, freeing each rule once it has run.  It returns the
-    channel gradients, the attention map's (the bones stream's plus the
-    joints stream's, as ``backward`` added them), then each stream's
-    embedding, temporal, kernel and bias gradients.
+    and backward; unrecorded, one after the other on the caller's thread.
+    A worker runs no function perfbench's tracer wraps: its one span stack
+    would be corrupted by spans on two threads at once.  The backward
+    splits the gradient as ``concat`` does, then runs each stream's stage
+    rules from stage 3 down and its image rule on that gradient turned
+    channel-first, as ``permute`` does, freeing each rule once it has run.
+    It returns the channel gradients, the attention map's (the bones
+    stream's plus the joints stream's, as ``backward`` added them), then
+    each stream's embedding, temporal, kernel and bias gradients.
     """
     count, tensors = len(bundle.channels), params.tensors
     names = STREAMS[:count]
@@ -117,8 +118,8 @@ def _streams(bundle: EncodedBundle, params: ModelParams) -> Tensor:
     recorded = _recording(inputs) is not None
 
     def run(i):
-        image, image_rule = stream_image(bundle, names[i], params.encoder, recorded)
-        features, rules = _stages(image, tensors, i, recorded)
+        source, image_rule = stream_image(bundle, names[i], params.encoder)
+        features, rules = _stages(source, tensors, i, recorded)
         return features, [image_rule, *rules]
 
     runs = _by_stream(run, count) if recorded else [run(i) for i in range(count)]
@@ -166,9 +167,8 @@ def infer(x, params: ModelParams) -> np.ndarray:
     batch of one.
 
     It is exactly that, run with no tape: ``encode``, then the streams node
-    unrecorded, whose streams run one at a time on this thread, each on its
-    image in this thread's workspace.  No op is recorded, even inside a
-    Tape; the returned logits are a fresh array.
+    unrecorded, whose streams run one at a time on this thread.  No op is
+    recorded, even inside a Tape; the returned logits are a fresh array.
 
     A batch of ``SPLIT_MIN`` or more runs as ``x[:ceil(B/2)]`` and the
     rest, each through that body, on :func:`_on_workers`, and the logits

@@ -113,14 +113,21 @@ def reference_stage(x, kernels, bias, slope=0.01):
     return autograd._finish(out, (x, kernels, bias), back, "reference_stage")
 
 
+def filled(source):
+    """An autograd.ImageSource's whole image, filled into a fresh array."""
+    image = np.empty(source.shape, source.dtype)
+    source.fill(0, source.shape[0], image)
+    return image
+
+
 def embed_image(channels, weight, attention=None, temporal=None):
-    """autograd.embed_image_arrays as one tape node, always with a fresh
-    image: the embedding product, the attention multiply-and-add and the
-    temporal add."""
+    """autograd.embed_image_arrays as one tape node, its image filled whole
+    into a fresh array: the embedding product, the attention
+    multiply-and-add and the temporal add."""
     given = [t for t in (attention, temporal) if t is not None]
-    image, rule = autograd.embed_image_arrays(channels.data, weight.data, None if attention is None else attention.data,
-                                              None if temporal is None else temporal.data, True)
-    return autograd._finish(image, (channels, weight, *given), lambda d: [g for g in rule(d) if g is not None],
+    source, rule = autograd.embed_image_arrays(channels.data, weight.data, None if attention is None else attention.data,
+                                               None if temporal is None else temporal.data)
+    return autograd._finish(filled(source), (channels, weight, *given), lambda d: [g for g in rule(d) if g is not None],
                             "embed_image")
 
 

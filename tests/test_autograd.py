@@ -19,9 +19,9 @@ from skelact.autograd import (
 from skelact.errors import DimensionError, UsageError
 from skelact.optim import AdamState, adam_step
 
-# The workspace roles: the fused stage's, and an unrecorded image's, which
-# stay on this thread where an earlier test's infer ran
-STAGE_ROLES, IMAGE_ROLES = {"pad", "cols", "conv"}, {"image", "attended"}
+# The workspace roles, the fused stage's, are every thread's only ones: a
+# stream's image is filled straight into the stem's pad
+STAGE_ROLES = {"pad", "cols", "conv"}
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +450,7 @@ def test_unrecorded_stages_chained_are_bitwise_the_composed_ops_and_alias_nothin
             assert last.dtype == dtype and last.shape == (batch, 1, 2, 5)
             assert _same_bits(last.data, want.data), (dtype, batch)
             buffers = [buf for buf in vars(autograd._WORKSPACE).values() if isinstance(buf, np.ndarray)]
-            assert set(vars(autograd._WORKSPACE)) - IMAGE_ROLES == STAGE_ROLES
+            assert set(vars(autograd._WORKSPACE)) == STAGE_ROLES
             assert not any(np.shares_memory(out.data, buf) for out in (first, last) for buf in buffers)
             earlier += [(out.data, out.data.copy()) for out in (first, last)]
     for data, copy in earlier:  # later calls wrote nothing into earlier outputs
@@ -490,7 +490,7 @@ def test_recorded_stages_chained_are_bitwise_the_composed_ops_and_alias_nothing(
             want_out, want_dx, want_grads = _chained_stages(x, params, upstream, fused=False)
             for got, want in zip([out, dx, *grads], [want_out, want_dx, *want_grads]):
                 assert got.dtype == dtype and _same_bits(got, want), (dtype, batch)
-            assert set(vars(autograd._WORKSPACE)) - IMAGE_ROLES == STAGE_ROLES
+            assert set(vars(autograd._WORKSPACE)) == STAGE_ROLES
             buffers = [buf for buf in vars(autograd._WORKSPACE).values() if isinstance(buf, np.ndarray)]
             assert not any(np.shares_memory(arr, buf) for arr in (out, dx, *grads) for buf in buffers)
             earlier += [(arr, arr.copy()) for arr in (out, dx, *grads)]

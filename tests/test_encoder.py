@@ -4,7 +4,7 @@ frame attention, velocity images, temporal offsets, and the composed encode."""
 import numpy as np
 import pytest
 from conftest import (
-    attention_tensors, composed_embed_image, composed_images, embed_image, incidence_matrix, scale_heads,
+    attention_tensors, composed_embed_image, composed_images, embed_image, filled, incidence_matrix, scale_heads,
 )
 
 from skelact import autograd
@@ -357,39 +357,58 @@ def test_embed_image_validates_shapes():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_unrecorded_image_is_the_recorded_bits_in_the_workspace(dtype):
-    # the unrecorded image is built in this thread's workspace, with the
-    # recorded image's bits; the recorded one is fresh and has a rule
+def test_image_fill_is_bitwise_the_composed_ops_for_every_block(dtype):
+    # a stream image of the default size, filled block by block as the stem
+    # fills its pad: the stage's batch blocks, each sample alone and the
+    # whole batch, each written into the interior of a bordered buffer,
+    # must be bitwise that block of the composed ops' image and leave the
+    # border alone.  Attention batched, shared and absent; temporal on and off
     rng = np.random.default_rng(32)
-    t, j = 6, 4
-    ch, w = rng.normal(size=(2, 3, j, t)).astype(dtype), rng.normal(size=(t, j)).astype(dtype)
-    a, te = rng.normal(size=(2, t, t)).astype(dtype), rng.normal(size=t).astype(dtype)
-    for attention in (a, None):
-        for temporal in (te, None):
-            want, rule = embed_image_arrays(ch, w, attention, temporal, True)
-            got, no_rule = embed_image_arrays(ch, w, attention, temporal, False)
-            buffers = [buf for buf in vars(autograd._WORKSPACE).values() if isinstance(buf, np.ndarray)]
-            assert rule is not None and no_rule is None
-            assert _same_bits(got, want), (attention is None, temporal is None)
-            assert any(np.shares_memory(got, buf) for buf in buffers)
-            assert not any(np.shares_memory(want, buf) for buf in buffers)
-            grads = rule(np.ones_like(want))
-            assert [g is None for g in grads[2:]] == [attention is None, temporal is None]
+    t, j = 64, 15
+    w, te = rng.normal(size=(t, j)).astype(dtype), rng.normal(size=t).astype(dtype)
+    for batch in (17, 64):
+        ch = rng.normal(size=(batch, 3, j, t)).astype(dtype)
+        scores = rng.normal(size=(batch, t, t)).astype(dtype)
+        blocks = autograd._batch_blocks(batch, t * t // 4)  # the stem's, with 1,024 GEMM rows a sample
+        assert len(blocks) == (2 if batch == 17 else 4)
+        ranges = set(blocks) | {(0, batch)} | {(n, n + 1) for n in range(batch)}
+        for attention in (scores, scores[0], None):
+            for temporal in (te, None):
+                case = (batch, None if attention is None else attention.ndim, temporal is None)
+                a = None if attention is None else softmax_rows(Tensor(attention, dtype=dtype))
+                want = embed_to_image(Tensor(ch, dtype=dtype), Tensor(w, dtype=dtype))
+                if a is not None:
+                    want = apply_attention(want, a)
+                if temporal is not None:
+                    want = temporal_embed(want, Tensor(temporal, dtype=dtype))
+                source, rule = embed_image_arrays(ch, w, None if a is None else a.data, temporal)
+                assert source.shape == (batch, 3, t, t) and source.dtype == dtype, case
+                grads = rule(np.ones(source.shape, dtype))  # None for each absent input
+                assert [g is None for g in grads[2:]] == [attention is None, temporal is None], case
+                for lo, hi in sorted(ranges):
+                    bordered = np.full((hi - lo, 3, t + 2, t + 2), np.nan, dtype)
+                    source.fill(lo, hi, bordered[:, :, 1:-1, 1:-1])
+                    assert _same_bits(bordered[:, :, 1:-1, 1:-1], want.data[lo:hi]), (case, lo, hi)
+                    bordered[:, :, 1:-1, 1:-1] = 0
+                    assert np.isnan(bordered).sum() == (hi - lo) * 3 * (4 * t + 4), (case, lo, hi)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_recorded_image_rule_saves_no_image_sized_array(dtype):
     # the rule recomputes the pre-attention product in backward, so what its
-    # closure reaches (the inputs and views of them) is smaller than the image
+    # closure reaches (the inputs and views of them) is smaller than the image,
+    # as is what the fill's reaches
     rng = np.random.default_rng(35)
     t, j = 8, 4
     ch, w = rng.normal(size=(2, 3, j, t)).astype(dtype), rng.normal(size=(t, j)).astype(dtype)
     a, te = rng.normal(size=(2, t, t)).astype(dtype), rng.normal(size=t).astype(dtype)
-    image, rule = embed_image_arrays(ch, w, a, te, True)
-    reached = [cell.cell_contents for cell in rule.__closure__]
-    owners = [arr if arr.base is None else arr.base for arr in reached if isinstance(arr, np.ndarray)]
-    assert len(owners) >= 3 and max(arr.nbytes for arr in owners) < image.nbytes
-    assert not any(np.shares_memory(arr, image) for arr in owners)
+    source, rule = embed_image_arrays(ch, w, a, te)
+    image = filled(source)
+    for fn in (rule, source.fill):  # the fill's closure, which a stem's rule reaches, holds no more
+        reached = [cell.cell_contents for cell in fn.__closure__]
+        owners = [arr if arr.base is None else arr.base for arr in reached if isinstance(arr, np.ndarray)]
+        assert len(owners) >= 3 and max(arr.nbytes for arr in owners) < image.nbytes
+        assert not any(np.shares_memory(arr, image) for arr in owners)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -459,10 +478,9 @@ def test_encode_matches_hand_composition():
         assert np.array_equal(got.data, want.data)
     assert np.array_equal(bundle.attention.data, a.data)
     for name, want in zip(STREAMS, (ji, bi, jv, bv)):
-        for recorded in (True, False):
-            image, rule = stream_image(bundle, name, enc, recorded)
-            assert image.shape == (3, 8, 8) and (rule is not None) == recorded, (name, recorded)
-            assert np.array_equal(image, want.data), (name, recorded)
+        source, rule = stream_image(bundle, name, enc)
+        assert source.shape == (3, 8, 8) and callable(rule), name
+        assert np.array_equal(filled(source), want.data), name
 
 
 def test_encode_with_everything_off_is_raw_coordinates():
@@ -476,7 +494,7 @@ def test_encode_with_everything_off_is_raw_coordinates():
     assert len(bundle.channels) == 2 and bundle.attention is None
     # identity embeddings make both streams the raw coordinate view
     for name in ("joints", "bones"):
-        assert np.array_equal(stream_image(bundle, name, enc, False)[0], _channels(x)), name
+        assert np.array_equal(filled(stream_image(bundle, name, enc)[0]), _channels(x)), name
 
 
 def test_active_streams_follow_velocity_flag():
@@ -509,6 +527,6 @@ def test_encode_batched_equals_stacked_single():
         for got, want in zip(batch.channels, single.channels):
             assert np.allclose(got.data[b], want.data, atol=1e-6)
         for name in STREAMS:
-            want = stream_image(single, name, enc, True)[0]
-            assert np.allclose(stream_image(batch, name, enc, False)[0][b], want, atol=1e-6), name
+            want = filled(stream_image(single, name, enc)[0])
+            assert np.allclose(filled(stream_image(batch, name, enc)[0])[b], want, atol=1e-6), name
         assert np.allclose(batch.attention.data[b], single.attention.data, atol=1e-6)

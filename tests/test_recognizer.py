@@ -5,6 +5,7 @@ import importlib
 import multiprocessing
 import sys
 import threading
+import types
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 
@@ -278,7 +279,7 @@ def test_infer_logits_alias_no_workspace_and_later_calls_change_nothing():
     for batch in (5, 2, 7, 1):  # grows, shrinks and regrows the workspace
         logits = infer((rng.normal(size=(batch, 64, 4, 3)) * 0.3).astype(np.float32), params)
         buffers = [buf for buf in vars(autograd._WORKSPACE).values() if isinstance(buf, np.ndarray)]
-        assert set(vars(autograd._WORKSPACE)) == {"pad", "cols", "conv", "image", "attended"}
+        assert set(vars(autograd._WORKSPACE)) == {"pad", "cols", "conv"}
         assert not any(np.shares_memory(logits, buf) for buf in buffers)
         earlier.append((logits, logits.copy()))
     for got, copy in earlier:
@@ -680,8 +681,7 @@ def test_no_gradient_a_backward_returns_shares_a_workspace_on_any_thread(dtype, 
                 _step_bytes(params, x[:batch], labels[:batch])
         workspaces = _thread_workspaces(on_workers)
         ran_stages = workspaces[1:] if on_workers and not inline else workspaces[:1]
-        # the image roles are there where an earlier test's infer ran
-        assert all(set(ws) - {"image", "attended"} == {"pad", "cols", "conv"} for ws in ran_stages), inline
+        assert all(set(ws) == {"pad", "cols", "conv"} for ws in ran_stages), inline
         buffers = [buf for ws in workspaces for buf in ws.values() if isinstance(buf, np.ndarray)]
         assert len(returned) > 100
         assert not any(np.shares_memory(g, buf) for g in returned for buf in buffers), inline
@@ -704,13 +704,92 @@ def test_a_training_step_leaves_each_stage_thread_only_its_pad_columns_and_conv(
         _step_bytes(params, x, labels)
         return _thread_workspaces(on_workers)
 
-    with ThreadPoolExecutor(2, thread_name_prefix="skelact-worker") as workers, ThreadPoolExecutor(1) as caller:
-        monkeypatch.setattr(recognizer, "_workers", workers)
-        monkeypatch.setattr(recognizer, "_workers_lock", threading.Lock())
-        workspaces = caller.submit(step).result(120)
+    workspaces = _on_fresh_threads(monkeypatch, step)
     for ws in workspaces[1:] if on_workers else workspaces[:1]:
         assert set(ws) == {"pad", "cols", "conv"}
         assert sum(buf.nbytes for buf in ws.values()) <= bound, {role: buf.nbytes for role, buf in ws.items()}
+
+
+def _on_fresh_threads(monkeypatch, fn):
+    """``fn()``'s result, run on a fresh caller thread with two fresh
+    workers, so every workspace it reads starts empty."""
+    with ThreadPoolExecutor(2, thread_name_prefix="skelact-worker") as workers, ThreadPoolExecutor(1) as caller:
+        monkeypatch.setattr(recognizer, "_workers", workers)
+        monkeypatch.setattr(recognizer, "_workers_lock", threading.Lock())
+        return caller.submit(fn).result(120)
+
+
+def test_a_batched_infer_leaves_each_worker_only_one_halfs_stage_buffers(monkeypatch):
+    # a B=64 infer of the default widths on fresh threads: each stream's
+    # image is filled block by block into the stem's pad, so each thread that
+    # ran a half holds only its pad, columns and conv output, each sized by
+    # its largest use (float32 items): 5.52 MiB for a 32-sample half, where a
+    # whole image and its attended copy took 3 MiB more
+    params = ModelParams.build(_config(channels=(32, 64, 128)), seed=18)
+    x = (np.random.default_rng(43).normal(size=(64, 64, 4, 3)) * 0.3).astype(np.float32)
+    on_workers = recognizer.infer_workers() == 2
+    rows = 32 if on_workers else 64  # the samples one thread runs
+    bound = 4 * (rows * 8 * 8 * 288 + rows * 18 * 18 * 32 + 4 * 16 * 16 * 16 * 32)  # stage 2's cols and pad
+
+    def run():
+        infer(x, params)
+        return _thread_workspaces(on_workers)
+
+    workspaces = _on_fresh_threads(monkeypatch, run)
+    for ws in workspaces[1:] if on_workers else workspaces[:1]:
+        sizes = {role: buf.nbytes for role, buf in ws.items()}
+        assert set(ws) == {"pad", "cols", "conv"}
+        assert sum(sizes.values()) <= bound and (not on_workers or sum(sizes.values()) <= 5.6 * 2**20), sizes
+
+
+def _reached(tape: Tape) -> tuple[list[np.ndarray], list]:
+    """The arrays and the functions with a closure that a tape's nodes
+    reach: each node's output and inputs, and its backward closure followed
+    through the closures, Tensors, lists, tuples (an image source too) and
+    dicts it holds."""
+    arrays, functions, seen = [], [], set()
+    todo = [item for node in tape.nodes for item in (node.output, *node.inputs, node.backward_fn)]
+    while todo:
+        item = todo.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            arrays.append(item)
+        elif isinstance(item, Tensor):
+            todo.append(item.data)
+        elif isinstance(item, (list, tuple)):
+            todo.extend(item)
+        elif isinstance(item, Mapping):
+            todo.extend(item.values())
+        elif isinstance(item, types.FunctionType) and item.__closure__:
+            functions.append(item)
+            for cell in item.__closure__:
+                try:
+                    todo.append(cell.cell_contents)
+                except ValueError:  # a name the closure reads only on a path it did not take
+                    pass
+    return arrays, functions
+
+
+def test_a_recorded_forward_keeps_no_stream_image():
+    # after a recorded B=64 forward, no tape node, stage rule or image rule
+    # reaches an array as large as one stream's (64, 3, 64, 64) image: the
+    # stem's rule refills its pad from the image source, which holds only
+    # the channels, embedding, attention map and temporal vector
+    params = ModelParams.build(_config(channels=(32, 64, 128)), seed=19)
+    x = (np.random.default_rng(44).normal(size=(64, 64, 4, 3)) * 0.3).astype(np.float32)
+    with Tape() as tape:
+        loss = cross_entropy(forward(encode(x, params.encoder), params), np.arange(64) % 3)
+    arrays, functions = _reached(tape)
+    rules = [fn.__qualname__ for fn in functions]
+    assert rules.count("conv_pool_leaky_arrays.<locals>.back") == 12
+    assert rules.count("embed_image_arrays.<locals>.rule") == 4
+    assert rules.count("embed_image_arrays.<locals>.fill") == 4  # each stem's rule reaches its source
+    owners = {id(owner): owner for owner in (a if a.base is None else a.base for a in arrays)}
+    biggest = max(owners.values(), key=lambda a: a.nbytes)
+    assert biggest.nbytes < 64 * 3 * 64 * 64 * 4, biggest.shape
+    backward(loss)
 
 
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork() of a process with threads
