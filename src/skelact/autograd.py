@@ -67,6 +67,7 @@ import numpy as np
 from .errors import DimensionError, UsageError
 
 REAL = np.float32
+LEAKY_SLOPE = 0.01  # every leaky ReLU's negative slope
 
 class Tensor:
     """A dense array participating in automatic differentiation.
@@ -374,14 +375,12 @@ def embed_image_arrays(channels: np.ndarray, weight: np.ndarray, attention: np.n
 # activations and normalization
 
 
-def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
-    if not 0.0 < slope < 1.0:
-        raise UsageError(f"leaky_relu slope must lie in (0, 1), got {slope}")
+def leaky_relu(x: Tensor) -> Tensor:
     mask = x.data >= 0
-    out = np.where(mask, x.data, x.data * x.data.dtype.type(slope))
+    out = np.where(mask, x.data, x.data * x.data.dtype.type(LEAKY_SLOPE))
 
     def back(d):
-        return (np.where(mask, d, d * slope),)
+        return (np.where(mask, d, d * LEAKY_SLOPE),)
 
     return _finish(out, (x,), back, "leaky_relu")
 
@@ -574,7 +573,7 @@ def _pool_then_bias(conv: np.ndarray, bias: np.ndarray) -> np.ndarray:
     return pooled
 
 
-def conv_pool_leaky_arrays(xd: np.ndarray | ImageSource, kernels: np.ndarray, bias: np.ndarray, slope: float,
+def conv_pool_leaky_arrays(xd: np.ndarray | ImageSource, kernels: np.ndarray, bias: np.ndarray,
                            recorded: bool) -> tuple[np.ndarray, Callable | None]:
     """One channels-last CNN stage on arrays: stride-2 padding-1 conv, 2x2
     max pool, leaky ReLU.  Returns the output and, when ``recorded``, the
@@ -645,8 +644,6 @@ def conv_pool_leaky_arrays(xd: np.ndarray | ImageSource, kernels: np.ndarray, bi
     reductions over it upstream (the temporal embedding's) add in conv2d's
     order.
     """
-    if not 0.0 < slope < 1.0:
-        raise UsageError(f"conv_pool_leaky slope must lie in (0, 1), got {slope}")
     if len(xd.shape) != 4:
         raise DimensionError(f"conv_pool_leaky expects (B,H,W,C), got {xd.shape}")
     c_out, c_in, kh, kw = kernels.shape
@@ -684,11 +681,11 @@ def conv_pool_leaky_arrays(xd: np.ndarray | ImageSource, kernels: np.ndarray, bi
             np.greater_equal(pooled, 0, out=rising[lo:hi])
         else:
             pooled = _pool_then_bias(conv, bias)
-        np.multiply(pooled, dtype.type(slope), out=out[lo:hi])
-        np.maximum(out[lo:hi], pooled, out=out[lo:hi])  # leaky ReLU, as slope < 1
+        np.multiply(pooled, dtype.type(LEAKY_SLOPE), out=out[lo:hi])
+        np.maximum(out[lo:hi], pooled, out=out[lo:hi])  # leaky ReLU, as the slope is < 1
 
     def back(d):
-        leak = np.array([slope, 1], dtype)  # taken by the leaky mask: d * slope or d, as np.where would
+        leak = np.array([LEAKY_SLOPE, 1], dtype)  # taken by the leaky mask: d * slope or d, as np.where would
         if channels_last:
             dxp = np.zeros((batch, h + 2, w + 2, c_in), dtype=d.dtype)
         else:  # channel-first memory: each block gathers its taps to match
@@ -829,10 +826,11 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     if labels.min() < 0 or labels.max() >= classes:
         raise UsageError(f"cross_entropy label out of range [0, {classes})")
     shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=-1))
-    nll = log_z - shifted[np.arange(batch), labels]
+    e = np.exp(shifted)
+    z = e.sum(axis=-1, keepdims=True)
+    nll = np.log(z[:, 0]) - shifted[np.arange(batch), labels]
     out = np.asarray(nll.mean(), dtype=logits.data.dtype)
-    soft = np.exp(shifted) / np.exp(shifted).sum(axis=-1, keepdims=True)
+    soft = e / z
 
     def back(d):
         dlogits = soft.copy()

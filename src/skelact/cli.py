@@ -28,8 +28,7 @@ from .model import ModelConfig, ModelParams, param_spec
 from .ppm import channels_to_rgb, heat_to_yellow, write_ppm
 from .recognizer import blas_threads, count_flops, infer, infer_workers
 from .skeleton import (
-    Topology, ntu_topology, parse_jsonl, parse_ntu, preprocess, split_dataset,
-    write_jsonl,
+    PROTOCOLS, Topology, ntu_topology, parse_jsonl, parse_ntu, preprocess, split_dataset, write_jsonl,
 )
 from .synth import SynthConfig, humanoid_topology, synth_generate
 from .training import TrainConfig, evaluate, train
@@ -238,16 +237,12 @@ def cmd_bench(args) -> int:
     if args.warmup < 0:
         raise UsageError("--warmup must be >= 0")
     if args.checkpoint is not None:
-        params = load_checkpoint(args.checkpoint)
+        sequences = None  # the checkpoint holds the model
     elif args.data is not None:
-        params = _params_for(args, _load_dataset(args.data))
-    else:
-        topology = humanoid_topology()
-        config = ModelConfig(
-            joints=topology.joint_count, classes=8, bones=topology.bones,
-            root=topology.root, labels=tuple(range(8)), frames=args.frames,
-        )
-        params = ModelParams.build(config, seed=_resolve_seed(args))
+        sequences = _load_dataset(args.data)
+    else:  # the model for the default synthetic dataset's joints and classes
+        sequences = synth_generate(SynthConfig(sequences_per_class=1))
+    params = _params_for(args, sequences)
     config = params.config
     rng = np.random.default_rng(_resolve_seed(args))
     sequence = rng.normal(scale=0.3, size=(1, config.frames, config.joints, 3)).astype(np.float32)
@@ -285,27 +280,27 @@ def build_parser() -> _Parser:
     ingest.set_defaults(func=cmd_ingest)
 
     synth = commands.add_parser("synth", help="generate a synthetic dataset")
-    synth.add_argument("--classes", type=int, default=8)
-    synth.add_argument("--per-class", type=int, default=125)
-    synth.add_argument("--noise", type=float, default=0.01)
-    synth.add_argument("--yaw-range", type=float, nargs=2, default=(-30.0, 30.0), metavar=("LO", "HI"))
-    synth.add_argument("--scale-range", type=float, nargs=2, default=(0.9, 1.1), metavar=("LO", "HI"))
+    synth.add_argument("--classes", type=int, default=SynthConfig.class_count)
+    synth.add_argument("--per-class", type=int, default=SynthConfig.sequences_per_class)
+    synth.add_argument("--noise", type=float, default=SynthConfig.noise_std)
+    synth.add_argument("--yaw-range", type=float, nargs=2, default=SynthConfig.view_yaw_range, metavar=("LO", "HI"))
+    synth.add_argument("--scale-range", type=float, nargs=2, default=SynthConfig.body_scale_range,
+                       metavar=("LO", "HI"))
     synth.add_argument("--seed", type=int, default=None)
     synth.add_argument("--out", required=True)
     synth.set_defaults(func=cmd_synth)
 
     trainp = commands.add_parser("train", help="train a model on a JSONL dataset")
     trainp.add_argument("--data", required=True)
-    trainp.add_argument("--protocol", default="cross-subject",
-                        choices=("cross-subject", "cross-view", "cross-setup"))
-    trainp.add_argument("--epochs", type=int, default=60)
-    trainp.add_argument("--batch", type=int, default=64)
-    trainp.add_argument("--lr", type=float, default=0.001)
+    trainp.add_argument("--protocol", default=PROTOCOLS[0], choices=PROTOCOLS)
+    trainp.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    trainp.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    trainp.add_argument("--lr", type=float, default=TrainConfig.lr)
     trainp.add_argument("--seed", type=int, default=None)
-    trainp.add_argument("--frames", type=int, default=64)
-    trainp.add_argument("--channels", type=int, nargs=3, default=(32, 64, 128))
-    trainp.add_argument("--fc-hidden", type=int, default=256)
-    trainp.add_argument("--scale-hidden", type=int, default=64)
+    trainp.add_argument("--frames", type=int, default=ModelConfig.frames)
+    trainp.add_argument("--channels", type=int, nargs=3, default=ModelConfig.channels)
+    trainp.add_argument("--fc-hidden", type=int, default=ModelConfig.fc_hidden)
+    trainp.add_argument("--scale-hidden", type=int, default=ModelConfig.scale_hidden)
     trainp.add_argument("--out-checkpoint", required=True)
     trainp.add_argument("--log", help="write the per-epoch CSV log here")
     _add_flag_options(trainp)
@@ -314,8 +309,7 @@ def build_parser() -> _Parser:
     evalp = commands.add_parser("eval", help="evaluate a checkpoint")
     evalp.add_argument("--checkpoint", required=True)
     evalp.add_argument("--data", required=True)
-    evalp.add_argument("--protocol", default="cross-subject",
-                       choices=("cross-subject", "cross-view", "cross-setup"))
+    evalp.add_argument("--protocol", default=PROTOCOLS[0], choices=PROTOCOLS)
     evalp.add_argument("--out-dir", default=".")
     evalp.set_defaults(func=cmd_eval)
 
@@ -325,7 +319,7 @@ def build_parser() -> _Parser:
     encodep.add_argument("--data", required=True)
     encodep.add_argument("--sequence", type=int, default=0, help="index into the dataset")
     encodep.add_argument("--seed", type=int, default=None)
-    encodep.add_argument("--frames", type=int, default=64)
+    encodep.add_argument("--frames", type=int, default=ModelConfig.frames)
     encodep.add_argument("--out-dir", required=True)
     encodep.set_defaults(func=cmd_encode)
 
@@ -335,7 +329,7 @@ def build_parser() -> _Parser:
     bench.add_argument("--iters", type=int, default=50)
     bench.add_argument("--warmup", type=int, default=10)
     bench.add_argument("--seed", type=int, default=None)
-    bench.add_argument("--frames", type=int, default=64)
+    bench.add_argument("--frames", type=int, default=ModelConfig.frames)
     bench.set_defaults(func=cmd_bench)
     return parser
 

@@ -48,8 +48,6 @@ from .autograd import (
 from .errors import DimensionError
 from .skeleton import Topology, bones_from_joints
 
-LEAKY_SLOPE = 0.01
-
 STREAMS = ("joints", "bones", "joint_velocity", "bone_velocity")
 ATTENDED = STREAMS[:2]  # the position images the attention map reweights
 
@@ -101,14 +99,19 @@ def _to_channels(x: Tensor) -> Tensor:
     return permute(x, tuple(range(nd - 3)) + (nd - 1, nd - 2, nd - 3))
 
 
-def _head_scales(per_item: Tensor, tensors: dict[str, Tensor], head: str) -> Tensor:
-    """Scale head ``head`` ("joint_scale" or "bone_scale"): two fully
-    connected layers mapping each item's flattened (T*3) trajectory to one
-    scale factor, (.., n, T*3) -> (.., 1, n, 1)."""
-    hidden = leaky_relu(linear(per_item, tensors[f"{head}.fc1.weight"], tensors[f"{head}.fc1.bias"]), LEAKY_SLOPE)
+def _scale_head(items: Tensor, tensors: dict[str, Tensor], head: str) -> tuple[Tensor, Tensor]:
+    """Scale head ``head`` ("joint_scale" or "bone_scale") on (.., T, n, 3)
+    items: two fully connected layers map each item's flattened (T*3)
+    trajectory to one factor.  Returns (scales (.., 1, n, 1), the
+    (.., 3, n, T) channel view multiplied by them)."""
+    nd = items.data.ndim
+    per_item = permute(items, tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1))
+    feat = reshape(per_item, per_item.shape[:-2] + (items.shape[-3] * 3,))
+    hidden = leaky_relu(linear(feat, tensors[f"{head}.fc1.weight"], tensors[f"{head}.fc1.bias"]))
     raw = linear(hidden, tensors[f"{head}.fc2.weight"], tensors[f"{head}.fc2.bias"])
-    batch = raw.shape[:-2]
-    return reshape(raw, batch + (1, raw.shape[-2], 1))
+    del hidden, feat  # free them before the scaled product is allocated: held, they raise the peak memory
+    scales = reshape(raw, raw.shape[:-2] + (1, raw.shape[-2], 1))
+    return scales, mul(scales, _to_channels(items))
 
 
 def scale_joints(x, tensors: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
@@ -117,14 +120,7 @@ def scale_joints(x, tensors: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
     Returns (scales, scaled): scales has one factor per joint, shape
     (.., 1, J, 1); scaled is the (.., 3, J, T) channel view multiplied by it.
     """
-    x = _as_tensor(x)
-    nd = x.data.ndim
-    t, j = x.shape[-3], x.shape[-2]
-    per_joint = permute(x, tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1))
-    feat = reshape(per_joint, per_joint.shape[:-2] + (t * 3,))
-    scales = _head_scales(feat, tensors, "joint_scale")
-    scaled = mul(scales, _to_channels(x))
-    return scales, scaled
+    return _scale_head(_as_tensor(x), tensors, "joint_scale")
 
 
 def scale_bones(x, topology: Topology, tensors: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
@@ -136,18 +132,11 @@ def scale_bones(x, topology: Topology, tensors: dict[str, Tensor]) -> tuple[Tens
     (scales (..,1,b,1), recovered (..,3,J,T)).
     """
     x = _as_tensor(x)
-    nd = x.data.ndim
-    t = x.shape[-3]
-    bones = Tensor(bones_from_joints(x.data, topology), dtype=x.data.dtype)
-    per_bone = permute(bones, tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1))
-    feat = reshape(per_bone, per_bone.shape[:-2] + (t * 3,))
-    scales = _head_scales(feat, tensors, "bone_scale")
-    scaled_vecs = mul(scales, _to_channels(bones))
-    paths = Tensor(topology.paths.astype(x.data.dtype))
-    recovered = matmul(paths, scaled_vecs)
+    dtype = x.data.dtype
+    scales, scaled_vecs = _scale_head(Tensor(bones_from_joints(x.data, topology), dtype=dtype), tensors, "bone_scale")
+    recovered = matmul(Tensor(topology.paths, dtype=dtype), scaled_vecs)
     root_traj = np.swapaxes(x.data[..., topology.root, :], -1, -2)[..., None, :]
-    recovered = add(recovered, Tensor(root_traj, dtype=x.data.dtype))
-    return scales, recovered
+    return scales, add(recovered, Tensor(root_traj, dtype=dtype))
 
 
 def embed_to_image(channels: Tensor, weight: Tensor) -> Tensor:
@@ -166,8 +155,7 @@ def attention_map(x, tensors: dict[str, Tensor]) -> Tensor:
     x = _as_tensor(x)
     j = x.shape[-2]
     feat = reshape(x, x.shape[:-2] + (j * 3,))
-    hidden = leaky_relu(linear(feat, tensors["attention.shared.weight"], tensors["attention.shared.bias"]),
-                        LEAKY_SLOPE)
+    hidden = leaky_relu(linear(feat, tensors["attention.shared.weight"], tensors["attention.shared.bias"]))
     queries = linear(hidden, tensors["attention.query.weight"])
     keys = linear(hidden, tensors["attention.key.weight"])
     d_k = queries.shape[-1]
@@ -199,7 +187,7 @@ def temporal_embed(image: Tensor, values: Tensor) -> Tensor:
 
 
 def uniform_attention(t: int, dtype=np.float32) -> Tensor:
-    return Tensor(np.full((t, t), 1.0 / t, dtype=dtype))
+    return Tensor(np.full((t, t), 1.0 / t), dtype=dtype)
 
 
 def encode(x, enc: EncoderParams) -> EncodedBundle:

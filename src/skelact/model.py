@@ -163,9 +163,9 @@ def param_spec(config: ModelConfig) -> list[ParamSpec]:
     return spec
 
 
-def identity_like_embedding(frames: int, joints: int, dtype=np.float32) -> np.ndarray:
+def identity_like_embedding(frames: int, joints: int) -> np.ndarray:
     """Row t selects joint floor(t*J/T); the identity when J == T."""
-    weight = np.zeros((frames, joints), dtype=dtype)
+    weight = np.zeros((frames, joints), dtype=np.float32)
     for t in range(frames):
         weight[t, t * joints // frames] = 1.0
     return weight

@@ -50,7 +50,7 @@ from functools import cache
 import numpy as np
 
 from .autograd import ImageSource, Tensor, _finish, _recording, conv_pool_leaky_arrays, leaky_relu, linear, no_tape
-from .encoder import LEAKY_SLOPE, STREAMS, EncodedBundle, encode, stream_image
+from .encoder import STREAMS, EncodedBundle, encode, stream_image
 from .errors import DimensionError
 from .model import ModelConfig, ModelParams, param_spec
 
@@ -59,7 +59,7 @@ def stream_forward(image, tensors: dict[str, Tensor], i: int) -> Tensor:
     """Stream ``i``: a (B, 3, T, T) image to a flat (B, F) feature matrix,
     through the stages ``stream{i}.conv1`` to ``conv3``.  Untaped: it
     records nothing, even inside a Tape."""
-    features, _ = _stages((image if isinstance(image, Tensor) else Tensor(image)).data, tensors, i, False)
+    features, _ = _stages(image.data if isinstance(image, Tensor) else np.asarray(image), tensors, i, False)
     return Tensor(features, dtype=features.dtype)
 
 
@@ -73,7 +73,7 @@ def _stages(image: np.ndarray | ImageSource, tensors: dict[str, Tensor], i: int,
     x, rules = (image if isinstance(image, ImageSource) else image.transpose(0, 2, 3, 1)), []
     for n in (1, 2, 3):
         x, rule = conv_pool_leaky_arrays(x, tensors[f"stream{i}.conv{n}.kernels"].data,
-                                         tensors[f"stream{i}.conv{n}.bias"].data, LEAKY_SLOPE, recorded)
+                                         tensors[f"stream{i}.conv{n}.bias"].data, recorded)
         rules.append(rule)
     if x.shape[1:3] != (1, 1):
         raise DimensionError(f"stream did not reduce spatially, got {x.shape}")
@@ -152,7 +152,7 @@ def _by_stream(fn, count: int) -> list:
 
 
 def _head(merged: Tensor, tensors: dict[str, Tensor]) -> Tensor:
-    hidden = leaky_relu(linear(merged, tensors["classifier.fc1.weight"], tensors["classifier.fc1.bias"]), LEAKY_SLOPE)
+    hidden = leaky_relu(linear(merged, tensors["classifier.fc1.weight"], tensors["classifier.fc1.bias"]))
     return linear(hidden, tensors["classifier.fc2.weight"], tensors["classifier.fc2.bias"])
 
 

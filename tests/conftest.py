@@ -55,15 +55,15 @@ def attention_tensors(shared_weight, shared_bias, query_weight, key_weight):
             "attention.query.weight": query_weight, "attention.key.weight": key_weight}
 
 
-def conv_pool_leaky(x, kernels, bias, slope=0.01):
+def conv_pool_leaky(x, kernels, bias):
     """autograd.conv_pool_leaky_arrays as one tape node over ``x``."""
     inputs = (x, kernels, bias)
-    out, rule = autograd.conv_pool_leaky_arrays(x.data, kernels.data, bias.data, slope,
+    out, rule = autograd.conv_pool_leaky_arrays(x.data, kernels.data, bias.data,
                                                 autograd._recording(inputs) is not None)
     return autograd._finish(out, inputs, rule, "conv_pool_leaky")
 
 
-def reference_stage(x, kernels, bias, slope=0.01):
+def reference_stage(x, kernels, bias):
     """The fused stage's bit-exact reference, one tape node written plainly:
     ``np.pad`` and a sliding-window im2col of the whole batch, with no
     workspace, blocks or transposed fill.  GEMM rows are in pooling-
@@ -91,10 +91,10 @@ def reference_stage(x, kernels, bias, slope=0.01):
     conv = (cols @ kmat.T + bias.data).reshape(4, batch, h2, w2, c_out)
     first = conv.argmax(axis=0)
     pooled = np.take_along_axis(conv, first[None], axis=0)[0]
-    out = np.where(pooled >= 0, pooled, pooled * pooled.dtype.type(slope))
+    out = np.where(pooled >= 0, pooled, pooled * pooled.dtype.type(autograd.LEAKY_SLOPE))
 
     def back(d):
-        dpool = np.where(pooled >= 0, d, d * slope)
+        dpool = np.where(pooled >= 0, d, d * autograd.LEAKY_SLOPE)
         d2 = (dpool * (first == np.arange(4).reshape(4, 1, 1, 1, 1))).reshape(-1, c_out)
         dk = (d2.T @ cols).reshape((c_out, kh, kw, c_in) if channels_last else k.shape)
         taps = (d2 @ kmat).reshape(2, 2, batch, h2, w2, *(kh, kw, c_in) if channels_last else (c_in, kh, kw))

@@ -148,11 +148,9 @@ def test_add_rejects_mismatched_shapes():
 
 
 def test_leaky_relu_values_and_slope_domain():
-    out = leaky_relu(Tensor([2.0, -1.0]), 0.01)
+    out = leaky_relu(Tensor([2.0, -1.0]))
     assert out.data[0] == pytest.approx(2.0)
     assert out.data[1] == pytest.approx(-0.01)
-    with pytest.raises(UsageError):
-        leaky_relu(Tensor([1.0]), 1.5)
 
 
 def test_softmax_uniform_and_overflow():
@@ -276,7 +274,7 @@ def test_shape_plumbing_ops():
 # fused conv -> pool -> leaky stage against the three ops it replaces
 
 
-def _fused_and_reference(x, k, b, upstream, slope=0.01, contiguous=False):
+def _fused_and_reference(x, k, b, upstream, contiguous=False):
     """Output and (x, kernels, bias) gradients of the fused op and of its
     reference, conftest.reference_stage, on the same channels-last input,
     all in channel-first layout.  The input is the permuted channel-first
@@ -288,7 +286,7 @@ def _fused_and_reference(x, k, b, upstream, slope=0.01, contiguous=False):
         xt = Tensor(xd, requires_grad=True, dtype=x.dtype)
         kt, bt = Tensor(k, requires_grad=True, dtype=k.dtype), Tensor(b, requires_grad=True, dtype=b.dtype)
         with Tape():
-            out = stage(xt, kt, bt, slope)
+            out = stage(xt, kt, bt)
             loss = sum_all(mul(out, Tensor(upstream.transpose(0, 2, 3, 1), dtype=upstream.dtype)))
         backward(loss)
         if contiguous:
@@ -299,12 +297,12 @@ def _fused_and_reference(x, k, b, upstream, slope=0.01, contiguous=False):
     return results
 
 
-def _composed(x, k, b, upstream, slope=0.01):
+def _composed(x, k, b, upstream):
     """Output and (x, kernels, bias) gradients of the channel-first
     ``leaky_relu(maxpool2d(conv2d(.)))`` under sum_all(out * upstream)."""
     xt, kt, bt = (Tensor(a, requires_grad=True, dtype=a.dtype) for a in (x, k, b))
     with Tape():
-        out = leaky_relu(maxpool2d(conv2d(xt, kt, bt)), slope)
+        out = leaky_relu(maxpool2d(conv2d(xt, kt, bt)))
         loss = sum_all(mul(out, Tensor(upstream, dtype=upstream.dtype)))
     backward(loss)
     return out.data, xt.grad, kt.grad, bt.grad
@@ -386,16 +384,16 @@ def test_untaped_conv_pool_leaky_changes_no_bits_and_aliases_nothing():
         earlier = []
         for batch in (2, 5, 1, 3):
             x = Tensor(rng.normal(size=(batch, 12, 8, 3)), requires_grad=True, dtype=dtype)
-            untaped = conv_pool_leaky(x, k, b, 0.01)
+            untaped = conv_pool_leaky(x, k, b)
             assert untaped._tape is None
             with Tape():
-                taped = conv_pool_leaky(x, k, b, 0.01)
+                taped = conv_pool_leaky(x, k, b)
             assert taped._tape is not None
-            reference = reference_stage(x, k, b, 0.01)
+            reference = reference_stage(x, k, b)
             assert untaped.dtype == dtype
             assert _same_bits(untaped.data, taped.data), (dtype, batch)
             assert _same_bits(untaped.data, reference.data), (dtype, batch)
-            single = conv_pool_leaky(Tensor(x.data[-1:], dtype=dtype), k, b, 0.01)
+            single = conv_pool_leaky(Tensor(x.data[-1:], dtype=dtype), k, b)
             assert _same_bits(single.data, untaped.data[-1:]), (dtype, batch)
             earlier.append((untaped.data, untaped.data.copy()))
         for data, copy in earlier:  # later calls wrote nothing into earlier outputs
@@ -440,10 +438,10 @@ def test_unrecorded_stages_chained_are_bitwise_the_composed_ops_and_alias_nothin
         for batch in (2, 5, 1, 3):
             x = Tensor(rng.normal(size=(batch, 3, 16, 32)).astype(dtype).transpose(0, 2, 3, 1), dtype=dtype)
             with autograd.no_tape():
-                mid = reference_stage(x, *params[:2], 0.01)
-                want = reference_stage(mid, *params[2:], 0.01)
-                first = conv_pool_leaky(x, *params[:2], 0.01)
-                last = conv_pool_leaky(first, *params[2:], 0.01)
+                mid = reference_stage(x, *params[:2])
+                want = reference_stage(mid, *params[2:])
+                first = conv_pool_leaky(x, *params[:2])
+                last = conv_pool_leaky(first, *params[2:])
             assert first._tape is None and last._tape is None
             assert first.dtype == dtype and first.data.flags.c_contiguous
             assert _same_bits(first.data, mid.data), (dtype, batch)
@@ -468,7 +466,7 @@ def _chained_stages(x, params, upstream, fused):
     xt = Tensor(x.transpose(0, 2, 3, 1), requires_grad=True, dtype=dtype)
     ps = [Tensor(p, requires_grad=True, dtype=dtype) for p in params]
     with Tape():
-        last = stage(stage(xt, *ps[:2], 0.01), *ps[2:], 0.01)
+        last = stage(stage(xt, *ps[:2]), *ps[2:])
         loss = sum_all(mul(last, Tensor(upstream.transpose(0, 2, 3, 1), dtype=dtype)))
     backward(loss)
     return last.data.transpose(0, 3, 1, 2), xt.grad.transpose(0, 3, 1, 2), [p.grad for p in ps]
@@ -513,7 +511,7 @@ def test_two_tapes_on_one_thread_backwarded_in_either_order_give_their_own_bits(
             xt = Tensor(x.transpose(0, 2, 3, 1), requires_grad=True)
             ps = [Tensor(p, requires_grad=True) for p in params]
             with Tape():
-                last = conv_pool_leaky(conv_pool_leaky(xt, *ps[:2], 0.01), *ps[2:], 0.01)
+                last = conv_pool_leaky(conv_pool_leaky(xt, *ps[:2]), *ps[2:])
                 loss = sum_all(mul(last, Tensor(up.transpose(0, 2, 3, 1))))
             runs.append((loss, xt, ps))
         for n in order:
@@ -537,7 +535,7 @@ def test_conv_pool_leaky_tap_rows_for_any_item_size_kernel_and_layout():
     for n, (x, k_shape) in enumerate(cases):
         k = rng.normal(size=k_shape).astype(x.dtype)
         b = rng.normal(size=k_shape[0]).astype(x.dtype)
-        ref = leaky_relu(maxpool2d(conv2d(Tensor(x, dtype=x.dtype), Tensor(k, dtype=x.dtype), Tensor(b, dtype=x.dtype))), 0.01)
+        ref = leaky_relu(maxpool2d(conv2d(Tensor(x, dtype=x.dtype), Tensor(k, dtype=x.dtype), Tensor(b, dtype=x.dtype))))
         upstream = rng.normal(size=ref.shape).astype(x.dtype)
         untaped = conv_pool_leaky(Tensor(x.transpose(0, 2, 3, 1), dtype=x.dtype), Tensor(k, dtype=x.dtype), Tensor(b, dtype=x.dtype))
         assert untaped.dtype == x.dtype and _same_bits(untaped.data.transpose(0, 3, 1, 2), ref.data), n
@@ -588,7 +586,7 @@ def test_one_sample_blocks_of_a_strided_batch_keep_the_batch_tap_order(monkeypat
     for stage in (conv_pool_leaky, reference_stage):
         xt, kt, bt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True), Tensor(b, requires_grad=True)
         with Tape():
-            out = stage(xt, kt, bt, 0.01)
+            out = stage(xt, kt, bt)
             loss = sum_all(mul(out, upstream))
         backward(loss)
         results.append((out.data, xt.grad, kt.grad, bt.grad))
@@ -621,11 +619,11 @@ def _stage_in_blocks(x, k, b, upstream, monkeypatch, one_block):
             m.setattr(autograd, "BLOCK_ROWS", 2**62)
         m.setattr(autograd, "_columns", counted)
         kt, bt = Tensor(k, requires_grad=True, dtype=dtype), Tensor(b, requires_grad=True, dtype=dtype)
-        untaped = conv_pool_leaky(Tensor(x, dtype=dtype), kt, bt, 0.01).data
+        untaped = conv_pool_leaky(Tensor(x, dtype=dtype), kt, bt).data
         blocks = list(rows)
         xt = Tensor(x, requires_grad=True, dtype=dtype)
         with Tape():
-            out = conv_pool_leaky(xt, kt, bt, 0.01)
+            out = conv_pool_leaky(xt, kt, bt)
             loss = sum_all(mul(out, Tensor(upstream, dtype=dtype)))
         backward(loss)
     return [untaped, out.data, xt.grad, kt.grad, bt.grad], blocks
@@ -637,7 +635,7 @@ def _reference_run(x, k, b, upstream):
     dtype = x.dtype
     xt, kt, bt = (Tensor(a, requires_grad=True, dtype=dtype) for a in (x, k, b))
     with Tape():
-        out = reference_stage(xt, kt, bt, 0.01)
+        out = reference_stage(xt, kt, bt)
         loss = sum_all(mul(out, Tensor(upstream, dtype=dtype)))
     backward(loss)
     return [out.data, xt.grad, kt.grad, bt.grad]
@@ -700,7 +698,7 @@ def test_blocked_backward_grows_no_workspace_buffer_beyond_one_block():
     def run():
         xt, kt, bt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True), Tensor(b, requires_grad=True)
         with Tape():
-            loss = sum_all(conv_pool_leaky(xt, kt, bt, 0.01))
+            loss = sum_all(conv_pool_leaky(xt, kt, bt))
         backward(loss)
         sizes.update((role, buf.nbytes) for role, buf in vars(autograd._WORKSPACE).items())
 
@@ -714,7 +712,7 @@ def test_blocked_backward_grows_no_workspace_buffer_beyond_one_block():
     assert set(sizes) == STAGE_ROLES
 
 
-def _centre_tap_stage(grid, slope=0.01):
+def _centre_tap_stage(grid):
     """conv_pool_leaky's output and input gradient under sum_all, for a
     centre-tap kernel and an input whose even-indexed pixels are ``grid``
     (zeros elsewhere): the conv output is then ``grid``, and each of its
@@ -727,7 +725,7 @@ def _centre_tap_stage(grid, slope=0.01):
     k[0, 0, 1, 1] = 1
     xt = Tensor(x, requires_grad=True, dtype=dtype)
     with Tape():
-        out = conv_pool_leaky(xt, Tensor(k, dtype=dtype), Tensor(np.zeros(1), dtype=dtype), slope)
+        out = conv_pool_leaky(xt, Tensor(k, dtype=dtype), Tensor(np.zeros(1), dtype=dtype))
         loss = sum_all(out)
     backward(loss)
     assert np.count_nonzero(xt.grad[0, 1::2]) == np.count_nonzero(xt.grad[0, :, 1::2]) == 0
@@ -769,7 +767,7 @@ def test_conv_pool_leaky_slope_follows_the_pooled_sign_where_the_output_underflo
         x = Tensor(np.repeat(np.repeat(grid, 2, 0), 2, 1)[None, None], dtype=dtype)  # the reference, through conv2d
         k = np.zeros((1, 1, 3, 3), dtype)
         k[0, 0, 1, 1] = 1
-        composed = leaky_relu(maxpool2d(conv2d(x, Tensor(k, dtype=dtype), Tensor(np.zeros(1), dtype=dtype))), 0.01)
+        composed = leaky_relu(maxpool2d(conv2d(x, Tensor(k, dtype=dtype), Tensor(np.zeros(1), dtype=dtype))))
         assert _same_bits(out, composed.data[0, 0])
 
 
@@ -780,7 +778,7 @@ def test_grad_conv_pool_leaky_fused():
     b = _rand64(rng, (4,))
 
     def f():
-        out = conv_pool_leaky(x, k, b, 0.01)
+        out = conv_pool_leaky(x, k, b)
         return sum_all(mul(out, out))
 
     assert grad_check(f, [x, k, b], samples=60, seed=4) < 1e-5
@@ -802,8 +800,6 @@ def test_conv_pool_leaky_validates_shapes_and_slope():
         conv_pool_leaky(Tensor(np.zeros((8, 8))), k, b)
     with pytest.raises(DimensionError, match=r"expects \(B,H,W,C\)"):  # no batch axis
         conv_pool_leaky(Tensor(x.data[0]), k, b)
-    with pytest.raises(UsageError):
-        conv_pool_leaky(x, k, b, slope=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -851,7 +847,7 @@ def test_grad_conv_pool_leaky():
     b = _rand64(rng, (4,))
 
     def f():
-        out = leaky_relu(maxpool2d(conv2d(x, k, b, stride=2, padding=1)), 0.01)
+        out = leaky_relu(maxpool2d(conv2d(x, k, b, stride=2, padding=1)))
         return sum_all(mul(out, out))
 
     assert grad_check(f, [x, k, b], samples=60, seed=2) < 1e-5
@@ -876,7 +872,7 @@ def test_grad_leaky_slope_at_negative_input():
     x = Tensor(np.array([-3.0]), requires_grad=True, dtype=np.float64)
 
     def f():
-        return sum_all(leaky_relu(x, 0.01))
+        return sum_all(leaky_relu(x))
 
     with Tape():
         loss = f()
@@ -927,11 +923,11 @@ def test_intermediate_grads_are_read_only_views_of_the_copied_values():
     w = Tensor(rng.normal(size=(4, 2)), requires_grad=True, dtype=np.float64)
     with Tape():
         h = matmul(x, w)
-        a = leaky_relu(h, 0.1)
+        a = leaky_relu(h)
         loss = sum_all(mul(a, a))
     backward(loss)
     da = a.data + a.data  # what backward used to copy into each .grad
-    dh = np.where(h.data >= 0, da, da * 0.1)
+    dh = np.where(h.data >= 0, da, da * 0.01)
     for t, want in ((loss, np.ones(())), (a, da), (h, dh)):
         assert not t.grad.flags.writeable
         assert _same_bits(t.grad, want)

@@ -115,6 +115,17 @@ def test_doubled_bones_double_root_centered_coordinates():
     assert np.allclose(recovered.data, 2.0 * _channels(x), atol=1e-5)
 
 
+def test_scale_bones_records_only_float64_tensors_for_float64_input():
+    # the constant path matrix was cast back to float32 on its way onto the tape
+    rng = np.random.default_rng(8)
+    leaf = lambda *shape: Tensor(rng.normal(size=shape), requires_grad=True, dtype=np.float64)
+    x = Tensor(rng.normal(size=(2, 6, 4, 3)), dtype=np.float64)
+    with Tape() as tape:
+        scales, recovered = scale_bones(x, CHAIN, scale_heads(leaf(5, 18), leaf(5), leaf(1, 5), leaf(1)))
+    assert scales.dtype == recovered.dtype == np.float64
+    assert {t.dtype for node in tape.nodes for t in (*node.inputs, node.output)} == {np.dtype(np.float64)}
+
+
 def test_scaled_bones_match_pinned_least_squares():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(5, 4, 3)).astype(np.float32)
@@ -223,6 +234,13 @@ def test_attention_matches_loop_oracle():
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     want = e / e.sum(axis=-1, keepdims=True)
     assert np.allclose(got, want, atol=1e-5)
+
+
+def test_uniform_attention_has_the_requested_dtype():
+    for dtype in (np.float32, np.float64):
+        attention = uniform_attention(6, dtype)
+        assert attention.dtype == dtype
+        assert np.array_equal(attention.data, np.full((6, 6), dtype(1 / 6)))
 
 
 def test_apply_attention_uniform_identity():

@@ -17,7 +17,7 @@ from skelact import autograd, encoder, recognizer
 from skelact.autograd import (
     Tape, Tensor, backward, concat, cross_entropy, permute, reshape,
 )
-from skelact.encoder import LEAKY_SLOPE, EncodedBundle, EnhanceFlags, encode, uniform_attention
+from skelact.encoder import EncodedBundle, EnhanceFlags, encode, uniform_attention
 from skelact.errors import DimensionError, UsageError
 from skelact.model import ModelConfig, ModelParams, param_spec
 from skelact.optim import AdamState, adam_step
@@ -180,7 +180,7 @@ def test_training_gradients_match_channel_first_stream_bitwise(monkeypatch):
         reference_calls.append(i)
         x = permute(image, (0, 2, 3, 1))
         for n in (1, 2, 3):
-            x = reference_stage(x, tensors[f"stream{i}.conv{n}.kernels"], tensors[f"stream{i}.conv{n}.bias"], LEAKY_SLOPE)
+            x = reference_stage(x, tensors[f"stream{i}.conv{n}.kernels"], tensors[f"stream{i}.conv{n}.bias"])
         return reshape(x, (len(x.data), x.shape[-1]))
 
     # over three Adam steps, so that a gradient aliased across steps shows
@@ -479,8 +479,7 @@ def _sequential_streams(images, tensors):
     for i, image in enumerate(images):
         x = permute(image, (0, 2, 3, 1))
         for n in (1, 2, 3):
-            x = conv_pool_leaky(x, tensors[f"stream{i}.conv{n}.kernels"], tensors[f"stream{i}.conv{n}.bias"],
-                                LEAKY_SLOPE)
+            x = conv_pool_leaky(x, tensors[f"stream{i}.conv{n}.kernels"], tensors[f"stream{i}.conv{n}.bias"])
         features.append(reshape(x, (x.shape[0], x.shape[-1])))
     return concat(features, axis=-1)
 
@@ -572,6 +571,16 @@ def test_stream_forward_records_nothing_inside_a_tape():
         got = stream_forward(image, params.tensors, 0)
     assert tape.nodes == [] and got._tape is None and not got.requires_grad
     assert np.array_equal(got.data.view(np.uint32), want.view(np.uint32))
+
+
+def test_stream_forward_of_a_float64_image_is_bitwise_its_stages():
+    # the image was rounded to float32 on its way in
+    params = _perturbed_params(np.float64)
+    image = np.random.default_rng(42).normal(size=(2, 3, 64, 64))
+    want, _ = recognizer._stages(image, params.tensors, 0, False)
+    for given in (image, Tensor(image, dtype=np.float64)):
+        got = stream_forward(given, params.tensors, 0).data
+        assert got.dtype == np.float64 and np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_untaped_forward_records_nothing_and_is_the_taped_logits():
