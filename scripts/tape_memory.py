@@ -4,26 +4,29 @@
 
 Builds the default 15-joint, 64-frame model and runs ``--steps`` training
 steps (``encode -> forward -> cross_entropy -> backward -> adam_step``) on
-random batches, then prints the process's peak RSS.  It then records one
-more forward on a tape and, before its backward, walks ``tape.nodes``: each
-array a node's output, inputs or backward closure reaches is charged once,
-by its underlying buffer, to the first node in tape order that reaches it,
-as ``out`` when it is that node's output and as ``saved`` otherwise.  A
-backward rule a node's closure reaches (the streams node keeps each
-stream's image rule and its three stage rules) counts as a node of its own
-op, and the arrays its closure reaches are charged to that op as
-``saved``; a tape a closure reaches (an op that records its own) is walked
-in place, its nodes charged to their ops.
+random batches, then prints the process's peak RSS.  It runs one more step
+under the standard library's ``tracemalloc``, which counts what Python and
+numpy allocate on every thread, and prints the traced peak of each phase
+(encode; forward with the loss; backward; Adam) in MiB above the heap held
+when that step began.  It then records one more forward on a tape and,
+before its backward, walks ``tape.nodes``: each array a node's output,
+inputs or backward closure reaches is charged once, by its underlying
+buffer, to the first node in tape order that reaches it, as ``out`` when it
+is that node's output and as ``saved`` otherwise.  A backward rule a node's
+closure reaches (the streams node keeps each stream's three stage rules)
+counts as a node of its own op, and the arrays its closure reaches are
+charged to that op as ``saved``; a tape a closure reaches (an op that
+records its own) is walked in place, its nodes charged to their ops.
 Parameters and the input batch are not charged.  Ops are named after their
 backward closure (``conv_pool_leaky_arrays.<locals>.back`` is
-``conv_pool_leaky_arrays``, ``embed_image_arrays.<locals>.rule`` is
-``embed_image_arrays``; a stem's rule reaches its image source, whose
-fill counts as one more ``embed_image_arrays`` node).  Last it prints
-each ``recognizer._workers`` thread's workspace buffers by role, as the
-``--steps`` steps left them (the workers run a training step's streams),
-and then as one ``recognizer.infer`` of a ``--batch`` batch leaves a
-fresh pair of workers (a batch of 16 or more runs as two halves on them).
-It reads only ``Tape.nodes``, each node's ``output``, ``inputs`` and
+``conv_pool_leaky_arrays``; a stem's rule reaches its image source, whose
+fill and block backward count as two ``embed_image_arrays`` nodes).  Last
+it prints each ``recognizer._workers`` thread's workspace buffers by role,
+as the ``--steps`` steps left them (the workers run a training step's
+streams), and then as one ``recognizer.infer`` of a ``--batch`` batch
+leaves a fresh pair of workers (a batch of 16 or more runs as two halves on
+them).  The traced step calls only the public training API, and the rest
+reads only ``Tape.nodes``, each node's ``output``, ``inputs`` and
 ``backward_fn``, the closures of those functions, ``autograd._WORKSPACE``
 and ``recognizer._workers``, and calls ``recognizer._new_workers`` and
 ``recognizer.infer``, so it runs unchanged against any source tree put
@@ -35,6 +38,7 @@ from __future__ import annotations
 import argparse
 import resource
 import threading
+import tracemalloc
 from collections import defaultdict
 from types import FunctionType
 
@@ -128,6 +132,31 @@ def worker_workspaces() -> list[dict[str, int]]:
     return [future.result() for future in [recognizer._workers.submit(read) for _ in range(2)]]
 
 
+def traced_step(params: ModelParams, named: dict, state: AdamState, x: np.ndarray, y: np.ndarray) -> dict[str, float]:
+    """One training step under ``tracemalloc``: phase -> the traced peak
+    of that phase, in MiB above the traced heap when the step began."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        peaks = {}
+
+        def phase(name, fn):
+            tracemalloc.reset_peak()
+            value = fn()
+            peaks[name] = (tracemalloc.get_traced_memory()[1] - held) / MIB
+            return value
+
+        with Tape():
+            bundle = phase("encode", lambda: encode(x, params.encoder))
+            loss = phase("forward", lambda: cross_entropy(forward(bundle, params), y))
+        del bundle
+        phase("backward", lambda: backward(loss))
+        phase("adam", lambda: adam_step(named, state, 1e-3))
+        return peaks
+    finally:
+        tracemalloc.stop()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--steps", type=int, default=4)
@@ -157,6 +186,7 @@ def main() -> None:
         adam_step(named, state, 1e-3)
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     workspaces = worker_workspaces()
+    phases = traced_step(params, named, state, *batch())
 
     x, y = batch()
     with Tape() as tape:
@@ -176,6 +206,8 @@ def main() -> None:
     saved = sum(row[2] for row in table.values())
     print(f"{'tape':<24}{'':>6}{out / MIB:>10.1f}{saved / MIB:>11.1f}{(out + saved) / MIB:>11.1f}")
     print(f"peak_rss_mb={peak:.1f} after {args.steps} steps")
+    print("traced_peak_mib " + " ".join(f"{name}={mib:.1f}" for name, mib in phases.items())
+          + " (one more step, above the heap held before it)")
     for when, spaces in (("train", workspaces), ("infer", infer_workspaces)):
         for n, roles in enumerate(spaces):
             sizes = " ".join(f"{role}={size / MIB:.2f}" for role, size in sorted(roles.items()))

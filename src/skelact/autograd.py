@@ -30,7 +30,8 @@ alike.  Its body is the array-level :func:`conv_pool_leaky_arrays`, which
 returns the output and, when recorded, the backward rule; the recognizer's
 streams node chains each stream's rules itself.  The image body,
 :func:`embed_image_arrays`, returns an :class:`ImageSource`, which the
-stem fills into its pad a batch block at a time.  The stage pads its
+stem fills into its pad a batch block at a time, and whose block backward
+the stem's rule hands each block's input gradient.  The stage pads its
 input into a per-thread workspace buffer, reused call after call, and
 its im2col columns, conv output and pooled maxima (in the spent pad)
 live there too.  Its
@@ -50,8 +51,9 @@ Arrays a tape records are always fresh, and so are the stage's output
 and every gradient a backward rule returns; the stage's backward rule
 rebuilds its columns from its saved input or image source and keeps
 its conv and column gradients in the running thread's workspace, the
-stem's gathered taps in its spent pad; the image's rule recomputes its
-pre-attention product.
+stem's gathered taps in its spent pad and each block's input gradient in
+its spent conv buffer; the image source's block backward recomputes the
+block's pre-attention product in the spent column buffer.
 """
 
 from __future__ import annotations
@@ -181,6 +183,10 @@ def _workspace(role: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray
     gathered taps reuse the ``pad`` buffer: both start after
     :func:`_columns`, its one reader, has filled the block's columns; an
     image source's fill builds the block in ``cols`` before they are filled.
+    In the stem's backward, a block's input gradient reuses ``conv`` once
+    the column-gradient GEMM has read it, and the image source's block
+    backward recomputes the block's product in ``cols`` once col2im has
+    read the column gradient.
     """
     nbytes = math.prod(shape) * dtype.itemsize
     buf = getattr(_WORKSPACE, role, None)
@@ -299,47 +305,65 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
 
 class ImageSource(NamedTuple):
-    """An image no array holds: ``fill(lo, hi, out)`` writes rows ``lo:hi``
-    of its first axis (a (B, C, H, W) image's samples) into array ``out``."""
+    """An image no array holds.  ``fill(lo, hi, out)`` writes rows
+    ``lo:hi`` of its first axis (a (B, C, H, W) image's samples) into array
+    ``out``.  ``back(lo, hi, d)`` takes the gradient ``d`` of those rows,
+    which it may overwrite; called for consecutive blocks from row 0 to the
+    last, it returns the gradients of the image's inputs after the last
+    block and None before it."""
 
     shape: tuple[int, ...]
     dtype: np.dtype
     fill: Callable[[int, int, np.ndarray], None]
+    back: Callable[[int, int, np.ndarray], tuple | None]
+
+
+def _carry(part: np.ndarray, total: np.ndarray | None, axes: int) -> np.ndarray:
+    """``part`` summed over its first ``axes`` axes, continuing ``total``, the
+    sum of the rows before it, which is added into part's first row: the
+    blocks' rows add one by one in the whole array's order, as one sum over
+    it would (numpy's starts from +0, so ``total`` is never -0).  ``part`` is
+    overwritten."""
+    if total is not None:
+        part[(0,) * axes] += total
+    return part.sum(axis=tuple(range(axes)))
 
 
 def embed_image_arrays(channels: np.ndarray, weight: np.ndarray, attention: np.ndarray | None,
-                       temporal: np.ndarray | None) -> tuple[ImageSource, Callable]:
+                       temporal: np.ndarray | None) -> ImageSource:
     """One encoder image on arrays, as an :class:`ImageSource`: the (T, J)
-    ``weight`` times each (J, T) channel of ``channels``, then, given the
-    (.., T, T) ``attention`` map A spread over channels, ``product * A +
-    product``, then, given the length-T ``temporal`` vector, that added to
-    every row.  Returns the source and its backward rule, ``d ->
-    (d_channels, d_weight, d_attention, d_temporal)``, with None for an
-    absent input.
+    ``weight`` times each (J, T) channel of a (B, C, J, T) or (C, J, T)
+    ``channels``, then, given the attention map A ((T, T), or (B, T, T) for
+    a batch) spread over channels, ``product * A + product``, then, given
+    the length-T ``temporal`` vector, that added to every row.  The source's
+    ``back`` returns ``(d_channels, d_weight, d_attention, d_temporal)``,
+    with None for an absent input.
 
     Values and gradients are bit for bit those of the composed nodes
-    ``temporal_embed(apply_attention(embed_to_image(.)))`` in the encoder:
-    the fill keeps their operand order (each channel's product is a GEMM
-    of its own, so any block has the whole image's bits), and the rule
-    sums each gradient as they do (``d + d * A`` into the product, the
-    attention gradient summed over channels, the temporal one over rows,
-    channels and batch).  The fill builds its block in this thread's
-    ``cols`` workspace, then copies it into ``out``.  Neither the fill nor
-    the rule saves anything beyond the inputs: given ``attention``, the
-    rule recomputes the product (the same GEMM, so the same bits).
+    ``temporal_embed(apply_attention(embed_to_image(.)))`` in the encoder,
+    for any blocks: the fill keeps their operand order (each channel's
+    product is a GEMM of its own, so any block has the whole image's bits),
+    and ``back`` sums each gradient as they do (``d + d * A`` into the
+    product, the attention gradient summed over channels, the temporal one
+    over rows, channels and batch).  A sum over the first axis (the
+    embedding and temporal gradients', and a shared map's per-channel batch
+    sum, whose channel sum runs once after the last block) continues from
+    block to block by :func:`_carry`, so it keeps the whole batch's
+    row-by-row order.  The fill builds its block in this thread's ``cols``
+    workspace, then copies it into ``out``; ``back``, given attention,
+    recomputes the block's product there (the same GEMM, so the same bits),
+    so neither saves anything beyond the inputs.
     """
     t, j = weight.shape
     if channels.shape[-2:] != (j, t):
         raise DimensionError(f"embedding {weight.shape} cannot map channels {channels.shape}")
     shape, dtype = channels.shape[:-2] + (t, t), np.result_type(weight, channels)
     if attention is not None:
-        spread = attention[..., None, :, :]
-        try:
-            spread_rows = np.broadcast_to(spread, shape)  # sliced as the channels are
-        except ValueError:
-            spread_rows = None
-        if attention.shape[-2:] != (t, t) or spread_rows is None:
+        if attention.shape not in ((t, t), shape[:-3] + (t, t)):
             raise DimensionError(f"attention {attention.shape} does not match a {shape} image")
+        spread = attention[..., None, :, :]
+        spread_rows = np.broadcast_to(spread, shape)  # sliced as the channels are
+        per_row = spread.ndim == len(shape) and spread.shape[0] == shape[0]  # else summed over the first axis
     if temporal is not None and temporal.shape != (t,):
         raise DimensionError(f"temporal vector {temporal.shape} does not match a {t}x{t} image")
 
@@ -353,22 +377,39 @@ def embed_image_arrays(channels: np.ndarray, weight: np.ndarray, attention: np.n
             image += temporal
         np.copyto(out, image)
 
-    def rule(d):
-        d_product, d_attention, d_temporal = d, None, None
-        if attention is not None:
-            scratch = np.matmul(weight, channels)  # the forward's product, bit for bit
-            scratch *= d
-            d_attention = _unbroadcast(scratch, spread.shape).reshape(attention.shape)
-            if np.may_share_memory(d_attention, scratch):  # one channel: nothing was summed
-                d_attention = d_attention.copy()
-            d_product = np.multiply(d, spread, out=scratch)
-            d_product += d  # fl(d * A + d) = fl(d + d * A)
-        if temporal is not None:
-            d_temporal = _unbroadcast(d, (1,) * (d.ndim - 1) + (t,)).reshape(t)
-        return (_unbroadcast(np.swapaxes(weight, -1, -2) @ d_product, channels.shape),
-                _unbroadcast(d_product @ np.swapaxes(channels, -1, -2), weight.shape), d_attention, d_temporal)
+    d_channels = d_weight = d_attention = d_temporal = None
 
-    return ImageSource(shape, dtype, fill), rule
+    def back(lo, hi, d):
+        nonlocal d_channels, d_weight, d_attention, d_temporal
+        if lo == 0:  # a pass starts: nothing carried
+            d_weight = d_attention = d_temporal = None
+        d_product = d
+        if attention is not None:
+            product = np.matmul(weight, channels[lo:hi], out=_workspace("cols", d.shape, dtype))  # the fill's bits
+            product *= d
+            if per_row:
+                if lo == 0:
+                    d_attention = np.empty(spread.shape, product.dtype)
+                d_attention[lo:hi] = _unbroadcast(product, (hi - lo, *spread.shape[1:]))
+            else:
+                d_attention = _carry(product, d_attention, 1)
+            d_product = np.multiply(d, spread_rows[lo:hi], out=product)
+            d_product += d  # fl(d * A + d) = fl(d + d * A)
+        if lo == 0:
+            d_channels = np.empty(channels.shape, np.result_type(weight, d_product))
+        np.matmul(np.swapaxes(weight, -1, -2), d_product, out=d_channels[lo:hi])
+        d_weight = _carry(d_product @ np.swapaxes(channels[lo:hi], -1, -2), d_weight, d.ndim - 2)
+        if temporal is not None:  # last, as it adds into d
+            d_temporal = _carry(d, d_temporal, d.ndim - 1)
+        if hi < shape[0]:
+            return None
+        if attention is not None:
+            if not per_row:  # the channel sum, once the batch is summed
+                d_attention = _unbroadcast(d_attention, spread.shape[-d_attention.ndim:])
+            d_attention = d_attention.reshape(attention.shape)
+        return d_channels, d_weight, d_attention, d_temporal
+
+    return ImageSource(shape, dtype, fill, back)
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +618,9 @@ def conv_pool_leaky_arrays(xd: np.ndarray | ImageSource, kernels: np.ndarray, bi
                            recorded: bool) -> tuple[np.ndarray, Callable | None]:
     """One channels-last CNN stage on arrays: stride-2 padding-1 conv, 2x2
     max pool, leaky ReLU.  Returns the output and, when ``recorded``, the
-    stage's backward rule, ``d -> (d_input, d_kernels, d_bias)``; else
-    None.  The recognizer's streams chain its rules themselves.
+    stage's backward rule, ``d -> (d_input, d_kernels, d_bias)``, where an
+    image source's ``d_input`` is what its ``back`` returns; else None.
+    The recognizer's streams chain its rules themselves.
 
     Takes (B,H,W,C_in), or an :class:`ImageSource` of a (B,C_in,H,W)
     image, and returns (B,H'/2,W'/2,C_out), with the values
@@ -609,18 +651,20 @@ def conv_pool_leaky_arrays(xd: np.ndarray | ImageSource, kernels: np.ndarray, bi
     half ``BLOCK_ROWS`` rows or more as the same dot product however the
     rows are blocked or ordered, and the other forward steps are
     elementwise, so a blocked stage is bit for bit one block.
-    A recorded call adds the bias before it pools, and builds an int8
-    index of each window's first maximum from strict ``>`` compares taken
-    in row-major corner order; backward routes the window's gradient to
-    that corner.  A compare with a NaN is false and the running maximum stays
+    A recorded call adds the bias before it pools, and keeps one int8 code
+    per window: the corner of its first maximum, from strict ``>`` compares
+    taken in row-major corner order, plus 4 where the pooled maximum is
+    >= 0.  Backward routes the window's gradient to that corner (the code's
+    low two bits) and takes its leaky factor from an 8-entry table by the
+    code.  A compare with a NaN is false and the running maximum stays
     NaN once it meets one, so a window holding a NaN routes its gradient to
     the first maximum of the corners before its first NaN, or to that NaN
     when it is the first corner (``maxpool2d`` routes it to the first NaN).
-    The leaky slope of the gradient follows the sign of the pooled maximum,
-    not of the output, which is -0 where a tiny negative maximum times the
-    slope underflows.  Backward reads only the input, that index and a bool
-    leaky mask, and runs the forward's batch blocks one after another, so
-    its workspace holds one block too.  For each block it routes the
+    The leaky slope of the gradient follows the sign of the pooled maximum
+    (a NaN is not >= 0), not of the output, which is -0 where a tiny
+    negative maximum times the slope underflows.  Backward reads only the
+    input and those codes, and runs the forward's batch blocks one after
+    another, so its workspace holds one block too.  For each block it routes the
     pooled gradient, corner by corner, into this thread's ``conv`` buffer
     in corner-major (ci, cj, b, y', x') row order and sums it for the
     block's ``db`` partial (each value routed to one conv row, a quarter of
@@ -629,20 +673,25 @@ def conv_pool_leaky_arrays(xd: np.ndarray | ImageSource, kernels: np.ndarray, bi
     column gradient is a GEMM into the ``cols`` buffer, which the stem
     gathers into the spent pad, and col2im adds it into the block's slice
     of the fresh input gradient, every element summing its taps in (i, j)
-    row-major order from +0.  The ``dk`` and
+    row-major order from +0.  A stem on an image source builds no input
+    gradient: col2im adds into the block's zero-bordered gradient in the
+    spent ``conv`` buffer, zeroed to +0 once the column-gradient GEMM has
+    read it, and the rule hands that block, channel-first, to the source's
+    ``back``, which returns the image's input gradients after the last
+    block.  The ``dk`` and
     ``db`` partials add up in block order, starting from the first block's,
     so a call that runs as one block (stages 2 and 3, and any batch of 16
     or fewer) has the bits of one whole-batch sum; only a split stage 1's
     ``dk`` and ``db`` depend on the blocks.  The tape keeps no columns, and
     every returned gradient is fresh.
     An unrecorded call (``recognizer.infer``'s and ``stream_forward``'s)
-    pools before the bias add, building neither index nor mask: the same
-    bits, with less work.
+    pools before the bias add, building no codes: the same bits, with less
+    work.
     The input gradient follows the input's memory layout: a C-contiguous
-    input gets a C-contiguous gradient, and any other (the stem's) gets
-    conv2d's channel-first memory, so the
-    reductions over it upstream (the temporal embedding's) add in conv2d's
-    order.
+    input gets a C-contiguous gradient, and any other gets conv2d's
+    channel-first memory, as does each block an image source is handed, so
+    the reductions over it upstream (the temporal embedding's) add in
+    conv2d's order.
     """
     if len(xd.shape) != 4:
         raise DimensionError(f"conv_pool_leaky expects (B,H,W,C), got {xd.shape}")
@@ -656,48 +705,49 @@ def conv_pool_leaky_arrays(xd: np.ndarray | ImageSource, kernels: np.ndarray, bi
     if h_out < 1 or w_out < 1 or h_out % 2 or w_out % 2:
         raise DimensionError(f"conv_pool_leaky: conv output {h_out}x{w_out} of input {xd.shape} cannot be pooled 2x2")
 
-    channels_last = not isinstance(xd, ImageSource) and xd.flags.c_contiguous  # the taps and gradient layout
+    source = isinstance(xd, ImageSource)
+    channels_last = not source and xd.flags.c_contiguous  # the taps and gradient layout
     kmat = (kernels.transpose(0, 2, 3, 1) if channels_last else kernels).reshape(c_out, -1)
     dtype = np.result_type(xd.dtype, kmat)
     h2, w2 = h_out // 2, w_out // 2
     blocks = _batch_blocks(batch, h_out * w_out)
     out = np.empty((batch, h2, w2, c_out), dtype)
     if recorded:
-        first = np.empty(out.shape, np.int8)  # each window's first max's corner
-        rising = np.empty(out.shape, bool)
+        code = np.empty(out.shape, np.int8)  # each window's first max's corner, plus 4 where the max is >= 0
     for lo, hi in blocks:
         conv = _workspace("conv", (4, hi - lo, h2, w2, c_out), dtype)  # corner slabs, row-major corner order
         np.matmul(_columns(xd, lo, hi, kh, kw, c_out, channels_last), kmat.T, out=conv.reshape(-1, c_out))
         if recorded:
             conv += bias  # bias first: the index below compares the biased corners
             pooled = _workspace("pad", conv.shape[1:], dtype)  # the pad is spent: the columns are filled
-            index = first[lo:hi]
+            index = code[lo:hi]
             np.greater(conv[1], conv[0], out=index.view(bool))
             np.maximum(conv[0], conv[1], out=pooled)
             for n in (2, 3):
                 later = np.greater(conv[n], pooled).view(np.int8)
                 np.maximum(index, later * n, out=index)
                 np.maximum(pooled, conv[n], out=pooled)
-            np.greater_equal(pooled, 0, out=rising[lo:hi])
+            index |= np.greater_equal(pooled, 0).view(np.int8) << 2
         else:
             pooled = _pool_then_bias(conv, bias)
         np.multiply(pooled, dtype.type(LEAKY_SLOPE), out=out[lo:hi])
         np.maximum(out[lo:hi], pooled, out=out[lo:hi])  # leaky ReLU, as the slope is < 1
 
     def back(d):
-        leak = np.array([LEAKY_SLOPE, 1], dtype)  # taken by the leaky mask: d * slope or d, as np.where would
+        leak = np.array([LEAKY_SLOPE] * 4 + [1] * 4, dtype)  # by the window's code: d * slope or d, as np.where would
         if channels_last:
             dxp = np.zeros((batch, h + 2, w + 2, c_in), dtype=d.dtype)
-        else:  # channel-first memory: each block gathers its taps to match
+        elif not source:  # channel-first memory: each block gathers its taps to match
             dxp = np.zeros((batch, c_in, h + 2, w + 2), dtype=d.dtype).transpose(0, 2, 3, 1)
         for lo, hi in blocks:
             nb = hi - lo
-            dpool = d[lo:hi] * leak.take(rising[lo:hi].view(np.uint8))
+            dpool = d[lo:hi] * leak.take(code[lo:hi])
             db_part = dpool.reshape(-1, c_out).sum(axis=0)
             dconv = _workspace("conv", (4, *dpool.shape), dtype)
+            corner = code[lo:hi] & 3
             for n in range(4):
-                np.multiply(dpool, first[lo:hi] == n, out=dconv[n])
-            del dpool  # before the refill
+                np.multiply(dpool, corner == n, out=dconv[n])
+            del dpool, corner  # before the refill
             d2 = dconv.reshape(-1, c_out)
             cols = _columns(xd, lo, hi, kh, kw, c_out, channels_last)
             # on the transposed view, the C-contiguous product is the faster GEMM, with the same bits
@@ -709,6 +759,12 @@ def conv_pool_leaky_arrays(xd: np.ndarray | ImageSource, kernels: np.ndarray, bi
                 db += db_part
             dcols = _workspace("cols", (4, nb, h2, w2, c_in * kh * kw), dtype)  # dk has read the columns
             np.matmul(d2, kmat, out=dcols.reshape(len(d2), -1))
+            if source:  # the conv gradient is spent: the block's bordered input gradient goes in its buffer
+                into = _workspace("conv", (nb, c_in, h + 2, w + 2), d.dtype)
+                into[...] = 0
+                into = into.transpose(0, 2, 3, 1)
+            else:
+                into = dxp[lo:hi]
             if channels_last:  # (ci, cj, b, y', x', i, j, c) rows read as (b, y', ci, x', cj, c, i, j)
                 taps = dcols.reshape(2, 2, nb, h2, w2, kh, kw, c_in).transpose(2, 3, 0, 4, 1, 7, 5, 6)
             else:  # each corner gathered at its parity into (b, c, i, j, y, x), as the memory runs
@@ -720,11 +776,15 @@ def conv_pool_leaky_arrays(xd: np.ndarray | ImageSource, kernels: np.ndarray, bi
                 taps = taps.reshape(nb, c_in, kh, kw, h2, 2, w2, 2).transpose(0, 4, 5, 6, 7, 1, 2, 3)
             for i in range(kh):  # each element sums its taps in (i, j) row-major order from +0
                 for j in range(kw):
-                    into = dxp[lo:hi, i : i + 2 * h_out : 2, j : j + 2 * w_out : 2].reshape(nb, h2, 2, w2, 2, c_in)
-                    into += taps[..., i, j]
+                    at = into[:, i : i + 2 * h_out : 2, j : j + 2 * w_out : 2].reshape(nb, h2, 2, w2, 2, c_in)
+                    at += taps[..., i, j]
+            if source:  # the image's inputs' gradients, once the last block is in
+                dx = xd.back(lo, hi, into[:, 1 : 1 + h, 1 : 1 + w].transpose(0, 3, 1, 2))
         if channels_last:  # (C_out, kh, kw, C_in) back to the kernels' layout
             dk = dk.reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)
-        return dxp[:, 1 : 1 + h, 1 : 1 + w], np.ascontiguousarray(dk).reshape(kernels.shape), db
+        if not source:
+            dx = dxp[:, 1 : 1 + h, 1 : 1 + w]
+        return dx, np.ascontiguousarray(dk).reshape(kernels.shape), db
 
     return out, back if recorded else None
 

@@ -41,10 +41,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _resolve_seed(args) -> int:
+def _resolve_seed(args, default: int) -> int:
+    """--seed, else AFE_SEED, else ``default``: the seed field of the config
+    the subcommand draws from."""
     seed, source = args.seed, "--seed"
     if seed is None:
-        seed, source = os.environ.get("AFE_SEED", "0"), "AFE_SEED"
+        seed, source = os.environ.get("AFE_SEED"), "AFE_SEED"
+        if seed is None:
+            return default
         try:
             seed = int(seed)
         except ValueError:
@@ -140,7 +144,7 @@ def cmd_synth(args) -> int:
         noise_std=args.noise,
         view_yaw_range=tuple(args.yaw_range),
         body_scale_range=tuple(args.scale_range),
-        seed=_resolve_seed(args),
+        seed=_resolve_seed(args, SynthConfig.seed),
     )
     sequences = synth_generate(config)
     write_jsonl(sequences, args.out)
@@ -166,7 +170,8 @@ def cmd_train(args) -> int:
     model = _model_config(args, sequences, channels=tuple(args.channels), fc_hidden=args.fc_hidden,
                           scale_hidden=args.scale_hidden, flags=_flags_from(args))
     split = split_dataset(sequences, args.protocol)
-    config = TrainConfig(epochs=args.epochs, batch_size=args.batch, lr=args.lr, seed=_resolve_seed(args))
+    config = TrainConfig(epochs=args.epochs, batch_size=args.batch, lr=args.lr,
+                         seed=_resolve_seed(args, TrainConfig.seed))
     params, log = train(sequences, model, split, config)
     save_checkpoint(params, args.out_checkpoint)
     if args.log is not None:
@@ -198,7 +203,7 @@ def cmd_eval(args) -> int:
 def _params_for(args, sequences) -> ModelParams:
     if args.checkpoint is not None:
         return load_checkpoint(args.checkpoint)
-    return ModelParams.build(_model_config(args, sequences), seed=_resolve_seed(args))
+    return ModelParams.build(_model_config(args, sequences), seed=_resolve_seed(args, TrainConfig.seed))
 
 
 def cmd_encode(args) -> int:
@@ -220,7 +225,7 @@ def cmd_encode(args) -> int:
     files = ("enhanced_joints.ppm", "enhanced_bones.ppm", "joint_velocity.ppm", "bone_velocity.ppm")
     written = list(files[: len(bundle.channels)])
     for stream, name in zip(STREAMS, written):
-        source, _ = stream_image(bundle, stream, params.encoder)
+        source = stream_image(bundle, stream, params.encoder)
         image = np.empty(source.shape, source.dtype)
         source.fill(0, 1, image)
         write_ppm(out_dir / name, channels_to_rgb(image[0]))
@@ -244,7 +249,7 @@ def cmd_bench(args) -> int:
         sequences = synth_generate(SynthConfig(sequences_per_class=1))
     params = _params_for(args, sequences)
     config = params.config
-    rng = np.random.default_rng(_resolve_seed(args))
+    rng = np.random.default_rng(_resolve_seed(args, TrainConfig.seed))
     sequence = rng.normal(scale=0.3, size=(1, config.frames, config.joints, 3)).astype(np.float32)
 
     def one_pass():

@@ -26,7 +26,8 @@ embedding and temporal stages take the bare ``embed.<stream>`` and
 for step 5) and the attention map of step 4.  The embedding, the
 reweighting and the temporal add belong to the stream body:
 ``stream_image`` gives one stream's image from the bundle as a source
-(``autograd.embed_image_arrays``) that fills any block of samples, with
+(``autograd.embed_image_arrays``) that fills any block of samples and
+takes back any block's gradient, with
 values and gradients bit for bit those of ``embed_to_image``,
 ``apply_attention`` and ``temporal_embed`` composed.  The recognizer's
 streams node calls it for each stream, and ``skelact encode`` for each
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -209,11 +209,10 @@ def encode(x, enc: EncoderParams) -> EncodedBundle:
     return EncodedBundle(channels, attention)
 
 
-def stream_image(bundle: EncodedBundle, name: str, enc: EncoderParams) -> tuple[ImageSource, Callable]:
-    """Stream ``name``'s (.., 3, T, T) image source and its backward rule:
-    ``embed_image_arrays`` over the stream's channels,
-    ``embed.<name>``, the attention map for the ATTENDED streams, and
-    ``temporal.<name>`` when that stage is on."""
+def stream_image(bundle: EncodedBundle, name: str, enc: EncoderParams) -> ImageSource:
+    """Stream ``name``'s (.., 3, T, T) image source: ``embed_image_arrays``
+    over the stream's channels, ``embed.<name>``, the attention map for the
+    ATTENDED streams, and ``temporal.<name>`` when that stage is on."""
     attention = bundle.attention if name in ATTENDED else None
     return embed_image_arrays(bundle.channels[STREAMS.index(name)].data, enc.tensors[f"embed.{name}"].data,
                               None if attention is None else attention.data,

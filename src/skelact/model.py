@@ -81,22 +81,42 @@ class ModelConfig:
 
     def conv_trace(self) -> list[tuple[int, int]]:
         """(spatial extent, channels) after each conv+pool stage."""
-        size = self.frames
-        trace = []
-        for c in self.channels:
-            size = (size + 2 - 3) // 2 + 1  # 3x3 conv, stride 2, padding 1
-            if size % 2:
-                raise UsageError(f"frame count {self.frames} does not pool evenly")
-            size //= 2
-            trace.append((size, c))
-        return trace
+        extents = _stage_extents(self.frames, len(self.channels))
+        if len(extents) < len(self.channels):
+            raise UsageError(f"frame count {self.frames} does not pool evenly{self._nearest_frames()}")
+        return list(zip(extents, self.channels))
 
     def feature_width(self) -> int:
         trace = self.conv_trace()
         size, c3 = trace[-1]
         if size != 1:
-            raise UsageError(f"frame count {self.frames} does not reduce to 1x1 (got {size})")
+            raise UsageError(f"frame count {self.frames} does not reduce to 1x1 (got {size}){self._nearest_frames()}")
         return c3
+
+    def _nearest_frames(self) -> str:
+        """The error messages' tail: the nearest frame counts below and
+        above this one that reduce to 1x1.  Each stage quarters the extent,
+        rounding up, so none above 4 ** stages does."""
+        stages = len(self.channels)
+        builds = [n for n in range(2, 4**stages + 1)
+                  if len(extents := _stage_extents(n, stages)) == stages and extents[-1] == 1]
+        near = [n for n in builds if n < self.frames][-1:] + [n for n in builds if n > self.frames][:1]
+        if len(near) == 1:
+            return f"; the nearest frame count that builds is {near[0]}"
+        return f"; the nearest frame counts that build are {near[0]} and {near[1]}"
+
+
+def _stage_extents(frames: int, stages: int) -> list[int]:
+    """The spatial extent after each 3x3 stride-2 padding-1 conv and 2x2
+    pool, up to the first conv whose output is odd, which cannot pool."""
+    extents, size = [], frames
+    for _ in range(stages):
+        size = (size + 2 - 3) // 2 + 1
+        if size % 2:
+            break
+        size //= 2
+        extents.append(size)
+    return extents
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,10 @@ names: stream i's stages ``stream{i}.conv{n}.*`` and the head
 stream's channels; the streams and the head's concatenation are one node,
 in which each stream builds its image (``encoder.stream_image``) and runs
 ``_stages`` on it.  Taped, the node's forward and backward run streams 0,
-2 and 1, 3 on two worker threads, each stream's stage rules and then its
-image rule; its stem fills the image into its pad one batch block at a
-time, so no image is stored whole.  ``infer``, which evaluation and
+2 and 1, 3 on two worker threads, each stream's stage rules from stage 3
+down; its stem fills the image into its pad one batch block at a time,
+and its rule hands each block's gradient back to the image source, so no
+image or image gradient is stored whole.  ``infer``, which evaluation and
 ``skelact bench`` run, is that body untaped: the streams run one at a
 time on the caller's thread, with the same logits bit for bit.
 ``stream_forward`` is one stream's stages untaped, on an image array.
@@ -101,8 +102,9 @@ def _streams(bundle: EncodedBundle, params: ModelParams) -> Tensor:
     A worker runs no function perfbench's tracer wraps: its one span stack
     would be corrupted by spans on two threads at once.  The backward
     splits the gradient as ``concat`` does, then runs each stream's stage
-    rules from stage 3 down and its image rule on that gradient turned
-    channel-first, as ``permute`` does, freeing each rule once it has run.
+    rules from stage 3 down, freeing each rule once it has run; the stem's
+    hands each block's gradient, channel-first as ``permute`` would give
+    it, to the image source, and returns the image's input gradients.
     It returns the channel gradients, the attention map's (the bones
     stream's plus the joints stream's, as ``backward`` added them), then
     each stream's embedding, temporal, kernel and bias gradients.
@@ -118,9 +120,7 @@ def _streams(bundle: EncodedBundle, params: ModelParams) -> Tensor:
     recorded = _recording(inputs) is not None
 
     def run(i):
-        source, image_rule = stream_image(bundle, names[i], params.encoder)
-        features, rules = _stages(source, tensors, i, recorded)
-        return features, [image_rule, *rules]
+        return _stages(stream_image(bundle, names[i], params.encoder), tensors, i, recorded)
 
     runs = _by_stream(run, count) if recorded else [run(i) for i in range(count)]
     splits = np.cumsum([features.shape[-1] for features, _ in runs])[:-1]
@@ -130,10 +130,10 @@ def _streams(bundle: EncodedBundle, params: ModelParams) -> Tensor:
 
         def run_back(i):
             dx, grads, rules = pieces[i].reshape(len(d), 1, 1, -1), [], runs[i][1]
-            while len(rules) > 1:  # popping frees each rule, and the arrays it saved, once it has run
+            while rules:  # popping frees each rule, and the arrays it saved, once it has run
                 dx, dk, db = rules.pop()(dx)
                 grads[:0] = (dk, db)
-            d_channels, d_weight, d_attention, d_temporal = rules.pop()(np.transpose(dx, (0, 3, 1, 2)))
+            d_channels, d_weight, d_attention, d_temporal = dx  # the stem's: its image source's inputs'
             return d_channels, d_attention, [g for g in (d_weight, d_temporal) if g is not None] + grads
 
         grads = _by_stream(run_back, count)

@@ -122,13 +122,17 @@ def filled(source):
 
 def embed_image(channels, weight, attention=None, temporal=None):
     """autograd.embed_image_arrays as one tape node, its image filled whole
-    into a fresh array: the embedding product, the attention
-    multiply-and-add and the temporal add."""
+    into a fresh array and its backward run as one block on a copy of the
+    gradient (the block step adds into it): the embedding product, the
+    attention multiply-and-add and the temporal add."""
     given = [t for t in (attention, temporal) if t is not None]
-    source, rule = autograd.embed_image_arrays(channels.data, weight.data, None if attention is None else attention.data,
-                                               None if temporal is None else temporal.data)
-    return autograd._finish(filled(source), (channels, weight, *given), lambda d: [g for g in rule(d) if g is not None],
-                            "embed_image")
+    source = autograd.embed_image_arrays(channels.data, weight.data, None if attention is None else attention.data,
+                                         None if temporal is None else temporal.data)
+
+    def back(d):
+        return [g for g in source.back(0, source.shape[0], np.copy(d)) if g is not None]
+
+    return autograd._finish(filled(source), (channels, weight, *given), back, "embed_image")
 
 
 def composed_embed_image(channels, weight, attention=None, temporal=None):

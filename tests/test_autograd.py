@@ -5,6 +5,7 @@ the Adam recurrence by hand."""
 
 import gc
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -710,6 +711,51 @@ def test_blocked_backward_grows_no_workspace_buffer_beyond_one_block():
     block_conv = 4 * 16 * (h // 4) * (w // 4) * c_out * 4
     assert sizes["conv"] == block_conv and max(sizes.values()) <= block_conv, sizes
     assert set(sizes) == STAGE_ROLES
+
+
+def test_an_attended_stems_backward_traces_under_4_mib_at_b64():
+    # the stem's rule hands each block's input gradient, in its spent conv
+    # buffer, to the image source's block backward, which recomputes the
+    # block's product in the spent cols buffer: no whole-batch input
+    # gradient or product is built.  The rule of a B=64 stream with a
+    # batched attention map and a temporal vector, run once to size the
+    # workspace, then traced
+    rng = np.random.default_rng(94)
+    t, j = 64, 15
+    (_, _, c_in), (c_out, _) = MODEL_STAGES[0]
+    channels = rng.normal(size=(64, c_in, j, t)).astype(np.float32)
+    weight, temporal = rng.normal(size=(t, j)).astype(np.float32), rng.normal(size=t).astype(np.float32)
+    attention = rng.random(size=(64, t, t)).astype(np.float32)
+    k = (rng.normal(size=(c_out, c_in, 3, 3)) * 0.2).astype(np.float32)
+    b = rng.normal(size=c_out).astype(np.float32)
+    source = autograd.embed_image_arrays(channels, weight, attention, temporal)
+    out, rule = autograd.conv_pool_leaky_arrays(source, k, b, True)
+    d = rng.normal(size=out.shape).astype(np.float32)
+    rule(d)
+    tracemalloc.start()
+    try:
+        (d_channels, d_weight, d_attention, d_temporal), _, _ = rule(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d_channels.shape == channels.shape and d_attention.shape == attention.shape
+    assert d_weight.shape == weight.shape and d_temporal.shape == temporal.shape
+    assert peak < 4 * 2**20, peak / 2**20
+
+
+def test_a_recorded_stage_keeps_one_code_byte_per_window():
+    # each window's first-max corner, plus 4 where the pooled maximum is
+    # >= 0, in one int8 array of the output's shape: no bool leaky mask
+    rng = np.random.default_rng(95)
+    for x in (rng.normal(size=(2, 8, 8, 3)), rng.normal(size=(2, 3, 8, 8)).transpose(0, 2, 3, 1)):
+        k, b = rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4)
+        out, rule = autograd.conv_pool_leaky_arrays(x, k, b, True)
+        arrays = [cell.cell_contents for cell in rule.__closure__ if isinstance(cell.cell_contents, np.ndarray)]
+        codes = [arr for arr in arrays if arr.dtype == np.int8]
+        assert len(codes) == 1 and codes[0].shape == out.shape
+        assert not any(arr.dtype == bool for arr in arrays)
+        pooled = reference_stage(Tensor(x, dtype=np.float64), Tensor(k, dtype=np.float64), Tensor(b, dtype=np.float64))
+        assert np.array_equal(codes[0] >= 4, pooled.data >= 0) and codes[0].min() >= 0 and codes[0].max() < 8
 
 
 def _centre_tap_stage(grid):

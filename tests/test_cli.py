@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import model_config
 
-from skelact import training
+from skelact import synth, training
 from skelact.checkpoint import load_checkpoint, save_checkpoint
 from skelact.cli import MAX_PARAMS, main
 from skelact.errors import ParseError
@@ -122,6 +122,28 @@ def test_train_is_byte_deterministic(tmp_path, dataset):
 def test_train_with_one_frame_is_exit_1(tmp_path, dataset, capsys):
     assert main(_train_args(dataset, tmp_path / "x.ckpt", extra=["--frames", "1"])) == 1
     assert "frames must be >= 2" in capsys.readouterr().err
+
+
+def test_train_with_a_frame_count_that_does_not_build_names_the_nearest_that_do(tmp_path, dataset, capsys):
+    # with three stages only frames 43, 44, 47, 48, 59, 60, 63 and 64 build
+    for frames, message in (("50", "does not pool evenly; the nearest frame counts that build are 48 and 59"),
+                            ("45", "does not pool evenly; the nearest frame counts that build are 44 and 47"),
+                            ("128", "does not reduce to 1x1 (got 2); the nearest frame count that builds is 64")):
+        assert main(_train_args(dataset, tmp_path / "x.ckpt", extra=["--frames", frames])) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: frame count {frames} {message}"]
+    assert not (tmp_path / "x.ckpt").exists()
+
+
+def test_without_afe_seed_the_seed_defaults_to_the_configs(tmp_path, dataset, monkeypatch):
+    monkeypatch.delenv("AFE_SEED", raising=False)
+    monkeypatch.setattr(training.TrainConfig, "seed", 3)
+    monkeypatch.setattr(synth.SynthConfig, "seed", 5)
+    assert main(_train_args(dataset, tmp_path / "a.ckpt")) == 0
+    assert main(_train_args(dataset, tmp_path / "b.ckpt", extra=["--seed", "3"])) == 0
+    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+    assert main(_synth_args(tmp_path / "a.jsonl")) == 0
+    assert main(_synth_args(tmp_path / "b.jsonl", extra=["--seed", "5"])) == 0
+    assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
 
 @pytest.mark.parametrize("extra", [["--fc-hidden", "0"], ["--scale-hidden", "0"], ["--channels", "0", "2", "2"]],

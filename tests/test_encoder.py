@@ -399,10 +399,8 @@ def test_image_fill_is_bitwise_the_composed_ops_for_every_block(dtype):
                     want = apply_attention(want, a)
                 if temporal is not None:
                     want = temporal_embed(want, Tensor(temporal, dtype=dtype))
-                source, rule = embed_image_arrays(ch, w, None if a is None else a.data, temporal)
+                source = embed_image_arrays(ch, w, None if a is None else a.data, temporal)
                 assert source.shape == (batch, 3, t, t) and source.dtype == dtype, case
-                grads = rule(np.ones(source.shape, dtype))  # None for each absent input
-                assert [g is None for g in grads[2:]] == [attention is None, temporal is None], case
                 for lo, hi in sorted(ranges):
                     bordered = np.full((hi - lo, 3, t + 2, t + 2), np.nan, dtype)
                     source.fill(lo, hi, bordered[:, :, 1:-1, 1:-1])
@@ -412,17 +410,55 @@ def test_image_fill_is_bitwise_the_composed_ops_for_every_block(dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_image_block_backward_is_bitwise_the_composed_nodes_for_every_block_split(dtype):
+    # a stream image's gradient handed to the source block by block, each
+    # block's a view of a bordered buffer as the stem hands it: the stem's
+    # blocks, uneven ones, each sample alone and the whole batch must all
+    # give bitwise the composed nodes' gradients, with None until the last
+    # block.  Attention batched, shared and absent; temporal on and off;
+    # three channels and one
+    rng = np.random.default_rng(34)
+    t, j = 64, 15
+    for batch in (17, 64):
+        splits = [autograd._batch_blocks(batch, t * t // 4), [(0, batch)], [(n, n + 1) for n in range(batch)],
+                  [(0, 1), (1, batch - 5), (batch - 5, batch)]]
+        for c in (3, 1):
+            ch, w = rng.normal(size=(batch, c, j, t)), rng.normal(size=(t, j))
+            scores, te = rng.random(size=(batch, t, t)), rng.normal(size=t)
+            upstream = rng.normal(size=(batch, c, t, t)).astype(dtype)
+            for attention in (scores, scores[0], None):
+                for temporal in (te, None):
+                    case = (batch, c, None if attention is None else attention.ndim, temporal is None)
+                    inputs = [None if arr is None else Tensor(arr, requires_grad=True, dtype=dtype)
+                              for arr in (ch, w, attention, temporal)]
+                    with Tape():
+                        loss = sum_all(mul(composed_embed_image(*inputs), Tensor(upstream, dtype=dtype)))
+                    backward(loss)
+                    leaves = [leaf for leaf in inputs if leaf is not None]
+                    source = embed_image_arrays(*(None if leaf is None else leaf.data for leaf in inputs))
+                    for split in splits:
+                        bordered = np.zeros((batch, c, t + 2, t + 2), dtype)
+                        bordered[:, :, 1:-1, 1:-1] = upstream
+                        for lo, hi in split:
+                            grads = source.back(lo, hi, bordered[lo:hi, :, 1:-1, 1:-1])
+                            assert (grads is None) == (hi < batch), (case, split)
+                        assert [g is None for g in grads] == [False, False, attention is None, temporal is None], case
+                        for n, (got, leaf) in enumerate(zip([g for g in grads if g is not None], leaves)):
+                            assert _same_bits(got, leaf.grad), (case, len(split), n)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_recorded_image_rule_saves_no_image_sized_array(dtype):
-    # the rule recomputes the pre-attention product in backward, so what its
+    # the block backward recomputes the pre-attention product, so what its
     # closure reaches (the inputs and views of them) is smaller than the image,
     # as is what the fill's reaches
     rng = np.random.default_rng(35)
     t, j = 8, 4
     ch, w = rng.normal(size=(2, 3, j, t)).astype(dtype), rng.normal(size=(t, j)).astype(dtype)
     a, te = rng.normal(size=(2, t, t)).astype(dtype), rng.normal(size=t).astype(dtype)
-    source, rule = embed_image_arrays(ch, w, a, te)
+    source = embed_image_arrays(ch, w, a, te)
     image = filled(source)
-    for fn in (rule, source.fill):  # the fill's closure, which a stem's rule reaches, holds no more
+    for fn in (source.back, source.fill):  # both reached by a stem's rule
         reached = [cell.cell_contents for cell in fn.__closure__]
         owners = [arr if arr.base is None else arr.base for arr in reached if isinstance(arr, np.ndarray)]
         assert len(owners) >= 3 and max(arr.nbytes for arr in owners) < image.nbytes
@@ -496,8 +532,8 @@ def test_encode_matches_hand_composition():
         assert np.array_equal(got.data, want.data)
     assert np.array_equal(bundle.attention.data, a.data)
     for name, want in zip(STREAMS, (ji, bi, jv, bv)):
-        source, rule = stream_image(bundle, name, enc)
-        assert source.shape == (3, 8, 8) and callable(rule), name
+        source = stream_image(bundle, name, enc)
+        assert source.shape == (3, 8, 8) and callable(source.back), name
         assert np.array_equal(filled(source), want.data), name
 
 
@@ -512,7 +548,7 @@ def test_encode_with_everything_off_is_raw_coordinates():
     assert len(bundle.channels) == 2 and bundle.attention is None
     # identity embeddings make both streams the raw coordinate view
     for name in ("joints", "bones"):
-        assert np.array_equal(filled(stream_image(bundle, name, enc)[0]), _channels(x)), name
+        assert np.array_equal(filled(stream_image(bundle, name, enc)), _channels(x)), name
 
 
 def test_active_streams_follow_velocity_flag():
@@ -545,6 +581,6 @@ def test_encode_batched_equals_stacked_single():
         for got, want in zip(batch.channels, single.channels):
             assert np.allclose(got.data[b], want.data, atol=1e-6)
         for name in STREAMS:
-            want = filled(stream_image(single, name, enc)[0])
-            assert np.allclose(filled(stream_image(batch, name, enc)[0])[b], want, atol=1e-6), name
+            want = filled(stream_image(single, name, enc))
+            assert np.allclose(filled(stream_image(batch, name, enc))[b], want, atol=1e-6), name
         assert np.allclose(batch.attention.data[b], single.attention.data, atol=1e-6)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from conftest import composed_images, conv_pool_leaky, embed_image, perfbench_spans, reference_stage
 
-from skelact import autograd, encoder, recognizer
+from skelact import autograd, recognizer
 from skelact.autograd import (
     Tape, Tensor, backward, concat, cross_entropy, permute, reshape,
 )
@@ -497,20 +497,20 @@ def _thread_spy(monkeypatch, module, name):
 
 
 def _rule_spy(monkeypatch):
-    """Record the thread name of every stage and image rule the streams
-    node runs."""
+    """Record the thread name of every stage rule the streams node runs
+    (the stem's runs its image source's block backward)."""
     names = []
-    for module, name in ((recognizer, "conv_pool_leaky_arrays"), (encoder, "embed_image_arrays")):
-        def spy(*args, _body=getattr(module, name)):
-            out, rule = _body(*args)
 
-            def traced(d):
-                names.append(threading.current_thread().name)
-                return rule(d)
+    def spy(*args, _body=recognizer.conv_pool_leaky_arrays):
+        out, rule = _body(*args)
 
-            return out, None if rule is None else traced
+        def traced(d):
+            names.append(threading.current_thread().name)
+            return rule(d)
 
-        monkeypatch.setattr(module, name, spy)
+        return out, None if rule is None else traced
+
+    monkeypatch.setattr(recognizer, "conv_pool_leaky_arrays", spy)
     return names
 
 
@@ -551,7 +551,7 @@ def test_streams_node_is_bitwise_the_sequential_stages_on_workers_and_inline(dty
             got = _step_bytes(params, x[:batch], labels[:batch])
         assert got == want, batch
         worker = "skelact-worker" if recognizer.infer_workers() == 2 else "MainThread"
-        assert len(forwards) == 4 and len(backwards) == 16, batch  # 12 stage rules and 4 image rules
+        assert len(forwards) == 4 and len(backwards) == 12, batch  # 3 stage rules a stream
         assert all(name.startswith(worker) for name in forwards + backwards), batch
         # perfbench's tracer wraps these with one span stack: no worker may call them
         assert traced and all(name == "MainThread" for name in traced), batch
@@ -782,10 +782,10 @@ def _reached(tape: Tape) -> tuple[list[np.ndarray], list]:
 
 
 def test_a_recorded_forward_keeps_no_stream_image():
-    # after a recorded B=64 forward, no tape node, stage rule or image rule
-    # reaches an array as large as one stream's (64, 3, 64, 64) image: the
-    # stem's rule refills its pad from the image source, which holds only
-    # the channels, embedding, attention map and temporal vector
+    # after a recorded B=64 forward, no tape node or stage rule reaches an
+    # array as large as one stream's (64, 3, 64, 64) image: the stem's rule
+    # refills its pad from the image source, which holds only the channels,
+    # embedding, attention map and temporal vector
     params = ModelParams.build(_config(channels=(32, 64, 128)), seed=19)
     x = (np.random.default_rng(44).normal(size=(64, 64, 4, 3)) * 0.3).astype(np.float32)
     with Tape() as tape:
@@ -793,8 +793,8 @@ def test_a_recorded_forward_keeps_no_stream_image():
     arrays, functions = _reached(tape)
     rules = [fn.__qualname__ for fn in functions]
     assert rules.count("conv_pool_leaky_arrays.<locals>.back") == 12
-    assert rules.count("embed_image_arrays.<locals>.rule") == 4
     assert rules.count("embed_image_arrays.<locals>.fill") == 4  # each stem's rule reaches its source
+    assert rules.count("embed_image_arrays.<locals>.back") == 4
     owners = {id(owner): owner for owner in (a if a.base is None else a.base for a in arrays)}
     biggest = max(owners.values(), key=lambda a: a.nbytes)
     assert biggest.nbytes < 64 * 3 * 64 * 64 * 4, biggest.shape
