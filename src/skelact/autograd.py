@@ -29,24 +29,25 @@ place a CNN stage is computed, for training and for ``recognizer.infer``
 alike.  Its body is the array-level :func:`conv_pool_leaky_arrays`, which
 returns the output and, when recorded, the backward rule; the recognizer's
 streams node chains each stream's rules itself.  The image body,
-:func:`embed_image_arrays`, returns an :class:`ImageSource`, which the
+:func:`embed_image_arrays`, takes (B, C, J, T) channels and a (B, T, T)
+attention map or none, and returns an :class:`ImageSource`, which the
 stem fills into its pad a batch block at a time, and whose block backward
 the stem's rule hands each block's input gradient.  The stage pads its
 input into a per-thread workspace buffer, reused call after call, and
 its im2col columns, conv output and pooled maxima (in the spent pad)
-live there too.  Its
-GEMM rows are in pooling-corner-major order, so the conv output is four
-contiguous corner slabs; a C-contiguous input is padded channels-last
-with (i, j, c) taps, the permuted stem image channel-first with (c, i, j)
-taps.  It runs its per-sample work, forward and backward, in near-equal
-batch blocks of at most ``BLOCK_ROWS`` GEMM rows, so its workspace holds
-one block (only stage 1 of a batch of 17 or more splits).  The edges are
-balanced, since a short tail block's GEMM has given other bits.  The
-kernel and bias gradients, which add over every row, add the blocks'
-partial sums in block order, so they alone depend on the blocks.  A
-channel-first block of half ``BLOCK_ROWS`` or more fills its columns
-transposed, the faster copy, for GEMMs that OpenBLAS runs with the same
-bits.
+live there too.  Its GEMM rows are in pooling-corner-major order, so the
+conv output is four contiguous corner slabs.  What its input is, not how
+its memory lies, sets its taps: an image source (the stem) is padded
+channel-first with (c, i, j) taps, an array (stages 2 and 3)
+channels-last with (i, j, c) taps.  It runs its per-sample work, forward
+and backward, in near-equal batch blocks of at most ``BLOCK_ROWS`` GEMM
+rows, so its workspace holds one block (only stage 1 of a batch of 17 or
+more splits).  The edges are balanced, since a short tail block's GEMM
+has given other bits.  The kernel and bias gradients, which add over
+every row, add the blocks' partial sums in block order, so they alone
+depend on the blocks.  An image source's block of half ``BLOCK_ROWS`` or
+more fills its columns transposed, the faster copy, for GEMMs that
+OpenBLAS runs with the same bits.
 Arrays a tape records are always fresh, and so are the stage's output
 and every gradient a backward rule returns; the stage's backward rule
 rebuilds its columns from its saved input or image source and keeps
@@ -310,12 +311,13 @@ class ImageSource(NamedTuple):
     ``out``.  ``back(lo, hi, d)`` takes the gradient ``d`` of those rows,
     which it may overwrite; called for consecutive blocks from row 0 to the
     last, it returns the gradients of the image's inputs after the last
-    block and None before it."""
+    block and None before it.  A source only an unrecorded stage reads
+    may have no ``back`` (None)."""
 
     shape: tuple[int, ...]
     dtype: np.dtype
     fill: Callable[[int, int, np.ndarray], None]
-    back: Callable[[int, int, np.ndarray], tuple | None]
+    back: Callable[[int, int, np.ndarray], tuple | None] | None
 
 
 def _carry(part: np.ndarray, total: np.ndarray | None, axes: int) -> np.ndarray:
@@ -332,38 +334,36 @@ def _carry(part: np.ndarray, total: np.ndarray | None, axes: int) -> np.ndarray:
 def embed_image_arrays(channels: np.ndarray, weight: np.ndarray, attention: np.ndarray | None,
                        temporal: np.ndarray | None) -> ImageSource:
     """One encoder image on arrays, as an :class:`ImageSource`: the (T, J)
-    ``weight`` times each (J, T) channel of a (B, C, J, T) or (C, J, T)
-    ``channels``, then, given the attention map A ((T, T), or (B, T, T) for
-    a batch) spread over channels, ``product * A + product``, then, given
-    the length-T ``temporal`` vector, that added to every row.  The source's
-    ``back`` returns ``(d_channels, d_weight, d_attention, d_temporal)``,
-    with None for an absent input.
+    ``weight`` times each (J, T) channel of a (B, C, J, T) ``channels``,
+    then, given the (B, T, T) attention map A spread over channels,
+    ``product * A + product``, then, given the length-T ``temporal``
+    vector, that added to every row.  Any other shape raises
+    :class:`DimensionError`.  The source's ``back`` returns
+    ``(d_channels, d_weight, d_attention, d_temporal)``, with None for an
+    absent input.
 
     Values and gradients are bit for bit those of the composed nodes
     ``temporal_embed(apply_attention(embed_to_image(.)))`` in the encoder,
     for any blocks: the fill keeps their operand order (each channel's
     product is a GEMM of its own, so any block has the whole image's bits),
     and ``back`` sums each gradient as they do (``d + d * A`` into the
-    product, the attention gradient summed over channels, the temporal one
-    over rows, channels and batch).  A sum over the first axis (the
-    embedding and temporal gradients', and a shared map's per-channel batch
-    sum, whose channel sum runs once after the last block) continues from
-    block to block by :func:`_carry`, so it keeps the whole batch's
-    row-by-row order.  The fill builds its block in this thread's ``cols``
-    workspace, then copies it into ``out``; ``back``, given attention,
-    recomputes the block's product there (the same GEMM, so the same bits),
-    so neither saves anything beyond the inputs.
+    product, each sample's attention gradient summed over its channels, the
+    temporal one over rows, channels and batch).  The embedding and
+    temporal gradients' sums over the batch continue from block to block by
+    :func:`_carry`, so they keep the whole batch's row-by-row order.  The
+    fill builds its block in this thread's ``cols`` workspace, then copies
+    it into ``out``; ``back``, given attention, recomputes the block's
+    product there (the same GEMM, so the same bits), so neither saves
+    anything beyond the inputs.
     """
     t, j = weight.shape
-    if channels.shape[-2:] != (j, t):
-        raise DimensionError(f"embedding {weight.shape} cannot map channels {channels.shape}")
-    shape, dtype = channels.shape[:-2] + (t, t), np.result_type(weight, channels)
+    if channels.ndim != 4 or channels.shape[-2:] != (j, t):
+        raise DimensionError(f"embedding {weight.shape} cannot map channels {channels.shape}: expects (B, C, {j}, {t})")
+    shape, dtype = channels.shape[:2] + (t, t), np.result_type(weight, channels)
     if attention is not None:
-        if attention.shape not in ((t, t), shape[:-3] + (t, t)):
-            raise DimensionError(f"attention {attention.shape} does not match a {shape} image")
-        spread = attention[..., None, :, :]
-        spread_rows = np.broadcast_to(spread, shape)  # sliced as the channels are
-        per_row = spread.ndim == len(shape) and spread.shape[0] == shape[0]  # else summed over the first axis
+        if attention.shape != (shape[0], t, t):
+            raise DimensionError(f"attention {attention.shape} does not match a {shape} image: expects (B, T, T)")
+        spread = attention[:, None]  # (B, 1, T, T), broadcast over channels
     if temporal is not None and temporal.shape != (t,):
         raise DimensionError(f"temporal vector {temporal.shape} does not match a {t}x{t} image")
 
@@ -371,7 +371,7 @@ def embed_image_arrays(channels: np.ndarray, weight: np.ndarray, attention: np.n
         work = _workspace("cols", (2, hi - lo, *shape[1:]), dtype)
         image = np.matmul(weight, channels[lo:hi], out=work[0])
         if attention is not None:
-            image = np.multiply(work[0], spread_rows[lo:hi], out=work[1])
+            image = np.multiply(work[0], spread[lo:hi], out=work[1])
             image += work[0]
         if temporal is not None:
             image += temporal
@@ -382,32 +382,23 @@ def embed_image_arrays(channels: np.ndarray, weight: np.ndarray, attention: np.n
     def back(lo, hi, d):
         nonlocal d_channels, d_weight, d_attention, d_temporal
         if lo == 0:  # a pass starts: nothing carried
-            d_weight = d_attention = d_temporal = None
+            d_weight = d_temporal = None
+            if attention is not None:
+                d_attention = np.empty(attention.shape, dtype)
         d_product = d
         if attention is not None:
             product = np.matmul(weight, channels[lo:hi], out=_workspace("cols", d.shape, dtype))  # the fill's bits
             product *= d
-            if per_row:
-                if lo == 0:
-                    d_attention = np.empty(spread.shape, product.dtype)
-                d_attention[lo:hi] = _unbroadcast(product, (hi - lo, *spread.shape[1:]))
-            else:
-                d_attention = _carry(product, d_attention, 1)
-            d_product = np.multiply(d, spread_rows[lo:hi], out=product)
+            d_attention[lo:hi] = product.sum(axis=1)  # over the channels
+            d_product = np.multiply(d, spread[lo:hi], out=product)
             d_product += d  # fl(d * A + d) = fl(d + d * A)
         if lo == 0:
             d_channels = np.empty(channels.shape, np.result_type(weight, d_product))
         np.matmul(np.swapaxes(weight, -1, -2), d_product, out=d_channels[lo:hi])
-        d_weight = _carry(d_product @ np.swapaxes(channels[lo:hi], -1, -2), d_weight, d.ndim - 2)
+        d_weight = _carry(d_product @ np.swapaxes(channels[lo:hi], -1, -2), d_weight, 2)
         if temporal is not None:  # last, as it adds into d
-            d_temporal = _carry(d, d_temporal, d.ndim - 1)
-        if hi < shape[0]:
-            return None
-        if attention is not None:
-            if not per_row:  # the channel sum, once the batch is summed
-                d_attention = _unbroadcast(d_attention, spread.shape[-d_attention.ndim:])
-            d_attention = d_attention.reshape(attention.shape)
-        return d_channels, d_weight, d_attention, d_temporal
+            d_temporal = _carry(d, d_temporal, 3)
+        return None if hi < shape[0] else (d_channels, d_weight, d_attention, d_temporal)
 
     return ImageSource(shape, dtype, fill, back)
 
@@ -557,38 +548,37 @@ def _fill_columns_transposed(xp: np.ndarray, cols_t: np.ndarray, kh: int, kw: in
         xp, shape, (s_c, s_h, s_w, 2 * s_h, 2 * s_w, s_b, 4 * s_h, 4 * s_w)))
 
 
-def _columns(xd: np.ndarray | ImageSource, lo: int, hi: int, kh: int, kw: int, c_out: int,
-             channels_last: bool) -> np.ndarray:
+def _columns(xd: np.ndarray | ImageSource, lo: int, hi: int, kh: int, kw: int, c_out: int) -> np.ndarray:
     """The stride-2 padding-1 im2col columns of samples ``lo:hi`` of a
-    (B, H, W, C) input or an image source for a GEMM with ``c_out``
+    (B, H, W, C) array or an image source for a GEMM with ``c_out``
     outputs, rows in :func:`_fill_columns`' pooling-corner-major order, in
     this thread's workspace: the samples copied or filled into the
     zero-bordered ``pad`` buffer, then filled into ``cols``.
 
-    ``channels_last`` (stages 2 and 3) pads channels-last and gives
-    (i, j, c) columns, each row built from kw * C-element runs; otherwise
-    (an image source, or a permuted channel-first image) the pad is
-    channel-first and the columns are in (c, i, j) order.  With one channel
-    the two orders agree.  Channel-first columns of ``BLOCK_ROWS // 2``
-    rows or more for two or more outputs (every block of a split stage 1)
-    are filled transposed and returned as a transposed view: that fill
-    takes a third of the time (0.36 against 0.98 ms for a 16-sample float32
-    stage-1 block on a 2-vCPU Xeon), and OpenBLAS gives a GEMM this large
-    the same bits with either operand layout.  Smaller GEMMs (its
-    small-matrix kernels) and single-output ones (a matrix-vector product)
-    do not, so their columns stay row-major."""
+    An array (stages 2 and 3) is padded channels-last and gives (i, j, c)
+    columns, each row built from kw * C-element runs; an image source (the
+    stem) is filled into a channel-first pad and gives (c, i, j) columns.
+    With one channel the two orders agree.  An image source's columns of
+    ``BLOCK_ROWS // 2`` rows or more for two or more outputs (every block
+    of a split stage 1) are filled transposed and returned as a transposed
+    view: that fill takes a third of the time (0.36 against 0.98 ms for a
+    16-sample float32 stage-1 block on a 2-vCPU Xeon), and OpenBLAS gives a
+    GEMM this large the same bits with either operand layout.  Smaller
+    GEMMs (its small-matrix kernels) and single-output ones (a
+    matrix-vector product) do not, so their columns stay row-major."""
+    source = isinstance(xd, ImageSource)
     batch, h, w, c_in = hi - lo, *_nhwc(xd)[1:]
-    xp = _workspace("pad", (batch, h + 2, w + 2, c_in) if channels_last else (batch, c_in, h + 2, w + 2), xd.dtype)
-    view = xp if channels_last else xp.transpose(0, 2, 3, 1)  # (B, H + 2, W + 2, C) either way
+    xp = _workspace("pad", (batch, c_in, h + 2, w + 2) if source else (batch, h + 2, w + 2, c_in), xd.dtype)
+    view = xp.transpose(0, 2, 3, 1) if source else xp  # (B, H + 2, W + 2, C) either way
     view[:, 0], view[:, -1], view[:, :, 0], view[:, :, -1] = 0, 0, 0, 0  # the border only
-    if isinstance(xd, ImageSource):
+    if source:
         xd.fill(lo, hi, xp[:, :, 1:-1, 1:-1])
     else:
         view[:, 1:-1, 1:-1] = xd[lo:hi]
     rows, taps = batch * ((h + 2 - kh) // 2 + 1) * ((w + 2 - kw) // 2 + 1), c_in * kh * kw
-    if channels_last or rows < BLOCK_ROWS // 2 or c_out < 2:
+    if not source or rows < BLOCK_ROWS // 2 or c_out < 2:
         cols = _workspace("cols", (rows, taps), xd.dtype)
-        _fill_columns(xp, cols, kh, kw, channels_last)
+        _fill_columns(xp, cols, kh, kw, channels_last=not source)
         return cols
     cols_t = _workspace("cols", (taps, rows), xd.dtype)
     _fill_columns_transposed(xp, cols_t, kh, kw)
@@ -622,23 +612,23 @@ def conv_pool_leaky_arrays(xd: np.ndarray | ImageSource, kernels: np.ndarray, bi
     image source's ``d_input`` is what its ``back`` returns; else None.
     The recognizer's streams chain its rules themselves.
 
-    Takes (B,H,W,C_in), or an :class:`ImageSource` of a (B,C_in,H,W)
-    image, and returns (B,H'/2,W'/2,C_out), with the values
+    Takes a (B,H,W,C_in) array, or an :class:`ImageSource` of a
+    (B,C_in,H,W) image, and returns (B,H'/2,W'/2,C_out), with the values
     of ``leaky_relu(maxpool2d(conv2d(.)))`` on the channel-first layout to
     within float rounding: its dot products add in another order, so the
     two agree within 1e-5 relative in float32 (``tests/conftest.py``'s
     ``reference_stage`` gives the exact bits).  The GEMM rows of each
     batch block are in pooling-corner-major order (:func:`_fill_columns`),
-    so the conv output is four contiguous corner slabs.  A C-contiguous
-    input (stages 2 and 3) is padded channels-last and its columns are in
-    (i, j, c) order, so the GEMM reads one small (C_out, kh, kw, C_in) copy
-    of the kernels; any other input (the stem's image source, or a permuted
-    channel-first image) keeps conv2d's (c, i, j) columns.  At the stem's
-    sizes (1,024 GEMM rows a sample) OpenBLAS computes each row alike
-    wherever it sits, so the stem's conv output and input gradient have
-    the bits they had in natural row order; a toy stage's small GEMMs may
-    not.  Kernels keep their (C_out,C_in,kh,kw) layout in the parameters,
-    and ``d_kernels`` comes back in it.
+    so the conv output is four contiguous corner slabs.  An array (stages
+    2 and 3), however its memory lies, is padded channels-last and its
+    columns are in (i, j, c) order, so the GEMM reads one small
+    (C_out, kh, kw, C_in) copy of the kernels; an image source (the stem)
+    keeps conv2d's (c, i, j) columns.  At the stem's sizes (1,024 GEMM
+    rows a sample) OpenBLAS computes each row alike wherever it sits, so
+    the stem's conv output and input gradient have the bits they had in
+    natural row order; a toy stage's small GEMMs may not.  Kernels keep
+    their (C_out,C_in,kh,kw) layout in the parameters, and ``d_kernels``
+    comes back in it.
     The input is copied (a source filled) into a zero-bordered pad buffer,
     and the im2col columns and the conv output, then the pooled maxima in
     the spent pad, live in this thread's workspace; the output is fresh.
@@ -654,12 +644,13 @@ def conv_pool_leaky_arrays(xd: np.ndarray | ImageSource, kernels: np.ndarray, bi
     A recorded call adds the bias before it pools, and keeps one int8 code
     per window: the corner of its first maximum, from strict ``>`` compares
     taken in row-major corner order, plus 4 where the pooled maximum is
-    >= 0.  Backward routes the window's gradient to that corner (the code's
-    low two bits) and takes its leaky factor from an 8-entry table by the
-    code.  A compare with a NaN is false and the running maximum stays
-    NaN once it meets one, so a window holding a NaN routes its gradient to
-    the first maximum of the corners before its first NaN, or to that NaN
-    when it is the first corner (``maxpool2d`` routes it to the first NaN).
+    >= 0.  Backward scales the window's gradient by the slope, copies it
+    back unscaled where the code is 4 or more, and routes it to that
+    corner (the code's low two bits).  A compare with a NaN is false and
+    the running maximum stays NaN once it meets one, so a window holding a
+    NaN routes its gradient to the first maximum of the corners before its
+    first NaN, or to that NaN when it is the first corner (``maxpool2d``
+    routes it to the first NaN).
     The leaky slope of the gradient follows the sign of the pooled maximum
     (a NaN is not >= 0), not of the output, which is -0 where a tiny
     negative maximum times the slope underflows.  Backward reads only the
@@ -687,11 +678,10 @@ def conv_pool_leaky_arrays(xd: np.ndarray | ImageSource, kernels: np.ndarray, bi
     An unrecorded call (``recognizer.infer``'s and ``stream_forward``'s)
     pools before the bias add, building no codes: the same bits, with less
     work.
-    The input gradient follows the input's memory layout: a C-contiguous
-    input gets a C-contiguous gradient, and any other gets conv2d's
-    channel-first memory, as does each block an image source is handed, so
-    the reductions over it upstream (the temporal embedding's) add in
-    conv2d's order.
+    The input gradient follows the input's kind: an array gets a
+    channels-last gradient, and each block an image source is handed is in
+    conv2d's channel-first memory, so the reductions over it upstream (the
+    temporal embedding's) add in conv2d's order.
     """
     if len(xd.shape) != 4:
         raise DimensionError(f"conv_pool_leaky expects (B,H,W,C), got {xd.shape}")
@@ -705,9 +695,8 @@ def conv_pool_leaky_arrays(xd: np.ndarray | ImageSource, kernels: np.ndarray, bi
     if h_out < 1 or w_out < 1 or h_out % 2 or w_out % 2:
         raise DimensionError(f"conv_pool_leaky: conv output {h_out}x{w_out} of input {xd.shape} cannot be pooled 2x2")
 
-    source = isinstance(xd, ImageSource)
-    channels_last = not source and xd.flags.c_contiguous  # the taps and gradient layout
-    kmat = (kernels.transpose(0, 2, 3, 1) if channels_last else kernels).reshape(c_out, -1)
+    source = isinstance(xd, ImageSource)  # (c, i, j) taps; an array's are (i, j, c)
+    kmat = (kernels if source else kernels.transpose(0, 2, 3, 1)).reshape(c_out, -1)
     dtype = np.result_type(xd.dtype, kmat)
     h2, w2 = h_out // 2, w_out // 2
     blocks = _batch_blocks(batch, h_out * w_out)
@@ -716,7 +705,7 @@ def conv_pool_leaky_arrays(xd: np.ndarray | ImageSource, kernels: np.ndarray, bi
         code = np.empty(out.shape, np.int8)  # each window's first max's corner, plus 4 where the max is >= 0
     for lo, hi in blocks:
         conv = _workspace("conv", (4, hi - lo, h2, w2, c_out), dtype)  # corner slabs, row-major corner order
-        np.matmul(_columns(xd, lo, hi, kh, kw, c_out, channels_last), kmat.T, out=conv.reshape(-1, c_out))
+        np.matmul(_columns(xd, lo, hi, kh, kw, c_out), kmat.T, out=conv.reshape(-1, c_out))
         if recorded:
             conv += bias  # bias first: the index below compares the biased corners
             pooled = _workspace("pad", conv.shape[1:], dtype)  # the pad is spent: the columns are filled
@@ -734,14 +723,12 @@ def conv_pool_leaky_arrays(xd: np.ndarray | ImageSource, kernels: np.ndarray, bi
         np.maximum(out[lo:hi], pooled, out=out[lo:hi])  # leaky ReLU, as the slope is < 1
 
     def back(d):
-        leak = np.array([LEAKY_SLOPE] * 4 + [1] * 4, dtype)  # by the window's code: d * slope or d, as np.where would
-        if channels_last:
+        if not source:
             dxp = np.zeros((batch, h + 2, w + 2, c_in), dtype=d.dtype)
-        elif not source:  # channel-first memory: each block gathers its taps to match
-            dxp = np.zeros((batch, c_in, h + 2, w + 2), dtype=d.dtype).transpose(0, 2, 3, 1)
         for lo, hi in blocks:
             nb = hi - lo
-            dpool = d[lo:hi] * leak.take(code[lo:hi])
+            dpool = d[lo:hi] * dtype.type(LEAKY_SLOPE)
+            np.copyto(dpool, d[lo:hi], where=code[lo:hi] >= 4)  # d * slope or d, as np.where would
             db_part = dpool.reshape(-1, c_out).sum(axis=0)
             dconv = _workspace("conv", (4, *dpool.shape), dtype)
             corner = code[lo:hi] & 3
@@ -749,7 +736,7 @@ def conv_pool_leaky_arrays(xd: np.ndarray | ImageSource, kernels: np.ndarray, bi
                 np.multiply(dpool, corner == n, out=dconv[n])
             del dpool, corner  # before the refill
             d2 = dconv.reshape(-1, c_out)
-            cols = _columns(xd, lo, hi, kh, kw, c_out, channels_last)
+            cols = _columns(xd, lo, hi, kh, kw, c_out)
             # on the transposed view, the C-contiguous product is the faster GEMM, with the same bits
             dk_part = d2.T @ cols if cols.flags.c_contiguous else (cols.T @ d2).T
             if lo == 0:  # the sums start from the first block's partials, so one block keeps their bits
@@ -763,26 +750,24 @@ def conv_pool_leaky_arrays(xd: np.ndarray | ImageSource, kernels: np.ndarray, bi
                 into = _workspace("conv", (nb, c_in, h + 2, w + 2), d.dtype)
                 into[...] = 0
                 into = into.transpose(0, 2, 3, 1)
-            else:
-                into = dxp[lo:hi]
-            if channels_last:  # (ci, cj, b, y', x', i, j, c) rows read as (b, y', ci, x', cj, c, i, j)
-                taps = dcols.reshape(2, 2, nb, h2, w2, kh, kw, c_in).transpose(2, 3, 0, 4, 1, 7, 5, 6)
-            else:  # each corner gathered at its parity into (b, c, i, j, y, x), as the memory runs
+                # each corner gathered at its parity into (b, c, i, j, y, x), as the memory runs
                 corners = dcols.reshape(2, 2, nb, h2, w2, c_in, kh, kw)
                 taps = _workspace("pad", (nb, c_in, kh, kw, h_out, w_out), dtype)  # the refill is spent
                 for ci in (0, 1):
                     for cj in (0, 1):
                         taps[..., ci::2, cj::2] = corners[ci, cj].transpose(0, 3, 4, 5, 1, 2)
                 taps = taps.reshape(nb, c_in, kh, kw, h2, 2, w2, 2).transpose(0, 4, 5, 6, 7, 1, 2, 3)
+            else:  # (ci, cj, b, y', x', i, j, c) rows read as (b, y', ci, x', cj, c, i, j)
+                into = dxp[lo:hi]
+                taps = dcols.reshape(2, 2, nb, h2, w2, kh, kw, c_in).transpose(2, 3, 0, 4, 1, 7, 5, 6)
             for i in range(kh):  # each element sums its taps in (i, j) row-major order from +0
                 for j in range(kw):
                     at = into[:, i : i + 2 * h_out : 2, j : j + 2 * w_out : 2].reshape(nb, h2, 2, w2, 2, c_in)
                     at += taps[..., i, j]
             if source:  # the image's inputs' gradients, once the last block is in
                 dx = xd.back(lo, hi, into[:, 1 : 1 + h, 1 : 1 + w].transpose(0, 3, 1, 2))
-        if channels_last:  # (C_out, kh, kw, C_in) back to the kernels' layout
+        if not source:  # (C_out, kh, kw, C_in) back to the kernels' layout
             dk = dk.reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)
-        if not source:
             dx = dxp[:, 1 : 1 + h, 1 : 1 + w]
         return dx, np.ascontiguousarray(dk).reshape(kernels.shape), db
 

@@ -12,8 +12,9 @@ The pipeline per sequence:
   5. frame-difference velocity images are built from the scaled tensors;
   6. a learned per-column temporal vector is added to every image.
 
-All ops accept an optional leading batch axis.  Ablation flags prune the
-learned stages; whatever remains stays differentiable end to end.
+The ops before the image source accept an optional leading batch axis.
+Ablation flags prune the learned stages; whatever remains stays
+differentiable end to end.
 
 EncoderParams shares the model's one tensor dict, keyed by
 model.param_spec's names.  The scale heads and the attention map take that
@@ -25,13 +26,14 @@ embedding and temporal stages take the bare ``embed.<stream>`` and
 (the scaled joints and bones of steps 1 and 2, and their frame differences
 for step 5) and the attention map of step 4.  The embedding, the
 reweighting and the temporal add belong to the stream body:
-``stream_image`` gives one stream's image from the bundle as a source
-(``autograd.embed_image_arrays``) that fills any block of samples and
-takes back any block's gradient, with
-values and gradients bit for bit those of ``embed_to_image``,
-``apply_attention`` and ``temporal_embed`` composed.  The recognizer's
-streams node calls it for each stream, and ``skelact encode`` for each
-image it writes.
+``stream_image`` gives one stream's image from a batched bundle as a
+source (``autograd.embed_image_arrays``) that fills any block of samples
+and takes back any block's gradient, with values and gradients bit for
+bit those of ``embed_to_image``, ``apply_attention`` and
+``temporal_embed`` composed.  It takes a batch axis only: (B, 3, J, T)
+channels and a (B, T, T) attention map; ``skelact encode`` passes its one
+sequence as a batch of one.  The recognizer's streams node calls it for
+each stream, and ``skelact encode`` for each image it writes.
 """
 
 from __future__ import annotations
@@ -210,7 +212,7 @@ def encode(x, enc: EncoderParams) -> EncodedBundle:
 
 
 def stream_image(bundle: EncodedBundle, name: str, enc: EncoderParams) -> ImageSource:
-    """Stream ``name``'s (.., 3, T, T) image source: ``embed_image_arrays``
+    """Stream ``name``'s (B, 3, T, T) image source: ``embed_image_arrays``
     over the stream's channels, ``embed.<name>``, the attention map for the
     ATTENDED streams, and ``temporal.<name>`` when that stage is on."""
     attention = bundle.attention if name in ATTENDED else None

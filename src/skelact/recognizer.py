@@ -3,13 +3,13 @@
 Each enhanced image runs through its own three-stage conv encoder
 (3x3 kernels, stride 2, padding 1, each stage followed by 2x2 max pooling
 and a leaky ReLU), collapsing a 64x64 image to a single feature column.
-One body, ``_stages``, runs a stream: it turns the image channels-last
-once and chains the array-level fused stage ``conv_pool_leaky_arrays``
-three times, keeping each stage's backward rule when recorded.  Each
-stage's GEMM rows are in pooling-corner-major order; stage 1 reads the
-permuted channel-first image with (c, i, j) taps, and stages 2 and 3 read
-the C-contiguous output before them with (i, j, c) taps.  ``conv2d`` and
-``maxpool2d`` remain as channel-first reference ops:
+One body, ``_stages``, runs a stream: it chains the array-level fused
+stage ``conv_pool_leaky_arrays`` three times on an image source, keeping
+each stage's backward rule when recorded.  Each stage's GEMM rows are in
+pooling-corner-major order; stage 1 fills the source's channel-first
+image into its pad and reads it with (c, i, j) taps, and stages 2 and 3
+read the channels-last output array before them with (i, j, c) taps.
+``conv2d`` and ``maxpool2d`` remain as channel-first reference ops:
 ``leaky_relu(maxpool2d(conv2d(.)))`` agrees with a stage to within float
 rounding (1e-5 relative in float32), and the tests' ``reference_stage``
 gives its exact bits.
@@ -28,7 +28,8 @@ and its rule hands each block's gradient back to the image source, so no
 image or image gradient is stored whole.  ``infer``, which evaluation and
 ``skelact bench`` run, is that body untaped: the streams run one at a
 time on the caller's thread, with the same logits bit for bit.
-``stream_forward`` is one stream's stages untaped, on an image array.
+``stream_forward`` is one stream's stages untaped, on an image array,
+which it wraps in a fill-only image source.
 Both paths take a batch axis only: images are (B, 3, T, T) and ``infer``
 takes (B, T, J, 3), so ``skelact bench`` passes its one sequence as a
 batch of one.  An ``infer`` batch of ``SPLIT_MIN`` or more runs as two
@@ -58,20 +59,22 @@ from .model import ModelConfig, ModelParams, param_spec
 
 def stream_forward(image, tensors: dict[str, Tensor], i: int) -> Tensor:
     """Stream ``i``: a (B, 3, T, T) image to a flat (B, F) feature matrix,
-    through the stages ``stream{i}.conv1`` to ``conv3``.  Untaped: it
-    records nothing, even inside a Tape."""
-    features, _ = _stages(image.data if isinstance(image, Tensor) else np.asarray(image), tensors, i, False)
+    through the stages ``stream{i}.conv1`` to ``conv3``, the image read
+    through a fill-only image source as the streams node reads its own.
+    Untaped: it records nothing, even inside a Tape."""
+    image = image.data if isinstance(image, Tensor) else np.asarray(image)
+    source = ImageSource(image.shape, image.dtype, lambda lo, hi, out: np.copyto(out, image[lo:hi]), None)
+    features, _ = _stages(source, tensors, i, False)
     return Tensor(features, dtype=features.dtype)
 
 
-def _stages(image: np.ndarray | ImageSource, tensors: dict[str, Tensor], i: int,
-            recorded: bool) -> tuple[np.ndarray, list]:
-    """Stream ``i``'s stages on the channels-last view of a (B, 3, T, T)
-    image array, or on an image source: its (B, F) features and each
-    stage's backward rule, in stage order (None when not ``recorded``)."""
+def _stages(image: ImageSource, tensors: dict[str, Tensor], i: int, recorded: bool) -> tuple[np.ndarray, list]:
+    """Stream ``i``'s stages on a (B, 3, T, T) image source: its (B, F)
+    features and each stage's backward rule, in stage order (None when not
+    ``recorded``)."""
     if len(image.shape) != 4:
         raise DimensionError(f"stream expects a (B,3,T,T) image, got {image.shape}")
-    x, rules = (image if isinstance(image, ImageSource) else image.transpose(0, 2, 3, 1)), []
+    x, rules = image, []
     for n in (1, 2, 3):
         x, rule = conv_pool_leaky_arrays(x, tensors[f"stream{i}.conv{n}.kernels"].data,
                                          tensors[f"stream{i}.conv{n}.bias"].data, recorded)
@@ -93,7 +96,8 @@ def _streams(bundle: EncodedBundle, params: ModelParams) -> Tensor:
     """The streams' features concatenated, as one tape node: values and
     gradients bit for bit those of each stream's image taped as
     ``embed_to_image``, ``apply_attention`` and ``temporal_embed``, its
-    stages as ``permute``, three fused stage nodes and ``reshape``, then
+    stages as three fused stage nodes (the stem's on an image source that
+    copies that image and collects its gradient) and ``reshape``, then
     ``concat``.
 
     Each stream runs :func:`stream_image` and then :func:`_stages`.
@@ -103,8 +107,8 @@ def _streams(bundle: EncodedBundle, params: ModelParams) -> Tensor:
     would be corrupted by spans on two threads at once.  The backward
     splits the gradient as ``concat`` does, then runs each stream's stage
     rules from stage 3 down, freeing each rule once it has run; the stem's
-    hands each block's gradient, channel-first as ``permute`` would give
-    it, to the image source, and returns the image's input gradients.
+    hands each block's gradient, in channel-first memory, to the image
+    source, and returns the image's input gradients.
     It returns the channel gradients, the attention map's (the bones
     stream's plus the joints stream's, as ``backward`` added them), then
     each stream's embedding, temporal, kernel and bias gradients.

@@ -1,8 +1,10 @@
 """Shared test plumbing: the acceptance-criteria verdict board, a dataset's
 model config, the joint-to-bone incidence oracle, scale-head and attention
 tensors under their parameter names, the array-level image and stage
-bodies as tape nodes, the fused stage's plain reference, the composed
-reference of the image body, and the benchmark tracer's name tables.
+bodies as tape nodes (the stage on an array, and as the stem, on an
+array-backed image source), the fused stage's plain reference, the
+composed reference of the image body, and the benchmark tracer's name
+tables.
 
 Acceptance tests record one verdict per criterion; the terminal summary
 prints them as single pass/fail lines so a full run ends with a compact
@@ -63,22 +65,60 @@ def conv_pool_leaky(x, kernels, bias):
     return autograd._finish(out, inputs, rule, "conv_pool_leaky")
 
 
-def reference_stage(x, kernels, bias):
+def image_source(image):
+    """An autograd.ImageSource over a (B, C, H, W) image array: its fill
+    copies the block's samples, and its ``back`` collects each block's
+    gradient into a fresh array, which it returns, as ``(d_image,)``,
+    after the last block."""
+    grad = None
+
+    def fill(lo, hi, out):
+        np.copyto(out, image[lo:hi])
+
+    def back(lo, hi, d):
+        nonlocal grad
+        if lo == 0:
+            grad = np.empty(image.shape, d.dtype)
+        grad[lo:hi] = d
+        return None if hi < len(image) else (grad,)
+
+    return autograd.ImageSource(image.shape, image.dtype, fill, back)
+
+
+def stem_stage(image, kernels, bias):
+    """autograd.conv_pool_leaky_arrays as the stem runs it, one tape node
+    over a (B, C, H, W) ``image``: on an :func:`image_source` over it, so
+    with (c, i, j) taps, its input gradient handed back block by block and
+    returned (B, C, H, W)."""
+    inputs = (image, kernels, bias)
+    out, rule = autograd.conv_pool_leaky_arrays(image_source(image.data), kernels.data, bias.data,
+                                                autograd._recording(inputs) is not None)
+
+    def back(d):
+        (d_image,), dk, db = rule(d)
+        return d_image, dk, db
+
+    return autograd._finish(out, inputs, back, "stem_stage")
+
+
+def reference_stage(x, kernels, bias, image=False):
     """The fused stage's bit-exact reference, one tape node written plainly:
     ``np.pad`` and a sliding-window im2col of the whole batch, with no
     workspace, blocks or transposed fill.  GEMM rows are in pooling-
-    corner-major (ci, cj, b, y', x') order; a C-contiguous (B, H, W, C)
-    input gives (i, j, c) columns and kernels read as (C_out, kh, kw, C_in),
-    any other input (c, i, j) columns.  Bias, then the first maximum of
-    the four corners (``argmax``; no NaN), then leaky ReLU.  Backward routes
-    each window's gradient to that corner, sums the bias gradient over the
-    pooled gradient, and adds each input element's taps in (i, j) order
-    from +0 into a gradient of the input's memory layout.  It equals
+    corner-major (ci, cj, b, y', x') order; a (B, H, W, C) array gives
+    (i, j, c) columns and kernels read as (C_out, kh, kw, C_in).  With
+    ``image``, ``x`` is a (B, C, H, W) image read as the stem reads an image
+    source, in (c, i, j) columns, and its gradient comes back (B, C, H, W)
+    in channel-first memory, as the stem hands it to its source.  Bias,
+    then the first maximum of the four corners (``argmax``; no NaN), then
+    leaky ReLU.  Backward routes each window's gradient to that corner,
+    sums the bias gradient over the pooled gradient, and adds each input
+    element's taps in (i, j) order from +0.  It equals
     ``leaky_relu(maxpool2d(conv2d(.)))`` to within float rounding, which
     ``test_reference_stage_matches_the_loop_oracle_and_the_composed_ops``
     bounds."""
-    xd, k = x.data, kernels.data
-    channels_last = xd.flags.c_contiguous
+    xd, k = (x.data.transpose(0, 2, 3, 1) if image else x.data), kernels.data
+    channels_last = not image
     batch, h, w, c_in = xd.shape
     c_out, _, kh, kw = k.shape
     tap_axes = (6, 7, 5) if channels_last else (5, 6, 7)  # of (ci, cj, b, y', x', c, i, j) windows
@@ -100,15 +140,16 @@ def reference_stage(x, kernels, bias):
         taps = (d2 @ kmat).reshape(2, 2, batch, h2, w2, *(kh, kw, c_in) if channels_last else (c_in, kh, kw))
         taps = taps.transpose(2, 3, 0, 4, 1, *(7, 5, 6) if channels_last else (5, 6, 7))  # (b, y', ci, x', cj, c, i, j)
         taps = taps.reshape(batch, 2 * h2, 2 * w2, c_in, kh, kw)
-        if channels_last:
-            dxp = np.zeros((batch, h + 2, w + 2, c_in), d.dtype)
-        else:
+        if image:  # channel-first memory, as the stem hands the blocks to its source
             dxp = np.zeros((batch, c_in, h + 2, w + 2), d.dtype).transpose(0, 2, 3, 1)
+        else:
+            dxp = np.zeros((batch, h + 2, w + 2, c_in), d.dtype)
         for i in range(kh):
             for j in range(kw):
                 dxp[:, i : i + 4 * h2 : 2, j : j + 4 * w2 : 2] += taps[..., i, j]
         dk = dk.transpose(0, 3, 1, 2) if channels_last else dk
-        return dxp[:, 1:-1, 1:-1], dk, dpool.reshape(-1, c_out).sum(axis=0)
+        dx = dxp[:, 1:-1, 1:-1]
+        return (dx.transpose(0, 3, 1, 2) if image else dx), dk, dpool.reshape(-1, c_out).sum(axis=0)
 
     return autograd._finish(out, (x, kernels, bias), back, "reference_stage")
 

@@ -3,14 +3,16 @@ checks for every backward rule, the fused CNN stage against its reference
 stage and the ops it fuses, the tape's lifetime and thread confinement, and
 the Adam recurrence by hand."""
 
+import functools
 import gc
+import itertools
 import threading
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
-from conftest import conv_pool_leaky, reference_stage
+from conftest import conv_pool_leaky, image_source, reference_stage, stem_stage
 
 from skelact import autograd
 from skelact.autograd import (
@@ -275,26 +277,32 @@ def test_shape_plumbing_ops():
 # fused conv -> pool -> leaky stage against the three ops it replaces
 
 
-def _fused_and_reference(x, k, b, upstream, contiguous=False):
+def _stages(image):
+    """The fused stage and its reference, conftest.reference_stage, as tape
+    nodes: the stem's on a (B, C, H, W) image with ``image``, else the
+    stage's on a (B, H, W, C) array."""
+    return (stem_stage, functools.partial(reference_stage, image=True)) if image else (conv_pool_leaky, reference_stage)
+
+
+def _fused_and_reference(x, k, b, upstream, image):
     """Output and (x, kernels, bias) gradients of the fused op and of its
-    reference, conftest.reference_stage, on the same channels-last input,
-    all in channel-first layout.  The input is the permuted channel-first
-    array, or a C-contiguous channels-last copy of it; both input gradients
-    must come back in that input's memory layout."""
-    xd = np.ascontiguousarray(x.transpose(0, 2, 3, 1)) if contiguous else x.transpose(0, 2, 3, 1)
+    reference under sum_all(out * upstream), all in channel-first layout:
+    with ``image``, the stem's on the channel-first ``x`` (an image source
+    over it for the fused op), else the stage's on a C-contiguous
+    channels-last copy of it, whose input gradient must come back
+    C-contiguous."""
+    xd = x if image else np.ascontiguousarray(x.transpose(0, 2, 3, 1))
     results = []
-    for stage in (conv_pool_leaky, reference_stage):
+    for stage in _stages(image):
         xt = Tensor(xd, requires_grad=True, dtype=x.dtype)
         kt, bt = Tensor(k, requires_grad=True, dtype=k.dtype), Tensor(b, requires_grad=True, dtype=b.dtype)
         with Tape():
             out = stage(xt, kt, bt)
             loss = sum_all(mul(out, Tensor(upstream.transpose(0, 2, 3, 1), dtype=upstream.dtype)))
         backward(loss)
-        if contiguous:
-            assert xt.grad.flags.c_contiguous
-        else:
-            assert xt.grad.transpose(0, 3, 1, 2).flags.c_contiguous
-        results.append((out.data.transpose(0, 3, 1, 2), xt.grad.transpose(0, 3, 1, 2), kt.grad, bt.grad))
+        assert xt.grad.shape == xd.shape and (image or xt.grad.flags.c_contiguous)
+        results.append((out.data.transpose(0, 3, 1, 2), xt.grad if image else xt.grad.transpose(0, 3, 1, 2),
+                        kt.grad, bt.grad))
     return results
 
 
@@ -315,7 +323,7 @@ def _same_bits(got, want):
 
 def test_reference_stage_matches_the_loop_oracle_and_the_composed_ops():
     # the reference adds its dot products in corner-major row order, and in
-    # (i, j, c) order for a C-contiguous input: within 1e-12 of the float64
+    # (i, j, c) order for an array (not an image): within 1e-12 of the float64
     # loop oracle, and its output and gradients within 1e-5 relative of the
     # composed channel-first ops in float32 (random inputs, so no ties)
     for seed in range(4):
@@ -326,14 +334,15 @@ def test_reference_stage_matches_the_loop_oracle_and_the_composed_ops():
         upstream = rng.normal(size=(2, 5, 3, 2))
         pooled = pool_oracle(conv_oracle(x, k, b, 2, 1))
         want = np.where(pooled >= 0, pooled, pooled * 0.01)
-        for contiguous in (False, True):
-            xd = np.ascontiguousarray(x.transpose(0, 2, 3, 1)) if contiguous else x.transpose(0, 2, 3, 1)
-            got = reference_stage(Tensor(xd, dtype=np.float64), Tensor(k, dtype=np.float64), Tensor(b, dtype=np.float64))
-            assert np.allclose(got.data.transpose(0, 3, 1, 2), want, rtol=0, atol=1e-12), (seed, contiguous)
+        for image in (True, False):
+            xd = x if image else np.ascontiguousarray(x.transpose(0, 2, 3, 1))
+            got = reference_stage(Tensor(xd, dtype=np.float64), Tensor(k, dtype=np.float64),
+                                  Tensor(b, dtype=np.float64), image=image)
+            assert np.allclose(got.data.transpose(0, 3, 1, 2), want, rtol=0, atol=1e-12), (seed, image)
             f32 = [a.astype(np.float32) for a in (x, k, b, upstream)]
-            reference = _fused_and_reference(*f32, contiguous=contiguous)[1]
+            reference = _fused_and_reference(*f32, image=image)[1]
             for got_a, want_a in zip(reference, _composed(*f32)):
-                assert np.abs(got_a - want_a).max() <= 1e-5 * max(1.0, np.abs(want_a).max()), (seed, contiguous)
+                assert np.abs(got_a - want_a).max() <= 1e-5 * max(1.0, np.abs(want_a).max()), (seed, image)
 
 
 def test_conv_pool_leaky_is_bitwise_the_composed_ops():
@@ -347,10 +356,10 @@ def test_conv_pool_leaky_is_bitwise_the_composed_ops():
         k = rng.normal(size=(5, c_in, 3, 3)).astype(np.float32)
         b = rng.normal(size=5).astype(np.float32)
         upstream = rng.normal(size=(2, 5, 3, 2)).astype(np.float32)
-        for contiguous in (False, True):
-            fused, reference = _fused_and_reference(x, k, b, upstream, contiguous=contiguous)
+        for image in (True, False):
+            fused, reference = _fused_and_reference(x, k, b, upstream, image)
             for got, want in zip(fused, reference):
-                assert _same_bits(got, want), f"seed {seed}, contiguous {contiguous}"
+                assert _same_bits(got, want), f"seed {seed}, image {image}"
 
 
 def test_conv_pool_leaky_ties_route_like_maxpool2d():
@@ -365,14 +374,14 @@ def test_conv_pool_leaky_ties_route_like_maxpool2d():
         k = rng.integers(-1, 2, size=(3, c_in, 3, 3)).astype(np.float32)
         b = rng.integers(-1, 2, size=3).astype(np.float32)
         upstream = rng.integers(1, 4, size=(2, 3, 2, 2)).astype(np.float32)
-        for contiguous in (False, True):
-            fused, reference = _fused_and_reference(x, k, b, upstream, contiguous=contiguous)
+        for image in (True, False):
+            fused, reference = _fused_and_reference(x, k, b, upstream, image)
             for got, want in zip(fused, reference):
-                assert _same_bits(got, want), f"seed {seed}, contiguous {contiguous}"
+                assert _same_bits(got, want), f"seed {seed}, image {image}"
             composed = _composed(x, k, b, upstream)
-            assert _same_bits(fused[0], composed[0]), f"seed {seed}, contiguous {contiguous}"
+            assert _same_bits(fused[0], composed[0]), f"seed {seed}, image {image}"
             for got, want in zip(fused[1:], composed[1:]):
-                assert np.abs(got - want).max() <= 1e-5 * max(1.0, np.abs(want).max()), (seed, contiguous)
+                assert np.abs(got - want).max() <= 1e-5 * max(1.0, np.abs(want).max()), (seed, image)
 
 
 def test_untaped_conv_pool_leaky_changes_no_bits_and_aliases_nothing():
@@ -426,10 +435,10 @@ def test_untaped_pool_before_bias_is_bitwise_bias_first_on_zero_and_tie_corners(
 
 
 def test_unrecorded_stages_chained_are_bitwise_the_composed_ops_and_alias_nothing():
-    # two unrecorded stages, as infer runs them, the second fed the first's
-    # C-contiguous output (so its taps are channels-last), against two
-    # reference stages.  These batch sizes grow, shrink and regrow the
-    # workspace, and float64 after float32 reinterprets its bytes
+    # two unrecorded stages, as infer runs them, a stem on an image source
+    # and a stage fed its output array, against two reference stages.
+    # These batch sizes grow, shrink and regrow the workspace, and float64
+    # after float32 reinterprets its bytes
     earlier = []
     for dtype in (np.float32, np.float64):
         rng = np.random.default_rng(82)
@@ -437,11 +446,11 @@ def test_unrecorded_stages_chained_are_bitwise_the_composed_ops_and_alias_nothin
         k2, b2 = rng.normal(size=(5, 4, 3, 3)).astype(dtype), rng.normal(size=5).astype(dtype)
         params = [Tensor(p, requires_grad=True, dtype=dtype) for p in (k1, b1, k2, b2)]
         for batch in (2, 5, 1, 3):
-            x = Tensor(rng.normal(size=(batch, 3, 16, 32)).astype(dtype).transpose(0, 2, 3, 1), dtype=dtype)
+            x = Tensor(rng.normal(size=(batch, 3, 16, 32)).astype(dtype), dtype=dtype)
             with autograd.no_tape():
-                mid = reference_stage(x, *params[:2])
+                mid = reference_stage(x, *params[:2], image=True)
                 want = reference_stage(mid, *params[2:])
-                first = conv_pool_leaky(x, *params[:2])
+                first = stem_stage(x, *params[:2])
                 last = conv_pool_leaky(first, *params[2:])
             assert first._tape is None and last._tape is None
             assert first.dtype == dtype and first.data.flags.c_contiguous
@@ -457,25 +466,26 @@ def test_unrecorded_stages_chained_are_bitwise_the_composed_ops_and_alias_nothin
 
 
 def _chained_stages(x, params, upstream, fused):
-    """Two stages, the second fed the first's output, taped and backwarded
-    under sum_all(out * upstream): (output, input gradient, parameter
-    gradients), all channel-first.  Both run on the permuted (so not
-    C-contiguous) input, as a stream does: ``fused`` as conv_pool_leaky,
-    else as conftest.reference_stage."""
+    """A stem on the channel-first image ``x`` and a stage fed its output,
+    as a stream runs them, taped and backwarded under sum_all(out *
+    upstream): (output, input gradient, parameter gradients), all
+    channel-first.  ``fused`` runs conftest.stem_stage and conv_pool_leaky,
+    else conftest.reference_stage twice."""
     dtype = x.dtype
-    stage = conv_pool_leaky if fused else reference_stage
-    xt = Tensor(x.transpose(0, 2, 3, 1), requires_grad=True, dtype=dtype)
+    n = 0 if fused else 1
+    stem, stage = _stages(True)[n], _stages(False)[n]
+    xt = Tensor(x, requires_grad=True, dtype=dtype)
     ps = [Tensor(p, requires_grad=True, dtype=dtype) for p in params]
     with Tape():
-        last = stage(stage(xt, *ps[:2]), *ps[2:])
+        last = stage(stem(xt, *ps[:2]), *ps[2:])
         loss = sum_all(mul(last, Tensor(upstream.transpose(0, 2, 3, 1), dtype=dtype)))
     backward(loss)
-    return last.data.transpose(0, 3, 1, 2), xt.grad.transpose(0, 3, 1, 2), [p.grad for p in ps]
+    return last.data.transpose(0, 3, 1, 2), xt.grad, [p.grad for p in ps]
 
 
 def test_recorded_stages_chained_are_bitwise_the_composed_ops_and_alias_nothing():
     # the recorded path of the unrecorded test above: two taped stages, the
-    # first on a channel-first input (its backward gathers its taps), against
+    # stem on an image source (its backward gathers its taps), against
     # two reference stages, with the workspace grown, shrunk and regrown and
     # reinterpreted across dtypes
     earlier = []
@@ -509,22 +519,22 @@ def test_two_tapes_on_one_thread_backwarded_in_either_order_give_their_own_bits(
     for order in ((0, 1), (1, 0)):
         runs = []
         for x, up in zip(xs, ups):
-            xt = Tensor(x.transpose(0, 2, 3, 1), requires_grad=True)
+            xt = Tensor(x, requires_grad=True)
             ps = [Tensor(p, requires_grad=True) for p in params]
             with Tape():
-                last = conv_pool_leaky(conv_pool_leaky(xt, *ps[:2]), *ps[2:])
+                last = conv_pool_leaky(stem_stage(xt, *ps[:2]), *ps[2:])
                 loss = sum_all(mul(last, Tensor(up.transpose(0, 2, 3, 1))))
             runs.append((loss, xt, ps))
         for n in order:
             backward(runs[n][0])
         for (_, xt, ps), (_, want_dx, want_grads) in zip(runs, alone):
-            got = [xt.grad.transpose(0, 3, 1, 2)] + [p.grad for p in ps]
+            got = [xt.grad] + [p.grad for p in ps]
             assert all(_same_bits(g, w) for g, w in zip(got, [want_dx, *want_grads])), order
 
 
 def test_conv_pool_leaky_tap_rows_for_any_item_size_kernel_and_layout():
     # the columns are copied as kw-tap items: 24-byte items in float64, 16-byte
-    # items for kw = 4, and strided items from a sliced channels-last input
+    # items for kw = 4, and an image filled from a sliced channels-last array
     rng = np.random.default_rng(90)
     wide = rng.normal(size=(2, 11, 12, 5)).astype(np.float32)
     cases = [  # (channel-first input, kernel shape)
@@ -538,61 +548,65 @@ def test_conv_pool_leaky_tap_rows_for_any_item_size_kernel_and_layout():
         b = rng.normal(size=k_shape[0]).astype(x.dtype)
         ref = leaky_relu(maxpool2d(conv2d(Tensor(x, dtype=x.dtype), Tensor(k, dtype=x.dtype), Tensor(b, dtype=x.dtype))))
         upstream = rng.normal(size=ref.shape).astype(x.dtype)
-        untaped = conv_pool_leaky(Tensor(x.transpose(0, 2, 3, 1), dtype=x.dtype), Tensor(k, dtype=x.dtype), Tensor(b, dtype=x.dtype))
+        untaped = stem_stage(Tensor(x, dtype=x.dtype), Tensor(k, dtype=x.dtype), Tensor(b, dtype=x.dtype))
         assert untaped.dtype == x.dtype and _same_bits(untaped.data.transpose(0, 3, 1, 2), ref.data), n
-        for contiguous in (False, True):
-            fused, reference = _fused_and_reference(x, k, b, upstream, contiguous=contiguous)
+        for image in (True, False):
+            fused, reference = _fused_and_reference(x, k, b, upstream, image)
             for got, want in zip(fused, reference):
-                assert got.dtype == x.dtype and _same_bits(got, want), (n, contiguous)
+                assert got.dtype == x.dtype and _same_bits(got, want), (n, image)
 
 
 def test_conv_pool_leaky_rezeroes_the_border_of_a_reused_pad_buffer():
     # a large call fills the pad buffer; a smaller one, padded channel-first
-    # (a permuted input) or channels-last (a C-contiguous one), must find
-    # its border zero again
+    # (an image source) or channels-last (an array), must find its border
+    # zero again
     rng = np.random.default_rng(91)
     k = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
     b = rng.normal(size=4).astype(np.float32)
-    large = Tensor(rng.uniform(1, 2, size=(3, 3, 16, 16)).transpose(0, 2, 3, 1))
+    large = rng.uniform(1, 2, size=(3, 3, 16, 16)).astype(np.float32)
     x = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
     border = np.ones((10, 10), dtype=bool)
     border[1:-1, 1:-1] = False
     upstream = rng.normal(size=(2, 4, 2, 2)).astype(np.float32)
-    for contiguous in (False, True):
-        xd = np.ascontiguousarray(x.transpose(0, 2, 3, 1)) if contiguous else x.transpose(0, 2, 3, 1)
+    for image in (True, False):
+        fused_stage, reference = _stages(image)
+        xd, large_in = (x, large) if image else (np.ascontiguousarray(a.transpose(0, 2, 3, 1)) for a in (x, large))
         for taped in (False, True):
-            conv_pool_leaky(large, Tensor(k), Tensor(b))
-            pad = autograd._workspace("pad", (2, 10, 10, 3) if contiguous else (2, 3, 10, 10), np.dtype(np.float32))
-            stale = pad[:, border] if contiguous else pad[:, :, border]
+            fused_stage(Tensor(large_in), Tensor(k), Tensor(b))
+            pad = autograd._workspace("pad", (2, 3, 10, 10) if image else (2, 10, 10, 3), np.dtype(np.float32))
+            stale = pad[:, :, border] if image else pad[:, border]
             assert np.count_nonzero(stale) > stale.size // 2  # the large input's interior
             if taped:
-                fused, reference = _fused_and_reference(x, k, b, upstream, contiguous=contiguous)
-                assert all(_same_bits(got, want) for got, want in zip(fused, reference)), contiguous
+                fused, want = _fused_and_reference(x, k, b, upstream, image)
+                assert all(_same_bits(got, w) for got, w in zip(fused, want)), image
             else:
-                got = conv_pool_leaky(Tensor(xd), Tensor(k), Tensor(b))
-                assert _same_bits(got.data, reference_stage(Tensor(xd), Tensor(k), Tensor(b)).data), contiguous
+                got = fused_stage(Tensor(xd), Tensor(k), Tensor(b))
+                assert _same_bits(got.data, reference(Tensor(xd), Tensor(k), Tensor(b)).data), image
 
 
-def test_one_sample_blocks_of_a_strided_batch_keep_the_batch_tap_order(monkeypatch):
-    # each sample of every other sample of a channels-last array is
-    # C-contiguous while the batch is not, so the stage takes (c, i, j) taps;
-    # run as one-sample blocks, each block must take them too.  Blocks this
-    # small may round differently from one GEMM, hence the tolerance
+def test_a_strided_array_gives_the_bits_of_its_contiguous_copy():
+    # an array's taps follow what it is, not how its memory lies: every
+    # other sample of a channels-last batch and a C-contiguous copy of it
+    # give the same output and input, kernel and bias gradients, bit for
+    # bit, recorded and unrecorded
     rng = np.random.default_rng(92)
-    x = rng.normal(size=(6, 8, 8, 3)).astype(np.float32)[::2]
-    k, b = rng.normal(size=(4, 3, 3, 3)).astype(np.float32), rng.normal(size=4).astype(np.float32)
-    upstream = Tensor(rng.normal(size=(3, 2, 2, 4)).astype(np.float32))
-    monkeypatch.setattr(autograd, "BLOCK_ROWS", 16)  # 16 GEMM rows a sample: a block each
-    results = []
-    for stage in (conv_pool_leaky, reference_stage):
-        xt, kt, bt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True), Tensor(b, requires_grad=True)
+    x = rng.normal(size=(8, 16, 16, 32)).astype(np.float32)[::2]
+    k = (rng.normal(size=(64, 32, 3, 3)) * 0.2).astype(np.float32)
+    b = rng.normal(size=64).astype(np.float32)
+    upstream = Tensor(rng.normal(size=(4, 4, 4, 64)).astype(np.float32))
+    runs = []
+    for xd in (x, np.ascontiguousarray(x)):
+        kt, bt = Tensor(k, requires_grad=True), Tensor(b, requires_grad=True)
+        untaped = conv_pool_leaky(Tensor(xd), kt, bt)
+        xt = Tensor(xd, requires_grad=True)
         with Tape():
-            out = stage(xt, kt, bt)
+            out = conv_pool_leaky(xt, kt, bt)
             loss = sum_all(mul(out, upstream))
         backward(loss)
-        results.append((out.data, xt.grad, kt.grad, bt.grad))
-    for got, want in zip(*results):
-        assert np.allclose(got, want, rtol=1e-5, atol=1e-5)
+        runs.append((untaped.data, out.data, xt.grad, kt.grad, bt.grad))
+    assert not x.flags.c_contiguous
+    for n, (got, want) in enumerate(zip(*runs)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), n
 
 
 # the default model's three stages: (H, W, C_in) input and (C_out, C_in) kernels
@@ -602,11 +616,14 @@ def test_one_sample_blocks_of_a_strided_batch_keep_the_batch_tap_order(monkeypat
 MODEL_STAGES = [((64, 64, 3), (32, 3)), ((16, 16, 32), (64, 32)), ((4, 4, 64), (128, 64)), ((64, 64, 3), (1, 3))]
 
 
-def _stage_in_blocks(x, k, b, upstream, monkeypatch, one_block):
-    """conv_pool_leaky's unrecorded output, then its recorded output and
+def _stage_in_blocks(x, k, b, upstream, monkeypatch, one_block, image):
+    """The fused stage's unrecorded output, then its recorded output and
     (x, kernels, bias) gradients under sum_all(out * upstream), and the
-    GEMM rows of each block the unrecorded call filled columns for;
-    ``one_block`` runs every batch as one block, with row-major columns."""
+    GEMM rows of each block the unrecorded call filled columns for: the
+    stem's on the (B, C, H, W) image ``x`` with ``image``, else the stage's
+    on the array ``x``; ``one_block`` runs every batch as one block, with
+    row-major columns."""
+    stage = _stages(image)[0]
     rows, columns = [], autograd._columns
 
     def counted(*args):
@@ -620,35 +637,35 @@ def _stage_in_blocks(x, k, b, upstream, monkeypatch, one_block):
             m.setattr(autograd, "BLOCK_ROWS", 2**62)
         m.setattr(autograd, "_columns", counted)
         kt, bt = Tensor(k, requires_grad=True, dtype=dtype), Tensor(b, requires_grad=True, dtype=dtype)
-        untaped = conv_pool_leaky(Tensor(x, dtype=dtype), kt, bt).data
+        untaped = stage(Tensor(x, dtype=dtype), kt, bt).data
         blocks = list(rows)
         xt = Tensor(x, requires_grad=True, dtype=dtype)
         with Tape():
-            out = conv_pool_leaky(xt, kt, bt)
+            out = stage(xt, kt, bt)
             loss = sum_all(mul(out, Tensor(upstream, dtype=dtype)))
         backward(loss)
     return [untaped, out.data, xt.grad, kt.grad, bt.grad], blocks
 
 
-def _reference_run(x, k, b, upstream):
+def _reference_run(x, k, b, upstream, image):
     """conftest.reference_stage's output and (x, kernels, bias) gradients
-    under sum_all(out * upstream)."""
+    under sum_all(out * upstream), on an image or an array."""
     dtype = x.dtype
     xt, kt, bt = (Tensor(a, requires_grad=True, dtype=dtype) for a in (x, k, b))
     with Tape():
-        out = reference_stage(xt, kt, bt)
+        out = reference_stage(xt, kt, bt, image=image)
         loss = sum_all(mul(out, Tensor(upstream, dtype=dtype)))
     backward(loss)
     return [out.data, xt.grad, kt.grad, bt.grad]
 
 
-def _block_partial_sums(x, k, b, upstream):
+def _block_partial_sums(x, k, b, upstream, image):
     """The kernel and bias gradients of reference_stage run on each of the
     fused stage's batch blocks alone, added in block order from the first
     block's: the sums a blocked backward takes."""
     sums = None
-    for lo, hi in autograd._batch_blocks(len(x), x.shape[1] * x.shape[2] // 4):
-        parts = _reference_run(x[lo:hi], k, b, upstream[lo:hi])[2:]
+    for lo, hi in autograd._batch_blocks(len(x), upstream.shape[1] * upstream.shape[2] * 4):
+        parts = _reference_run(x[lo:hi], k, b, upstream[lo:hi], image)[2:]
         sums = parts if sums is None else [s + p for s, p in zip(sums, parts)]
     return sums
 
@@ -658,24 +675,26 @@ def test_batch_blocked_stage_is_bytewise_one_block_in_balanced_blocks(dtype, mon
     for batch in (1, 8, 16, 17, 33, 65):
         for (h, w, c_in), (c_out, _) in MODEL_STAGES:
             rng = np.random.default_rng(batch)
-            x = rng.normal(size=(batch, c_in, h, w)).astype(dtype).transpose(0, 2, 3, 1)
-            if c_in > 3:  # stage 1 reads the permuted image, later stages a C-contiguous output
-                x = np.ascontiguousarray(x)
+            x = rng.normal(size=(batch, c_in, h, w)).astype(dtype)
+            image = c_in == 3  # stage 1 reads an image source, later stages the output array before them
+            if not image:
+                x = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
             k = (rng.normal(size=(c_out, c_in, 3, 3)) * 0.2).astype(dtype)
             b = rng.normal(size=c_out).astype(dtype)
             upstream = rng.normal(size=(batch, h // 4, w // 4, c_out)).astype(dtype)
-            got, blocks = _stage_in_blocks(x, k, b, upstream, monkeypatch, one_block=False)
-            want, whole = _stage_in_blocks(x, k, b, upstream, monkeypatch, one_block=True)
+            got, blocks = _stage_in_blocks(x, k, b, upstream, monkeypatch, one_block=False, image=image)
+            want, whole = _stage_in_blocks(x, k, b, upstream, monkeypatch, one_block=True, image=image)
             case = (batch, h, w, c_in)
             assert whole == [batch * h * w // 4] == [sum(blocks)], case
             assert len(blocks) == -(-sum(blocks) // autograd.BLOCK_ROWS), case
             if len(blocks) > 1:
                 assert autograd.BLOCK_ROWS // 2 <= min(blocks) and max(blocks) <= autograd.BLOCK_ROWS, case
-            ref = _reference_run(x, k, b, upstream)  # and both are its bits, transposed fills and all
+            ref = _reference_run(x, k, b, upstream, image)  # and both are its bits, transposed fills and all
             for g, want_g, ref_g in zip(got[:3], want, ref[:1] + ref):  # the values and the input gradient
                 assert g.dtype == dtype and g.tobytes() == want_g.tobytes() == ref_g.tobytes(), case
             # the kernel and bias gradients add each block's partial sum over its rows in block order
-            for g, want_g, ref_g, part_g in zip(got[3:], want[3:], ref[2:], _block_partial_sums(x, k, b, upstream)):
+            partials = _block_partial_sums(x, k, b, upstream, image)
+            for g, want_g, ref_g, part_g in zip(got[3:], want[3:], ref[2:], partials):
                 assert want_g.tobytes() == ref_g.tobytes(), case
                 assert g.dtype == dtype and g.tobytes() == part_g.tobytes(), case
             buffers = [buf for buf in vars(autograd._WORKSPACE).values() if isinstance(buf, np.ndarray)]
@@ -686,12 +705,12 @@ def test_batch_blocked_stage_is_bytewise_one_block_in_balanced_blocks(dtype, mon
 
 
 def test_blocked_backward_grows_no_workspace_buffer_beyond_one_block():
-    # a recorded B=64 stage 1, forward and backward, on a thread of its own
+    # a recorded B=64 stem, forward and backward, on a thread of its own
     # (so a fresh workspace): the backward runs block by block, so no buffer
     # outgrows a 16-sample block's conv output, a quarter of the batch's
     (h, w, c_in), (c_out, _) = MODEL_STAGES[0]
     rng = np.random.default_rng(93)
-    x = rng.normal(size=(64, c_in, h, w)).astype(np.float32).transpose(0, 2, 3, 1)
+    x = rng.normal(size=(64, c_in, h, w)).astype(np.float32)
     k = (rng.normal(size=(c_out, c_in, 3, 3)) * 0.2).astype(np.float32)
     b = rng.normal(size=c_out).astype(np.float32)
     sizes = {}
@@ -699,7 +718,7 @@ def test_blocked_backward_grows_no_workspace_buffer_beyond_one_block():
     def run():
         xt, kt, bt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True), Tensor(b, requires_grad=True)
         with Tape():
-            loss = sum_all(conv_pool_leaky(xt, kt, bt))
+            loss = sum_all(stem_stage(xt, kt, bt))
         backward(loss)
         sizes.update((role, buf.nbytes) for role, buf in vars(autograd._WORKSPACE).items())
 
@@ -743,39 +762,68 @@ def test_an_attended_stems_backward_traces_under_4_mib_at_b64():
     assert peak < 4 * 2**20, peak / 2**20
 
 
+def test_a_stage_blocks_leaky_gradient_builds_no_index_array():
+    # backward takes each window's leaky factor by a copy masked on its code
+    # byte, with no 8-byte index per window beside the block's pooled
+    # gradient (0.5 MiB here).  One 16-sample stem block (16x16x16x32
+    # windows) on an image source that keeps no gradient, run once to size
+    # the workspace, then traced: 0.78 MiB with the masked copy, 1.50 MiB
+    # with a lookup of the leaky factor indexed by the codes
+    (h, w, c_in), (c_out, _) = MODEL_STAGES[0]
+    rng = np.random.default_rng(96)
+    image = rng.normal(size=(16, c_in, h, w)).astype(np.float32)
+    source = autograd.ImageSource(image.shape, image.dtype, lambda lo, hi, out: np.copyto(out, image[lo:hi]),
+                                  lambda lo, hi, d: None if hi < len(image) else ())
+    k = (rng.normal(size=(c_out, c_in, 3, 3)) * 0.2).astype(np.float32)
+    b = rng.normal(size=c_out).astype(np.float32)
+    out, rule = autograd.conv_pool_leaky_arrays(source, k, b, True)
+    assert out.shape == (16, 16, 16, 32) and autograd._batch_blocks(16, h * w // 4) == [(0, 16)]
+    d = rng.normal(size=out.shape).astype(np.float32)
+    rule(d)
+    tracemalloc.start()
+    try:
+        rule(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak / 2**20
+
+
 def test_a_recorded_stage_keeps_one_code_byte_per_window():
     # each window's first-max corner, plus 4 where the pooled maximum is
     # >= 0, in one int8 array of the output's shape: no bool leaky mask
     rng = np.random.default_rng(95)
-    for x in (rng.normal(size=(2, 8, 8, 3)), rng.normal(size=(2, 3, 8, 8)).transpose(0, 2, 3, 1)):
+    for x, image in ((rng.normal(size=(2, 8, 8, 3)), False), (rng.normal(size=(2, 3, 8, 8)), True)):
         k, b = rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4)
-        out, rule = autograd.conv_pool_leaky_arrays(x, k, b, True)
+        out, rule = autograd.conv_pool_leaky_arrays(image_source(x) if image else x, k, b, True)
         arrays = [cell.cell_contents for cell in rule.__closure__ if isinstance(cell.cell_contents, np.ndarray)]
         codes = [arr for arr in arrays if arr.dtype == np.int8]
         assert len(codes) == 1 and codes[0].shape == out.shape
         assert not any(arr.dtype == bool for arr in arrays)
-        pooled = reference_stage(Tensor(x, dtype=np.float64), Tensor(k, dtype=np.float64), Tensor(b, dtype=np.float64))
+        pooled = reference_stage(Tensor(x, dtype=np.float64), Tensor(k, dtype=np.float64), Tensor(b, dtype=np.float64),
+                                 image=image)
         assert np.array_equal(codes[0] >= 4, pooled.data >= 0) and codes[0].min() >= 0 and codes[0].max() < 8
 
 
-def _centre_tap_stage(grid):
-    """conv_pool_leaky's output and input gradient under sum_all, for a
-    centre-tap kernel and an input whose even-indexed pixels are ``grid``
-    (zeros elsewhere): the conv output is then ``grid``, and each of its
-    pixels gets its gradient from no other tap, so ``grad[::2, ::2]`` is the
-    routed pool gradient."""
+def _centre_tap_stage(grid, image):
+    """The fused stage's output and input gradient under sum_all, for a
+    centre-tap kernel and a one-channel input whose even-indexed pixels are
+    ``grid`` (zeros elsewhere), as an image (the stem's) or an array: the
+    conv output is then ``grid``, and each of its pixels gets its gradient
+    from no other tap, so ``grad[::2, ::2]`` is the routed pool gradient."""
     dtype = grid.dtype
-    x = np.zeros((1, 2 * grid.shape[0], 2 * grid.shape[1], 1), dtype)
-    x[0, ::2, ::2, 0] = grid
+    x = np.zeros((1, 2 * grid.shape[0], 2 * grid.shape[1]), dtype)
+    x[0, ::2, ::2] = grid
     k = np.zeros((1, 1, 3, 3), dtype)
     k[0, 0, 1, 1] = 1
-    xt = Tensor(x, requires_grad=True, dtype=dtype)
+    xt = Tensor(x[:, None] if image else x[..., None], requires_grad=True, dtype=dtype)
     with Tape():
-        out = conv_pool_leaky(xt, Tensor(k, dtype=dtype), Tensor(np.zeros(1), dtype=dtype))
+        out = _stages(image)[0](xt, Tensor(k, dtype=dtype), Tensor(np.zeros(1), dtype=dtype))
         loss = sum_all(out)
     backward(loss)
-    assert np.count_nonzero(xt.grad[0, 1::2]) == np.count_nonzero(xt.grad[0, :, 1::2]) == 0
-    return out.data[0, :, :, 0], xt.grad[0, ::2, ::2, 0]
+    grad = xt.grad[0, 0] if image else xt.grad[0, ..., 0]
+    assert np.count_nonzero(grad[1::2]) == np.count_nonzero(grad[:, 1::2]) == 0
+    return out.data[0, :, :, 0], grad[::2, ::2]
 
 
 def test_conv_pool_leaky_routes_a_nan_window_to_its_first_max_before_the_first_nan():
@@ -784,32 +832,33 @@ def test_conv_pool_leaky_routes_a_nan_window_to_its_first_max_before_the_first_n
         ([1, 2, 3, 4], 3), ([4, 4, 4, 4], 0), ([1, nan, 3, 2], 0), ([nan, 5, 1, 2], 0),
         ([1, 4, nan, 9], 1), ([2, 2, 1, nan], 0), ([nan, nan, 1, 1], 0), ([-1, -3, -2, nan], 0),
     ]
-    for dtype in (np.float32, np.float64):
+    for dtype, image in itertools.product((np.float32, np.float64), (True, False)):
         grid = np.zeros((4, 8), dtype)  # 2 x 4 pooling windows
         for n, (corners, _) in enumerate(windows):
             wy, wx = divmod(n, 4)
             grid[2 * wy : 2 * wy + 2, 2 * wx : 2 * wx + 2] = np.reshape(corners, (2, 2))
-        out, routed = _centre_tap_stage(grid)
+        out, routed = _centre_tap_stage(grid, image)
         assert np.count_nonzero(routed) == len(windows)
         for n, (corners, corner) in enumerate(windows):
             wy, wx = divmod(n, 4)
             has_nan = np.isnan(corners).any()
             want = np.zeros(4, dtype)
             want[corner] = dtype(0.01) if has_nan else 1  # a NaN maximum is not >= 0
-            assert np.array_equal(routed[2 * wy : 2 * wy + 2, 2 * wx : 2 * wx + 2].reshape(4), want), (dtype, corners)
+            got = routed[2 * wy : 2 * wy + 2, 2 * wx : 2 * wx + 2].reshape(4)
+            assert np.array_equal(got, want), (dtype, image, corners)
             assert np.isnan(out[wy, wx]) == has_nan
 
 
 def test_conv_pool_leaky_slope_follows_the_pooled_sign_where_the_output_underflows():
     # -tiny * slope rounds to -0, so the output is >= 0 while the pooled
     # maximum is not; the composed leaky_relu takes the slope from the latter
-    for dtype in (np.float32, np.float64):
+    for dtype, image in itertools.product((np.float32, np.float64), (True, False)):
         tiny = np.nextafter(dtype(0), dtype(1))
         grid = np.array([[-tiny, -2 * tiny, 1, -1], [-3 * tiny, -tiny, 0, -1]], dtype)
-        out, routed = _centre_tap_stage(grid)
+        out, routed = _centre_tap_stage(grid, image)
         assert out[0, 0] == 0 and np.signbit(out[0, 0]) and out[0, 1] == 1
         want = np.array([[0.01, 0, 1, 0], [0, 0, 0, 0]], dtype)
-        assert np.array_equal(routed, want), dtype
+        assert np.array_equal(routed, want), (dtype, image)
         x = Tensor(np.repeat(np.repeat(grid, 2, 0), 2, 1)[None, None], dtype=dtype)  # the reference, through conv2d
         k = np.zeros((1, 1, 3, 3), dtype)
         k[0, 0, 1, 1] = 1

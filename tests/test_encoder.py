@@ -309,7 +309,7 @@ def _same_bits(got, want):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("batch", [(2,), ()], ids=["batched", "unbatched"])
+@pytest.mark.parametrize("batch", [(2,), (1,)], ids=["batched", "one_sample"])
 def test_embed_image_is_bitwise_the_composed_nodes(dtype, batch):
     # three images as encode builds them: the first two share the attention
     # map, and the first and the third (its velocity) read one channel
@@ -374,13 +374,25 @@ def test_embed_image_validates_shapes():
         embed_image(ch, w, None, Tensor(np.zeros(4)))
 
 
+def test_image_source_takes_batched_channels_and_a_batched_map_only():
+    # (B, C, J, T) channels with a (B, T, T) map or none: unbatched channels
+    # and a map shared by the batch are refused
+    ch, w = np.zeros((2, 3, 4, 5), dtype=np.float32), np.zeros((5, 4), dtype=np.float32)
+    assert embed_image_arrays(ch, w, np.zeros((2, 5, 5), dtype=np.float32), None).shape == (2, 3, 5, 5)
+    with pytest.raises(DimensionError, match=r"expects \(B, C, 4, 5\)"):
+        embed_image_arrays(ch[0], w, None, None)
+    with pytest.raises(DimensionError, match=r"expects \(B, T, T\)"):
+        embed_image_arrays(ch, w, np.zeros((5, 5), dtype=np.float32), None)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_image_fill_is_bitwise_the_composed_ops_for_every_block(dtype):
     # a stream image of the default size, filled block by block as the stem
     # fills its pad: the stage's batch blocks, each sample alone and the
     # whole batch, each written into the interior of a bordered buffer,
     # must be bitwise that block of the composed ops' image and leave the
-    # border alone.  Attention batched, shared and absent; temporal on and off
+    # border alone.  Attention per sample, one map repeated over the batch
+    # and absent; temporal on and off
     rng = np.random.default_rng(32)
     t, j = 64, 15
     w, te = rng.normal(size=(t, j)).astype(dtype), rng.normal(size=t).astype(dtype)
@@ -390,9 +402,10 @@ def test_image_fill_is_bitwise_the_composed_ops_for_every_block(dtype):
         blocks = autograd._batch_blocks(batch, t * t // 4)  # the stem's, with 1,024 GEMM rows a sample
         assert len(blocks) == (2 if batch == 17 else 4)
         ranges = set(blocks) | {(0, batch)} | {(n, n + 1) for n in range(batch)}
-        for attention in (scores, scores[0], None):
+        for kind, attention in (("batched", scores), ("repeated", np.repeat(scores[:1], batch, axis=0)),
+                                ("none", None)):
             for temporal in (te, None):
-                case = (batch, None if attention is None else attention.ndim, temporal is None)
+                case = (batch, kind, temporal is None)
                 a = None if attention is None else softmax_rows(Tensor(attention, dtype=dtype))
                 want = embed_to_image(Tensor(ch, dtype=dtype), Tensor(w, dtype=dtype))
                 if a is not None:
@@ -415,8 +428,8 @@ def test_image_block_backward_is_bitwise_the_composed_nodes_for_every_block_spli
     # block's a view of a bordered buffer as the stem hands it: the stem's
     # blocks, uneven ones, each sample alone and the whole batch must all
     # give bitwise the composed nodes' gradients, with None until the last
-    # block.  Attention batched, shared and absent; temporal on and off;
-    # three channels and one
+    # block.  Attention per sample, one map repeated over the batch and
+    # absent; temporal on and off; three channels and one
     rng = np.random.default_rng(34)
     t, j = 64, 15
     for batch in (17, 64):
@@ -426,9 +439,10 @@ def test_image_block_backward_is_bitwise_the_composed_nodes_for_every_block_spli
             ch, w = rng.normal(size=(batch, c, j, t)), rng.normal(size=(t, j))
             scores, te = rng.random(size=(batch, t, t)), rng.normal(size=t)
             upstream = rng.normal(size=(batch, c, t, t)).astype(dtype)
-            for attention in (scores, scores[0], None):
+            for kind, attention in (("batched", scores), ("repeated", np.repeat(scores[:1], batch, axis=0)),
+                                    ("none", None)):
                 for temporal in (te, None):
-                    case = (batch, c, None if attention is None else attention.ndim, temporal is None)
+                    case = (batch, c, kind, temporal is None)
                     inputs = [None if arr is None else Tensor(arr, requires_grad=True, dtype=dtype)
                               for arr in (ch, w, attention, temporal)]
                     with Tape():
@@ -513,7 +527,7 @@ def _build_encoder(rng, frames, flags=EnhanceFlags(), grad=False):
 
 def test_encode_matches_hand_composition():
     rng = np.random.default_rng(18)
-    x = rng.normal(size=(8, 4, 3)).astype(np.float32)
+    x = rng.normal(size=(1, 8, 4, 3)).astype(np.float32)
     enc = _build_encoder(np.random.default_rng(100), 8)
     bundle = encode(x, enc)
 
@@ -533,13 +547,13 @@ def test_encode_matches_hand_composition():
     assert np.array_equal(bundle.attention.data, a.data)
     for name, want in zip(STREAMS, (ji, bi, jv, bv)):
         source = stream_image(bundle, name, enc)
-        assert source.shape == (3, 8, 8) and callable(source.back), name
+        assert source.shape == (1, 3, 8, 8) and callable(source.back), name
         assert np.array_equal(filled(source), want.data), name
 
 
 def test_encode_with_everything_off_is_raw_coordinates():
     rng = np.random.default_rng(19)
-    x = rng.normal(size=(4, 4, 3)).astype(np.float32)
+    x = rng.normal(size=(1, 4, 4, 3)).astype(np.float32)
     flags = EnhanceFlags(False, False, False, False, False)
     enc = _build_encoder(np.random.default_rng(101), 4, flags)
     enc.tensors["embed.joints"] = _identity_embedding(4)
@@ -558,7 +572,7 @@ def test_active_streams_follow_velocity_flag():
 
 def test_gradients_reach_every_encoder_parameter():
     rng = np.random.default_rng(20)
-    x = rng.normal(size=(8, 4, 3)).astype(np.float32)
+    x = rng.normal(size=(1, 8, 4, 3)).astype(np.float32)
     enc = _build_encoder(np.random.default_rng(102), 8, grad=True)
     with Tape():
         images = composed_images(encode(x, enc), enc, embed_image)
@@ -577,10 +591,10 @@ def test_encode_batched_equals_stacked_single():
     enc = _build_encoder(np.random.default_rng(103), 8)
     batch = encode(x, enc)
     for b in range(3):
-        single = encode(x[b], enc)
+        single, one = encode(x[b], enc), encode(x[b : b + 1], enc)  # unbatched, and a batch of one
         for got, want in zip(batch.channels, single.channels):
             assert np.allclose(got.data[b], want.data, atol=1e-6)
-        for name in STREAMS:
-            want = filled(stream_image(single, name, enc))
+        for name in STREAMS:  # an image source takes a batch
+            want = filled(stream_image(one, name, enc))[0]
             assert np.allclose(filled(stream_image(batch, name, enc))[b], want, atol=1e-6), name
         assert np.allclose(batch.attention.data[b], single.attention.data, atol=1e-6)

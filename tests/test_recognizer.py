@@ -11,13 +11,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from conftest import composed_images, conv_pool_leaky, embed_image, perfbench_spans, reference_stage
+from conftest import (
+    composed_images, conv_pool_leaky, embed_image, image_source, perfbench_spans, reference_stage, stem_stage,
+)
 
 from skelact import autograd, recognizer
 from skelact.autograd import (
-    Tape, Tensor, backward, concat, cross_entropy, permute, reshape,
+    Tape, Tensor, backward, concat, cross_entropy, reshape,
 )
-from skelact.encoder import EncodedBundle, EnhanceFlags, encode, uniform_attention
+from skelact.encoder import EncodedBundle, EnhanceFlags, encode
 from skelact.errors import DimensionError, UsageError
 from skelact.model import ModelConfig, ModelParams, param_spec
 from skelact.optim import AdamState, adam_step
@@ -44,11 +46,16 @@ def _ntu_config(**kw):
     return ModelConfig(**base)
 
 
+def _uniform_attention(batch, t, dtype=np.float32):
+    """A (B, T, T) attention map of 1/T everywhere."""
+    return Tensor(np.full((batch, t, t), 1.0 / t), dtype=dtype)
+
+
 def _bundle(channels):
     """An encoder bundle of the given (B, 3, J, T) stream channels under a
     uniform attention map."""
     chans = tuple(Tensor(np.asarray(c, dtype=np.float32)) for c in channels)
-    return EncodedBundle(chans, uniform_attention(chans[0].shape[-1]))
+    return EncodedBundle(chans, _uniform_attention(*chans[0].shape[::3]))
 
 
 # ---------------------------------------------------------------------------
@@ -169,18 +176,19 @@ def test_batched_forward_matches_single():
 
 def test_training_gradients_match_channel_first_stream_bitwise(monkeypatch):
     # every gradient, the encoder's included, must come out as a taped stream
-    # of separate nodes produced it: a permute of the channel-first image to
-    # channels-last, three reference stages (the first with (c, i, j) taps,
-    # the others, on C-contiguous inputs, with (i, j, c) taps) and a reshape.
-    # The stem's input gradient layout decides the summation order of the
-    # temporal embeddings' gradients
+    # of separate nodes produced it: three reference stages (the first on
+    # the channel-first image with (c, i, j) taps, the others on the output
+    # arrays before them with (i, j, c) taps) and a reshape.  The stem's
+    # input gradient layout decides the summation order of the temporal
+    # embeddings' gradients
     reference_calls = []
 
     def channel_first_stream(image, tensors, i):
         reference_calls.append(i)
-        x = permute(image, (0, 2, 3, 1))
+        x = image
         for n in (1, 2, 3):
-            x = reference_stage(x, tensors[f"stream{i}.conv{n}.kernels"], tensors[f"stream{i}.conv{n}.bias"])
+            x = reference_stage(x, tensors[f"stream{i}.conv{n}.kernels"], tensors[f"stream{i}.conv{n}.bias"],
+                                image=n == 1)
         return reshape(x, (len(x.data), x.shape[-1]))
 
     # over three Adam steps, so that a gradient aliased across steps shows
@@ -472,14 +480,14 @@ def _composed_streams(bundle, params):
 
 
 def _sequential_streams(images, tensors):
-    """Each stream's stages taped as ``permute``, three ``conv_pool_leaky``
-    nodes and ``reshape`` on the caller's tape, one stream after the other,
-    then ``concat``."""
+    """Each stream's stages taped as a ``stem_stage`` on its image, two
+    ``conv_pool_leaky`` nodes and ``reshape`` on the caller's tape, one
+    stream after the other, then ``concat``."""
     features = []
     for i, image in enumerate(images):
-        x = permute(image, (0, 2, 3, 1))
-        for n in (1, 2, 3):
-            x = conv_pool_leaky(x, tensors[f"stream{i}.conv{n}.kernels"], tensors[f"stream{i}.conv{n}.bias"])
+        x = image
+        for n, stage in zip((1, 2, 3), (stem_stage, conv_pool_leaky, conv_pool_leaky)):
+            x = stage(x, tensors[f"stream{i}.conv{n}.kernels"], tensors[f"stream{i}.conv{n}.bias"])
         features.append(reshape(x, (x.shape[0], x.shape[-1])))
     return concat(features, axis=-1)
 
@@ -577,7 +585,7 @@ def test_stream_forward_of_a_float64_image_is_bitwise_its_stages():
     # the image was rounded to float32 on its way in
     params = _perturbed_params(np.float64)
     image = np.random.default_rng(42).normal(size=(2, 3, 64, 64))
-    want, _ = recognizer._stages(image, params.tensors, 0, False)
+    want, _ = recognizer._stages(image_source(image), params.tensors, 0, False)
     for given in (image, Tensor(image, dtype=np.float64)):
         got = stream_forward(given, params.tensors, 0).data
         assert got.dtype == np.float64 and np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -637,7 +645,7 @@ def test_taped_forward_keeps_the_callers_numpy_errstate_in_the_streams(dtype, mo
         for batch in (64, 6, 1):
             channels = tuple(Tensor(rng.normal(size=(batch, 3, 4, 64)) * big, requires_grad=True, dtype=dtype)
                              for _ in range(4))
-            bundle = EncodedBundle(channels, uniform_attention(64, dtype))
+            bundle = EncodedBundle(channels, _uniform_attention(batch, 64, dtype))
             with monkeypatch.context() as m:
                 if inline:
                     m.setattr(recognizer, "_blas_thread_calls", lambda: None)
