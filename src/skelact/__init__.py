@@ -7,7 +7,7 @@ them; the trainer fits everything end to end with Adam on a hand-rolled
 reverse-mode tape.
 """
 
-from .autograd import Tape, Tensor, backward, grad_check
+from .autograd import Tape, Tensor, backward
 from .checkpoint import load_checkpoint, save_checkpoint
 from .encoder import EncodedBundle, EncoderParams, EnhanceFlags, encode
 from .model import ModelConfig, ModelParams
@@ -23,7 +23,7 @@ from .training import AblationResult, ConfusionMatrix, TrainConfig, ablate, eval
 __version__ = "0.1.0"
 
 __all__ = [
-    "Tape", "Tensor", "backward", "grad_check",
+    "Tape", "Tensor", "backward",
     "AdamState", "adam_step",
     "SkeletonSequence", "Topology", "DatasetSplit",
     "parse_ntu", "parse_jsonl", "write_jsonl",

@@ -12,7 +12,7 @@ cross-entropy loss.
 
 Tensors hold 32-bit values for training and inference.  A parallel 64-bit
 mode (pass ``dtype=np.float64`` when building parameters) exists solely for
-finite-difference verification via :func:`grad_check`.
+finite-difference verification of the gradients.
 
 The tape is define-by-run: activate one with ``with Tape():`` around the
 forward pass, call :func:`backward` on the scalar loss, and rebuild a fresh
@@ -943,59 +943,3 @@ def backward(loss: Tensor) -> None:
                 holders[key] = t
     for key, d in pending.items():  # leaves: tensors never produced by a node
         holders[key].accumulate_grad(d)
-
-
-# ---------------------------------------------------------------------------
-# finite-difference verification
-
-
-def grad_check(
-    fn: Callable[[], Tensor],
-    params: Sequence[Tensor],
-    samples: int = 100,
-    h: float = 1e-5,
-    seed: int = 0,
-    points: Sequence[tuple[int, int]] | None = None,
-) -> float:
-    """Max relative error between tape gradients and central differences.
-
-    ``fn`` must be a pure scalar function of ``params``, which must be
-    float64 (the 64-bit verification mode).  ``points`` optionally pins the
-    sampled (param_index, flat_index) coordinates; otherwise ``samples``
-    coordinates are drawn uniformly with the given seed.  The error at one
-    coordinate is |analytic - numeric| / max(1, |analytic|).
-    """
-    for p in params:
-        if p.data.dtype != np.float64:
-            raise UsageError("grad_check requires float64 parameters")
-    for p in params:
-        p.grad = None
-    with Tape():
-        loss = fn()
-    backward(loss)
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
-    for p in params:
-        p.grad = None
-
-    if points is None:
-        rng = np.random.default_rng(seed)
-        points = []
-        for _ in range(samples):
-            pi = int(rng.integers(len(params)))
-            fi = int(rng.integers(params[pi].data.size))
-            points.append((pi, fi))
-
-    worst = 0.0
-    for pi, fi in points:
-        flat = params[pi].data.reshape(-1)
-        saved = flat[fi]
-        flat[fi] = saved + h
-        f_plus = fn().item()
-        flat[fi] = saved - h
-        f_minus = fn().item()
-        flat[fi] = saved
-        numeric = (f_plus - f_minus) / (2.0 * h)
-        a = float(analytic[pi].reshape(-1)[fi])
-        err = abs(a - numeric) / max(1.0, abs(a))
-        worst = max(worst, err)
-    return worst

@@ -21,9 +21,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .encoder import STREAMS, EnhanceFlags, encode, stream_image, uniform_attention
-from .errors import (
-    CheckpointError, ConfigMismatchError, EmptyBodyError, ParseError, UsageError,
-)
+from .errors import CheckpointError, ConfigMismatchError, ParseError, UsageError
 from .model import ModelConfig, ModelParams, param_spec
 from .ppm import channels_to_rgb, heat_to_yellow, write_ppm
 from .recognizer import blas_threads, count_flops, infer, infer_workers
@@ -121,7 +119,7 @@ def cmd_ingest(args) -> int:
         for file in files:
             try:
                 sequences.append(parse_ntu(file))
-            except (ParseError, EmptyBodyError) as exc:
+            except ParseError as exc:
                 print(f"skipping {file.name}: {exc}", file=sys.stderr)
     if args.jsonl is not None:
         sequences.extend(parse_jsonl(args.jsonl))
@@ -180,7 +178,18 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _check_out_dir(path: str) -> None:
+    """Refuse, before any work, an --out-dir that exists but is not a
+    directory, or whose nearest existing ancestor is not a writable
+    directory: an OSError, so exit 2.  The directory is made after the work."""
+    target = Path(path)
+    nearest = next((p for p in (target, *target.parents) if p.exists()), target)
+    if not nearest.is_dir() or not os.access(nearest, os.W_OK | os.X_OK):
+        raise OSError(f"--out-dir {path}: {nearest} is not a writable directory")
+
+
 def cmd_eval(args) -> int:
+    _check_out_dir(args.out_dir)
     params = load_checkpoint(args.checkpoint)
     sequences = _load_dataset(args.data)
     split = split_dataset(sequences, args.protocol)
@@ -225,7 +234,7 @@ def cmd_encode(args) -> int:
     files = ("enhanced_joints.ppm", "enhanced_bones.ppm", "joint_velocity.ppm", "bone_velocity.ppm")
     written = list(files[: len(bundle.channels)])
     for stream, name in zip(STREAMS, written):
-        source = stream_image(bundle, stream, params.encoder)
+        source, _ = stream_image(bundle, stream, params.encoder)
         image = np.empty(source.shape, source.dtype)
         source.fill(0, 1, image)
         write_ppm(out_dir / name, channels_to_rgb(image[0]))

@@ -32,8 +32,10 @@ and takes back any block's gradient, with values and gradients bit for
 bit those of ``embed_to_image``, ``apply_attention`` and
 ``temporal_embed`` composed.  It takes a batch axis only: (B, 3, J, T)
 channels and a (B, T, T) attention map; ``skelact encode`` passes its one
-sequence as a batch of one.  The recognizer's streams node calls it for
-each stream, and ``skelact encode`` for each image it writes.
+sequence as a batch of one.  It is the one place that decides which
+tensors an image reads, and it names them beside the source, in the order
+of the gradients the source hands back.  The recognizer's streams node
+calls it for each stream, and ``skelact encode`` for each image it writes.
 """
 
 from __future__ import annotations
@@ -211,11 +213,16 @@ def encode(x, enc: EncoderParams) -> EncodedBundle:
     return EncodedBundle(channels, attention)
 
 
-def stream_image(bundle: EncodedBundle, name: str, enc: EncoderParams) -> ImageSource:
-    """Stream ``name``'s (B, 3, T, T) image source: ``embed_image_arrays``
-    over the stream's channels, ``embed.<name>``, the attention map for the
-    ATTENDED streams, and ``temporal.<name>`` when that stage is on."""
-    attention = bundle.attention if name in ATTENDED else None
-    return embed_image_arrays(bundle.channels[STREAMS.index(name)].data, enc.tensors[f"embed.{name}"].data,
-                              None if attention is None else attention.data,
-                              enc.tensors[f"temporal.{name}"].data if enc.flags.temporal else None)
+def stream_image(bundle: EncodedBundle, name: str, enc: EncoderParams) -> tuple[ImageSource, tuple[Tensor, ...]]:
+    """Stream ``name``'s (B, 3, T, T) image source and the tensors it reads.
+
+    The source is ``embed_image_arrays`` over the stream's channels,
+    ``embed.<name>``, the attention map for the ATTENDED streams, and
+    ``temporal.<name>`` when that stage is on.  The tensors are those of
+    the four it reads, in that order: the order of the gradients its
+    ``back`` returns, less the Nones."""
+    reads = (bundle.channels[STREAMS.index(name)], enc.tensors[f"embed.{name}"],
+             bundle.attention if name in ATTENDED else None,
+             enc.tensors[f"temporal.{name}"] if enc.flags.temporal else None)
+    source = embed_image_arrays(*(None if t is None else t.data for t in reads))
+    return source, tuple(t for t in reads if t is not None)

@@ -224,6 +224,3 @@ class ModelParams:
 
     def named_tensors(self) -> dict[str, Tensor]:
         return dict(self.tensors)
-
-    def trainable_tensors(self) -> dict[str, Tensor]:
-        return {k: t for k, t in self.tensors.items() if t.requires_grad}

@@ -21,11 +21,14 @@ names: stream i's stages ``stream{i}.conv{n}.*`` and the head
 ``forward(encode(x))`` is the one model body.  The encoder yields each
 stream's channels; the streams and the head's concatenation are one node,
 in which each stream builds its image (``encoder.stream_image``) and runs
-``_stages`` on it.  Taped, the node's forward and backward run streams 0,
-2 and 1, 3 on two worker threads, each stream's stage rules from stage 3
-down; its stem fills the image into its pad one batch block at a time,
-and its rule hands each block's gradient back to the image source, so no
-image or image gradient is stored whole.  ``infer``, which evaluation and
+``_stages`` on it.  The node's inputs are, stream by stream, the tensors
+``stream_image`` says the image reads and the stream's kernels and biases
+(``_convs``), and its backward returns their gradients in that order.
+Taped, the node's forward and backward run streams 0, 2 and 1, 3 on two
+worker threads, each stream's stage rules from stage 3 down; its stem
+fills the image into its pad one batch block at a time, and its rule
+hands each block's gradient back to the image source, so no image or
+image gradient is stored whole.  ``infer``, which evaluation and
 ``skelact bench`` run, is that body untaped: the streams run one at a
 time on the caller's thread, with the same logits bit for bit.
 ``stream_forward`` is one stream's stages untaped, on an image array,
@@ -64,20 +67,26 @@ def stream_forward(image, tensors: dict[str, Tensor], i: int) -> Tensor:
     Untaped: it records nothing, even inside a Tape."""
     image = image.data if isinstance(image, Tensor) else np.asarray(image)
     source = ImageSource(image.shape, image.dtype, lambda lo, hi, out: np.copyto(out, image[lo:hi]), None)
-    features, _ = _stages(source, tensors, i, False)
+    features, _ = _stages(source, _convs(tensors, i), False)
     return Tensor(features, dtype=features.dtype)
 
 
-def _stages(image: ImageSource, tensors: dict[str, Tensor], i: int, recorded: bool) -> tuple[np.ndarray, list]:
-    """Stream ``i``'s stages on a (B, 3, T, T) image source: its (B, F)
-    features and each stage's backward rule, in stage order (None when not
+def _convs(tensors: dict[str, Tensor], i: int) -> list[Tensor]:
+    """Stream ``i``'s kernels and biases, stage by stage: the order in which
+    :func:`_stages` reads them and its rules return their gradients."""
+    return [tensors[f"stream{i}.conv{n}.{kind}"] for n in (1, 2, 3) for kind in ("kernels", "bias")]
+
+
+def _stages(image: ImageSource, convs: list[Tensor], recorded: bool) -> tuple[np.ndarray, list]:
+    """A stream's stages on a (B, 3, T, T) image source, each stage on a
+    kernel and bias pair of ``convs`` (:func:`_convs`): its (B, F) features
+    and each stage's backward rule, in stage order (None when not
     ``recorded``)."""
     if len(image.shape) != 4:
         raise DimensionError(f"stream expects a (B,3,T,T) image, got {image.shape}")
     x, rules = image, []
-    for n in (1, 2, 3):
-        x, rule = conv_pool_leaky_arrays(x, tensors[f"stream{i}.conv{n}.kernels"].data,
-                                         tensors[f"stream{i}.conv{n}.bias"].data, recorded)
+    for kernels, bias in zip(convs[0::2], convs[1::2]):
+        x, rule = conv_pool_leaky_arrays(x, kernels.data, bias.data, recorded)
         rules.append(rule)
     if x.shape[1:3] != (1, 1):
         raise DimensionError(f"stream did not reduce spatially, got {x.shape}")
@@ -100,7 +109,8 @@ def _streams(bundle: EncodedBundle, params: ModelParams) -> Tensor:
     copies that image and collects its gradient) and ``reshape``, then
     ``concat``.
 
-    Each stream runs :func:`stream_image` and then :func:`_stages`.
+    Each stream's image source comes from :func:`stream_image`, which also
+    names the tensors it reads; the stream runs :func:`_stages` on it.
     Recorded, streams 0, 2 and 1, 3 run on :func:`_on_workers`, forward
     and backward; unrecorded, one after the other on the caller's thread.
     A worker runs no function perfbench's tracer wraps: its one span stack
@@ -109,22 +119,18 @@ def _streams(bundle: EncodedBundle, params: ModelParams) -> Tensor:
     rules from stage 3 down, freeing each rule once it has run; the stem's
     hands each block's gradient, in channel-first memory, to the image
     source, and returns the image's input gradients.
-    It returns the channel gradients, the attention map's (the bones
-    stream's plus the joints stream's, as ``backward`` added them), then
-    each stream's embedding, temporal, kernel and bias gradients.
+    The node's inputs are, stream by stream, the tensors its image reads,
+    then its kernels and biases (:func:`_convs`), and the backward returns
+    each stream's gradients in that order.  The attention map is an input
+    of each attended stream, and ``backward`` adds its two gradients.
     """
     count, tensors = len(bundle.channels), params.tensors
-    names = STREAMS[:count]
-    image_prefixes = ("embed", "temporal") if params.config.flags.temporal else ("embed",)
-    per_stream = [[tensors[f"{prefix}.{name}"] for prefix in image_prefixes]
-                  + [tensors[f"stream{i}.conv{n}.{kind}"] for n in (1, 2, 3) for kind in ("kernels", "bias")]
-                  for i, name in enumerate(names)]
-    attention = () if bundle.attention is None else (bundle.attention,)
-    inputs = (*bundle.channels, *attention, *(t for stream in per_stream for t in stream))
+    images = [stream_image(bundle, name, params.encoder) for name in STREAMS[:count]]
+    inputs = tuple(t for i, (_, reads) in enumerate(images) for t in (*reads, *_convs(tensors, i)))
     recorded = _recording(inputs) is not None
 
     def run(i):
-        return _stages(stream_image(bundle, names[i], params.encoder), tensors, i, recorded)
+        return _stages(images[i][0], _convs(tensors, i), recorded)
 
     runs = _by_stream(run, count) if recorded else [run(i) for i in range(count)]
     splits = np.cumsum([features.shape[-1] for features, _ in runs])[:-1]
@@ -137,12 +143,9 @@ def _streams(bundle: EncodedBundle, params: ModelParams) -> Tensor:
             while rules:  # popping frees each rule, and the arrays it saved, once it has run
                 dx, dk, db = rules.pop()(dx)
                 grads[:0] = (dk, db)
-            d_channels, d_weight, d_attention, d_temporal = dx  # the stem's: its image source's inputs'
-            return d_channels, d_attention, [g for g in (d_weight, d_temporal) if g is not None] + grads
+            return [g for g in dx if g is not None] + grads  # the stem's dx: its image source's inputs'
 
-        grads = _by_stream(run_back, count)
-        d_attention = [grads[1][1] + grads[0][1]] if attention else []
-        return [g[0] for g in grads] + d_attention + [t for g in grads for t in g[2]]
+        return [g for grads in _by_stream(run_back, count) for g in grads]
 
     return _finish(np.concatenate([features for features, _ in runs], axis=-1), inputs, back, "streams")
 

@@ -63,9 +63,6 @@ class ConfusionMatrix:
         with np.errstate(invalid="ignore"):
             return np.where(rows > 0, np.diag(self.counts) / np.maximum(rows, 1), np.nan)
 
-    def mean_per_class(self) -> float:
-        return float(np.nanmean(self.per_class()))
-
     def to_csv(self) -> str:
         return "\n".join(",".join(str(v) for v in row) for row in self.counts) + "\n"
 
@@ -101,7 +98,7 @@ def _source(sequences, index: int) -> str:
     return sequences[index].source or f"sequence {index}"
 
 
-def _predict_classes(params: ModelParams, data: np.ndarray, batch_size: int = 64) -> np.ndarray:
+def _predict_classes(params: ModelParams, data: np.ndarray, batch_size: int) -> np.ndarray:
     """``infer``'s argmax class per row; a _NonFiniteLogits error when any
     row's logits hold a NaN or an infinity.  That check reports the fault,
     so numpy's overflow and invalid-value warnings are off while ``infer``
@@ -177,7 +174,7 @@ def train(sequences, model: ModelConfig, split: DatasetSplit, config: TrainConfi
     return params, log
 
 
-def evaluate(params: ModelParams, sequences, batch_size: int = 64):
+def evaluate(params: ModelParams, sequences, batch_size: int = TrainConfig.batch_size):
     """Score a sequence list against a trained model.
 
     Returns (accuracy, ConfusionMatrix, per-class accuracy array).  Classes

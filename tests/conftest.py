@@ -3,8 +3,8 @@ model config, the joint-to-bone incidence oracle, scale-head and attention
 tensors under their parameter names, the array-level image and stage
 bodies as tape nodes (the stage on an array, and as the stem, on an
 array-backed image source), the fused stage's plain reference, the
-composed reference of the image body, and the benchmark tracer's name
-tables.
+composed reference of the image body, the benchmark tracer's name
+tables, and the finite-difference gradient check.
 
 Acceptance tests record one verdict per criterion; the terminal summary
 prints them as single pass/fail lines so a full run ends with a compact
@@ -12,10 +12,13 @@ scoreboard."""
 
 import importlib.util
 from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 
 from skelact import autograd
+from skelact.autograd import Tape, Tensor, backward
+from skelact.errors import UsageError
 from skelact.model import ModelConfig
 
 _VERDICTS: dict[int, tuple[str, bool, str]] = {}
@@ -208,6 +211,58 @@ def perfbench_spans():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def grad_check(
+    fn: Callable[[], Tensor],
+    params: Sequence[Tensor],
+    samples: int = 100,
+    h: float = 1e-5,
+    seed: int = 0,
+    points: Sequence[tuple[int, int]] | None = None,
+) -> float:
+    """Max relative error between tape gradients and central differences.
+
+    ``fn`` must be a pure scalar function of ``params``, which must be
+    float64 (the 64-bit verification mode).  ``points`` optionally pins the
+    sampled (param_index, flat_index) coordinates; otherwise ``samples``
+    coordinates are drawn uniformly with the given seed.  The error at one
+    coordinate is |analytic - numeric| / max(1, |analytic|).
+    """
+    for p in params:
+        if p.data.dtype != np.float64:
+            raise UsageError("grad_check requires float64 parameters")
+    for p in params:
+        p.grad = None
+    with Tape():
+        loss = fn()
+    backward(loss)
+    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
+    for p in params:
+        p.grad = None
+
+    if points is None:
+        rng = np.random.default_rng(seed)
+        points = []
+        for _ in range(samples):
+            pi = int(rng.integers(len(params)))
+            fi = int(rng.integers(params[pi].data.size))
+            points.append((pi, fi))
+
+    worst = 0.0
+    for pi, fi in points:
+        flat = params[pi].data.reshape(-1)
+        saved = flat[fi]
+        flat[fi] = saved + h
+        f_plus = fn().item()
+        flat[fi] = saved - h
+        f_minus = fn().item()
+        flat[fi] = saved
+        numeric = (f_plus - f_minus) / (2.0 * h)
+        a = float(analytic[pi].reshape(-1)[fi])
+        err = abs(a - numeric) / max(1.0, abs(a))
+        worst = max(worst, err)
+    return worst
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -11,9 +11,9 @@ import time
 
 import numpy as np
 import pytest
-from conftest import attention_tensors, incidence_matrix, model_config, record_verdict, scale_heads
+from conftest import attention_tensors, grad_check, incidence_matrix, model_config, record_verdict, scale_heads
 
-from skelact.autograd import Tensor, cross_entropy, frame_velocity, grad_check
+from skelact.autograd import Tensor, cross_entropy, frame_velocity
 from skelact.cli import main
 from skelact.encoder import (
     apply_attention, attention_map, scale_bones, scale_joints, uniform_attention, velocity_image,
@@ -70,7 +70,7 @@ def test_criterion_01_full_pipeline_gradients():
     # rows, whose pooling ties are non-differentiable kinks where central
     # differences are not meaningful
     rng = np.random.default_rng(7)
-    tensors = list(params.trainable_tensors().values())
+    tensors = [t for t in params.tensors.values() if t.requires_grad]
     for t in tensors:
         t.data += rng.normal(0.0, 0.05, t.data.shape)
 

@@ -12,12 +12,12 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import conv_pool_leaky, image_source, reference_stage, stem_stage
+from conftest import conv_pool_leaky, grad_check, image_source, reference_stage, stem_stage
 
 from skelact import autograd
 from skelact.autograd import (
     Tape, Tensor, add, backward, concat, conv2d, cross_entropy,
-    frame_velocity, grad_check, leaky_relu, linear, matmul, maxpool2d, mul, permute, reshape, scale, softmax_rows, sub, sum_all, transpose_last2,
+    frame_velocity, leaky_relu, linear, matmul, maxpool2d, mul, permute, reshape, scale, softmax_rows, sub, sum_all, transpose_last2,
 )
 from skelact.errors import DimensionError, UsageError
 from skelact.optim import AdamState, adam_step

@@ -304,6 +304,24 @@ def test_eval_of_finite_weights_that_give_non_finite_logits_is_exit_2(tmp_path, 
     assert not captured.out and not out_dir.exists()
 
 
+@pytest.mark.parametrize("where", ["is_a_file", "under_a_file", "unwritable"])
+def test_eval_to_an_unusable_out_dir_is_exit_2_before_loading(tmp_path, dataset, capsys, monkeypatch, where):
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ModelParams.build(model_config(parse_jsonl(dataset), humanoid_topology(), channels=(2, 4, 8))), ckpt)
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    bad = {"is_a_file": tmp_path / "file", "under_a_file": tmp_path / "file" / "out",
+           "unwritable": tmp_path / "new" / "out"}[where]
+    if where == "unwritable":
+        monkeypatch.setattr("skelact.cli.os.access", lambda path, mode: path != tmp_path)
+    loaded = []
+    monkeypatch.setattr("skelact.cli.load_checkpoint", lambda path: loaded.append(path) or load_checkpoint(path))
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset), "--out-dir", str(bad)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: --out-dir {bad}") and not captured.out
+    assert loaded == [] and (tmp_path / "file").read_text(encoding="utf-8") == "" and not (tmp_path / "new").exists()
+
+
 # ---------------------------------------------------------------------------
 # encode
 

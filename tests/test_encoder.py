@@ -1,18 +1,21 @@
 """Feature-enhancement encoder: per-joint/per-bone scaling, image embedding,
 frame attention, velocity images, temporal offsets, and the composed encode."""
 
+import itertools
+
 import numpy as np
 import pytest
 from conftest import (
-    attention_tensors, composed_embed_image, composed_images, embed_image, filled, incidence_matrix, scale_heads,
+    attention_tensors, composed_embed_image, composed_images, embed_image, filled, grad_check, incidence_matrix,
+    scale_heads,
 )
 
 from skelact import autograd
 from skelact.autograd import (
-    Tape, Tensor, add, backward, embed_image_arrays, frame_velocity, grad_check, mul, scale, softmax_rows, sum_all,
+    Tape, Tensor, add, backward, embed_image_arrays, frame_velocity, mul, scale, softmax_rows, sum_all,
 )
 from skelact.encoder import (
-    STREAMS, EncoderParams, EnhanceFlags, apply_attention, attention_map, embed_to_image, encode,
+    ATTENDED, STREAMS, EncoderParams, EnhanceFlags, apply_attention, attention_map, embed_to_image, encode,
     scale_bones, scale_joints, stream_image, temporal_embed, uniform_attention, velocity_image,
 )
 from skelact.errors import DimensionError
@@ -546,7 +549,7 @@ def test_encode_matches_hand_composition():
         assert np.array_equal(got.data, want.data)
     assert np.array_equal(bundle.attention.data, a.data)
     for name, want in zip(STREAMS, (ji, bi, jv, bv)):
-        source = stream_image(bundle, name, enc)
+        source, _ = stream_image(bundle, name, enc)
         assert source.shape == (1, 3, 8, 8) and callable(source.back), name
         assert np.array_equal(filled(source), want.data), name
 
@@ -562,7 +565,7 @@ def test_encode_with_everything_off_is_raw_coordinates():
     assert len(bundle.channels) == 2 and bundle.attention is None
     # identity embeddings make both streams the raw coordinate view
     for name in ("joints", "bones"):
-        assert np.array_equal(filled(stream_image(bundle, name, enc)), _channels(x)), name
+        assert np.array_equal(filled(stream_image(bundle, name, enc)[0]), _channels(x)), name
 
 
 def test_active_streams_follow_velocity_flag():
@@ -595,6 +598,24 @@ def test_encode_batched_equals_stacked_single():
         for got, want in zip(batch.channels, single.channels):
             assert np.allclose(got.data[b], want.data, atol=1e-6)
         for name in STREAMS:  # an image source takes a batch
-            want = filled(stream_image(one, name, enc))[0]
-            assert np.allclose(filled(stream_image(batch, name, enc))[b], want, atol=1e-6), name
+            want = filled(stream_image(one, name, enc)[0])[0]
+            assert np.allclose(filled(stream_image(batch, name, enc)[0])[b], want, atol=1e-6), name
         assert np.allclose(batch.attention.data[b], single.attention.data, atol=1e-6)
+
+
+@pytest.mark.parametrize("flags", [EnhanceFlags(*on) for on in itertools.product((False, True), repeat=5)])
+def test_stream_image_reads_pair_one_to_one_with_its_source_gradients(flags):
+    # the tensors stream_image names are the image's inputs in the order
+    # its source's back returns their gradients, the Nones left out
+    x = np.random.default_rng(22).normal(size=(2, 8, 4, 3)).astype(np.float32)
+    enc = _build_encoder(np.random.default_rng(104), 8, flags)
+    bundle = encode(x, enc)
+    for i, name in enumerate(flags.active_streams()):
+        source, reads = stream_image(bundle, name, enc)
+        attended = flags.attention and name in ATTENDED
+        want = [bundle.channels[i], enc.tensors[f"embed.{name}"]] + [bundle.attention] * attended
+        want += [enc.tensors[f"temporal.{name}"]] if flags.temporal else []
+        assert len(reads) == len(want) and all(got is t for got, t in zip(reads, want)), name
+        d = np.random.default_rng(i).normal(size=source.shape).astype(source.dtype)
+        grads = [g for g in source.back(0, len(d), d) if g is not None]
+        assert [g.shape for g in grads] == [t.shape for t in reads], name

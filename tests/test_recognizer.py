@@ -2,6 +2,7 @@
 (multiply-accumulate census and parameter count)."""
 
 import importlib
+import itertools
 import multiprocessing
 import sys
 import threading
@@ -19,7 +20,7 @@ from skelact import autograd, recognizer
 from skelact.autograd import (
     Tape, Tensor, backward, concat, cross_entropy, reshape,
 )
-from skelact.encoder import EncodedBundle, EnhanceFlags, encode
+from skelact.encoder import EncodedBundle, EnhanceFlags, encode, stream_image
 from skelact.errors import DimensionError, UsageError
 from skelact.model import ModelConfig, ModelParams, param_spec
 from skelact.optim import AdamState, adam_step
@@ -213,7 +214,7 @@ def test_training_gradients_match_channel_first_stream_bitwise(monkeypatch):
                 logits = forward(encode(x, params.encoder), params)
                 loss = cross_entropy(logits, labels)
             backward(loss)
-            steps.append((logits.data, {k: t.grad for k, t in params.trainable_tensors().items()}))
+            steps.append((logits.data, {k: t.grad for k, t in params.tensors.items() if t.requires_grad}))
             adam_step(named, state, 1e-2)
         runs.append(steps)
     assert reference_calls == [0, 1, 2, 3] * 3  # the reference run took the reference stages
@@ -252,7 +253,7 @@ def test_training_steps_match_the_composed_encoder_images_bitwise(monkeypatch, v
                     logits = forward(encode(x, params.encoder), params)
                     loss = cross_entropy(logits, labels)
                 backward(loss)
-                steps.append((logits.data, {k: t.grad for k, t in params.trainable_tensors().items()}))
+                steps.append((logits.data, {k: t.grad for k, t in params.tensors.items() if t.requires_grad}))
                 adam_step(named, state, 1e-2)
         runs.append(steps)
     for fused_run in runs[:2]:
@@ -571,6 +572,26 @@ def test_streams_node_is_bitwise_the_sequential_stages_on_workers_and_inline(dty
         assert forwards == ["MainThread"] * 4, batch
 
 
+@pytest.mark.parametrize("flags", [EnhanceFlags(*on) for on in itertools.product((False, True), repeat=5)])
+def test_a_recorded_streams_node_lists_the_attention_map_once_per_attended_stream(flags):
+    # stream by stream, the tensors its image reads then its kernels and
+    # biases; the backward returns one gradient per input, of its shape
+    params = ModelParams.build(_config(flags=flags), seed=23)
+    x = (np.random.default_rng(45).normal(size=(2, 64, 4, 3)) * 0.3).astype(np.float32)
+    with Tape() as tape:
+        bundle = encode(x, params.encoder)
+        forward(bundle, params)
+    [node] = [node for node in tape.nodes if node.backward_fn.__qualname__ == "_streams.<locals>.back"]
+    attention = [t for t in node.inputs if t is bundle.attention]
+    assert len(attention) == (2 if flags.attention else 0)
+    others = [t for t in node.inputs if t is not bundle.attention]
+    assert len({id(t) for t in others}) == len(others)
+    assert len(node.inputs) == sum(len(stream_image(bundle, name, params.encoder)[1]) + 6
+                                   for name in flags.active_streams())
+    grads = node.backward_fn(np.ones_like(node.output.data))
+    assert [g.shape for g in grads] == [t.shape for t in node.inputs]
+
+
 def test_stream_forward_records_nothing_inside_a_tape():
     params = _perturbed_params(np.float32)
     image = Tensor(np.random.default_rng(41).normal(size=(2, 3, 64, 64)), requires_grad=True)
@@ -585,7 +606,7 @@ def test_stream_forward_of_a_float64_image_is_bitwise_its_stages():
     # the image was rounded to float32 on its way in
     params = _perturbed_params(np.float64)
     image = np.random.default_rng(42).normal(size=(2, 3, 64, 64))
-    want, _ = recognizer._stages(image_source(image), params.tensors, 0, False)
+    want, _ = recognizer._stages(image_source(image), recognizer._convs(params.tensors, 0), False)
     for given in (image, Tensor(image, dtype=np.float64)):
         got = stream_forward(given, params.tensors, 0).data
         assert got.dtype == np.float64 and np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -921,8 +942,8 @@ def test_frozen_embeddings_under_raw_flags():
             assert not named[name].requires_grad
     assert all(not k.startswith(("joint_scale", "bone_scale", "attention", "temporal"))
                for k in named)
-    trainable = params.trainable_tensors()
-    assert set(trainable) == {k for k in named if k.startswith(("stream", "classifier"))}
+    trainable = {k for k, t in named.items() if t.requires_grad}
+    assert trainable == {k for k in named if k.startswith(("stream", "classifier"))}
 
 
 # ---------------------------------------------------------------------------
