@@ -7,8 +7,11 @@ checkout's ``src/``).  Each side writes a set of checkpoints: the default
 15-joint model, the 25-joint NTU topology, every training.VARIANT_GRID flag
 set, labels (0, 2**24, -(2**25)) and dt = 0.1.  Each side then loads every
 checkpoint either side wrote, and each load must give an equal ModelConfig
-(dt as float32 rounds it) and bit-identical tensors.  Every write and every
-read runs in its own process; the exit status is 1 if any load differs.
+(dt rounded to float32 when the writer's checkpoint.VERSION is 1) and
+bit-identical tensors.  A reader refusing a file of a newer version than
+its own as an unsupported version is expected; any other error is not.
+Every write and every read runs in its own process; the exit status is 1
+if any load fails or differs.
 """
 
 from __future__ import annotations
@@ -52,17 +55,23 @@ def write(src: str, out: str) -> None:
         params = sk.model.ModelParams.build(config, seed=seed)
         sk.checkpoint.save_checkpoint(params, Path(out, f"{name}.ckpt"))
         np.savez(Path(out, f"{name}.npz"), **{k: t.data for k, t in params.named_tensors().items()})
-        expected[name] = asdict(replace(config, dt=float(np.float32(config.dt))))
-    Path(out, "configs.json").write_text(json.dumps(expected))
+        exact = sk.checkpoint.VERSION >= 2  # version 1 stores dt as float32
+        expected[name] = asdict(config if exact else replace(config, dt=float(np.float32(config.dt))))
+    Path(out, "configs.json").write_text(json.dumps({"version": sk.checkpoint.VERSION, "configs": expected}))
 
 
 def read(src: str, out: str) -> int:
     np, sk = _import(src)
-    failures = 0
-    for name, config in json.loads(Path(out, "configs.json").read_text()).items():
+    written = json.loads(Path(out, "configs.json").read_text())
+    newer = written["version"] > sk.checkpoint.VERSION
+    failures = refused = 0
+    for name, config in written["configs"].items():
         try:
             loaded = sk.checkpoint.load_checkpoint(Path(out, f"{name}.ckpt"))
         except ValueError as exc:  # every skelact error is one
+            if newer and str(exc) == f"unsupported checkpoint version {written['version']}":
+                refused += 1
+                continue
             print(f"  {name}: {type(exc).__name__}: {exc}")
             failures += 1
             continue
@@ -75,6 +84,9 @@ def read(src: str, out: str) -> int:
         if not (same_config and same_tensors):
             print(f"  {name}: config equal {same_config}, tensors bit-identical {same_tensors}")
             failures += 1
+    if refused:
+        print(f"  {refused} refused as version {written['version']}, newer than this reader's "
+              f"{sk.checkpoint.VERSION} (expected)")
     return failures
 
 
@@ -84,11 +96,11 @@ def main(old: str, new: str) -> int:
     for writer_side, writer in (("old", old), ("new", new)):
         with tempfile.TemporaryDirectory() as out:
             subprocess.run([sys.executable, here, "write", writer, out], check=True)
-            count = len(json.loads(Path(out, "configs.json").read_text()))
+            count = len(json.loads(Path(out, "configs.json").read_text())["configs"])
             for reader_side, reader in (("old", old), ("new", new)):
                 status = subprocess.run([sys.executable, here, "read", reader, out]).returncode
                 print(f"{writer_side} writes, {reader_side} reads: {count} checkpoints, "
-                      f"{'all equal' if status == 0 else 'MISMATCH'}")
+                      f"{'no failure' if status == 0 else 'FAILED'}")
                 failed |= status != 0
     return int(failed)
 

@@ -1,25 +1,24 @@
 """Binary checkpoint container.
 
-Layout, all integers little-endian u32 and all values little-endian f32:
+Layout, little-endian, with every count and extent a u32:
 
     magic "AFEC" | version | entry count |
-    per entry: name length | utf-8 name | rank | extents... | values...
+    per entry: name length | utf-8 name | dtype code | rank | extents... | values... |
+    zlib CRC32 of every byte before it
 
-The first entries are ModelConfig's fields in declaration order, each an
-f32 array named "config.<field>": a scalar has shape (1,), a tuple one
-extent per tuple level (bones is (b, 2)), and the flags are one 0/1 vector
-in EnhanceFlags' field order.  ModelConfig refuses an integer f32 cannot hold,
-so every config integer comes back exact.  Every parameter tensor follows
-in sorted name order, so identical parameters always serialize to
-identical bytes.  Entries are read by name, in any order.  Loading decodes
-each config entry by its field's type (rank and extents, integral values,
-0/1 flags), checks the stored tensor names and shapes against
-model.param_spec and hands the stored arrays, as they are and in spec
-order, to ModelParams as its named tensors; no weights are drawn.  Any
+The dtype code indexes DTYPES: config integers and flags are stored as i8,
+dt as f8 and tensors as f4, so every config value comes back exactly.  The
+config entries come first, ModelConfig's fields in order, each named
+"config.<field>": a scalar has shape (1,), a tuple one extent per level
+(bones is (b, 2)), and the flags one 0/1 vector in EnhanceFlags' order.
+Tensors follow in sorted name order, so equal parameters give equal bytes.
+Version 1 (no dtype codes, every value f4, no CRC32) still loads; a
+version 1 reader refuses version 2.  Loading reads entries by name, in any
+order, decodes each config entry by its field's type, checks the tensors'
+names, shapes and dtype against model.param_spec and draws no weights.  Any
 fault in the file is a CheckpointError, a NaN or an infinity in a tensor
-among them; saving such a tensor is refused.  A save writes a temporary
-file beside the target and renames it into place, so a save that fails
-leaves no partial file, and any earlier checkpoint at the path as it was.
+among them.  A save writes a temporary file beside the target and renames
+it into place, so a failed save leaves any earlier checkpoint as it was.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ import math
 import os
 import secrets
 import struct
+import zlib
 from dataclasses import astuple, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
@@ -38,7 +38,9 @@ from .errors import CheckpointError, TopologyError, UsageError
 from .model import ModelConfig, ModelParams, param_spec
 
 MAGIC = b"AFEC"
-VERSION = 1
+VERSION = 2
+DTYPES = ("<f4", "<f8", "<i8")  # indexed by the dtype code
+_HINTS = get_type_hints(ModelConfig)  # each config field's type sets its stored dtype and its decoding
 
 
 def _non_finite(tensors: dict[str, np.ndarray]) -> str | None:
@@ -53,30 +55,35 @@ def _non_finite(tensors: dict[str, np.ndarray]) -> str | None:
 def save_checkpoint(params: ModelParams, path) -> None:
     """Write ``params`` to ``path`` through a temporary file in the same
     directory, replaced onto ``path`` once complete and removed if the
-    write fails; a tensor holding a NaN or an infinity is a UsageError,
-    raised before any file is opened."""
+    write fails; a tensor holding a NaN or an infinity, or a config value
+    its dtype cannot hold exactly, is a UsageError, raised before any file is opened."""
     config, tensors = params.config, params.tensors
     fault = _non_finite({name: tensors[name].data for name in sorted(tensors)})
     if fault:
         raise UsageError(f"refusing to save a checkpoint: {fault}")
-    entries = [(f"config.{f.name}", value) for f, value in zip(fields(config), astuple(config))]
-    entries += [(name, tensors[name].data) for name in sorted(tensors)]
+    entries = []
+    for f, value in zip(fields(config), astuple(config)):
+        dtype = "<f8" if _HINTS[f.name] is float else "<i8"
+        try:
+            entries.append((f"config.{f.name}", np.atleast_1d(value).astype(dtype, casting="safe")))
+        except TypeError:  # a fraction, or an integer beyond int64
+            raise UsageError(f"config.{f.name} value {value}: {np.dtype(dtype)} cannot hold it exactly") from None
+    entries += [(name, np.ascontiguousarray(tensors[name].data, "<f4")) for name in sorted(tensors)]
+    chunks = [MAGIC + struct.pack("<II", VERSION, len(entries))]
+    for name, arr in entries:
+        encoded = name.encode("utf-8")
+        dims = struct.pack(f"<{arr.ndim + 2}I", DTYPES.index(arr.dtype.str), arr.ndim, *arr.shape)
+        chunks += [struct.pack("<I", len(encoded)) + encoded + dims, memoryview(arr).cast("B")]
     path = os.fsdecode(path)
     directory, base = os.path.split(path)
     temp = os.path.join(directory, f".{base}.{secrets.token_hex(8)}.tmp")
     try:
         with open(temp, "xb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<II", VERSION, len(entries)))
-            for name, value in entries:
-                arr = np.ascontiguousarray(value, dtype="<f4")
-                encoded = name.encode("utf-8")
-                fh.write(struct.pack("<I", len(encoded)))
-                fh.write(encoded)
-                fh.write(struct.pack("<I", arr.ndim))
-                for extent in arr.shape:
-                    fh.write(struct.pack("<I", extent))
-                fh.write(arr.tobytes())
+            crc = 0
+            for chunk in chunks:
+                fh.write(chunk)
+                crc = zlib.crc32(chunk, crc)
+            fh.write(struct.pack("<I", crc))
         os.replace(temp, path)
     except BaseException:
         if os.path.exists(temp):
@@ -101,13 +108,13 @@ class _Reader:
 
 
 def read_entries(path) -> dict[str, np.ndarray]:
-    """Raw name -> f32 array map, without model reconstruction."""
+    """Raw name -> array map, each in its stored dtype, with no model built."""
     with open(path, "rb") as fh:
         reader = _Reader(fh.read())
     if reader.take(4) != MAGIC:
         raise CheckpointError("bad magic: not a checkpoint file")
     version = reader.u32()
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise CheckpointError(f"unsupported checkpoint version {version}")
     count = reader.u32()
     entries: dict[str, np.ndarray] = {}
@@ -119,14 +126,21 @@ def read_entries(path) -> dict[str, np.ndarray]:
             raise CheckpointError(f"entry name {raw_name!r} is not UTF-8") from None
         if name in entries:
             raise CheckpointError(f"duplicate entry {name!r}")
+        code = reader.u32() if version > 1 else 0
+        if code >= len(DTYPES):
+            raise CheckpointError(f"unknown dtype code {code} for {name!r}")
+        dtype = np.dtype(DTYPES[code])
         rank = reader.u32()
         if rank > 8:
             raise CheckpointError(f"implausible rank {rank} for {name!r}")
         shape = tuple(reader.u32() for _ in range(rank))
-        raw = reader.take(4 * math.prod(shape))
-        entries[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-    if reader.pos != len(reader.blob):
+        raw = reader.take(dtype.itemsize * math.prod(shape))
+        entries[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+    end = reader.pos
+    if len(reader.blob) - end > (4 if version > 1 else 0):
         raise CheckpointError("trailing bytes after final entry")
+    if version > 1 and reader.u32() != zlib.crc32(memoryview(reader.blob)[:end]):
+        raise CheckpointError("checksum mismatch: the file is corrupt")
     return entries
 
 
@@ -171,30 +185,23 @@ def _decode(entries: dict[str, np.ndarray], field, hint):
 
 def load_checkpoint(path) -> ModelParams:
     """Rebuild the model a checkpoint stores, without drawing any weights:
-    the stored tensor names and shapes must match param_spec exactly, and
-    every stored value must be finite."""
+    the stored tensor names, shapes and float32 dtype must match param_spec
+    exactly, and every stored value must be finite."""
     entries = read_entries(path)
-    hints = get_type_hints(ModelConfig)
     config_fields = fields(ModelConfig)
     try:
-        config = ModelConfig(**{f.name: _decode(entries, f, hints[f.name]) for f in config_fields})
+        config = ModelConfig(**{f.name: _decode(entries, f, _HINTS[f.name]) for f in config_fields})
         config.topology()  # checks root and bones
         spec = param_spec(config)
     except (UsageError, TopologyError) as exc:
         raise CheckpointError(f"config entries describe no model: {exc}") from None
-    stored = set(entries) - {f"config.{f.name}" for f in config_fields}
-    expected = {s.name for s in spec}
+    config_names = {f"config.{f.name}" for f in config_fields}
+    stored = {name: (arr.dtype.name, arr.shape) for name, arr in entries.items() if name not in config_names}
+    expected = {s.name: ("float32", tuple(s.shape)) for s in spec}
     if stored != expected:
-        missing = sorted(expected - stored)
-        extra = sorted(stored - expected)
-        raise CheckpointError(
-            f"tensor set mismatch: missing {missing[:3]}, unexpected {extra[:3]}"
-        )
-    for s in spec:
-        if entries[s.name].shape != s.shape:
-            raise CheckpointError(
-                f"{s.name}: stored shape {entries[s.name].shape} != expected {s.shape}"
-            )
+        name = min(n for n in stored.keys() | expected.keys() if stored.get(n) != expected.get(n))
+        raise CheckpointError(f"tensor {name}: stored {stored.get(name, 'nothing')}, "
+                              f"the model needs {expected.get(name, 'nothing')}")
     fault = _non_finite({s.name: entries[s.name] for s in spec})
     if fault:
         raise CheckpointError(fault)

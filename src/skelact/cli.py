@@ -216,6 +216,7 @@ def _params_for(args, sequences) -> ModelParams:
 
 
 def cmd_encode(args) -> int:
+    _check_out_dir(args.out_dir)
     if args.checkpoint is None and not args.init:
         raise UsageError("pass --checkpoint or --init")
     sequences = _load_dataset(args.data)

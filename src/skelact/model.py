@@ -16,7 +16,7 @@ table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,13 +24,6 @@ from .autograd import Tensor
 from .encoder import EncoderParams, EnhanceFlags
 from .errors import UsageError
 from .skeleton import Topology
-
-
-def _float32_exact(value: int) -> bool:
-    try:
-        return int(np.float32(value)) == value
-    except OverflowError:  # float32 inf, or beyond even float64
-        return False
 
 
 @dataclass(frozen=True)
@@ -63,13 +56,7 @@ class ModelConfig:
             raise UsageError("frames must be >= 2")
         if len(set(self.labels)) != len(self.labels):
             raise UsageError(f"labels {self.labels} repeat a label")
-        # a checkpoint stores the config as float32: every integer must come
-        # back exactly, and dt must stay finite and positive
-        with np.errstate(over="ignore"):
-            for f in fields(self):
-                for value in np.ravel(np.array(getattr(self, f.name), dtype=object)):
-                    if isinstance(value, (int, np.integer)) and not _float32_exact(value):
-                        raise UsageError(f"config.{f.name} value {value}: float32 cannot hold it exactly")
+        with np.errstate(over="ignore"):  # velocity divides by dt in float32
             if not 0 < np.float32(self.dt) < np.inf:
                 raise UsageError(f"dt must be finite and positive in float32, got {self.dt}")
 

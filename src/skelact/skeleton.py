@@ -282,8 +282,8 @@ def _numbered_lines(fh, path):
 def parse_jsonl(path) -> list[SkeletonSequence]:
     """Inverse of write_jsonl.  An empty file is an empty dataset.  All
     sequences in one file must agree on the joint count.  label, subject,
-    camera and setup must be JSON integers (not booleans); coordinates must
-    be JSON numbers no larger than MAX_COORD in magnitude."""
+    camera and setup must be JSON integers in int64 (not booleans); coordinates
+    must be JSON numbers no larger than MAX_COORD in magnitude."""
     sequences: list[SkeletonSequence] = []
     expected_joints: int | None = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -302,8 +302,9 @@ def parse_jsonl(path) -> list[SkeletonSequence]:
                     raise ParseError(f"missing field {key!r}", line=num)
             ids = {key: obj.get(key, 0) for key in ("label", "subject", "camera", "setup")}
             for key, value in ids.items():
-                if type(value) is not int:  # rejects bools, floats (1e400 is inf) and strings
-                    raise ParseError(f"{key} must be an integer, got {value!r}", line=num)
+                # rejects bools, floats (1e400 is inf), strings, and what int64 cannot hold
+                if type(value) is not int or not -(2**63) <= value < 2**63:
+                    raise ParseError(f"{key} must be an int64 integer, got {value!r}", line=num)
             raw = obj["frames"]
             try:
                 frames = np.array(raw)

@@ -185,18 +185,18 @@ def test_a_failed_allocation_is_exit_1_naming_its_size(tmp_path, dataset, capsys
     assert not ckpt.exists()
 
 
-def test_train_with_a_label_float32_cannot_hold_is_exit_1(tmp_path, dataset, capsys, monkeypatch):
+def test_train_with_a_label_outside_int64_is_exit_2(tmp_path, dataset, capsys, monkeypatch):
     steps = []
     monkeypatch.setattr(training, "backward", lambda loss: steps.append(loss))
     sequences = parse_jsonl(dataset)
     for seq in sequences:
         if seq.action_label == 1:
-            seq.action_label = 16777217  # float32 rounds it to 16777216
+            seq.action_label = 2**63  # a checkpoint stores labels as int64
     relabelled = tmp_path / "relabelled.jsonl"
     write_jsonl(sequences, relabelled)
     ckpt = tmp_path / "x.ckpt"
-    assert main(_train_args(relabelled, ckpt)) == 1
-    assert "config.labels value 16777217" in capsys.readouterr().err
+    assert main(_train_args(relabelled, ckpt)) == 2
+    assert f"label must be an int64 integer, got {2**63}" in capsys.readouterr().err
     assert not ckpt.exists()
     assert steps == []  # refused before the first training step
 
@@ -353,6 +353,14 @@ def test_encode_from_checkpoint_respects_flags(tmp_path, dataset, capsys):
                  "--out-dir", str(out_dir)]) == 0
     assert "wrote 3 images" in capsys.readouterr().out
     assert not (out_dir / "joint_velocity.ppm").exists()
+
+
+def test_encode_to_a_file_as_out_dir_is_exit_2_before_loading(tmp_path, capsys):
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    missing = tmp_path / "missing.jsonl"
+    assert main(["encode", "--init", "--data", str(missing), "--out-dir", str(tmp_path / "file")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: --out-dir {tmp_path / 'file'}") and not captured.out
 
 
 def test_encode_usage_errors(tmp_path, dataset):

@@ -1,6 +1,7 @@
 """The measurement scripts run end to end: ``scripts/step_hash.py`` and
-``scripts/tape_memory.py``, one training step each, as subprocesses with
-``PYTHONPATH=src``, exit 0 and print the lines their readers parse."""
+``scripts/tape_memory.py``, one training step each, and
+``scripts/src_lines.py``, as subprocesses with ``PYTHONPATH=src``, exit 0
+and print the lines their readers parse."""
 
 import os
 import re
@@ -31,3 +32,15 @@ def test_tape_memory_prints_the_tape_the_peak_rss_and_each_phase_peak():
     assert re.search(r"^tape +[0-9.]+ +[0-9.]+ +[0-9.]+$", out, re.M), out
     assert re.search(r"^peak_rss_mb=[0-9]+\.[0-9] after 1 steps$", out, re.M), out
     assert re.search(r"^traced_peak_mib encode=[0-9.]+ forward=[0-9.]+ backward=[0-9.]+ adam=[0-9.]+ ", out, re.M), out
+
+
+def test_src_lines_counts_each_line_once_in_its_first_class(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text('"""Module\ndocstring."""\n\n# a comment\nx = """not a\ndocstring"""  # trailing\n\n\n'
+                      'def f():\n    """Doc."""; return 1\n', encoding="utf-8")
+    rows = [line.split() for line in _run("src_lines.py", str(module)).splitlines()]
+    assert rows[0] == ["module", "code", "docstring", "comment", "blank"]
+    assert rows[1:] == [[str(module), "4", "2", "1", "3"], ["total", "4", "2", "1", "3"]]
+    census = _run("src_lines.py").splitlines()[-1].split()
+    assert census[0] == "total" and sum(map(int, census[1:])) == sum(
+        len(p.read_text(encoding="utf-8").splitlines()) for p in (ROOT / "src").rglob("*.py"))

@@ -1,6 +1,7 @@
 """Training loop, evaluation metrics, ablation grid, and checkpoint format."""
 
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -274,19 +275,20 @@ def test_checkpoint_entries_include_config_and_tensors(tmp_path):
     assert stored == set(params.named_tensors())
 
 
-def test_checkpoint_refuses_config_integers_float32_would_round(tmp_path):
-    def params(labels):
+def test_checkpoint_stores_config_integers_and_dt_exactly(tmp_path):
+    def params(labels, dt=1.0):
         return ModelParams.build(ModelConfig(joints=TOPO.joint_count, classes=len(labels), bones=TOPO.bones,
                                              root=TOPO.root, labels=labels, channels=(2, 2, 2), fc_hidden=8,
-                                             scale_hidden=4))
+                                             scale_hidden=4, dt=dt))
 
-    exact = tmp_path / "exact.ckpt"  # 2**24 and 2**25 are still exact in float32
-    save_checkpoint(params((0, 2**24, -(2**25))), exact)
-    assert load_checkpoint(exact).config.labels == (0, 2**24, -(2**25))
-    for rounded in (2**24 + 1, -(2**24) - 1, 10**40):
-        path = tmp_path / "rounded.ckpt"
-        with pytest.raises(UsageError, match=f"config.labels value {rounded}: float32 cannot hold"):
-            save_checkpoint(params((0, rounded)), path)
+    path = tmp_path / "model.ckpt"
+    for stored in (params((0, 2**24 + 1, -(2**24) - 1, 2**62)), params((0, 1, 2), dt=0.1)):  # float32 rounds each
+        save_checkpoint(stored, path)
+        assert load_checkpoint(path).config == stored.config
+    path.unlink()
+    for labels in ((0, 10**40), (0, 1.5)):
+        with pytest.raises(UsageError, match=r"config.labels value \(0, .*\): int64 cannot hold it exactly"):
+            save_checkpoint(params(labels), path)
         assert not path.exists()  # refused before any byte is written
 
 
@@ -373,6 +375,62 @@ def _write_v1(path, entries):
         out += [struct.pack("<I", len(name.encode())), name.encode(), struct.pack("<I", arr.ndim),
                 *(struct.pack("<I", extent) for extent in arr.shape), arr.tobytes()]
     path.write_bytes(b"".join(out))
+
+
+def _write_v2(path, entries, code=None):
+    """The v2 layout written from (name, array) pairs, each with its own
+    dtype's code unless ``code`` overrides every entry's, and a valid CRC32."""
+    out = [MAGIC, struct.pack("<II", 2, len(entries))]
+    for name, arr in entries:
+        arr = np.ascontiguousarray(arr)
+        out += [struct.pack("<I", len(name.encode())), name.encode(),
+                struct.pack("<II", ("<f4", "<f8", "<i8").index(arr.dtype.str) if code is None else code, arr.ndim),
+                *(struct.pack("<I", extent) for extent in arr.shape), arr.tobytes()]
+    blob = b"".join(out)
+    path.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
+
+
+def test_v2_layout_written_independently_loads(tmp_path):
+    params = _small_checkpoint(tmp_path / "model.ckpt", dt=0.1)
+    _write_v2(tmp_path / "copy.ckpt", list(read_entries(tmp_path / "model.ckpt").items()))
+    assert (tmp_path / "copy.ckpt").read_bytes() == (tmp_path / "model.ckpt").read_bytes()
+    assert load_checkpoint(tmp_path / "copy.ckpt").config == params.config
+
+
+def test_v2_entry_with_an_unknown_dtype_code_is_a_checkpoint_error(tmp_path):
+    _small_checkpoint(tmp_path / "model.ckpt")
+    bad = tmp_path / "bad.ckpt"
+    _write_v2(bad, list(read_entries(tmp_path / "model.ckpt").items()), code=3)
+    with pytest.raises(CheckpointError, match="unknown dtype code 3 for 'config.joints'"):
+        load_checkpoint(bad)
+
+
+_UNLIKE_THE_SPEC = {
+    "int64": (lambda e: e.update({"classifier.fc2.bias": e["classifier.fc2.bias"].astype("<i8")}),
+              r"tensor classifier.fc2.bias: stored \('int64', \(3,\)\), the model needs \('float32', \(3,\)\)"),
+    "shape": (lambda e: e.update({"classifier.fc2.bias": e["classifier.fc2.bias"][:2]}),
+              r"tensor classifier.fc2.bias: stored \('float32', \(2,\)\), the model needs \('float32', \(3,\)\)"),
+    "missing": (lambda e: e.pop("classifier.fc2.bias"),
+                r"tensor classifier.fc2.bias: stored nothing, the model needs \('float32', \(3,\)\)"),
+    "unexpected": (lambda e: e.update({"config.extra": np.zeros(1, "<i8")}),
+                   r"tensor config.extra: stored \('int64', \(1,\)\), the model needs nothing"),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNLIKE_THE_SPEC))
+def test_tensor_entry_unlike_the_spec_is_a_checkpoint_error_and_exit_2(tmp_path, capsys, case):
+    mutate, message = _UNLIKE_THE_SPEC[case]
+    _small_checkpoint(tmp_path / "model.ckpt")
+    entries = read_entries(tmp_path / "model.ckpt")
+    mutate(entries)
+    bad = tmp_path / "bad.ckpt"
+    _write_v2(bad, list(entries.items()))
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(bad)
+    data = tmp_path / "data.jsonl"
+    write_jsonl(SMALL_DATA[:4], data)
+    assert main(["eval", "--checkpoint", str(bad), "--data", str(data)]) == 2
+    assert capsys.readouterr().err.startswith("error: tensor ")
 
 
 def test_checkpoint_loads_config_entries_in_any_order(tmp_path):
@@ -466,20 +524,26 @@ def test_non_finite_tensor_in_a_checkpoint_is_a_checkpoint_error_and_exit_2(tmp_
     assert err.startswith("error: ") and "non-finite" in err and "accuracy" not in err
 
 
-def test_byte_mutated_checkpoint_loads_or_is_a_checkpoint_error(tmp_path):
+def test_byte_mutated_checkpoint_is_a_checkpoint_error(tmp_path, capsys):
     _small_checkpoint(tmp_path / "model.ckpt")
     blob = (tmp_path / "model.ckpt").read_bytes()
     rng = np.random.default_rng(8)
     mutant = tmp_path / "mutant.ckpt"
-    outcomes = {"loaded": 0, "refused": 0}
+    loaded = []
     for pos, flip in zip(rng.integers(0, 600, 300), rng.integers(1, 256, 300)):
         mutant.write_bytes(blob[:pos] + bytes([blob[pos] ^ flip]) + blob[pos + 1:])
         try:
             load_checkpoint(mutant)
-            outcomes["loaded"] += 1
+            loaded.append(int(pos))
         except CheckpointError:
-            outcomes["refused"] += 1
-    assert outcomes["loaded"] and outcomes["refused"], outcomes
+            pass
+    assert loaded == []
+    data = tmp_path / "data.jsonl"
+    write_jsonl(SMALL_DATA[:4], data)
+    for pos in (len(blob) - 5, 1000, len(blob) // 2):  # one bit of a tensor value, far from the header
+        mutant.write_bytes(blob[:pos] + bytes([blob[pos] ^ 1]) + blob[pos + 1:])
+        assert main(["eval", "--checkpoint", str(mutant), "--data", str(data)]) == 2, pos
+        assert "checksum mismatch" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
