@@ -1,60 +1,19 @@
-"""Dense tensor engine with reverse-mode differentiation.
+"""Dense tensors with a define-by-run reverse-mode tape.
 
-Covers exactly the operation set the recognition pipeline needs: matmul with
-broadcast batch dims, pointwise arithmetic of two tensors with
-singleton-axis broadcasting, leaky ReLU, row softmax, fully connected
-layers, the encoder's fused image body (embedding product, attention and
-temporal add; the composed ops are its reference), strided 2D convolution,
-2x2 max pooling, a fused channels-last conv/pool/leaky-ReLU stage (the CNN
-hot path; the three separate ops are its reference), frame-difference
-velocity, shape plumbing (reshape, transpose, concat), and a fused softmax
-cross-entropy loss.
+Ops: matmul with broadcast batch dims; add, sub, mul and scale with
+singleton-axis broadcasting only (an axis of extent 1 stretches, shorter
+ranks are left-padded with 1s); leaky ReLU; row softmax; linear; frame
+velocity; reshape, transpose, permute and concat; fused softmax cross
+entropy.  Two array-level bodies: the encoder's image,
+:func:`embed_image_arrays`, and the fused CNN stage,
+:func:`conv_pool_leaky_arrays`, whose references are the composed ops and
+the channel-first ``conv2d`` and ``maxpool2d``.
 
-Tensors hold 32-bit values for training and inference.  A parallel 64-bit
-mode (pass ``dtype=np.float64`` when building parameters) exists solely for
-finite-difference verification of the gradients.
-
-The tape is define-by-run: activate one with ``with Tape():`` around the
-forward pass, call :func:`backward` on the scalar loss, and rebuild a fresh
-tape next step; backward takes the tape's nodes and releases each one once
-its backward rule has run, so one tape serves one backward and what the
-forward saved is freed as the pass goes.  With no tape active every op is
-pure forward computation.
-Broadcasting follows the singleton-axis rule only: an axis of extent 1
-stretches, shorter ranks are left-padded with 1s, and nothing else aligns.
-
-The CNN ops take a batch axis only: ``conv2d``, ``maxpool2d`` and the fused
-stage accept (B, ..) inputs and nothing else.  The fused stage is the one
-place a CNN stage is computed, for training and for ``recognizer.infer``
-alike.  Its body is the array-level :func:`conv_pool_leaky_arrays`, which
-returns the output and, when recorded, the backward rule; the recognizer's
-streams node chains each stream's rules itself.  The image body,
-:func:`embed_image_arrays`, takes (B, C, J, T) channels and a (B, T, T)
-attention map or none, and returns an :class:`ImageSource`, which the
-stem fills into its pad a batch block at a time, and whose block backward
-the stem's rule hands each block's input gradient.  The stage pads its
-input into a per-thread workspace buffer, reused call after call, and
-its im2col columns, conv output and pooled maxima (in the spent pad)
-live there too.  Its GEMM rows are in pooling-corner-major order, so the
-conv output is four contiguous corner slabs.  What its input is, not how
-its memory lies, sets its taps: an image source (the stem) is padded
-channel-first with (c, i, j) taps, an array (stages 2 and 3)
-channels-last with (i, j, c) taps.  It runs its per-sample work, forward
-and backward, in near-equal batch blocks of at most ``BLOCK_ROWS`` GEMM
-rows, so its workspace holds one block (only stage 1 of a batch of 17 or
-more splits).  The edges are balanced, since a short tail block's GEMM
-has given other bits.  The kernel and bias gradients, which add over
-every row, add the blocks' partial sums in block order, so they alone
-depend on the blocks.  An image source's block of half ``BLOCK_ROWS`` or
-more fills its columns transposed, the faster copy, for GEMMs that
-OpenBLAS runs with the same bits.
-Arrays a tape records are always fresh, and so are the stage's output
-and every gradient a backward rule returns; the stage's backward rule
-rebuilds its columns from its saved input or image source and keeps
-its conv and column gradients in the running thread's workspace, the
-stem's gathered taps in its spent pad and each block's input gradient in
-its spent conv buffer; the image source's block backward recomputes the
-block's pre-attention product in the spent column buffer.
+Tensors are float32; float64 parameters exist for finite-difference
+checks.  ``with Tape():`` records the ops this thread runs inside it, and
+:func:`backward` consumes that tape; with no tape an op only computes.
+Arrays a tape records, a stage's output and every gradient a rule returns
+are fresh.  Why the stage is laid out as it is: README "Bits and memory".
 """
 
 from __future__ import annotations
@@ -73,14 +32,12 @@ REAL = np.float32
 LEAKY_SLOPE = 0.01  # every leaky ReLU's negative slope
 
 class Tensor:
-    """A dense array participating in automatic differentiation.
+    """A dense array in automatic differentiation.
 
-    ``data`` is a row-major numpy array (float32 unless ``dtype`` is given
-    explicitly).  ``grad`` is populated by :func:`backward`.  A leaf (a
-    tensor no op produced, such as a parameter) owns its gradient and
-    accumulates into it across calls; callers zero it between optimizer
-    steps.  An op output's ``grad`` is a read-only view of the gradient
-    backward passed through it, not a copy.
+    ``data`` is float32 unless ``dtype`` is given; :func:`backward` sets
+    ``grad``.  A leaf (no op produced it) accumulates into its ``grad`` across
+    calls until the caller zeroes it; an op output's ``grad`` is a read-only
+    view of the gradient that reached it.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_tape")
@@ -125,11 +82,8 @@ class _Node:
 
 
 class Tape:
-    """Append-only record of ops in execution (hence topological) order.
-
-    The active tape is per thread (and per asyncio task): ops run elsewhere
-    never record onto it.  :func:`backward` consumes the tape.
-    """
+    """Ops in execution order.  Active inside ``with`` for this thread (and
+    asyncio task) alone; :func:`backward` consumes it."""
 
     def __init__(self):
         self.nodes: list[_Node] = []
@@ -176,19 +130,9 @@ _WORKSPACE = threading.local()
 
 
 def _workspace(role: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-    """A contiguous (shape, dtype) view of this thread's ``role`` buffer.
-
-    The view is overwritten by the next call for the same role, so it may
-    only hold an array that does not outlive the op's call: never one a
-    backward closure reads.  A stage block's pooled maxima and the stem's
-    gathered taps reuse the ``pad`` buffer: both start after
-    :func:`_columns`, its one reader, has filled the block's columns; an
-    image source's fill builds the block in ``cols`` before they are filled.
-    In the stem's backward, a block's input gradient reuses ``conv`` once
-    the column-gradient GEMM has read it, and the image source's block
-    backward recomputes the block's product in ``cols`` once col2im has
-    read the column gradient.
-    """
+    """A contiguous (shape, dtype) view of this thread's ``role`` buffer,
+    overwritten by the next call for ``role``: it holds nothing that outlives
+    the op's call (README "Workspace, tape and threads")."""
     nbytes = math.prod(shape) * dtype.itemsize
     buf = getattr(_WORKSPACE, role, None)
     if buf is None or buf.size < nbytes:
@@ -306,13 +250,12 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
 
 class ImageSource(NamedTuple):
-    """An image no array holds.  ``fill(lo, hi, out)`` writes rows
-    ``lo:hi`` of its first axis (a (B, C, H, W) image's samples) into array
-    ``out``.  ``back(lo, hi, d)`` takes the gradient ``d`` of those rows,
-    which it may overwrite; called for consecutive blocks from row 0 to the
-    last, it returns the gradients of the image's inputs after the last
-    block and None before it.  A source only an unrecorded stage reads
-    may have no ``back`` (None)."""
+    """An image no array holds.  ``fill(lo, hi, out)`` writes samples
+    ``lo:hi`` of the (B, C, H, W) image into array ``out``.  ``back(lo, hi, d)``
+    takes those samples' gradient ``d``, which it may overwrite; called for
+    consecutive blocks from sample 0 to B, it returns the gradients of the
+    image's inputs after the last block and None before.  ``back`` is None on
+    a source only unrecorded stages read."""
 
     shape: tuple[int, ...]
     dtype: np.dtype
@@ -321,11 +264,10 @@ class ImageSource(NamedTuple):
 
 
 def _carry(part: np.ndarray, total: np.ndarray | None, axes: int) -> np.ndarray:
-    """``part`` summed over its first ``axes`` axes, continuing ``total``, the
-    sum of the rows before it, which is added into part's first row: the
-    blocks' rows add one by one in the whole array's order, as one sum over
-    it would (numpy's starts from +0, so ``total`` is never -0).  ``part`` is
-    overwritten."""
+    """``part`` summed over its first ``axes`` axes, ``total`` (the sum of
+    the rows before it, or None) first added into its first row, so the bits
+    are those of one sum over all rows (README "Row orders and batch blocks").
+    ``part`` is overwritten."""
     if total is not None:
         part[(0,) * axes] += total
     return part.sum(axis=tuple(range(axes)))
@@ -333,28 +275,17 @@ def _carry(part: np.ndarray, total: np.ndarray | None, axes: int) -> np.ndarray:
 
 def embed_image_arrays(channels: np.ndarray, weight: np.ndarray, attention: np.ndarray | None,
                        temporal: np.ndarray | None) -> ImageSource:
-    """One encoder image on arrays, as an :class:`ImageSource`: the (T, J)
-    ``weight`` times each (J, T) channel of a (B, C, J, T) ``channels``,
-    then, given the (B, T, T) attention map A spread over channels,
-    ``product * A + product``, then, given the length-T ``temporal``
-    vector, that added to every row.  Any other shape raises
-    :class:`DimensionError`.  The source's ``back`` returns
-    ``(d_channels, d_weight, d_attention, d_temporal)``, with None for an
-    absent input.
+    """One encoder image on arrays, as an :class:`ImageSource`.
 
-    Values and gradients are bit for bit those of the composed nodes
-    ``temporal_embed(apply_attention(embed_to_image(.)))`` in the encoder,
-    for any blocks: the fill keeps their operand order (each channel's
-    product is a GEMM of its own, so any block has the whole image's bits),
-    and ``back`` sums each gradient as they do (``d + d * A`` into the
-    product, each sample's attention gradient summed over its channels, the
-    temporal one over rows, channels and batch).  The embedding and
-    temporal gradients' sums over the batch continue from block to block by
-    :func:`_carry`, so they keep the whole batch's row-by-row order.  The
-    fill builds its block in this thread's ``cols`` workspace, then copies
-    it into ``out``; ``back``, given attention, recomputes the block's
-    product there (the same GEMM, so the same bits), so neither saves
-    anything beyond the inputs.
+    channels (B, C, J, T), weight (T, J), attention (B, T, T) or None, temporal
+    (T,) or None; any other shape is a :class:`DimensionError`.  The image is
+    ``P = weight @ channels``, then ``P * A + P`` with A spread over channels,
+    then ``temporal`` added to every row.  ``back`` returns ``(d_channels,
+    d_weight, d_attention, d_temporal)``, None for an absent input.
+    Saves nothing beyond the inputs: ``fill`` builds its block in this
+    thread's ``cols`` workspace and ``back`` recomputes P there.
+    Bits: values and gradients of ``temporal_embed(apply_attention(
+    embed_to_image(.)))`` in the encoder, for any blocks.
     """
     t, j = weight.shape
     if channels.ndim != 4 or channels.shape[-2:] != (j, t):
@@ -435,10 +366,8 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 2, padding: int = 1) -> Tensor:
-    """Strided cross-correlation of a (B,C,H,W) input.
-
-    Output extent per spatial axis is floor((n + 2*padding - k) / stride) + 1.
-    """
+    """Strided cross-correlation of a (B, C, H, W) input, channel-first.
+    Output extent per spatial axis: floor((n + 2*padding - k) / stride) + 1."""
     xd = x.data
     if xd.ndim != 4:
         raise DimensionError(f"conv2d expects (B,C,H,W), got {x.shape}")
@@ -497,20 +426,16 @@ def maxpool2d(x: Tensor) -> Tensor:
     return _finish(out, (x,), back, "maxpool2d")
 
 
-# The most GEMM rows one batch block of a fused stage runs.  Stage 1 of a
-# B=64 batch is 65,536 rows, whose columns and conv output (7.1 and 8.4 MB
-# in float32) each pass over them reads from L3 or memory; one block's are
-# a quarter of that.
+# The most GEMM rows one batch block of a fused stage runs (README "Row
+# orders and batch blocks").
 BLOCK_ROWS = 16384
 
 
 def _batch_blocks(batch: int, rows: int) -> list[tuple[int, int]]:
-    """The (first, end) samples of the near-equal batch blocks a fused stage
-    with ``rows`` GEMM rows per sample runs in: ceil(batch * rows /
-    BLOCK_ROWS) blocks, at most one per sample, block i starting at
-    batch * i // count.  Balanced edges keep every block of a split batch
-    at half of BLOCK_ROWS or more, where a short tail block's GEMM has
-    given other bits."""
+    """The (lo, hi) samples of each near-equal batch block of a fused stage
+    with ``rows`` GEMM rows a sample: ceil(batch * rows / BLOCK_ROWS) blocks,
+    at most one per sample, block i from batch * i // count.
+    Why: README "Row orders and batch blocks"."""
     count = max(1, min(batch, -(-batch * rows // BLOCK_ROWS)))
     edges = [batch * i // count for i in range(count + 1)]
     return list(zip(edges, edges[1:]))
@@ -518,13 +443,9 @@ def _batch_blocks(batch: int, rows: int) -> list[tuple[int, int]]:
 
 def _fill_columns(xp: np.ndarray, cols: np.ndarray, kh: int, kw: int, channels_last: bool) -> None:
     """im2col of a zero-bordered buffer for a stride-2 kh x kw kernel into
-    row-major ``cols``, rows in pooling-corner-major (ci, cj, b, y', x')
-    order: the conv output pixel (2y' + ci, 2x' + cj) of sample b, so each
-    corner of the 2x2 pool is one contiguous slab of rows.  A channel-first
-    (B, C, H, W) ``xp`` gives columns in (c, i, j) order, copied as items
-    of the kw adjacent taps of one (c, i) kernel row; a ``channels_last``
-    (B, H, W, C) one gives (i, j, c) order, copied as items of the kw * C
-    adjacent values of one kernel row i.  One copy moves every item."""
+    row-major ``cols``, rows in pooling-corner-major (ci, cj, b, y', x') order.
+    A (B, C, H, W) ``xp`` gives (c, i, j) taps; a ``channels_last``
+    (B, H, W, C) one gives (i, j, c) taps.  One copy moves every item."""
     if channels_last:
         (batch, hp, wp, c_in), (s_b, s_h, s_w, s_c) = xp.shape, xp.strides
         taps, tap_strides, item = (kh,), (s_h,), kw * c_in
@@ -539,8 +460,7 @@ def _fill_columns(xp: np.ndarray, cols: np.ndarray, kh: int, kw: int, channels_l
 
 def _fill_columns_transposed(xp: np.ndarray, cols_t: np.ndarray, kh: int, kw: int) -> None:
     """:func:`_fill_columns`' columns of a channel-first buffer, transposed:
-    one row of ``cols_t`` per (c, i, j) tap, holding that tap's samples in
-    (ci, cj, b, y', x') order, so one copy moves single elements."""
+    one row of ``cols_t`` per (c, i, j) tap."""
     batch, c_in, hp, wp = xp.shape
     s_b, s_c, s_h, s_w = xp.strides
     shape = (c_in, kh, kw, 2, 2, batch, ((hp - kh) // 2 + 1) // 2, ((wp - kw) // 2 + 1) // 2)
@@ -550,22 +470,11 @@ def _fill_columns_transposed(xp: np.ndarray, cols_t: np.ndarray, kh: int, kw: in
 
 def _columns(xd: np.ndarray | ImageSource, lo: int, hi: int, kh: int, kw: int, c_out: int) -> np.ndarray:
     """The stride-2 padding-1 im2col columns of samples ``lo:hi`` of a
-    (B, H, W, C) array or an image source for a GEMM with ``c_out``
-    outputs, rows in :func:`_fill_columns`' pooling-corner-major order, in
-    this thread's workspace: the samples copied or filled into the
-    zero-bordered ``pad`` buffer, then filled into ``cols``.
-
-    An array (stages 2 and 3) is padded channels-last and gives (i, j, c)
-    columns, each row built from kw * C-element runs; an image source (the
-    stem) is filled into a channel-first pad and gives (c, i, j) columns.
-    With one channel the two orders agree.  An image source's columns of
-    ``BLOCK_ROWS // 2`` rows or more for two or more outputs (every block
-    of a split stage 1) are filled transposed and returned as a transposed
-    view: that fill takes a third of the time (0.36 against 0.98 ms for a
-    16-sample float32 stage-1 block on a 2-vCPU Xeon), and OpenBLAS gives a
-    GEMM this large the same bits with either operand layout.  Smaller
-    GEMMs (its small-matrix kernels) and single-output ones (a
-    matrix-vector product) do not, so their columns stay row-major."""
+    (B, H, W, C) array ((i, j, c) taps) or an image source ((c, i, j) taps)
+    for a GEMM with ``c_out`` outputs, in :func:`_fill_columns`' row order,
+    in this thread's ``pad`` and ``cols`` workspace.  An image source's
+    columns of ``BLOCK_ROWS // 2`` rows or more for two or more outputs come
+    back as a transposed view (README "GEMM layout")."""
     source = isinstance(xd, ImageSource)
     batch, h, w, c_in = hi - lo, *_nhwc(xd)[1:]
     xp = _workspace("pad", (batch, c_in, h + 2, w + 2) if source else (batch, h + 2, w + 2, c_in), xd.dtype)
@@ -591,11 +500,9 @@ def _nhwc(xd: np.ndarray | ImageSource) -> tuple[int, ...]:
 
 
 def _pool_then_bias(conv: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """2x2 max pool of a corner-major (4, B, H', W', C) conv output into
-    this thread's spent pad buffer, the max of its four corner slabs in
-    row-major corner order, then the bias added.  fl(a + b) is monotone in
-    a and max only selects, so this is bit for bit the pool of ``conv +
-    bias``, the order a recorded stage keeps for its tie routing."""
+    """The 2x2 max of a corner-major (4, B, H', W', C) conv output, then
+    ``bias`` added, in this thread's spent ``pad``: bit for bit the pool of
+    ``conv + bias`` (README "Signed zeros and NaNs")."""
     pooled = _workspace("pad", conv.shape[1:], conv.dtype)
     np.maximum(conv[0], conv[1], out=pooled)
     np.maximum(pooled, conv[2], out=pooled)
@@ -606,82 +513,26 @@ def _pool_then_bias(conv: np.ndarray, bias: np.ndarray) -> np.ndarray:
 
 def conv_pool_leaky_arrays(xd: np.ndarray | ImageSource, kernels: np.ndarray, bias: np.ndarray,
                            recorded: bool) -> tuple[np.ndarray, Callable | None]:
-    """One channels-last CNN stage on arrays: stride-2 padding-1 conv, 2x2
-    max pool, leaky ReLU.  Returns the output and, when ``recorded``, the
-    stage's backward rule, ``d -> (d_input, d_kernels, d_bias)``, where an
-    image source's ``d_input`` is what its ``back`` returns; else None.
-    The recognizer's streams chain its rules themselves.
+    """One CNN stage on arrays: stride-2 padding-1 conv, 2x2 max pool, leaky ReLU.
 
-    Takes a (B,H,W,C_in) array, or an :class:`ImageSource` of a
-    (B,C_in,H,W) image, and returns (B,H'/2,W'/2,C_out), with the values
-    of ``leaky_relu(maxpool2d(conv2d(.)))`` on the channel-first layout to
-    within float rounding: its dot products add in another order, so the
-    two agree within 1e-5 relative in float32 (``tests/conftest.py``'s
-    ``reference_stage`` gives the exact bits).  The GEMM rows of each
-    batch block are in pooling-corner-major order (:func:`_fill_columns`),
-    so the conv output is four contiguous corner slabs.  An array (stages
-    2 and 3), however its memory lies, is padded channels-last and its
-    columns are in (i, j, c) order, so the GEMM reads one small
-    (C_out, kh, kw, C_in) copy of the kernels; an image source (the stem)
-    keeps conv2d's (c, i, j) columns.  At the stem's sizes (1,024 GEMM
-    rows a sample) OpenBLAS computes each row alike wherever it sits, so
-    the stem's conv output and input gradient have the bits they had in
-    natural row order; a toy stage's small GEMMs may not.  Kernels keep
-    their (C_out,C_in,kh,kw) layout in the parameters, and ``d_kernels``
-    comes back in it.
-    The input is copied (a source filled) into a zero-bordered pad buffer,
-    and the im2col columns and the conv output, then the pooled maxima in
-    the spent pad, live in this thread's workspace; the output is fresh.
-    The per-sample work runs in the near-equal batch blocks of
-    :func:`_batch_blocks`, at most ``BLOCK_ROWS`` GEMM rows each, so the
-    forward's workspace holds one block at a time (only stage 1 of a batch
-    of 17 or more splits).  Each block's pad, columns, conv GEMM, pool and
-    leaky ReLU run before the next block's, writing into that block's
-    slice of the fresh output.  OpenBLAS computes each row of a GEMM of
-    half ``BLOCK_ROWS`` rows or more as the same dot product however the
-    rows are blocked or ordered, and the other forward steps are
-    elementwise, so a blocked stage is bit for bit one block.
-    A recorded call adds the bias before it pools, and keeps one int8 code
-    per window: the corner of its first maximum, from strict ``>`` compares
-    taken in row-major corner order, plus 4 where the pooled maximum is
-    >= 0.  Backward scales the window's gradient by the slope, copies it
-    back unscaled where the code is 4 or more, and routes it to that
-    corner (the code's low two bits).  A compare with a NaN is false and
-    the running maximum stays NaN once it meets one, so a window holding a
-    NaN routes its gradient to the first maximum of the corners before its
-    first NaN, or to that NaN when it is the first corner (``maxpool2d``
-    routes it to the first NaN).
-    The leaky slope of the gradient follows the sign of the pooled maximum
-    (a NaN is not >= 0), not of the output, which is -0 where a tiny
-    negative maximum times the slope underflows.  Backward reads only the
-    input and those codes, and runs the forward's batch blocks one after
-    another, so its workspace holds one block too.  For each block it routes the
-    pooled gradient, corner by corner, into this thread's ``conv`` buffer
-    in corner-major (ci, cj, b, y', x') row order and sums it for the
-    block's ``db`` partial (each value routed to one conv row, a quarter of
-    the rows), refills the pad and column buffers from the block's input in
-    that same order, and takes the block's ``dk`` partial as one GEMM.  The
-    column gradient is a GEMM into the ``cols`` buffer, which the stem
-    gathers into the spent pad, and col2im adds it into the block's slice
-    of the fresh input gradient, every element summing its taps in (i, j)
-    row-major order from +0.  A stem on an image source builds no input
-    gradient: col2im adds into the block's zero-bordered gradient in the
-    spent ``conv`` buffer, zeroed to +0 once the column-gradient GEMM has
-    read it, and the rule hands that block, channel-first, to the source's
-    ``back``, which returns the image's input gradients after the last
-    block.  The ``dk`` and
-    ``db`` partials add up in block order, starting from the first block's,
-    so a call that runs as one block (stages 2 and 3, and any batch of 16
-    or fewer) has the bits of one whole-batch sum; only a split stage 1's
-    ``dk`` and ``db`` depend on the blocks.  The tape keeps no columns, and
-    every returned gradient is fresh.
-    An unrecorded call (``recognizer.infer``'s and ``stream_forward``'s)
-    pools before the bias add, building no codes: the same bits, with less
-    work.
-    The input gradient follows the input's kind: an array gets a
-    channels-last gradient, and each block an image source is handed is in
-    conv2d's channel-first memory, so the reductions over it upstream (the
-    temporal embedding's) add in conv2d's order.
+    xd: a (B, H, W, C_in) array, or an :class:`ImageSource` of a
+    (B, C_in, H, W) image; kernels (C_out, C_in, kh, kw); bias (C_out,).  Any
+    other rank, a mismatch, or a conv output that cannot pool 2x2 is a
+    :class:`DimensionError`.
+    Returns (out, rule).  ``out`` is a fresh (B, H'/2, W'/2, C_out) array.
+    ``rule``, when ``recorded``, is ``d -> (d_input, d_kernels, d_bias)``,
+    all fresh, d_kernels in the kernels' layout; else None.  An array's
+    d_input is channels-last.  An image source is handed each block's
+    gradient channel-first, and its ``back``'s result is d_input.
+    Saves for backward: the input and one int8 code per pooling window.
+    Workspace: this thread's ``pad``, ``cols`` and ``conv`` buffers.
+    Values: ``leaky_relu(maxpool2d(conv2d(.)))`` within 1e-5 relative in
+    float32; ``tests/conftest.py``'s ``reference_stage`` gives the exact bits.
+    Bits: the same for any batch blocks, except a split stage's d_kernels and
+    d_bias; the gradient routes to each window's first maximum; the leaky
+    slope follows the sign of the pooled maximum.
+    Why: README "GEMM layout", README "Row orders and batch blocks",
+    README "Signed zeros and NaNs", README "Workspace, tape and threads".
     """
     if len(xd.shape) != 4:
         raise DimensionError(f"conv_pool_leaky expects (B,H,W,C), got {xd.shape}")
@@ -826,10 +677,8 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
 
 
 def frame_velocity(x: Tensor, dt: float = 1.0) -> Tensor:
-    """Difference quotient along the last (time) axis, zero-padded at the end.
-
-    out[..., t] = (x[..., t+1] - x[..., t]) / dt for t < T-1; final column 0.
-    """
+    """Difference quotient along the last (time) axis, zero-padded at the end:
+    out[..., t] = (x[..., t+1] - x[..., t]) / dt for t < T-1; the last column 0."""
     if dt <= 0:
         raise UsageError(f"frame_velocity dt must be positive, got {dt}")
     if x.shape[-1] < 2:
@@ -891,23 +740,10 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(t) into ``t.grad`` for every requires_grad tensor
-    reachable from ``loss`` on its tape, consuming the tape.
-
-    Only leaves accumulate: each op output's ``grad`` is set once, to a
-    read-only view of the gradient that reaches it, and is not copied.  A
-    leaf copies its first gradient, so later backwards and the optimizer
-    never write into an op output's gradient.
-
-    The tape gives up its nodes before the first one runs, so a backward
-    that raises leaves it consumed too, and the output -> tape -> node ->
-    output cycle is broken: a step's arrays are freed by reference counting
-    instead of a later full GC.  Each node (its closure, inputs and output)
-    is released as soon as its backward rule has run, so what the forward
-    saved is freed stage by stage rather than all at the end.  A pending
-    gradient is keyed by its tensor's ``id``, which stays unique because
-    the tensor stays alive: an unrun node holds an op output, and
-    ``holders`` holds a leaf until it accumulates.
-    """
+    reachable from the scalar ``loss`` on its tape, consuming the tape, also
+    when a rule raises.  Only leaves accumulate; each op output's ``grad`` is
+    set once, to a read-only view.  Each node is released once its rule has
+    run (README "Workspace, tape and threads")."""
     if loss.data.size != 1:
         raise UsageError(f"backward requires a scalar loss, got shape {loss.shape}")
     tape = loss._tape
@@ -919,7 +755,7 @@ def backward(loss: Tensor) -> None:
     if not nodes:
         raise UsageError("backward: the loss's tape was already consumed by an earlier backward")
     pending: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    holders: dict[int, Tensor] = {id(loss): loss}
+    holders: dict[int, Tensor] = {id(loss): loss}  # keeps each pending id's tensor alive, so the id stays unique
     while nodes:
         node = nodes.pop()  # rebinding releases the node run before it
         d_out = pending.pop(id(node.output), None)

@@ -1,4 +1,4 @@
-"""Binary checkpoint container.
+"""Binary checkpoint container, version 2.
 
 Layout, little-endian, with every count and extent a u32:
 
@@ -6,19 +6,12 @@ Layout, little-endian, with every count and extent a u32:
     per entry: name length | utf-8 name | dtype code | rank | extents... | values... |
     zlib CRC32 of every byte before it
 
-The dtype code indexes DTYPES: config integers and flags are stored as i8,
-dt as f8 and tensors as f4, so every config value comes back exactly.  The
-config entries come first, ModelConfig's fields in order, each named
-"config.<field>": a scalar has shape (1,), a tuple one extent per level
-(bones is (b, 2)), and the flags one 0/1 vector in EnhanceFlags' order.
-Tensors follow in sorted name order, so equal parameters give equal bytes.
-Version 1 (no dtype codes, every value f4, no CRC32) still loads; a
-version 1 reader refuses version 2.  Loading reads entries by name, in any
-order, decodes each config entry by its field's type, checks the tensors'
-names, shapes and dtype against model.param_spec and draws no weights.  Any
-fault in the file is a CheckpointError, a NaN or an infinity in a tensor
-among them.  A save writes a temporary file beside the target and renames
-it into place, so a failed save leaves any earlier checkpoint as it was.
+The dtype code indexes DTYPES: config integers and flags i8, dt f8 and
+tensors f4.  The config entries come first, "config.<field>" in
+ModelConfig's field order: a scalar has shape (1,), a tuple one extent per
+level (bones is (b, 2)), the flags one 0/1 vector in EnhanceFlags' order.
+Tensors follow in sorted name order.  Version 1 (no dtype codes, all f4,
+no CRC32) still loads; a version 1 reader refuses version 2.
 """
 
 from __future__ import annotations
@@ -54,9 +47,9 @@ def _non_finite(tensors: dict[str, np.ndarray]) -> str | None:
 
 def save_checkpoint(params: ModelParams, path) -> None:
     """Write ``params`` to ``path`` through a temporary file in the same
-    directory, replaced onto ``path`` once complete and removed if the
-    write fails; a tensor holding a NaN or an infinity, or a config value
-    its dtype cannot hold exactly, is a UsageError, raised before any file is opened."""
+    directory, replaced onto ``path`` once complete and removed if the write
+    fails.  A tensor holding a NaN or an infinity, or a config value its
+    dtype cannot hold exactly, is a UsageError before any file is opened."""
     config, tensors = params.config, params.tensors
     fault = _non_finite({name: tensors[name].data for name in sorted(tensors)})
     if fault:
@@ -184,9 +177,10 @@ def _decode(entries: dict[str, np.ndarray], field, hint):
 
 
 def load_checkpoint(path) -> ModelParams:
-    """Rebuild the model a checkpoint stores, without drawing any weights:
-    the stored tensor names, shapes and float32 dtype must match param_spec
-    exactly, and every stored value must be finite."""
+    """Rebuild the model a checkpoint stores, drawing no weights.  Entries are
+    read by name in any order; each config entry is decoded by its field's
+    type; the tensors' names, shapes and float32 dtype must match param_spec
+    and every value must be finite.  Any fault is a CheckpointError."""
     entries = read_entries(path)
     config_fields = fields(ModelConfig)
     try:

@@ -1,41 +1,20 @@
-"""Learned feature enhancement: from a (T, J, 3) sequence to four 3xTxT
-images plus an attention map.
+"""Learned feature enhancement: a (T, J, 3) sequence to four 3 x T x T
+images and an attention map.
 
-The pipeline per sequence:
-  1. a per-joint scale head multiplies each joint's channels by a learned
-     scalar derived from its whole trajectory;
-  2. the same head shape, applied per bone, scales bone vectors, which are
-     then reassembled into joint positions through the kinematic tree
-     (a constant path-matrix product, so gradients flow to the bone scales);
-  3. a T x J embedding matrix per image stream maps (3, J, T) to (3, T, T);
+  1. a per-joint scale head multiplies each joint by a learned factor of
+     its whole trajectory;
+  2. a per-bone head scales the bone vectors, which are reassembled into
+     joints through the kinematic tree (a constant path-matrix product);
+  3. a T x J embedding per stream maps (3, J, T) channels to (3, T, T);
   4. a frame-pair attention map reweights the two position images;
-  5. frame-difference velocity images are built from the scaled tensors;
+  5. frame differences of the scaled tensors give the velocity streams;
   6. a learned per-column temporal vector is added to every image.
 
-The ops before the image source accept an optional leading batch axis.
-Ablation flags prune the learned stages; whatever remains stays
-differentiable end to end.
-
-EncoderParams shares the model's one tensor dict, keyed by
-model.param_spec's names.  The scale heads and the attention map take that
-dict and read ``joint_scale.*``, ``bone_scale.*`` and ``attention.*``; the
-embedding and temporal stages take the bare ``embed.<stream>`` and
-``temporal.<stream>`` tensors.
-
-``encode`` runs everything before the embeddings: each stream's channels
-(the scaled joints and bones of steps 1 and 2, and their frame differences
-for step 5) and the attention map of step 4.  The embedding, the
-reweighting and the temporal add belong to the stream body:
-``stream_image`` gives one stream's image from a batched bundle as a
-source (``autograd.embed_image_arrays``) that fills any block of samples
-and takes back any block's gradient, with values and gradients bit for
-bit those of ``embed_to_image``, ``apply_attention`` and
-``temporal_embed`` composed.  It takes a batch axis only: (B, 3, J, T)
-channels and a (B, T, T) attention map; ``skelact encode`` passes its one
-sequence as a batch of one.  It is the one place that decides which
-tensors an image reads, and it names them beside the source, in the order
-of the gradients the source hands back.  The recognizer's streams node
-calls it for each stream, and ``skelact encode`` for each image it writes.
+``encode`` runs steps 1, 2, 4 and 5 on an optional leading batch axis.
+``stream_image`` gives one stream's image (steps 3, 4 and 6) from a
+batched bundle as an image source.  Ablation flags drop learned steps.
+Each step reads its tensors from the model's one dict by
+model.param_spec's names (``joint_scale.*``, ``embed.<stream>`` ...).
 """
 
 from __future__ import annotations
@@ -72,8 +51,7 @@ class EnhanceFlags:
 
 @dataclass
 class EncoderParams:
-    """The encoder's structural constants and the model's tensors, under
-    model.param_spec's names; each stage reads its own by name."""
+    """The encoder's structural constants and the model's tensor dict."""
 
     topology: Topology
     flags: EnhanceFlags
@@ -105,9 +83,9 @@ def _to_channels(x: Tensor) -> Tensor:
 
 def _scale_head(items: Tensor, tensors: dict[str, Tensor], head: str) -> tuple[Tensor, Tensor]:
     """Scale head ``head`` ("joint_scale" or "bone_scale") on (.., T, n, 3)
-    items: two fully connected layers map each item's flattened (T*3)
-    trajectory to one factor.  Returns (scales (.., 1, n, 1), the
-    (.., 3, n, T) channel view multiplied by them)."""
+    items: two fully connected layers map each item's (T*3) trajectory to
+    one factor.  Returns (scales (.., 1, n, 1), the (.., 3, n, T) channel
+    view times them)."""
     nd = items.data.ndim
     per_item = permute(items, tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1))
     feat = reshape(per_item, per_item.shape[:-2] + (items.shape[-3] * 3,))
@@ -119,22 +97,15 @@ def _scale_head(items: Tensor, tensors: dict[str, Tensor], head: str) -> tuple[T
 
 
 def scale_joints(x, tensors: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
-    """Per-joint learned scaling by the "joint_scale" head.
-
-    Returns (scales, scaled): scales has one factor per joint, shape
-    (.., 1, J, 1); scaled is the (.., 3, J, T) channel view multiplied by it.
-    """
+    """Per-joint scaling by the "joint_scale" head: (scales (.., 1, J, 1),
+    scaled (.., 3, J, T))."""
     return _scale_head(_as_tensor(x), tensors, "joint_scale")
 
 
 def scale_bones(x, topology: Topology, tensors: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
-    """Per-bone learned scaling by the "bone_scale" head, with tree reassembly.
-
-    Bone vectors are scaled like joints are in scale_joints, then joint
-    positions are recovered by accumulating each root-to-joint path (a
-    constant signed matrix) and re-adding the root trajectory.  Returns
-    (scales (..,1,b,1), recovered (..,3,J,T)).
-    """
+    """Per-bone scaling by the "bone_scale" head, reassembled into joints by
+    each root-to-joint path (a constant signed matrix) plus the root
+    trajectory: (scales (.., 1, b, 1), recovered (.., 3, J, T))."""
     x = _as_tensor(x)
     dtype = x.data.dtype
     scales, scaled_vecs = _scale_head(Tensor(bones_from_joints(x.data, topology), dtype=dtype), tensors, "bone_scale")
@@ -216,11 +187,12 @@ def encode(x, enc: EncoderParams) -> EncodedBundle:
 def stream_image(bundle: EncodedBundle, name: str, enc: EncoderParams) -> tuple[ImageSource, tuple[Tensor, ...]]:
     """Stream ``name``'s (B, 3, T, T) image source and the tensors it reads.
 
-    The source is ``embed_image_arrays`` over the stream's channels,
-    ``embed.<name>``, the attention map for the ATTENDED streams, and
-    ``temporal.<name>`` when that stage is on.  The tensors are those of
-    the four it reads, in that order: the order of the gradients its
-    ``back`` returns, less the Nones."""
+    The source is :func:`autograd.embed_image_arrays` over the stream's
+    channels, ``embed.<name>``, the attention map for the ATTENDED streams
+    and ``temporal.<name>`` when that stage is on.  The tensors are those
+    present, in that order: the order of its ``back``'s gradients, less the
+    Nones.
+    """
     reads = (bundle.channels[STREAMS.index(name)], enc.tensors[f"embed.{name}"],
              bundle.attention if name in ATTENDED else None,
              enc.tensors[f"temporal.{name}"] if enc.flags.temporal else None)

@@ -1,16 +1,10 @@
 """Model configuration, the parameter table, and parameter construction.
 
-ModelConfig pins every structural choice (frame count, joint tree, channel
-widths, enabled stages, label vocabulary) so a checkpoint can rebuild the
-exact network.  param_spec(config) writes the architecture down once: every
-parameter tensor's name, shape, initializer, trainability and the
-multiply-accumulates its weight costs per sequence.  ModelParams is the
-config plus one dict of those tensors, keyed by their spec names in spec
-order, and every layer reads its own tensors from it by name.
-ModelParams.build draws the tensors from one seeded generator in that
-order, which makes initialization reproducible; the parameter count, the
-MAC census (recognizer.count_flops) and checkpoint loading read the same
-table.
+param_spec(config) lists every parameter tensor once: name, shape,
+initializer, trainability and the MACs its weight costs per sequence.
+ModelParams is a config plus one dict of those tensors, by spec name in
+spec order; ModelParams.build draws them from one seeded generator in that
+order.  The MAC census and checkpoint loading read the same table.
 """
 
 from __future__ import annotations
@@ -28,6 +22,12 @@ from .skeleton import Topology
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """Every structural choice a checkpoint needs to rebuild the network.
+    A UsageError refuses: classes other than len(labels), fewer than 2
+    joints, bones that cannot span the joints, channels not 3 long, a layer
+    width below 1, frames below 2, a repeated label, a label int64 cannot
+    hold, or a dt that is not finite and positive in float32."""
+
     joints: int
     classes: int
     bones: tuple[tuple[int, int], ...]
@@ -56,6 +56,10 @@ class ModelConfig:
             raise UsageError("frames must be >= 2")
         if len(set(self.labels)) != len(self.labels):
             raise UsageError(f"labels {self.labels} repeat a label")
+        try:  # save_checkpoint's rule: a checkpoint stores labels as int64
+            np.asarray(self.labels).astype("<i8", casting="safe")
+        except TypeError:
+            raise UsageError(f"labels {self.labels} must be integers int64 can hold") from None
         with np.errstate(over="ignore"):  # velocity divides by dt in float32
             if not 0 < np.float32(self.dt) < np.inf:
                 raise UsageError(f"dt must be finite and positive in float32, got {self.dt}")

@@ -1,8 +1,5 @@
-"""Binary PPM (P6) export with per-image min-max normalization.
-
-Dependency-free and byte-exact: the same array always produces the same
-file, which keeps image outputs testable with plain file comparison.
-"""
+"""Binary PPM (P6) export with per-image min-max normalization.  Byte-exact:
+the same array always gives the same file."""
 
 from __future__ import annotations
 

@@ -1,44 +1,14 @@
 """Four-stream convolutional classifier and its static cost model.
 
-Each enhanced image runs through its own three-stage conv encoder
-(3x3 kernels, stride 2, padding 1, each stage followed by 2x2 max pooling
-and a leaky ReLU), collapsing a 64x64 image to a single feature column.
-One body, ``_stages``, runs a stream: it chains the array-level fused
-stage ``conv_pool_leaky_arrays`` three times on an image source, keeping
-each stage's backward rule when recorded.  Each stage's GEMM rows are in
-pooling-corner-major order; stage 1 fills the source's channel-first
-image into its pad and reads it with (c, i, j) taps, and stages 2 and 3
-read the channels-last output array before them with (i, j, c) taps.
-``conv2d`` and ``maxpool2d`` remain as channel-first reference ops:
-``leaky_relu(maxpool2d(conv2d(.)))`` agrees with a stage to within float
-rounding (1e-5 relative in float32), and the tests' ``reference_stage``
-gives its exact bits.
-The streams' features concatenate into a two-layer classifier head.  Each
-layer reads its tensors from the model's one dict by model.param_spec's
-names: stream i's stages ``stream{i}.conv{n}.*`` and the head
-``classifier.*``.
-
-``forward(encode(x))`` is the one model body.  The encoder yields each
-stream's channels; the streams and the head's concatenation are one node,
-in which each stream builds its image (``encoder.stream_image``) and runs
-``_stages`` on it.  The node's inputs are, stream by stream, the tensors
-``stream_image`` says the image reads and the stream's kernels and biases
-(``_convs``), and its backward returns their gradients in that order.
-Taped, the node's forward and backward run streams 0, 2 and 1, 3 on two
-worker threads, each stream's stage rules from stage 3 down; its stem
-fills the image into its pad one batch block at a time, and its rule
-hands each block's gradient back to the image source, so no image or
-image gradient is stored whole.  ``infer``, which evaluation and
-``skelact bench`` run, is that body untaped: the streams run one at a
-time on the caller's thread, with the same logits bit for bit.
-``stream_forward`` is one stream's stages untaped, on an image array,
-which it wraps in a fill-only image source.
-Both paths take a batch axis only: images are (B, 3, T, T) and ``infer``
-takes (B, T, J, 3), so ``skelact bench`` passes its one sequence as a
-batch of one.  An ``infer`` batch of ``SPLIT_MIN`` or more runs as two
-halves on the same two workers.  A call that runs on the workers sets the
-process's OpenBLAS to one thread and leaves it there, so both cores do
-the work between GEMMs.
+Each stream runs three fused stages (3x3 kernels, stride 2, padding 1,
+2x2 max pool, leaky ReLU) from a 64x64 image to one feature column; the
+streams' features concatenate into a two-layer classifier head.  Layers
+read the model's one tensor dict by model.param_spec's names: stream i's
+``stream{i}.conv{n}.*`` and the head's ``classifier.*``.
+``forward(encode(x))`` is the one model body, and ``infer`` runs it
+untaped.  Both take a batch axis only: images are (B, 3, T, T) and
+``infer`` takes (B, T, J, 3).
+Threads: README "Workspace, tape and threads".
 """
 
 from __future__ import annotations
@@ -61,10 +31,10 @@ from .model import ModelConfig, ModelParams, param_spec
 
 
 def stream_forward(image, tensors: dict[str, Tensor], i: int) -> Tensor:
-    """Stream ``i``: a (B, 3, T, T) image to a flat (B, F) feature matrix,
-    through the stages ``stream{i}.conv1`` to ``conv3``, the image read
-    through a fill-only image source as the streams node reads its own.
-    Untaped: it records nothing, even inside a Tape."""
+    """Stream ``i``: a (B, 3, T, T) image to (B, F) features through the
+    stages ``stream{i}.conv1`` to ``conv3``, the image read through a
+    fill-only image source.  Untaped, even inside a Tape.  Nothing in the
+    package calls it; the tests and perfbench's tracer do."""
     image = image.data if isinstance(image, Tensor) else np.asarray(image)
     source = ImageSource(image.shape, image.dtype, lambda lo, hi, out: np.copyto(out, image[lo:hi]), None)
     features, _ = _stages(source, _convs(tensors, i), False)
@@ -72,16 +42,15 @@ def stream_forward(image, tensors: dict[str, Tensor], i: int) -> Tensor:
 
 
 def _convs(tensors: dict[str, Tensor], i: int) -> list[Tensor]:
-    """Stream ``i``'s kernels and biases, stage by stage: the order in which
-    :func:`_stages` reads them and its rules return their gradients."""
+    """Stream ``i``'s kernels and biases, stage by stage: the order
+    :func:`_stages` reads them in and its rules return their gradients in."""
     return [tensors[f"stream{i}.conv{n}.{kind}"] for n in (1, 2, 3) for kind in ("kernels", "bias")]
 
 
 def _stages(image: ImageSource, convs: list[Tensor], recorded: bool) -> tuple[np.ndarray, list]:
-    """A stream's stages on a (B, 3, T, T) image source, each stage on a
-    kernel and bias pair of ``convs`` (:func:`_convs`): its (B, F) features
-    and each stage's backward rule, in stage order (None when not
-    ``recorded``)."""
+    """A stream's three stages on a (B, 3, T, T) image source, on the kernel
+    and bias pairs of ``convs``: its (B, F) features and each stage's rule in
+    stage order (None when not ``recorded``)."""
     if len(image.shape) != 4:
         raise DimensionError(f"stream expects a (B,3,T,T) image, got {image.shape}")
     x, rules = image, []
@@ -102,27 +71,15 @@ def forward(bundle: EncodedBundle, params: ModelParams) -> Tensor:
 
 
 def _streams(bundle: EncodedBundle, params: ModelParams) -> Tensor:
-    """The streams' features concatenated, as one tape node: values and
-    gradients bit for bit those of each stream's image taped as
-    ``embed_to_image``, ``apply_attention`` and ``temporal_embed``, its
-    stages as three fused stage nodes (the stem's on an image source that
-    copies that image and collects its gradient) and ``reshape``, then
-    ``concat``.
+    """The streams' features concatenated, as one tape node.
 
-    Each stream's image source comes from :func:`stream_image`, which also
-    names the tensors it reads; the stream runs :func:`_stages` on it.
-    Recorded, streams 0, 2 and 1, 3 run on :func:`_on_workers`, forward
-    and backward; unrecorded, one after the other on the caller's thread.
-    A worker runs no function perfbench's tracer wraps: its one span stack
-    would be corrupted by spans on two threads at once.  The backward
-    splits the gradient as ``concat`` does, then runs each stream's stage
-    rules from stage 3 down, freeing each rule once it has run; the stem's
-    hands each block's gradient, in channel-first memory, to the image
-    source, and returns the image's input gradients.
-    The node's inputs are, stream by stream, the tensors its image reads,
-    then its kernels and biases (:func:`_convs`), and the backward returns
-    each stream's gradients in that order.  The attention map is an input
-    of each attended stream, and ``backward`` adds its two gradients.
+    Each stream's image source and the tensors it reads come from
+    :func:`stream_image`, and :func:`_stages` runs on it.  Inputs: stream by
+    stream, those tensors, then :func:`_convs`; the backward returns their
+    gradients in that order.  Recorded, the streams run on :func:`_by_stream`,
+    forward and backward; unrecorded, one after another on this thread.
+    Bits: those of each image's three encoder ops, each stage and
+    ``reshape`` taped as nodes of their own, then ``concat``.
     """
     count, tensors = len(bundle.channels), params.tensors
     images = [stream_image(bundle, name, params.encoder) for name in STREAMS[:count]]
@@ -163,25 +120,16 @@ def _head(merged: Tensor, tensors: dict[str, Tensor]) -> Tensor:
     return linear(hidden, tensors["classifier.fc2.weight"], tensors["classifier.fc2.bias"])
 
 
-# Below this batch size some GEMM of a half takes OpenBLAS's small-matrix
-# path and the bits differ from the whole batch's, so it runs whole.
+# The smallest batch infer runs as two halves (README "GEMM layout").
 SPLIT_MIN = 16
 
 
 def infer(x, params: ModelParams) -> np.ndarray:
-    """Logits of a (B, T, J, 3) batch, untaped: bit for bit
-    ``forward(encode(x, params.encoder), params).data``.  One sequence is a
-    batch of one.
-
-    It is exactly that, run with no tape: ``encode``, then the streams node
-    unrecorded, whose streams run one at a time on this thread.  No op is
-    recorded, even inside a Tape; the returned logits are a fresh array.
-
-    A batch of ``SPLIT_MIN`` or more runs as ``x[:ceil(B/2)]`` and the
-    rest, each through that body, on :func:`_on_workers`, and the logits
-    are concatenated: the same bits wherever the halves run, as the split
-    depends on B alone.
-    """
+    """Logits of a (B, T, J, 3) batch as a fresh array: bit for bit
+    ``forward(encode(x, params.encoder), params).data``, recording nothing
+    even inside a Tape.  A batch of ``SPLIT_MIN`` or more runs as
+    ``x[:ceil(B/2)]`` and the rest on :func:`_on_workers`.
+    Why: README "GEMM layout"."""
     x = np.asarray(x)
     config = params.config
     if x.ndim != 4 or x.shape[1:] != (config.frames, config.joints, 3):
@@ -198,14 +146,10 @@ def _infer_rows(x: np.ndarray, params: ModelParams) -> np.ndarray:
 
 
 def _on_workers(fn, parts: list) -> list:
-    """``[fn(part) for part in parts]`` for two parts, run on the two
-    workers when :func:`infer_workers` is 2 and no other call holds them,
-    else one after the other on the caller's thread.  Each worker runs in
-    a copy of the caller's context, so its tape and numpy's errstate hold
-    there.  A call that uses the workers sets the process's OpenBLAS to one
-    thread and leaves it there: a second BLAS thread spins after every GEMM
-    and would hold the other core.
-    """
+    """``[fn(part) for part in parts]`` for two parts: on the two workers,
+    each in a copy of the caller's context (its tape and numpy's errstate),
+    when :func:`infer_workers` is 2 and no other call holds them, else on
+    this thread.  Using the workers sets OpenBLAS to one thread for good."""
     if infer_workers() < 2 or not _workers_lock.acquire(blocking=False):
         return [fn(part) for part in parts]
     try:
@@ -249,16 +193,14 @@ def blas_threads() -> int | None:
 
 
 def infer_workers() -> int:
-    """Threads :func:`_on_workers` runs its parts on (a batched
-    :func:`infer`'s halves, a training step's streams): 2 with an OpenBLAS
-    whose thread count it can set and 2 usable CPUs, else 1."""
+    """Threads :func:`_on_workers` runs on: 2 with an OpenBLAS whose thread
+    count it can set and 2 usable CPUs, else 1."""
     return 2 if _blas_thread_calls() is not None and len(os.sched_getaffinity(0)) >= 2 else 1
 
 
 def _new_workers() -> None:
-    """Two idle workers, whose threads start on first use, and the lock the
-    one :func:`_on_workers` call using them holds.  A forked child makes
-    its own: it has none of its parent's threads."""
+    """Two idle workers and the lock an :func:`_on_workers` call holds while
+    it uses them; a forked child makes its own."""
     global _workers, _workers_lock
     _workers, _workers_lock = ThreadPoolExecutor(2, thread_name_prefix="skelact-worker"), threading.Lock()
 
@@ -281,14 +223,9 @@ class FlopsReport:
 def count_flops(config: ModelConfig) -> FlopsReport:
     """Multiply-accumulate census of one single-sequence forward pass.
 
-    Read off model.param_spec: each weight's entry carries its MACs (the
-    scale heads and attention projections, the per-stream embedding
-    products, the conv stages at C_out * H' * W' * C_in * k * k, and the
-    classifier), and the one product with no parameter, the attention
-    scores (T * T * J), is added here.  Elementwise work (activations,
-    softmax, velocity differences, the attention product-and-add) and the
-    constant bone-path product in scale_bones are excluded.
-    flops = 2 * MACs; param_count is the spec's total size.
+    Each weight's MACs from model.param_spec, plus the attention scores
+    (T * T * J); elementwise work and scale_bones' constant bone-path
+    product are left out.  flops = 2 * MACs; param_count is the spec's size.
     """
     spec = param_spec(config)
     layers: dict[str, int] = {}

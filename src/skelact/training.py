@@ -99,10 +99,12 @@ def _source(sequences, index: int) -> str:
 
 
 def _predict_classes(params: ModelParams, data: np.ndarray, batch_size: int) -> np.ndarray:
-    """``infer``'s argmax class per row; a _NonFiniteLogits error when any
-    row's logits hold a NaN or an infinity.  That check reports the fault,
-    so numpy's overflow and invalid-value warnings are off while ``infer``
-    runs (its workers inherit the setting)."""
+    """``infer``'s argmax class per row, in batches of ``batch_size`` (a
+    UsageError below 1); a _NonFiniteLogits error when any row's logits
+    hold a NaN or an infinity, with numpy's overflow and invalid-value
+    warnings off while ``infer`` runs."""
+    if batch_size < 1:
+        raise UsageError(f"batch_size must be positive, got {batch_size}")
     preds = np.empty(len(data), dtype=np.int64)
     finite = np.empty(len(data), dtype=bool)
     for start in range(0, len(data), batch_size):
@@ -118,14 +120,12 @@ def _predict_classes(params: ModelParams, data: np.ndarray, batch_size: int) -> 
 def train(sequences, model: ModelConfig, split: DatasetSplit, config: TrainConfig):
     """Fit a fresh ``model`` on the split's train side.
 
-    Returns (params, log) where log holds one "epoch,loss,test_acc,lr" line
-    per epoch; loss is the train-set mean for the epoch and test_acc is
-    measured on the split's test side after the epoch's updates.  A batch
-    whose loss is not finite stops training with a UsageError naming its
-    epoch and batch, before that batch updates any weight; so do test-side
-    logits that an epoch's updates left non-finite, naming that epoch.  A
-    split with no test side has its train-side logits checked once, after
-    the last epoch.
+    Returns (params, log): one "epoch,loss,test_acc,lr" line per epoch, the
+    loss the epoch's train-set mean and test_acc measured on the test side
+    after the epoch's updates.  A UsageError stops training on a batch whose
+    loss is not finite, before it updates a weight, or on non-finite
+    test-side logits after an epoch; with no test side, the train side's
+    logits are checked after the last epoch.
     """
     sequences = list(sequences)
     if not split.train:
@@ -175,13 +175,11 @@ def train(sequences, model: ModelConfig, split: DatasetSplit, config: TrainConfi
 
 
 def evaluate(params: ModelParams, sequences, batch_size: int = TrainConfig.batch_size):
-    """Score a sequence list against a trained model.
-
-    Returns (accuracy, ConfusionMatrix, per-class accuracy array).  Classes
-    absent from the test set get NaN per-class entries.  Logits holding a
-    NaN or an infinity are a CheckpointError naming the first such
-    sequence's source: the model cannot be used.
-    """
+    """Score ``sequences`` against a trained model, in batches of
+    ``batch_size``: (accuracy, ConfusionMatrix, per-class accuracy, NaN for
+    classes with no sequence).  An empty list or a ``batch_size`` below 1 is
+    a UsageError; non-finite logits are a CheckpointError naming the first
+    such sequence's source."""
     sequences = list(sequences)
     if not sequences:
         raise UsageError("empty evaluation set")

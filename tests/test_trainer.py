@@ -125,6 +125,20 @@ def test_train_keeps_the_vocabulary_it_is_given():
     assert matrix.counts.shape == (10, 10) and np.isnan(per_class[8:]).all()
 
 
+@pytest.mark.parametrize("label", [1.5, 2**63, 10**40], ids=["fraction", "beyond_int64", "beyond_any_dtype"])
+def test_train_refuses_labels_a_checkpoint_cannot_store_before_any_step(monkeypatch, label):
+    steps = []
+    monkeypatch.setattr(training, "adam_step", lambda *args: steps.append(args))
+    sequences = [SkeletonSequence(s.frames, int(label) if i % 2 else 0, s.subject_id, s.camera_id)
+                 for i, s in enumerate(SMALL_DATA[:16])]
+    with pytest.raises(UsageError, match="must be integers int64 can hold"):
+        model = ModelConfig(joints=TOPO.joint_count, classes=2, bones=TOPO.bones, root=TOPO.root,
+                            labels=(0, label), **TINY)
+        train(sequences, model, DatasetSplit(tuple(range(12)), tuple(range(12, 16)), "manual"),
+              TrainConfig(epochs=1, batch_size=8))
+    assert not steps
+
+
 def test_train_without_test_side_logs_nan_accuracy():
     cfg = TrainConfig(epochs=1, batch_size=8, lr=0.001, seed=0)
     _, log = train(SMALL_DATA[:8], model_config(SMALL_DATA[:8], TOPO, **TINY),
@@ -165,6 +179,13 @@ def test_evaluate_matches_log_tail_and_recounts():
                                 action_label=77, subject_id=1, camera_id=1)
     with pytest.raises(ConfigMismatchError, match="77"):
         evaluate(params, [outsider])
+
+
+@pytest.mark.parametrize("batch_size", [-1, 0])
+def test_evaluate_refuses_a_batch_size_below_one(batch_size):
+    params = ModelParams.build(model_config(SMALL_DATA, TOPO, **TINY))
+    with pytest.raises(UsageError, match=f"batch_size must be positive, got {batch_size}"):
+        evaluate(params, SMALL_DATA[:4], batch_size)
 
 
 def test_eval_logits_equal_the_taped_forward_and_reuse_the_workspace(monkeypatch):
@@ -286,10 +307,11 @@ def test_checkpoint_stores_config_integers_and_dt_exactly(tmp_path):
         save_checkpoint(stored, path)
         assert load_checkpoint(path).config == stored.config
     path.unlink()
-    for labels in ((0, 10**40), (0, 1.5)):
-        with pytest.raises(UsageError, match=r"config.labels value \(0, .*\): int64 cannot hold it exactly"):
-            save_checkpoint(params(labels), path)
-        assert not path.exists()  # refused before any byte is written
+    unstorable = ModelConfig(joints=TOPO.joint_count, classes=2, bones=TOPO.bones, root=TOPO.root,
+                             labels=(0, 1), fc_hidden=2**63)
+    with pytest.raises(UsageError, match=r"config.fc_hidden value 9223372036854775808: int64 cannot hold it exactly"):
+        save_checkpoint(ModelParams(unstorable, {}), path)
+    assert not path.exists()  # refused before any byte is written
 
 
 def test_load_checkpoint_draws_no_random_weights(tmp_path, monkeypatch):
