@@ -8,8 +8,10 @@ checkout's ``src/``).  Each side writes a set of checkpoints: the default
 set, labels (0, 2**24, -(2**25)) and dt = 0.1.  Each side then loads every
 checkpoint either side wrote, and each load must give an equal ModelConfig
 (dt rounded to float32 when the writer's checkpoint.VERSION is 1) and
-bit-identical tensors.  A reader refusing a file of a newer version than
-its own as an unsupported version is expected; any other error is not.
+bit-identical tensors.  Each config value the writer recorded is compared
+by name, so a field one side stores and the other derives still counts.
+A reader refusing a file of a newer version than its own as an
+unsupported version is expected; any other error is not.
 Every write and every read runs in its own process; the exit status is 1
 if any load fails or differs.
 """
@@ -20,7 +22,7 @@ import json
 import subprocess
 import sys
 import tempfile
-from dataclasses import asdict, replace
+from dataclasses import asdict, is_dataclass, replace
 from pathlib import Path
 
 
@@ -80,7 +82,10 @@ def read(src: str, out: str) -> int:
             same_tensors = sorted(tensors) == sorted(stored.files) and all(
                 tensors[k].dtype == stored[k].dtype and tensors[k].shape == stored[k].shape
                 and tensors[k].tobytes() == stored[k].tobytes() for k in stored.files)
-        same_config = json.loads(json.dumps(asdict(loaded.config))) == config
+        # every value the writer recorded, read by name: an older writer's joints and classes are properties here
+        values = {k: getattr(loaded.config, k) for k in config.keys() | asdict(loaded.config).keys()}
+        values = {k: asdict(v) if is_dataclass(v) else v for k, v in values.items()}
+        same_config = json.loads(json.dumps(values)) == config
         if not (same_config and same_tensors):
             print(f"  {name}: config equal {same_config}, tensors bit-identical {same_tensors}")
             failures += 1

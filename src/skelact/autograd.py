@@ -754,14 +754,12 @@ def backward(loss: Tensor) -> None:
     nodes, tape.nodes = tape.nodes, []
     if not nodes:
         raise UsageError("backward: the loss's tape was already consumed by an earlier backward")
-    pending: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    holders: dict[int, Tensor] = {id(loss): loss}  # keeps each pending id's tensor alive, so the id stays unique
+    pending: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
     while nodes:
         node = nodes.pop()  # rebinding releases the node run before it
-        d_out = pending.pop(id(node.output), None)
+        d_out = pending.pop(node.output, None)
         if d_out is None:
             continue
-        del holders[id(node.output)]
         out = node.output
         if out.grad is None and d_out.shape == out.data.shape and d_out.dtype == out.data.dtype:
             out.grad = d_out.view()
@@ -771,11 +769,9 @@ def backward(loss: Tensor) -> None:
         for t, d in zip(node.inputs, node.backward_fn(d_out)):
             if d is None or not t.requires_grad:
                 continue
-            key = id(t)
-            if key in pending:
-                pending[key] = pending[key] + d
+            if t in pending:
+                pending[t] = pending[t] + d
             else:
-                pending[key] = d
-                holders[key] = t
-    for key, d in pending.items():  # leaves: tensors never produced by a node
-        holders[key].accumulate_grad(d)
+                pending[t] = d
+    for t, d in pending.items():  # leaves: tensors never produced by a node
+        t.accumulate_grad(d)

@@ -1,4 +1,4 @@
-"""Binary checkpoint container, version 2.
+"""Binary checkpoint container, version 3.
 
 Layout, little-endian, with every count and extent a u32:
 
@@ -7,11 +7,14 @@ Layout, little-endian, with every count and extent a u32:
     zlib CRC32 of every byte before it
 
 The dtype code indexes DTYPES: config integers and flags i8, dt f8 and
-tensors f4.  The config entries come first, "config.<field>" in
-ModelConfig's field order: a scalar has shape (1,), a tuple one extent per
-level (bones is (b, 2)), the flags one 0/1 vector in EnhanceFlags' order.
-Tensors follow in sorted name order.  Version 1 (no dtype codes, all f4,
-no CRC32) still loads; a version 1 reader refuses version 2.
+tensors f4.  The 9 config entries come first, "config.<field>" in
+ModelConfig's field order (bones, root, labels, frames, channels,
+fc_hidden, scale_hidden, dt, flags): a scalar has shape (1,), a tuple one
+extent per level (bones is (b, 2)), the flags one 0/1 vector in
+EnhanceFlags' order.  Tensors follow in sorted name order.  Versions 1 (no
+dtype codes, all f4, no CRC32) and 2 (this layout) still load; both also
+store config.joints and config.classes, which must agree with the bones
+and labels.  A reader refuses a version newer than its own.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import os
 import secrets
 import struct
 import zlib
-from dataclasses import astuple, fields, is_dataclass
+from dataclasses import InitVar, astuple, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -31,9 +34,10 @@ from .errors import CheckpointError, TopologyError, UsageError
 from .model import ModelConfig, ModelParams, param_spec
 
 MAGIC = b"AFEC"
-VERSION = 2
+VERSION = 3
 DTYPES = ("<f4", "<f8", "<i8")  # indexed by the dtype code
-_HINTS = get_type_hints(ModelConfig)  # each config field's type sets its stored dtype and its decoding
+# each stored field's type sets its entry's dtype and its decoding
+_HINTS = {name: hint for name, hint in get_type_hints(ModelConfig).items() if hint is not InitVar}
 
 
 def _non_finite(tensors: dict[str, np.ndarray]) -> str | None:
@@ -102,12 +106,17 @@ class _Reader:
 
 def read_entries(path) -> dict[str, np.ndarray]:
     """Raw name -> array map, each in its stored dtype, with no model built."""
+    return _read(path)[1]
+
+
+def _read(path) -> tuple[int, dict[str, np.ndarray]]:
+    """The file's version and read_entries' map."""
     with open(path, "rb") as fh:
         reader = _Reader(fh.read())
     if reader.take(4) != MAGIC:
         raise CheckpointError("bad magic: not a checkpoint file")
     version = reader.u32()
-    if version not in (1, VERSION):
+    if not 1 <= version <= VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     count = reader.u32()
     entries: dict[str, np.ndarray] = {}
@@ -134,7 +143,7 @@ def read_entries(path) -> dict[str, np.ndarray]:
         raise CheckpointError("trailing bytes after final entry")
     if version > 1 and reader.u32() != zlib.crc32(memoryview(reader.blob)[:end]):
         raise CheckpointError("checksum mismatch: the file is corrupt")
-    return entries
+    return version, entries
 
 
 def _extents(hint) -> tuple[int | None, ...]:
@@ -152,16 +161,17 @@ def _ints(value):
     return tuple(map(_ints, value)) if isinstance(value, list) else int(value)
 
 
-def _decode(entries: dict[str, np.ndarray], field, hint):
-    """Field ``field`` of a ModelConfig, read from its entry by its type."""
-    name = f"config.{field.name}"
+def _decode(entries: dict[str, np.ndarray], key: str, hint):
+    """ModelConfig argument ``key``, read from its entry by its type ``hint``."""
+    name = f"config.{key}"
     if name not in entries:
         raise CheckpointError(f"missing {name!r}")
     arr = entries[name]
     extents = _extents(hint)
     fits = extents or (1,)  # a scalar is stored as shape (1,)
     if arr.ndim != len(fits) or any(e not in (None, s) for e, s in zip(fits, arr.shape)):
-        raise CheckpointError(f"{name} has shape {arr.shape}, which does not fit {field.type}")
+        shown = hint if get_origin(hint) else hint.__name__
+        raise CheckpointError(f"{name} has shape {arr.shape}, which does not fit {shown}")
     value = arr if extents else arr[0]
     if hint is float:
         return float(value)
@@ -179,17 +189,19 @@ def _decode(entries: dict[str, np.ndarray], field, hint):
 def load_checkpoint(path) -> ModelParams:
     """Rebuild the model a checkpoint stores, drawing no weights.  Entries are
     read by name in any order; each config entry is decoded by its field's
-    type; the tensors' names, shapes and float32 dtype must match param_spec
-    and every value must be finite.  Any fault is a CheckpointError."""
-    entries = read_entries(path)
-    config_fields = fields(ModelConfig)
+    type, and a version 1 or 2 file's config.joints and config.classes must
+    agree with its bones and labels; the tensors' names, shapes and float32
+    dtype must match param_spec and every value must be finite.  Any fault
+    is a CheckpointError."""
+    version, entries = _read(path)
+    hints = _HINTS if version > 2 else {**_HINTS, "joints": int, "classes": int}  # v1 and v2 store both counts
     try:
-        config = ModelConfig(**{f.name: _decode(entries, f, _HINTS[f.name]) for f in config_fields})
+        config = ModelConfig(**{key: _decode(entries, key, hint) for key, hint in hints.items()})
         config.topology()  # checks root and bones
         spec = param_spec(config)
     except (UsageError, TopologyError) as exc:
         raise CheckpointError(f"config entries describe no model: {exc}") from None
-    config_names = {f"config.{f.name}" for f in config_fields}
+    config_names = {f"config.{key}" for key in hints}
     stored = {name: (arr.dtype.name, arr.shape) for name, arr in entries.items() if name not in config_names}
     expected = {s.name: ("float32", tuple(s.shape)) for s in spec}
     if stored != expected:

@@ -84,8 +84,8 @@ def _model_config(args, sequences, **architecture) -> ModelConfig:
     allocated."""
     topology = _topology_for(sequences[0].joint_count)
     labels = tuple(sorted({s.action_label for s in sequences}))
-    model = ModelConfig(joints=topology.joint_count, classes=len(labels), bones=topology.bones,
-                        root=topology.root, labels=labels, frames=args.frames, **architecture)
+    model = ModelConfig(bones=topology.bones, root=topology.root, labels=labels, frames=args.frames,
+                        **architecture)
     count = sum(math.prod(s.shape) for s in param_spec(model))
     if count > MAX_PARAMS:
         raise UsageError(f"the model has {count:,} parameters, over the bound of {MAX_PARAMS:,}")
@@ -160,7 +160,19 @@ def _check_writable(path: str, flag: str) -> None:
         raise OSError(f"{flag} {path}: not a writable file")
 
 
+def _check_distinct(*flagged) -> None:
+    """Refuse, before any work, two (flag, path) pairs whose paths resolve to
+    the same file, skipping a path of None: a UsageError, so exit 1."""
+    seen = {}
+    for flag, path in flagged:
+        if path is not None:
+            other = seen.setdefault(os.path.realpath(path), flag)
+            if other != flag:
+                raise UsageError(f"{flag} {path} is the same file as {other}")
+
+
 def cmd_train(args) -> int:
+    _check_distinct(("--data", args.data), ("--out-checkpoint", args.out_checkpoint), ("--log", args.log))
     _check_writable(args.out_checkpoint, "--out-checkpoint")
     if args.log is not None:
         _check_writable(args.log, "--log")

@@ -10,7 +10,7 @@ order.  The MAC census and checkpoint loading read the same table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -23,13 +23,15 @@ from .skeleton import Topology
 @dataclass(frozen=True)
 class ModelConfig:
     """Every structural choice a checkpoint needs to rebuild the network.
-    A UsageError refuses: classes other than len(labels), fewer than 2
-    joints, bones that cannot span the joints, channels not 3 long, a layer
-    width below 1, frames below 2, a repeated label, a label int64 cannot
-    hold, or a dt that is not finite and positive in float32."""
+    The joint and class counts are read-only properties, len(bones) + 1 and
+    len(labels).  The constructor still takes either as a keyword, checks it
+    and stores nothing, so a replace() that changes the bone or label count
+    passes joints=None or classes=None.  A UsageError refuses: joints the
+    bones cannot span, classes other than len(labels), no bone, channels
+    not 3 long, a layer width below 1, frames below 2, no label, a repeated
+    label, a label int64 cannot hold, or a dt that is not finite and
+    positive in float32."""
 
-    joints: int
-    classes: int
     bones: tuple[tuple[int, int], ...]
     root: int
     labels: tuple[int, ...]
@@ -39,21 +41,27 @@ class ModelConfig:
     scale_hidden: int = 64
     dt: float = 1.0
     flags: EnhanceFlags = field(default_factory=EnhanceFlags)
+    # int or None; each count's property is set below the class.  A bare
+    # InitVar: Python 3.10's get_type_hints refuses InitVar[int | None]
+    joints: InitVar = None
+    classes: InitVar = None
 
-    def __post_init__(self):
-        if self.classes != len(self.labels):
-            raise UsageError(f"{self.classes} classes but {len(self.labels)} labels")
-        if self.joints < 2:
-            raise UsageError(f"a skeleton needs at least 2 joints (1 bone), got {self.joints}")
+    def __post_init__(self, joints, classes):
+        if classes not in (None, len(self.labels)):
+            raise UsageError(f"{classes} classes but {len(self.labels)} labels")
+        if joints not in (None, len(self.bones) + 1):
+            raise UsageError(f"{len(self.bones)} bones cannot span {joints} joints")
+        if not self.bones:
+            raise UsageError("a skeleton needs at least one bone")
         if len(self.channels) != 3:
             raise UsageError(f"channels must give 3 stage widths, got {self.channels}")
         if min(self.channels) < 1 or self.fc_hidden < 1 or self.scale_hidden < 1:
             raise UsageError(f"layer widths must be positive: channels={self.channels}, "
                              f"fc_hidden={self.fc_hidden}, scale_hidden={self.scale_hidden}")
-        if len(self.bones) != self.joints - 1:
-            raise UsageError(f"{len(self.bones)} bones cannot span {self.joints} joints")
         if self.frames < 2:
             raise UsageError("frames must be >= 2")
+        if not self.labels:
+            raise UsageError("a model needs at least one label")
         if len(set(self.labels)) != len(self.labels):
             raise UsageError(f"labels {self.labels} repeat a label")
         try:  # save_checkpoint's rule: a checkpoint stores labels as int64
@@ -95,6 +103,10 @@ class ModelConfig:
         if len(near) == 1:
             return f"; the nearest frame count that builds is {near[0]}"
         return f"; the nearest frame counts that build are {near[0]} and {near[1]}"
+
+
+ModelConfig.joints = property(lambda self: len(self.bones) + 1, doc="len(bones) + 1")
+ModelConfig.classes = property(lambda self: len(self.labels), doc="len(labels)")
 
 
 def _stage_extents(frames: int, stages: int) -> list[int]:

@@ -32,8 +32,7 @@ def model_config(sequences, topology, **architecture) -> ModelConfig:
     """A model of ``topology`` whose classes are the sequences' sorted
     labels, as ``skelact train`` derives them."""
     labels = tuple(sorted({s.action_label for s in sequences}))
-    return ModelConfig(joints=topology.joint_count, classes=len(labels), bones=topology.bones,
-                       root=topology.root, labels=labels, **architecture)
+    return ModelConfig(bones=topology.bones, root=topology.root, labels=labels, **architecture)
 
 
 def incidence_matrix(topology) -> np.ndarray:

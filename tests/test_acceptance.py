@@ -61,10 +61,8 @@ def _random_tree(rng, joints):
 def test_criterion_01_full_pipeline_gradients():
     started = time.perf_counter()
     topo = humanoid_topology()
-    config = ModelConfig(
-        joints=15, classes=4, bones=topo.bones, root=topo.root, labels=(0, 1, 2, 3),
-        frames=64, channels=(4, 8, 16), fc_hidden=32, scale_hidden=16,
-    )
+    config = ModelConfig(bones=topo.bones, root=topo.root, labels=(0, 1, 2, 3),
+                         frames=64, channels=(4, 8, 16), fc_hidden=32, scale_hidden=16)
     params = ModelParams.build(config, seed=0, dtype=np.float64)
     # check at a generic point: the identity-like init leaves duplicated image
     # rows, whose pooling ties are non-differentiable kinks where central
@@ -343,8 +341,7 @@ def test_criterion_08_ablation_direction():
 
 def test_criterion_09_complexity_report(capsys):
     topo = ntu_topology()
-    config = ModelConfig(joints=25, classes=60, bones=topo.bones, root=topo.root,
-                         labels=tuple(range(1, 61)))
+    config = ModelConfig(bones=topo.bones, root=topo.root, labels=tuple(range(1, 61)))
     report = count_flops(config)
     # independent hand sum, every term written out as a literal
     hand_macs = sum((

@@ -250,6 +250,19 @@ def test_train_to_an_unwritable_path_is_exit_2_before_the_first_epoch(tmp_path, 
     assert not (tmp_path / "x.ckpt").exists() and not (tmp_path / "log.csv").exists()
 
 
+def test_train_onto_its_own_data_or_other_output_is_exit_1_and_writes_nothing(tmp_path, dataset, capsys,
+                                                                             monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    blob = dataset.read_bytes()
+    for ckpt, log, message in (("m.ckpt", "m.ckpt", "--log m.ckpt is the same file as --out-checkpoint"),
+                               ("data.jsonl", None, "--out-checkpoint data.jsonl is the same file as --data"),
+                               ("m.ckpt", "./data.jsonl", "--log ./data.jsonl is the same file as --data")):
+        assert main(_train_args("data.jsonl", ckpt, log)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {message}"] and not captured.out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl"] and dataset.read_bytes() == blob
+
+
 def test_train_respects_stage_toggles(tmp_path, dataset):
     ckpt = tmp_path / "slim.ckpt"
     assert main(_train_args(dataset, ckpt, extra=["--no-velocity", "--no-attention"])) == 0
@@ -458,8 +471,7 @@ def test_bench_reports_latency_and_cost(capsys):
     assert float(fields["mean_ms"]) > 0
     assert float(fields["p95_ms"]) >= float(fields["median_ms"]) * 0.5
     topo = humanoid_topology()
-    config = ModelConfig(joints=15, classes=8, bones=topo.bones, root=topo.root,
-                         labels=tuple(range(8)))
+    config = ModelConfig(bones=topo.bones, root=topo.root, labels=tuple(range(8)))
     report = count_flops(config)
     assert fields["gflops"] == repr(report.total_flops / 1e9)
     assert int(fields["params"]) == report.param_count

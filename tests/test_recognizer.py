@@ -1,12 +1,14 @@
 """Four-stream CNN classifier: forward semantics and the static cost model
 (multiply-accumulate census and parameter count)."""
 
+import dataclasses
 import importlib
 import itertools
 import multiprocessing
 import sys
 import threading
 import types
+import typing
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 
@@ -33,7 +35,7 @@ CHAIN_BONES = ((0, 1), (1, 2), (2, 3))
 
 
 def _config(**kw):
-    base = dict(joints=4, classes=3, bones=CHAIN_BONES, root=0, labels=(0, 1, 2),
+    base = dict(bones=CHAIN_BONES, root=0, labels=(0, 1, 2),
                 frames=64, channels=(2, 3, 4), fc_hidden=8, scale_hidden=6)
     base.update(kw)
     return ModelConfig(**base)
@@ -41,8 +43,7 @@ def _config(**kw):
 
 def _ntu_config(**kw):
     topo = ntu_topology()
-    base = dict(joints=25, classes=60, bones=topo.bones, root=topo.root,
-                labels=tuple(range(1, 61)))
+    base = dict(bones=topo.bones, root=topo.root, labels=tuple(range(1, 61)))
     base.update(kw)
     return ModelConfig(**base)
 
@@ -312,8 +313,7 @@ def test_infer_and_the_taped_forward_of_an_empty_batch_give_empty_logits():
 
 def _humanoid_params(dtype=np.float32):
     topo = humanoid_topology()
-    config = ModelConfig(joints=topo.joint_count, classes=8, bones=topo.bones, root=topo.root,
-                         labels=tuple(range(8)))
+    config = ModelConfig(bones=topo.bones, root=topo.root, labels=tuple(range(8)))
     params = ModelParams.build(config, seed=11, dtype=dtype)
     rng = np.random.default_rng(29)
     for tensor in params.named_tensors().values():  # biases and temporal vectors start at 0
@@ -897,8 +897,8 @@ def test_config_validation():
         _config(frames=256).feature_width()
     with pytest.raises(UsageError, match="labels"):
         _config(classes=5)
-    with pytest.raises(UsageError, match="span"):
-        _config(bones=CHAIN_BONES[:2])
+    with pytest.raises(UsageError, match="2 bones cannot span 4 joints"):
+        _config(joints=4, bones=CHAIN_BONES[:2])
     with pytest.raises(UsageError, match="repeat a label"):
         _config(labels=(0, 1, 1))
     # NaN would pass frame_velocity's dt <= 0 check and turn every logit NaN
@@ -912,11 +912,33 @@ def test_config_validation():
     (dict(channels=(0, 2, 2)), "widths must be positive"),
     (dict(scale_hidden=0), "widths must be positive"),
     (dict(frames=16, channels=(2, 2)), "3 stage widths"),
-    (dict(joints=1, bones=()), "at least 2 joints"),
-], ids=["fc_hidden_0", "channels_0", "scale_hidden_0", "two_stages", "one_joint"])
+    (dict(bones=()), "a skeleton needs at least one bone"),
+    (dict(labels=()), "a model needs at least one label"),
+], ids=["fc_hidden_0", "channels_0", "scale_hidden_0", "two_stages", "one_joint", "no_label"])
 def test_config_refuses_what_the_model_cannot_be_built_or_run_with(fields, message):
     with pytest.raises(UsageError, match=message):
         _config(**fields)
+
+
+def test_config_stores_neither_count_and_checks_either_given():
+    config = _config()
+    assert [f.name for f in dataclasses.fields(config)] == [
+        "bones", "root", "labels", "frames", "channels", "fc_hidden", "scale_hidden", "dt", "flags"]
+    assert (config.joints, config.classes) == (len(CHAIN_BONES) + 1, 3)
+    assert _config(joints=4, classes=3) == config  # the keywords perfbench's set-up still passes
+    assert dataclasses.replace(config, dt=0.5).joints == 4
+    with pytest.raises(UsageError, match="3 bones cannot span 5 joints"):
+        _config(joints=5)
+    with pytest.raises(UsageError, match="2 classes but 3 labels"):
+        _config(classes=2)
+
+
+def test_config_annotations_evaluate_under_python_3_10_typing():
+    # Python 3.10's get_type_hints refuses a string annotation that evaluates
+    # to neither a type, a union nor a callable (InitVar[int | None] is none of
+    # them), and checkpoint reads ModelConfig's hints when it is imported
+    hints = typing.get_type_hints(ModelConfig)
+    assert all(isinstance(h, (type, types.UnionType)) or callable(h) for h in hints.values()), hints
 
 
 def test_build_is_seed_deterministic():

@@ -117,8 +117,7 @@ def test_train_rejects_empty_split_and_foreign_joints():
 
 def test_train_keeps_the_vocabulary_it_is_given():
     # the data hold labels 0..7; the model's head has room for 0..9
-    model = ModelConfig(joints=TOPO.joint_count, classes=10, bones=TOPO.bones, root=TOPO.root,
-                        labels=tuple(range(10)), **TINY)
+    model = ModelConfig(bones=TOPO.bones, root=TOPO.root, labels=tuple(range(10)), **TINY)
     params, _ = train(SMALL_DATA, model, SMALL_SPLIT, TrainConfig(epochs=1, batch_size=8))
     assert params.config == model and params.tensors["classifier.fc2.bias"].shape == (10,)
     _, matrix, per_class = evaluate(params, [SMALL_DATA[i] for i in SMALL_SPLIT.test])
@@ -132,8 +131,7 @@ def test_train_refuses_labels_a_checkpoint_cannot_store_before_any_step(monkeypa
     sequences = [SkeletonSequence(s.frames, int(label) if i % 2 else 0, s.subject_id, s.camera_id)
                  for i, s in enumerate(SMALL_DATA[:16])]
     with pytest.raises(UsageError, match="must be integers int64 can hold"):
-        model = ModelConfig(joints=TOPO.joint_count, classes=2, bones=TOPO.bones, root=TOPO.root,
-                            labels=(0, label), **TINY)
+        model = ModelConfig(bones=TOPO.bones, root=TOPO.root, labels=(0, label), **TINY)
         train(sequences, model, DatasetSplit(tuple(range(12)), tuple(range(12, 16)), "manual"),
               TrainConfig(epochs=1, batch_size=8))
     assert not steps
@@ -189,8 +187,7 @@ def test_evaluate_refuses_a_batch_size_below_one(batch_size):
 
 
 def test_eval_logits_equal_the_taped_forward_and_reuse_the_workspace(monkeypatch):
-    config = ModelConfig(joints=TOPO.joint_count, classes=8, bones=TOPO.bones, root=TOPO.root,
-                         labels=tuple(range(8)))
+    config = ModelConfig(bones=TOPO.bones, root=TOPO.root, labels=tuple(range(8)))
     params = ModelParams.build(config, seed=0)
     data = np.random.default_rng(5).normal(size=(70, 64, TOPO.joint_count, 3)).astype(np.float32)
     untaped = []
@@ -287,8 +284,10 @@ def test_checkpoint_entries_include_config_and_tensors(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(params, path)
     entries = read_entries(path)
+    assert [name for name in entries if name.startswith("config.")] == [
+        f"config.{name}" for name in ("bones", "root", "labels", "frames", "channels", "fc_hidden",
+                                      "scale_hidden", "dt", "flags")]  # no stored joint or class count
     assert entries["config.frames"] == 64.0
-    assert entries["config.joints"] == 15.0
     assert np.array_equal(entries["config.channels"], [2.0, 2.0, 2.0])
     assert np.array_equal(entries["config.flags"], [1.0, 1.0, 1.0, 1.0, 1.0])
     assert entries["config.bones"].shape == (14, 2)
@@ -298,24 +297,22 @@ def test_checkpoint_entries_include_config_and_tensors(tmp_path):
 
 def test_checkpoint_stores_config_integers_and_dt_exactly(tmp_path):
     def params(labels, dt=1.0):
-        return ModelParams.build(ModelConfig(joints=TOPO.joint_count, classes=len(labels), bones=TOPO.bones,
-                                             root=TOPO.root, labels=labels, channels=(2, 2, 2), fc_hidden=8,
-                                             scale_hidden=4, dt=dt))
+        return ModelParams.build(ModelConfig(bones=TOPO.bones, root=TOPO.root, labels=labels, channels=(2, 2, 2),
+                                             fc_hidden=8, scale_hidden=4, dt=dt))
 
     path = tmp_path / "model.ckpt"
     for stored in (params((0, 2**24 + 1, -(2**24) - 1, 2**62)), params((0, 1, 2), dt=0.1)):  # float32 rounds each
         save_checkpoint(stored, path)
         assert load_checkpoint(path).config == stored.config
     path.unlink()
-    unstorable = ModelConfig(joints=TOPO.joint_count, classes=2, bones=TOPO.bones, root=TOPO.root,
-                             labels=(0, 1), fc_hidden=2**63)
+    unstorable = ModelConfig(bones=TOPO.bones, root=TOPO.root, labels=(0, 1), fc_hidden=2**63)
     with pytest.raises(UsageError, match=r"config.fc_hidden value 9223372036854775808: int64 cannot hold it exactly"):
         save_checkpoint(ModelParams(unstorable, {}), path)
     assert not path.exists()  # refused before any byte is written
 
 
 def test_load_checkpoint_draws_no_random_weights(tmp_path, monkeypatch):
-    config = ModelConfig(joints=TOPO.joint_count, classes=3, bones=TOPO.bones, root=TOPO.root,
+    config = ModelConfig(bones=TOPO.bones, root=TOPO.root,
                          labels=(0, 1, 2), channels=(2, 2, 2), fc_hidden=8, scale_hidden=4)
     params = ModelParams.build(config, seed=4)
     path = tmp_path / "model.ckpt"
@@ -354,7 +351,7 @@ class _FullDisk:
 
 
 def test_a_save_that_fails_partway_leaves_the_earlier_checkpoint_and_no_temp_file(tmp_path, monkeypatch):
-    config = ModelConfig(joints=TOPO.joint_count, classes=3, bones=TOPO.bones, root=TOPO.root,
+    config = ModelConfig(bones=TOPO.bones, root=TOPO.root,
                          labels=(0, 1, 2), channels=(2, 2, 2), fc_hidden=8, scale_hidden=4)
     earlier, later = ModelParams.build(config, seed=4), ModelParams.build(config, seed=5)
     path = tmp_path / "model.ckpt"
@@ -382,7 +379,7 @@ def test_a_save_that_fails_partway_leaves_the_earlier_checkpoint_and_no_temp_fil
 
 
 def _small_checkpoint(path, **kw):
-    config = ModelConfig(joints=TOPO.joint_count, classes=3, bones=TOPO.bones, root=TOPO.root,
+    config = ModelConfig(bones=TOPO.bones, root=TOPO.root,
                          labels=(0, 1, 2), channels=(2, 2, 2), fc_hidden=8, scale_hidden=4, **kw)
     params = ModelParams.build(config, seed=4)
     save_checkpoint(params, path)
@@ -399,10 +396,11 @@ def _write_v1(path, entries):
     path.write_bytes(b"".join(out))
 
 
-def _write_v2(path, entries, code=None):
-    """The v2 layout written from (name, array) pairs, each with its own
-    dtype's code unless ``code`` overrides every entry's, and a valid CRC32."""
-    out = [MAGIC, struct.pack("<II", 2, len(entries))]
+def _write_coded(path, entries, version=3, code=None):
+    """The v2 or v3 layout, which differ only in the version number, written
+    from (name, array) pairs, each with its own dtype's code unless ``code``
+    overrides every entry's, and a valid CRC32."""
+    out = [MAGIC, struct.pack("<II", version, len(entries))]
     for name, arr in entries:
         arr = np.ascontiguousarray(arr)
         out += [struct.pack("<I", len(name.encode())), name.encode(),
@@ -412,18 +410,52 @@ def _write_v2(path, entries, code=None):
     path.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
 
 
+def _with_counts(path) -> dict:
+    """The entries of the _small_checkpoint at ``path`` as a v1 or v2 writer
+    stored them: config.joints and config.classes first, as int64."""
+    counts = {"config.joints": np.array([TOPO.joint_count], "<i8"), "config.classes": np.array([3], "<i8")}
+    return {**counts, **read_entries(path)}
+
+
+def test_v3_layout_written_independently_is_save_checkpoints_bytes(tmp_path):
+    params = _small_checkpoint(tmp_path / "model.ckpt", dt=0.1)
+    blob = (tmp_path / "model.ckpt").read_bytes()
+    assert struct.unpack_from("<II", blob, 4) == (3, 9 + len(params.tensors))  # version, entry count
+    _write_coded(tmp_path / "copy.ckpt", list(read_entries(tmp_path / "model.ckpt").items()))
+    assert (tmp_path / "copy.ckpt").read_bytes() == blob
+
+
 def test_v2_layout_written_independently_loads(tmp_path):
     params = _small_checkpoint(tmp_path / "model.ckpt", dt=0.1)
-    _write_v2(tmp_path / "copy.ckpt", list(read_entries(tmp_path / "model.ckpt").items()))
-    assert (tmp_path / "copy.ckpt").read_bytes() == (tmp_path / "model.ckpt").read_bytes()
-    assert load_checkpoint(tmp_path / "copy.ckpt").config == params.config
+    _write_coded(tmp_path / "v2.ckpt", list(_with_counts(tmp_path / "model.ckpt").items()), version=2)
+    assert read_entries(tmp_path / "v2.ckpt")["config.joints"] == TOPO.joint_count
+    loaded = load_checkpoint(tmp_path / "v2.ckpt")
+    assert loaded.config == params.config
+    for name, tensor in params.named_tensors().items():
+        assert loaded.tensors[name].data.tobytes() == tensor.data.tobytes(), name
+
+
+@pytest.mark.parametrize("name, message", [("config.joints", "14 bones cannot span 16 joints"),
+                                           ("config.classes", "4 classes but 3 labels")])
+def test_v2_count_that_disagrees_is_a_checkpoint_error_and_exit_2(tmp_path, capsys, name, message):
+    _small_checkpoint(tmp_path / "model.ckpt")
+    entries = _with_counts(tmp_path / "model.ckpt")
+    entries[name] += 1
+    bad = tmp_path / "bad.ckpt"
+    _write_coded(bad, list(entries.items()), version=2)
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(bad)
+    data = tmp_path / "data.jsonl"
+    write_jsonl(SMALL_DATA[:4], data)
+    assert main(["eval", "--checkpoint", str(bad), "--data", str(data)]) == 2
+    assert capsys.readouterr().err == f"error: config entries describe no model: {message}\n"
 
 
 def test_v2_entry_with_an_unknown_dtype_code_is_a_checkpoint_error(tmp_path):
     _small_checkpoint(tmp_path / "model.ckpt")
     bad = tmp_path / "bad.ckpt"
-    _write_v2(bad, list(read_entries(tmp_path / "model.ckpt").items()), code=3)
-    with pytest.raises(CheckpointError, match="unknown dtype code 3 for 'config.joints'"):
+    _write_coded(bad, list(read_entries(tmp_path / "model.ckpt").items()), code=3)
+    with pytest.raises(CheckpointError, match="unknown dtype code 3 for 'config.bones'"):
         load_checkpoint(bad)
 
 
@@ -436,6 +468,10 @@ _UNLIKE_THE_SPEC = {
                 r"tensor classifier.fc2.bias: stored nothing, the model needs \('float32', \(3,\)\)"),
     "unexpected": (lambda e: e.update({"config.extra": np.zeros(1, "<i8")}),
                    r"tensor config.extra: stored \('int64', \(1,\)\), the model needs nothing"),
+    "v3_joints": (lambda e: e.update({"config.joints": np.array([15], "<i8")}),
+                  r"tensor config.joints: stored \('int64', \(1,\)\), the model needs nothing"),
+    "v3_classes": (lambda e: e.update({"config.classes": np.array([3], "<i8")}),
+                   r"tensor config.classes: stored \('int64', \(1,\)\), the model needs nothing"),
 }
 
 
@@ -446,7 +482,7 @@ def test_tensor_entry_unlike_the_spec_is_a_checkpoint_error_and_exit_2(tmp_path,
     entries = read_entries(tmp_path / "model.ckpt")
     mutate(entries)
     bad = tmp_path / "bad.ckpt"
-    _write_v2(bad, list(entries.items()))
+    _write_coded(bad, list(entries.items()))
     with pytest.raises(CheckpointError, match=message):
         load_checkpoint(bad)
     data = tmp_path / "data.jsonl"
@@ -457,7 +493,7 @@ def test_tensor_entry_unlike_the_spec_is_a_checkpoint_error_and_exit_2(tmp_path,
 
 def test_checkpoint_loads_config_entries_in_any_order(tmp_path):
     params = _small_checkpoint(tmp_path / "model.ckpt", dt=0.5)
-    entries = read_entries(tmp_path / "model.ckpt")
+    entries = _with_counts(tmp_path / "model.ckpt")
     order = ["frames", "joints", "classes", "fc_hidden", "scale_hidden", "root", "dt",
              "channels", "flags", "labels", "bones"]  # the order of the first v1 writer
     reordered = [(f"config.{name}", entries.pop(f"config.{name}")) for name in order]
@@ -494,7 +530,7 @@ _MALFORMED_CONFIG = {
 def test_malformed_config_entry_is_a_checkpoint_error_and_exit_2(tmp_path, capsys, case):
     name, mutate, message = _MALFORMED_CONFIG[case]
     _small_checkpoint(tmp_path / "model.ckpt")
-    entries = read_entries(tmp_path / "model.ckpt")
+    entries = _with_counts(tmp_path / "model.ckpt")  # a v1 file stores both counts
     entries[name] = mutate(entries[name]).astype(np.float32)
     bad = tmp_path / "bad.ckpt"
     _write_v1(bad, list(entries.items()))
@@ -521,7 +557,7 @@ def test_checkpoint_entry_name_that_is_not_utf8_is_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_save_checkpoint_refuses_a_non_finite_tensor_before_writing(tmp_path, value):
-    config = ModelConfig(joints=TOPO.joint_count, classes=3, bones=TOPO.bones, root=TOPO.root,
+    config = ModelConfig(bones=TOPO.bones, root=TOPO.root,
                          labels=(0, 1, 2), channels=(2, 2, 2), fc_hidden=8, scale_hidden=4)
     params = ModelParams.build(config, seed=4)
     params.tensors["classifier.fc2.bias"].data[1] = value
@@ -533,7 +569,7 @@ def test_save_checkpoint_refuses_a_non_finite_tensor_before_writing(tmp_path, va
 
 def test_non_finite_tensor_in_a_checkpoint_is_a_checkpoint_error_and_exit_2(tmp_path, capsys):
     _small_checkpoint(tmp_path / "model.ckpt")
-    entries = read_entries(tmp_path / "model.ckpt")
+    entries = _with_counts(tmp_path / "model.ckpt")
     entries["stream1.conv2.kernels"][0, 0, 1] = [np.nan, np.inf, -np.inf]
     bad = tmp_path / "bad.ckpt"
     _write_v1(bad, list(entries.items()))
